@@ -9,10 +9,14 @@ from .detect import (
     DetectionResult,
     SearchSpaceTooLarge,
     ml_detect,
+    ml_detector,
     quantize_z_domain,
     zf_detect,
+    zf_detector,
     zf_lr_detect,
     zf_lr_detect_real,
+    zf_lr_detector,
+    zf_lr_real_detector,
 )
 from .flops import (
     ChargeSchedule,
@@ -22,6 +26,8 @@ from .flops import (
     complex_op_cost,
     complexity_report,
     instrument,
+    instrument_caps,
+    reduction_params,
     schedule_for,
     step_cost,
 )
@@ -51,6 +57,7 @@ from .mimo import (
     LengthMismatch,
     NoiseSpec,
     add_noise,
+    base_noise,
     build_constellation,
     demodulate,
     generate_channel,
@@ -70,6 +77,7 @@ from .reduction import (
     lll_reduce_real,
     lovasz_check,
     mclll,
+    reduce_at_caps,
     siegel_check,
     size_reduce_column,
 )

@@ -1,5 +1,10 @@
 """Symbol detection back-ends: plain zero forcing, lattice-reduction-aided
 zero forcing with z-domain quantization, and exhaustive maximum likelihood.
+
+Each detector is split in two: ``*_detector`` does the work that depends
+only on the channel (or on its reduction) once and returns a ``detect(x)``
+function for any number of received vectors; the one-shot ``*_detect``
+functions compose the two.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import numpy as np
 from .matcore import (
     back_substitute,
     complex_from_real_vector,
-    pseudo_inverse_apply,
+    qr_decompose,
     real_embedding_vector,
     round_gaussian,
     round_half_away,
@@ -20,6 +25,9 @@ from .mimo import Constellation
 from .reduction import ReductionResult
 
 ML_SEARCH_LIMIT = 2 ** 20
+
+# Candidate rows per block of ML distance evaluation.
+_ML_BLOCK_ROWS = 4096
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -36,11 +44,25 @@ class DetectionResult:
     detector_id: str
 
 
+def zf_detector(h, c: Constellation):
+    """Zero forcing prepared for one channel: the QR of ``h`` is computed
+    once, and the returned ``detect(x)`` applies the pseudo-inverse by
+    back-substitution and slices each entry to the nearest constellation
+    point."""
+    q, r = qr_decompose(h)
+    q_h = q.conj().T
+
+    def detect(x) -> DetectionResult:
+        s_tilde = back_substitute(r, q_h @ np.asarray(x, dtype=complex))
+        return DetectionResult(c.points[c.nearest_index(s_tilde)], None, "zf")
+
+    return detect
+
+
 def zf_detect(x, h, c: Constellation) -> DetectionResult:
     """Zero forcing: apply the channel pseudo-inverse, slice each entry to
     the nearest constellation point."""
-    s_tilde = pseudo_inverse_apply(h, x)
-    return DetectionResult(c.points[c.nearest_index(s_tilde)], None, "zf")
+    return zf_detector(h, c)(x)
 
 
 def quantize_z_domain(z_tilde, t, c: Constellation) -> np.ndarray:
@@ -53,41 +75,70 @@ def quantize_z_domain(z_tilde, t, c: Constellation) -> np.ndarray:
     Rounds ``w`` component-wise (ties away from zero, matching size
     reduction) and returns the quantized z-domain vector.
     """
-    z_tilde = np.asarray(z_tilde, dtype=complex)
     shift = t.solve_integer(np.full(t.n, 1 + 1j))
-    w = round_gaussian((z_tilde / c.scale + shift) / 2.0)
+    return _quantize(np.asarray(z_tilde, dtype=complex), shift, c, round_gaussian)
+
+
+def _quantize(z_tilde, shift, c: Constellation, rounding) -> np.ndarray:
+    w = rounding((z_tilde / c.scale + shift) / 2.0)
     return c.scale * (2.0 * w - shift)
 
 
-def zf_lr_detect(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
-    """LR-aided zero forcing in the reduced basis.
+def zf_lr_detector(red: ReductionResult, c: Constellation):
+    """LR-aided zero forcing prepared for one reduction of the channel.
 
-    Solves the z-domain least squares via the reduction's own factors
+    The quantizer shift ``t^{-1} (1+i) ones`` (solved and verified exactly)
+    and the float T are computed once.  The returned ``detect(x)`` solves
+    the z-domain least squares via the reduction's own factors
     (``z = r_tilde^{-1} q_tilde^H x``, the pseudo-inverse of h @ T applied
-    to x), quantizes on the z-domain lattice, maps back through T, and
-    clips any out-of-alphabet entry to the nearest constellation point.
+    to x), quantizes on the z-domain lattice (``quantize_z_domain``), maps
+    back through T, and clips any out-of-alphabet entry to the nearest
+    constellation point.
     """
-    z_tilde = back_substitute(red.r_tilde, red.q_tilde.conj().T @ np.asarray(x, dtype=complex))
-    z_q = quantize_z_domain(z_tilde, red.t, c)
-    s_raw = red.t.to_complex() @ z_q
-    return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
+    q_h = red.q_tilde.conj().T
+    shift = red.t.solve_integer(np.full(red.t.n, 1 + 1j))
+    t_float = red.t.to_complex()
+
+    def detect(x) -> DetectionResult:
+        z_tilde = back_substitute(red.r_tilde, q_h @ np.asarray(x, dtype=complex))
+        s_raw = t_float @ _quantize(z_tilde, shift, c, round_gaussian)
+        return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
+
+    return detect
+
+
+def zf_lr_detect(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
+    """LR-aided zero forcing in the reduced basis (see ``zf_lr_detector``)."""
+    return zf_lr_detector(red, c)(x)
+
+
+def zf_lr_real_detector(red: ReductionResult, c: Constellation):
+    """LR-aided zero forcing through the real block embedding, prepared
+    for one reduction.
+
+    ``red`` must come from reducing the real embedding of the channel
+    (doubled dimensions, plain-integer T).  Works like ``zf_lr_detector``
+    but on stacked [Re; Im] coordinates, where constellation components map
+    to integers via ``u = (s_comp/scale + 1) / 2``.
+    """
+    q_h = red.q_tilde.conj().T
+    shift = red.t.solve_integer(np.ones(red.t.n)).real
+    t_float = red.t.to_complex().real
+
+    def detect(x) -> DetectionResult:
+        x_r = real_embedding_vector(np.asarray(x, dtype=complex))
+        z_tilde = back_substitute(red.r_tilde, q_h @ x_r).real
+        s_raw = complex_from_real_vector(
+            t_float @ _quantize(z_tilde, shift, c, round_half_away))
+        return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
+
+    return detect
 
 
 def zf_lr_detect_real(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
-    """LR-aided zero forcing through the real block embedding.
-
-    ``red`` must come from reducing the real embedding of ``h`` (doubled
-    dimensions, plain-integer T).  Works like ``zf_lr_detect`` but on
-    stacked [Re; Im] coordinates, where constellation components map to
-    integers via ``u = (s_comp/scale + 1) / 2``.
-    """
-    x_r = real_embedding_vector(np.asarray(x, dtype=complex))
-    z_tilde = back_substitute(red.r_tilde, red.q_tilde.conj().T @ x_r).real
-    shift = red.t.solve_integer(np.ones(red.t.n)).real
-    w = round_half_away((z_tilde / c.scale + shift) / 2.0)
-    z_q = c.scale * (2.0 * w - shift)
-    s_raw = complex_from_real_vector(red.t.to_complex().real @ z_q)
-    return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
+    """LR-aided zero forcing through the real block embedding (see
+    ``zf_lr_real_detector``)."""
+    return zf_lr_real_detector(red, c)(x)
 
 
 _CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -106,10 +157,11 @@ def _candidate_vectors(c: Constellation, n_t: int) -> np.ndarray:
     return cached
 
 
-def ml_detect(x, h, c: Constellation) -> DetectionResult:
-    """Exhaustive maximum likelihood: argmin over all constellation
-    vectors of ``||x - h s||^2``, ties broken by lexicographic symbol
-    index order.  Guarded by ``ML_SEARCH_LIMIT``."""
+def ml_detector(h, c: Constellation):
+    """Exhaustive maximum likelihood prepared for one channel: every
+    candidate's noiseless image ``h s`` is computed once, and the returned
+    ``detect(x)`` takes the argmin of ``||x - h s||^2``, ties broken by
+    lexicographic symbol index order.  Guarded by ``ML_SEARCH_LIMIT``."""
     h = np.asarray(h, dtype=complex)
     n_t = h.shape[1]
     if c.m_s ** n_t > ML_SEARCH_LIMIT:
@@ -117,6 +169,21 @@ def ml_detect(x, h, c: Constellation) -> DetectionResult:
             f"{c.m_s}^{n_t} candidates exceed the {ML_SEARCH_LIMIT} guard"
         )
     cand = _candidate_vectors(c, n_t)
-    diff = cand @ h.T - np.asarray(x, dtype=complex)[None, :]
-    dist = np.einsum("ij,ij->i", diff.conj(), diff).real
-    return DetectionResult(cand[int(np.argmin(dist))].copy(), None, "ml")
+    images = cand @ h.T
+
+    def detect(x) -> DetectionResult:
+        # Blocks of rows keep the temporaries small next to ``images``;
+        # each row's distance is the same as from one whole-table einsum.
+        x = np.asarray(x, dtype=complex)[None, :]
+        dist = np.empty(len(cand))
+        for lo in range(0, len(cand), _ML_BLOCK_ROWS):
+            diff = images[lo:lo + _ML_BLOCK_ROWS] - x
+            dist[lo:lo + _ML_BLOCK_ROWS] = np.einsum("ij,ij->i", diff.conj(), diff).real
+        return DetectionResult(cand[int(np.argmin(dist))].copy(), None, "ml")
+
+    return detect
+
+
+def ml_detect(x, h, c: Constellation) -> DetectionResult:
+    """Exhaustive maximum likelihood (see ``ml_detector``)."""
+    return ml_detector(h, c)(x)

@@ -28,12 +28,12 @@ evaluation of its loop guard that reaches the summation.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .matcore import real_embedding
-from .reduction import ReductionParams, ReductionResult, fclll_wen, lll_reduce_real, mclll
+from .reduction import ReductionParams, ReductionResult, lll_reduce_real, reduce_at_caps
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,9 @@ def real_schedule(rows: int, m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedul
     )
 
 
-ALGORITHMS = ("mclll", "fclll", "lll")
+# Reduction -> the swap test the sweep and the complexity report run it with.
+SWAP_TESTS = {"mclll": "siegel", "fclll": "lovasz", "lll": "lovasz"}
+ALGORITHMS = tuple(SWAP_TESTS)
 
 
 def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
@@ -229,6 +231,52 @@ def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def reduction_params(algorithm: str, delta: float = 0.75) -> ReductionParams:
+    """Parameters the sweep and the complexity report run ``algorithm``
+    with: its swap test from ``SWAP_TESTS`` and no cap of its own (caps are
+    passed to ``instrument_caps``)."""
+    if algorithm not in SWAP_TESTS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ReductionParams(delta=delta, condition=SWAP_TESTS[algorithm], iter_max=None)
+
+
+def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
+                    k_seq=None, mode: str = "dynamic",
+                    model: CostModel = DEFAULT_COST_MODEL) -> dict:
+    """Run one reduction once and return ``{cap: (result, FlopCounter)}``,
+    caps in ascending order.
+
+    For "mclll" and "fclll" the run goes up to the largest of ``caps``
+    and each entry is what ``instrument`` returns for ``params`` with
+    ``iter_max = cap`` (see ``reduce_at_caps``).  "lll" runs unbounded, so
+    every cap maps to its one run; a complex ``h`` is replaced by its real
+    block embedding first.
+
+    The per-visit size-reduction charge is the only charge that depends on
+    the cap (literal mode's ``n_max``).  The run charges it nothing, and
+    each snapshot adds its visit count times its own cap's charge, which is
+    exact under the default integer weights.
+    """
+    h = np.asarray(h, dtype=complex)
+    n_r, n_t = h.shape
+    counter = FlopCounter()
+    if algorithm == "lll":
+        charges = schedule_for("lll", mode, n_t, n_r, None, model)
+        result = lll_reduce_real(real_embedding(h), params, counter, charges)
+        return dict.fromkeys(caps, (result, counter))
+
+    def charges_at(cap):
+        return schedule_for(algorithm, mode, n_t, n_r, cap, model)
+
+    run_charges = replace(charges_at(max(caps)), size_visit=0)
+    runs = {}
+    for cap, result, snapshot in reduce_at_caps(algorithm, h, params, caps, counter,
+                                                 run_charges, k_seq):
+        snapshot.size_reduction += len(result.state.k_seq) * charges_at(cap).size_visit
+        runs[cap] = (result, snapshot)
+    return runs
+
+
 def instrument(algorithm: str, h, params: ReductionParams | None = None,
                *, k_seq=None, mode: str = "dynamic",
                model: CostModel = DEFAULT_COST_MODEL) -> tuple[ReductionResult, FlopCounter]:
@@ -237,25 +285,18 @@ def instrument(algorithm: str, h, params: ReductionParams | None = None,
     ``algorithm`` is "mclll", "fclll" or "lll"; for "lll" a complex ``h``
     is replaced by its real block embedding first.
     """
-    h = np.asarray(h, dtype=complex)
-    n_r, n_t = h.shape
-    counter = FlopCounter()
     if algorithm == "mclll":
         params = params or ReductionParams()
-        charges = schedule_for("mclll", mode, n_t, n_r, params.iter_max, model)
-        result = mclll(h, params, counter, charges)
+    elif algorithm == "lll":
+        params = params or ReductionParams(condition="lovasz", iter_max=None)
     elif algorithm == "fclll":
         if params is None:
             raise ValueError("fclll needs explicit params (finite iter_max)")
-        charges = schedule_for("fclll", mode, n_t, n_r, params.iter_max, model)
-        result = fclll_wen(h, params, k_seq, counter, charges)
-    elif algorithm == "lll":
-        params = params or ReductionParams(condition="lovasz", iter_max=None)
-        charges = schedule_for("lll", mode, n_t, n_r, None, model)
-        result = lll_reduce_real(real_embedding(h), params, counter, charges)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return result, counter
+    runs = instrument_caps(algorithm, h, params, [params.iter_max], k_seq=k_seq,
+                           mode=mode, model=model)
+    return runs[params.iter_max]
 
 
 @dataclass(frozen=True)
@@ -286,18 +327,13 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     if not any(alg == "lll" for alg, _ in entries):
         entries.insert(0, ("lll", None))
     totals: dict[tuple[str, int | None], list[float]] = {}
-    for alg, cap in entries:
-        if alg == "lll":
-            params = ReductionParams(delta=delta, condition="lovasz", iter_max=None)
-        elif alg == "mclll":
-            params = ReductionParams(delta=delta, condition="siegel", iter_max=cap)
-        elif alg == "fclll":
-            params = ReductionParams(delta=delta, condition="lovasz", iter_max=cap)
-        else:
-            raise ValueError(f"unknown algorithm {alg!r}")
-        totals[(alg, cap)] = [
-            instrument(alg, h, params, mode=mode, model=model)[1].total for h in hs
-        ]
+    for alg in dict.fromkeys(alg for alg, _ in entries):
+        caps = [cap for a, cap in entries if a == alg]
+        params = reduction_params(alg, delta)
+        runs = [instrument_caps(alg, h, params, caps, mode=mode, model=model)
+                for h in hs]
+        for cap in caps:
+            totals[(alg, cap)] = [by_cap[cap][1].total for by_cap in runs]
     baseline_key = next(k for k in totals if k[0] == "lll")
     baseline_mean = statistics.fmean(totals[baseline_key])
     rows = []

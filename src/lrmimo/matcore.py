@@ -15,7 +15,8 @@ import numpy as np
 # Single rank threshold, relative to the Frobenius norm of the input.
 RANK_TOL = 1e-12
 
-# A Givens pivot pair below this norm cannot define a rotation.
+# A Givens pivot pair whose norm is not above this, relative to the norm
+# of the matrix being rotated, cannot define a rotation.
 PIVOT_TOL = 1e-14
 
 
@@ -124,17 +125,24 @@ class GivensTheta(NamedTuple):
         return np.array([[np.conj(a), np.conj(b)], [-b, a]])
 
 
-def givens_theta(r, k: int) -> GivensTheta:
+def givens_theta(r, k: int, scale: float | None = None) -> GivensTheta:
     """Rotation built from column ``k-1`` rows ``(k-1, k)`` of ``r``.
 
     Applying it from the left to those rows zeroes entry ``(k, k-1)`` and
     leaves a real positive value at ``(k-1, k-1)``.
+
+    Raises ZeroPivot unless the pair's norm is above ``PIVOT_TOL * scale``;
+    ``scale`` is the norm of the basis being rotated (default: the
+    Frobenius norm of ``r``), so the outcome does not depend on its scale.
     """
+    if scale is None:
+        scale = np.linalg.norm(r)
     a = r[k - 1, k - 1]
     b = r[k, k - 1]
     nrm = np.hypot(abs(a), abs(b))
-    if nrm < PIVOT_TOL:
-        raise ZeroPivot(f"pivot pair at column {k - 1} has norm {nrm:.3e}")
+    if not nrm > PIVOT_TOL * scale:
+        raise ZeroPivot(f"pivot pair at column {k - 1} has norm {nrm:.3e}, "
+                        f"not above {PIVOT_TOL:.0e} * {scale:.3e}")
     return GivensTheta(complex(a / nrm), complex(b / nrm))
 
 

@@ -156,6 +156,17 @@ class NoiseSpec:
         if not self.sigma_n_sq >= 0.0:
             raise ValueError(f"sigma_n_sq must be >= 0, got {self.sigma_n_sq}")
 
+    @property
+    def component_std(self) -> float:
+        """Standard deviation of each real component."""
+        return math.sqrt(self.sigma_n_sq / 2.0)
+
+
+def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex noise with unit-variance real and imaginary parts (real
+    parts drawn first); ``add_noise`` scales it by the component std."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
 
 def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. complex Gaussian noise to ``x``.  With zero variance the
@@ -163,8 +174,7 @@ def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if spec.sigma_n_sq == 0.0:
         return x.copy()
-    std = math.sqrt(spec.sigma_n_sq / 2.0)
-    return x + std * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    return x + spec.component_std * base_noise(x.shape, rng)
 
 
 def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:

@@ -11,13 +11,17 @@ Three algorithms share the same machinery:
   swap test in place of the Lovasz test.
 
 All of them return the triple (q_tilde, r_tilde, T) where T is carried in
-exact Gaussian-integer arithmetic, plus an execution trace.  FLOP counting
+exact Gaussian-integer arithmetic, plus an execution trace.  The two capped
+variants share one step loop each with ``reduce_at_caps``, which runs them
+once and snapshots the run at several iteration caps.  FLOP counting
 is optional: callers pass a counter/charge-schedule pair (see
 ``lrmimo.flops``); the algorithms themselves never own a counter.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +35,7 @@ from .matcore import (
     qr_decompose,
 )
 
+# Size reduction needs |r[l, l]| above this, relative to the basis's norm.
 DIAG_TOL = 1e-14
 
 # Slack for the floating-point reduction predicates.
@@ -112,7 +117,7 @@ class ReductionResult:
 
 
 def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
-                       counter=None, charges=None):
+                       counter=None, charges=None, scale: float | None = None):
     """Single size-reduction step of column ``k`` against column ``l < k``.
 
     Rounds ``mu`` from ``r[l, k] / r[l, l]`` per component (ties away from
@@ -120,10 +125,18 @@ def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
     column ``k`` in both ``r`` (rows 0..l) and ``t``.  Mutates ``r`` and
     ``t`` in place and returns ``(r, t, mu)``.  Afterwards both components
     of ``r[l, k] / r[l, l]`` have magnitude <= 1/2.
+
+    Raises ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * scale``, where
+    ``scale`` is the norm of the basis being reduced (default: the
+    Frobenius norm of ``r``), so the outcome does not depend on the
+    basis's scale.
     """
+    if scale is None:
+        scale = np.linalg.norm(r)
     d = complex(r[l, l])
-    if abs(d) < DIAG_TOL:
-        raise ZeroDiagonal(f"|r[{l},{l}]| = {abs(d):.3e} below {DIAG_TOL:.0e}")
+    if not abs(d) > DIAG_TOL * scale:
+        raise ZeroDiagonal(
+            f"|r[{l},{l}]| = {abs(d):.3e} not above {DIAG_TOL:.0e} * {scale:.3e}")
     ratio = complex(r[l, k]) / d
     mu_re = int(math.copysign(math.floor(abs(ratio.real) + 0.5), ratio.real))
     mu_im = int(math.copysign(math.floor(abs(ratio.imag) + 0.5), ratio.imag))
@@ -150,40 +163,130 @@ def siegel_check(r, k: int, delta: float) -> bool:
     return delta * abs(r[k - 1, k - 1]) ** 2 > abs(r[k, k]) ** 2
 
 
-def _size_reduce_full(r, t, k, counter, charges):
-    """Full size reduction of column ``k`` against l = k-1 .. 0."""
-    for l in range(k - 1, -1, -1):
-        size_reduce_column(r, t, k, l, counter, charges)
-    if counter is not None:
-        counter.size_reduction += charges.size_visit
+class _Run:
+    """One reduction in progress: the working factors, the exact T, the
+    caller's counter, and the traces.  The algorithms advance it one
+    column visit at a time; ``result`` snapshots it."""
+
+    def __init__(self, h, params: ReductionParams, counter, charges):
+        if (counter is None) != (charges is None):
+            raise ValueError("counter and charges must be passed together")
+        self.params = params
+        self.counter = counter
+        self.charges = charges
+        self.check = siegel_check if params.condition == "siegel" else lovasz_check
+        self.q, self.r = qr_decompose(h)
+        self.scale = np.linalg.norm(h)
+        self.t = GaussIntMatrix.identity(self.r.shape[0])
+        self.visited: list[int] = []
+        self.visit_swaps: list[int] = []
+        self.swap_columns: list[int] = []
+        self.sweeps: list[int] | None = None  # per-sweep swap counts (mclll)
+        self.flag = 0  # ReductionState.cs_flag: scalar flag or fclll's flag table
+        self.iterations = 0
+        self.converged = False
+
+    def visit(self, k: int) -> bool:
+        """Fully size-reduce column ``k`` (against l = k-1 .. 0), then apply
+        the swap test at pivot ``k``; on a swap, exchange columns (k-1, k)
+        of r and T and re-triangularize with a Givens rotation applied to
+        r from the left and q from the right.  Returns whether it swapped."""
+        r, t, counter, charges = self.r, self.t, self.counter, self.charges
+        self.visited.append(k)
+        for l in range(k - 1, -1, -1):
+            size_reduce_column(r, t, k, l, counter, charges, self.scale)
+        if counter is not None:
+            counter.size_reduction += charges.size_visit
+            if self.params.condition == "siegel":
+                counter.swap_condition += charges.swap_check_siegel
+            else:
+                counter.swap_condition += charges.swap_check_lovasz
+        swap = bool(self.check(r, k, self.params.delta))
+        if swap:
+            r[:, [k - 1, k]] = r[:, [k, k - 1]]
+            t.swap_cols(k - 1, k)
+            theta = givens_theta(r, k, self.scale)
+            apply_givens_left(theta, r, k, k - 1)
+            apply_givens_right(theta, self.q, k)
+            if counter is not None:
+                counter.column_swap += charges.column_swap
+                counter.givens_computation += charges.givens
+                counter.rotation_r += charges.rotation_r
+                counter.rotation_q += charges.rotation_q
+            self.swap_columns.append(k)
+        self.visit_swaps.append(int(swap))
+        return swap
+
+    def advance(self, steps, cap: int) -> None:
+        """Take steps until ``cap`` iterations are used or ``steps`` ends
+        (convergence); never starts the step after the cap."""
+        for _ in itertools.islice(steps, cap - self.iterations):
+            pass
+
+    def result(self) -> ReductionResult:
+        """Snapshot of the run so far; later steps leave it unchanged."""
+        history = self.visit_swaps if self.sweeps is None else self.sweeps
+        state = ReductionState(cs_flag=copy.copy(self.flag), k_seq=list(self.visited),
+                               k_seq_idx=len(self.visited))
+        return ReductionResult(self.q.copy(), self.r.copy(), self.t.copy(),
+                               self.iterations, self.converged, sum(history),
+                               list(history), list(self.visit_swaps),
+                               list(self.swap_columns), state)
 
 
-def _swap_and_restore(q, r, t, k, counter, charges):
-    """Swap columns (k-1, k) of r and t, then re-triangularize with a
-    Givens rotation applied to r from the left and q from the right."""
-    r[:, [k - 1, k]] = r[:, [k, k - 1]]
-    t.swap_cols(k - 1, k)
-    theta = givens_theta(r, k)
-    apply_givens_left(theta, r, k, k - 1)
-    apply_givens_right(theta, q, k)
-    if counter is not None:
-        counter.column_swap += charges.column_swap
-        counter.givens_computation += charges.givens
-        counter.rotation_r += charges.rotation_r
-        counter.rotation_q += charges.rotation_q
+def _mclll_sweeps(run: _Run):
+    """The modified complex LLL, one full sweep per step, until a sweep
+    makes no swap."""
+    n = run.r.shape[0]
+    run.sweeps = []
+
+    def steps():
+        while not run.converged:
+            swaps = 0
+            for k in range(1, n):
+                swaps += run.visit(k)
+            run.iterations += 1
+            run.sweeps.append(swaps)
+            run.converged = swaps == 0
+            run.flag = int(run.converged)
+            yield
+
+    return steps()
 
 
-def _charge_swap_check(counter, charges, condition):
-    if counter is not None:
-        if condition == "siegel":
-            counter.swap_condition += charges.swap_check_siegel
-        else:
-            counter.swap_condition += charges.swap_check_lovasz
+def _fclll_visits(run: _Run, k_seq):
+    """The fixed-complexity complex LLL, one column visit per step.
 
+    Each step first evaluates the loop guard, which is charged the
+    flag-table summation; the steps end when every flag in 1..n-1 is
+    clear.  A cap therefore stops the run before the guard of the next
+    visit, never inside it.
+    """
+    n = run.r.shape[0]
+    if n < 2:
+        raise ValueError("fclll_wen needs at least two columns")
+    if k_seq is None:
+        k_seq = list(range(1, n))
+    k_seq = [int(k) for k in k_seq]
+    if not k_seq or any(k < 1 or k > n - 1 for k in k_seq):
+        raise ValueError("k_seq must be nonempty with entries in [1, n-1]")
+    flags = run.flag = np.ones(n + 1, dtype=np.int64)
 
-def _check_counting(counter, charges):
-    if (counter is None) != (charges is None):
-        raise ValueError("counter and charges must be passed together")
+    def steps():
+        while True:
+            if run.counter is not None:
+                run.counter.flag_bookkeeping += run.charges.csflag_sum
+            if int(flags[1:n].sum()) == 0:
+                run.converged = True
+                return
+            k = k_seq[run.iterations % len(k_seq)]
+            run.iterations += 1
+            flags[k] = 0
+            if run.visit(k):
+                flags[k - 1:k + 2] = 1
+            yield
+
+    return steps()
 
 
 def mclll(h, params: ReductionParams | None = None,
@@ -197,46 +300,12 @@ def mclll(h, params: ReductionParams | None = None,
     later sweeps).  A single scalar flag ends the loop as soon as a sweep
     completes without any swap.
     """
-    _check_counting(counter, charges)
     params = params or ReductionParams()
     if params.iter_max is None:
         raise ValueError("mclll requires a finite iter_max")
-    check = siegel_check if params.condition == "siegel" else lovasz_check
-    q, r = qr_decompose(h)
-    n = r.shape[0]
-    t = GaussIntMatrix.identity(n)
-    visited: list[int] = []
-    swap_history: list[int] = []
-    visit_swaps: list[int] = []
-    swap_columns: list[int] = []
-    iterations = 0
-    converged = False
-    for _ in range(params.iter_max):
-        iterations += 1
-        sweep_swaps = 0
-        for k in range(1, n):
-            visited.append(k)
-            _size_reduce_full(r, t, k, counter, charges)
-            _charge_swap_check(counter, charges, params.condition)
-            if check(r, k, params.delta):
-                _swap_and_restore(q, r, t, k, counter, charges)
-                sweep_swaps += 1
-                swap_columns.append(k)
-                visit_swaps.append(1)
-            else:
-                visit_swaps.append(0)
-        swap_history.append(sweep_swaps)
-        if sweep_swaps == 0:
-            converged = True
-            break
-    state = ReductionState(
-        cs_flag=1 if (swap_history and swap_history[-1] == 0) else 0,
-        k_seq=visited,
-        k_seq_idx=len(visited),
-    )
-    return ReductionResult(q, r, t, iterations, converged,
-                           sum(swap_history), swap_history, visit_swaps,
-                           swap_columns, state)
+    run = _Run(h, params, counter, charges)
+    run.advance(_mclll_sweeps(run), params.iter_max)
+    return run.result()
 
 
 def fclll_wen(h, params: ReductionParams, k_seq=None,
@@ -251,55 +320,36 @@ def fclll_wen(h, params: ReductionParams, k_seq=None,
     clear; the flag-table summation in that guard is what the modified
     algorithm's scalar flag removes.
     """
-    _check_counting(counter, charges)
     if params.iter_max is None:
         raise ValueError("fclll_wen requires a finite iter_max")
-    check = siegel_check if params.condition == "siegel" else lovasz_check
-    q, r = qr_decompose(h)
-    n = r.shape[0]
-    if n < 2:
-        raise ValueError("fclll_wen needs at least two columns")
-    if k_seq is None:
-        k_seq = list(range(1, n))
-    k_seq = [int(k) for k in k_seq]
-    if not k_seq or any(k < 1 or k > n - 1 for k in k_seq):
-        raise ValueError("k_seq must be nonempty with entries in [1, n-1]")
-    t = GaussIntMatrix.identity(n)
-    flags = np.ones(n + 1, dtype=np.int64)
-    visited: list[int] = []
-    visit_swaps: list[int] = []
-    swap_columns: list[int] = []
-    idx = 0
-    iterations = 0
-    converged = False
-    while True:
-        if iterations >= params.iter_max:
-            break
-        if counter is not None:
-            counter.flag_bookkeeping += charges.csflag_sum
-        if int(flags[1:n].sum()) == 0:
-            converged = True
-            break
-        k = k_seq[idx % len(k_seq)]
-        idx += 1
-        iterations += 1
-        visited.append(k)
-        flags[k] = 0
-        _size_reduce_full(r, t, k, counter, charges)
-        _charge_swap_check(counter, charges, params.condition)
-        if check(r, k, params.delta):
-            _swap_and_restore(q, r, t, k, counter, charges)
-            flags[k - 1] = 1
-            flags[k] = 1
-            flags[k + 1] = 1
-            visit_swaps.append(1)
-            swap_columns.append(k)
-        else:
-            visit_swaps.append(0)
-    state = ReductionState(cs_flag=flags, k_seq=visited, k_seq_idx=idx)
-    return ReductionResult(q, r, t, iterations, converged,
-                           sum(visit_swaps), list(visit_swaps), visit_swaps,
-                           swap_columns, state)
+    run = _Run(h, params, counter, charges)
+    run.advance(_fclll_visits(run, k_seq), params.iter_max)
+    return run.result()
+
+
+def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
+                   counter=None, charges=None, k_seq=None):
+    """Run ``mclll`` (``algorithm="mclll"``) or ``fclll_wen`` ("fclll")
+    once, up to the largest of ``caps``, and snapshot it at every cap.
+
+    Returns ``[(cap, result, counter_copy)]`` in ascending cap order.  Each
+    ``result`` equals what the algorithm returns with ``params.iter_max``
+    set to that cap: both run a fixed schedule, so a run capped at k is the
+    prefix of a run capped at K > k.  ``counter_copy`` is a copy of
+    ``counter`` at the snapshot (None without counting).
+    ``params.iter_max`` itself is not used.
+    """
+    if algorithm not in ("mclll", "fclll"):
+        raise ValueError(f"unknown capped algorithm {algorithm!r}")
+    if not caps or any(cap is None or cap < 1 for cap in caps):
+        raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
+    run = _Run(h, params, counter, charges)
+    steps = _mclll_sweeps(run) if algorithm == "mclll" else _fclll_visits(run, k_seq)
+    snapshots = []
+    for cap in sorted(set(caps)):
+        run.advance(steps, cap)
+        snapshots.append((cap, run.result(), copy.copy(counter)))
+    return snapshots
 
 
 def lll_reduce_real(h_real, params: ReductionParams | None = None,
@@ -311,7 +361,6 @@ def lll_reduce_real(h_real, params: ReductionParams | None = None,
     to max(k-1, 1), otherwise forward.  ``iterations_used`` counts column
     visits.  T stays an exact integer matrix (imaginary parts all zero).
     """
-    _check_counting(counter, charges)
     params = params or ReductionParams(condition="lovasz", iter_max=None)
     if params.iter_max is not None:
         raise ValueError("lll_reduce_real runs unbounded; pass iter_max=None")
@@ -320,31 +369,15 @@ def lll_reduce_real(h_real, params: ReductionParams | None = None,
     h_real = np.asarray(h_real)
     if np.iscomplexobj(h_real) and np.abs(h_real.imag).max() > 0:
         raise ValueError("lll_reduce_real expects a real matrix")
-    q, r = qr_decompose(h_real.real)
-    n = r.shape[0]
-    t = GaussIntMatrix.identity(n)
-    visited: list[int] = []
-    visit_swaps: list[int] = []
-    swap_columns: list[int] = []
+    run = _Run(h_real.real, params, counter, charges)
+    run.flag = 1
+    n = run.r.shape[0]
     k = 1
-    iterations = 0
     while k < n:
-        iterations += 1
-        visited.append(k)
-        _size_reduce_full(r, t, k, counter, charges)
-        _charge_swap_check(counter, charges, params.condition)
-        if lovasz_check(r, k, params.delta):
-            _swap_and_restore(q, r, t, k, counter, charges)
-            visit_swaps.append(1)
-            swap_columns.append(k)
-            k = max(k - 1, 1)
-        else:
-            visit_swaps.append(0)
-            k += 1
-    state = ReductionState(cs_flag=1, k_seq=visited, k_seq_idx=len(visited))
-    return ReductionResult(q, r, t, iterations, True,
-                           sum(visit_swaps), list(visit_swaps), visit_swaps,
-                           swap_columns, state)
+        run.iterations += 1
+        k = max(k - 1, 1) if run.visit(k) else k + 1
+    run.converged = True
+    return run.result()
 
 
 def is_size_reduced(r, tol: float = PREDICATE_TOL) -> bool:

@@ -1,14 +1,31 @@
 """Monte Carlo BER/FLOP sweep driver.
 
-One frame = one independent channel draw, one symbol vector, one noise
-draw.  Frame streams derive from (master seed, frame index), so the same
-frame sees the same channel, bits and base noise across algorithms and
-SNR points (common random numbers), and changing the frame count never
-shifts earlier frames.  Everything downstream of the config is
-deterministic, byte-for-byte, including under worker-pool execution:
-partial results are merged in frame order and all counts are integers.
+One frame = one independent channel draw, one symbol vector, one base
+noise draw.  Frame streams derive from (master seed, frame index), so the
+same frame sees the same channel, bits and base noise across algorithms
+and SNR points (common random numbers), and changing the frame count never
+shifts earlier frames.
 
-Progress goes to the logger (stderr in the CLI); data only to the CSV.
+The sweep is frame-major.  Each frame is drawn once; each reduction runs
+once, up to the largest listed iteration cap, with a snapshot kept at
+every cap (a run capped at k sweeps is the prefix of one capped at K > k);
+the work that depends only on the channel (QRs, quantizer shifts, ML's
+candidate images) is done once; then every (algorithm, cap, SNR) cell
+detects ``H s + std(snr) * base_noise``.
+
+A rank-deficient draw is redrawn from the same stream.  Each detector
+family walks the frame's draw attempts until one does not raise
+``RankDeficient`` and counts the attempts it skipped as redraws.  A
+noiseless cell (snr = inf) draws no noise, so its stream of attempts is a
+different one from that of the finite-SNR cells; the first attempt's
+channel and bits are the same in both.
+
+Everything downstream of the config is deterministic, byte-for-byte,
+including under worker-pool execution: the pool splits frames, each chunk
+returns per-cell integer sums, and chunks are merged in frame order.
+
+Progress goes to the logger (stderr in the CLI), one line per cell after
+the frame loop; data only to the CSV.
 """
 
 from __future__ import annotations
@@ -23,22 +40,24 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flops
-from .detect import ml_detect, zf_detect, zf_lr_detect, zf_lr_detect_real
-from .matcore import RankDeficient, real_embedding
+from .detect import ml_detector, zf_detector, zf_lr_detector, zf_lr_real_detector
+from .matcore import RankDeficient
 from .mimo import (
-    add_noise,
+    base_noise,
     build_constellation,
     demodulate,
     generate_channel,
     modulate,
     snr_to_noise_variance,
 )
-from .reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
 
 logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("zf", "zf-lr-lll", "zf-lr-fclll", "zf-lr-mclll", "ml")
 CAPPED_ALGORITHMS = ("zf-lr-fclll", "zf-lr-mclll")
+
+# LR-aided detector -> the reduction it runs (a name in flops.ALGORITHMS).
+_REDUCTIONS = {"zf-lr-mclll": "mclll", "zf-lr-fclll": "fclll", "zf-lr-lll": "lll"}
 
 SNR_DEFINITION = "sigma_n^2=n_t/10^(snr_db/10)"
 
@@ -114,70 +133,131 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, frame_index))
 
 
-def _detect_frame(cfg: SimConfig, algorithm: str, iter_max, h, x, c):
-    """Run one detector; returns (DetectionResult, reduction FLOPs)."""
+class _Attempt(NamedTuple):
+    h: np.ndarray
+    bits: np.ndarray
+    y: np.ndarray             # noiseless received vector h @ s
+    noise: np.ndarray | None  # base noise; None on the noiseless stream
+
+
+class _Stream:
+    """The draw attempts of one frame's stream, drawn on first use.
+
+    Every attempt draws channel, then bits, then (on the noisy stream)
+    base noise from the frame's generator, the order in which the
+    per-cell definition ``add_noise(H s, spec, rng)`` draws them.
+    """
+
+    def __init__(self, cfg: SimConfig, frame_index: int, noisy: bool):
+        self.cfg = cfg
+        self.noisy = noisy
+        self.rng = _frame_rng(cfg.seed, frame_index)
+        self.attempts: list[_Attempt] = []
+
+    def __getitem__(self, i: int) -> _Attempt:
+        cfg, c = self.cfg, _constellation(self.cfg.m_s)
+        while len(self.attempts) <= i:
+            h = generate_channel(cfg.n_r, cfg.n_t, self.rng).h
+            bits = self.rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
+            y = h @ modulate(bits, c, cfg.n_t)
+            noise = base_noise(y.shape, self.rng) if self.noisy else None
+            self.attempts.append(_Attempt(h, bits, y, noise))
+        return self.attempts[i]
+
+
+def _prepare(cfg: SimConfig, algorithm: str, caps, h, c) -> dict:
+    """Channel-dependent work of one detector family on one channel:
+    ``{cap: (detect, reduction FLOPs)}``, a single entry under None for
+    the cap-free detectors; caps whose snapshots are equal share one
+    ``detect``.  Raises RankDeficient on a rank-deficient h."""
     if algorithm == "zf":
-        return zf_detect(x, h, c), 0
+        return {None: (zf_detector(h, c), 0)}
     if algorithm == "ml":
-        return ml_detect(x, h, c), 0
-    counter = flops.FlopCounter()
-    if algorithm == "zf-lr-mclll":
-        params = ReductionParams(delta=cfg.delta, condition="siegel", iter_max=iter_max)
-        charges = flops.schedule_for("mclll", cfg.flop_mode, cfg.n_t, cfg.n_r, iter_max)
-        red = mclll(h, params, counter, charges)
-        return zf_lr_detect(x, h, red, c), counter.total
-    if algorithm == "zf-lr-fclll":
-        params = ReductionParams(delta=cfg.delta, condition="lovasz", iter_max=iter_max)
-        charges = flops.schedule_for("fclll", cfg.flop_mode, cfg.n_t, cfg.n_r, iter_max)
-        red = fclll_wen(h, params, None, counter, charges)
-        return zf_lr_detect(x, h, red, c), counter.total
-    if algorithm == "zf-lr-lll":
-        params = ReductionParams(delta=cfg.delta, condition="lovasz", iter_max=None)
-        charges = flops.schedule_for("lll", cfg.flop_mode, cfg.n_t, cfg.n_r, None)
-        red = lll_reduce_real(real_embedding(h), params, counter, charges)
-        return zf_lr_detect_real(x, h, red, c), counter.total
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        return {None: (ml_detector(h, c), 0)}
+    reduction = _REDUCTIONS[algorithm]
+    runs = flops.instrument_caps(reduction, h, flops.reduction_params(reduction, cfg.delta),
+                                 caps, mode=cfg.flop_mode)
+    detector = zf_lr_real_detector if reduction == "lll" else zf_lr_detector
+    detectors, previous = {}, None
+    for cap, (red, counter) in runs.items():
+        # Caps come in ascending order; a run that stopped before this cap
+        # left the factors of the previous snapshot unchanged.
+        if previous is None or red.iterations_used != previous[0].iterations_used:
+            previous = red, detector(red, c)
+        detectors[cap] = previous[1], counter.total
+    return detectors
+
+
+def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]:
+    """Run one frame for every (algorithm, iter_max, snr_db) cell of
+    ``cells``, sharing draws, reductions and channel-dependent detector
+    work among them; one FrameResult per cell, in order."""
+    c = _constellation(cfg.m_s)
+    caps = {}
+    for alg, cap, _ in cells:
+        caps.setdefault(alg, []).append(cap if alg in CAPPED_ALGORITHMS else None)
+    streams: dict[bool, _Stream] = {}
+    prepared: dict[tuple[str, bytes], dict | None] = {}
+    accepted = {}
+
+    def accept(alg: str, noisy: bool):
+        """First attempt of the stream on which ``alg`` is not rank deficient."""
+        if noisy not in streams:
+            streams[noisy] = _Stream(cfg, frame_index, noisy)
+        stream = streams[noisy]
+        for redraws in range(_MAX_REDRAWS):
+            attempt = stream[redraws]
+            key = (alg, attempt.h.tobytes())
+            if key not in prepared:
+                try:
+                    prepared[key] = _prepare(cfg, alg, caps[alg], attempt.h, c)
+                except RankDeficient:
+                    prepared[key] = None
+                    logger.warning("frame %d: rank-deficient channel for %s, redrawing",
+                                   frame_index, alg)
+            if prepared[key] is not None:
+                return redraws, attempt, prepared[key]
+        raise RuntimeError(f"frame {frame_index}: {_MAX_REDRAWS} rank-deficient redraws")
+
+    errors = {}  # (detect, snr) -> bit errors
+    results = []
+    for alg, cap, snr in cells:
+        spec = snr_to_noise_variance(snr, cfg.n_t)
+        noisy = spec.sigma_n_sq != 0.0
+        if (alg, noisy) not in accepted:
+            accepted[alg, noisy] = accept(alg, noisy)
+        redraws, attempt, detectors = accepted[alg, noisy]
+        detect, frame_flops = detectors[cap if alg in CAPPED_ALGORITHMS else None]
+        if (detect, snr) not in errors:
+            x = attempt.y + spec.component_std * attempt.noise if noisy else attempt.y
+            errors[detect, snr] = int(np.sum(attempt.bits != demodulate(detect(x).symbols, c)))
+        results.append(FrameResult(errors[detect, snr], frame_flops, redraws))
+    return results
 
 
 def run_frame(cfg: SimConfig, algorithm: str, iter_max,
               snr_db: float, frame_index: int) -> FrameResult:
-    """One Monte Carlo trial: draw channel/bits/noise from the
+    """One Monte Carlo trial of one cell: draw channel/bits/noise from the
     (seed, frame_index) stream, detect, count bit errors.
 
-    A rank-deficient channel draw is redrawn from the same stream (the
-    whole draw sequence repeats, keeping determinism) and counted.
+    A single-cell view of the per-frame function ``run_sweep`` uses, so
+    it gives the same counts as that cell of a sweep.  A rank-deficient
+    channel draw is redrawn from the same stream and counted.
     """
-    rng = _frame_rng(cfg.seed, frame_index)
-    c = _constellation(cfg.m_s)
-    spec = snr_to_noise_variance(snr_db, cfg.n_t)
-    redraws = 0
-    for _ in range(_MAX_REDRAWS):
-        ch = generate_channel(cfg.n_r, cfg.n_t, rng)
-        bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
-        s = modulate(bits, c, cfg.n_t)
-        x = add_noise(ch.h @ s, spec, rng)
-        try:
-            detected, frame_flops = _detect_frame(cfg, algorithm, iter_max, ch.h, x, c)
-        except RankDeficient:
-            redraws += 1
-            logger.warning("frame %d: rank-deficient channel, redrawing", frame_index)
-            continue
-        errors = int(np.sum(bits != demodulate(detected.symbols, c)))
-        return FrameResult(errors, frame_flops, redraws)
-    raise RuntimeError(f"frame {frame_index}: {_MAX_REDRAWS} rank-deficient redraws")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _frame_results(cfg, [(algorithm, iter_max, snr_db)], frame_index)[0]
 
 
-def _run_frame_range(cfg: SimConfig, algorithm: str, iter_max,
-                     snr_db: float, lo: int, hi: int):
-    errors = 0
-    total_flops = 0
-    redraws = 0
+def _frame_chunk(cfg: SimConfig, cells, lo: int, hi: int) -> list[list]:
+    """Per-cell ``[bit errors, FLOPs, redraws]`` summed over frames lo..hi-1."""
+    sums = [[0, 0, 0] for _ in cells]
     for idx in range(lo, hi):
-        res = run_frame(cfg, algorithm, iter_max, snr_db, idx)
-        errors += res.bit_errors
-        total_flops += res.flops
-        redraws += res.redraws
-    return errors, total_flops, redraws
+        for acc, res in zip(sums, _frame_results(cfg, cells, idx)):
+            acc[0] += res.bit_errors
+            acc[1] += res.flops
+            acc[2] += res.redraws
+    return sums
 
 
 def _cells(cfg: SimConfig):
@@ -193,43 +273,37 @@ def _cells(cfg: SimConfig):
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """Run the whole sweep and return one record per cell.
 
-    Frames within a cell may run on a process pool (``cfg.workers``);
-    per-range results are merged in frame order so worker count never
-    changes the output.
+    Frames may run on a process pool (``cfg.workers``); the pool splits
+    the frame range into chunks whose per-cell sums are merged in frame
+    order, so the worker count never changes the output.
     """
     c = _constellation(cfg.m_s)
     total_bits = cfg.frames * cfg.n_t * c.bits_per_symbol
+    cells = list(_cells(cfg))
+    if cfg.workers == 1:
+        chunks = [_frame_chunk(cfg, cells, 0, cfg.frames)]
+    else:
+        chunk = max(1, math.ceil(cfg.frames / (cfg.workers * 4)))
+        bounds = list(range(0, cfg.frames, chunk)) + [cfg.frames]
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_frame_chunk, cfg, cells, lo, hi)
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
+            chunks = [fut.result() for fut in futures]
     records = []
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for alg, cap, snr in _cells(cfg):
-            if pool is None:
-                errors, flops_sum, redraws = _run_frame_range(
-                    cfg, alg, cap, snr, 0, cfg.frames)
-            else:
-                chunk = max(1, math.ceil(cfg.frames / (cfg.workers * 4)))
-                bounds = list(range(0, cfg.frames, chunk)) + [cfg.frames]
-                futures = [
-                    pool.submit(_run_frame_range, cfg, alg, cap, snr, lo, hi)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-                errors = flops_sum = redraws = 0
-                for fut in futures:
-                    e, f, rd = fut.result()
-                    errors += e
-                    flops_sum += f
-                    redraws += rd
-            ber = errors / total_bits
-            ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / total_bits)
-            records.append(BerRecord(alg, cap, snr, cfg.frames, errors, ber,
-                                     ci, flops_sum / cfg.frames))
-            if redraws:
-                logger.info("cell %s/%s/%s: %d channel redraws", alg, cap, snr, redraws)
-            logger.info("%s iter_max=%s snr=%g dB: ber=%.3e (%d errors)",
-                        alg, cap, snr, ber, errors)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for i, (alg, cap, snr) in enumerate(cells):
+        errors = flops_sum = redraws = 0
+        for sums in chunks:
+            errors += sums[i][0]
+            flops_sum += sums[i][1]
+            redraws += sums[i][2]
+        ber = errors / total_bits
+        ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / total_bits)
+        records.append(BerRecord(alg, cap, snr, cfg.frames, errors, ber,
+                                 ci, flops_sum / cfg.frames))
+        if redraws:
+            logger.info("cell %s/%s/%s: %d channel redraws", alg, cap, snr, redraws)
+        logger.info("%s iter_max=%s snr=%g dB: ber=%.3e (%d errors)",
+                    alg, cap, snr, ber, errors)
     return records
 
 

@@ -37,6 +37,8 @@ from lrmimo.reduction import (
 )
 from lrmimo.simharness import SimConfig, emit_csv, run_frame, run_sweep
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 0
 FRAMES = 10_000
 

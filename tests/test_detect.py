@@ -6,6 +6,7 @@ import pytest
 from lrmimo.detect import (
     SearchSpaceTooLarge,
     ml_detect,
+    ml_detector,
     quantize_z_domain,
     zf_detect,
     zf_lr_detect,
@@ -173,6 +174,22 @@ class TestML:
             ml = ml_detect(x, h, c)
             sliced = c.points[c.nearest_index(x / h[0, 0])]
             assert np.array_equal(ml.symbols, sliced)
+
+    def test_prepared_detector_matches_whole_table_argmin(self):
+        # Reference: one einsum over the whole lexicographic candidate table.
+        rng = np.random.default_rng(11)
+        c = build_constellation(16)
+        grid = np.meshgrid(*[np.arange(16)] * 4, indexing="ij")
+        cand = c.points[np.stack(grid, axis=-1).reshape(-1, 4)]
+        for _ in range(10):
+            h = random_channel(rng, 4, 4)
+            detect = ml_detector(h, c)
+            for sigma in (0.1, 1.0):
+                noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                x = h @ random_symbols(rng, c, 4) + sigma * noise
+                diff = cand @ h.T - x[None, :]
+                dist = np.einsum("ij,ij->i", diff.conj(), diff).real
+                assert np.array_equal(detect(x).symbols, cand[np.argmin(dist)])
 
     def test_ml_beats_zf_statistically(self):
         rng = np.random.default_rng(10)

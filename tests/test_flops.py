@@ -1,5 +1,7 @@
 """Tests for the FLOP cost model, counters, and instrumented runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lrmimo.flops import (
     dynamic_schedule,
     format_complexity_table,
     instrument,
+    instrument_caps,
     literal_schedule,
     real_schedule,
     schedule_for,
@@ -155,6 +158,29 @@ class TestInstrument:
         result, counter = instrument("lll", h)
         assert result.r_tilde.shape == (8, 8)
         assert counter.total > 0
+
+
+class TestInstrumentCaps:
+    @pytest.mark.parametrize("mode", ["dynamic", "literal"])
+    @pytest.mark.parametrize("alg,condition", [("mclll", "siegel"), ("fclll", "lovasz")])
+    def test_snapshots_equal_separate_capped_runs(self, alg, condition, mode):
+        # fclll's snapshot at cap k precedes the guard (and its flag-sum
+        # charge) of visit k+1; literal charges depend on the cap itself.
+        rng = np.random.default_rng(8)
+        caps = (3, 1, 18, 2)
+        params = ReductionParams(condition=condition, iter_max=None)
+        for _ in range(10):
+            h = generate_channel(4, 4, rng).h
+            runs = instrument_caps(alg, h, params, caps, mode=mode)
+            for cap in caps:
+                want, want_counter = instrument(alg, h, replace(params, iter_max=cap),
+                                                mode=mode)
+                got, got_counter = runs[cap]
+                assert got_counter == want_counter
+                assert np.array_equal(got.r_tilde, want.r_tilde)
+                assert np.array_equal(got.t.to_complex(), want.t.to_complex())
+                assert (got.iterations_used, got.converged, got.swap_history) == (
+                    want.iterations_used, want.converged, want.swap_history)
 
 
 class TestComplexityReport:

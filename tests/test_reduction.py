@@ -321,6 +321,23 @@ class TestMclll:
                 assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+class TestScaleInvariance:
+    @pytest.mark.parametrize("exp", [-50, 50])
+    def test_same_transform_at_power_of_two_scales(self, exp):
+        # Powers of two scale every float step exactly, so only a tolerance
+        # that is absolute instead of relative can change the outcome.
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            h = random_complex(rng, 4)
+            hs = 2.0 ** exp * h
+            for reduce in (
+                lambda m: mclll(m, ReductionParams(iter_max=18)),
+                lambda m: fclll_wen(m, ReductionParams(condition="lovasz", iter_max=18)),
+                lambda m: lll_reduce_real(real_embedding(m)),
+            ):
+                assert np.array_equal(reduce(h).t.to_complex(), reduce(hs).t.to_complex())
+
+
 class TestPredicates:
     def test_identity_reduced(self):
         assert is_lll_reduced(np.eye(3), 0.75)

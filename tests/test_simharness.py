@@ -1,10 +1,16 @@
 """Tests for the Monte Carlo driver, CSV emission, and matrix file IO."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
+from lrmimo import mimo, simharness
+from lrmimo.detect import ml_detect, zf_lr_detect, zf_lr_detect_real
+from lrmimo.flops import FlopCounter, schedule_for
+from lrmimo.matcore import RankDeficient, pseudo_inverse_apply, real_embedding
+from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
 from lrmimo.simharness import (
     BerRecord,
     SimConfig,
@@ -14,6 +20,8 @@ from lrmimo.simharness import (
     run_sweep,
     save_matrix,
 )
+
+INF = float("inf")
 
 
 def small_cfg(**kw):
@@ -102,6 +110,117 @@ class TestRunSweep:
         zf = next(r for r in records if r.algorithm == "zf")
         lr = next(r for r in records if r.algorithm == "zf-lr-mclll")
         assert zf.mean_flops < lr.mean_flops
+
+
+def oracle_frame(cfg, alg, cap, snr, idx):
+    """Per-cell reference: redraw and re-reduce the frame for this one
+    cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws)."""
+    rng = np.random.default_rng((cfg.seed, idx))
+    c = mimo.build_constellation(cfg.m_s)
+    spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
+    lll_params = ReductionParams(delta=cfg.delta, condition="lovasz", iter_max=None)
+    for redraws in range(100):
+        h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng).h
+        bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
+        x = mimo.add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
+        counter = FlopCounter()
+        if alg.startswith("zf-lr-"):
+            charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
+        try:
+            if alg == "zf":
+                symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
+            elif alg == "ml":
+                symbols = ml_detect(x, h, c).symbols
+            elif alg == "zf-lr-lll":
+                red = lll_reduce_real(real_embedding(h), lll_params, counter, charges)
+                symbols = zf_lr_detect_real(x, h, red, c).symbols
+            elif alg == "zf-lr-mclll":
+                red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap),
+                            counter, charges)
+                symbols = zf_lr_detect(x, h, red, c).symbols
+            else:
+                red = fclll_wen(h, ReductionParams(delta=cfg.delta, condition="lovasz",
+                                                   iter_max=cap), None, counter, charges)
+                symbols = zf_lr_detect(x, h, red, c).symbols
+        except RankDeficient:
+            continue
+        errors = int(np.sum(bits != mimo.demodulate(symbols, c)))
+        return simharness.FrameResult(errors, counter.total, redraws)
+    raise AssertionError("no full-rank draw")
+
+
+def oracle_csv(cfg):
+    bits = cfg.frames * cfg.n_t * mimo.build_constellation(cfg.m_s).bits_per_symbol
+    records = []
+    for alg in cfg.algorithms:
+        caps = cfg.iter_max_list if alg in ("zf-lr-mclll", "zf-lr-fclll") else (None,)
+        for cap in caps:
+            for snr in cfg.snr_db_grid:
+                frames = [oracle_frame(cfg, alg, cap, snr, i) for i in range(cfg.frames)]
+                errors = sum(f.bit_errors for f in frames)
+                ber = errors / bits
+                ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / bits)
+                records.append(BerRecord(alg, cap, snr, cfg.frames, errors, ber, ci,
+                                         sum(f.flops for f in frames) / cfg.frames))
+    return csv_text(records, cfg)
+
+
+def csv_text(records, cfg):
+    buf = io.StringIO()
+    emit_csv(records, buf, flop_mode=cfg.flop_mode, seed=cfg.seed)
+    return buf.getvalue()
+
+
+class TestFrameMajorEquivalence:
+    """The frame-major sweep writes the bytes a per-cell loop writes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("flop_mode", ["dynamic", "literal"])
+    def test_reductions_4x4_match_oracle(self, flop_mode, workers):
+        cfg = SimConfig(snr_db_grid=(6.0, 14.0, INF), frames=8,
+                        algorithms=("zf", "zf-lr-mclll", "zf-lr-fclll", "zf-lr-lll"),
+                        iter_max_list=(1, 2, 3, 18), flop_mode=flop_mode,
+                        workers=workers, seed=5)
+        assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_detectors_2x2_qpsk_match_oracle(self, workers):
+        cfg = SimConfig(snr_db_grid=(0.0, 8.0, INF), frames=12, n_t=2, n_r=2, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(18, 1, 3, 2),
+                        workers=workers, seed=11)
+        assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
+
+    def test_forced_redraw_matches_oracle(self, monkeypatch, caplog):
+        cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
+        fresh_frame1 = np.random.default_rng((cfg.seed, 1)).bit_generator.state
+        draw = mimo.generate_channel
+
+        def rank_one_first_draw_of_frame1(n_r, n_t, rng):
+            first = rng.bit_generator.state == fresh_frame1
+            ch = draw(n_r, n_t, rng)
+            if not first:
+                return ch
+            h = ch.h.copy()
+            h[:, 1] = h[:, 0]
+            return mimo.ChannelRealization(h, n_t, n_r)
+
+        monkeypatch.setattr(mimo, "generate_channel", rank_one_first_draw_of_frame1)
+        monkeypatch.setattr(simharness, "generate_channel", rank_one_first_draw_of_frame1)
+        for alg in cfg.algorithms:
+            cap = 2 if alg in simharness.CAPPED_ALGORITHMS else None
+            for snr in cfg.snr_db_grid:
+                res = run_frame(cfg, alg, cap, snr, 1)
+                assert res == oracle_frame(cfg, alg, cap, snr, 1)
+                # ML never needs a full-rank channel, so it never redraws.
+                assert res.redraws == (0 if alg == "ml" else 1)
+        with caplog.at_level("INFO", logger="lrmimo.simharness"):
+            assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
+        redraw_lines = [r.getMessage() for r in caplog.records
+                        if r.getMessage().endswith("channel redraws")]
+        n_cells = len(cfg.snr_db_grid) * (1 + 1 + 2 + 2)
+        assert len(redraw_lines) == n_cells
+        assert all(line.endswith(": 1 channel redraws") for line in redraw_lines)
 
 
 class TestEmitCsv:
