@@ -27,9 +27,7 @@ from .flops import (
     complexity_report,
     instrument,
     instrument_caps,
-    reduction_params,
     schedule_for,
-    step_cost,
 )
 from .matcore import (
     GaussIntMatrix,
@@ -65,9 +63,10 @@ from .mimo import (
     snr_to_noise_variance,
 )
 from .reduction import (
+    REDUCTIONS,
+    Reduction,
     ReductionParams,
     ReductionResult,
-    ReductionState,
     ZeroDiagonal,
     factorization_error,
     fclll_wen,

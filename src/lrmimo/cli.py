@@ -16,22 +16,20 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 import numpy as np
 
 from . import flops as flops_mod
-from .matcore import is_unimodular, qr_decompose, real_embedding
+from .matcore import is_unimodular, qr_decompose
 from .mimo import generate_channel
 from .reduction import (
-    ReductionParams,
+    REDUCTIONS,
     factorization_error,
-    fclll_wen,
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    lll_reduce_real,
-    mclll,
 )
 from .simharness import (
     ALGORITHMS,
@@ -52,13 +50,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Capped reductions; flops-report adds the unbounded baseline itself.
+_CAPPED_REDUCTIONS = tuple(name for name, red in REDUCTIONS.items() if red.capped)
+
+
+def _parse_list(flag: str, text: str, cast, sep: str = ",") -> list:
+    try:
+        return [cast(p) for p in text.split(sep)]
+    except ValueError:
+        raise UsageError(f"{flag}: cannot parse {text!r}") from None
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: 'start:step:stop' (inclusive) or a comma list."""
+    """Grid syntax: 'start:step:stop' (inclusive, finite) or a comma list
+    (which may hold the noiseless 'inf'); NaN is rejected."""
     if ":" in text:
-        parts = text.split(":")
+        parts = _parse_list("--snr", text, float, ":")
         if len(parts) != 3:
             raise UsageError(f"--snr: expected start:step:stop, got {text!r}")
-        start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, parts)):
+            raise UsageError(f"--snr: start, step and stop must be finite, got {text!r}")
+        start, step, stop = parts
         if step <= 0:
             raise UsageError("--snr: step must be positive")
         grid = []
@@ -67,11 +79,14 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             grid.append(round(v, 9))
             v += step
         return tuple(grid)
-    return tuple(float(p) for p in text.split(","))
+    grid = tuple(_parse_list("--snr", text, float))
+    if any(map(math.isnan, grid)):
+        raise UsageError(f"--snr: NaN in {text!r}")
+    return grid
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    return tuple(_parse_list("--iter-max", text, int))
 
 
 def _parse_algorithms(text: str) -> tuple[str, ...]:
@@ -136,8 +151,9 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
     rep.add_argument("--nr", type=int, default=8)
     rep.add_argument("--channels", type=int, default=1000)
     rep.add_argument("--iter-max", default="6,8,18")
-    rep.add_argument("--algorithms", default="mclll,fclll",
-                     help="comma list from: mclll,fclll (lll baseline is implicit)")
+    rep.add_argument("--algorithms", default=",".join(_CAPPED_REDUCTIONS),
+                     help="comma list from: " + ",".join(_CAPPED_REDUCTIONS)
+                     + " (lll baseline is implicit)")
     rep.add_argument("--mode", choices=("dynamic", "literal"), default="literal")
     rep.add_argument("--delta", type=float, default=0.75)
     rep.add_argument("--seed", type=int, default=0)
@@ -145,8 +161,7 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
 
     red = sub.add_parser("reduce", help="reduce one matrix file")
     red.add_argument("--matrix", required=True, help="matrix file path")
-    red.add_argument("--algorithm", choices=("mclll", "fclll", "lll"),
-                     default="mclll")
+    red.add_argument("--algorithm", choices=tuple(REDUCTIONS), default="mclll")
     red.add_argument("--iter-max", type=int, default=6)
     red.add_argument("--delta", type=float, default=0.75)
     red.add_argument("--out-r", help="write the reduced R factor here")
@@ -188,7 +203,7 @@ def _cmd_flops_report(args) -> int:
     entries = []
     for alg in args.algorithms.split(","):
         alg = alg.strip()
-        if alg not in ("mclll", "fclll"):
+        if alg not in _CAPPED_REDUCTIONS:
             raise UsageError(f"--algorithms: unknown algorithm {alg!r}")
         entries.extend((alg, cap) for cap in caps)
     rows = flops_mod.complexity_report(channels, entries, mode=args.mode,
@@ -200,21 +215,13 @@ def _cmd_flops_report(args) -> int:
     return 0
 
 
-def _run_reduction(algorithm, h, delta, iter_max):
-    if algorithm == "mclll":
-        return h, mclll(h, ReductionParams(delta=delta, condition="siegel",
-                                           iter_max=iter_max))
-    if algorithm == "fclll":
-        return h, fclll_wen(h, ReductionParams(delta=delta, condition="lovasz",
-                                               iter_max=iter_max))
-    basis = real_embedding(h)
-    return basis, lll_reduce_real(
-        basis, ReductionParams(delta=delta, condition="lovasz", iter_max=None))
-
-
 def _cmd_reduce(args) -> int:
     h = load_matrix(args.matrix)
-    basis, result = _run_reduction(args.algorithm, h, args.delta, args.iter_max)
+    reduction = REDUCTIONS[args.algorithm]
+    runs = flops_mod.instrument_caps(args.algorithm, h, reduction.params(args.delta),
+                                     [args.iter_max])
+    result, _ = runs[args.iter_max]
+    basis = reduction.basis(h)
     tc = result.t.to_complex()
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")
@@ -278,8 +285,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-cli_main = main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,22 +1,27 @@
 """FLOP accounting for the reduction algorithms.
 
-Scalar operation weights (add/mult = 1, sqrt/div = 8) combine into
-composite complex-operation costs, and each algorithmic step carries a
-per-event charge.  Two counting modes exist because a static per-iteration
-cost model cannot express early termination, which is the whole point of
-capping iterations:
+Every charge comes from one per-step formula (``_step_charges``) over op
+weights: a size-reduction check (one division), its update when mu != 0,
+the Lovasz or Siegel swap test, and on a swap the column exchange, the
+Givens computation and its rotations of r and q, plus the flag-table
+summation of the fixed-complexity guard.  Scalar weights default to
+add/mult = 1, sqrt/div = 8.  Two counting modes exist because a static
+per-iteration cost model cannot express early termination, which is the
+whole point of capping iterations:
 
-* ``dynamic``  -- every executed step is charged, with reduction-loop
-  scalars treated as complex numbers and expanded through
-  ``complex_op_cost``.  A size-reduction check always pays the division
-  that computes mu; the update surcharge applies only when mu != 0.
-* ``literal``  -- every executed step is charged its ``step_cost`` table
-  entry at scalar weights, including the ``(n_max - 2)`` factor baked
-  into the size-reduction entry (charged once per column visit).
+* ``dynamic``  -- every executed step is charged at the complex
+  expansions of the weights (``complex_op_cost``): the reduction-loop
+  scalars are complex numbers.
+* ``literal``  -- every executed step is charged at scalar weights, with
+  the size check and update folded into one per-visit charge,
+  ``size_visit = (n_max - 2) * (div + 2 * (mult + add))`` at the cap
+  ``n_max``.
 
 The classic real-basis LLL runs on real scalars, so it is always counted
-dynamically at scalar weights (``real_schedule``); its rows in a
-complexity report are the unbounded baseline.
+dynamically at scalar weights on the ``2 * n_r`` rows of the embedding;
+its rows in a complexity report are the unbounded baseline.  Which
+reduction runs how comes from ``reduction.REDUCTIONS``; ``instrument_caps``
+is the one entry point that runs one with a counter attached.
 
 Counters are caller-owned and single-writer: the reduction entry points
 accept a (counter, charges) pair and only ever increment fields on it.
@@ -32,8 +37,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matcore import real_embedding
-from .reduction import ReductionParams, ReductionResult, lll_reduce_real, reduce_at_caps
+from .reduction import REDUCTIONS, ReductionParams, ReductionResult, reduce_at_caps
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,6 @@ class CostModel:
 
 
 DEFAULT_COST_MODEL = CostModel()
-
-COMPLEX_OPS = ("cadd", "cmult", "cdiv", "csqrt")
 
 
 def complex_op_cost(op: str, m: CostModel = DEFAULT_COST_MODEL):
@@ -66,44 +68,6 @@ def complex_op_cost(op: str, m: CostModel = DEFAULT_COST_MODEL):
     if op == "csqrt":
         return m.div + 3 * m.mult + 2 * m.add + 3 * m.sqrt
     raise ValueError(f"unknown complex op {op!r}")
-
-
-STEP_KINDS = (
-    "size_reduction",
-    "lovasz_condition",
-    "siegel_condition",
-    "column_swap",
-    "givens_computation",
-    "rotation_r",
-    "rotation_q",
-    "csflag_sum",
-)
-
-
-def step_cost(step: str, n_t: int, n_r: int, n_max: int,
-              m: CostModel = DEFAULT_COST_MODEL):
-    """Fixed per-step cost table at scalar weights.
-
-    ``siegel_condition`` is the Lovasz entry minus the cross term it
-    drops (one mult and one add fewer).
-    """
-    if step == "size_reduction":
-        return (n_max - 2) * (m.div + 2 * (m.mult + m.add))
-    if step == "lovasz_condition":
-        return 4 * m.mult + 2 * m.add
-    if step == "siegel_condition":
-        return 3 * m.mult + 1 * m.add
-    if step == "column_swap":
-        return n_r * 3 * m.add
-    if step == "givens_computation":
-        return 2 * m.div + 2 * m.mult + 1 * m.add + 1 * m.sqrt
-    if step == "rotation_r":
-        return 2 * (2 * m.mult + 1 * m.add) * n_r
-    if step == "rotation_q":
-        return 2 * (2 * m.mult + 1 * m.add) * 2
-    if step == "csflag_sum":
-        return n_t * m.add
-    raise ValueError(f"unknown step {step!r}")
 
 
 @dataclass
@@ -137,7 +101,6 @@ class ChargeSchedule:
     column visit.  Unused fields are zero so the loops stay mode-agnostic.
     """
 
-    mode: str
     size_check: float
     size_update: float
     size_visit: float
@@ -150,107 +113,60 @@ class ChargeSchedule:
     csflag_sum: float
 
 
-def dynamic_schedule(n_t: int, n_r: int,
-                     m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
-    """Executed-step charges with complex-operation expansion."""
-    cadd = complex_op_cost("cadd", m)
-    cmult = complex_op_cost("cmult", m)
-    cdiv = complex_op_cost("cdiv", m)
-    csqrt = complex_op_cost("csqrt", m)
+def _step_charges(w: CostModel, rows: int, flags: int) -> ChargeSchedule:
+    """The one per-step formula at op weights ``w`` for a basis of ``rows``
+    rows whose loop guard sums ``flags`` swap flags.  The Siegel test is
+    the Lovasz test minus the cross term it drops."""
     return ChargeSchedule(
-        mode="dynamic",
-        size_check=cdiv,
-        size_update=2 * (cmult + cadd),
+        size_check=w.div,
+        size_update=2 * (w.mult + w.add),
         size_visit=0,
-        swap_check_lovasz=4 * cmult + 2 * cadd,
-        swap_check_siegel=3 * cmult + 1 * cadd,
-        column_swap=n_r * 3 * cadd,
-        givens=2 * cdiv + 2 * cmult + 1 * cadd + 1 * csqrt,
-        rotation_r=2 * (2 * cmult + 1 * cadd) * n_r,
-        rotation_q=2 * (2 * cmult + 1 * cadd) * 2,
-        csflag_sum=n_t * cadd,
+        swap_check_lovasz=4 * w.mult + 2 * w.add,
+        swap_check_siegel=3 * w.mult + 1 * w.add,
+        column_swap=rows * 3 * w.add,
+        givens=2 * w.div + 2 * w.mult + 1 * w.add + 1 * w.sqrt,
+        rotation_r=2 * (2 * w.mult + 1 * w.add) * rows,
+        rotation_q=2 * (2 * w.mult + 1 * w.add) * 2,
+        csflag_sum=flags * w.add,
     )
-
-
-def literal_schedule(n_t: int, n_r: int, n_max: int,
-                     m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
-    """Step-cost table charges at scalar weights; the size-reduction
-    entry (with its n_max factor) is charged once per column visit."""
-    return ChargeSchedule(
-        mode="literal",
-        size_check=0,
-        size_update=0,
-        size_visit=step_cost("size_reduction", n_t, n_r, n_max, m),
-        swap_check_lovasz=step_cost("lovasz_condition", n_t, n_r, n_max, m),
-        swap_check_siegel=step_cost("siegel_condition", n_t, n_r, n_max, m),
-        column_swap=step_cost("column_swap", n_t, n_r, n_max, m),
-        givens=step_cost("givens_computation", n_t, n_r, n_max, m),
-        rotation_r=step_cost("rotation_r", n_t, n_r, n_max, m),
-        rotation_q=step_cost("rotation_q", n_t, n_r, n_max, m),
-        csflag_sum=step_cost("csflag_sum", n_t, n_r, n_max, m),
-    )
-
-
-def real_schedule(rows: int, m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
-    """Executed-step charges at scalar weights for the real-basis LLL
-    (``rows`` is the row count of the real matrix, 2*n_r for an embedded
-    channel)."""
-    return ChargeSchedule(
-        mode="real",
-        size_check=m.div,
-        size_update=2 * (m.mult + m.add),
-        size_visit=0,
-        swap_check_lovasz=4 * m.mult + 2 * m.add,
-        swap_check_siegel=3 * m.mult + 1 * m.add,
-        column_swap=rows * 3 * m.add,
-        givens=2 * m.div + 2 * m.mult + 1 * m.add + 1 * m.sqrt,
-        rotation_r=2 * (2 * m.mult + 1 * m.add) * rows,
-        rotation_q=2 * (2 * m.mult + 1 * m.add) * 2,
-        csflag_sum=0,
-    )
-
-
-# Reduction -> the swap test the sweep and the complexity report run it with.
-SWAP_TESTS = {"mclll": "siegel", "fclll": "lovasz", "lll": "lovasz"}
-ALGORITHMS = tuple(SWAP_TESTS)
 
 
 def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
                  iter_max: int | None,
                  m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
-    """Charge schedule for one algorithm run.  The real-basis LLL always
-    counts real executed steps; complex algorithms honor ``mode``."""
-    if algorithm == "lll":
-        return real_schedule(2 * n_r, m)
+    """Charge schedule for one run of ``algorithm`` on an n_r x n_t
+    channel.  The real-basis LLL always counts real executed steps; the
+    capped complex algorithms honor ``mode`` (literal needs ``iter_max``)."""
+    if not REDUCTIONS[algorithm].capped:
+        return _step_charges(m, rows=2 * n_r, flags=0)
     if mode == "dynamic":
-        return dynamic_schedule(n_t, n_r, m)
+        complex_weights = CostModel(add=complex_op_cost("cadd", m),
+                                    mult=complex_op_cost("cmult", m),
+                                    sqrt=complex_op_cost("csqrt", m),
+                                    div=complex_op_cost("cdiv", m))
+        return _step_charges(complex_weights, rows=n_r, flags=n_t)
     if mode == "literal":
         if iter_max is None:
             raise ValueError("literal mode needs a finite iter_max")
-        return literal_schedule(n_t, n_r, iter_max, m)
+        s = _step_charges(m, rows=n_r, flags=n_t)
+        return replace(s, size_check=0, size_update=0,
+                       size_visit=(iter_max - 2) * (s.size_check + s.size_update))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def reduction_params(algorithm: str, delta: float = 0.75) -> ReductionParams:
-    """Parameters the sweep and the complexity report run ``algorithm``
-    with: its swap test from ``SWAP_TESTS`` and no cap of its own (caps are
-    passed to ``instrument_caps``)."""
-    if algorithm not in SWAP_TESTS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return ReductionParams(delta=delta, condition=SWAP_TESTS[algorithm], iter_max=None)
 
 
 def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
                     k_seq=None, mode: str = "dynamic",
                     model: CostModel = DEFAULT_COST_MODEL) -> dict:
-    """Run one reduction once and return ``{cap: (result, FlopCounter)}``,
-    caps in ascending order.
+    """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once on the
+    complex channel ``h`` and return ``{cap: (result, FlopCounter)}``, one
+    entry per distinct cap.  This is the one way the sweep, the complexity
+    report and ``lrmimo reduce`` run a reduction.
 
-    For "mclll" and "fclll" the run goes up to the largest of ``caps``
-    and each entry is what ``instrument`` returns for ``params`` with
-    ``iter_max = cap`` (see ``reduce_at_caps``).  "lll" runs unbounded, so
-    every cap maps to its one run; a complex ``h`` is replaced by its real
-    block embedding first.
+    A capped reduction runs up to the largest of ``caps`` and each entry
+    is what ``instrument`` returns for ``params`` with ``iter_max = cap``,
+    caps in ascending order (see ``reduce_at_caps``).  The unbounded "lll"
+    runs once on the real block embedding of ``h`` and every cap maps to
+    that run.
 
     The per-visit size-reduction charge is the only charge that depends on
     the cap (literal mode's ``n_max``).  The run charges it nothing, and
@@ -259,20 +175,14 @@ def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
     """
     h = np.asarray(h, dtype=complex)
     n_r, n_t = h.shape
-    counter = FlopCounter()
-    if algorithm == "lll":
-        charges = schedule_for("lll", mode, n_t, n_r, None, model)
-        result = lll_reduce_real(real_embedding(h), params, counter, charges)
-        return dict.fromkeys(caps, (result, counter))
-
-    def charges_at(cap):
-        return schedule_for(algorithm, mode, n_t, n_r, cap, model)
-
-    run_charges = replace(charges_at(max(caps)), size_visit=0)
+    schedules = {cap: schedule_for(algorithm, mode, n_t, n_r, cap, model) for cap in caps}
+    if not schedules:
+        raise ValueError("instrument_caps needs at least one cap")
+    run_charges = replace(next(iter(schedules.values())), size_visit=0)
     runs = {}
-    for cap, result, snapshot in reduce_at_caps(algorithm, h, params, caps, counter,
+    for cap, result, snapshot in reduce_at_caps(algorithm, h, params, caps, FlopCounter(),
                                                  run_charges, k_seq):
-        snapshot.size_reduction += len(result.state.k_seq) * charges_at(cap).size_visit
+        snapshot.size_reduction += len(result.visits) * schedules[cap].size_visit
         runs[cap] = (result, snapshot)
     return runs
 
@@ -280,20 +190,11 @@ def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
 def instrument(algorithm: str, h, params: ReductionParams | None = None,
                *, k_seq=None, mode: str = "dynamic",
                model: CostModel = DEFAULT_COST_MODEL) -> tuple[ReductionResult, FlopCounter]:
-    """Run one reduction with a fresh counter attached and return both.
-
-    ``algorithm`` is "mclll", "fclll" or "lll"; for "lll" a complex ``h``
-    is replaced by its real block embedding first.
+    """``instrument_caps`` at the one cap ``params.iter_max``: one run with a
+    fresh counter attached, returned with it.  ``params`` defaults to the
+    algorithm's own with no cap, which only the unbounded "lll" accepts.
     """
-    if algorithm == "mclll":
-        params = params or ReductionParams()
-    elif algorithm == "lll":
-        params = params or ReductionParams(condition="lovasz", iter_max=None)
-    elif algorithm == "fclll":
-        if params is None:
-            raise ValueError("fclll needs explicit params (finite iter_max)")
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    params = params or REDUCTIONS[algorithm].params()
     runs = instrument_caps(algorithm, h, params, [params.iter_max], k_seq=k_seq,
                            mode=mode, model=model)
     return runs[params.iter_max]
@@ -323,18 +224,18 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     hs = [np.asarray(getattr(ch, "h", ch), dtype=complex) for ch in channels]
     if not hs:
         raise ValueError("need at least one channel")
-    entries = list(entries)
-    if not any(alg == "lll" for alg, _ in entries):
-        entries.insert(0, ("lll", None))
+    entries = [(alg, cap) for alg, cap in entries]
+    baseline_key = next((e for e in entries if e[0] == "lll"), ("lll", None))
+    if baseline_key not in entries:
+        entries.insert(0, baseline_key)
     totals: dict[tuple[str, int | None], list[float]] = {}
     for alg in dict.fromkeys(alg for alg, _ in entries):
         caps = [cap for a, cap in entries if a == alg]
-        params = reduction_params(alg, delta)
+        params = REDUCTIONS[alg].params(delta)
         runs = [instrument_caps(alg, h, params, caps, mode=mode, model=model)
                 for h in hs]
         for cap in caps:
             totals[(alg, cap)] = [by_cap[cap][1].total for by_cap in runs]
-    baseline_key = next(k for k in totals if k[0] == "lll")
     baseline_mean = statistics.fmean(totals[baseline_key])
     rows = []
     for alg, cap in entries:

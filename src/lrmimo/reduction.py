@@ -11,11 +11,15 @@ Three algorithms share the same machinery:
   swap test in place of the Lovasz test.
 
 All of them return the triple (q_tilde, r_tilde, T) where T is carried in
-exact Gaussian-integer arithmetic, plus an execution trace.  The two capped
-variants share one step loop each with ``reduce_at_caps``, which runs them
-once and snapshots the run at several iteration caps.  FLOP counting
-is optional: callers pass a counter/charge-schedule pair (see
-``lrmimo.flops``); the algorithms themselves never own a counter.
+exact Gaussian-integer arithmetic, plus one trace of the column visits.
+
+``REDUCTIONS`` is the one table of the three, keyed "mclll", "fclll" and
+"lll": each entry names its swap test, whether it runs capped on the
+complex channel or unbounded on the channel's real block embedding, and its
+step loop.  ``reduce_at_caps`` runs any entry once and snapshots it at
+several iteration caps; the public functions above run the same step
+loops.  FLOP counting is optional: callers pass a counter/charge-schedule
+pair (see ``lrmimo.flops``); the algorithms themselves never own a counter.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .matcore import (
     apply_givens_right,
     givens_theta,
     qr_decompose,
+    real_embedding,
 )
 
 # Size reduction needs |r[l, l]| above this, relative to the basis's norm.
@@ -77,22 +83,6 @@ class ReductionParams:
 
 
 @dataclass
-class ReductionState:
-    """Algorithm-internal bookkeeping, exposed for tracing and tests.
-
-    cs_flag    scalar swap flag (sweep algorithms) or the per-column flag
-               vector of length n+1 (fixed-complexity variant).
-    k_seq      pivot columns actually visited, in order (0-based; column k
-               addresses the pair (k-1, k)).
-    k_seq_idx  number of traversal steps consumed.
-    """
-
-    cs_flag: object
-    k_seq: list[int] = field(default_factory=list)
-    k_seq_idx: int = 0
-
-
-@dataclass
 class ReductionResult:
     """Output of a basis reduction run.
 
@@ -101,7 +91,9 @@ class ReductionResult:
     algorithm's own iteration unit: full sweeps for ``mclll``, single
     column visits for ``fclll_wen`` and ``lll_reduce_real``.  ``converged``
     is True only when the run exited through its swap flag rather than the
-    iteration cap.
+    iteration cap.  ``visits`` is the one trace: per column visit, in
+    order, the pivot column k (addressing the pair (k-1, k)) and whether it
+    swapped; the swap counts below are read off it.
     """
 
     q_tilde: np.ndarray
@@ -109,11 +101,27 @@ class ReductionResult:
     t: GaussIntMatrix
     iterations_used: int
     converged: bool
-    swap_count: int
-    swap_history: list[int]
-    visit_swaps: list[int]
-    swap_columns: list[int]
-    state: ReductionState
+    visits: list[tuple[int, bool]]
+
+    @property
+    def visit_swaps(self) -> list[int]:
+        """1 or 0 per column visit: whether it swapped."""
+        return [int(swapped) for _, swapped in self.visits]
+
+    @property
+    def swap_count(self) -> int:
+        return sum(self.visit_swaps)
+
+    @property
+    def swap_history(self) -> list[int]:
+        """Swaps per iteration: the visits cut into ``iterations_used``
+        equal runs (a sweep of n-1 visits for ``mclll``, no visit at all
+        for a 1x1 basis, one visit for the other two)."""
+        swaps = self.visit_swaps
+        if not self.iterations_used:
+            return []
+        size = len(swaps) // self.iterations_used
+        return [sum(swaps[i * size:(i + 1) * size]) for i in range(self.iterations_used)]
 
 
 def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
@@ -165,7 +173,7 @@ def siegel_check(r, k: int, delta: float) -> bool:
 
 class _Run:
     """One reduction in progress: the working factors, the exact T, the
-    caller's counter, and the traces.  The algorithms advance it one
+    caller's counter, and the visit trace.  The step loops advance it one
     column visit at a time; ``result`` snapshots it."""
 
     def __init__(self, h, params: ReductionParams, counter, charges):
@@ -178,11 +186,7 @@ class _Run:
         self.q, self.r = qr_decompose(h)
         self.scale = np.linalg.norm(h)
         self.t = GaussIntMatrix.identity(self.r.shape[0])
-        self.visited: list[int] = []
-        self.visit_swaps: list[int] = []
-        self.swap_columns: list[int] = []
-        self.sweeps: list[int] | None = None  # per-sweep swap counts (mclll)
-        self.flag = 0  # ReductionState.cs_flag: scalar flag or fclll's flag table
+        self.visits: list[tuple[int, bool]] = []
         self.iterations = 0
         self.converged = False
 
@@ -192,7 +196,6 @@ class _Run:
         of r and T and re-triangularize with a Givens rotation applied to
         r from the left and q from the right.  Returns whether it swapped."""
         r, t, counter, charges = self.r, self.t, self.counter, self.charges
-        self.visited.append(k)
         for l in range(k - 1, -1, -1):
             size_reduce_column(r, t, k, l, counter, charges, self.scale)
         if counter is not None:
@@ -213,48 +216,33 @@ class _Run:
                 counter.givens_computation += charges.givens
                 counter.rotation_r += charges.rotation_r
                 counter.rotation_q += charges.rotation_q
-            self.swap_columns.append(k)
-        self.visit_swaps.append(int(swap))
+        self.visits.append((k, swap))
         return swap
 
-    def advance(self, steps, cap: int) -> None:
-        """Take steps until ``cap`` iterations are used or ``steps`` ends
-        (convergence); never starts the step after the cap."""
-        for _ in itertools.islice(steps, cap - self.iterations):
+    def advance(self, steps, cap: int | None) -> None:
+        """Take steps until ``cap`` iterations are used (None: no cap) or
+        ``steps`` ends (convergence); never starts the step after the cap."""
+        for _ in itertools.islice(steps, None if cap is None else cap - self.iterations):
             pass
 
     def result(self) -> ReductionResult:
         """Snapshot of the run so far; later steps leave it unchanged."""
-        history = self.visit_swaps if self.sweeps is None else self.sweeps
-        state = ReductionState(cs_flag=copy.copy(self.flag), k_seq=list(self.visited),
-                               k_seq_idx=len(self.visited))
         return ReductionResult(self.q.copy(), self.r.copy(), self.t.copy(),
-                               self.iterations, self.converged, sum(history),
-                               list(history), list(self.visit_swaps),
-                               list(self.swap_columns), state)
+                               self.iterations, self.converged, list(self.visits))
 
 
-def _mclll_sweeps(run: _Run):
+def _mclll_sweeps(run: _Run, k_seq=None):
     """The modified complex LLL, one full sweep per step, until a sweep
-    makes no swap."""
+    makes no swap (the single scalar flag)."""
     n = run.r.shape[0]
-    run.sweeps = []
-
-    def steps():
-        while not run.converged:
-            swaps = 0
-            for k in range(1, n):
-                swaps += run.visit(k)
-            run.iterations += 1
-            run.sweeps.append(swaps)
-            run.converged = swaps == 0
-            run.flag = int(run.converged)
-            yield
-
-    return steps()
+    while not run.converged:
+        swaps = sum(run.visit(k) for k in range(1, n))
+        run.iterations += 1
+        run.converged = swaps == 0
+        yield
 
 
-def _fclll_visits(run: _Run, k_seq):
+def _fclll_visits(run: _Run, k_seq=None):
     """The fixed-complexity complex LLL, one column visit per step.
 
     Each step first evaluates the loop guard, which is charged the
@@ -270,23 +258,65 @@ def _fclll_visits(run: _Run, k_seq):
     k_seq = [int(k) for k in k_seq]
     if not k_seq or any(k < 1 or k > n - 1 for k in k_seq):
         raise ValueError("k_seq must be nonempty with entries in [1, n-1]")
-    flags = run.flag = np.ones(n + 1, dtype=np.int64)
+    flags = [1] * (n + 1)
 
     def steps():
         while True:
             if run.counter is not None:
                 run.counter.flag_bookkeeping += run.charges.csflag_sum
-            if int(flags[1:n].sum()) == 0:
+            if not any(flags[1:n]):
                 run.converged = True
                 return
             k = k_seq[run.iterations % len(k_seq)]
             run.iterations += 1
             flags[k] = 0
             if run.visit(k):
-                flags[k - 1:k + 2] = 1
+                flags[k - 1:k + 2] = (1, 1, 1)
             yield
 
     return steps()
+
+
+def _lll_visits(run: _Run, k_seq=None):
+    """The classic LLL's step-back walk, one column visit per step: after a
+    swap the working index moves to max(k-1, 1), otherwise forward."""
+    k, n = 1, run.r.shape[0]
+    while k < n:
+        run.iterations += 1
+        k = max(k - 1, 1) if run.visit(k) else k + 1
+        yield
+    run.converged = True
+
+
+class Reduction(NamedTuple):
+    """One entry of ``REDUCTIONS``.
+
+    condition  the swap test the sweep, the complexity report and the CLI
+               run it with.
+    capped     True: runs up to an iteration cap on the complex channel;
+               False: runs unbounded on the channel's real block embedding.
+    steps      its step loop, ``steps(run, k_seq)``: one iteration per step.
+    """
+
+    condition: str
+    capped: bool
+    steps: Callable
+
+    def params(self, delta: float = 0.75) -> ReductionParams:
+        """Its parameters at ``delta``, with no cap of their own (caps
+        go to ``reduce_at_caps``)."""
+        return ReductionParams(delta=delta, condition=self.condition, iter_max=None)
+
+    def basis(self, h) -> np.ndarray:
+        """The basis it reduces for the complex channel ``h``."""
+        return np.asarray(h) if self.capped else real_embedding(h)
+
+
+REDUCTIONS = {
+    "mclll": Reduction("siegel", True, _mclll_sweeps),
+    "fclll": Reduction("lovasz", True, _fclll_visits),
+    "lll": Reduction("lovasz", False, _lll_visits),
+}
 
 
 def mclll(h, params: ReductionParams | None = None,
@@ -329,25 +359,28 @@ def fclll_wen(h, params: ReductionParams, k_seq=None,
 
 def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
                    counter=None, charges=None, k_seq=None):
-    """Run ``mclll`` (``algorithm="mclll"``) or ``fclll_wen`` ("fclll")
-    once, up to the largest of ``caps``, and snapshot it at every cap.
+    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on the basis it
+    takes for the complex channel ``h``, and snapshot it at every cap.
 
-    Returns ``[(cap, result, counter_copy)]`` in ascending cap order.  Each
-    ``result`` equals what the algorithm returns with ``params.iter_max``
-    set to that cap: both run a fixed schedule, so a run capped at k is the
-    prefix of a run capped at K > k.  ``counter_copy`` is a copy of
-    ``counter`` at the snapshot (None without counting).
-    ``params.iter_max`` itself is not used.
+    Returns ``[(cap, result, counter_copy)]``, one per distinct cap.  A
+    capped reduction runs up to the largest cap, snapshots come in
+    ascending cap order, and each ``result`` equals what ``mclll`` or
+    ``fclll_wen`` returns with ``params.iter_max`` set to that cap: both
+    run a fixed schedule, so a run capped at k is the prefix of a run
+    capped at K > k.  The unbounded "lll" runs to completion and every cap
+    gets that run.  ``counter_copy`` is a copy of ``counter`` at the
+    snapshot (None without counting).  ``params.iter_max`` is not used.
     """
-    if algorithm not in ("mclll", "fclll"):
-        raise ValueError(f"unknown capped algorithm {algorithm!r}")
-    if not caps or any(cap is None or cap < 1 for cap in caps):
+    if algorithm not in REDUCTIONS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    reduction = REDUCTIONS[algorithm]
+    if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
-    run = _Run(h, params, counter, charges)
-    steps = _mclll_sweeps(run) if algorithm == "mclll" else _fclll_visits(run, k_seq)
+    run = _Run(reduction.basis(h), params, counter, charges)
+    steps = reduction.steps(run, k_seq)
     snapshots = []
-    for cap in sorted(set(caps)):
-        run.advance(steps, cap)
+    for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
+        run.advance(steps, cap if reduction.capped else None)
         snapshots.append((cap, run.result(), copy.copy(counter)))
     return snapshots
 
@@ -357,9 +390,9 @@ def lll_reduce_real(h_real, params: ReductionParams | None = None,
     """Classic LLL on a real basis (e.g. the real embedding of a complex
     channel), run to completion with the Lovasz condition.
 
-    Uses the standard step-back walk: after a swap the working index moves
-    to max(k-1, 1), otherwise forward.  ``iterations_used`` counts column
-    visits.  T stays an exact integer matrix (imaginary parts all zero).
+    Uses the standard step-back walk (``_lll_visits``).  ``iterations_used``
+    counts column visits.  T stays an exact integer matrix (imaginary parts
+    all zero).
     """
     params = params or ReductionParams(condition="lovasz", iter_max=None)
     if params.iter_max is not None:
@@ -370,13 +403,7 @@ def lll_reduce_real(h_real, params: ReductionParams | None = None,
     if np.iscomplexobj(h_real) and np.abs(h_real.imag).max() > 0:
         raise ValueError("lll_reduce_real expects a real matrix")
     run = _Run(h_real.real, params, counter, charges)
-    run.flag = 1
-    n = run.r.shape[0]
-    k = 1
-    while k < n:
-        run.iterations += 1
-        k = max(k - 1, 1) if run.visit(k) else k + 1
-    run.converged = True
+    run.advance(_lll_visits(run), None)
     return run.result()
 
 

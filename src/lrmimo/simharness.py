@@ -50,14 +50,12 @@ from .mimo import (
     modulate,
     snr_to_noise_variance,
 )
+from .reduction import REDUCTIONS
 
 logger = logging.getLogger(__name__)
 
+# "zf-lr-<name>" is LR-aided ZF after reduction <name> of REDUCTIONS.
 ALGORITHMS = ("zf", "zf-lr-lll", "zf-lr-fclll", "zf-lr-mclll", "ml")
-CAPPED_ALGORITHMS = ("zf-lr-fclll", "zf-lr-mclll")
-
-# LR-aided detector -> the reduction it runs (a name in flops.ALGORITHMS).
-_REDUCTIONS = {"zf-lr-mclll": "mclll", "zf-lr-fclll": "fclll", "zf-lr-lll": "lll"}
 
 SNR_DEFINITION = "sigma_n^2=n_t/10^(snr_db/10)"
 
@@ -124,6 +122,12 @@ class FrameResult(NamedTuple):
     redraws: int
 
 
+def _capped(algorithm: str) -> bool:
+    """Whether the detector runs a reduction at each listed iteration cap."""
+    reduction = REDUCTIONS.get(algorithm.removeprefix("zf-lr-"))
+    return reduction is not None and reduction.capped
+
+
 @lru_cache(maxsize=8)
 def _constellation(m_s: int):
     return build_constellation(m_s)
@@ -174,10 +178,11 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, h, c) -> dict:
         return {None: (zf_detector(h, c), 0)}
     if algorithm == "ml":
         return {None: (ml_detector(h, c), 0)}
-    reduction = _REDUCTIONS[algorithm]
-    runs = flops.instrument_caps(reduction, h, flops.reduction_params(reduction, cfg.delta),
-                                 caps, mode=cfg.flop_mode)
-    detector = zf_lr_real_detector if reduction == "lll" else zf_lr_detector
+    name = algorithm.removeprefix("zf-lr-")
+    reduction = REDUCTIONS[name]
+    runs = flops.instrument_caps(name, h, reduction.params(cfg.delta), caps,
+                                 mode=cfg.flop_mode)
+    detector = zf_lr_detector if reduction.capped else zf_lr_real_detector
     detectors, previous = {}, None
     for cap, (red, counter) in runs.items():
         # Caps come in ascending order; a run that stopped before this cap
@@ -190,12 +195,13 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, h, c) -> dict:
 
 def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]:
     """Run one frame for every (algorithm, iter_max, snr_db) cell of
-    ``cells``, sharing draws, reductions and channel-dependent detector
-    work among them; one FrameResult per cell, in order."""
+    ``cells`` (iter_max None for the cap-free detectors), sharing draws,
+    reductions and channel-dependent detector work among them; one
+    FrameResult per cell, in order."""
     c = _constellation(cfg.m_s)
     caps = {}
     for alg, cap, _ in cells:
-        caps.setdefault(alg, []).append(cap if alg in CAPPED_ALGORITHMS else None)
+        caps.setdefault(alg, []).append(cap)
     streams: dict[bool, _Stream] = {}
     prepared: dict[tuple[str, bytes], dict | None] = {}
     accepted = {}
@@ -227,7 +233,7 @@ def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]
         if (alg, noisy) not in accepted:
             accepted[alg, noisy] = accept(alg, noisy)
         redraws, attempt, detectors = accepted[alg, noisy]
-        detect, frame_flops = detectors[cap if alg in CAPPED_ALGORITHMS else None]
+        detect, frame_flops = detectors[cap]
         if (detect, snr) not in errors:
             x = attempt.y + spec.component_std * attempt.noise if noisy else attempt.y
             errors[detect, snr] = int(np.sum(attempt.bits != demodulate(detect(x).symbols, c)))
@@ -246,7 +252,8 @@ def run_frame(cfg: SimConfig, algorithm: str, iter_max,
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return _frame_results(cfg, [(algorithm, iter_max, snr_db)], frame_index)[0]
+    cell = algorithm, iter_max if _capped(algorithm) else None, snr_db
+    return _frame_results(cfg, [cell], frame_index)[0]
 
 
 def _frame_chunk(cfg: SimConfig, cells, lo: int, hi: int) -> list[list]:
@@ -264,7 +271,7 @@ def _cells(cfg: SimConfig):
     """Deterministic cell order: algorithm (config order), iter_max (list
     order; a single uncapped slot for cap-free detectors), then SNR."""
     for alg in cfg.algorithms:
-        caps = cfg.iter_max_list if alg in CAPPED_ALGORITHMS else (None,)
+        caps = cfg.iter_max_list if _capped(alg) else (None,)
         for cap in caps:
             for snr in cfg.snr_db_grid:
                 yield alg, cap, snr

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from lrmimo.detect import ml_detect
-from lrmimo.flops import dynamic_schedule, instrument
+from lrmimo.flops import instrument, schedule_for
 from lrmimo.matcore import is_unimodular, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
@@ -263,7 +263,7 @@ def test_criterion8_bookkeeping_saving():
     # swap-decision traces coincide, which is the regime the two-savings
     # accounting describes; on those the difference decomposes exactly.
     rng = np.random.default_rng(SEED)
-    sched = dynamic_schedule(4, 4)
+    sched = schedule_for("mclll", "dynamic", 4, 4, None)
     per_check = sched.swap_check_lovasz - sched.swap_check_siegel
     qualifying = 0
     attempts = 0

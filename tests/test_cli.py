@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, output, config files."""
 
 import numpy as np
+import pytest
 
 from lrmimo.cli import main
 from lrmimo.simharness import load_matrix, save_matrix
@@ -29,6 +30,24 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_one(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ber-sweep", "--frames", "1", "--iter-max", "6,"],
+        ["ber-sweep", "--frames", "1", "--iter-max", "a"],
+        ["ber-sweep", "--frames", "1", "--snr", "a,b"],
+        ["ber-sweep", "--frames", "1", "--snr", "10,nan"],
+        ["ber-sweep", "--frames", "1", "--snr", "0:x:4"],
+        ["flops-report", "--channels", "1", "--iter-max", "6,,18"],
+    ])
+    def test_malformed_number_lists_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:4:inf", "-inf:4:0", "0:inf:4", "nan:4:8"])
+    def test_non_finite_snr_range_is_usage_error(self, grid, capsys):
+        # An infinite bound once made the range loop grow without end.
+        assert main(["ber-sweep", f"--snr={grid}", "--frames", "1"]) == 1
+        assert "--snr" in capsys.readouterr().err
 
 
 class TestBerSweep:
@@ -77,7 +96,69 @@ class TestBerSweep:
         assert main(["ber-sweep", "--config", str(cfg)]) == 1
 
 
+# Full stdout of `reduce --iter-max 3` on write_channel(seed=21).
+REDUCE_OUTPUT = {
+    "mclll": """algorithm: mclll
+iterations_used: 3
+converged: False
+swap_count: 9
+unimodular: True
+factorization_error: 2.038e-15
+size_reduced: False
+lll_reduced: False
+siegel_reduced: False
+T =
+  +4+0j +7-1j -6-2j +1+0j
+  -2-1j -4-1j +3+2j +0+0j
+  +2+2j +4+3j -2-4j +1+0j
+  +1+0j +2-1j -2+0j +0+0j
+""",
+    "fclll": """algorithm: fclll
+iterations_used: 3
+converged: False
+swap_count: 2
+unimodular: True
+factorization_error: 7.227e-16
+size_reduced: False
+lll_reduced: False
+siegel_reduced: False
+T =
+  +1+0j +1-1j +3+1j -1+1j
+  +0+0j +0+0j -1-1j +1+0j
+  +0+0j +1+0j +1+2j +0+0j
+  +0+0j +0+0j +1+0j +0+0j
+""",
+    "lll": """algorithm: lll
+iterations_used: 63
+converged: True
+swap_count: 29
+unimodular: True
+factorization_error: 1.197e-15
+size_reduced: True
+lll_reduced: True
+siegel_reduced: False
+T =
+  +4+0j +3+0j -6+0j -7+0j -1+0j +0+0j -3+0j +2+0j
+  -2+0j -1+0j +3+0j +4+0j -1+0j +1+0j +1+0j -1+0j
+  +2+0j +1+0j -2+0j -4+0j +3+0j -2+0j -1+0j +3+0j
+  +1+0j +1+0j -2+0j -2+0j -1+0j +0+0j -1+0j +0+0j
+  +0+0j +1+0j -2+0j +1+0j -7+0j +4+0j -2+0j -3+0j
+  -1+0j -1+0j +2+0j +1+0j +4+0j -2+0j +1+0j +1+0j
+  +2+0j +2+0j -4+0j -3+0j -4+0j +2+0j -3+0j -1+0j
+  +0+0j +0+0j +0+0j +1+0j -2+0j +1+0j +0+0j -1+0j
+""",
+}
+
+
 class TestReduceVerify:
+    @pytest.mark.parametrize("algorithm", sorted(REDUCE_OUTPUT))
+    def test_reduce_output_pinned(self, algorithm, tmp_path, capsys):
+        path = write_channel(tmp_path, seed=21)
+        rc = main(["reduce", "--matrix", str(path), "--algorithm", algorithm,
+                   "--iter-max", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == REDUCE_OUTPUT[algorithm]
+
     def test_reduce_prints_summary(self, tmp_path, capsys):
         path = write_channel(tmp_path)
         rc = main(["reduce", "--matrix", str(path), "--algorithm", "mclll",

@@ -10,14 +10,10 @@ from lrmimo.flops import (
     FlopCounter,
     complex_op_cost,
     complexity_report,
-    dynamic_schedule,
     format_complexity_table,
     instrument,
     instrument_caps,
-    literal_schedule,
-    real_schedule,
     schedule_for,
-    step_cost,
 )
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import ReductionParams
@@ -39,22 +35,6 @@ class TestComplexOpCost:
             complex_op_cost("cexp")
 
 
-class TestStepCost:
-    def test_table_values(self):
-        assert step_cost("lovasz_condition", 4, 4, 6) == 6
-        assert step_cost("siegel_condition", 4, 4, 6) == 4
-        assert step_cost("column_swap", 4, 4, 6) == 12
-        assert step_cost("csflag_sum", 4, 4, 6) == 4
-        assert step_cost("size_reduction", 4, 4, 6) == 4 * 12
-        assert step_cost("givens_computation", 4, 4, 6) == 27
-        assert step_cost("rotation_r", 4, 4, 6) == 24
-        assert step_cost("rotation_q", 4, 4, 6) == 12
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            step_cost("mystery", 4, 4, 6)
-
-
 class TestCounter:
     def test_total_is_category_sum(self):
         c = FlopCounter(size_reduction=3, swap_condition=5, flag_bookkeeping=2)
@@ -67,9 +47,79 @@ class TestCounter:
         assert a.size_reduction == 3 and a.rotation_q == 4
 
 
+CHARGE_FIELDS = ("size_check", "size_update", "size_visit", "swap_check_lovasz",
+                 "swap_check_siegel", "column_swap", "givens", "rotation_r",
+                 "rotation_q", "csflag_sum")
+
+CUSTOM_MODEL = CostModel(add=2, mult=3, sqrt=10, div=12)
+
+# (model, n_t, n_r, mode, cap) -> every charge field, in CHARGE_FIELDS order.
+# "real" is the schedule of the real-basis LLL on the 2*n_r-row embedding.
+PINNED_CHARGES = {
+    ("default", 2, 2, "dynamic", None): (20, 16, 0, 28, 20, 12, 91, 56, 56, 4),
+    ("default", 2, 2, "literal", 1): (0, 0, -12, 6, 4, 6, 27, 12, 12, 2),
+    ("default", 2, 2, "literal", 2): (0, 0, 0, 6, 4, 6, 27, 12, 12, 2),
+    ("default", 2, 2, "literal", 6): (0, 0, 48, 6, 4, 6, 27, 12, 12, 2),
+    ("default", 2, 2, "literal", 18): (0, 0, 192, 6, 4, 6, 27, 12, 12, 2),
+    ("default", 2, 2, "real", None): (8, 4, 0, 6, 4, 12, 27, 24, 12, 0),
+    ("default", 4, 4, "dynamic", None): (20, 16, 0, 28, 20, 24, 91, 112, 56, 8),
+    ("default", 4, 4, "literal", 1): (0, 0, -12, 6, 4, 12, 27, 24, 12, 4),
+    ("default", 4, 4, "literal", 2): (0, 0, 0, 6, 4, 12, 27, 24, 12, 4),
+    ("default", 4, 4, "literal", 6): (0, 0, 48, 6, 4, 12, 27, 24, 12, 4),
+    ("default", 4, 4, "literal", 18): (0, 0, 192, 6, 4, 12, 27, 24, 12, 4),
+    ("default", 4, 4, "real", None): (8, 4, 0, 6, 4, 24, 27, 48, 12, 0),
+    ("default", 8, 8, "dynamic", None): (20, 16, 0, 28, 20, 48, 91, 224, 56, 16),
+    ("default", 8, 8, "literal", 1): (0, 0, -12, 6, 4, 24, 27, 48, 12, 8),
+    ("default", 8, 8, "literal", 2): (0, 0, 0, 6, 4, 24, 27, 48, 12, 8),
+    ("default", 8, 8, "literal", 6): (0, 0, 48, 6, 4, 24, 27, 48, 12, 8),
+    ("default", 8, 8, "literal", 18): (0, 0, 192, 6, 4, 24, 27, 48, 12, 8),
+    ("default", 8, 8, "real", None): (8, 4, 0, 6, 4, 48, 27, 96, 12, 0),
+    ("default", 2, 4, "dynamic", None): (20, 16, 0, 28, 20, 24, 91, 112, 56, 4),
+    ("default", 2, 4, "literal", 1): (0, 0, -12, 6, 4, 12, 27, 24, 12, 2),
+    ("default", 2, 4, "literal", 2): (0, 0, 0, 6, 4, 12, 27, 24, 12, 2),
+    ("default", 2, 4, "literal", 6): (0, 0, 48, 6, 4, 12, 27, 24, 12, 2),
+    ("default", 2, 4, "literal", 18): (0, 0, 192, 6, 4, 12, 27, 24, 12, 2),
+    ("default", 2, 4, "real", None): (8, 4, 0, 6, 4, 24, 27, 48, 12, 0),
+    ("custom", 2, 2, "dynamic", None): (44, 40, 0, 72, 52, 24, 179, 144, 144, 8),
+    ("custom", 2, 2, "literal", 1): (0, 0, -22, 16, 11, 12, 42, 32, 32, 4),
+    ("custom", 2, 2, "literal", 2): (0, 0, 0, 16, 11, 12, 42, 32, 32, 4),
+    ("custom", 2, 2, "literal", 6): (0, 0, 88, 16, 11, 12, 42, 32, 32, 4),
+    ("custom", 2, 2, "literal", 18): (0, 0, 352, 16, 11, 12, 42, 32, 32, 4),
+    ("custom", 2, 2, "real", None): (12, 10, 0, 16, 11, 24, 42, 64, 32, 0),
+    ("custom", 4, 4, "dynamic", None): (44, 40, 0, 72, 52, 48, 179, 288, 144, 16),
+    ("custom", 4, 4, "literal", 1): (0, 0, -22, 16, 11, 24, 42, 64, 32, 8),
+    ("custom", 4, 4, "literal", 2): (0, 0, 0, 16, 11, 24, 42, 64, 32, 8),
+    ("custom", 4, 4, "literal", 6): (0, 0, 88, 16, 11, 24, 42, 64, 32, 8),
+    ("custom", 4, 4, "literal", 18): (0, 0, 352, 16, 11, 24, 42, 64, 32, 8),
+    ("custom", 4, 4, "real", None): (12, 10, 0, 16, 11, 48, 42, 128, 32, 0),
+    ("custom", 8, 8, "dynamic", None): (44, 40, 0, 72, 52, 96, 179, 576, 144, 32),
+    ("custom", 8, 8, "literal", 1): (0, 0, -22, 16, 11, 48, 42, 128, 32, 16),
+    ("custom", 8, 8, "literal", 2): (0, 0, 0, 16, 11, 48, 42, 128, 32, 16),
+    ("custom", 8, 8, "literal", 6): (0, 0, 88, 16, 11, 48, 42, 128, 32, 16),
+    ("custom", 8, 8, "literal", 18): (0, 0, 352, 16, 11, 48, 42, 128, 32, 16),
+    ("custom", 8, 8, "real", None): (12, 10, 0, 16, 11, 96, 42, 256, 32, 0),
+    ("custom", 2, 4, "dynamic", None): (44, 40, 0, 72, 52, 48, 179, 288, 144, 8),
+    ("custom", 2, 4, "literal", 1): (0, 0, -22, 16, 11, 24, 42, 64, 32, 4),
+    ("custom", 2, 4, "literal", 2): (0, 0, 0, 16, 11, 24, 42, 64, 32, 4),
+    ("custom", 2, 4, "literal", 6): (0, 0, 88, 16, 11, 24, 42, 64, 32, 4),
+    ("custom", 2, 4, "literal", 18): (0, 0, 352, 16, 11, 24, 42, 64, 32, 4),
+    ("custom", 2, 4, "real", None): (12, 10, 0, 16, 11, 48, 42, 128, 32, 0),
+}
+
+
 class TestSchedules:
+    @pytest.mark.parametrize("key", sorted(PINNED_CHARGES, key=str))
+    def test_pinned_charges(self, key):
+        model, n_t, n_r, mode, cap = key
+        m = CUSTOM_MODEL if model == "custom" else CostModel()
+        if mode == "real":
+            s = schedule_for("lll", "dynamic", n_t, n_r, None, m)
+        else:
+            s = schedule_for("mclll", mode, n_t, n_r, cap, m)
+        assert tuple(getattr(s, f) for f in CHARGE_FIELDS) == PINNED_CHARGES[key]
+
     def test_dynamic_values(self):
-        s = dynamic_schedule(4, 4)
+        s = schedule_for("mclll", "dynamic", 4, 4, None)
         assert s.size_check == 20 and s.size_update == 16
         assert s.swap_check_lovasz == 28 and s.swap_check_siegel == 20
         assert s.column_swap == 24 and s.givens == 91
@@ -77,20 +127,42 @@ class TestSchedules:
         assert s.csflag_sum == 8 and s.size_visit == 0
 
     def test_literal_values(self):
-        s = literal_schedule(4, 4, 6)
+        s = schedule_for("mclll", "literal", 4, 4, 6)
         assert s.size_visit == 48 and s.size_check == 0
         assert s.swap_check_lovasz == 6 and s.csflag_sum == 4
 
     def test_real_values(self):
-        s = real_schedule(8)
+        s = schedule_for("lll", "dynamic", 4, 4, None)  # 8-row embedding
         assert s.size_check == 8 and s.size_update == 4
         assert s.column_swap == 24 and s.rotation_r == 48
 
     def test_schedule_for_dispatch(self):
-        assert schedule_for("lll", "dynamic", 4, 4, None).mode == "real"
+        real = schedule_for("lll", "dynamic", 4, 4, None)
+        assert schedule_for("lll", "literal", 4, 4, None) == real
+        assert real.csflag_sum == 0
         assert schedule_for("mclll", "literal", 4, 4, 6).size_visit == 48
         with pytest.raises(ValueError):
             schedule_for("mclll", "literal", 4, 4, None)
+
+
+class TestStepCost:
+    """The per-step charges at scalar weights, read off the literal schedule."""
+
+    def test_table_values(self):
+        s = schedule_for("mclll", "literal", 4, 4, 6)
+        assert s.swap_check_lovasz == 6
+        assert s.swap_check_siegel == 4
+        assert s.column_swap == 12
+        assert s.csflag_sum == 4
+        assert s.size_visit == 4 * 12
+        assert s.size_check == 0 and s.size_update == 0
+        assert s.givens == 27
+        assert s.rotation_r == 24
+        assert s.rotation_q == 12
+
+    def test_unknown_rejected(self):
+        with pytest.raises(ValueError):
+            schedule_for("mclll", "mystery", 4, 4, 6)
 
 
 class TestInstrument:

@@ -5,6 +5,7 @@ import pytest
 
 from lrmimo.matcore import GaussIntMatrix, is_unimodular, real_embedding
 from lrmimo.reduction import (
+    REDUCTIONS,
     ReductionParams,
     ZeroDiagonal,
     factorization_error,
@@ -15,6 +16,7 @@ from lrmimo.reduction import (
     lll_reduce_real,
     lovasz_check,
     mclll,
+    reduce_at_caps,
     siegel_check,
     size_reduce_column,
 )
@@ -174,11 +176,7 @@ class TestFclll:
         assert res.converged
         assert res.iterations_used == 3  # one visit per column pair
         assert np.array_equal(res.t.to_complex(), np.eye(4))
-        assert np.array_equal(res.state.cs_flag[1:4], [0, 0, 0])
-
-    def test_flag_vector_length(self):
-        res = fclll_wen(np.eye(4), ReductionParams(condition="lovasz", iter_max=9))
-        assert len(res.state.cs_flag) == 5  # n + 1
+        assert res.visits == [(1, False), (2, False), (3, False)]
 
     def test_requires_finite_cap(self):
         with pytest.raises(ValueError):
@@ -197,7 +195,7 @@ class TestFclll:
         h = random_complex(rng, 4)
         res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=5),
                         k_seq=[3, 3, 1])
-        assert res.state.k_seq == [3, 3, 1, 3, 3][: res.iterations_used]
+        assert [k for k, _ in res.visits] == [3, 3, 1, 3, 3][: res.iterations_used]
 
     def test_bad_k_seq_rejected(self):
         with pytest.raises(ValueError):
@@ -220,7 +218,7 @@ class TestMclll:
         res = mclll(np.eye(4), ReductionParams(iter_max=6))
         assert res.converged and res.iterations_used == 1
         assert res.swap_count == 0
-        assert res.state.cs_flag == 1
+        assert res.visits == [(1, False), (2, False), (3, False)]
 
     def test_two_by_two_single_swap(self):
         # diag (2, 1): siegel fires once (3 > 1), second sweep is clean
@@ -233,6 +231,11 @@ class TestMclll:
         with pytest.raises(ValueError):
             mclll(np.eye(2), ReductionParams(iter_max=None))
 
+    def test_one_by_one_sweep_has_no_visits(self):
+        res = mclll(np.array([[0.5 - 2j]]), ReductionParams(iter_max=6))
+        assert res.converged and res.iterations_used == 1
+        assert res.visits == [] and res.swap_history == [0]
+
     def test_cap_respected_and_trace_consistent(self):
         rng = np.random.default_rng(7)
         for cap in (1, 3, 6, 18):
@@ -242,6 +245,7 @@ class TestMclll:
             assert len(res.swap_history) == res.iterations_used
             assert sum(res.swap_history) == res.swap_count
             assert len(res.visit_swaps) == 3 * res.iterations_used
+            assert [k for k, _ in res.visits] == [1, 2, 3] * res.iterations_used
 
     def test_invariants_hold_even_without_convergence(self):
         rng = np.random.default_rng(8)
@@ -271,7 +275,7 @@ class TestMclll:
             h = random_complex(rng, 4)
             res = mclll(h, ReductionParams(iter_max=1))
             if res.swap_history[-1] > 0:
-                assert res.state.cs_flag == 0 and not res.converged
+                assert not res.converged
                 found = True
         assert found
 
@@ -319,6 +323,25 @@ class TestMclll:
             if res.converged:
                 hist = res.swap_history
                 assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+class TestReductionTable:
+    def test_entries_run_the_public_functions(self):
+        rng = np.random.default_rng(15)
+        h = random_complex(rng, 4)
+        for name, want in (
+            ("mclll", mclll(h, ReductionParams(iter_max=6))),
+            ("fclll", fclll_wen(h, ReductionParams(condition="lovasz", iter_max=6))),
+            ("lll", lll_reduce_real(real_embedding(h))),
+        ):
+            [(cap, got, counter)] = reduce_at_caps(name, h, REDUCTIONS[name].params(), [6])
+            assert cap == 6 and counter is None
+            assert np.array_equal(got.t.to_complex(), want.t.to_complex())
+            assert (got.visits, got.converged) == (want.visits, want.converged)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError):
+            reduce_at_caps("bogus", np.eye(2), ReductionParams(), [1])
 
 
 class TestScaleInvariance:
