@@ -14,9 +14,7 @@ from .detect import (
     zf_detect,
     zf_detector,
     zf_lr_detect,
-    zf_lr_detect_real,
     zf_lr_detector,
-    zf_lr_real_detector,
 )
 from .flops import (
     ChargeSchedule,

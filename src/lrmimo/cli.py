@@ -174,19 +174,22 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
 
 
 def _cmd_ber_sweep(args) -> int:
-    cfg = SimConfig(
-        snr_db_grid=_parse_snr_grid(args.snr),
-        frames=args.frames,
-        n_t=args.nt,
-        n_r=args.nr,
-        m_s=args.ms,
-        iter_max_list=_parse_int_list(str(args.iter_max)),
-        algorithms=_parse_algorithms(args.algorithms),
-        delta=args.delta,
-        seed=args.seed,
-        flop_mode=args.flop_mode,
-        workers=args.workers,
-    )
+    try:
+        cfg = SimConfig(
+            snr_db_grid=_parse_snr_grid(args.snr),
+            frames=args.frames,
+            n_t=args.nt,
+            n_r=args.nr,
+            m_s=args.ms,
+            iter_max_list=_parse_int_list(str(args.iter_max)),
+            algorithms=_parse_algorithms(args.algorithms),
+            delta=args.delta,
+            seed=args.seed,
+            flop_mode=args.flop_mode,
+            workers=args.workers,
+        )
+    except ValueError as exc:  # SimConfig rejects the flag values
+        raise UsageError(str(exc)) from None
     records = run_sweep(cfg)
     if args.out:
         emit_csv(records, args.out, flop_mode=cfg.flop_mode, seed=cfg.seed)
@@ -200,6 +203,8 @@ def _cmd_flops_report(args) -> int:
     channels = [generate_channel(args.nr, args.nt, rng)
                 for _ in range(args.channels)]
     caps = _parse_int_list(str(args.iter_max))
+    if any(cap < 1 for cap in caps):
+        raise UsageError(f"--iter-max: caps must be >= 1, got {args.iter_max}")
     entries = []
     for alg in args.algorithms.split(","):
         alg = alg.strip()
@@ -216,30 +221,32 @@ def _cmd_flops_report(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    h = load_matrix(args.matrix)
     reduction = REDUCTIONS[args.algorithm]
+    if reduction.capped and args.iter_max < 1:
+        raise UsageError(f"--iter-max: {args.algorithm} needs a cap >= 1, "
+                         f"got {args.iter_max}")
+    h = load_matrix(args.matrix)
     runs = flops_mod.instrument_caps(args.algorithm, h, reduction.params(args.delta),
                                      [args.iter_max])
     result, _ = runs[args.iter_max]
     basis = reduction.basis(h)
-    tc = result.t.to_complex()
+    t = result.t
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")
     print(f"converged: {result.converged}")
     print(f"swap_count: {result.swap_count}")
-    print(f"unimodular: {is_unimodular(result.t)}")
+    print(f"unimodular: {is_unimodular(t)}")
     print(f"factorization_error: {factorization_error(basis, result):.3e}")
     print(f"size_reduced: {is_size_reduced(result.r_tilde)}")
     print(f"lll_reduced: {is_lll_reduced(result.r_tilde, args.delta)}")
     print(f"siegel_reduced: {is_siegel_reduced(result.r_tilde, args.delta)}")
     print("T =")
-    for i in range(tc.shape[0]):
-        print("  " + " ".join(f"{int(round(z.real)):+d}{int(round(z.imag)):+d}j"
-                              for z in tc[i]))
+    for i in range(t.n):
+        print("  " + " ".join("{:+d}{:+d}j".format(*t.entry(i, j)) for j in range(t.n)))
     if args.out_r:
         save_matrix(args.out_r, result.r_tilde)
     if args.out_t:
-        save_matrix(args.out_t, tc)
+        save_matrix(args.out_t, t.to_complex())
     return 0
 
 

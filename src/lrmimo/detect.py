@@ -1,6 +1,12 @@
 """Symbol detection back-ends: plain zero forcing, lattice-reduction-aided
 zero forcing with z-domain quantization, and exhaustive maximum likelihood.
 
+LR-aided zero forcing has one path for both reduced bases, the complex
+channel and its real block embedding: ``quantize_z_domain`` is the one
+quantizer (Gaussian rounding for a complex estimate, per-component
+rounding for a real one) and reads its shift off the transform T, which
+carries it exactly.
+
 Each detector is split in two: ``*_detector`` does the work that depends
 only on the channel (or on its reduction) once and returns a ``detect(x)``
 function for any number of received vectors; the one-shot ``*_detect``
@@ -67,41 +73,57 @@ def zf_detect(x, h, c: Constellation) -> DetectionResult:
 
 def quantize_z_domain(z_tilde, t, c: Constellation) -> np.ndarray:
     """Quantize a z-domain estimate onto the lattice that valid transmit
-    vectors occupy after the unimodular change of basis.
+    vectors occupy after the unimodular change of basis ``t``.
 
     Constellation points map affinely to Gaussian integers via
     ``u = (s/scale + (1+i)*ones) / 2``, so valid z-vectors are
-    ``scale * (2*w - t^{-1} (1+i) ones)`` with ``w`` Gaussian-integer.
-    Rounds ``w`` component-wise (ties away from zero, matching size
-    reduction) and returns the quantized z-domain vector.
+    ``scale * (2*w - t.shift)`` with ``w`` Gaussian-integer and
+    ``t.shift = t^{-1} (1+i) ones``.  Rounds ``w`` component-wise (ties
+    away from zero, matching size reduction) and returns the quantized
+    z-domain vector.  A real ``z_tilde`` is in stacked [Re; Im]
+    coordinates of the real block embedding (``t`` real), where components
+    map to integers via ``u = (s_comp/scale + 1) / 2`` and the shift is
+    ``t.shift.real = t^{-1} ones``.
     """
-    shift = t.solve_integer(np.full(t.n, 1 + 1j))
-    return _quantize(np.asarray(z_tilde, dtype=complex), shift, c, round_gaussian)
+    return _quantize(np.asarray(z_tilde), t.shift, c)
 
 
-def _quantize(z_tilde, shift, c: Constellation, rounding) -> np.ndarray:
-    w = rounding((z_tilde / c.scale + shift) / 2.0)
+def _quantize(z_tilde, shift, c: Constellation) -> np.ndarray:
+    if np.iscomplexobj(z_tilde):
+        w = round_gaussian((z_tilde / c.scale + shift) / 2.0)
+    else:
+        shift = shift.real
+        w = round_half_away((z_tilde / c.scale + shift) / 2.0)
     return c.scale * (2.0 * w - shift)
 
 
 def zf_lr_detector(red: ReductionResult, c: Constellation):
-    """LR-aided zero forcing prepared for one reduction of the channel.
+    """LR-aided zero forcing prepared for one reduction of the channel:
+    either of the complex channel (capped reductions) or of its real block
+    embedding (``lll``, doubled dimensions, integer T).
 
-    The quantizer shift ``t^{-1} (1+i) ones`` (solved and verified exactly)
-    and the float T are computed once.  The returned ``detect(x)`` solves
-    the z-domain least squares via the reduction's own factors
-    (``z = r_tilde^{-1} q_tilde^H x``, the pseudo-inverse of h @ T applied
-    to x), quantizes on the z-domain lattice (``quantize_z_domain``), maps
-    back through T, and clips any out-of-alphabet entry to the nearest
-    constellation point.
+    The float T and the quantizer shift, which T carries exactly, are read
+    once.  The returned ``detect(x)`` solves the z-domain least squares via
+    the reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
+    pseudo-inverse of h @ T applied to x), quantizes on the z-domain
+    lattice (``quantize_z_domain``), maps back through T, and clips any
+    out-of-alphabet entry to the nearest constellation point.  A reduction
+    whose ``q_tilde`` has twice as many rows as ``x`` has entries was of
+    the real embedding: it works on the stacked [Re; Im] coordinates of
+    ``x`` and folds the result back to complex symbols.
     """
     q_h = red.q_tilde.conj().T
-    shift = red.t.solve_integer(np.full(red.t.n, 1 + 1j))
+    shift = red.t.shift
     t_float = red.t.to_complex()
 
     def detect(x) -> DetectionResult:
-        z_tilde = back_substitute(red.r_tilde, q_h @ np.asarray(x, dtype=complex))
-        s_raw = t_float @ _quantize(z_tilde, shift, c, round_gaussian)
+        x = np.asarray(x, dtype=complex)
+        if q_h.shape[1] == 2 * x.shape[0]:
+            z_tilde = back_substitute(red.r_tilde, q_h @ real_embedding_vector(x)).real
+            s_raw = complex_from_real_vector(t_float.real @ _quantize(z_tilde, shift, c))
+        else:
+            z_tilde = back_substitute(red.r_tilde, q_h @ x)
+            s_raw = t_float @ _quantize(z_tilde, shift, c)
         return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
 
     return detect
@@ -110,35 +132,6 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
 def zf_lr_detect(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
     """LR-aided zero forcing in the reduced basis (see ``zf_lr_detector``)."""
     return zf_lr_detector(red, c)(x)
-
-
-def zf_lr_real_detector(red: ReductionResult, c: Constellation):
-    """LR-aided zero forcing through the real block embedding, prepared
-    for one reduction.
-
-    ``red`` must come from reducing the real embedding of the channel
-    (doubled dimensions, plain-integer T).  Works like ``zf_lr_detector``
-    but on stacked [Re; Im] coordinates, where constellation components map
-    to integers via ``u = (s_comp/scale + 1) / 2``.
-    """
-    q_h = red.q_tilde.conj().T
-    shift = red.t.solve_integer(np.ones(red.t.n)).real
-    t_float = red.t.to_complex().real
-
-    def detect(x) -> DetectionResult:
-        x_r = real_embedding_vector(np.asarray(x, dtype=complex))
-        z_tilde = back_substitute(red.r_tilde, q_h @ x_r).real
-        s_raw = complex_from_real_vector(
-            t_float @ _quantize(z_tilde, shift, c, round_half_away))
-        return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
-
-    return detect
-
-
-def zf_lr_detect_real(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
-    """LR-aided zero forcing through the real block embedding (see
-    ``zf_lr_real_detector``)."""
-    return zf_lr_real_detector(red, c)(x)
 
 
 _CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -4,6 +4,12 @@ Everything here works on plain numpy arrays (complex128 unless stated
 otherwise) with 0-based indices.  A Givens pivot index ``k`` always refers
 to the row pair ``(k-1, k)``.  Exact integer work (the unimodular transform
 and its determinant) is done with Python ints, which never overflow.
+
+``GaussIntMatrix`` is the transform T a reduction builds: per-column
+tuples of Python ints, started at the identity and changed only by column
+updates and swaps.  It carries the LR-ZF quantizer shift ``T^{-1} (1+i)
+ones`` through the same operations (the inverse row operation on each), so
+detection reads the shift off T instead of solving for it.
 """
 
 from __future__ import annotations
@@ -187,89 +193,75 @@ def complex_from_real_vector(v) -> np.ndarray:
 
 
 class GaussIntMatrix:
-    """Square Gaussian-integer matrix with exact Python-int entries.
+    """The exact unimodular transform T of a reduction, with its quantizer
+    shift ``T^{-1} (1+i) ones``.
 
-    Stores real and imaginary parts in separate object arrays so column
-    operations performed during basis reduction stay exact regardless of
-    how large the entries grow.
+    T is stored column by column: ``re[j]`` and ``im[j]`` are tuples of
+    Python ints holding the real and imaginary parts of column j.  The
+    exact Gaussian-integer shift is ``shift_re`` / ``shift_im``.  T is
+    built only by ``identity`` and changed only by the two column
+    operations, each of which applies the inverse row operation to the
+    shift, so T stays unimodular and ``T @ shift == (1+i) ones`` holds
+    exactly, with no solve.  A column is replaced, never mutated, so
+    ``copy`` copies only the outer lists.
     """
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        self.re = np.array([[int(v) for v in row] for row in re], dtype=object)
-        if im is None:
-            self.im = np.zeros(self.re.shape, dtype=object)
-        else:
-            self.im = np.array([[int(v) for v in row] for row in im], dtype=object)
-        if self.re.shape != self.im.shape or self.re.ndim != 2:
-            raise ValueError("real/imag parts must be matrices of equal shape")
+    __slots__ = ("re", "im", "shift_re", "shift_im")
 
     @classmethod
     def identity(cls, n: int) -> "GaussIntMatrix":
         m = cls.__new__(cls)
-        m.re = np.eye(n, dtype=int).astype(object)
-        m.im = np.zeros((n, n), dtype=object)
+        m.re = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        m.im = [(0,) * n] * n
+        m.shift_re = [1] * n
+        m.shift_im = [1] * n
         return m
-
-    @property
-    def shape(self):
-        return self.re.shape
 
     @property
     def n(self) -> int:
-        return self.re.shape[0]
+        return len(self.re)
 
     def copy(self) -> "GaussIntMatrix":
         m = GaussIntMatrix.__new__(GaussIntMatrix)
-        m.re = self.re.copy()
-        m.im = self.im.copy()
+        m.re = list(self.re)
+        m.im = list(self.im)
+        m.shift_re = list(self.shift_re)
+        m.shift_im = list(self.shift_im)
         return m
 
     def col_update(self, k: int, l: int, mu_re: int, mu_im: int) -> None:
-        """Column operation ``col_k -= (mu_re + i*mu_im) * col_l``, exact."""
-        cr = self.re[:, l]
-        ci = self.im[:, l]
-        self.re[:, k] = self.re[:, k] - (mu_re * cr - mu_im * ci)
-        self.im[:, k] = self.im[:, k] - (mu_re * ci + mu_im * cr)
+        """Column operation ``col_k -= (mu_re + i*mu_im) * col_l``, exact;
+        the shift takes the inverse row operation
+        ``shift[l] += (mu_re + i*mu_im) * shift[k]``."""
+        re, im = self.re, self.im
+        lr, li = re[l], im[l]
+        re[k] = tuple([a - mu_re * b + mu_im * c for a, b, c in zip(re[k], lr, li)])
+        im[k] = tuple([a - mu_re * c - mu_im * b for a, b, c in zip(im[k], lr, li)])
+        sr, si = self.shift_re, self.shift_im
+        kr, ki = sr[k], si[k]
+        sr[l] += mu_re * kr - mu_im * ki
+        si[l] += mu_re * ki + mu_im * kr
 
     def swap_cols(self, i: int, j: int) -> None:
-        self.re[:, [i, j]] = self.re[:, [j, i]]
-        self.im[:, [i, j]] = self.im[:, [j, i]]
+        """Exchange columns i and j, and shift entries i and j."""
+        for part in (self.re, self.im, self.shift_re, self.shift_im):
+            part[i], part[j] = part[j], part[i]
 
     def to_complex(self) -> np.ndarray:
-        return self.re.astype(np.float64) + 1j * self.im.astype(np.float64)
+        """Float view of T (row-major)."""
+        re = np.array(self.re, dtype=np.float64).T
+        im = np.array(self.im, dtype=np.float64).T
+        return np.ascontiguousarray(re + 1j * im)
+
+    @property
+    def shift(self) -> np.ndarray:
+        """Float view of the shift ``T^{-1} (1+i) ones``; for a real T its
+        real part is ``T^{-1} ones``."""
+        return (np.array(self.shift_re, dtype=float)
+                + 1j * np.array(self.shift_im, dtype=float))
 
     def entry(self, i: int, j: int) -> tuple[int, int]:
-        return self.re[i, j], self.im[i, j]
-
-    def solve_integer(self, rhs) -> np.ndarray:
-        """Solve ``T w = rhs`` where ``rhs`` and the solution are both
-        Gaussian-integer vectors (true whenever T is unimodular).
-
-        Solves in floating point, rounds, then verifies the rounded
-        solution exactly in integer arithmetic.
-        """
-        rhs = np.asarray(rhs, dtype=complex)
-        rhs_re = [int(v) for v in np.round(rhs.real)]
-        rhs_im = [int(v) for v in np.round(rhs.imag)]
-        if any(rhs.real[i] != rhs_re[i] or rhs.imag[i] != rhs_im[i]
-               for i in range(len(rhs_re))):
-            raise ValueError("right-hand side must be Gaussian-integer")
-        w = np.linalg.solve(self.to_complex(), rhs)
-        w_re = [int(v) for v in round_half_away(w.real)]
-        w_im = [int(v) for v in round_half_away(w.imag)]
-        n = self.n
-        for i in range(n):
-            acc_re = sum(self.re[i, j] * w_re[j] - self.im[i, j] * w_im[j]
-                         for j in range(n))
-            acc_im = sum(self.re[i, j] * w_im[j] + self.im[i, j] * w_re[j]
-                         for j in range(n))
-            if acc_re != rhs_re[i] or acc_im != rhs_im[i]:
-                raise ArithmeticError(
-                    "no exact Gaussian-integer solution (matrix not unimodular?)"
-                )
-        return np.array(w_re, dtype=float) + 1j * np.array(w_im, dtype=float)
+        return self.re[j][i], self.im[j][i]
 
 
 def _gi_mul(a, b):
@@ -293,7 +285,7 @@ def _gi_div_exact(a, b):
 def _as_gauss_int_rows(t, t_im):
     if isinstance(t, GaussIntMatrix):
         n = t.n
-        return [[(t.re[i, j], t.im[i, j]) for j in range(n)] for i in range(n)]
+        return [[t.entry(i, j) for j in range(n)] for i in range(n)]
     t = np.asarray(t)
     if t_im is not None:
         t_im = np.asarray(t_im)

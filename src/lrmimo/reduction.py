@@ -87,7 +87,8 @@ class ReductionResult:
     """Output of a basis reduction run.
 
     ``q_tilde @ r_tilde`` equals the input basis times ``t`` (up to float
-    roundoff); ``t`` is exactly unimodular.  ``iterations_used`` counts the
+    roundoff); ``t`` is exactly unimodular and carries the LR-ZF quantizer
+    shift ``t^{-1} (1+i) ones``.  ``iterations_used`` counts the
     algorithm's own iteration unit: full sweeps for ``mclll``, single
     column visits for ``fclll_wen`` and ``lll_reduce_real``.  ``converged``
     is True only when the run exited through its swap flag rather than the

@@ -9,7 +9,7 @@ shifts earlier frames.
 The sweep is frame-major.  Each frame is drawn once; each reduction runs
 once, up to the largest listed iteration cap, with a snapshot kept at
 every cap (a run capped at k sweeps is the prefix of one capped at K > k);
-the work that depends only on the channel (QRs, quantizer shifts, ML's
+the work that depends only on the channel (QRs, the float T, ML's
 candidate images) is done once; then every (algorithm, cap, SNR) cell
 detects ``H s + std(snr) * base_noise``.
 
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flops
-from .detect import ml_detector, zf_detector, zf_lr_detector, zf_lr_real_detector
+from .detect import ml_detector, zf_detector, zf_lr_detector
 from .matcore import RankDeficient
 from .mimo import (
     base_noise,
@@ -100,6 +100,7 @@ class SimConfig:
             raise ValueError(f"unknown flop_mode {self.flop_mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        _constellation(self.m_s)  # raises InvalidSize for an unsupported m_s
 
 
 @dataclass(frozen=True)
@@ -179,16 +180,14 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, h, c) -> dict:
     if algorithm == "ml":
         return {None: (ml_detector(h, c), 0)}
     name = algorithm.removeprefix("zf-lr-")
-    reduction = REDUCTIONS[name]
-    runs = flops.instrument_caps(name, h, reduction.params(cfg.delta), caps,
+    runs = flops.instrument_caps(name, h, REDUCTIONS[name].params(cfg.delta), caps,
                                  mode=cfg.flop_mode)
-    detector = zf_lr_detector if reduction.capped else zf_lr_real_detector
     detectors, previous = {}, None
     for cap, (red, counter) in runs.items():
         # Caps come in ascending order; a run that stopped before this cap
         # left the factors of the previous snapshot unchanged.
         if previous is None or red.iterations_used != previous[0].iterations_used:
-            previous = red, detector(red, c)
+            previous = red, zf_lr_detector(red, c)
         detectors[cap] = previous[1], counter.total
     return detectors
 

@@ -43,6 +43,25 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["ber-sweep", "--frames", "0"],
+        ["ber-sweep", "--frames", "1", "--nt", "4", "--nr", "2"],
+        ["ber-sweep", "--frames", "1", "--snr", "10,5"],
+        ["ber-sweep", "--frames", "1", "--iter-max", "0"],
+        ["ber-sweep", "--frames", "1", "--workers", "0"],
+        ["ber-sweep", "--frames", "1", "--ms", "5"],
+        ["reduce", "--matrix", "/nonexistent/h.txt", "--iter-max", "0"],
+        ["flops-report", "--channels", "1", "--iter-max", "0"],
+    ])
+    def test_rejected_values_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_uncapped_reduce_ignores_iter_max(self, tmp_path, capsys):
+        path = write_channel(tmp_path)
+        assert main(["reduce", "--matrix", str(path), "--algorithm", "lll",
+                     "--iter-max", "0"]) == 0
+
     @pytest.mark.parametrize("grid", ["0:4:inf", "-inf:4:0", "0:inf:4", "nan:4:8"])
     def test_non_finite_snr_range_is_usage_error(self, grid, capsys):
         # An infinite bound once made the range loop grow without end.

@@ -10,11 +10,16 @@ from lrmimo.detect import (
     quantize_z_domain,
     zf_detect,
     zf_lr_detect,
-    zf_lr_detect_real,
 )
 from lrmimo.matcore import GaussIntMatrix, real_embedding
 from lrmimo.mimo import add_noise, build_constellation, NoiseSpec
-from lrmimo.reduction import ReductionParams, lll_reduce_real, mclll
+from lrmimo.reduction import (
+    REDUCTIONS,
+    ReductionParams,
+    lll_reduce_real,
+    mclll,
+    reduce_at_caps,
+)
 
 
 def random_channel(rng, n_r, n_t):
@@ -128,21 +133,32 @@ class TestZfLr:
             out = zf_lr_detect(x, h, red, c)
             assert set(np.round(out.symbols, 12).tolist()) <= pts
 
-    def test_round_trip_through_t_is_exact_in_integers(self):
-        # Map symbols to Gaussian integers, pass through T^{-1} then T:
-        # the round trip is exact integer arithmetic, no float residue.
-        rng = np.random.default_rng(12)
-        c = build_constellation(16)
-        for _ in range(50):
-            h = random_channel(rng, 4, 4)
-            red = mclll(h, ReductionParams(iter_max=6))
-            idx = rng.integers(0, c.m_s, 4)
-            grid = (2 * (idx // c.side) - c.side + 1
-                    + 1j * (2 * (idx % c.side) - c.side + 1))
-            u = (grid + (1 + 1j)) / 2
-            w = red.t.solve_integer(u)
-            back = red.t.to_complex() @ w
-            assert np.array_equal(back, u)
+    @pytest.mark.parametrize("name,n_t,n_r", [
+        (name, n_t, n_r) for name in sorted(REDUCTIONS)
+        for n_t, n_r in [(1, 1), (2, 2), (4, 4), (2, 4), (8, 8)]
+        if n_t > 1 or name != "fclll"  # fclll_wen needs two columns
+    ])
+    def test_carried_shift_is_exact_at_every_snapshot(self, name, n_t, n_r):
+        # T @ shift == (1+i) ones in exact Python-int arithmetic at every cap,
+        # and a snapshot is what a run stopped at its cap leaves: continuing
+        # the run past the cap changes neither its T nor its shift.
+        rng = np.random.default_rng(100 * n_t + n_r)
+        params = REDUCTIONS[name].params()
+        caps = [1, 2, 6, 18]
+        for _ in range(3):
+            h = random_channel(rng, n_r, n_t)
+            for cap, red, _ in reduce_at_caps(name, h, params, caps):
+                t = red.t
+                for i in range(t.n):
+                    acc_re = acc_im = 0
+                    for j in range(t.n):
+                        re, im = t.entry(i, j)
+                        acc_re += re * t.shift_re[j] - im * t.shift_im[j]
+                        acc_im += re * t.shift_im[j] + im * t.shift_re[j]
+                    assert (acc_re, acc_im) == (1, 1)
+                [(_, alone, _)] = reduce_at_caps(name, h, params, [cap])
+                assert (t.re, t.im, t.shift_re, t.shift_im) == (
+                    alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 
     def test_real_embedding_path_noiseless(self):
         rng = np.random.default_rng(7)
@@ -151,7 +167,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = lll_reduce_real(real_embedding(h))
             s = random_symbols(rng, c, 4)
-            out = zf_lr_detect_real(h @ s, h, red, c)
+            out = zf_lr_detect(h @ s, h, red, c)
             assert np.array_equal(out.symbols, s)
 
 

@@ -261,18 +261,47 @@ class TestGaussIntMatrix:
         t.swap_cols(0, 1)
         assert np.array_equal(t.to_complex(), [[0, 1], [1, 0]])
 
-    def test_solve_integer(self):
-        t = GaussIntMatrix.identity(3)
-        t.col_update(1, 0, 3, 2)
-        t.col_update(2, 1, -1, 4)
-        rhs = np.full(3, 1 + 1j)
-        w = t.solve_integer(rhs)
-        assert np.allclose(t.to_complex() @ w, rhs)
+    def test_carried_shift_is_exact(self):
+        # T @ shift == (1+i) ones in exact Python-int arithmetic after any
+        # sequence of column updates and swaps.
+        rng = np.random.default_rng(5)
+        for n in (2, 4, 8):
+            t = GaussIntMatrix.identity(n)
+            for _ in range(40):
+                k, l = (int(v) for v in rng.choice(n, size=2, replace=False))
+                t.col_update(k, l, int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                t.swap_cols(i, j)
+            assert_shift_exact(t)
 
-    def test_solve_integer_rejects_non_unimodular(self):
-        t = GaussIntMatrix([[2, 0], [0, 2]])
-        with pytest.raises(ArithmeticError):
-            t.solve_integer(np.array([1 + 1j, 1 + 1j]))
+    def test_shift_of_real_transform_is_real_solve(self):
+        # For a real T the shift's real part is T^{-1} ones.
+        t = GaussIntMatrix.identity(3)
+        t.col_update(1, 0, 3, 0)
+        t.col_update(2, 1, -2, 0)
+        t.swap_cols(0, 2)
+        assert t.shift_re == t.shift_im
+        assert np.array_equal(t.to_complex().real @ t.shift.real, np.ones(3))
+
+    def test_entries_stay_exact_beyond_float_precision(self):
+        t = GaussIntMatrix.identity(2)
+        for _ in range(40):
+            t.col_update(1, 0, 3, 0)
+            t.col_update(0, 1, -3, 0)
+        assert max(abs(t.entry(i, j)[0]) for i in range(2) for j in range(2)) > 2 ** 60
+        assert is_unimodular(t)
+        assert_shift_exact(t)
+
+
+def assert_shift_exact(t):
+    """``T @ shift == (1+i) ones`` in exact Python-int arithmetic."""
+    for i in range(t.n):
+        acc = [0, 0]
+        for j in range(t.n):
+            re, im = t.entry(i, j)
+            acc[0] += re * t.shift_re[j] - im * t.shift_im[j]
+            acc[1] += re * t.shift_im[j] + im * t.shift_re[j]
+        assert acc == [1, 1]
 
 
 class TestIntegerDeterminant:
@@ -287,8 +316,7 @@ class TestIntegerDeterminant:
 
     def test_gaussian_entries(self):
         # det [[i, 0], [0, i]] = -1
-        t = GaussIntMatrix([[0, 0], [0, 0]], [[1, 0], [0, 1]])
-        assert integer_determinant(t) == (-1, 0)
+        assert integer_determinant([[0, 0], [0, 0]], [[1, 0], [0, 1]]) == (-1, 0)
 
     def test_unimodular_product_of_elementary_ops(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lrmimo import mimo, simharness
-from lrmimo.detect import ml_detect, zf_lr_detect, zf_lr_detect_real
+from lrmimo.detect import ml_detect, zf_lr_detect
 from lrmimo.flops import FlopCounter, schedule_for
 from lrmimo.matcore import RankDeficient, pseudo_inverse_apply, real_embedding
 from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
@@ -133,7 +133,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
                 symbols = ml_detect(x, h, c).symbols
             elif alg == "zf-lr-lll":
                 red = lll_reduce_real(real_embedding(h), lll_params, counter, charges)
-                symbols = zf_lr_detect_real(x, h, red, c).symbols
+                symbols = zf_lr_detect(x, h, red, c).symbols
             elif alg == "zf-lr-mclll":
                 red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap),
                             counter, charges)
