@@ -6,14 +6,10 @@ model), simharness (Monte Carlo driver), cli (command line).
 """
 
 from .detect import (
-    DetectionResult,
     SearchSpaceTooLarge,
-    ml_detect,
     ml_detector,
     quantize_z_domain,
-    zf_detect,
     zf_detector,
-    zf_lr_detect,
     zf_lr_detector,
 )
 from .flops import (
@@ -23,7 +19,6 @@ from .flops import (
     FlopCounter,
     complex_op_cost,
     complexity_report,
-    instrument,
     instrument_caps,
     schedule_for,
 )
@@ -39,7 +34,6 @@ from .matcore import (
     givens_theta,
     integer_determinant,
     is_unimodular,
-    pseudo_inverse_apply,
     qr_decompose,
     real_embedding,
     real_embedding_vector,
@@ -47,7 +41,6 @@ from .matcore import (
     round_half_away,
 )
 from .mimo import (
-    ChannelRealization,
     Constellation,
     InvalidSize,
     LengthMismatch,

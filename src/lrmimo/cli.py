@@ -89,6 +89,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(_parse_list("--iter-max", text, int))
 
 
+def _reduction_params(name: str, delta: float):
+    """Parameters of reduction ``name`` at ``delta``; a delta it rejects is
+    a usage error."""
+    try:
+        return REDUCTIONS[name].params(delta)
+    except ValueError as exc:
+        raise UsageError(f"--delta: {exc}") from None
+
+
 def _parse_algorithms(text: str) -> tuple[str, ...]:
     algs = tuple(p.strip() for p in text.split(","))
     for a in algs:
@@ -199,9 +208,10 @@ def _cmd_ber_sweep(args) -> int:
 
 
 def _cmd_flops_report(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    channels = [generate_channel(args.nr, args.nt, rng)
-                for _ in range(args.channels)]
+    if not 1 <= args.nt <= args.nr:
+        raise UsageError(f"--nt/--nr: need 1 <= nt <= nr, got {args.nt} and {args.nr}")
+    if args.channels < 1:
+        raise UsageError(f"--channels: need at least one, got {args.channels}")
     caps = _parse_int_list(str(args.iter_max))
     if any(cap < 1 for cap in caps):
         raise UsageError(f"--iter-max: caps must be >= 1, got {args.iter_max}")
@@ -210,7 +220,12 @@ def _cmd_flops_report(args) -> int:
         alg = alg.strip()
         if alg not in _CAPPED_REDUCTIONS:
             raise UsageError(f"--algorithms: unknown algorithm {alg!r}")
+        _reduction_params(alg, args.delta)
         entries.extend((alg, cap) for cap in caps)
+    _reduction_params("lll", args.delta)  # the implicit baseline
+    rng = np.random.default_rng(args.seed)
+    channels = [generate_channel(args.nr, args.nt, rng)
+                for _ in range(args.channels)]
     rows = flops_mod.complexity_report(channels, entries, mode=args.mode,
                                        delta=args.delta)
     if args.out:
@@ -225,9 +240,9 @@ def _cmd_reduce(args) -> int:
     if reduction.capped and args.iter_max < 1:
         raise UsageError(f"--iter-max: {args.algorithm} needs a cap >= 1, "
                          f"got {args.iter_max}")
+    params = _reduction_params(args.algorithm, args.delta)
     h = load_matrix(args.matrix)
-    runs = flops_mod.instrument_caps(args.algorithm, h, reduction.params(args.delta),
-                                     [args.iter_max])
+    runs = flops_mod.instrument_caps(args.algorithm, h, params, [args.iter_max])
     result, _ = runs[args.iter_max]
     basis = reduction.basis(h)
     t = result.t
@@ -251,6 +266,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _reduction_params("lll", args.delta)  # the Lovasz predicate's range
     m = load_matrix(args.matrix)
     r = qr_decompose(m).r
     print(f"size_reduced: {is_size_reduced(r)}")

@@ -7,15 +7,13 @@ quantizer (Gaussian rounding for a complex estimate, per-component
 rounding for a real one) and reads its shift off the transform T, which
 carries it exactly.
 
-Each detector is split in two: ``*_detector`` does the work that depends
-only on the channel (or on its reduction) once and returns a ``detect(x)``
-function for any number of received vectors; the one-shot ``*_detect``
-functions compose the two.
+Each ``*_detector`` does the work that depends only on the channel (or on
+its reduction) once and returns ``detect(x)``, which maps one received
+vector to its detected symbol vector, every entry a constellation point;
+it serves any number of received vectors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +38,6 @@ class SearchSpaceTooLarge(ValueError):
     """ML enumeration would exceed the search-space guard."""
 
 
-@dataclass
-class DetectionResult:
-    """Detected symbols (always members of the active constellation) plus,
-    for the LR-aided path, the unconstrained z-domain estimate."""
-
-    symbols: np.ndarray
-    z_hat: np.ndarray | None
-    detector_id: str
-
-
 def zf_detector(h, c: Constellation):
     """Zero forcing prepared for one channel: the QR of ``h`` is computed
     once, and the returned ``detect(x)`` applies the pseudo-inverse by
@@ -58,17 +46,11 @@ def zf_detector(h, c: Constellation):
     q, r = qr_decompose(h)
     q_h = q.conj().T
 
-    def detect(x) -> DetectionResult:
+    def detect(x) -> np.ndarray:
         s_tilde = back_substitute(r, q_h @ np.asarray(x, dtype=complex))
-        return DetectionResult(c.points[c.nearest_index(s_tilde)], None, "zf")
+        return c.points[c.nearest_index(s_tilde)]
 
     return detect
-
-
-def zf_detect(x, h, c: Constellation) -> DetectionResult:
-    """Zero forcing: apply the channel pseudo-inverse, slice each entry to
-    the nearest constellation point."""
-    return zf_detector(h, c)(x)
 
 
 def quantize_z_domain(z_tilde, t, c: Constellation) -> np.ndarray:
@@ -116,7 +98,7 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
     shift = red.t.shift
     t_float = red.t.to_complex()
 
-    def detect(x) -> DetectionResult:
+    def detect(x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if q_h.shape[1] == 2 * x.shape[0]:
             z_tilde = back_substitute(red.r_tilde, q_h @ real_embedding_vector(x)).real
@@ -124,14 +106,9 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
         else:
             z_tilde = back_substitute(red.r_tilde, q_h @ x)
             s_raw = t_float @ _quantize(z_tilde, shift, c)
-        return DetectionResult(c.points[c.nearest_index(s_raw)], z_tilde, "zf-lr")
+        return c.points[c.nearest_index(s_raw)]
 
     return detect
-
-
-def zf_lr_detect(x, h, red: ReductionResult, c: Constellation) -> DetectionResult:
-    """LR-aided zero forcing in the reduced basis (see ``zf_lr_detector``)."""
-    return zf_lr_detector(red, c)(x)
 
 
 _CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -164,7 +141,7 @@ def ml_detector(h, c: Constellation):
     cand = _candidate_vectors(c, n_t)
     images = cand @ h.T
 
-    def detect(x) -> DetectionResult:
+    def detect(x) -> np.ndarray:
         # Blocks of rows keep the temporaries small next to ``images``;
         # each row's distance is the same as from one whole-table einsum.
         x = np.asarray(x, dtype=complex)[None, :]
@@ -172,11 +149,6 @@ def ml_detector(h, c: Constellation):
         for lo in range(0, len(cand), _ML_BLOCK_ROWS):
             diff = images[lo:lo + _ML_BLOCK_ROWS] - x
             dist[lo:lo + _ML_BLOCK_ROWS] = np.einsum("ij,ij->i", diff.conj(), diff).real
-        return DetectionResult(cand[int(np.argmin(dist))].copy(), None, "ml")
+        return cand[int(np.argmin(dist))].copy()
 
     return detect
-
-
-def ml_detect(x, h, c: Constellation) -> DetectionResult:
-    """Exhaustive maximum likelihood (see ``ml_detector``)."""
-    return ml_detector(h, c)(x)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .reduction import REDUCTIONS, ReductionParams, ReductionResult, reduce_at_caps
+from .reduction import REDUCTIONS, ReductionParams, reduce_at_caps
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ class FlopCounter:
     @property
     def total(self):
         return sum(getattr(self, f.name) for f in fields(self))
-
-    def merge(self, other: "FlopCounter") -> "FlopCounter":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
 
 
 @dataclass(frozen=True)
@@ -155,18 +150,19 @@ def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
 
 
 def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
-                    k_seq=None, mode: str = "dynamic",
+                    mode: str = "dynamic",
                     model: CostModel = DEFAULT_COST_MODEL) -> dict:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once on the
-    complex channel ``h`` and return ``{cap: (result, FlopCounter)}``, one
-    entry per distinct cap.  This is the one way the sweep, the complexity
-    report and ``lrmimo reduce`` run a reduction.
+    complex channel ``h``, with a fresh counter attached, and return
+    ``{cap: (result, FlopCounter)}``, one entry per distinct cap.  This is
+    the one way the sweep, the complexity report and ``lrmimo reduce`` run
+    a reduction; ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.
 
     A capped reduction runs up to the largest of ``caps`` and each entry
-    is what ``instrument`` returns for ``params`` with ``iter_max = cap``,
-    caps in ascending order (see ``reduce_at_caps``).  The unbounded "lll"
-    runs once on the real block embedding of ``h`` and every cap maps to
-    that run.
+    is the run that ``params`` with ``iter_max = cap`` gives, caps in
+    ascending order (see ``reduce_at_caps``).  The unbounded "lll" runs
+    once on the real block embedding of ``h`` and every cap maps to that
+    run.
 
     The per-visit size-reduction charge is the only charge that depends on
     the cap (literal mode's ``n_max``).  The run charges it nothing, and
@@ -181,23 +177,10 @@ def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
     run_charges = replace(next(iter(schedules.values())), size_visit=0)
     runs = {}
     for cap, result, snapshot in reduce_at_caps(algorithm, h, params, caps, FlopCounter(),
-                                                 run_charges, k_seq):
+                                                 run_charges):
         snapshot.size_reduction += len(result.visits) * schedules[cap].size_visit
         runs[cap] = (result, snapshot)
     return runs
-
-
-def instrument(algorithm: str, h, params: ReductionParams | None = None,
-               *, k_seq=None, mode: str = "dynamic",
-               model: CostModel = DEFAULT_COST_MODEL) -> tuple[ReductionResult, FlopCounter]:
-    """``instrument_caps`` at the one cap ``params.iter_max``: one run with a
-    fresh counter attached, returned with it.  ``params`` defaults to the
-    algorithm's own with no cap, which only the unbounded "lll" accepts.
-    """
-    params = params or REDUCTIONS[algorithm].params()
-    runs = instrument_caps(algorithm, h, params, [params.iter_max], k_seq=k_seq,
-                           mode=mode, model=model)
-    return runs[params.iter_max]
 
 
 @dataclass(frozen=True)
@@ -221,7 +204,7 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
     baseline row is prepended automatically when absent.
     """
-    hs = [np.asarray(getattr(ch, "h", ch), dtype=complex) for ch in channels]
+    hs = [np.asarray(h, dtype=complex) for h in channels]
     if not hs:
         raise ValueError("need at least one channel")
     entries = [(alg, cap) for alg, cap in entries]

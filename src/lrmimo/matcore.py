@@ -112,13 +112,6 @@ def back_substitute(r, y) -> np.ndarray:
     return z
 
 
-def pseudo_inverse_apply(h, x) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse of a full-column-rank ``h``
-    to ``x`` via QR back-substitution (no explicit inverse)."""
-    q, r = qr_decompose(h)
-    return back_substitute(r, q.conj().T @ np.asarray(x, dtype=complex))
-
-
 class GivensTheta(NamedTuple):
     """Unit pair (alpha, beta) defining the 2x2 rotation
     ``[[conj(alpha), conj(beta)], [-beta, alpha]]``."""

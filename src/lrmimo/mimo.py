@@ -122,27 +122,12 @@ def demodulate(symbols, c: Constellation) -> np.ndarray:
     return np.concatenate([re_bits, im_bits], axis=1).reshape(-1)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of an (n_r, n_t) i.i.d. Rayleigh channel."""
-
-    h: np.ndarray = field(repr=False)
-    n_t: int = 0
-    n_r: int = 0
-
-    def __post_init__(self):
-        if self.n_r < self.n_t:
-            raise ValueError(f"need n_r >= n_t, got {self.n_r} < {self.n_t}")
-        if not np.all(np.isfinite(self.h.real)) or not np.all(np.isfinite(self.h.imag)):
-            raise ValueError("channel entries must be finite")
-
-
-def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> ChannelRealization:
+def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_r, n_t) channel with i.i.d. circularly-symmetric complex
     Gaussian entries of unit variance (real/imag parts drawn in that order)."""
     re = rng.standard_normal((n_r, n_t))
     im = rng.standard_normal((n_r, n_t))
-    return ChannelRealization(h=(re + 1j * im) * math.sqrt(0.5), n_t=n_t, n_r=n_r)
+    return (re + 1j * im) * math.sqrt(0.5)
 
 
 @dataclass(frozen=True)

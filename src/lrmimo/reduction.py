@@ -57,27 +57,23 @@ class ReductionParams:
     """Knobs shared by every reduction algorithm.
 
     delta      quality parameter in (1/4, 1]; 3/4 unless stated otherwise.
-    zeta       Siegel parameter in [2, 4]; only used to validate that
-               delta > 1/zeta when the Siegel condition is selected.
+               The Siegel condition needs delta > 1/2.
     iter_max   iteration cap (None = unbounded; the classic LLL requires
                None, the fixed-complexity variants require a finite cap).
     condition  "lovasz" or "siegel" swap test.
     """
 
     delta: float = 0.75
-    zeta: float = 2.0
     iter_max: int | None = 6
     condition: str = "siegel"
 
     def __post_init__(self):
         if not 0.25 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0.25, 1], got {self.delta}")
-        if not 2.0 <= self.zeta <= 4.0:
-            raise ValueError(f"zeta must be in [2, 4], got {self.zeta}")
         if self.condition not in ("lovasz", "siegel"):
             raise ValueError(f"unknown condition {self.condition!r}")
-        if self.condition == "siegel" and not self.delta > 1.0 / self.zeta:
-            raise ValueError("siegel condition requires delta > 1/zeta")
+        if self.condition == "siegel" and not self.delta > 0.5:
+            raise ValueError(f"siegel condition requires delta > 1/2, got {self.delta}")
         if self.iter_max is not None and self.iter_max < 1:
             raise ValueError("iter_max must be None or >= 1")
 
@@ -232,7 +228,7 @@ class _Run:
                                self.iterations, self.converged, list(self.visits))
 
 
-def _mclll_sweeps(run: _Run, k_seq=None):
+def _mclll_sweeps(run: _Run):
     """The modified complex LLL, one full sweep per step, until a sweep
     makes no swap (the single scalar flag)."""
     n = run.r.shape[0]
@@ -243,42 +239,32 @@ def _mclll_sweeps(run: _Run, k_seq=None):
         yield
 
 
-def _fclll_visits(run: _Run, k_seq=None):
-    """The fixed-complexity complex LLL, one column visit per step.
+def _fclll_visits(run: _Run):
+    """The fixed-complexity complex LLL, one column visit per step, at
+    pivots 1, 2, ..., n-1 repeating.
 
     Each step first evaluates the loop guard, which is charged the
     flag-table summation; the steps end when every flag in 1..n-1 is
-    clear.  A cap therefore stops the run before the guard of the next
-    visit, never inside it.
+    clear (at once for a 1x1 basis, which has none).  A cap therefore
+    stops the run before the guard of the next visit, never inside it.
     """
     n = run.r.shape[0]
-    if n < 2:
-        raise ValueError("fclll_wen needs at least two columns")
-    if k_seq is None:
-        k_seq = list(range(1, n))
-    k_seq = [int(k) for k in k_seq]
-    if not k_seq or any(k < 1 or k > n - 1 for k in k_seq):
-        raise ValueError("k_seq must be nonempty with entries in [1, n-1]")
     flags = [1] * (n + 1)
-
-    def steps():
-        while True:
-            if run.counter is not None:
-                run.counter.flag_bookkeeping += run.charges.csflag_sum
-            if not any(flags[1:n]):
-                run.converged = True
-                return
-            k = k_seq[run.iterations % len(k_seq)]
-            run.iterations += 1
-            flags[k] = 0
-            if run.visit(k):
-                flags[k - 1:k + 2] = (1, 1, 1)
-            yield
-
-    return steps()
+    while True:
+        if run.counter is not None:
+            run.counter.flag_bookkeeping += run.charges.csflag_sum
+        if not any(flags[1:n]):
+            run.converged = True
+            return
+        k = run.iterations % (n - 1) + 1
+        run.iterations += 1
+        flags[k] = 0
+        if run.visit(k):
+            flags[k - 1:k + 2] = (1, 1, 1)
+        yield
 
 
-def _lll_visits(run: _Run, k_seq=None):
+def _lll_visits(run: _Run):
     """The classic LLL's step-back walk, one column visit per step: after a
     swap the working index moves to max(k-1, 1), otherwise forward."""
     k, n = 1, run.r.shape[0]
@@ -296,7 +282,7 @@ class Reduction(NamedTuple):
                run it with.
     capped     True: runs up to an iteration cap on the complex channel;
                False: runs unbounded on the channel's real block embedding.
-    steps      its step loop, ``steps(run, k_seq)``: one iteration per step.
+    steps      its step loop, ``steps(run)``: one iteration per step.
     """
 
     condition: str
@@ -339,14 +325,13 @@ def mclll(h, params: ReductionParams | None = None,
     return run.result()
 
 
-def fclll_wen(h, params: ReductionParams, k_seq=None,
+def fclll_wen(h, params: ReductionParams,
               counter=None, charges=None) -> ReductionResult:
     """Fixed-complexity complex LLL with a per-column swap-flag table.
 
-    One iteration visits a single pivot column taken from ``k_seq``
-    (cycled when exhausted; defaults to 1, 2, ..., n-1 repeating), clears
-    that column's flag, fully size-reduces it and applies the swap test
-    (Lovasz by default).  A swap re-raises the flags of columns k-1..k+1.
+    One iteration visits a single pivot column, cycling through
+    1, 2, ..., n-1, clears that column's flag, fully size-reduces it and
+    applies the swap test (Lovasz by default).  A swap re-raises the flags of columns k-1..k+1.
     The loop stops when the cap is reached or when every flag in 1..n-1 is
     clear; the flag-table summation in that guard is what the modified
     algorithm's scalar flag removes.
@@ -354,12 +339,12 @@ def fclll_wen(h, params: ReductionParams, k_seq=None,
     if params.iter_max is None:
         raise ValueError("fclll_wen requires a finite iter_max")
     run = _Run(h, params, counter, charges)
-    run.advance(_fclll_visits(run, k_seq), params.iter_max)
+    run.advance(_fclll_visits(run), params.iter_max)
     return run.result()
 
 
 def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
-                   counter=None, charges=None, k_seq=None):
+                   counter=None, charges=None):
     """Run reduction ``algorithm`` of ``REDUCTIONS`` once on the basis it
     takes for the complex channel ``h``, and snapshot it at every cap.
 
@@ -378,7 +363,7 @@ def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
     run = _Run(reduction.basis(h), params, counter, charges)
-    steps = reduction.steps(run, k_seq)
+    steps = reduction.steps(run)
     snapshots = []
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
         run.advance(steps, cap if reduction.capped else None)

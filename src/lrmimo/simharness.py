@@ -30,6 +30,7 @@ the frame loop; data only to the CSV.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -84,6 +85,8 @@ class SimConfig:
     def __post_init__(self):
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        if self.n_t < 1:
+            raise ValueError(f"need n_t >= 1, got {self.n_t}")
         if self.n_r < self.n_t:
             raise ValueError(f"need n_r >= n_t, got {self.n_r} < {self.n_t}")
         grid = tuple(self.snr_db_grid)
@@ -92,6 +95,8 @@ class SimConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+            if alg.startswith("zf-lr-"):  # raises for a delta the reduction rejects
+                REDUCTIONS[alg.removeprefix("zf-lr-")].params(self.delta)
         if any(cap < 1 for cap in self.iter_max_list):
             raise ValueError("iter_max values must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -162,7 +167,7 @@ class _Stream:
     def __getitem__(self, i: int) -> _Attempt:
         cfg, c = self.cfg, _constellation(self.cfg.m_s)
         while len(self.attempts) <= i:
-            h = generate_channel(cfg.n_r, cfg.n_t, self.rng).h
+            h = generate_channel(cfg.n_r, cfg.n_t, self.rng)
             bits = self.rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
             y = h @ modulate(bits, c, cfg.n_t)
             noise = base_noise(y.shape, self.rng) if self.noisy else None
@@ -235,7 +240,7 @@ def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]
         detect, frame_flops = detectors[cap]
         if (detect, snr) not in errors:
             x = attempt.y + spec.component_std * attempt.noise if noisy else attempt.y
-            errors[detect, snr] = int(np.sum(attempt.bits != demodulate(detect(x).symbols, c)))
+            errors[detect, snr] = int(np.sum(attempt.bits != demodulate(detect(x), c)))
         results.append(FrameResult(errors[detect, snr], frame_flops, redraws))
     return results
 
@@ -336,7 +341,8 @@ def emit_csv(records, out, *, flop_mode: str, seed: int) -> None:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a matrix file: first line ``rows cols``, then row-major
-    complex entries like ``0.5-1.25j`` separated by whitespace."""
+    complex entries like ``0.5-1.25j`` separated by whitespace, all of them
+    finite."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -347,6 +353,10 @@ def load_matrix(path: str) -> np.ndarray:
         raise ValueError(
             f"{path}: expected {rows * cols} entries, found {len(entries)}")
     values = [complex(tok) for tok in entries]
+    for i, z in enumerate(values):
+        if not cmath.isfinite(z):
+            raise ValueError(
+                f"{path}: entry ({i // cols}, {i % cols}) is not finite: {entries[i]}")
     return np.array(values, dtype=complex).reshape(rows, cols)
 
 

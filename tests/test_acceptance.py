@@ -22,8 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from lrmimo.detect import ml_detect
-from lrmimo.flops import instrument, schedule_for
+from lrmimo.detect import ml_detector
+from lrmimo.flops import instrument_caps, schedule_for
 from lrmimo.matcore import is_unimodular, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
@@ -48,7 +48,7 @@ def report(name, ok, detail=""):
 
 
 def rayleigh(rng, n):
-    return generate_channel(n, n, rng).h
+    return generate_channel(n, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,11 @@ def test_criterion7_flop_gain_and_monotonicity():
     rng = np.random.default_rng(SEED)
     channels = [rayleigh(rng, 8) for _ in range(1000)]
     caps = (4, 5, 6, 7, 8, 9, 18)
-    means = {}
-    for cap in caps:
-        totals = [instrument("mclll", h, ReductionParams(iter_max=cap),
-                             mode="literal")[1].total for h in channels]
-        means[cap] = float(np.mean(totals))
+    # One run per channel, snapshot at every cap: each snapshot is the run
+    # capped there (tests/test_flops.py checks that, counters included).
+    runs = [instrument_caps("mclll", h, ReductionParams(), caps, mode="literal")
+            for h in channels]
+    means = {cap: float(np.mean([run[cap][1].total for run in runs])) for cap in caps}
     ratio = means[6] / means[18]
     monotone = all(means[a] <= means[b] for a, b in zip(caps, caps[1:]))
     print("  literal-mode mean FLOPs at 8x8:",
@@ -270,9 +270,9 @@ def test_criterion8_bookkeeping_saving():
     while qualifying < 100 and attempts < 1000:
         attempts += 1
         h = rayleigh(rng, 4)
-        rm, cm = instrument("mclll", h, ReductionParams(iter_max=2))
-        rf, cf = instrument(
-            "fclll", h, ReductionParams(condition="lovasz", iter_max=6))
+        rm, cm = instrument_caps("mclll", h, ReductionParams(), [2])[2]
+        rf, cf = instrument_caps(
+            "fclll", h, ReductionParams(condition="lovasz"), [6])[6]
         if rm.iterations_used < 2 or rf.iterations_used < 6:
             continue
         assert cm.flag_bookkeeping == 0
@@ -328,5 +328,5 @@ def test_ber_monotone_in_snr(sweep_mclll_caps):
 def test_ml_search_space_within_guard():
     c = build_constellation(16)
     h = np.eye(4, dtype=complex)
-    out = ml_detect(c.points[[0, 1, 2, 3]], h, c)
-    assert np.array_equal(out.symbols, c.points[[0, 1, 2, 3]])
+    out = ml_detector(h, c)(c.points[[0, 1, 2, 3]])
+    assert np.array_equal(out, c.points[[0, 1, 2, 3]])

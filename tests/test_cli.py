@@ -52,10 +52,29 @@ class TestExitCodes:
         ["ber-sweep", "--frames", "1", "--ms", "5"],
         ["reduce", "--matrix", "/nonexistent/h.txt", "--iter-max", "0"],
         ["flops-report", "--channels", "1", "--iter-max", "0"],
+        ["ber-sweep", "--frames", "1", "--delta", "2"],
+        ["ber-sweep", "--frames", "1", "--delta", "0.4"],
+        ["reduce", "--matrix", "/nonexistent/h.txt", "--delta", "2"],
+        ["flops-report", "--channels", "1", "--delta", "2"],
+        ["flops-report", "--channels", "1", "--delta", "0.4"],
+        ["flops-report", "--nt", "8", "--nr", "4"],
+        ["flops-report", "--channels", "0"],
+        ["flops-report", "--nt", "0", "--nr", "0"],
+        ["ber-sweep", "--frames", "1", "--nt", "0", "--nr", "0"],
+        ["verify", "--matrix", "/nonexistent/h.txt", "--delta", "2"],
     ])
     def test_rejected_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "reduce"])
+    def test_non_finite_matrix_file_is_runtime_error(self, command, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text("2 2\n1+0j nan\n0+1j 2+0j\n")
+        assert main([command, "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "entry (0, 1) is not finite: nan" in captured.err
+        assert captured.out == ""
 
     def test_uncapped_reduce_ignores_iter_max(self, tmp_path, capsys):
         path = write_channel(tmp_path)
@@ -70,6 +89,16 @@ class TestExitCodes:
 
 
 class TestBerSweep:
+    def test_one_by_one_fclll(self, capsys):
+        # A 1x1 basis has no pivot: fclll converges at its first guard,
+        # charged one flag sum (one complex add, 2 FLOPs).
+        rc = main(["ber-sweep", "--nt", "1", "--nr", "1", "--frames", "3",
+                   "--snr", "10,inf", "--algorithms", "zf-lr-fclll", "--iter-max", "1,6"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[1], row[2], row[7]) for row in rows] == [
+            ("1", "10", "2"), ("1", "inf", "2"), ("6", "10", "2"), ("6", "inf", "2")]
+
     def test_stdout_csv(self, capsys):
         rc = main(["ber-sweep", "--frames", "5", "--snr", "10,14",
                    "--algorithms", "zf", "--seed", "3"])

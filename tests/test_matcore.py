@@ -14,13 +14,13 @@ from lrmimo.matcore import (
     givens_theta,
     integer_determinant,
     is_unimodular,
-    pseudo_inverse_apply,
     qr_decompose,
     real_embedding,
     real_embedding_vector,
     round_gaussian,
     round_half_away,
 )
+from test_simharness import pseudo_inverse_apply
 
 
 def random_complex(rng, rows, cols):
@@ -222,6 +222,9 @@ class TestEmbedding:
 
 
 class TestPseudoInverse:
+    """The ZF reference of the sweep oracle: QR plus back-substitution
+    applies the pseudo-inverse."""
+
     def test_identity(self):
         x = np.array([1 + 1j, 2.0, -3j])
         assert np.allclose(pseudo_inverse_apply(np.eye(3), x), x)

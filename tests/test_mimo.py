@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lrmimo.mimo import (
-    ChannelRealization,
     InvalidSize,
     LengthMismatch,
     NoiseSpec,
@@ -15,6 +14,7 @@ from lrmimo.mimo import (
     modulate,
     snr_to_noise_variance,
 )
+from lrmimo.simharness import SimConfig
 
 
 class TestConstellation:
@@ -97,24 +97,28 @@ class TestModulation:
 
 class TestChannel:
     def test_deterministic_given_seed(self):
-        a = generate_channel(4, 4, np.random.default_rng(42)).h
-        b = generate_channel(4, 4, np.random.default_rng(42)).h
+        a = generate_channel(4, 4, np.random.default_rng(42))
+        b = generate_channel(4, 4, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_unit_variance_and_zero_mean(self):
         rng = np.random.default_rng(1)
-        h = generate_channel(1000, 100, rng).h
+        h = generate_channel(1000, 100, rng)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
         assert abs(np.mean(h.real)) < 0.02 and abs(np.mean(h.imag)) < 0.02
 
     def test_seed_streams_uncorrelated(self):
-        a = generate_channel(100, 100, np.random.default_rng(1)).h.real.ravel()
-        b = generate_channel(100, 100, np.random.default_rng(2)).h.real.ravel()
+        a = generate_channel(100, 100, np.random.default_rng(1)).real.ravel()
+        b = generate_channel(100, 100, np.random.default_rng(2)).real.ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_shape_constraint(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(h=np.zeros((2, 4), dtype=complex), n_t=4, n_r=2)
+        # A draw is a plain (n_r, n_t) array; n_r >= n_t is checked where a
+        # channel enters a run, not on each draw.
+        h = generate_channel(4, 2, np.random.default_rng(0))
+        assert h.shape == (4, 2) and h.dtype == complex
+        with pytest.raises(ValueError, match="n_r >= n_t"):
+            SimConfig(snr_db_grid=(0.0,), n_t=4, n_r=2)
 
 
 class TestNoise:

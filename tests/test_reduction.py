@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrmimo.flops import FlopCounter, schedule_for
 from lrmimo.matcore import GaussIntMatrix, is_unimodular, real_embedding
 from lrmimo.reduction import (
     REDUCTIONS,
@@ -46,9 +47,10 @@ class TestReductionParams:
         assert p.delta == 0.75 and p.condition == "siegel"
 
     @pytest.mark.parametrize("kwargs", [
-        dict(delta=0.25), dict(delta=1.01), dict(zeta=1.5), dict(zeta=4.5),
+        dict(delta=0.25), dict(delta=1.01), dict(delta=float("nan")),
+        dict(condition="siegel", delta=0.5),  # the Siegel test needs delta > 1/2
         dict(condition="other"), dict(iter_max=0),
-        dict(condition="siegel", delta=0.3, zeta=2.0),  # delta <= 1/zeta fails
+        dict(condition="siegel", delta=0.3),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -190,17 +192,19 @@ class TestFclll:
             assert res.iterations_used <= cap
             assert len(res.visit_swaps) == res.iterations_used
 
-    def test_custom_k_seq_is_followed(self):
+    def test_visit_order_is_cyclic(self):
         rng = np.random.default_rng(5)
         h = random_complex(rng, 4)
-        res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=5),
-                        k_seq=[3, 3, 1])
-        assert [k for k, _ in res.visits] == [3, 3, 1, 3, 3][: res.iterations_used]
+        res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=5))
+        assert [k for k, _ in res.visits] == [1, 2, 3, 1, 2][: res.iterations_used]
 
-    def test_bad_k_seq_rejected(self):
-        with pytest.raises(ValueError):
-            fclll_wen(np.eye(4), ReductionParams(condition="lovasz", iter_max=5),
-                      k_seq=[0, 1])
+    def test_one_by_one_converges_at_first_guard(self):
+        counter = FlopCounter()
+        charges = schedule_for("fclll", "dynamic", 1, 1, None)
+        res = fclll_wen(np.array([[0.5 - 2j]]),
+                        ReductionParams(condition="lovasz", iter_max=6), counter, charges)
+        assert res.converged and res.iterations_used == 0 and res.visits == []
+        assert counter.total == counter.flag_bookkeeping == charges.csflag_sum
 
     def test_converges_to_lll_reduced(self):
         rng = np.random.default_rng(6)

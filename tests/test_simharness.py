@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lrmimo import mimo, simharness
-from lrmimo.detect import ml_detect, zf_lr_detect
+from lrmimo.detect import ml_detector, zf_lr_detector
 from lrmimo.flops import FlopCounter, schedule_for
-from lrmimo.matcore import RankDeficient, pseudo_inverse_apply, real_embedding
+from lrmimo.matcore import RankDeficient, back_substitute, qr_decompose, real_embedding
 from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
 from lrmimo.simharness import (
     BerRecord,
@@ -43,10 +43,18 @@ class TestSimConfig:
         dict(seed=-1),
         dict(flop_mode="fast"),
         dict(workers=0),
+        dict(n_t=0, n_r=0),
+        dict(delta=2.0),
+        dict(delta=0.4),  # mclll's Siegel test needs delta > 1/2
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             small_cfg(**kwargs)
+
+    def test_delta_checked_per_listed_reduction(self):
+        # fclll's Lovasz test takes delta = 0.4; no listed detector runs mclll.
+        small_cfg(algorithms=("zf", "zf-lr-fclll"), delta=0.4)
+        small_cfg(algorithms=("zf", "ml"), delta=2.0)
 
 
 class TestRunFrame:
@@ -112,6 +120,13 @@ class TestRunSweep:
         assert zf.mean_flops < lr.mean_flops
 
 
+def pseudo_inverse_apply(h, x):
+    """The Moore-Penrose pseudo-inverse of a full-column-rank ``h`` applied
+    to ``x`` by QR back-substitution."""
+    q, r = qr_decompose(h)
+    return back_substitute(r, q.conj().T @ x)
+
+
 def oracle_frame(cfg, alg, cap, snr, idx):
     """Per-cell reference: redraw and re-reduce the frame for this one
     cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws)."""
@@ -120,7 +135,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
     lll_params = ReductionParams(delta=cfg.delta, condition="lovasz", iter_max=None)
     for redraws in range(100):
-        h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng).h
+        h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
         x = mimo.add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
         counter = FlopCounter()
@@ -130,18 +145,18 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             if alg == "zf":
                 symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
             elif alg == "ml":
-                symbols = ml_detect(x, h, c).symbols
+                symbols = ml_detector(h, c)(x)
             elif alg == "zf-lr-lll":
                 red = lll_reduce_real(real_embedding(h), lll_params, counter, charges)
-                symbols = zf_lr_detect(x, h, red, c).symbols
+                symbols = zf_lr_detector(red, c)(x)
             elif alg == "zf-lr-mclll":
                 red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap),
                             counter, charges)
-                symbols = zf_lr_detect(x, h, red, c).symbols
+                symbols = zf_lr_detector(red, c)(x)
             else:
                 red = fclll_wen(h, ReductionParams(delta=cfg.delta, condition="lovasz",
-                                                   iter_max=cap), None, counter, charges)
-                symbols = zf_lr_detect(x, h, red, c).symbols
+                                                   iter_max=cap), counter, charges)
+                symbols = zf_lr_detector(red, c)(x)
         except RankDeficient:
             continue
         errors = int(np.sum(bits != mimo.demodulate(symbols, c)))
@@ -198,12 +213,10 @@ class TestFrameMajorEquivalence:
 
         def rank_one_first_draw_of_frame1(n_r, n_t, rng):
             first = rng.bit_generator.state == fresh_frame1
-            ch = draw(n_r, n_t, rng)
-            if not first:
-                return ch
-            h = ch.h.copy()
-            h[:, 1] = h[:, 0]
-            return mimo.ChannelRealization(h, n_t, n_r)
+            h = draw(n_r, n_t, rng)
+            if first:
+                h[:, 1] = h[:, 0]
+            return h
 
         monkeypatch.setattr(mimo, "generate_channel", rank_one_first_draw_of_frame1)
         monkeypatch.setattr(simharness, "generate_channel", rank_one_first_draw_of_frame1)
@@ -274,4 +287,11 @@ class TestMatrixIO:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1+0j 2+0j 3+0j\n")
         with pytest.raises(ValueError):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1+nanj", "-infj"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2\n1+0j 2+0j\n3+0j {token}\n")
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite"):
             load_matrix(str(path))
