@@ -1,8 +1,9 @@
 """Lattice-reduction-aided MIMO detection toolkit.
 
 Modules: matcore (matrix kernels), reduction (LLL variants), mimo
-(constellation/channel/noise), detect (ZF, LR-aided ZF, ML), flops (cost
-model), simharness (Monte Carlo driver), cli (command line).
+(constellation/channel/noise), detect (ZF, LR-aided ZF, sphere-decoding
+ML), flops (cost model), simharness (Monte Carlo driver), cli (command
+line).
 """
 
 from .detect import (

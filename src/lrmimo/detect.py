@@ -1,5 +1,6 @@
 """Symbol detection back-ends: plain zero forcing, lattice-reduction-aided
-zero forcing with z-domain quantization, and exhaustive maximum likelihood.
+zero forcing with z-domain quantization, and maximum likelihood by
+Schnorr-Euchner sphere decoding.
 
 LR-aided zero forcing has one path for both reduced bases, the complex
 channel and its real block embedding: ``quantize_z_domain`` is the one
@@ -10,17 +11,20 @@ carries it exactly.
 Each ``*_detector`` does the work that depends only on the channel (or on
 its reduction) once and returns ``detect(x)``, which maps one received
 vector to its detected symbol vector, every entry a constellation point;
-it serves any number of received vectors.
+it serves any number of received vectors.  Zero forcing and ML take the
+channel's QR, so a caller can share one between them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .matcore import (
+    QRFactorization,
     back_substitute,
     complex_from_real_vector,
-    qr_decompose,
     real_embedding_vector,
     round_gaussian,
     round_half_away,
@@ -30,20 +34,20 @@ from .reduction import ReductionResult
 
 ML_SEARCH_LIMIT = 2 ** 20
 
-# Candidate rows per block of ML distance evaluation.
-_ML_BLOCK_ROWS = 4096
+# Points (m_s per node) ml_detector's depth-first search scores before it
+# restarts breadth-first; it always completes its first descent.
+_DEPTH_FIRST_POINTS = 256
 
 
 class SearchSpaceTooLarge(ValueError):
     """ML enumeration would exceed the search-space guard."""
 
 
-def zf_detector(h, c: Constellation):
-    """Zero forcing prepared for one channel: the QR of ``h`` is computed
-    once, and the returned ``detect(x)`` applies the pseudo-inverse by
-    back-substitution and slices each entry to the nearest constellation
-    point."""
-    q, r = qr_decompose(h)
+def zf_detector(qr: QRFactorization, c: Constellation):
+    """Zero forcing prepared for the channel whose QR is ``qr``: the
+    returned ``detect(x)`` applies the pseudo-inverse by back-substitution
+    and slices each entry to the nearest constellation point."""
+    q, r = qr
     q_h = q.conj().T
 
     def detect(x) -> np.ndarray:
@@ -111,44 +115,97 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
     return detect
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def check_search_space(m_s: int, n_t: int) -> None:
+    """Raise SearchSpaceTooLarge if ``m_s^n_t`` exceeds ``ML_SEARCH_LIMIT``."""
+    if m_s ** n_t > ML_SEARCH_LIMIT:
+        raise SearchSpaceTooLarge(f"{m_s}^{n_t} candidates exceed the {ML_SEARCH_LIMIT} guard")
 
 
-def _candidate_vectors(c: Constellation, n_t: int) -> np.ndarray:
-    """All constellation vectors of length n_t, rows ordered
-    lexicographically by canonical point index."""
-    key = (c.m_s, n_t)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is None:
-        grids = np.meshgrid(*([np.arange(c.m_s)] * n_t), indexing="ij")
-        idx = np.stack(grids, axis=-1).reshape(-1, n_t)
-        cached = c.points[idx]
-        _CANDIDATE_CACHE[key] = cached
-    return cached
+def ml_detector(qr: QRFactorization, c: Constellation):
+    """Maximum likelihood for the channel whose QR is ``qr``: ``detect(x)``
+    returns the constellation vector ``s`` minimizing ``||q^H x - r s||^2``.
 
+    Levels go from n_t-1 down to 0; level k's centre is ``(y_k - sum_{j>k}
+    r_kj s_j) / r_kk`` and its increment ``r_kk^2 |centre - s_k|^2``
+    (``r_kk`` real) is a real-axis plus an imaginary-axis term.  The search
+    starts depth-first (Schnorr-Euchner): points by increasing increment,
+    the radius shrinking at every leaf.  Near a lattice point (high SNR)
+    that ends after a few nodes; where it does not, after
+    ``_DEPTH_FIRST_POINTS`` scored points the search restarts breadth-first,
+    vectorized, keeping every node within the best distance found so far.
+    Either way a node is pruned only when its partial distance is strictly
+    greater than the best, and of leaves that tie exactly the one with the
+    lexicographically smaller index vector wins, as in an exhaustive
+    argmin.  ``ML_SEARCH_LIMIT`` bounds the candidate count ``m_s^n_t``, and
+    so the leaves visited.
+    """
+    q, r = qr
+    n_t = r.shape[0]
+    check_search_space(c.m_s, n_t)
+    q_h, r_diag = q.conj().T, r.diagonal().real
+    budget = max(n_t, _DEPTH_FIRST_POINTS // c.m_s)  # nodes
+    r_sq, levels = r_diag ** 2, c.scale * (2 * np.arange(c.side) - c.side + 1)
+    # The depth-first search works on Python numbers: numpy scalars are
+    # several times slower one at a time.
+    rows, points = r.tolist(), c.points.tolist()
+    diag_l, r_sq_l, levels_l = r_diag.tolist(), r_sq.tolist(), levels.tolist()
+    # Bounds ||r s||^2 over constellation vectors: a slack far above the
+    # rounding by which the two searches' distances of one leaf can differ.
+    slack = n_t * np.max(np.abs(c.points)) ** 2 * np.sum(np.abs(r) ** 2)
 
-def ml_detector(h, c: Constellation):
-    """Exhaustive maximum likelihood prepared for one channel: every
-    candidate's noiseless image ``h s`` is computed once, and the returned
-    ``detect(x)`` takes the argmin of ``||x - h s||^2``, ties broken by
-    lexicographic symbol index order.  Guarded by ``ML_SEARCH_LIMIT``."""
-    h = np.asarray(h, dtype=complex)
-    n_t = h.shape[1]
-    if c.m_s ** n_t > ML_SEARCH_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"{c.m_s}^{n_t} candidates exceed the {ML_SEARCH_LIMIT} guard"
-        )
-    cand = _candidate_vectors(c, n_t)
-    images = cand @ h.T
+    def depth_first(y):
+        """(best distance, best index vector, finished within the budget)."""
+        s, idx = [0j] * n_t, [0] * n_t
+        best_dist, best_idx, nodes = math.inf, None, 0
+
+        def search(k: int, partial: float) -> bool:
+            nonlocal best_dist, best_idx, nodes
+            nodes += 1
+            if nodes > budget:
+                return False
+            centre = (y[k] - sum(rows[k][j] * s[j] for j in range(k + 1, n_t))) / diag_l[k]
+            re = [r_sq_l[k] * (centre.real - a) ** 2 for a in levels_l]
+            im = [r_sq_l[k] * (centre.imag - b) ** 2 for b in levels_l]
+            step = [dr + di for dr in re for di in im]  # canonical point order
+            for i in sorted(range(len(step)), key=step.__getitem__):
+                dist = partial + step[i]
+                if dist > best_dist:
+                    break  # the rest of this level is no closer
+                s[k], idx[k] = points[i], i
+                if k:
+                    if not search(k - 1, dist):
+                        return False
+                elif best_idx is None or dist < best_dist or idx < best_idx:
+                    best_dist, best_idx = dist, idx.copy()
+            return True
+
+        finished = search(n_t - 1, 0.0)
+        return best_dist, best_idx, finished
+
+    def breadth_first(y, radius):
+        """Best index vector among the leaves within ``radius``."""
+        part, b, trail = np.zeros(1), y[None, :], []
+        for k in range(n_t - 1, -1, -1):
+            centre = b[:, k] / r_diag[k]
+            d = ((part[:, None] + r_sq[k] * (centre.real[:, None] - levels) ** 2)[:, :, None]
+                 + r_sq[k] * (centre.imag[:, None, None] - levels) ** 2).reshape(len(part), -1)
+            parent, point = np.nonzero(d <= radius)
+            part, b = d[parent, point], b[parent, :k] - c.points[point, None] * r[:k, k]
+            trail.append((parent, point))
+        node = np.flatnonzero(part == part.min())
+        idx = np.empty((len(node), n_t), dtype=int)
+        for k, (parent, point) in enumerate(reversed(trail)):
+            idx[:, k], node = point[node], parent[node]
+        return idx[np.lexsort(idx.T[::-1])[0]]
 
     def detect(x) -> np.ndarray:
-        # Blocks of rows keep the temporaries small next to ``images``;
-        # each row's distance is the same as from one whole-table einsum.
-        x = np.asarray(x, dtype=complex)[None, :]
-        dist = np.empty(len(cand))
-        for lo in range(0, len(cand), _ML_BLOCK_ROWS):
-            diff = images[lo:lo + _ML_BLOCK_ROWS] - x
-            dist[lo:lo + _ML_BLOCK_ROWS] = np.einsum("ij,ij->i", diff.conj(), diff).real
-        return cand[int(np.argmin(dist))].copy()
+        x = np.asarray(x, dtype=complex)
+        if not np.isfinite(x).all():
+            raise ValueError("received vector is not finite")
+        y = q_h @ x
+        best_dist, best_idx, finished = depth_first(y.tolist())
+        if not finished:
+            best_idx = breadth_first(y, best_dist + 1e-9 * (best_dist + slack))
+        return c.points[best_idx]
 
     return detect

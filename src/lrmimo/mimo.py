@@ -63,9 +63,8 @@ class Constellation:
                 + self._axis_level(v.imag))
 
     def _axis_level(self, coord):
-        u = (coord / self.scale + self.side - 1) / 2.0
-        lvl = np.ceil(u - 0.5)
-        return np.clip(lvl, 0, self.side - 1).astype(int)
+        lvl = np.ceil((coord / self.scale + self.side - 1) / 2.0 - 0.5)
+        return np.minimum(np.maximum(lvl, 0), self.side - 1).astype(int)
 
 
 def build_constellation(m_s: int) -> Constellation:

@@ -9,13 +9,13 @@ shifts earlier frames.
 The sweep is frame-major.  Each frame is drawn once; each reduction runs
 once, up to the largest listed iteration cap, with a snapshot kept at
 every cap (a run capped at k sweeps is the prefix of one capped at K > k);
-the work that depends only on the channel (QRs, the float T, ML's
-candidate images) is done once; then every (algorithm, cap, SNR) cell
-detects ``H s + std(snr) * base_noise``.
+the work that depends only on the channel (QRs, the float T) is done
+once, and zero forcing and ML share one QR of the channel; then every
+(algorithm, cap, SNR) cell detects ``H s + std(snr) * base_noise``.
 
 A rank-deficient draw is redrawn from the same stream.  Each detector
-family walks the frame's draw attempts until one does not raise
-``RankDeficient`` and counts the attempts it skipped as redraws.  A
+family, ML included, walks the frame's draw attempts until one does not
+raise ``RankDeficient`` and counts the attempts it skipped as redraws.  A
 noiseless cell (snr = inf) draws no noise, so its stream of attempts is a
 different one from that of the finite-SNR cells; the first attempt's
 channel and bits are the same in both.
@@ -35,14 +35,14 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import flops
-from .detect import ml_detector, zf_detector, zf_lr_detector
-from .matcore import RankDeficient
+from .detect import check_search_space, ml_detector, zf_detector, zf_lr_detector
+from .matcore import QRFactorization, RankDeficient, qr_decompose
 from .mimo import (
     base_noise,
     build_constellation,
@@ -92,6 +92,12 @@ class SimConfig:
         grid = tuple(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be nonempty and strictly increasing")
+        try:  # the lowest SNR has the largest noise variance
+            finite = math.isfinite(snr_to_noise_variance(grid[0], self.n_t).sigma_n_sq)
+        except ZeroDivisionError:
+            finite = False
+        if not finite:
+            raise ValueError(f"snr {grid[0]} dB gives a non-finite noise variance")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -106,6 +112,8 @@ class SimConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         _constellation(self.m_s)  # raises InvalidSize for an unsupported m_s
+        if "ml" in self.algorithms:
+            check_search_space(self.m_s, self.n_t)
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,18 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, frame_index))
 
 
-class _Attempt(NamedTuple):
+@dataclass
+class _Attempt:
     h: np.ndarray
     bits: np.ndarray
     y: np.ndarray             # noiseless received vector h @ s
     noise: np.ndarray | None  # base noise; None on the noiseless stream
+
+    @cached_property
+    def qr(self) -> QRFactorization:
+        """The channel's QR, computed once for zf and ml; a rank-deficient
+        draw raises RankDeficient each time it is asked for."""
+        return qr_decompose(self.h)
 
 
 class _Stream:
@@ -175,17 +190,17 @@ class _Stream:
         return self.attempts[i]
 
 
-def _prepare(cfg: SimConfig, algorithm: str, caps, h, c) -> dict:
-    """Channel-dependent work of one detector family on one channel:
-    ``{cap: (detect, reduction FLOPs)}``, a single entry under None for
-    the cap-free detectors; caps whose snapshots are equal share one
-    ``detect``.  Raises RankDeficient on a rank-deficient h."""
+def _prepare(cfg: SimConfig, algorithm: str, caps, attempt: _Attempt, c) -> dict:
+    """Channel-dependent work of one detector family on one attempt's
+    channel: ``{cap: (detect, reduction FLOPs)}``, a single entry under
+    None for the cap-free detectors; caps whose snapshots are equal share
+    one ``detect``.  Raises RankDeficient on a rank-deficient channel."""
     if algorithm == "zf":
-        return {None: (zf_detector(h, c), 0)}
+        return {None: (zf_detector(attempt.qr, c), 0)}
     if algorithm == "ml":
-        return {None: (ml_detector(h, c), 0)}
+        return {None: (ml_detector(attempt.qr, c), 0)}
     name = algorithm.removeprefix("zf-lr-")
-    runs = flops.instrument_caps(name, h, REDUCTIONS[name].params(cfg.delta), caps,
+    runs = flops.instrument_caps(name, attempt.h, REDUCTIONS[name].params(cfg.delta), caps,
                                  mode=cfg.flop_mode)
     detectors, previous = {}, None
     for cap, (red, counter) in runs.items():
@@ -220,7 +235,7 @@ def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]
             key = (alg, attempt.h.tobytes())
             if key not in prepared:
                 try:
-                    prepared[key] = _prepare(cfg, alg, caps[alg], attempt.h, c)
+                    prepared[key] = _prepare(cfg, alg, caps[alg], attempt, c)
                 except RankDeficient:
                     prepared[key] = None
                     logger.warning("frame %d: rank-deficient channel for %s, redrawing",

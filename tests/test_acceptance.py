@@ -24,7 +24,7 @@ import pytest
 
 from lrmimo.detect import ml_detector
 from lrmimo.flops import instrument_caps, schedule_for
-from lrmimo.matcore import is_unimodular, real_embedding
+from lrmimo.matcore import is_unimodular, qr_decompose, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
     ReductionParams,
@@ -328,5 +328,5 @@ def test_ber_monotone_in_snr(sweep_mclll_caps):
 def test_ml_search_space_within_guard():
     c = build_constellation(16)
     h = np.eye(4, dtype=complex)
-    out = ml_detector(h, c)(c.points[[0, 1, 2, 3]])
+    out = ml_detector(qr_decompose(h), c)(c.points[[0, 1, 2, 3]])
     assert np.array_equal(out, c.points[[0, 1, 2, 3]])

@@ -62,6 +62,8 @@ class TestExitCodes:
         ["flops-report", "--nt", "0", "--nr", "0"],
         ["ber-sweep", "--frames", "1", "--nt", "0", "--nr", "0"],
         ["verify", "--matrix", "/nonexistent/h.txt", "--delta", "2"],
+        ["ber-sweep", "--nt", "8", "--nr", "8", "--ms", "16", "--algorithms", "ml"],
+        ["ber-sweep", "--frames", "1", "--snr=-4000,0"],
     ])
     def test_rejected_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1

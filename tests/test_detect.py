@@ -1,4 +1,6 @@
-"""Tests for the ZF, LR-aided ZF, and exhaustive ML detectors."""
+"""Tests for the ZF, LR-aided ZF, and sphere-decoding ML detectors."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from lrmimo.detect import (
     zf_detector,
     zf_lr_detector,
 )
-from lrmimo.matcore import GaussIntMatrix, real_embedding
+from lrmimo.matcore import GaussIntMatrix, qr_decompose, real_embedding
 from lrmimo.mimo import add_noise, build_constellation, NoiseSpec
 from lrmimo.reduction import (
     REDUCTIONS,
@@ -30,11 +32,40 @@ def random_symbols(rng, c, n_t):
     return c.points[rng.integers(0, c.m_s, n_t)]
 
 
+@lru_cache(maxsize=None)
+def candidate_vectors(m_s, n_t):
+    """All constellation vectors of length n_t, rows ordered
+    lexicographically by canonical point index."""
+    grids = np.meshgrid(*([np.arange(m_s)] * n_t), indexing="ij")
+    return build_constellation(m_s).points[np.stack(grids, axis=-1).reshape(-1, n_t)]
+
+
+def exhaustive_ml(h, c):
+    """Exhaustive maximum likelihood, the test oracle: every candidate's
+    image ``h s`` once, and ``detect(x)`` takes the argmin of
+    ``||x - h s||^2`` over the lexicographically ordered candidates, so of
+    equal distances the lexicographically first candidate wins."""
+    cand = candidate_vectors(c.m_s, h.shape[1])
+    images = cand @ h.T
+
+    def detect(x):
+        # Blocks of 4096 rows keep the temporaries in cache; each row's
+        # distance is the same as from one whole-table einsum.
+        x = np.asarray(x, dtype=complex)[None, :]
+        dist = np.empty(len(cand))
+        for lo in range(0, len(cand), 4096):
+            diff = images[lo:lo + 4096] - x
+            dist[lo:lo + 4096] = np.einsum("ij,ij->i", diff.conj(), diff).real
+        return cand[np.argmin(dist)]
+
+    return detect
+
+
 class TestZF:
     def test_identity_channel_exact_points(self):
         c = build_constellation(16)
         s = c.points[[0, 5, 9, 15]]
-        assert np.array_equal(zf_detector(np.eye(4), c)(s), s)
+        assert np.array_equal(zf_detector(qr_decompose(np.eye(4)), c)(s), s)
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -42,7 +73,7 @@ class TestZF:
         for _ in range(200):
             h = random_channel(rng, 4, 4)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(zf_detector(h, c)(h @ s), s)
+            assert np.array_equal(zf_detector(qr_decompose(h), c)(h @ s), s)
 
     def test_near_singular_channel_makes_errors(self):
         rng = np.random.default_rng(1)
@@ -53,7 +84,7 @@ class TestZF:
             h[:, 1] = h[:, 0] + 1e-3 * h[:, 1]  # nearly dependent columns
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.1), rng)
-            errors += int(np.sum(zf_detector(h, c)(x) != s))
+            errors += int(np.sum(zf_detector(qr_decompose(h), c)(x) != s))
         assert errors > 0
 
 
@@ -102,7 +133,7 @@ class TestZfLr:
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
-            assert np.array_equal(zf_detector(h, c)(x), zf_lr_detector(red, c)(x))
+            assert np.array_equal(zf_detector(qr_decompose(h), c)(x), zf_lr_detector(red, c)(x))
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(5)
@@ -167,7 +198,7 @@ class TestML:
         for _ in range(20):
             h = random_channel(rng, 4, 4)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(ml_detector(h, c)(h @ s), s)
+            assert np.array_equal(ml_detector(qr_decompose(h), c)(h @ s), s)
 
     def test_degenerate_1x1_matches_slicing(self):
         rng = np.random.default_rng(9)
@@ -176,7 +207,7 @@ class TestML:
             h = random_channel(rng, 1, 1)
             x = (rng.standard_normal(1) + 1j * rng.standard_normal(1))
             sliced = c.points[c.nearest_index(x / h[0, 0])]
-            assert np.array_equal(ml_detector(h, c)(x), sliced)
+            assert np.array_equal(ml_detector(qr_decompose(h), c)(x), sliced)
 
     def test_prepared_detector_matches_whole_table_argmin(self):
         # Reference: one einsum over the whole lexicographic candidate table.
@@ -186,7 +217,7 @@ class TestML:
         cand = c.points[np.stack(grid, axis=-1).reshape(-1, 4)]
         for _ in range(10):
             h = random_channel(rng, 4, 4)
-            detect = ml_detector(h, c)
+            detect = ml_detector(qr_decompose(h), c)
             for sigma in (0.1, 1.0):
                 noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 x = h @ random_symbols(rng, c, 4) + sigma * noise
@@ -203,14 +234,56 @@ class TestML:
             s = random_symbols(rng, c, 2)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
             try:
-                zf_out = zf_detector(h, c)(x)
+                zf_out = zf_detector(qr_decompose(h), c)(x)
             except Exception:
                 continue
-            ml_err += int(np.sum(ml_detector(h, c)(x) != s))
+            ml_err += int(np.sum(ml_detector(qr_decompose(h), c)(x) != s))
             zf_err += int(np.sum(zf_out != s))
         assert ml_err <= zf_err
 
     def test_search_space_guard(self):
         c = build_constellation(64)
         with pytest.raises(SearchSpaceTooLarge):
-            ml_detector(np.eye(4), c)
+            ml_detector(qr_decompose(np.eye(4)), c)
+
+    @pytest.mark.parametrize("depth_first_points", [0, 10 ** 9])
+    def test_sphere_decoder_matches_exhaustive_oracle(self, monkeypatch, depth_first_points):
+        # Frame by frame, 2,400 frames per search: (n_t, n_r, m_s,
+        # channels), each channel detected at -10, 0, 10 and 20 dB and
+        # noiseless.  A points budget of 0 hands every search that is not
+        # over after its first descent to the breadth-first search; 10^9
+        # keeps every search depth-first.
+        monkeypatch.setattr("lrmimo.detect._DEPTH_FIRST_POINTS", depth_first_points)
+        rng = np.random.default_rng(12)
+        frames = mismatches = 0
+        for n_t, n_r, m_s, channels in [(4, 4, 16, 200), (8, 8, 4, 30),
+                                        (2, 4, 16, 150), (1, 1, 16, 100)]:
+            c = build_constellation(m_s)
+            for _ in range(channels):
+                h = random_channel(rng, n_r, n_t)
+                y = h @ random_symbols(rng, c, n_t)
+                noise = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+                oracle, detect_ml = exhaustive_ml(h, c), ml_detector(qr_decompose(h), c)
+                for snr in (-10.0, 0.0, 10.0, 20.0, np.inf):
+                    x = y + np.sqrt(n_t / 10 ** (snr / 10) / 2) * noise
+                    frames += 1
+                    mismatches += not np.array_equal(detect_ml(x), oracle(x))
+        assert frames == 2400 and mismatches == 0
+
+    @pytest.mark.parametrize("depth_first_points", [0, 10 ** 9])
+    def test_exact_tie_goes_to_lexicographically_first(self, monkeypatch, depth_first_points):
+        # h = I at QPSK with x = 0: all 16 candidates are at the same
+        # distance, exactly; exhaustive argmin keeps the first candidate.
+        monkeypatch.setattr("lrmimo.detect._DEPTH_FIRST_POINTS", depth_first_points)
+        c = build_constellation(4)
+        h, x = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
+        first = c.points[[0, 0]]
+        assert np.array_equal(exhaustive_ml(h, c)(x), first)
+        assert np.array_equal(ml_detector(qr_decompose(h), c)(x), first)
+
+    def test_non_finite_received_vector_rejected(self):
+        c = build_constellation(4)
+        detect_ml = ml_detector(qr_decompose(np.eye(2, dtype=complex)), c)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                detect_ml(np.array([0.5, bad], dtype=complex))

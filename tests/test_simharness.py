@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lrmimo import mimo, simharness
-from lrmimo.detect import ml_detector, zf_lr_detector
+from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import FlopCounter, schedule_for
 from lrmimo.matcore import RankDeficient, back_substitute, qr_decompose, real_embedding
 from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
@@ -20,6 +20,7 @@ from lrmimo.simharness import (
     run_sweep,
     save_matrix,
 )
+from test_detect import exhaustive_ml
 
 INF = float("inf")
 
@@ -46,6 +47,9 @@ class TestSimConfig:
         dict(n_t=0, n_r=0),
         dict(delta=2.0),
         dict(delta=0.4),  # mclll's Siegel test needs delta > 1/2
+        dict(algorithms=("ml",), n_t=8, n_r=8),  # 16^8 ML candidates
+        dict(snr_db_grid=(-3090.0, 0.0)),  # noise variance overflows
+        dict(snr_db_grid=(-4000.0,)),  # 10^-400 underflows to 0
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -112,6 +116,14 @@ class TestRunSweep:
         cfg2 = small_cfg(frames=24, workers=3)
         assert run_sweep(cfg1) == run_sweep(cfg2)
 
+    def test_zf_and_ml_share_one_qr_per_channel(self, monkeypatch):
+        # The noisy and the noiseless stream's first attempts share a channel.
+        calls = []
+        qr = simharness.qr_decompose
+        monkeypatch.setattr(simharness, "qr_decompose", lambda h: calls.append(h) or qr(h))
+        run_sweep(small_cfg(frames=3, m_s=4, algorithms=("zf", "ml"), snr_db_grid=(12.0, INF)))
+        assert len(calls) == 3
+
     def test_lr_flops_exceed_zf(self):
         cfg = small_cfg(frames=20)
         records = run_sweep(cfg)
@@ -145,7 +157,8 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             if alg == "zf":
                 symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
             elif alg == "ml":
-                symbols = ml_detector(h, c)(x)
+                qr_decompose(h)  # ML redraws a rank-deficient channel too
+                symbols = exhaustive_ml(h, c)(x)
             elif alg == "zf-lr-lll":
                 red = lll_reduce_real(real_embedding(h), lll_params, counter, charges)
                 symbols = zf_lr_detector(red, c)(x)
@@ -225,13 +238,12 @@ class TestFrameMajorEquivalence:
             for snr in cfg.snr_db_grid:
                 res = run_frame(cfg, alg, cap, snr, 1)
                 assert res == oracle_frame(cfg, alg, cap, snr, 1)
-                # ML never needs a full-rank channel, so it never redraws.
-                assert res.redraws == (0 if alg == "ml" else 1)
+                assert res.redraws == 1
         with caplog.at_level("INFO", logger="lrmimo.simharness"):
             assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
         redraw_lines = [r.getMessage() for r in caplog.records
                         if r.getMessage().endswith("channel redraws")]
-        n_cells = len(cfg.snr_db_grid) * (1 + 1 + 2 + 2)
+        n_cells = len(cfg.snr_db_grid) * (1 + 1 + 2 + 2 + 1)
         assert len(redraw_lines) == n_cells
         assert all(line.endswith(": 1 channel redraws") for line in redraw_lines)
 
