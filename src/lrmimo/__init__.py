@@ -20,6 +20,7 @@ from .flops import (
     FlopCounter,
     complex_op_cost,
     complexity_report,
+    count_flops,
     instrument_caps,
     schedule_for,
 )

@@ -30,6 +30,7 @@ from .reduction import (
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
+    reduce_at_caps,
 )
 from .simharness import (
     ALGORITHMS,
@@ -242,8 +243,7 @@ def _cmd_reduce(args) -> int:
                          f"got {args.iter_max}")
     params = _reduction_params(args.algorithm, args.delta)
     h = load_matrix(args.matrix)
-    runs = flops_mod.instrument_caps(args.algorithm, h, params, [args.iter_max])
-    result, _ = runs[args.iter_max]
+    [(_, result)] = reduce_at_caps(args.algorithm, h, params, [args.iter_max])
     basis = reduction.basis(h)
     t = result.t
     print(f"algorithm: {args.algorithm}")

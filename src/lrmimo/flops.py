@@ -21,13 +21,13 @@ The classic real-basis LLL runs on real scalars, so it is always counted
 dynamically at scalar weights on the ``2 * n_r`` rows of the embedding;
 its rows in a complexity report are the unbounded baseline.  Which
 reduction runs how comes from ``reduction.REDUCTIONS``; ``instrument_caps``
-is the one entry point that runs one with a counter attached.
+runs one and counts its FLOPs.
 
-Counters are caller-owned and single-writer: the reduction entry points
-accept a (counter, charges) pair and only ever increment fields on it.
-The modified complex LLL never touches ``flag_bookkeeping``; the
-fixed-complexity variant charges the flag-table summation once per
-evaluation of its loop guard that reaches the summation.
+The reductions count nothing: ``count_flops`` reads every count off the
+``ReductionResult`` of a run.  Only a reduction whose ``REDUCTIONS``
+entry has a flag table (fclll) is charged the flag-table summation, once
+per evaluation of its loop guard; mclll's scalar flag costs nothing.
+Counts are exact under integer-valued weights, which every caller uses.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .reduction import REDUCTIONS, ReductionParams, reduce_at_caps
+from .matcore import QRFactorization
+from .reduction import REDUCTIONS, ReductionParams, ReductionResult, reduce_at_caps
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,11 @@ class FlopCounter:
 
 @dataclass(frozen=True)
 class ChargeSchedule:
-    """Per-event charges consumed by the reduction loops.
+    """Per-event charges that ``count_flops`` multiplies by event counts.
 
     ``size_check``/``size_update`` drive dynamic counting of size
     reduction; ``size_visit`` is the literal-mode whole-phase charge per
-    column visit.  Unused fields are zero so the loops stay mode-agnostic.
+    column visit.  A mode's unused fields are zero.
     """
 
     size_check: float
@@ -149,37 +150,52 @@ def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def count_flops(result: ReductionResult, charges: ChargeSchedule, *,
+                condition: str, flag_table: bool) -> FlopCounter:
+    """The FLOPs of the run that returned ``result``, at ``charges``: a
+    visit at pivot k makes k size checks and one swap test under
+    ``condition``, and a run with a ``flag_table`` evaluates its loop guard
+    once per visit plus once more if it converged."""
+    visits, swaps = len(result.visits), result.swap_count
+    swap_test = (charges.swap_check_siegel if condition == "siegel"
+                 else charges.swap_check_lovasz)
+    guards = result.iterations_used + result.converged if flag_table else 0
+    return FlopCounter(
+        size_reduction=(sum(k for k, _ in result.visits) * charges.size_check
+                        + result.size_updates * charges.size_update
+                        + visits * charges.size_visit),
+        swap_condition=visits * swap_test,
+        column_swap=swaps * charges.column_swap,
+        givens_computation=swaps * charges.givens,
+        rotation_r=swaps * charges.rotation_r,
+        rotation_q=swaps * charges.rotation_q,
+        flag_bookkeeping=guards * charges.csflag_sum,
+    )
+
+
 def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
                     mode: str = "dynamic",
-                    model: CostModel = DEFAULT_COST_MODEL) -> dict:
+                    model: CostModel = DEFAULT_COST_MODEL,
+                    qr: QRFactorization | None = None) -> dict:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once on the
-    complex channel ``h``, with a fresh counter attached, and return
-    ``{cap: (result, FlopCounter)}``, one entry per distinct cap.  This is
-    the one way the sweep, the complexity report and ``lrmimo reduce`` run
-    a reduction; ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.
+    complex channel ``h`` and return ``{cap: (result, FlopCounter)}``, one
+    entry per distinct cap.  This is the one way the sweep and the
+    complexity report run a reduction;
+    ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.
 
     A capped reduction runs up to the largest of ``caps`` and each entry
     is the run that ``params`` with ``iter_max = cap`` gives, caps in
-    ascending order (see ``reduce_at_caps``).  The unbounded "lll" runs
-    once on the real block embedding of ``h`` and every cap maps to that
-    run.
-
-    The per-visit size-reduction charge is the only charge that depends on
-    the cap (literal mode's ``n_max``).  The run charges it nothing, and
-    each snapshot adds its visit count times its own cap's charge, which is
-    exact under the default integer weights.
+    ascending order (see ``reduce_at_caps``, also for ``qr``).  The
+    unbounded "lll" runs once on the real block embedding of ``h`` and
+    every cap maps to that run.  Each entry is counted at its cap's schedule.
     """
     h = np.asarray(h, dtype=complex)
     n_r, n_t = h.shape
-    schedules = {cap: schedule_for(algorithm, mode, n_t, n_r, cap, model) for cap in caps}
-    if not schedules:
-        raise ValueError("instrument_caps needs at least one cap")
-    run_charges = replace(next(iter(schedules.values())), size_visit=0)
     runs = {}
-    for cap, result, snapshot in reduce_at_caps(algorithm, h, params, caps, FlopCounter(),
-                                                 run_charges):
-        snapshot.size_reduction += len(result.visits) * schedules[cap].size_visit
-        runs[cap] = (result, snapshot)
+    for cap, result in reduce_at_caps(algorithm, h, params, caps, qr):
+        charges = schedule_for(algorithm, mode, n_t, n_r, cap, model)
+        runs[cap] = result, count_flops(result, charges, condition=params.condition,
+                                        flag_table=REDUCTIONS[algorithm].flag_table)
     return runs
 
 

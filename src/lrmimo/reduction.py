@@ -11,20 +11,20 @@ Three algorithms share the same machinery:
   swap test in place of the Lovasz test.
 
 All of them return the triple (q_tilde, r_tilde, T) where T is carried in
-exact Gaussian-integer arithmetic, plus one trace of the column visits.
+exact Gaussian-integer arithmetic, plus one trace of the column visits and
+the number of size updates with nonzero mu.
 
 ``REDUCTIONS`` is the one table of the three, keyed "mclll", "fclll" and
 "lll": each entry names its swap test, whether it runs capped on the
 complex channel or unbounded on the channel's real block embedding, and its
 step loop.  ``reduce_at_caps`` runs any entry once and snapshots it at
 several iteration caps; the public functions above run the same step
-loops.  FLOP counting is optional: callers pass a counter/charge-schedule
-pair (see ``lrmimo.flops``); the algorithms themselves never own a counter.
+loops.  The reductions count no FLOPs: ``lrmimo.flops`` reads every count
+off the result a run returns.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +34,7 @@ import numpy as np
 
 from .matcore import (
     GaussIntMatrix,
+    QRFactorization,
     apply_givens_left,
     apply_givens_right,
     givens_theta,
@@ -90,7 +91,8 @@ class ReductionResult:
     is True only when the run exited through its swap flag rather than the
     iteration cap.  ``visits`` is the one trace: per column visit, in
     order, the pivot column k (addressing the pair (k-1, k)) and whether it
-    swapped; the swap counts below are read off it.
+    swapped; the swap counts below are read off it.  ``size_updates``
+    counts the nonzero-mu size updates, which the trace does not show.
     """
 
     q_tilde: np.ndarray
@@ -99,6 +101,7 @@ class ReductionResult:
     iterations_used: int
     converged: bool
     visits: list[tuple[int, bool]]
+    size_updates: int
 
     @property
     def visit_swaps(self) -> list[int]:
@@ -122,7 +125,7 @@ class ReductionResult:
 
 
 def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
-                       counter=None, charges=None, scale: float | None = None):
+                       scale: float | None = None):
     """Single size-reduction step of column ``k`` against column ``l < k``.
 
     Rounds ``mu`` from ``r[l, k] / r[l, l]`` per component (ties away from
@@ -145,14 +148,10 @@ def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
     ratio = complex(r[l, k]) / d
     mu_re = int(math.copysign(math.floor(abs(ratio.real) + 0.5), ratio.real))
     mu_im = int(math.copysign(math.floor(abs(ratio.imag) + 0.5), ratio.imag))
-    if counter is not None:
-        counter.size_reduction += charges.size_check
     mu = complex(mu_re, mu_im)
     if mu_re or mu_im:
         r[: l + 1, k] -= mu * r[: l + 1, l]
         t.col_update(k, l, mu_re, mu_im)
-        if counter is not None:
-            counter.size_reduction += charges.size_update
     return r, t, mu
 
 
@@ -170,20 +169,18 @@ def siegel_check(r, k: int, delta: float) -> bool:
 
 class _Run:
     """One reduction in progress: the working factors, the exact T, the
-    caller's counter, and the visit trace.  The step loops advance it one
-    column visit at a time; ``result`` snapshots it."""
+    visit trace and the size-update count.  The step loops advance it one
+    column visit at a time; ``result`` snapshots it.  ``qr``, when given,
+    is the QR of ``h``; the run rotates copies of its factors."""
 
-    def __init__(self, h, params: ReductionParams, counter, charges):
-        if (counter is None) != (charges is None):
-            raise ValueError("counter and charges must be passed together")
+    def __init__(self, h, params: ReductionParams, qr: QRFactorization | None = None):
         self.params = params
-        self.counter = counter
-        self.charges = charges
         self.check = siegel_check if params.condition == "siegel" else lovasz_check
-        self.q, self.r = qr_decompose(h)
+        self.q, self.r = qr_decompose(h) if qr is None else (qr.q.copy(), qr.r.copy())
         self.scale = np.linalg.norm(h)
         self.t = GaussIntMatrix.identity(self.r.shape[0])
         self.visits: list[tuple[int, bool]] = []
+        self.size_updates = 0
         self.iterations = 0
         self.converged = False
 
@@ -192,15 +189,10 @@ class _Run:
         the swap test at pivot ``k``; on a swap, exchange columns (k-1, k)
         of r and T and re-triangularize with a Givens rotation applied to
         r from the left and q from the right.  Returns whether it swapped."""
-        r, t, counter, charges = self.r, self.t, self.counter, self.charges
+        r, t = self.r, self.t
         for l in range(k - 1, -1, -1):
-            size_reduce_column(r, t, k, l, counter, charges, self.scale)
-        if counter is not None:
-            counter.size_reduction += charges.size_visit
-            if self.params.condition == "siegel":
-                counter.swap_condition += charges.swap_check_siegel
-            else:
-                counter.swap_condition += charges.swap_check_lovasz
+            if size_reduce_column(r, t, k, l, self.scale)[2]:
+                self.size_updates += 1
         swap = bool(self.check(r, k, self.params.delta))
         if swap:
             r[:, [k - 1, k]] = r[:, [k, k - 1]]
@@ -208,11 +200,6 @@ class _Run:
             theta = givens_theta(r, k, self.scale)
             apply_givens_left(theta, r, k, k - 1)
             apply_givens_right(theta, self.q, k)
-            if counter is not None:
-                counter.column_swap += charges.column_swap
-                counter.givens_computation += charges.givens
-                counter.rotation_r += charges.rotation_r
-                counter.rotation_q += charges.rotation_q
         self.visits.append((k, swap))
         return swap
 
@@ -225,7 +212,8 @@ class _Run:
     def result(self) -> ReductionResult:
         """Snapshot of the run so far; later steps leave it unchanged."""
         return ReductionResult(self.q.copy(), self.r.copy(), self.t.copy(),
-                               self.iterations, self.converged, list(self.visits))
+                               self.iterations, self.converged, list(self.visits),
+                               self.size_updates)
 
 
 def _mclll_sweeps(run: _Run):
@@ -243,16 +231,15 @@ def _fclll_visits(run: _Run):
     """The fixed-complexity complex LLL, one column visit per step, at
     pivots 1, 2, ..., n-1 repeating.
 
-    Each step first evaluates the loop guard, which is charged the
-    flag-table summation; the steps end when every flag in 1..n-1 is
-    clear (at once for a 1x1 basis, which has none).  A cap therefore
-    stops the run before the guard of the next visit, never inside it.
+    Each step first evaluates the loop guard, which sums the flag table;
+    the steps end when every flag in 1..n-1 is clear (at once for a 1x1
+    basis, which has none).  A cap therefore stops the run before the
+    guard of the next visit, never inside it, so a run evaluates the guard
+    ``iterations_used + converged`` times.
     """
     n = run.r.shape[0]
     flags = [1] * (n + 1)
     while True:
-        if run.counter is not None:
-            run.counter.flag_bookkeeping += run.charges.csflag_sum
         if not any(flags[1:n]):
             run.converged = True
             return
@@ -283,11 +270,13 @@ class Reduction(NamedTuple):
     capped     True: runs up to an iteration cap on the complex channel;
                False: runs unbounded on the channel's real block embedding.
     steps      its step loop, ``steps(run)``: one iteration per step.
+    flag_table True: its loop guard sums a per-column swap-flag table.
     """
 
     condition: str
     capped: bool
     steps: Callable
+    flag_table: bool = False
 
     def params(self, delta: float = 0.75) -> ReductionParams:
         """Its parameters at ``delta``, with no cap of their own (caps
@@ -301,13 +290,12 @@ class Reduction(NamedTuple):
 
 REDUCTIONS = {
     "mclll": Reduction("siegel", True, _mclll_sweeps),
-    "fclll": Reduction("lovasz", True, _fclll_visits),
+    "fclll": Reduction("lovasz", True, _fclll_visits, flag_table=True),
     "lll": Reduction("lovasz", False, _lll_visits),
 }
 
 
-def mclll(h, params: ReductionParams | None = None,
-          counter=None, charges=None) -> ReductionResult:
+def mclll(h, params: ReductionParams | None = None) -> ReductionResult:
     """Reduced-iteration modified complex LLL.
 
     Runs up to ``params.iter_max`` full sweeps over k = 1..n-1.  Each sweep
@@ -320,13 +308,12 @@ def mclll(h, params: ReductionParams | None = None,
     params = params or ReductionParams()
     if params.iter_max is None:
         raise ValueError("mclll requires a finite iter_max")
-    run = _Run(h, params, counter, charges)
+    run = _Run(h, params)
     run.advance(_mclll_sweeps(run), params.iter_max)
     return run.result()
 
 
-def fclll_wen(h, params: ReductionParams,
-              counter=None, charges=None) -> ReductionResult:
+def fclll_wen(h, params: ReductionParams) -> ReductionResult:
     """Fixed-complexity complex LLL with a per-column swap-flag table.
 
     One iteration visits a single pivot column, cycling through
@@ -338,41 +325,41 @@ def fclll_wen(h, params: ReductionParams,
     """
     if params.iter_max is None:
         raise ValueError("fclll_wen requires a finite iter_max")
-    run = _Run(h, params, counter, charges)
+    run = _Run(h, params)
     run.advance(_fclll_visits(run), params.iter_max)
     return run.result()
 
 
 def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
-                   counter=None, charges=None):
+                   qr: QRFactorization | None = None):
     """Run reduction ``algorithm`` of ``REDUCTIONS`` once on the basis it
     takes for the complex channel ``h``, and snapshot it at every cap.
 
-    Returns ``[(cap, result, counter_copy)]``, one per distinct cap.  A
+    Returns ``[(cap, result)]``, one per distinct cap.  A
     capped reduction runs up to the largest cap, snapshots come in
     ascending cap order, and each ``result`` equals what ``mclll`` or
     ``fclll_wen`` returns with ``params.iter_max`` set to that cap: both
     run a fixed schedule, so a run capped at k is the prefix of a run
     capped at K > k.  The unbounded "lll" runs to completion and every cap
-    gets that run.  ``counter_copy`` is a copy of ``counter`` at the
-    snapshot (None without counting).  ``params.iter_max`` is not used.
+    gets that run.  ``params.iter_max`` is not used.  ``qr``, when given,
+    is the QR of that basis (``Reduction.basis(h)``), so the run starts
+    from copies of its factors instead of factoring the basis again.
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     reduction = REDUCTIONS[algorithm]
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
-    run = _Run(reduction.basis(h), params, counter, charges)
+    run = _Run(reduction.basis(h), params, qr)
     steps = reduction.steps(run)
     snapshots = []
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
         run.advance(steps, cap if reduction.capped else None)
-        snapshots.append((cap, run.result(), copy.copy(counter)))
+        snapshots.append((cap, run.result()))
     return snapshots
 
 
-def lll_reduce_real(h_real, params: ReductionParams | None = None,
-                    counter=None, charges=None) -> ReductionResult:
+def lll_reduce_real(h_real, params: ReductionParams | None = None) -> ReductionResult:
     """Classic LLL on a real basis (e.g. the real embedding of a complex
     channel), run to completion with the Lovasz condition.
 
@@ -388,7 +375,7 @@ def lll_reduce_real(h_real, params: ReductionParams | None = None,
     h_real = np.asarray(h_real)
     if np.iscomplexobj(h_real) and np.abs(h_real.imag).max() > 0:
         raise ValueError("lll_reduce_real expects a real matrix")
-    run = _Run(h_real.real, params, counter, charges)
+    run = _Run(h_real.real, params)
     run.advance(_lll_visits(run), None)
     return run.result()
 

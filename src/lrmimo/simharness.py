@@ -9,8 +9,8 @@ shifts earlier frames.
 The sweep is frame-major.  Each frame is drawn once; each reduction runs
 once, up to the largest listed iteration cap, with a snapshot kept at
 every cap (a run capped at k sweeps is the prefix of one capped at K > k);
-the work that depends only on the channel (QRs, the float T) is done
-once, and zero forcing and ML share one QR of the channel; then every
+the work that depends only on the channel is done once, and zero forcing,
+ML and the capped reductions share one QR of the channel; then every
 (algorithm, cap, SNR) cell detects ``H s + std(snr) * base_noise``.
 
 A rank-deficient draw is redrawn from the same stream.  Each detector
@@ -160,8 +160,8 @@ class _Attempt:
 
     @cached_property
     def qr(self) -> QRFactorization:
-        """The channel's QR, computed once for zf and ml; a rank-deficient
-        draw raises RankDeficient each time it is asked for."""
+        """The channel's QR, computed once for zf, ml and the capped
+        reductions; a rank-deficient draw raises RankDeficient each time."""
         return qr_decompose(self.h)
 
 
@@ -201,7 +201,8 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, attempt: _Attempt, c) -> dict
         return {None: (ml_detector(attempt.qr, c), 0)}
     name = algorithm.removeprefix("zf-lr-")
     runs = flops.instrument_caps(name, attempt.h, REDUCTIONS[name].params(cfg.delta), caps,
-                                 mode=cfg.flop_mode)
+                                 mode=cfg.flop_mode,
+                                 qr=attempt.qr if _capped(algorithm) else None)
     detectors, previous = {}, None
     for cap, (red, counter) in runs.items():
         # Caps come in ascending order; a run that stopped before this cap

@@ -1,5 +1,7 @@
 """Tests for the command-line interface: exit codes, output, config files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,85 @@ class TestFlopsReport:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("algorithm,iter_max,mean_flops")
         assert len(lines) == 1 + 1 + 2  # header + lll + mclll/fclll at cap 6
+
+
+# SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the
+# FLOP counts were read off the visit trace instead of a live counter.
+SWEEP_DIGESTS = {
+    "--snr 0,10,inf --frames 20 --algorithms zf,zf-lr-mclll,zf-lr-fclll,zf-lr-lll "
+    "--iter-max 1,2,6,18 --seed 1":
+        "a4ca330059954adb8677bccaaeb5d4c9db717db4b31f2e97db9bd5b96f5f850f",
+    "--snr 5,15 --frames 20 --algorithms zf-lr-mclll,zf-lr-fclll --iter-max 1,2,3,18 "
+    "--flop-mode literal --seed 2":
+        "2743d75c9f41a757745c53b3e90659f85194dc77b8617e0c07f87d3166adbd95",
+    "--snr 10,20 --frames 12 --algorithms zf,zf-lr-mclll --iter-max 6 "
+    "--flop-mode literal --workers 2 --seed 3":
+        "10576efbf0cae7dfd3f7e608dbaafd0d47d4b3da56d9c4ccdf971565df7af2e0",
+    "--nt 2 --nr 3 --ms 64 --snr 10,20 --frames 20 --algorithms zf,ml,zf-lr-mclll --seed 4":
+        "6d18ff24be9922d2e39525ed54318af4bc1e423b83c133deb3ed0d875c46ddb8",
+    "--nt 2 --nr 2 --ms 4 --snr 0,10 --frames 20 --algorithms ml,zf-lr-lll --seed 5":
+        "f75b442314346c9af1c13dea8943f331fcb23d3f5982fe4f6082900820938d4e",
+    "--snr 10 --frames 20 --algorithms zf-lr-mclll,zf-lr-fclll --iter-max 18,1,3,2 --seed 6":
+        "02cbb547cc3bbe44ecc4d34074ca8b75761a05b5393a5bcc9dd5647ee59a9f35",
+    "--nt 8 --nr 8 --ms 4 --snr 0,10,20 --frames 10 --algorithms zf,zf-lr-mclll,zf-lr-lll "
+    "--iter-max 2,6 --seed 7":
+        "9d4d9a9def97bd702117e021a812a5b87d72d39ef624f611b3e1fdfad49f850a",
+}
+
+# `flops-report` argv -> (full text table on stdout, SHA-256 of its --out CSV),
+# recorded with SWEEP_DIGESTS.
+FLOPS_REPORTS = {
+    "--nt 8 --nr 8 --channels 20 --iter-max 1,2,6,8,18 --mode literal --seed 8": ("""\
+counting mode: literal
+algorithm  iter_max  mean     median   max    gain_vs_lll
+---------  --------  -------  -------  -----  -----------
+lll        inf       14751.7  14249.5  20452  baseline   
+mclll      1         460.1    388.0    721    +96.9%     
+mclll      2         994.0    999.5    1277   +93.3%     
+mclll      6         4206.6   4182.0   5181   +71.5%     
+mclll      8         6325.4   6309.5   8141   +57.1%     
+mclll      18        21250.2  27748.5  29691  -44.1%     
+fclll      1         29.8     2.0      113    +99.8%     
+fclll      2         122.3    139.0    250    +99.2%     
+fclll      6         743.9    705.0    927    +95.0%     
+fclll      8         1182.0   1187.5   1465   +92.0%     
+fclll      18        4527.4   4540.5   4929   +69.3%     
+""", "dd5513c3e54561954dff4b774678032ed85e8e9b388e934667e2a02c3f83bf4b"),
+    "--nt 4 --nr 4 --channels 30 --iter-max 1,2,6,8,18 --mode dynamic --seed 9": ("""\
+counting mode: dynamic
+algorithm  iter_max  mean    median  max   gain_vs_lll
+---------  --------  ------  ------  ----  -----------
+lll        inf       2568.2  2421.5  4248  baseline   
+mclll      1         894.0   826.0   1109  +65.2%     
+mclll      2         1535.3  1556.0  2170  +40.2%     
+mclll      6         2181.7  1996.0  3915  +15.0%     
+mclll      8         2243.5  1996.0  4681  +12.6%     
+mclll      18        2552.1  1996.0  9311  +0.6%      
+fclll      1         184.0   72.0    355   +92.8%     
+fclll      2         488.7   431.0   730   +81.0%     
+fclll      6         1435.0  1409.0  1999  +44.1%     
+fclll      8         1621.9  1776.0  2414  +36.8%     
+fclll      18        1755.4  1824.0  3289  +31.6%     
+""", "5529865388cc2e98bbd835d37d6cda3ad5b11cdf1fc8b9a1ed5d2981edb858f1"),
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))
+    def test_ber_sweep_csv_pinned(self, args, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["ber-sweep", *args.split(), "--out", str(out)]) == 0
+        assert sha256_of(out) == SWEEP_DIGESTS[args]
+
+    @pytest.mark.parametrize("args", sorted(FLOPS_REPORTS))
+    def test_flops_report_pinned(self, args, tmp_path, capsys):
+        table, csv_digest = FLOPS_REPORTS[args]
+        assert main(["flops-report", *args.split()]) == 0
+        assert capsys.readouterr().out == table
+        out = tmp_path / "flops.csv"
+        assert main(["flops-report", *args.split(), "--out", str(out)]) == 0
+        assert sha256_of(out) == csv_digest

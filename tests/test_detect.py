@@ -168,7 +168,7 @@ class TestZfLr:
         caps = [1, 2, 6, 18]
         for _ in range(3):
             h = random_channel(rng, n_r, n_t)
-            for cap, red, _ in reduce_at_caps(name, h, params, caps):
+            for cap, red in reduce_at_caps(name, h, params, caps):
                 t = red.t
                 for i in range(t.n):
                     acc_re = acc_im = 0
@@ -177,7 +177,7 @@ class TestZfLr:
                         acc_re += re * t.shift_re[j] - im * t.shift_im[j]
                         acc_im += re * t.shift_im[j] + im * t.shift_re[j]
                     assert (acc_re, acc_im) == (1, 1)
-                [(_, alone, _)] = reduce_at_caps(name, h, params, [cap])
+                [(_, alone)] = reduce_at_caps(name, h, params, [cap])
                 assert (t.re, t.im, t.shift_re, t.shift_im) == (
                     alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lrmimo import reduction
 from lrmimo.flops import (
+    ChargeSchedule,
     CostModel,
     FlopCounter,
     complex_op_cost,
@@ -14,13 +16,56 @@ from lrmimo.flops import (
     instrument_caps,
     schedule_for,
 )
+from lrmimo.matcore import GaussIntMatrix
 from lrmimo.mimo import generate_channel
-from lrmimo.reduction import REDUCTIONS, ReductionParams
+from lrmimo.reduction import REDUCTIONS, ReductionParams, reduce_at_caps
 
 
 def instrument(alg, h, params, mode="dynamic"):
     """One counted run of ``alg`` at the cap ``params.iter_max``."""
     return instrument_caps(alg, h, params, [params.iter_max], mode=mode)[params.iter_max]
+
+
+class EventTally:
+    """What reductions do while they run, counted from outside: size
+    reduction steps, nonzero-mu updates of T, Siegel and Lovasz tests, and
+    Givens computations (one per swap).  ``flops`` prices the counts at a
+    charge schedule, an oracle for the counts ``lrmimo.flops`` reads off
+    the result.  The flag-table guard calls nothing, so its evaluations
+    are passed in."""
+
+    EVENTS = ((reduction, "size_reduce_column", "size_steps"),
+              (GaussIntMatrix, "col_update", "updates"),
+              (reduction, "siegel_check", "siegel"),
+              (reduction, "lovasz_check", "lovasz"),
+              (reduction, "givens_theta", "swaps"))
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        for owner, name, event in self.EVENTS:
+            monkeypatch.setattr(owner, name, self._counted(getattr(owner, name), event))
+
+    def reset(self):
+        self.events = dict.fromkeys((event for *_, event in self.EVENTS), 0)
+
+    def _counted(self, fn, event):
+        def counted(*args, **kwargs):
+            self.events[event] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def flops(self, s: ChargeSchedule, guards: int = 0) -> FlopCounter:
+        e = self.events
+        return FlopCounter(
+            size_reduction=(e["size_steps"] * s.size_check + e["updates"] * s.size_update
+                            + (e["siegel"] + e["lovasz"]) * s.size_visit),
+            swap_condition=e["siegel"] * s.swap_check_siegel + e["lovasz"] * s.swap_check_lovasz,
+            column_swap=e["swaps"] * s.column_swap,
+            givens_computation=e["swaps"] * s.givens,
+            rotation_r=e["swaps"] * s.rotation_r,
+            rotation_q=e["swaps"] * s.rotation_q,
+            flag_bookkeeping=guards * s.csflag_sum,
+        )
 
 
 class TestComplexOpCost:
@@ -251,6 +296,32 @@ class TestInstrumentCaps:
                 assert np.array_equal(got.t.to_complex(), want.t.to_complex())
                 assert (got.iterations_used, got.converged, got.swap_history) == (
                     want.iterations_used, want.converged, want.swap_history)
+
+
+class TestEventOracle:
+    @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
+    def test_counts_equal_observed_events(self, alg, monkeypatch):
+        # Every snapshot of one run equals the events of a run capped at
+        # that snapshot's cap, priced at that cap's schedule, in both modes
+        # and at both weight sets.
+        rng = np.random.default_rng(9)
+        params = REDUCTIONS[alg].params()
+        caps = (1, 2, 3, 6, 18)
+        tally = EventTally(monkeypatch)
+        for n_t, n_r in [(n, n) for n in range(1, 9)] + [(2, 4)]:
+            for _ in range(3):
+                h = generate_channel(n_r, n_t, rng)
+                runs = {(mode, model): instrument_caps(alg, h, params, caps, mode=mode,
+                                                       model=model)
+                        for mode in ("dynamic", "literal")
+                        for model in (CostModel(), CUSTOM_MODEL)}
+                for cap in caps:
+                    tally.reset()
+                    [(_, result)] = reduce_at_caps(alg, h, params, [cap])
+                    guards = result.iterations_used + result.converged if alg == "fclll" else 0
+                    for (mode, model), by_cap in runs.items():
+                        charges = schedule_for(alg, mode, n_t, n_r, cap, model)
+                        assert by_cap[cap][1] == tally.flops(charges, guards)
 
 
 class TestComplexityReport:

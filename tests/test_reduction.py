@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lrmimo.flops import FlopCounter, schedule_for
-from lrmimo.matcore import GaussIntMatrix, is_unimodular, real_embedding
+from lrmimo.flops import instrument_caps, schedule_for
+from lrmimo.matcore import GaussIntMatrix, is_unimodular, qr_decompose, real_embedding
 from lrmimo.reduction import (
     REDUCTIONS,
     ReductionParams,
@@ -21,6 +21,7 @@ from lrmimo.reduction import (
     siegel_check,
     size_reduce_column,
 )
+from test_flops import EventTally
 
 
 def random_complex(rng, n):
@@ -198,12 +199,18 @@ class TestFclll:
         res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=5))
         assert [k for k, _ in res.visits] == [1, 2, 3, 1, 2][: res.iterations_used]
 
-    def test_one_by_one_converges_at_first_guard(self):
-        counter = FlopCounter()
-        charges = schedule_for("fclll", "dynamic", 1, 1, None)
-        res = fclll_wen(np.array([[0.5 - 2j]]),
-                        ReductionParams(condition="lovasz", iter_max=6), counter, charges)
+    def test_one_by_one_converges_at_first_guard(self, monkeypatch):
+        # No pivot: no size step, swap test or rotation runs, and the one
+        # guard evaluation is charged one flag sum.
+        h = np.array([[0.5 - 2j]])
+        params = ReductionParams(condition="lovasz", iter_max=6)
+        tally = EventTally(monkeypatch)
+        res = fclll_wen(h, params)
         assert res.converged and res.iterations_used == 0 and res.visits == []
+        assert not any(tally.events.values())
+        charges = schedule_for("fclll", "dynamic", 1, 1, None)
+        _, counter = instrument_caps("fclll", h, params, [6])[6]
+        assert counter == tally.flops(charges, guards=1)
         assert counter.total == counter.flag_bookkeeping == charges.csflag_sum
 
     def test_converges_to_lll_reduced(self):
@@ -338,14 +345,30 @@ class TestReductionTable:
             ("fclll", fclll_wen(h, ReductionParams(condition="lovasz", iter_max=6))),
             ("lll", lll_reduce_real(real_embedding(h))),
         ):
-            [(cap, got, counter)] = reduce_at_caps(name, h, REDUCTIONS[name].params(), [6])
-            assert cap == 6 and counter is None
+            [(cap, got)] = reduce_at_caps(name, h, REDUCTIONS[name].params(), [6])
+            assert cap == 6
             assert np.array_equal(got.t.to_complex(), want.t.to_complex())
             assert (got.visits, got.converged) == (want.visits, want.converged)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             reduce_at_caps("bogus", np.eye(2), ReductionParams(), [1])
+
+    @pytest.mark.parametrize("name", ["mclll", "fclll"])
+    def test_given_qr_is_copied_not_rotated(self, name):
+        # The sweep passes the QR its zf and ml detectors hold.
+        rng = np.random.default_rng(16)
+        h = random_complex(rng, 4)
+        qr = qr_decompose(h)
+        q0, r0 = qr.q.copy(), qr.r.copy()
+        params = REDUCTIONS[name].params()
+        [(_, got)] = reduce_at_caps(name, h, params, [18], qr)
+        [(_, want)] = reduce_at_caps(name, h, params, [18])
+        assert got.swap_count > 0
+        assert np.array_equal(qr.q, q0) and np.array_equal(qr.r, r0)
+        assert np.array_equal(got.q_tilde, want.q_tilde)
+        assert np.array_equal(got.r_tilde, want.r_tilde)
+        assert (got.visits, got.size_updates) == (want.visits, want.size_updates)
 
 
 class TestScaleInvariance:

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from lrmimo import mimo, simharness
+from lrmimo import mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
-from lrmimo.flops import FlopCounter, schedule_for
+from lrmimo.flops import schedule_for
 from lrmimo.matcore import RankDeficient, back_substitute, qr_decompose, real_embedding
 from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
 from lrmimo.simharness import (
@@ -21,6 +21,7 @@ from lrmimo.simharness import (
     save_matrix,
 )
 from test_detect import exhaustive_ml
+from test_flops import EventTally
 
 INF = float("inf")
 
@@ -124,6 +125,14 @@ class TestRunSweep:
         run_sweep(small_cfg(frames=3, m_s=4, algorithms=("zf", "ml"), snr_db_grid=(12.0, INF)))
         assert len(calls) == 3
 
+    def test_capped_reduction_reuses_the_channel_qr(self, monkeypatch):
+        calls = []
+        for module in (simharness, reduction):
+            monkeypatch.setattr(module, "qr_decompose",
+                                lambda h, qr=module.qr_decompose: calls.append(h) or qr(h))
+        run_sweep(small_cfg(frames=3, algorithms=("zf", "zf-lr-mclll"), snr_db_grid=(12.0, INF)))
+        assert len(calls) == 3
+
     def test_lr_flops_exceed_zf(self):
         cfg = small_cfg(frames=20)
         records = run_sweep(cfg)
@@ -141,7 +150,9 @@ def pseudo_inverse_apply(h, x):
 
 def oracle_frame(cfg, alg, cap, snr, idx):
     """Per-cell reference: redraw and re-reduce the frame for this one
-    cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws)."""
+    cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws).
+    FLOPs are the reduction's events, counted while it runs, priced at the
+    cell's schedule."""
     rng = np.random.default_rng((cfg.seed, idx))
     c = mimo.build_constellation(cfg.m_s)
     spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
@@ -150,30 +161,31 @@ def oracle_frame(cfg, alg, cap, snr, idx):
         h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
         x = mimo.add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
-        counter = FlopCounter()
-        if alg.startswith("zf-lr-"):
-            charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
+        flops = 0
         try:
             if alg == "zf":
                 symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
             elif alg == "ml":
                 qr_decompose(h)  # ML redraws a rank-deficient channel too
                 symbols = exhaustive_ml(h, c)(x)
-            elif alg == "zf-lr-lll":
-                red = lll_reduce_real(real_embedding(h), lll_params, counter, charges)
-                symbols = zf_lr_detector(red, c)(x)
-            elif alg == "zf-lr-mclll":
-                red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap),
-                            counter, charges)
-                symbols = zf_lr_detector(red, c)(x)
             else:
-                red = fclll_wen(h, ReductionParams(delta=cfg.delta, condition="lovasz",
-                                                   iter_max=cap), counter, charges)
+                with pytest.MonkeyPatch.context() as mp:
+                    tally = EventTally(mp)
+                    if alg == "zf-lr-lll":
+                        red = lll_reduce_real(real_embedding(h), lll_params)
+                    elif alg == "zf-lr-mclll":
+                        red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap))
+                    else:
+                        red = fclll_wen(h, ReductionParams(delta=cfg.delta, condition="lovasz",
+                                                           iter_max=cap))
                 symbols = zf_lr_detector(red, c)(x)
+                guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
+                charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
+                flops = tally.flops(charges, guards).total
         except RankDeficient:
             continue
         errors = int(np.sum(bits != mimo.demodulate(symbols, c)))
-        return simharness.FrameResult(errors, counter.total, redraws)
+        return simharness.FrameResult(errors, flops, redraws)
     raise AssertionError("no full-rank draw")
 
 
