@@ -62,13 +62,10 @@ from .reduction import (
     ReductionResult,
     ZeroDiagonal,
     factorization_error,
-    fclll_wen,
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    lll_reduce_real,
     lovasz_check,
-    mclll,
     reduce_at_caps,
     siegel_check,
     size_reduce_column,

@@ -242,9 +242,8 @@ def _cmd_reduce(args) -> int:
         raise UsageError(f"--iter-max: {args.algorithm} needs a cap >= 1, "
                          f"got {args.iter_max}")
     params = _reduction_params(args.algorithm, args.delta)
-    h = load_matrix(args.matrix)
-    [(_, result)] = reduce_at_caps(args.algorithm, h, params, [args.iter_max])
-    basis = reduction.basis(h)
+    basis = reduction.basis(load_matrix(args.matrix))
+    [(_, result)] = reduce_at_caps(args.algorithm, basis, params, [args.iter_max])
     t = result.t
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")

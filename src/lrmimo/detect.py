@@ -57,24 +57,21 @@ def zf_detector(qr: QRFactorization, c: Constellation):
     return detect
 
 
-def quantize_z_domain(z_tilde, t, c: Constellation) -> np.ndarray:
+def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     """Quantize a z-domain estimate onto the lattice that valid transmit
-    vectors occupy after the unimodular change of basis ``t``.
+    vectors occupy after the unimodular change of basis T.
 
     Constellation points map affinely to Gaussian integers via
     ``u = (s/scale + (1+i)*ones) / 2``, so valid z-vectors are
-    ``scale * (2*w - t.shift)`` with ``w`` Gaussian-integer and
-    ``t.shift = t^{-1} (1+i) ones``.  Rounds ``w`` component-wise (ties
-    away from zero, matching size reduction) and returns the quantized
-    z-domain vector.  A real ``z_tilde`` is in stacked [Re; Im]
-    coordinates of the real block embedding (``t`` real), where components
-    map to integers via ``u = (s_comp/scale + 1) / 2`` and the shift is
-    ``t.shift.real = t^{-1} ones``.
+    ``scale * (2*w - shift)`` with ``w`` Gaussian-integer and
+    ``shift = T^{-1} (1+i) ones``, which T carries as ``T.shift``.  Rounds
+    ``w`` component-wise (ties away from zero, matching size reduction)
+    and returns the quantized z-domain vector.  A real ``z_tilde`` is in
+    stacked [Re; Im] coordinates of the real block embedding (T real),
+    where components map to integers via ``u = (s_comp/scale + 1) / 2``
+    and the shift is ``shift.real = T^{-1} ones``.
     """
-    return _quantize(np.asarray(z_tilde), t.shift, c)
-
-
-def _quantize(z_tilde, shift, c: Constellation) -> np.ndarray:
+    z_tilde = np.asarray(z_tilde)
     if np.iscomplexobj(z_tilde):
         w = round_gaussian((z_tilde / c.scale + shift) / 2.0)
     else:
@@ -106,10 +103,11 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
         x = np.asarray(x, dtype=complex)
         if q_h.shape[1] == 2 * x.shape[0]:
             z_tilde = back_substitute(red.r_tilde, q_h @ real_embedding_vector(x)).real
-            s_raw = complex_from_real_vector(t_float.real @ _quantize(z_tilde, shift, c))
+            z_q = quantize_z_domain(z_tilde, shift, c)
+            s_raw = complex_from_real_vector(t_float.real @ z_q)
         else:
             z_tilde = back_substitute(red.r_tilde, q_h @ x)
-            s_raw = t_float @ _quantize(z_tilde, shift, c)
+            s_raw = t_float @ quantize_z_domain(z_tilde, shift, c)
         return c.points[c.nearest_index(s_raw)]
 
     return detect

@@ -178,24 +178,23 @@ def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
                     model: CostModel = DEFAULT_COST_MODEL,
                     qr: QRFactorization | None = None) -> dict:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once on the
-    complex channel ``h`` and return ``{cap: (result, FlopCounter)}``, one
-    entry per distinct cap.  This is the one way the sweep and the
+    basis it takes for the complex channel ``h`` (``Reduction.basis``: ``h``
+    itself, or its real block embedding for the unbounded "lll") and return
+    ``{cap: (result, FlopCounter)}``, one entry per distinct cap, each
+    counted at its cap's schedule.  This is how the sweep and the
     complexity report run a reduction;
-    ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.
-
-    A capped reduction runs up to the largest of ``caps`` and each entry
-    is the run that ``params`` with ``iter_max = cap`` gives, caps in
-    ascending order (see ``reduce_at_caps``, also for ``qr``).  The
-    unbounded "lll" runs once on the real block embedding of ``h`` and
-    every cap maps to that run.  Each entry is counted at its cap's schedule.
+    ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.  The
+    snapshots and ``qr`` (the QR of that basis) are those of
+    ``reduction.reduce_at_caps``.
     """
     h = np.asarray(h, dtype=complex)
     n_r, n_t = h.shape
+    reduction = REDUCTIONS[algorithm]
     runs = {}
-    for cap, result in reduce_at_caps(algorithm, h, params, caps, qr):
+    for cap, result in reduce_at_caps(algorithm, reduction.basis(h), params, caps, qr):
         charges = schedule_for(algorithm, mode, n_t, n_r, cap, model)
         runs[cap] = result, count_flops(result, charges, condition=params.condition,
-                                        flag_table=REDUCTIONS[algorithm].flag_table)
+                                        flag_table=reduction.flag_table)
     return runs
 
 
@@ -269,7 +268,7 @@ def format_complexity_table(rows, mode: str) -> str:
     lines.append("  ".join("-" * w for w in widths))
     for row in body:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def write_complexity_csv(rows, out, mode: str) -> None:

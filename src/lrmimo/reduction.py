@@ -1,25 +1,24 @@
 """Lattice basis reduction on the QR representation.
 
-Three algorithms share the same machinery:
+Three algorithms share the same machinery, one entry each in the table
+``REDUCTIONS``:
 
-* ``lll_reduce_real``  -- classic unbounded LLL for real bases (run it on
-  the real block embedding of a complex channel),
-* ``fclll_wen``        -- fixed-complexity complex LLL with a per-column
-  swap-flag table and a capped per-column iteration count,
-* ``mclll``            -- the reduced-iteration modified complex LLL: full
-  sweeps, a single scalar swap flag, and (by default) the cheaper Siegel
-  swap test in place of the Lovasz test.
+* "lll"   -- classic unbounded LLL for real bases (run it on the real
+  block embedding of a complex channel),
+* "fclll" -- fixed-complexity complex LLL with a per-column swap-flag
+  table and a capped number of column visits,
+* "mclll" -- the reduced-iteration modified complex LLL: full sweeps, a
+  single scalar swap flag, and (by default) the cheaper Siegel swap test
+  in place of the Lovasz test.
 
-All of them return the triple (q_tilde, r_tilde, T) where T is carried in
-exact Gaussian-integer arithmetic, plus one trace of the column visits and
-the number of size updates with nonzero mu.
-
-``REDUCTIONS`` is the one table of the three, keyed "mclll", "fclll" and
-"lll": each entry names its swap test, whether it runs capped on the
-complex channel or unbounded on the channel's real block embedding, and its
-step loop.  ``reduce_at_caps`` runs any entry once and snapshots it at
-several iteration caps; the public functions above run the same step
-loops.  The reductions count no FLOPs: ``lrmimo.flops`` reads every count
+Each entry names its swap test, whether it runs capped on the complex
+channel or unbounded on the channel's real block embedding, and its step
+loop, whose docstring describes the algorithm.  ``reduce_at_caps`` is the
+one way to run a reduction: it runs an entry once on the basis it is
+given and snapshots it at several iteration caps.  Every snapshot holds
+(q_tilde, r_tilde, T) with T in exact Gaussian-integer arithmetic, one
+trace of the column visits and the number of size updates with nonzero
+mu.  The reductions count no FLOPs: ``lrmimo.flops`` reads every count
 off the result a run returns.
 """
 
@@ -55,17 +54,15 @@ class ZeroDiagonal(ValueError):
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Knobs shared by every reduction algorithm.
+    """Knobs shared by every reduction algorithm; iteration caps go to
+    ``reduce_at_caps``.
 
     delta      quality parameter in (1/4, 1]; 3/4 unless stated otherwise.
                The Siegel condition needs delta > 1/2.
-    iter_max   iteration cap (None = unbounded; the classic LLL requires
-               None, the fixed-complexity variants require a finite cap).
     condition  "lovasz" or "siegel" swap test.
     """
 
     delta: float = 0.75
-    iter_max: int | None = 6
     condition: str = "siegel"
 
     def __post_init__(self):
@@ -75,8 +72,6 @@ class ReductionParams:
             raise ValueError(f"unknown condition {self.condition!r}")
         if self.condition == "siegel" and not self.delta > 0.5:
             raise ValueError(f"siegel condition requires delta > 1/2, got {self.delta}")
-        if self.iter_max is not None and self.iter_max < 1:
-            raise ValueError("iter_max must be None or >= 1")
 
 
 @dataclass
@@ -86,13 +81,13 @@ class ReductionResult:
     ``q_tilde @ r_tilde`` equals the input basis times ``t`` (up to float
     roundoff); ``t`` is exactly unimodular and carries the LR-ZF quantizer
     shift ``t^{-1} (1+i) ones``.  ``iterations_used`` counts the
-    algorithm's own iteration unit: full sweeps for ``mclll``, single
-    column visits for ``fclll_wen`` and ``lll_reduce_real``.  ``converged``
-    is True only when the run exited through its swap flag rather than the
-    iteration cap.  ``visits`` is the one trace: per column visit, in
-    order, the pivot column k (addressing the pair (k-1, k)) and whether it
-    swapped; the swap counts below are read off it.  ``size_updates``
-    counts the nonzero-mu size updates, which the trace does not show.
+    algorithm's own iteration unit: full sweeps for "mclll", single
+    column visits for "fclll" and "lll".  ``converged`` is True only when
+    the run exited through its swap flag rather than the iteration cap.
+    ``visits`` is the one trace: per column visit, in order, the pivot
+    column k (addressing the pair (k-1, k)) and whether it swapped; the
+    swap counts below are read off it.  ``size_updates`` counts the
+    nonzero-mu size updates, which the trace does not show.
     """
 
     q_tilde: np.ndarray
@@ -111,17 +106,6 @@ class ReductionResult:
     @property
     def swap_count(self) -> int:
         return sum(self.visit_swaps)
-
-    @property
-    def swap_history(self) -> list[int]:
-        """Swaps per iteration: the visits cut into ``iterations_used``
-        equal runs (a sweep of n-1 visits for ``mclll``, no visit at all
-        for a 1x1 basis, one visit for the other two)."""
-        swaps = self.visit_swaps
-        if not self.iterations_used:
-            return []
-        size = len(swaps) // self.iterations_used
-        return [sum(swaps[i * size:(i + 1) * size]) for i in range(self.iterations_used)]
 
 
 def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
@@ -171,13 +155,13 @@ class _Run:
     """One reduction in progress: the working factors, the exact T, the
     visit trace and the size-update count.  The step loops advance it one
     column visit at a time; ``result`` snapshots it.  ``qr``, when given,
-    is the QR of ``h``; the run rotates copies of its factors."""
+    is the QR of ``basis``; the run rotates copies of its factors."""
 
-    def __init__(self, h, params: ReductionParams, qr: QRFactorization | None = None):
+    def __init__(self, basis, params: ReductionParams, qr: QRFactorization | None = None):
         self.params = params
         self.check = siegel_check if params.condition == "siegel" else lovasz_check
-        self.q, self.r = qr_decompose(h) if qr is None else (qr.q.copy(), qr.r.copy())
-        self.scale = np.linalg.norm(h)
+        self.q, self.r = qr_decompose(basis) if qr is None else (qr.q.copy(), qr.r.copy())
+        self.scale = np.linalg.norm(basis)
         self.t = GaussIntMatrix.identity(self.r.shape[0])
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
@@ -217,8 +201,15 @@ class _Run:
 
 
 def _mclll_sweeps(run: _Run):
-    """The modified complex LLL, one full sweep per step, until a sweep
-    makes no swap (the single scalar flag)."""
+    """The reduced-iteration modified complex LLL, one full sweep per step.
+
+    A sweep visits k = 1..n-1: it fully size-reduces column k, then
+    applies the swap test (Siegel by default); a swap is followed by a
+    Givens re-triangularization and the sweep continues at k+1 (no
+    step-back; deferred violations are fixed by later sweeps).  A single
+    scalar flag ends the steps as soon as a sweep completes without any
+    swap.
+    """
     n = run.r.shape[0]
     while not run.converged:
         swaps = sum(run.visit(k) for k in range(1, n))
@@ -231,11 +222,14 @@ def _fclll_visits(run: _Run):
     """The fixed-complexity complex LLL, one column visit per step, at
     pivots 1, 2, ..., n-1 repeating.
 
-    Each step first evaluates the loop guard, which sums the flag table;
-    the steps end when every flag in 1..n-1 is clear (at once for a 1x1
-    basis, which has none).  A cap therefore stops the run before the
-    guard of the next visit, never inside it, so a run evaluates the guard
-    ``iterations_used + converged`` times.
+    A visit clears its column's flag, fully size-reduces the column and
+    applies the swap test (Lovasz by default); a swap re-raises the flags
+    of columns k-1..k+1.  Each step first evaluates the loop guard, which
+    sums the flag table; the steps end when every flag in 1..n-1 is clear
+    (at once for a 1x1 basis, which has none); that summation is what the
+    modified algorithm's scalar flag removes.  A cap stops the run before
+    the guard of the next visit, never inside it, so a run evaluates the
+    guard ``iterations_used + converged`` times.
     """
     n = run.r.shape[0]
     flags = [1] * (n + 1)
@@ -252,8 +246,13 @@ def _fclll_visits(run: _Run):
 
 
 def _lll_visits(run: _Run):
-    """The classic LLL's step-back walk, one column visit per step: after a
-    swap the working index moves to max(k-1, 1), otherwise forward."""
+    """The classic LLL, run to completion, one column visit per step.
+
+    The standard step-back walk: the working index starts at 1; after a
+    swap it moves back to max(k-1, 1), otherwise forward, and the steps
+    end when it passes the last column.  On a real basis T stays an exact
+    integer matrix (imaginary parts all zero).
+    """
     k, n = 1, run.r.shape[0]
     while k < n:
         run.iterations += 1
@@ -281,7 +280,7 @@ class Reduction(NamedTuple):
     def params(self, delta: float = 0.75) -> ReductionParams:
         """Its parameters at ``delta``, with no cap of their own (caps
         go to ``reduce_at_caps``)."""
-        return ReductionParams(delta=delta, condition=self.condition, iter_max=None)
+        return ReductionParams(delta=delta, condition=self.condition)
 
     def basis(self, h) -> np.ndarray:
         """The basis it reduces for the complex channel ``h``."""
@@ -295,89 +294,34 @@ REDUCTIONS = {
 }
 
 
-def mclll(h, params: ReductionParams | None = None) -> ReductionResult:
-    """Reduced-iteration modified complex LLL.
-
-    Runs up to ``params.iter_max`` full sweeps over k = 1..n-1.  Each sweep
-    fully size-reduces column k, then applies the swap test (Siegel by
-    default); a swap is followed by a Givens re-triangularization and the
-    sweep continues at k+1 (no step-back; deferred violations are fixed by
-    later sweeps).  A single scalar flag ends the loop as soon as a sweep
-    completes without any swap.
-    """
-    params = params or ReductionParams()
-    if params.iter_max is None:
-        raise ValueError("mclll requires a finite iter_max")
-    run = _Run(h, params)
-    run.advance(_mclll_sweeps(run), params.iter_max)
-    return run.result()
-
-
-def fclll_wen(h, params: ReductionParams) -> ReductionResult:
-    """Fixed-complexity complex LLL with a per-column swap-flag table.
-
-    One iteration visits a single pivot column, cycling through
-    1, 2, ..., n-1, clears that column's flag, fully size-reduces it and
-    applies the swap test (Lovasz by default).  A swap re-raises the flags of columns k-1..k+1.
-    The loop stops when the cap is reached or when every flag in 1..n-1 is
-    clear; the flag-table summation in that guard is what the modified
-    algorithm's scalar flag removes.
-    """
-    if params.iter_max is None:
-        raise ValueError("fclll_wen requires a finite iter_max")
-    run = _Run(h, params)
-    run.advance(_fclll_visits(run), params.iter_max)
-    return run.result()
-
-
-def reduce_at_caps(algorithm: str, h, params: ReductionParams, caps,
+def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
                    qr: QRFactorization | None = None):
-    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on the basis it
-    takes for the complex channel ``h``, and snapshot it at every cap.
+    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis`` and
+    snapshot it at every cap.  This is the one way to run a reduction; a
+    caller that starts from a complex channel ``h`` passes
+    ``REDUCTIONS[algorithm].basis(h)``.
 
-    Returns ``[(cap, result)]``, one per distinct cap.  A
-    capped reduction runs up to the largest cap, snapshots come in
-    ascending cap order, and each ``result`` equals what ``mclll`` or
-    ``fclll_wen`` returns with ``params.iter_max`` set to that cap: both
-    run a fixed schedule, so a run capped at k is the prefix of a run
-    capped at K > k.  The unbounded "lll" runs to completion and every cap
-    gets that run.  ``params.iter_max`` is not used.  ``qr``, when given,
-    is the QR of that basis (``Reduction.basis(h)``), so the run starts
-    from copies of its factors instead of factoring the basis again.
+    Returns ``[(cap, result)]``, one per distinct cap.  A capped reduction
+    needs finite caps >= 1 and runs up to the largest; snapshots come in
+    ascending cap order, and each equals the run stopped at that cap: both
+    capped reductions run a fixed schedule, so a run capped at k is the
+    prefix of a run capped at K > k.  The unbounded "lll" runs to
+    completion and every cap (None included) gets that run.  ``qr``, when
+    given, is the QR of ``basis``, so the run starts from copies of its
+    factors instead of factoring the basis again.
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     reduction = REDUCTIONS[algorithm]
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
-    run = _Run(reduction.basis(h), params, qr)
+    run = _Run(basis, params, qr)
     steps = reduction.steps(run)
     snapshots = []
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
         run.advance(steps, cap if reduction.capped else None)
         snapshots.append((cap, run.result()))
     return snapshots
-
-
-def lll_reduce_real(h_real, params: ReductionParams | None = None) -> ReductionResult:
-    """Classic LLL on a real basis (e.g. the real embedding of a complex
-    channel), run to completion with the Lovasz condition.
-
-    Uses the standard step-back walk (``_lll_visits``).  ``iterations_used``
-    counts column visits.  T stays an exact integer matrix (imaginary parts
-    all zero).
-    """
-    params = params or ReductionParams(condition="lovasz", iter_max=None)
-    if params.iter_max is not None:
-        raise ValueError("lll_reduce_real runs unbounded; pass iter_max=None")
-    if params.condition != "lovasz":
-        raise ValueError("lll_reduce_real uses the lovasz condition")
-    h_real = np.asarray(h_real)
-    if np.iscomplexobj(h_real) and np.abs(h_real.imag).max() > 0:
-        raise ValueError("lll_reduce_real expects a real matrix")
-    run = _Run(h_real.real, params)
-    run.advance(_lll_visits(run), None)
-    return run.result()
 
 
 def is_size_reduced(r, tol: float = PREDICATE_TOL) -> bool:

@@ -29,13 +29,11 @@ from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
     ReductionParams,
     factorization_error,
-    fclll_wen,
     is_lll_reduced,
     is_siegel_reduced,
-    lll_reduce_real,
-    mclll,
 )
 from lrmimo.simharness import SimConfig, emit_csv, run_frame, run_sweep
+from test_reduction import reduce_once
 
 pytestmark = pytest.mark.acceptance
 
@@ -85,10 +83,8 @@ def test_criterion1_unimodularity_suite():
     runs = 0
     for _ in range(10_000):
         h = rayleigh(rng, 4)
-        results = [mclll(h, ReductionParams(iter_max=cap))
-                   for cap in (1, 6, 18)]
-        results.append(fclll_wen(
-            h, ReductionParams(condition="lovasz", iter_max=18)))
+        results = [reduce_once("mclll", h, cap) for cap in (1, 6, 18)]
+        results.append(reduce_once("fclll", h, 18))
         for res in results:
             assert is_unimodular(res.t)
             assert factorization_error(h, res) <= 1e-9
@@ -108,7 +104,7 @@ def test_criterion2_siegel_closure_mclll():
     trials = 1000
     for _ in range(trials):
         h = rayleigh(rng, 4)
-        res = mclll(h, ReductionParams(iter_max=1000))
+        res = reduce_once("mclll", h, 1000)
         if is_siegel_reduced(res.r_tilde, 0.75):
             reduced += 1
     frac = reduced / trials
@@ -125,7 +121,7 @@ def test_criterion2_lll_closure_real_embedding():
     trials = 1000
     for _ in range(trials):
         h = rayleigh(rng, 4)
-        res = lll_reduce_real(real_embedding(h))
+        res = reduce_once("lll", real_embedding(h))
         assert is_lll_reduced(res.r_tilde, 0.75)
     report("2b lll closure (real embedding)", True, f"({trials} channels)")
 
@@ -150,7 +146,7 @@ def test_criterion3_shortest_vector_oracle():
         basis = rng.integers(-9, 10, size=(2, 2)).astype(float)
         if abs(np.linalg.det(basis)) < 0.5:
             continue
-        res = lll_reduce_real(basis)
+        res = reduce_once("lll", basis)
         b1 = np.linalg.norm((basis @ res.t.to_complex().real)[:, 0])
         lam1 = _shortest_vector(basis)
         assert b1 <= 2 ** 0.5 * lam1 + 1e-9

@@ -1,12 +1,19 @@
 """Tests for the command-line interface: exit codes, output, config files."""
 
+import contextlib
+import csv
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrmimo.cli import main
-from lrmimo.simharness import load_matrix, save_matrix
+from lrmimo.detect import ML_SEARCH_LIMIT
+from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
 
 
 def write_channel(tmp_path, seed=0, n=4):
@@ -299,33 +306,33 @@ FLOPS_REPORTS = {
 counting mode: literal
 algorithm  iter_max  mean     median   max    gain_vs_lll
 ---------  --------  -------  -------  -----  -----------
-lll        inf       14751.7  14249.5  20452  baseline   
-mclll      1         460.1    388.0    721    +96.9%     
-mclll      2         994.0    999.5    1277   +93.3%     
-mclll      6         4206.6   4182.0   5181   +71.5%     
-mclll      8         6325.4   6309.5   8141   +57.1%     
-mclll      18        21250.2  27748.5  29691  -44.1%     
-fclll      1         29.8     2.0      113    +99.8%     
-fclll      2         122.3    139.0    250    +99.2%     
-fclll      6         743.9    705.0    927    +95.0%     
-fclll      8         1182.0   1187.5   1465   +92.0%     
-fclll      18        4527.4   4540.5   4929   +69.3%     
+lll        inf       14751.7  14249.5  20452  baseline
+mclll      1         460.1    388.0    721    +96.9%
+mclll      2         994.0    999.5    1277   +93.3%
+mclll      6         4206.6   4182.0   5181   +71.5%
+mclll      8         6325.4   6309.5   8141   +57.1%
+mclll      18        21250.2  27748.5  29691  -44.1%
+fclll      1         29.8     2.0      113    +99.8%
+fclll      2         122.3    139.0    250    +99.2%
+fclll      6         743.9    705.0    927    +95.0%
+fclll      8         1182.0   1187.5   1465   +92.0%
+fclll      18        4527.4   4540.5   4929   +69.3%
 """, "dd5513c3e54561954dff4b774678032ed85e8e9b388e934667e2a02c3f83bf4b"),
     "--nt 4 --nr 4 --channels 30 --iter-max 1,2,6,8,18 --mode dynamic --seed 9": ("""\
 counting mode: dynamic
 algorithm  iter_max  mean    median  max   gain_vs_lll
 ---------  --------  ------  ------  ----  -----------
-lll        inf       2568.2  2421.5  4248  baseline   
-mclll      1         894.0   826.0   1109  +65.2%     
-mclll      2         1535.3  1556.0  2170  +40.2%     
-mclll      6         2181.7  1996.0  3915  +15.0%     
-mclll      8         2243.5  1996.0  4681  +12.6%     
-mclll      18        2552.1  1996.0  9311  +0.6%      
-fclll      1         184.0   72.0    355   +92.8%     
-fclll      2         488.7   431.0   730   +81.0%     
-fclll      6         1435.0  1409.0  1999  +44.1%     
-fclll      8         1621.9  1776.0  2414  +36.8%     
-fclll      18        1755.4  1824.0  3289  +31.6%     
+lll        inf       2568.2  2421.5  4248  baseline
+mclll      1         894.0   826.0   1109  +65.2%
+mclll      2         1535.3  1556.0  2170  +40.2%
+mclll      6         2181.7  1996.0  3915  +15.0%
+mclll      8         2243.5  1996.0  4681  +12.6%
+mclll      18        2552.1  1996.0  9311  +0.6%
+fclll      1         184.0   72.0    355   +92.8%
+fclll      2         488.7   431.0   730   +81.0%
+fclll      6         1435.0  1409.0  1999  +44.1%
+fclll      8         1621.9  1776.0  2414  +36.8%
+fclll      18        1755.4  1824.0  3289  +31.6%
 """, "5529865388cc2e98bbd835d37d6cda3ad5b11cdf1fc8b9a1ed5d2981edb858f1"),
 }
 
@@ -349,3 +356,41 @@ class TestPinnedOutput:
         out = tmp_path / "flops.csv"
         assert main(["flops-report", *args.split(), "--out", str(out)]) == 0
         assert sha256_of(out) == csv_digest
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A ``ber-sweep`` the CLI accepts: n_t <= n_r <= 4, any constellation
+    size, any subset of detectors (ML within its search guard), caps 1-18
+    and an SNR grid that may end in the noiseless ``inf``."""
+    n_t = draw(st.integers(1, 4))
+    n_r = draw(st.integers(n_t, 4))
+    m_s = draw(st.sampled_from([4, 16, 64]))
+    allowed = [a for a in ALGORITHMS if a != "ml" or m_s ** n_t <= ML_SEARCH_LIMIT]
+    algorithms = draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))
+    caps = draw(st.lists(st.integers(1, 18), min_size=1, max_size=3, unique=True))
+    snrs = draw(st.lists(st.one_of(st.integers(-30, 60).map(float), st.just(math.inf)),
+                         min_size=1, max_size=3, unique=True))
+    return n_t, n_r, m_s, algorithms, caps, sorted(snrs)
+
+
+class TestSweepRobustness:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(sweep_inputs())
+    def test_accepted_inputs_give_one_sane_row_per_cell(self, inputs):
+        n_t, n_r, m_s, algorithms, caps, snrs = inputs
+        frames = 2
+        argv = ["ber-sweep", "--nt", str(n_t), "--nr", str(n_r), "--ms", str(m_s),
+                "--algorithms", ",".join(algorithms), "--frames", str(frames),
+                "--iter-max", ",".join(map(str, caps)), "--snr=" + ",".join(map(str, snrs))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        capped = sum(a in ("zf-lr-mclll", "zf-lr-fclll") for a in algorithms)
+        assert len(rows) == (capped * len(caps) + len(algorithms) - capped) * len(snrs)
+        assert len({(r["algorithm"], r["iter_max"], r["snr_db"]) for r in rows}) == len(rows)
+        bits = frames * n_t * int(math.log2(m_s))
+        for row in rows:
+            assert 0 <= int(row["bit_errors"]) <= bits
+            assert 0.0 <= float(row["ber"]) <= 1.0

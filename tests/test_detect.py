@@ -14,13 +14,8 @@ from lrmimo.detect import (
 )
 from lrmimo.matcore import GaussIntMatrix, qr_decompose, real_embedding
 from lrmimo.mimo import add_noise, build_constellation, NoiseSpec
-from lrmimo.reduction import (
-    REDUCTIONS,
-    ReductionParams,
-    lll_reduce_real,
-    mclll,
-    reduce_at_caps,
-)
+from lrmimo.reduction import REDUCTIONS, reduce_at_caps
+from test_reduction import reduce_once
 
 
 def random_channel(rng, n_r, n_t):
@@ -100,14 +95,14 @@ class TestQuantizeZDomain:
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             z = np.linalg.solve(tc, s)
-            z_q = quantize_z_domain(z, t, c)
+            z_q = quantize_z_domain(z, t.shift, c)
             assert np.allclose(tc @ z_q, s, atol=1e-9)
 
     def test_identity_reduces_to_grid_slicing_without_clipping(self):
         c = build_constellation(16)
         t = GaussIntMatrix.identity(2)
         z = np.array([c.scale * (5 + 0.3j), c.scale * (-7.2 - 5.4j)])
-        z_q = quantize_z_domain(z, t, c)
+        z_q = quantize_z_domain(z, t.shift, c)
         # Slices onto the infinite odd grid; values outside the alphabet stay.
         assert np.allclose(z_q / c.scale, [5 + 1j, -7 - 5j])
 
@@ -119,7 +114,7 @@ class TestQuantizeZDomain:
             s = random_symbols(rng, c, 4)
             wobble = (rng.uniform(-0.24, 0.24, 4)
                       + 1j * rng.uniform(-0.24, 0.24, 4)) * c.scale
-            z_q = quantize_z_domain(s + wobble, t, c)
+            z_q = quantize_z_domain(s + wobble, t.shift, c)
             assert np.allclose(z_q, s, atol=1e-12)
 
 
@@ -128,7 +123,7 @@ class TestZfLr:
         rng = np.random.default_rng(4)
         c = build_constellation(16)
         h = np.eye(4, dtype=complex)
-        red = mclll(h, ReductionParams(iter_max=6))
+        red = reduce_once("mclll", h, 6)
         assert np.array_equal(red.t.to_complex(), np.eye(4))
         for _ in range(100):
             s = random_symbols(rng, c, 4)
@@ -140,7 +135,7 @@ class TestZfLr:
         c = build_constellation(16)
         for _ in range(300):
             h = random_channel(rng, 4, 4)
-            red = mclll(h, ReductionParams(iter_max=18))
+            red = reduce_once("mclll", h, 18)
             s = random_symbols(rng, c, 4)
             assert np.array_equal(zf_lr_detector(red, c)(h @ s), s)
 
@@ -150,7 +145,7 @@ class TestZfLr:
         pts = set(np.round(c.points, 12).tolist())
         for _ in range(100):
             h = random_channel(rng, 4, 4)
-            red = mclll(h, ReductionParams(iter_max=6))
+            red = reduce_once("mclll", h, 6)
             x = add_noise(h @ random_symbols(rng, c, 4), NoiseSpec(2.0), rng)
             out = zf_lr_detector(red, c)(x)
             assert set(np.round(out, 12).tolist()) <= pts
@@ -168,7 +163,8 @@ class TestZfLr:
         caps = [1, 2, 6, 18]
         for _ in range(3):
             h = random_channel(rng, n_r, n_t)
-            for cap, red in reduce_at_caps(name, h, params, caps):
+            basis = REDUCTIONS[name].basis(h)
+            for cap, red in reduce_at_caps(name, basis, params, caps):
                 t = red.t
                 for i in range(t.n):
                     acc_re = acc_im = 0
@@ -177,7 +173,7 @@ class TestZfLr:
                         acc_re += re * t.shift_re[j] - im * t.shift_im[j]
                         acc_im += re * t.shift_im[j] + im * t.shift_re[j]
                     assert (acc_re, acc_im) == (1, 1)
-                [(_, alone)] = reduce_at_caps(name, h, params, [cap])
+                [(_, alone)] = reduce_at_caps(name, basis, params, [cap])
                 assert (t.re, t.im, t.shift_re, t.shift_im) == (
                     alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 
@@ -186,7 +182,7 @@ class TestZfLr:
         c = build_constellation(16)
         for _ in range(100):
             h = random_channel(rng, 4, 4)
-            red = lll_reduce_real(real_embedding(h))
+            red = reduce_once("lll", real_embedding(h))
             s = random_symbols(rng, c, 4)
             assert np.array_equal(zf_lr_detector(red, c)(h @ s), s)
 

@@ -1,7 +1,5 @@
 """Tests for the FLOP cost model, counters, and instrumented runs."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -21,9 +19,9 @@ from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS, ReductionParams, reduce_at_caps
 
 
-def instrument(alg, h, params, mode="dynamic"):
-    """One counted run of ``alg`` at the cap ``params.iter_max``."""
-    return instrument_caps(alg, h, params, [params.iter_max], mode=mode)[params.iter_max]
+def instrument(alg, h, params, cap, mode="dynamic"):
+    """One counted run of ``alg`` at ``cap``."""
+    return instrument_caps(alg, h, params, [cap], mode=mode)[cap]
 
 
 class EventTally:
@@ -210,8 +208,7 @@ class TestStepCost:
 
 class TestInstrument:
     def test_identity_mclll_charges(self):
-        result, counter = instrument("mclll", np.eye(4),
-                                     ReductionParams(iter_max=6))
+        result, counter = instrument("mclll", np.eye(4), ReductionParams(), 6)
         # One clean sweep: 1+2+3 = 6 size checks, 3 siegel checks, no swaps.
         assert counter.size_reduction == 6 * 20
         assert counter.swap_condition == 3 * 20
@@ -222,8 +219,7 @@ class TestInstrument:
 
     def test_identity_fclll_flag_charges(self):
         result, counter = instrument(
-            "fclll", np.eye(4),
-            ReductionParams(condition="lovasz", iter_max=50))
+            "fclll", np.eye(4), ReductionParams(condition="lovasz"), 50)
         # Guard reaches the flag summation once per visit plus the exit check.
         assert result.iterations_used == 3
         assert counter.flag_bookkeeping == 4 * 8
@@ -233,7 +229,7 @@ class TestInstrument:
         rng = np.random.default_rng(0)
         h = generate_channel(4, 4, rng)
         result, counter = instrument(
-            "fclll", h, ReductionParams(condition="lovasz", iter_max=2))
+            "fclll", h, ReductionParams(condition="lovasz"), 2)
         assert result.iterations_used == 2
         assert counter.flag_bookkeeping == 2 * 8
 
@@ -241,36 +237,35 @@ class TestInstrument:
         rng = np.random.default_rng(1)
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            _, counter = instrument("mclll", h, ReductionParams(iter_max=18))
+            _, counter = instrument("mclll", h, ReductionParams(), 18)
             assert counter.flag_bookkeeping == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         h = generate_channel(4, 4, rng)
-        _, c1 = instrument("mclll", h, ReductionParams(iter_max=6))
-        _, c2 = instrument("mclll", h, ReductionParams(iter_max=6))
+        _, c1 = instrument("mclll", h, ReductionParams(), 6)
+        _, c2 = instrument("mclll", h, ReductionParams(), 6)
         assert c1 == c2
 
     def test_cap_prefix_property(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            _, small = instrument("mclll", h, ReductionParams(iter_max=6))
-            _, big = instrument("mclll", h, ReductionParams(iter_max=18))
+            _, small = instrument("mclll", h, ReductionParams(), 6)
+            _, big = instrument("mclll", h, ReductionParams(), 18)
             assert small.total <= big.total
 
     def test_integer_totals_under_integer_weights(self):
         rng = np.random.default_rng(4)
         h = generate_channel(4, 4, rng)
         for mode in ("dynamic", "literal"):
-            _, counter = instrument("mclll", h, ReductionParams(iter_max=6),
-                                    mode=mode)
+            _, counter = instrument("mclll", h, ReductionParams(), 6, mode=mode)
             assert counter.total == int(counter.total)
 
     def test_lll_on_complex_channel_embeds(self):
         rng = np.random.default_rng(5)
         h = generate_channel(4, 4, rng)
-        result, counter = instrument("lll", h, REDUCTIONS["lll"].params())
+        result, counter = instrument("lll", h, REDUCTIONS["lll"].params(), None)
         assert result.r_tilde.shape == (8, 8)
         assert counter.total > 0
 
@@ -283,19 +278,18 @@ class TestInstrumentCaps:
         # charge) of visit k+1; literal charges depend on the cap itself.
         rng = np.random.default_rng(8)
         caps = (3, 1, 18, 2)
-        params = ReductionParams(condition=condition, iter_max=None)
+        params = ReductionParams(condition=condition)
         for _ in range(10):
             h = generate_channel(4, 4, rng)
             runs = instrument_caps(alg, h, params, caps, mode=mode)
             for cap in caps:
-                want, want_counter = instrument(alg, h, replace(params, iter_max=cap),
-                                                mode=mode)
+                want, want_counter = instrument(alg, h, params, cap, mode=mode)
                 got, got_counter = runs[cap]
                 assert got_counter == want_counter
                 assert np.array_equal(got.r_tilde, want.r_tilde)
                 assert np.array_equal(got.t.to_complex(), want.t.to_complex())
-                assert (got.iterations_used, got.converged, got.swap_history) == (
-                    want.iterations_used, want.converged, want.swap_history)
+                assert (got.iterations_used, got.converged, got.visits) == (
+                    want.iterations_used, want.converged, want.visits)
 
 
 class TestEventOracle:
@@ -317,7 +311,8 @@ class TestEventOracle:
                         for model in (CostModel(), CUSTOM_MODEL)}
                 for cap in caps:
                     tally.reset()
-                    [(_, result)] = reduce_at_caps(alg, h, params, [cap])
+                    [(_, result)] = reduce_at_caps(alg, REDUCTIONS[alg].basis(h), params,
+                                                   [cap])
                     guards = result.iterations_used + result.converged if alg == "fclll" else 0
                     for (mode, model), by_cap in runs.items():
                         charges = schedule_for(alg, mode, n_t, n_r, cap, model)

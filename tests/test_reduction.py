@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+from lrmimo import reduction
 from lrmimo.flops import instrument_caps, schedule_for
 from lrmimo.matcore import GaussIntMatrix, is_unimodular, qr_decompose, real_embedding
+from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
     ReductionParams,
     ZeroDiagonal,
     factorization_error,
-    fclll_wen,
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    lll_reduce_real,
     lovasz_check,
-    mclll,
     reduce_at_caps,
     siegel_check,
     size_reduce_column,
@@ -27,6 +26,18 @@ from test_flops import EventTally
 def random_complex(rng, n):
     return (rng.standard_normal((n, n))
             + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
+
+
+def reduce_once(name, basis, cap=None, params=None):
+    """The run of reduction ``name`` on ``basis`` stopped at ``cap``."""
+    [(_, result)] = reduce_at_caps(name, basis, params or REDUCTIONS[name].params(), [cap])
+    return result
+
+
+def sweep_swaps(res, n):
+    """Swaps per mclll sweep of an n-column basis (n-1 visits a sweep)."""
+    swaps = res.visit_swaps
+    return [sum(swaps[i:i + n - 1]) for i in range(0, len(swaps), n - 1)]
 
 
 def shortest_vector_bruteforce(basis, bound=50):
@@ -50,7 +61,8 @@ class TestReductionParams:
     @pytest.mark.parametrize("kwargs", [
         dict(delta=0.25), dict(delta=1.01), dict(delta=float("nan")),
         dict(condition="siegel", delta=0.5),  # the Siegel test needs delta > 1/2
-        dict(condition="other"), dict(iter_max=0),
+        dict(condition="other"),
+        dict(condition="lovasz", delta=0.25),  # (1/4, 1] bounds the Lovasz test too
         dict(condition="siegel", delta=0.3),
     ])
     def test_invalid_rejected(self, kwargs):
@@ -128,17 +140,13 @@ class TestSwapChecks:
 
 class TestRealLLL:
     def test_identity_basis(self):
-        res = lll_reduce_real(np.eye(3))
+        res = reduce_once("lll", np.eye(3))
         assert res.swap_count == 0 and res.converged
         assert np.array_equal(res.t.to_complex(), np.eye(3))
 
-    def test_requires_unbounded(self):
-        with pytest.raises(ValueError):
-            lll_reduce_real(np.eye(2), ReductionParams(condition="lovasz", iter_max=5))
-
     def test_skewed_2d_basis_finds_shortest(self):
         basis = np.array([[1.0, 0.51], [0.0, 1e-3]])
-        res = lll_reduce_real(basis)
+        res = reduce_once("lll", basis)
         reduced = basis @ res.t.to_complex().real
         lam1 = shortest_vector_bruteforce(basis)
         assert abs(np.linalg.norm(reduced[:, 0]) - lam1) < 1e-12
@@ -150,7 +158,7 @@ class TestRealLLL:
                 basis = rng.integers(-9, 10, size=(n, n)).astype(float)
                 if abs(np.linalg.det(basis)) < 0.5:
                     continue
-                res = lll_reduce_real(basis)
+                res = reduce_once("lll", basis)
                 reduced = basis @ res.t.to_complex().real
                 b1 = np.linalg.norm(reduced[:, 0])
                 if n == 2:
@@ -163,19 +171,15 @@ class TestRealLLL:
         rng = np.random.default_rng(3)
         h = random_complex(rng, 4)
         hr = real_embedding(h)
-        res = lll_reduce_real(hr)
+        res = reduce_once("lll", hr)
         assert is_lll_reduced(res.r_tilde, 0.75)
         assert is_unimodular(res.t)
         assert factorization_error(hr, res) <= 1e-9
 
-    def test_rejects_complex_input(self):
-        with pytest.raises(ValueError):
-            lll_reduce_real(np.array([[1j, 0], [0, 1]]))
-
 
 class TestFclll:
     def test_identity_converges_in_one_pass(self):
-        res = fclll_wen(np.eye(4), ReductionParams(condition="lovasz", iter_max=50))
+        res = reduce_once("fclll", np.eye(4), 50)
         assert res.converged
         assert res.iterations_used == 3  # one visit per column pair
         assert np.array_equal(res.t.to_complex(), np.eye(4))
@@ -183,33 +187,32 @@ class TestFclll:
 
     def test_requires_finite_cap(self):
         with pytest.raises(ValueError):
-            fclll_wen(np.eye(4), ReductionParams(condition="lovasz", iter_max=None))
+            reduce_once("fclll", np.eye(4), None)
 
     def test_cap_respected(self):
         rng = np.random.default_rng(4)
         for cap in (1, 2, 7):
             h = random_complex(rng, 4)
-            res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=cap))
+            res = reduce_once("fclll", h, cap)
             assert res.iterations_used <= cap
             assert len(res.visit_swaps) == res.iterations_used
 
     def test_visit_order_is_cyclic(self):
         rng = np.random.default_rng(5)
         h = random_complex(rng, 4)
-        res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=5))
+        res = reduce_once("fclll", h, 5)
         assert [k for k, _ in res.visits] == [1, 2, 3, 1, 2][: res.iterations_used]
 
     def test_one_by_one_converges_at_first_guard(self, monkeypatch):
         # No pivot: no size step, swap test or rotation runs, and the one
         # guard evaluation is charged one flag sum.
         h = np.array([[0.5 - 2j]])
-        params = ReductionParams(condition="lovasz", iter_max=6)
         tally = EventTally(monkeypatch)
-        res = fclll_wen(h, params)
+        res = reduce_once("fclll", h, 6)
         assert res.converged and res.iterations_used == 0 and res.visits == []
         assert not any(tally.events.values())
         charges = schedule_for("fclll", "dynamic", 1, 1, None)
-        _, counter = instrument_caps("fclll", h, params, [6])[6]
+        _, counter = instrument_caps("fclll", h, REDUCTIONS["fclll"].params(), [6])[6]
         assert counter == tally.flops(charges, guards=1)
         assert counter.total == counter.flag_bookkeeping == charges.csflag_sum
 
@@ -217,7 +220,7 @@ class TestFclll:
         rng = np.random.default_rng(6)
         for _ in range(50):
             h = random_complex(rng, 4)
-            res = fclll_wen(h, ReductionParams(condition="lovasz", iter_max=1000))
+            res = reduce_once("fclll", h, 1000)
             assert res.converged
             assert is_lll_reduced(res.r_tilde, 0.75)
             assert is_unimodular(res.t)
@@ -226,7 +229,7 @@ class TestFclll:
 
 class TestMclll:
     def test_identity_converges_immediately(self):
-        res = mclll(np.eye(4), ReductionParams(iter_max=6))
+        res = reduce_once("mclll", np.eye(4), 6)
         assert res.converged and res.iterations_used == 1
         assert res.swap_count == 0
         assert res.visits == [(1, False), (2, False), (3, False)]
@@ -234,27 +237,27 @@ class TestMclll:
     def test_two_by_two_single_swap(self):
         # diag (2, 1): siegel fires once (3 > 1), second sweep is clean
         r0 = np.array([[2.0, 0.0], [0.0, 1.0]])
-        res = mclll(r0, ReductionParams(iter_max=10))
-        assert res.swap_history == [1, 0]
+        res = reduce_once("mclll", r0, 10)
+        assert sweep_swaps(res, 2) == [1, 0]
         assert res.iterations_used == 2 and res.converged
 
     def test_requires_finite_cap(self):
         with pytest.raises(ValueError):
-            mclll(np.eye(2), ReductionParams(iter_max=None))
+            reduce_once("mclll", np.eye(2), None)
 
     def test_one_by_one_sweep_has_no_visits(self):
-        res = mclll(np.array([[0.5 - 2j]]), ReductionParams(iter_max=6))
+        res = reduce_once("mclll", np.array([[0.5 - 2j]]), 6)
         assert res.converged and res.iterations_used == 1
-        assert res.visits == [] and res.swap_history == [0]
+        assert res.visits == [] and res.swap_count == 0
 
     def test_cap_respected_and_trace_consistent(self):
         rng = np.random.default_rng(7)
         for cap in (1, 3, 6, 18):
             h = random_complex(rng, 4)
-            res = mclll(h, ReductionParams(iter_max=cap))
+            res = reduce_once("mclll", h, cap)
             assert res.iterations_used <= cap
-            assert len(res.swap_history) == res.iterations_used
-            assert sum(res.swap_history) == res.swap_count
+            assert len(sweep_swaps(res, 4)) == res.iterations_used
+            assert sum(sweep_swaps(res, 4)) == res.swap_count
             assert len(res.visit_swaps) == 3 * res.iterations_used
             assert [k for k, _ in res.visits] == [1, 2, 3] * res.iterations_used
 
@@ -263,7 +266,7 @@ class TestMclll:
         for cap in (1, 2):
             for _ in range(50):
                 h = random_complex(rng, 4)
-                res = mclll(h, ReductionParams(iter_max=cap))
+                res = reduce_once("mclll", h, cap)
                 assert is_unimodular(res.t)
                 assert factorization_error(h, res) <= 1e-9
 
@@ -272,7 +275,7 @@ class TestMclll:
         checked = 0
         for _ in range(100):
             h = random_complex(rng, 4)
-            res = mclll(h, ReductionParams(iter_max=100))
+            res = reduce_once("mclll", h, 100)
             if res.converged:
                 checked += 1
                 assert is_siegel_reduced(res.r_tilde, 0.75)
@@ -284,8 +287,8 @@ class TestMclll:
         found = False
         for _ in range(50):
             h = random_complex(rng, 4)
-            res = mclll(h, ReductionParams(iter_max=1))
-            if res.swap_history[-1] > 0:
+            res = reduce_once("mclll", h, 1)
+            if sweep_swaps(res, 4)[-1] > 0:
                 assert not res.converged
                 found = True
         assert found
@@ -295,10 +298,10 @@ class TestMclll:
         checked = 0
         for _ in range(60):
             h = random_complex(rng, 4)
-            res = mclll(h, ReductionParams(iter_max=100))
+            res = reduce_once("mclll", h, 100)
             if not res.converged:
                 continue
-            res2 = mclll(h @ res.t.to_complex(), ReductionParams(iter_max=100))
+            res2 = reduce_once("mclll", h @ res.t.to_complex(), 100)
             assert res2.converged and res2.iterations_used == 1
             assert res2.swap_count == 0
             checked += 1
@@ -307,7 +310,7 @@ class TestMclll:
     def test_lovasz_condition_selectable(self):
         rng = np.random.default_rng(12)
         h = random_complex(rng, 4)
-        res = mclll(h, ReductionParams(condition="lovasz", iter_max=1000))
+        res = reduce_once("mclll", h, 1000, ReductionParams(condition="lovasz"))
         assert res.converged
         assert is_lll_reduced(res.r_tilde, 0.75)
 
@@ -315,7 +318,7 @@ class TestMclll:
         # The aggressive delta-form swap test admits exact 2-cycles once
         # delta + 1/2 > 1; this seed state never converges at any cap.
         r0 = np.array([[1.0, 0.495 + 0.495j], [0.0, np.sqrt(0.74)]])
-        res = mclll(r0, ReductionParams(iter_max=500))
+        res = reduce_once("mclll", r0, 500)
         assert not res.converged
         assert res.swap_count == 500
         assert is_unimodular(res.t)
@@ -330,22 +333,27 @@ class TestMclll:
         rng = np.random.default_rng(123)
         for _ in range(500):
             h = random_complex(rng, 4)
-            res = mclll(h, ReductionParams(iter_max=60))
+            res = reduce_once("mclll", h, 60)
             if res.converged:
-                hist = res.swap_history
+                hist = sweep_swaps(res, 4)
                 assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
 class TestReductionTable:
     def test_entries_run_the_public_functions(self):
+        # Each entry's basis and swap test are its algorithm's own: mclll
+        # with Siegel and fclll with Lovasz on h, lll with Lovasz on the
+        # real embedding of h.
         rng = np.random.default_rng(15)
         h = random_complex(rng, 4)
         for name, want in (
-            ("mclll", mclll(h, ReductionParams(iter_max=6))),
-            ("fclll", fclll_wen(h, ReductionParams(condition="lovasz", iter_max=6))),
-            ("lll", lll_reduce_real(real_embedding(h))),
+            ("mclll", reduce_once("mclll", h, 6, ReductionParams(condition="siegel"))),
+            ("fclll", reduce_once("fclll", h, 6, ReductionParams(condition="lovasz"))),
+            ("lll", reduce_once("lll", real_embedding(h), None,
+                                ReductionParams(condition="lovasz"))),
         ):
-            [(cap, got)] = reduce_at_caps(name, h, REDUCTIONS[name].params(), [6])
+            entry = REDUCTIONS[name]
+            [(cap, got)] = reduce_at_caps(name, entry.basis(h), entry.params(), [6])
             assert cap == 6
             assert np.array_equal(got.t.to_complex(), want.t.to_complex())
             assert (got.visits, got.converged) == (want.visits, want.converged)
@@ -353,6 +361,11 @@ class TestReductionTable:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             reduce_at_caps("bogus", np.eye(2), ReductionParams(), [1])
+
+    @pytest.mark.parametrize("name", ["mclll", "fclll"])
+    def test_cap_below_one_rejected(self, name):
+        with pytest.raises(ValueError):
+            reduce_at_caps(name, np.eye(2), REDUCTIONS[name].params(), [0])
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_given_qr_is_copied_not_rotated(self, name):
@@ -381,9 +394,9 @@ class TestScaleInvariance:
             h = random_complex(rng, 4)
             hs = 2.0 ** exp * h
             for reduce in (
-                lambda m: mclll(m, ReductionParams(iter_max=18)),
-                lambda m: fclll_wen(m, ReductionParams(condition="lovasz", iter_max=18)),
-                lambda m: lll_reduce_real(real_embedding(m)),
+                lambda m: reduce_once("mclll", m, 18),
+                lambda m: reduce_once("fclll", m, 18),
+                lambda m: reduce_once("lll", real_embedding(m)),
             ):
                 assert np.array_equal(reduce(h).t.to_complex(), reduce(hs).t.to_complex())
 
@@ -411,8 +424,30 @@ class TestPredicates:
         for _ in range(40):
             h = random_complex(rng, 4)
             for res in (
-                mclll(h, ReductionParams(iter_max=6)),
-                fclll_wen(h, ReductionParams(condition="lovasz", iter_max=20)),
-                lll_reduce_real(real_embedding(h)),
+                reduce_once("mclll", h, 6),
+                reduce_once("fclll", h, 20),
+                reduce_once("lll", real_embedding(h)),
             ):
                 assert is_unimodular(res.t)
+
+
+class TestRoundingTies:
+    def test_embedding_meets_exact_half_mu(self, monkeypatch):
+        # The real embedding's i-symmetry gives size-reduction ratios that
+        # are exactly +-1/2 in exact arithmetic, so QR rounding decides
+        # which way mu rounds: a QR that rounds differently can change the
+        # visits and T of "lll" on such a channel.  This sweep draw (seed
+        # 7, frame 2) meets seven of them, none of them an exact half.
+        h = generate_channel(4, 4, np.random.default_rng((7, 2)))
+        ratios = []
+
+        def spy(r, t, k, l, scale=None):
+            ratios.append(complex(r[l, k]) / complex(r[l, l]))
+            return size_reduce_column(r, t, k, l, scale)
+
+        monkeypatch.setattr(reduction, "size_reduce_column", spy)
+        res = reduce_once("lll", real_embedding(h))
+        ties = [x for z in ratios for x in (z.real, z.imag) if abs(abs(x) - 0.5) < 1e-12]
+        assert len(ties) == 7 and ties[0] == 0.5000000000000003
+        assert 0.5 not in ties and -0.5 not in ties
+        assert res.converged

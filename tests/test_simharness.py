@@ -10,7 +10,7 @@ from lrmimo import mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import RankDeficient, back_substitute, qr_decompose, real_embedding
-from lrmimo.reduction import ReductionParams, fclll_wen, lll_reduce_real, mclll
+from lrmimo.reduction import REDUCTIONS
 from lrmimo.simharness import (
     BerRecord,
     SimConfig,
@@ -22,6 +22,7 @@ from lrmimo.simharness import (
 )
 from test_detect import exhaustive_ml
 from test_flops import EventTally
+from test_reduction import reduce_once
 
 INF = float("inf")
 
@@ -156,7 +157,6 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     rng = np.random.default_rng((cfg.seed, idx))
     c = mimo.build_constellation(cfg.m_s)
     spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
-    lll_params = ReductionParams(delta=cfg.delta, condition="lovasz", iter_max=None)
     for redraws in range(100):
         h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
@@ -171,13 +171,9 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             else:
                 with pytest.MonkeyPatch.context() as mp:
                     tally = EventTally(mp)
-                    if alg == "zf-lr-lll":
-                        red = lll_reduce_real(real_embedding(h), lll_params)
-                    elif alg == "zf-lr-mclll":
-                        red = mclll(h, ReductionParams(delta=cfg.delta, iter_max=cap))
-                    else:
-                        red = fclll_wen(h, ReductionParams(delta=cfg.delta, condition="lovasz",
-                                                           iter_max=cap))
+                    name = alg[6:]
+                    basis = real_embedding(h) if name == "lll" else h
+                    red = reduce_once(name, basis, cap, REDUCTIONS[name].params(cfg.delta))
                 symbols = zf_lr_detector(red, c)(x)
                 guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
                 charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
