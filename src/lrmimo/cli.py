@@ -285,8 +285,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-5,0" for an option
+        if argv[i - 1] == "--snr" and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1:i + 1] = ["--snr=" + argv[i]]
     try:
         args = build_parser().parse_args(argv)
         if args.command == "ber-sweep" and args.config:

@@ -1,9 +1,10 @@
 """Dense complex matrix kernels shared by the reduction and detection code.
 
 Everything here works on plain numpy arrays (complex128 unless stated
-otherwise) with 0-based indices.  A Givens pivot index ``k`` always refers
-to the row pair ``(k-1, k)``.  Exact integer work (the unimodular transform
-and its determinant) is done with Python ints, which never overflow.
+otherwise) with 0-based indices; the QR is LAPACK's.  A Givens pivot index
+``k`` always refers to the row pair ``(k-1, k)``.  Exact integer work (the
+unimodular transform and its determinant) is done with Python ints, which
+never overflow.
 
 ``GaussIntMatrix`` is the transform T a reduction builds: per-column
 tuples of Python ints, started at the identity and changed only by column
@@ -55,12 +56,12 @@ class QRFactorization(NamedTuple):
 
 
 def qr_decompose(h) -> QRFactorization:
-    """Thin QR of an (n_r, n_t) complex matrix via Householder reflections.
+    """Thin QR of an (n_r, n_t) complex matrix (LAPACK, via numpy).
 
     The diagonal of ``r`` is forced real and positive so that diagonal
     comparisons in the reduction conditions are unambiguous.
 
-    Raises RankDeficient when a Householder pivot norm falls below
+    Raises RankDeficient unless every pivot ``|r[j, j]|`` is above
     ``RANK_TOL * ||h||_F``.
     """
     h = np.asarray(h, dtype=complex)
@@ -69,33 +70,14 @@ def qr_decompose(h) -> QRFactorization:
     n_r, n_t = h.shape
     if n_r < n_t:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
-    scale = np.linalg.norm(h)
-    if scale == 0.0:
-        raise RankDeficient("zero matrix")
-    r = h.copy()
-    q = np.eye(n_r, dtype=complex)
-    for j in range(n_t):
-        x = r[j:, j]
-        norm_x = np.linalg.norm(x)
-        if norm_x < RANK_TOL * scale:
-            raise RankDeficient(
-                f"pivot {j} norm {norm_x:.3e} below {RANK_TOL:.0e} * ||h||_F"
-            )
-        x0 = x[0]
-        phase = x0 / abs(x0) if abs(x0) > 0 else 1.0
-        alpha = -phase * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        tau = 2.0 / (v.conj() @ v).real
-        r[j:, j:] -= tau * np.outer(v, v.conj() @ r[j:, j:])
-        q[:, j:] -= tau * np.outer(q[:, j:] @ v, v.conj())
-        r[j, j] = alpha
-        r[j + 1:, j] = 0.0
-    r = r[:n_t, :]
-    q = q[:, :n_t]
+    q, r = np.linalg.qr(h)
+    d = np.abs(r.diagonal())
+    low = ~(d > RANK_TOL * np.linalg.norm(h))
+    if low.any():
+        j = low.argmax()
+        raise RankDeficient(f"pivot {j} norm {d[j]:.3e} not above {RANK_TOL:.0e} * ||h||_F")
     # Rotate row/column phases so diag(r) is real and positive.
-    d = r.diagonal()
-    ph = d / np.abs(d)
+    ph = r.diagonal() / d
     r = ph.conj()[:, None] * r
     q = q * ph[None, :]
     return QRFactorization(q, r)

@@ -44,6 +44,9 @@ from .matcore import (
 # Size reduction needs |r[l, l]| above this, relative to the basis's norm.
 DIAG_TOL = 1e-14
 
+# A ratio component this close to a half-integer rounds away from zero.
+TIE_TOL = 1e-12
+
 # Slack for the floating-point reduction predicates.
 PREDICATE_TOL = 1e-9
 
@@ -116,7 +119,12 @@ def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
     zero) and, when nonzero, subtracts ``mu`` times column ``l`` from
     column ``k`` in both ``r`` (rows 0..l) and ``t``.  Mutates ``r`` and
     ``t`` in place and returns ``(r, t, mu)``.  Afterwards both components
-    of ``r[l, k] / r[l, l]`` have magnitude <= 1/2.
+    of ``r[l, k] / r[l, l]`` have magnitude <= 1/2 (up to ``TIE_TOL``).
+
+    A component within ``TIE_TOL`` of a half-integer is a tie: the real
+    embedding makes some ratios exactly +-1/2, which QR rounding puts a few
+    ulps to either side, so this window makes mu a function of the basis
+    alone, at any scale (the ratio has no unit).
 
     Raises ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * scale``, where
     ``scale`` is the norm of the basis being reduced (default: the
@@ -130,8 +138,8 @@ def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
         raise ZeroDiagonal(
             f"|r[{l},{l}]| = {abs(d):.3e} not above {DIAG_TOL:.0e} * {scale:.3e}")
     ratio = complex(r[l, k]) / d
-    mu_re = int(math.copysign(math.floor(abs(ratio.real) + 0.5), ratio.real))
-    mu_im = int(math.copysign(math.floor(abs(ratio.imag) + 0.5), ratio.imag))
+    mu_re = int(math.copysign(math.floor(abs(ratio.real) + 0.5 + TIE_TOL), ratio.real))
+    mu_im = int(math.copysign(math.floor(abs(ratio.imag) + 0.5 + TIE_TOL), ratio.imag))
     mu = complex(mu_re, mu_im)
     if mu_re or mu_im:
         r[: l + 1, k] -= mu * r[: l + 1, l]

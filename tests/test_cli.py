@@ -130,6 +130,18 @@ class TestBerSweep:
         assert p1.read_bytes() == p2.read_bytes()
         assert len(p1.read_text().splitlines()) == 1 + 3 + 2 * 3
 
+    @pytest.mark.parametrize("grid, first", [("-5,0", "-5"), ("-10:5:0", "-10")])
+    def test_negative_snr_grid_as_separate_value(self, grid, first, tmp_path, capsys):
+        # argparse reads a value that starts with '-' as an option unless
+        # it is a plain number; both spellings must give the same sweep.
+        args = ["ber-sweep", "--frames", "3", "--algorithms", "zf,zf-lr-mclll", "--seed", "2"]
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--snr", grid, "--out", str(p1)]) == 0
+        assert main(args + [f"--snr={grid}", "--out", str(p2)]) == 0
+        capsys.readouterr()
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text().splitlines()[1].split(",")[2] == first
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -162,7 +174,7 @@ iterations_used: 3
 converged: False
 swap_count: 9
 unimodular: True
-factorization_error: 2.038e-15
+factorization_error: 1.690e-15
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -177,7 +189,7 @@ iterations_used: 3
 converged: False
 swap_count: 2
 unimodular: True
-factorization_error: 7.227e-16
+factorization_error: 4.046e-16
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -192,7 +204,7 @@ iterations_used: 63
 converged: True
 swap_count: 29
 unimodular: True
-factorization_error: 1.197e-15
+factorization_error: 1.206e-15
 size_reduced: True
 lll_reduced: True
 siegel_reduced: False

@@ -20,7 +20,6 @@ from lrmimo.matcore import (
     round_gaussian,
     round_half_away,
 )
-from test_simharness import pseudo_inverse_apply
 
 
 def random_complex(rng, rows, cols):
@@ -42,6 +41,13 @@ def gram_schmidt_oracle(h):
         r[j, j] = np.linalg.norm(v)
         q[:, j] = v / r[j, j]
     return q, r
+
+
+def pseudo_inverse_apply(h, x):
+    """The Moore-Penrose pseudo-inverse of a full-column-rank ``h`` applied
+    to ``x`` by QR back-substitution."""
+    q, r = qr_decompose(h)
+    return back_substitute(r, q.conj().T @ x)
 
 
 class TestRounding:
@@ -70,17 +76,27 @@ class TestQR:
 
     def test_against_gram_schmidt(self):
         h = np.array([[3.0, 0.0], [4.0, 0.5]])
-        q, r = qr_decompose(h)
-        q_o, r_o = gram_schmidt_oracle(h)
-        assert abs(r[0, 0] - 5.0) < 1e-12
-        assert np.allclose(r, r_o, atol=1e-12)
-        assert np.allclose(q, q_o, atol=1e-12)
+        assert abs(qr_decompose(h).r[0, 0] - 5.0) < 1e-12
+        # A real input gives real factors, with no rounding-level
+        # imaginary part left over.
+        embedding = real_embedding(random_complex(np.random.default_rng(5), 4, 4))
+        for h in (h, embedding):
+            q, r = qr_decompose(h)
+            q_o, r_o = gram_schmidt_oracle(h)
+            assert not q.imag.any() and not r.imag.any()
+            assert np.allclose(r, r_o, atol=1e-12)
+            assert np.allclose(q, q_o, atol=1e-12)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(7)
         h = random_complex(rng, 4, 4)
         q, r = qr_decompose(h)
         assert np.linalg.norm(q @ r - h) < 1e-10 * np.linalg.norm(h)
+        # R scales with the input; Q does not.
+        for scale in (1e-150, 1e150):
+            q_s, r_s = qr_decompose(scale * h)
+            assert np.linalg.norm(r_s / scale - r) <= 1e-12 * np.linalg.norm(r)
+            assert np.linalg.norm(q_s - q) <= 1e-12
 
     def test_bulk_invariants(self):
         rng = np.random.default_rng(11)
@@ -103,9 +119,14 @@ class TestQR:
         assert np.linalg.norm(q @ r - h) < 1e-10 * np.linalg.norm(h)
 
     def test_rank_deficient_raises(self):
+        # The pivot check is relative to ||h||_F, so no scale hides a rank
+        # deficiency.
         h = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(RankDeficient):
-            qr_decompose(h)
+        for scale in (1.0, 1e-150, 1e150):
+            with pytest.raises(RankDeficient, match="pivot 1"):
+                qr_decompose(scale * h)
+        with pytest.raises(RankDeficient, match="pivot 0"):
+            qr_decompose(np.zeros((2, 2)))
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):

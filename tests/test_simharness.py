@@ -9,7 +9,7 @@ import pytest
 from lrmimo import mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
-from lrmimo.matcore import RankDeficient, back_substitute, qr_decompose, real_embedding
+from lrmimo.matcore import RankDeficient, qr_decompose, real_embedding
 from lrmimo.reduction import REDUCTIONS
 from lrmimo.simharness import (
     BerRecord,
@@ -22,6 +22,7 @@ from lrmimo.simharness import (
 )
 from test_detect import exhaustive_ml
 from test_flops import EventTally
+from test_matcore import pseudo_inverse_apply
 from test_reduction import reduce_once
 
 INF = float("inf")
@@ -140,13 +141,6 @@ class TestRunSweep:
         zf = next(r for r in records if r.algorithm == "zf")
         lr = next(r for r in records if r.algorithm == "zf-lr-mclll")
         assert zf.mean_flops < lr.mean_flops
-
-
-def pseudo_inverse_apply(h, x):
-    """The Moore-Penrose pseudo-inverse of a full-column-rank ``h`` applied
-    to ``x`` by QR back-substitution."""
-    q, r = qr_decompose(h)
-    return back_substitute(r, q.conj().T @ x)
 
 
 def oracle_frame(cfg, alg, cap, snr, idx):
