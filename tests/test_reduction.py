@@ -1,5 +1,7 @@
 """Tests for the reduction algorithms, swap predicates, and traces."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -472,3 +474,33 @@ class TestRoundingTies:
             assert own.visits == oracle.visits, i
             assert own.size_updates == oracle.size_updates, i
             assert (own.t.re, own.t.im) == (oracle.t.re, oracle.t.im), i
+
+
+def discrete_digest(channels) -> str:
+    """SHA-256 over every discrete output of mclll and fclll at caps 1, 2,
+    6 and 18 and of lll on the real embedding, for each channel: visits,
+    size updates, iterations, convergence, T and its shift."""
+    digest = hashlib.sha256()
+    for h in channels:
+        for name in sorted(REDUCTIONS):
+            entry = REDUCTIONS[name]
+            caps = [1, 2, 6, 18] if entry.capped else [None]
+            for cap, res in reduce_at_caps(name, entry.basis(h), entry.params(), caps):
+                t = res.t
+                digest.update(repr((name, cap, res.visits, res.size_updates,
+                                    res.iterations_used, res.converged, t.re, t.im,
+                                    t.shift_re, t.shift_im)).encode())
+    return digest.hexdigest()
+
+
+class TestDiscreteOutputs:
+    # Recorded before the reduction ran on Python scalars; a change to the
+    # kernel's arithmetic must leave every decision where it was.
+    @pytest.mark.parametrize("n, count, digest", [
+        (4, 300, "7a039d777251dc22aa08469b57be3a9ae8dca5af0b3612760598fd33a93b94ba"),
+        (8, 50, "813780aa9da6ee2fb1077006757cc6fe26812ec936a42cf298da1de87ac48bc9"),
+    ])
+    def test_pinned_digest(self, n, count, digest):
+        channels = [generate_channel(n, n, np.random.default_rng((11, n, i)))
+                    for i in range(count)]
+        assert discrete_digest(channels) == digest
