@@ -26,14 +26,9 @@ from .flops import (
 )
 from .matcore import (
     GaussIntMatrix,
-    GivensTheta,
     QRFactorization,
     RankDeficient,
-    ZeroPivot,
-    apply_givens_left,
-    apply_givens_right,
     back_substitute,
-    givens_theta,
     integer_determinant,
     is_unimodular,
     qr_decompose,
@@ -61,21 +56,18 @@ from .reduction import (
     ReductionParams,
     ReductionResult,
     ZeroDiagonal,
+    ZeroPivot,
     factorization_error,
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    lovasz_check,
     reduce_at_caps,
-    siegel_check,
-    size_reduce_column,
 )
 from .simharness import (
     BerRecord,
     SimConfig,
     emit_csv,
     load_matrix,
-    run_frame,
     run_sweep,
     save_matrix,
 )

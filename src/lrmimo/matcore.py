@@ -1,10 +1,11 @@
 """Dense complex matrix kernels shared by the reduction and detection code.
 
 Everything here works on plain numpy arrays (complex128 unless stated
-otherwise) with 0-based indices; the QR is LAPACK's.  A Givens pivot index
-``k`` always refers to the row pair ``(k-1, k)``.  Exact integer work (the
-unimodular transform and its determinant) is done with Python ints, which
-never overflow.
+otherwise) with 0-based indices; the QR is LAPACK's.  Exact integer work
+(the unimodular transform and its determinant) is done with Python ints,
+which never overflow.  ``max_exponent`` and ``ldexp`` scale a matrix by an
+exact power of two, so norms and squares of its entries are taken where
+they neither overflow nor underflow, whatever the matrix's scale.
 
 ``GaussIntMatrix`` is the transform T a reduction builds: per-column
 tuples of Python ints, started at the identity and changed only by column
@@ -15,6 +16,7 @@ detection reads the shift off T instead of solving for it.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,17 +24,31 @@ import numpy as np
 # Single rank threshold, relative to the Frobenius norm of the input.
 RANK_TOL = 1e-12
 
-# A Givens pivot pair whose norm is not above this, relative to the norm
-# of the matrix being rotated, cannot define a rotation.
-PIVOT_TOL = 1e-14
-
 
 class RankDeficient(ValueError):
     """Matrix is numerically rank deficient for the requested operation."""
 
 
-class ZeroPivot(ValueError):
-    """Givens pivot column segment has numerically zero norm."""
+def _real_view(a) -> np.ndarray:
+    """``a`` as a real array: a complex one as its real and imaginary parts
+    side by side, without a copy when it is contiguous."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a).view(a.real.dtype) if np.iscomplexobj(a) else a
+
+
+def max_exponent(a) -> int:
+    """The binary exponent e of the largest real or imaginary part of
+    ``a`` (0 for a zero matrix): every part of ``ldexp(a, -e)`` lies
+    below 1 in magnitude, and the largest at or above 1/2."""
+    return math.frexp(float(np.abs(_real_view(a)).max()))[1]
+
+
+def ldexp(a, e: int) -> np.ndarray:
+    """``a * 2**e`` for a real or complex array; exact while every part
+    stays a normal float."""
+    a = np.asarray(a)
+    out = np.ldexp(_real_view(a), e)
+    return out.view(a.dtype) if np.iscomplexobj(a) else out
 
 
 def round_half_away(x):
@@ -62,7 +78,8 @@ def qr_decompose(h) -> QRFactorization:
     comparisons in the reduction conditions are unambiguous.
 
     Raises RankDeficient unless every pivot ``|r[j, j]|`` is above
-    ``RANK_TOL * ||h||_F``.
+    ``RANK_TOL * ||h||_F``; both sides are compared scaled by the same
+    power of two, so the test holds at any scale of ``h``.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
@@ -72,7 +89,8 @@ def qr_decompose(h) -> QRFactorization:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
     q, r = np.linalg.qr(h)
     d = np.abs(r.diagonal())
-    low = ~(d > RANK_TOL * np.linalg.norm(h))
+    e = max_exponent(h)
+    low = ~(ldexp(d, -e) > RANK_TOL * np.linalg.norm(ldexp(h, -e)))
     if low.any():
         j = low.argmax()
         raise RankDeficient(f"pivot {j} norm {d[j]:.3e} not above {RANK_TOL:.0e} * ||h||_F")
@@ -92,56 +110,6 @@ def back_substitute(r, y) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         z[i] = (y[i] - r[i, i + 1:] @ z[i + 1:]) / r[i, i]
     return z
-
-
-class GivensTheta(NamedTuple):
-    """Unit pair (alpha, beta) defining the 2x2 rotation
-    ``[[conj(alpha), conj(beta)], [-beta, alpha]]``."""
-
-    alpha: complex
-    beta: complex
-
-    def matrix(self) -> np.ndarray:
-        a, b = self.alpha, self.beta
-        return np.array([[np.conj(a), np.conj(b)], [-b, a]])
-
-
-def givens_theta(r, k: int, scale: float | None = None) -> GivensTheta:
-    """Rotation built from column ``k-1`` rows ``(k-1, k)`` of ``r``.
-
-    Applying it from the left to those rows zeroes entry ``(k, k-1)`` and
-    leaves a real positive value at ``(k-1, k-1)``.
-
-    Raises ZeroPivot unless the pair's norm is above ``PIVOT_TOL * scale``;
-    ``scale`` is the norm of the basis being rotated (default: the
-    Frobenius norm of ``r``), so the outcome does not depend on its scale.
-    """
-    if scale is None:
-        scale = np.linalg.norm(r)
-    a = r[k - 1, k - 1]
-    b = r[k, k - 1]
-    nrm = np.hypot(abs(a), abs(b))
-    if not nrm > PIVOT_TOL * scale:
-        raise ZeroPivot(f"pivot pair at column {k - 1} has norm {nrm:.3e}, "
-                        f"not above {PIVOT_TOL:.0e} * {scale:.3e}")
-    return GivensTheta(complex(a / nrm), complex(b / nrm))
-
-
-def apply_givens_left(theta: GivensTheta, r, k: int, from_col: int | None = None):
-    """Left-multiply rows ``(k-1, k)`` of ``r`` (columns ``from_col`` on)
-    by the rotation.  Updates ``r`` in place and returns it."""
-    if from_col is None:
-        from_col = k - 1
-    r[k - 1:k + 1, from_col:] = theta.matrix() @ r[k - 1:k + 1, from_col:]
-    return r
-
-
-def apply_givens_right(theta: GivensTheta, q, k: int):
-    """Right-multiply columns ``(k-1, k)`` of ``q`` by the conjugate
-    transpose of the rotation, preserving the product ``q @ r``.
-    Updates ``q`` in place and returns it."""
-    q[:, k - 1:k + 1] = q[:, k - 1:k + 1] @ theta.matrix().conj().T
-    return q
 
 
 def real_embedding(h) -> np.ndarray:

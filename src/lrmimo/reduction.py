@@ -13,13 +13,16 @@ Three algorithms share the same machinery, one entry each in the table
 
 Each entry names its swap test, whether it runs capped on the complex
 channel or unbounded on the channel's real block embedding, and its step
-loop, whose docstring describes the algorithm.  ``reduce_at_caps`` is the
-one way to run a reduction: it runs an entry once on the basis it is
-given and snapshots it at several iteration caps.  Every snapshot holds
-(q_tilde, r_tilde, T) with T in exact Gaussian-integer arithmetic, one
-trace of the column visits and the number of size updates with nonzero
-mu.  The reductions count no FLOPs: ``lrmimo.flops`` reads every count
-off the result a run returns.
+loop, whose docstring describes the algorithm.  All three step loops call
+one kernel, ``_Run.visit``: a column visit that size-reduces, applies the
+swap test and, on a swap, exchanges the column pair (k-1, k) and
+re-triangularizes it with a Givens rotation, on Python scalars.
+``reduce_at_caps`` is the one way to run a reduction: it runs an entry
+once on the basis it is given and snapshots it at several iteration caps.
+Every snapshot holds (q_tilde, r_tilde, T) with T in exact
+Gaussian-integer arithmetic, one trace of the column visits and the
+number of size updates with nonzero mu.  The reductions count no FLOPs:
+``lrmimo.flops`` reads every count off the result a run returns.
 """
 
 from __future__ import annotations
@@ -34,15 +37,18 @@ import numpy as np
 from .matcore import (
     GaussIntMatrix,
     QRFactorization,
-    apply_givens_left,
-    apply_givens_right,
-    givens_theta,
+    ldexp,
+    max_exponent,
     qr_decompose,
     real_embedding,
 )
 
 # Size reduction needs |r[l, l]| above this, relative to the basis's norm.
 DIAG_TOL = 1e-14
+
+# A swapped pivot pair whose norm is not above this, relative to the
+# basis's norm, cannot define the Givens rotation that re-triangularizes it.
+PIVOT_TOL = 1e-14
 
 # A ratio component this close to a half-integer rounds away from zero.
 TIE_TOL = 1e-12
@@ -53,6 +59,10 @@ PREDICATE_TOL = 1e-9
 
 class ZeroDiagonal(ValueError):
     """Size reduction hit a (near-)zero diagonal entry."""
+
+
+class ZeroPivot(ValueError):
+    """A swap left a pivot pair of (near-)zero norm to rotate."""
 
 
 @dataclass(frozen=True)
@@ -111,87 +121,96 @@ class ReductionResult:
         return sum(self.visit_swaps)
 
 
-def size_reduce_column(r, t: GaussIntMatrix, k: int, l: int,
-                       scale: float | None = None):
-    """Single size-reduction step of column ``k`` against column ``l < k``.
-
-    Rounds ``mu`` from ``r[l, k] / r[l, l]`` per component (ties away from
-    zero) and, when nonzero, subtracts ``mu`` times column ``l`` from
-    column ``k`` in both ``r`` (rows 0..l) and ``t``.  Mutates ``r`` and
-    ``t`` in place and returns ``(r, t, mu)``.  Afterwards both components
-    of ``r[l, k] / r[l, l]`` have magnitude <= 1/2 (up to ``TIE_TOL``).
+def _mu(ratio: complex) -> tuple[int, int]:
+    """The size-reduction coefficient for ``ratio = r[l, k] / r[l, l]``:
+    each component rounded to the nearest integer, ties away from zero.
 
     A component within ``TIE_TOL`` of a half-integer is a tie: the real
     embedding makes some ratios exactly +-1/2, which QR rounding puts a few
     ulps to either side, so this window makes mu a function of the basis
     alone, at any scale (the ratio has no unit).
-
-    Raises ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * scale``, where
-    ``scale`` is the norm of the basis being reduced (default: the
-    Frobenius norm of ``r``), so the outcome does not depend on the
-    basis's scale.
     """
-    if scale is None:
-        scale = np.linalg.norm(r)
-    d = complex(r[l, l])
-    if not abs(d) > DIAG_TOL * scale:
-        raise ZeroDiagonal(
-            f"|r[{l},{l}]| = {abs(d):.3e} not above {DIAG_TOL:.0e} * {scale:.3e}")
-    ratio = complex(r[l, k]) / d
-    mu_re = int(math.copysign(math.floor(abs(ratio.real) + 0.5 + TIE_TOL), ratio.real))
-    mu_im = int(math.copysign(math.floor(abs(ratio.imag) + 0.5 + TIE_TOL), ratio.imag))
-    mu = complex(mu_re, mu_im)
-    if mu_re or mu_im:
-        r[: l + 1, k] -= mu * r[: l + 1, l]
-        t.col_update(k, l, mu_re, mu_im)
-    return r, t, mu
-
-
-def lovasz_check(r, k: int, delta: float) -> bool:
-    """True when a swap is needed at pivot ``k``:
-    ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2 + |r[k-1,k]|^2``."""
-    return delta * abs(r[k - 1, k - 1]) ** 2 > abs(r[k, k]) ** 2 + abs(r[k - 1, k]) ** 2
-
-
-def siegel_check(r, k: int, delta: float) -> bool:
-    """True when a swap is needed at pivot ``k`` under the Siegel test:
-    ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2`` (cross term dropped)."""
-    return delta * abs(r[k - 1, k - 1]) ** 2 > abs(r[k, k]) ** 2
+    x, y = ratio.real, ratio.imag
+    return (int(math.copysign(math.floor(abs(x) + 0.5 + TIE_TOL), x)),
+            int(math.copysign(math.floor(abs(y) + 0.5 + TIE_TOL), y)))
 
 
 class _Run:
     """One reduction in progress: the working factors, the exact T, the
     visit trace and the size-update count.  The step loops advance it one
     column visit at a time; ``result`` snapshots it.  ``qr``, when given,
-    is the QR of ``basis``; the run rotates copies of its factors."""
+    is the QR of ``basis``; the run works on copies of its factors.
+
+    The factors are lists of columns of Python complex: a visit reads and
+    writes single entries, which numpy does several times slower one at a
+    time.  r is held scaled by ``2**-e``, e the binary exponent of the
+    basis's largest part (``max_exponent``), so no square in the swap
+    tests over- or underflows at any channel scale.  The scaling is exact,
+    so wherever the unscaled squares stay in range every decision is the
+    one they would give.
+    """
 
     def __init__(self, basis, params: ReductionParams, qr: QRFactorization | None = None):
-        self.params = params
-        self.check = siegel_check if params.condition == "siegel" else lovasz_check
-        self.q, self.r = qr_decompose(basis) if qr is None else (qr.q.copy(), qr.r.copy())
-        self.scale = np.linalg.norm(basis)
-        self.t = GaussIntMatrix.identity(self.r.shape[0])
+        q, r = qr_decompose(basis) if qr is None else qr
+        self.exponent = max_exponent(basis)
+        self.q = q.T.tolist()
+        self.r = ldexp(r, -self.exponent).T.tolist()
+        self.n = len(self.r)
+        self.scale = float(np.linalg.norm(ldexp(basis, -self.exponent)))
+        self.delta = params.delta
+        self.lovasz = params.condition == "lovasz"
+        self.t = GaussIntMatrix.identity(self.n)
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
         self.iterations = 0
         self.converged = False
 
     def visit(self, k: int) -> bool:
-        """Fully size-reduce column ``k`` (against l = k-1 .. 0), then apply
+        """Fully size-reduce column ``k`` against l = k-1 .. 0, then apply
         the swap test at pivot ``k``; on a swap, exchange columns (k-1, k)
-        of r and T and re-triangularize with a Givens rotation applied to
-        r from the left and q from the right.  Returns whether it swapped."""
-        r, t = self.r, self.t
+        of r and T and re-triangularize with a Givens rotation of rows
+        (k-1, k) of r and columns (k-1, k) of q.  Returns whether it
+        swapped.
+
+        Size reduction subtracts ``mu`` (see ``_mu``) times column l from
+        column k in rows 0..l of r and in T, when mu is nonzero; it raises
+        ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * ||basis||_F``.  The
+        Siegel test swaps when ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2``; the
+        Lovasz test adds ``|r[k-1,k]|^2`` to the right side.  The rotation
+        raises ZeroPivot unless the swapped pair's norm is above
+        ``PIVOT_TOL * ||basis||_F``.
+        """
+        r, t, scale = self.r, self.t, self.scale
+        col = r[k]
         for l in range(k - 1, -1, -1):
-            if size_reduce_column(r, t, k, l, self.scale)[2]:
+            left = r[l]
+            if not abs(left[l]) > DIAG_TOL * scale:
+                raise ZeroDiagonal(f"|r[{l},{l}]| not above {DIAG_TOL:.0e} * ||basis||_F")
+            mu_re, mu_im = _mu(col[l] / left[l])
+            if mu_re or mu_im:
+                mu = complex(mu_re, mu_im)
+                for i in range(l + 1):
+                    col[i] -= mu * left[i]
+                t.col_update(k, l, mu_re, mu_im)
                 self.size_updates += 1
-        swap = bool(self.check(r, k, self.params.delta))
+        rhs = abs(col[k]) ** 2 + (abs(col[k - 1]) ** 2 if self.lovasz else 0.0)
+        swap = self.delta * abs(r[k - 1][k - 1]) ** 2 > rhs
         if swap:
-            r[:, [k - 1, k]] = r[:, [k, k - 1]]
+            r[k - 1], r[k] = col, r[k - 1]
             t.swap_cols(k - 1, k)
-            theta = givens_theta(r, k, self.scale)
-            apply_givens_left(theta, r, k, k - 1)
-            apply_givens_right(theta, self.q, k)
+            a, b = col[k - 1], col[k]
+            nrm = math.hypot(abs(a), abs(b))
+            if not nrm > PIVOT_TOL * scale:
+                raise ZeroPivot(f"pivot pair at column {k - 1} not above "
+                                f"{PIVOT_TOL:.0e} * ||basis||_F")
+            a, b = a / nrm, b / nrm
+            ca, cb = a.conjugate(), b.conjugate()
+            for c in r[k - 1:]:
+                x, y = c[k - 1], c[k]
+                c[k - 1], c[k] = ca * x + cb * y, a * y - b * x
+            q0, q1 = self.q[k - 1], self.q[k]
+            self.q[k - 1] = [x * a + y * b for x, y in zip(q0, q1)]
+            self.q[k] = [y * ca - x * cb for x, y in zip(q0, q1)]
         self.visits.append((k, swap))
         return swap
 
@@ -202,10 +221,12 @@ class _Run:
             pass
 
     def result(self) -> ReductionResult:
-        """Snapshot of the run so far; later steps leave it unchanged."""
-        return ReductionResult(self.q.copy(), self.r.copy(), self.t.copy(),
-                               self.iterations, self.converged, list(self.visits),
-                               self.size_updates)
+        """Snapshot of the run so far, with numpy factors; later steps
+        leave it unchanged."""
+        return ReductionResult(np.array(self.q).T.copy(),
+                               ldexp(np.array(self.r).T.copy(), self.exponent),
+                               self.t.copy(), self.iterations, self.converged,
+                               list(self.visits), self.size_updates)
 
 
 def _mclll_sweeps(run: _Run):
@@ -218,7 +239,7 @@ def _mclll_sweeps(run: _Run):
     scalar flag ends the steps as soon as a sweep completes without any
     swap.
     """
-    n = run.r.shape[0]
+    n = run.n
     while not run.converged:
         swaps = sum(run.visit(k) for k in range(1, n))
         run.iterations += 1
@@ -239,7 +260,7 @@ def _fclll_visits(run: _Run):
     the guard of the next visit, never inside it, so a run evaluates the
     guard ``iterations_used + converged`` times.
     """
-    n = run.r.shape[0]
+    n = run.n
     flags = [1] * (n + 1)
     while True:
         if not any(flags[1:n]):
@@ -261,7 +282,7 @@ def _lll_visits(run: _Run):
     end when it passes the last column.  On a real basis T stays an exact
     integer matrix (imaginary parts all zero).
     """
-    k, n = 1, run.r.shape[0]
+    k, n = 1, run.n
     while k < n:
         run.iterations += 1
         k = max(k - 1, 1) if run.visit(k) else k + 1
@@ -352,35 +373,38 @@ def is_size_reduced(r, tol: float = PREDICATE_TOL) -> bool:
 
 def is_lll_reduced(r, delta: float, tol: float = PREDICATE_TOL) -> bool:
     """True when ``r`` is size-reduced and no pivot violates the Lovasz
-    condition at parameter ``delta``.  Test oracle only."""
-    r = np.asarray(r)
-    if not is_size_reduced(r, tol):
-        return False
-    for k in range(1, r.shape[1]):
-        lhs = delta * abs(r[k - 1, k - 1]) ** 2
-        rhs = abs(r[k, k]) ** 2 + abs(r[k - 1, k]) ** 2
-        if lhs > rhs * (1.0 + tol) + tol:
-            return False
-    return True
+    condition ``delta*|r[k-1,k-1]|^2 <= |r[k,k]|^2 + |r[k-1,k]|^2``."""
+    return _passes_swap_tests(r, delta, tol, lovasz=True)
 
 
 def is_siegel_reduced(r, delta: float, tol: float = PREDICATE_TOL) -> bool:
     """True when ``r`` is size-reduced and no pivot violates the Siegel
     condition ``delta*|r[k-1,k-1]|^2 <= |r[k,k]|^2``."""
+    return _passes_swap_tests(r, delta, tol, lovasz=False)
+
+
+def _passes_swap_tests(r, delta: float, tol: float, lovasz: bool) -> bool:
+    """The two predicates above.  The squares are taken on r scaled by
+    the power of two that puts its largest part in [1/2, 1), so they
+    neither overflow nor underflow, and ``tol`` is relative to that part."""
     r = np.asarray(r)
     if not is_size_reduced(r, tol):
         return False
+    r = ldexp(r, -max_exponent(r))
     for k in range(1, r.shape[1]):
         lhs = delta * abs(r[k - 1, k - 1]) ** 2
-        rhs = abs(r[k, k]) ** 2
+        rhs = abs(r[k, k]) ** 2 + (abs(r[k - 1, k]) ** 2 if lovasz else 0.0)
         if lhs > rhs * (1.0 + tol) + tol:
             return False
     return True
 
 
 def factorization_error(h, result: ReductionResult) -> float:
-    """Relative Frobenius error ``||h @ T - q_tilde @ r_tilde|| / ||h||``."""
-    h = np.asarray(h, dtype=complex)
+    """Relative Frobenius error ``||h @ T - q_tilde @ r_tilde|| / ||h||``,
+    taken on h and r_tilde scaled by the same power of two, so no norm
+    overflows or underflows at any scale of h."""
+    e = max_exponent(h)
+    h = ldexp(np.asarray(h, dtype=complex), -e)
     lhs = h @ result.t.to_complex()
-    rhs = result.q_tilde @ result.r_tilde
+    rhs = result.q_tilde @ ldexp(result.r_tilde, -e)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(h))

@@ -261,21 +261,6 @@ def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]
     return results
 
 
-def run_frame(cfg: SimConfig, algorithm: str, iter_max,
-              snr_db: float, frame_index: int) -> FrameResult:
-    """One Monte Carlo trial of one cell: draw channel/bits/noise from the
-    (seed, frame_index) stream, detect, count bit errors.
-
-    A single-cell view of the per-frame function ``run_sweep`` uses, so
-    it gives the same counts as that cell of a sweep.  A rank-deficient
-    channel draw is redrawn from the same stream and counted.
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    cell = algorithm, iter_max if _capped(algorithm) else None, snr_db
-    return _frame_results(cfg, [cell], frame_index)[0]
-
-
 def _frame_chunk(cfg: SimConfig, cells, lo: int, hi: int) -> list[list]:
     """Per-cell ``[bit errors, FLOPs, redraws]`` summed over frames lo..hi-1."""
     sums = [[0, 0, 0] for _ in cells]

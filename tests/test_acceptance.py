@@ -32,8 +32,9 @@ from lrmimo.reduction import (
     is_lll_reduced,
     is_siegel_reduced,
 )
-from lrmimo.simharness import SimConfig, emit_csv, run_frame, run_sweep
+from lrmimo.simharness import SimConfig, emit_csv, run_sweep
 from test_reduction import reduce_once
+from test_simharness import run_frame
 
 pytestmark = pytest.mark.acceptance
 

@@ -174,7 +174,7 @@ iterations_used: 3
 converged: False
 swap_count: 9
 unimodular: True
-factorization_error: 1.690e-15
+factorization_error: 1.350e-15
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -189,7 +189,7 @@ iterations_used: 3
 converged: False
 swap_count: 2
 unimodular: True
-factorization_error: 4.046e-16
+factorization_error: 3.953e-16
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -204,7 +204,7 @@ iterations_used: 63
 converged: True
 swap_count: 29
 unimodular: True
-factorization_error: 1.206e-15
+factorization_error: 1.419e-15
 size_reduced: True
 lll_reduced: True
 siegel_reduced: False
@@ -229,6 +229,25 @@ class TestReduceVerify:
                    "--iter-max", "3"])
         assert rc == 0
         assert capsys.readouterr().out == REDUCE_OUTPUT[algorithm]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e160])
+    @pytest.mark.parametrize("algorithm", sorted(REDUCE_OUTPUT))
+    def test_reduce_output_does_not_depend_on_scale(self, algorithm, scale, tmp_path,
+                                                    capsys):
+        # Squares of entries this size over- or underflow; the reduction
+        # and the predicates take them on exactly rescaled values, so only
+        # the rounding in the factorization error moves.
+        path = tmp_path / "scaled.txt"
+        save_matrix(str(path), scale * load_matrix(str(write_channel(tmp_path, seed=21))))
+        rc = main(["reduce", "--matrix", str(path), "--algorithm", algorithm,
+                   "--iter-max", "3"])
+        assert rc == 0
+        got, want = (text.splitlines() for text in (capsys.readouterr().out,
+                                                    REDUCE_OUTPUT[algorithm]))
+        error = next(line for line in got if line.startswith("factorization_error"))
+        assert float(error.split()[1]) < 1e-14
+        assert [line for line in got if line != error] == [
+            line for line in want if not line.startswith("factorization_error")]
 
     def test_reduce_prints_summary(self, tmp_path, capsys):
         path = write_channel(tmp_path)

@@ -26,25 +26,31 @@ def instrument(alg, h, params, cap, mode="dynamic"):
 
 class EventTally:
     """What reductions do while they run, counted from outside: size
-    reduction steps, nonzero-mu updates of T, Siegel and Lovasz tests, and
-    Givens computations (one per swap).  ``flops`` prices the counts at a
-    charge schedule, an oracle for the counts ``lrmimo.flops`` reads off
-    the result.  The flag-table guard calls nothing, so its evaluations
-    are passed in."""
+    reduction steps (k of them in a visit at pivot k), nonzero-mu updates
+    of T, Siegel and Lovasz tests (one per visit) and column swaps (one
+    per Givens rotation).  ``flops`` prices the counts at a charge
+    schedule, an oracle for the counts ``lrmimo.flops`` reads off the
+    result.  The flag-table guard calls nothing, so its evaluations are
+    passed in."""
 
-    EVENTS = ((reduction, "size_reduce_column", "size_steps"),
-              (GaussIntMatrix, "col_update", "updates"),
-              (reduction, "siegel_check", "siegel"),
-              (reduction, "lovasz_check", "lovasz"),
-              (reduction, "givens_theta", "swaps"))
+    EVENTS = ("size_steps", "updates", "siegel", "lovasz", "swaps")
 
     def __init__(self, monkeypatch):
         self.reset()
-        for owner, name, event in self.EVENTS:
-            monkeypatch.setattr(owner, name, self._counted(getattr(owner, name), event))
+        visit = reduction._Run.visit
+
+        def counted_visit(run, k):
+            self.events["size_steps"] += k
+            self.events["lovasz" if run.lovasz else "siegel"] += 1
+            return visit(run, k)
+
+        monkeypatch.setattr(reduction._Run, "visit", counted_visit)
+        for name, event in (("col_update", "updates"), ("swap_cols", "swaps")):
+            monkeypatch.setattr(GaussIntMatrix, name,
+                                self._counted(getattr(GaussIntMatrix, name), event))
 
     def reset(self):
-        self.events = dict.fromkeys((event for *_, event in self.EVENTS), 0)
+        self.events = dict.fromkeys(self.EVENTS, 0)
 
     def _counted(self, fn, event):
         def counted(*args, **kwargs):

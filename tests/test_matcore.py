@@ -1,24 +1,31 @@
-"""Tests for the matrix kernels: QR, Givens, embeddings, exact integer work."""
+"""Tests for the matrix kernels (QR, exact scaling, embeddings, exact integer
+work) and for the Givens rotation the reduction applies after a swap."""
 
 import numpy as np
 import pytest
 
 from lrmimo.matcore import (
     GaussIntMatrix,
+    QRFactorization,
     RankDeficient,
-    ZeroPivot,
-    apply_givens_left,
-    apply_givens_right,
     back_substitute,
     complex_from_real_vector,
-    givens_theta,
     integer_determinant,
     is_unimodular,
+    ldexp,
+    max_exponent,
     qr_decompose,
     real_embedding,
     real_embedding_vector,
     round_gaussian,
     round_half_away,
+)
+from lrmimo.reduction import (
+    REDUCTIONS,
+    ReductionParams,
+    ZeroPivot,
+    factorization_error,
+    reduce_at_caps,
 )
 
 
@@ -41,6 +48,15 @@ def gram_schmidt_oracle(h):
         r[j, j] = np.linalg.norm(v)
         q[:, j] = v / r[j, j]
     return q, r
+
+
+def one_sweep(r, condition="siegel"):
+    """mclll stopped after one sweep on the basis r, started from the QR
+    (I, r); on a 2x2 r that is one column visit."""
+    r = np.asarray(r, dtype=complex)
+    qr = QRFactorization(np.eye(r.shape[0], dtype=complex), r)
+    [(_, res)] = reduce_at_caps("mclll", r, ReductionParams(condition=condition), [1], qr)
+    return res
 
 
 def pseudo_inverse_apply(h, x):
@@ -122,7 +138,7 @@ class TestQR:
         # The pivot check is relative to ||h||_F, so no scale hides a rank
         # deficiency.
         h = np.array([[1.0, 2.0], [2.0, 4.0]])
-        for scale in (1.0, 1e-150, 1e150):
+        for scale in (1.0, 1e-300, 1e-150, 1e150, 1e300):
             with pytest.raises(RankDeficient, match="pivot 1"):
                 qr_decompose(scale * h)
         with pytest.raises(RankDeficient, match="pivot 0"):
@@ -134,71 +150,97 @@ class TestQR:
 
 
 class TestGivens:
+    """The rotation that re-triangularizes rows (k-1, k) of r after a swap,
+    and turns columns (k-1, k) of q with it.  It runs inside the
+    reduction's column visit, so each test drives one visit of a crafted
+    R."""
+
     def test_unit_segment(self):
-        r = np.array([[1.0, 0.0], [0.0, 1.0]])
-        th = givens_theta(r, 1)
-        assert th.alpha == 1 and th.beta == 0
-        assert np.allclose(th.matrix(), np.eye(2))
+        # The swapped pair (1, 0) needs no turn: r is only swapped.
+        res = one_sweep([[3.0, 1.0], [0.0, 0.0]])
+        assert res.visits == [(1, True)]
+        assert np.array_equal(res.r_tilde, [[1.0, 3.0], [0.0, 0.0]])
+        assert np.array_equal(res.q_tilde, np.eye(2))
 
     def test_pure_swap_segment(self):
-        r = np.array([[0.0, 1.0], [1.0, 1.0]])
-        th = givens_theta(r, 1)
-        assert th.alpha == 0 and th.beta == 1
-        seg = th.matrix() @ np.array([0.0, 1.0])
-        assert np.allclose(seg, [1.0, 0.0])
+        # The swapped pair (0, 0.5) turns by a quarter.
+        res = one_sweep([[1.0, 0.0], [0.0, 0.5]])
+        assert res.visits == [(1, True)]
+        assert np.array_equal(res.r_tilde, [[0.5, 0.0], [0.0, -1.0]])
+        assert np.array_equal(res.q_tilde, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_three_four(self):
-        r = np.array([[3.0, 1.0], [4.0, 1.0]])
-        th = givens_theta(r, 1)
-        assert abs(th.alpha - 0.6) < 1e-15
-        assert abs(th.beta - 0.8) < 1e-15
+        # The swapped pair (3, 4) rotates to (5, 0), and the rest of the
+        # two rows turns with it: (7, 0) goes to (4.2, -5.6).
+        res = one_sweep([[7.0, 3.0], [0.0, 4.0]])
+        assert res.visits == [(1, True)] and res.size_updates == 0
+        assert np.allclose(res.r_tilde, [[5.0, 4.2], [0.0, -5.6]], rtol=0, atol=1e-15)
+        assert np.allclose(res.q_tilde, [[0.6, -0.8], [0.8, 0.6]], rtol=0, atol=1e-15)
 
     def test_zero_pivot_raises(self):
-        r = np.zeros((2, 2))
         with pytest.raises(ZeroPivot):
-            givens_theta(r, 1)
+            one_sweep([[1.0, 0.0], [0.0, 0.0]])
 
     def test_left_identity_no_change(self):
-        rng = np.random.default_rng(0)
-        m = random_complex(rng, 3, 3)
-        out = apply_givens_left(givens_theta(np.eye(3), 1), m.copy(), 1, 0)
-        assert np.allclose(out, m)
+        # A sweep with no swap and no size update leaves r as it was.
+        r = np.triu(np.full((3, 3), 0.3 + 0.1j), 1) + np.eye(3)
+        res = one_sweep(r)
+        assert res.swap_count == 0 and res.size_updates == 0
+        assert np.array_equal(res.r_tilde, r) and np.array_equal(res.q_tilde, np.eye(3))
 
     def test_left_zeroes_subdiagonal(self):
-        r = np.array([[3.0, 2.0], [4.0, 1.0]], dtype=complex)
-        th = givens_theta(r, 1)
-        apply_givens_left(th, r, 1, 0)
-        assert abs(r[1, 0]) < 1e-12
-        assert abs(r[0, 0] - 5.0) < 1e-12
+        # A complex pair (1.5i, 2) rotates to a real, positive 2.5 on top.
+        res = one_sweep([[4.0, 1.5j], [0.0, 2.0]])
+        assert res.visits == [(1, True)] and res.size_updates == 0
+        assert abs(res.r_tilde[1, 0]) < 1e-12
+        assert abs(res.r_tilde[0, 0] - 2.5) < 1e-12
 
     def test_left_preserves_row_norms(self):
+        # With no size update, a swap and a rotation keep the norm of r.
         rng = np.random.default_rng(5)
-        m = random_complex(rng, 4, 4)
-        th = givens_theta(m, 2)
-        before = np.linalg.norm(m[1:3, :])
-        apply_givens_left(th, m, 2, 0)
-        assert abs(np.linalg.norm(m[1:3, :]) - before) < 1e-12
+        for _ in range(50):
+            d = rng.uniform(0.1, 1.0)
+            r = np.array([[3.0, rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)],
+                          [0.0, d]])
+            res = one_sweep(r)
+            assert res.visits == [(1, True)] and res.size_updates == 0
+            assert abs(np.linalg.norm(res.r_tilde) - np.linalg.norm(r)) < 1e-12
 
     def test_pair_preserves_product(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            q = random_complex(rng, 4, 4)
-            r = random_complex(rng, 4, 4)
-            prod = q @ r
-            th = givens_theta(r, 2)
-            apply_givens_left(th, r, 2, 0)
-            apply_givens_right(th, q, 2)
-            assert (np.linalg.norm(q @ r - prod)
-                    <= 1e-10 * np.linalg.norm(prod))
+            h = random_complex(rng, 4, 4)
+            [(_, res)] = reduce_at_caps("mclll", h, REDUCTIONS["mclll"].params(), [18])
+            assert res.swap_count > 0
+            assert factorization_error(h, res) <= 1e-12
 
     def test_right_preserves_column_norms(self):
         rng = np.random.default_rng(13)
-        q = random_complex(rng, 4, 4)
-        r = random_complex(rng, 4, 4)
-        th = givens_theta(r, 1)
-        before = np.linalg.norm(q[:, 0:2])
-        apply_givens_right(th, q, 1)
-        assert abs(np.linalg.norm(q[:, 0:2]) - before) < 1e-12
+        for _ in range(50):
+            h = random_complex(rng, 4, 4)
+            [(_, res)] = reduce_at_caps("fclll", h, REDUCTIONS["fclll"].params(), [18])
+            q = res.q_tilde
+            assert np.allclose(q.conj().T @ q, np.eye(4), rtol=0, atol=1e-12)
+
+
+class TestExactScaling:
+    def test_max_exponent_bounds_every_part(self):
+        rng = np.random.default_rng(4)
+        for exp in (-1000, -3, 0, 5, 1000):
+            m = random_complex(rng, 3, 3) * 2.0 ** exp
+            scaled = ldexp(m, -max_exponent(m))
+            parts = np.abs(np.concatenate([scaled.real, scaled.imag]))
+            assert parts.max() < 1 and parts.max() >= 0.5
+        assert max_exponent(np.zeros((2, 2))) == 0
+        assert max_exponent(np.array([[3.0, -0.5j]])) == 2
+
+    def test_ldexp_is_exact(self):
+        rng = np.random.default_rng(5)
+        m = random_complex(rng, 3, 3)
+        for e in (-1000, -7, 0, 7, 1000):
+            back = ldexp(ldexp(m, e), -e)
+            assert np.array_equal(back, m)
+            assert np.array_equal(ldexp(m.real, e), m.real * 2.0 ** e)
 
 
 class TestEmbedding:

@@ -1,4 +1,4 @@
-"""Tests for the reduction algorithms, swap predicates, and traces."""
+"""Tests for the reduction kernel and algorithms, the predicates, and traces."""
 
 import hashlib
 
@@ -7,13 +7,7 @@ import pytest
 
 from lrmimo import reduction
 from lrmimo.flops import instrument_caps, schedule_for
-from lrmimo.matcore import (
-    GaussIntMatrix,
-    QRFactorization,
-    is_unimodular,
-    qr_decompose,
-    real_embedding,
-)
+from lrmimo.matcore import QRFactorization, is_unimodular, qr_decompose, real_embedding
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
@@ -23,13 +17,10 @@ from lrmimo.reduction import (
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    lovasz_check,
     reduce_at_caps,
-    siegel_check,
-    size_reduce_column,
 )
 from test_flops import EventTally
-from test_matcore import gram_schmidt_oracle
+from test_matcore import gram_schmidt_oracle, one_sweep
 
 
 def random_complex(rng, n):
@@ -80,71 +71,108 @@ class TestReductionParams:
 
 
 class TestSizeReduceColumn:
+    """Size reduction inside a column visit, on crafted R factors."""
+
     def test_already_reduced_no_change(self):
-        r = np.array([[1.0, 0.3 + 0.2j], [0.0, 1.0]], dtype=complex)
-        t = GaussIntMatrix.identity(2)
-        before = r.copy()
-        _, _, mu = size_reduce_column(r, t, 1, 0)
-        assert mu == 0
-        assert np.array_equal(r, before)
-        assert np.array_equal(t.to_complex(), np.eye(2))
+        r = np.array([[1.0, 0.3 + 0.2j], [0.0, 1.0]])
+        res = one_sweep(r)
+        assert res.visits == [(1, False)] and res.size_updates == 0
+        assert np.array_equal(res.r_tilde, r)
+        assert np.array_equal(res.t.to_complex(), np.eye(2))
 
     def test_ratio_1_6_reduces(self):
-        r = np.array([[2.0, 3.2], [0.0, 1.0]], dtype=complex)  # ratio 1.6
-        t = GaussIntMatrix.identity(2)
-        _, _, mu = size_reduce_column(r, t, 1, 0)
-        assert mu == 2
-        assert abs(r[0, 1] - (-0.4 * r[0, 0])) < 1e-12
-        assert t.entry(0, 1) == (-2, 0)
+        res = one_sweep([[2.0, 3.2], [0.0, 2.0]])  # ratio 1.6
+        assert res.visits == [(1, False)] and res.size_updates == 1
+        assert abs(res.r_tilde[0, 1] - (-0.4 * 2.0)) < 1e-12
+        assert res.t.entry(0, 1) == (-2, 0)
 
     def test_half_tie_rounds_away(self):
-        r = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)  # ratio 0.5
-        t = GaussIntMatrix.identity(2)
-        _, _, mu = size_reduce_column(r, t, 1, 0)
-        assert mu == 1
+        # Each part of the ratio cross / 2 is +-1/2 or 0.
+        for cross, mu in ((1.0, (1, 0)), (-1.0, (-1, 0)), (1j, (0, 1)),
+                          (-1 - 1j, (-1, -1))):
+            res = one_sweep([[2.0, cross], [0.0, 2.0]])
+            assert res.t.entry(0, 1) == (-mu[0], -mu[1])
 
     def test_postcondition_componentwise(self):
         rng = np.random.default_rng(0)
+        checked = 0
         for _ in range(200):
             r = np.triu(random_complex(rng, 3)) + 2 * np.eye(3)
-            t = GaussIntMatrix.identity(3)
-            size_reduce_column(r, t, 2, 1)
-            ratio = r[1, 2] / r[1, 1]
-            assert abs(ratio.real) <= 0.5 + 1e-12
-            assert abs(ratio.imag) <= 0.5 + 1e-12
+            res = one_sweep(r)
+            if res.visits[-1] == (2, False):
+                ratio = res.r_tilde[1, 2] / res.r_tilde[1, 1]
+                assert abs(ratio.real) <= 0.5 + 1e-12
+                assert abs(ratio.imag) <= 0.5 + 1e-12
+                checked += 1
+        assert checked > 100
 
     def test_zero_diagonal_raises(self):
-        r = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ZeroDiagonal):
-            size_reduce_column(r, GaussIntMatrix.identity(2), 1, 0)
+            one_sweep([[0.0, 1.0], [0.0, 1.0]])
 
 
 class TestSwapChecks:
+    """The Siegel and Lovasz swap tests inside a column visit."""
+
     def test_identity_no_swap(self):
-        eye = np.eye(2)
-        assert not lovasz_check(eye, 1, 0.75)
-        assert not siegel_check(eye, 1, 0.75)
+        for condition in ("siegel", "lovasz"):
+            assert one_sweep(np.eye(2), condition).visits == [(1, False)]
 
     def test_lovasz_swap_case(self):
-        r = np.array([[2.0, 1.0], [0.0, 1.0]])  # 0.75*4 = 3 > 1 + 1
-        assert lovasz_check(r, 1, 0.75)
+        r = [[2.0, 0.9], [0.0, 1.0]]  # 0.75*4 = 3 > 1 + 0.81
+        assert one_sweep(r, "lovasz").visits == [(1, True)]
 
     def test_lovasz_equal_diagonals_never_swap(self):
         for cross in (0.0, 0.5, 3.0):
-            r = np.array([[2.0, cross], [0.0, 2.0]])
-            assert not lovasz_check(r, 1, 0.75)
+            r = [[2.0, cross], [0.0, 2.0]]
+            assert one_sweep(r, "lovasz").visits == [(1, False)]
 
     def test_siegel_swap_case(self):
-        r = np.array([[2.0, 0.0], [0.0, 1.0]])  # 3 > 1
-        assert siegel_check(r, 1, 0.75)
+        # 3 > 2.25 swaps under Siegel; Lovasz adds the cross term, 3.06.
+        r = [[2.0, 0.9], [0.0, 1.5]]
+        assert one_sweep(r, "siegel").visits == [(1, True)]
+        assert one_sweep(r, "lovasz").visits == [(1, False)]
 
     def test_siegel_implies_lovasz_with_zero_cross(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
-            d0, d1 = rng.uniform(0.1, 3.0, size=2)
-            r = np.array([[d0, 0.0], [0.0, d1]])
-            if siegel_check(r, 1, 0.75):
-                assert lovasz_check(r, 1, 0.75)
+            r = np.diag(rng.uniform(0.1, 3.0, size=2))
+            if one_sweep(r, "siegel").swap_count:
+                assert one_sweep(r, "lovasz").swap_count
+
+
+class TestVisit:
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_invariants_after_every_visit(self, name, monkeypatch):
+        # After each visit: h @ T = q @ r, q orthonormal, r upper
+        # triangular, the column that ends at k (k-1 after a swap) size-
+        # reduced, and after a swap a real positive r[k-1, k-1].
+        visit = reduction._Run.visit
+        basis = None
+
+        def checked(run, k):
+            swapped = visit(run, k)
+            res = run.result()
+            r, n = res.r_tilde, res.r_tilde.shape[0]
+            assert factorization_error(basis, res) <= 1e-12
+            assert np.allclose(res.q_tilde.conj().T @ res.q_tilde, np.eye(n), atol=1e-12)
+            assert np.all(np.abs(r[np.tril_indices(n, -1)]) <= 1e-12 * np.linalg.norm(basis))
+            j = k - 1 if swapped else k
+            ratios = r[:j, j] / r.diagonal()[:j]
+            assert np.all(np.abs(ratios.real) <= 0.5 + 1e-9)
+            assert np.all(np.abs(ratios.imag) <= 0.5 + 1e-9)
+            if swapped:
+                d = r[k - 1, k - 1]
+                assert d.real > 0 and abs(d.imag) <= 1e-12 * d.real
+            return swapped
+
+        monkeypatch.setattr(reduction._Run, "visit", checked)
+        rng = np.random.default_rng(17)
+        entry = REDUCTIONS[name]
+        for n in (4, 8):
+            for _ in range(10):
+                basis = entry.basis(generate_channel(n, n, rng))
+                reduce_at_caps(name, basis, entry.params(), [18] if entry.capped else [None])
 
 
 class TestRealLLL:
@@ -409,6 +437,23 @@ class TestScaleInvariance:
             ):
                 assert np.array_equal(reduce(h).t.to_complex(), reduce(hs).t.to_complex())
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+    def test_same_run_at_extreme_scales(self, scale):
+        # Squares of entries this size over- or underflow; the QR's rank
+        # test and the run take them on exactly rescaled values, so every
+        # decision is the one the unscaled channel gets.
+        def runs(h):
+            out = []
+            for name, entry in REDUCTIONS.items():
+                caps = [1, 2, 6, 18] if entry.capped else [None]
+                for _, res in reduce_at_caps(name, entry.basis(h), entry.params(), caps):
+                    out.append((res.visits, res.size_updates, res.t.re, res.t.im))
+            return out
+
+        for i in range(200):
+            h = generate_channel(4, 4, np.random.default_rng((19, i)))
+            assert runs(scale * h) == runs(h), i
+
 
 class TestPredicates:
     def test_identity_reduced(self):
@@ -443,23 +488,32 @@ class TestPredicates:
 class TestRoundingTies:
     def test_embedding_meets_exact_half_mu(self, monkeypatch):
         # The real embedding's i-symmetry gives size-reduction ratios that
-        # are exactly +-1/2 in exact arithmetic; computed, they land a few
-        # ulps to either side.  This sweep draw (seed 7, frame 2) meets
-        # seven of them under "lll", none of them an exact half, and the
-        # tie window of size_reduce_column rounds all seven away from zero.
+        # are exactly +-1/2 in exact arithmetic; computed, they may land a
+        # few ulps to either side.  This sweep draw (seed 7, frame 2) meets
+        # seven of them under "lll", and the tie window of the size-
+        # reduction rounding rounds all seven away from zero.
         h = generate_channel(4, 4, np.random.default_rng((7, 2)))
-        ratios = []
+        parts = []
+        mu = reduction._mu
 
-        def spy(r, t, k, l, scale=None):
-            ratios.append(complex(r[l, k]) / complex(r[l, l]))
-            return size_reduce_column(r, t, k, l, scale)
+        def spy(ratio):
+            rounded = mu(ratio)
+            parts.extend(zip((ratio.real, ratio.imag), rounded))
+            return rounded
 
-        monkeypatch.setattr(reduction, "size_reduce_column", spy)
+        monkeypatch.setattr(reduction, "_mu", spy)
         res = reduce_once("lll", real_embedding(h))
-        ties = [x for z in ratios for x in (z.real, z.imag) if abs(abs(x) - 0.5) < 1e-12]
-        assert len(ties) == 7 and ties[0] == 0.5000000000000002
-        assert 0.5 not in ties and -0.5 not in ties
+        ties = [(x, m) for x, m in parts if abs(abs(x) - 0.5) < 1e-12]
+        assert len(ties) == 7
+        assert all(m == np.sign(x) for x, m in ties)
         assert res.converged
+
+    @pytest.mark.parametrize("x", [0.5, 0.5000000000000002, 0.49999999999999983])
+    def test_near_half_rounds_away(self, x):
+        # Exact halves, and the values a few ulps to either side that
+        # QR rounding can leave in their place.
+        assert reduction._mu(complex(x, -x)) == (1, -1)
+        assert reduction._mu(complex(x + 1e-11, x - 1e-11)) == (1, 0)
 
     def test_lll_does_not_depend_on_qr_rounding(self):
         # Started from an independent Gram-Schmidt QR, whose last ulps

@@ -16,7 +16,6 @@ from lrmimo.simharness import (
     SimConfig,
     emit_csv,
     load_matrix,
-    run_frame,
     run_sweep,
     save_matrix,
 )
@@ -26,6 +25,13 @@ from test_matcore import pseudo_inverse_apply
 from test_reduction import reduce_once
 
 INF = float("inf")
+
+
+def run_frame(cfg, algorithm, iter_max, snr_db, frame_index):
+    """One cell of one frame, as the sweep computes it: the single-cell
+    view of ``simharness._frame_results``."""
+    cell = algorithm, iter_max if simharness._capped(algorithm) else None, snr_db
+    return simharness._frame_results(cfg, [cell], frame_index)[0]
 
 
 def small_cfg(**kw):
