@@ -78,8 +78,9 @@ def qr_decompose(h) -> QRFactorization:
     comparisons in the reduction conditions are unambiguous.
 
     Raises RankDeficient unless every pivot ``|r[j, j]|`` is above
-    ``RANK_TOL * ||h||_F``; both sides are compared scaled by the same
-    power of two, so the test holds at any scale of ``h``.
+    ``RANK_TOL * ||h||_F``; the norm is a chain of ``hypot``, which
+    neither overflows nor underflows, so the test holds at any scale of
+    ``h``.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
@@ -89,8 +90,7 @@ def qr_decompose(h) -> QRFactorization:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
     q, r = np.linalg.qr(h)
     d = np.abs(r.diagonal())
-    e = max_exponent(h)
-    low = ~(ldexp(d, -e) > RANK_TOL * np.linalg.norm(ldexp(h, -e)))
+    low = ~(d > RANK_TOL * np.hypot.reduce(np.abs(h), axis=None))
     if low.any():
         j = low.argmax()
         raise RankDeficient(f"pivot {j} norm {d[j]:.3e} not above {RANK_TOL:.0e} * ||h||_F")

@@ -156,7 +156,7 @@ class _Run:
         self.q = q.T.tolist()
         self.r = ldexp(r, -self.exponent).T.tolist()
         self.n = len(self.r)
-        self.scale = float(np.linalg.norm(ldexp(basis, -self.exponent)))
+        self.scale = math.ldexp(np.hypot.reduce(np.abs(basis), axis=None), -self.exponent)
         self.delta = params.delta
         self.lovasz = params.condition == "lovasz"
         self.t = GaussIntMatrix.identity(self.n)
