@@ -439,9 +439,9 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
     def test_same_run_at_extreme_scales(self, scale):
-        # Squares of entries this size over- or underflow; the QR's rank
-        # test and the run take them on exactly rescaled values, so every
-        # decision is the one the unscaled channel gets.
+        # Squares of entries this size over- or underflow.  The QR's rank
+        # test takes its norm by hypot and the run squares exactly
+        # rescaled values, so every decision is the unscaled channel's.
         def runs(h):
             out = []
             for name, entry in REDUCTIONS.items():
