@@ -1,5 +1,6 @@
 """Tests for the ZF, LR-aided ZF, and sphere-decoding ML detectors."""
 
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +14,14 @@ from lrmimo.detect import (
     zf_lr_detector,
 )
 from lrmimo.matcore import GaussIntMatrix, qr_decompose, real_embedding
-from lrmimo.mimo import add_noise, build_constellation, NoiseSpec
+from lrmimo.mimo import (
+    NoiseSpec,
+    add_noise,
+    base_noise,
+    build_constellation,
+    generate_channel,
+    snr_to_noise_variance,
+)
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 from test_reduction import reduce_once
 
@@ -283,3 +291,50 @@ class TestML:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 detect_ml(np.array([0.5, bad], dtype=complex))
+
+
+INDEX_SNRS = tuple(float(snr) for snr in range(0, 31, 2))
+
+
+def detected_indices(detect, c, x):
+    """Constellation indices ``detect`` gives for each column of ``x``."""
+    return np.stack([c.nearest_index(detect(col)) for col in x.T], axis=1)
+
+
+def index_digest(n, m_s, frames) -> str:
+    """SHA-256 over the indices that zf, and LR-aided zf after mclll and
+    fclll at caps 1, 2, 6 and 18 and after lll on the real embedding,
+    detect on seeded n x n frames at every SNR of ``INDEX_SNRS`` and
+    noiseless, one frame's finite SNRs as the columns of one matrix."""
+    c = build_constellation(m_s)
+    stds = np.array([snr_to_noise_variance(snr, n).component_std for snr in INDEX_SNRS])
+    digest = hashlib.sha256()
+    for i in range(frames):
+        rng = np.random.default_rng((13, n, i))
+        h = generate_channel(n, n, rng)
+        y = h @ c.points[rng.integers(0, m_s, n)]
+        x = y[:, None] + stds * base_noise(n, rng)[:, None]
+        qr = qr_decompose(h)
+        detectors = [("zf", None, zf_detector(qr, c))]
+        for name in sorted(REDUCTIONS):
+            entry = REDUCTIONS[name]
+            caps = [1, 2, 6, 18] if entry.capped else [None]
+            runs = reduce_at_caps(name, entry.basis(h), entry.params(), caps,
+                                  qr if entry.capped else None)
+            detectors += [(name, cap, zf_lr_detector(red, c)) for cap, red in runs]
+        for name, cap, detect in detectors:
+            idx = np.concatenate([detected_indices(detect, c, x),
+                                  detected_indices(detect, c, y[:, None])], axis=1)
+            digest.update(repr((name, cap, idx.tolist())).encode())
+    return digest.hexdigest()
+
+
+class TestDetectedIndices:
+    # Recorded while every detector took one received vector per call; a
+    # change to how detection batches its work must leave every index.
+    @pytest.mark.parametrize("n, m_s, frames, digest", [
+        (4, 16, 300, "c9f74cb44d8b4c6b17bf238ab83049f173f77693e08254f38302161f39ff5ef4"),
+        (8, 4, 50, "3c821502e068cb45e3bdff5313bd89c254c540201358a89266da959bba1a4256"),
+    ])
+    def test_pinned_digest(self, n, m_s, frames, digest):
+        assert index_digest(n, m_s, frames) == digest
