@@ -9,10 +9,12 @@ rounding for a real one) and reads its shift off the transform T, which
 carries it exactly.
 
 Each ``*_detector`` does the work that depends only on the channel (or on
-its reduction) once and returns ``detect(x)``, which maps one received
-vector to its detected symbol vector, every entry a constellation point;
-it serves any number of received vectors.  Zero forcing and ML take the
-channel's QR, so a caller can share one between them.
+its reduction) once and returns ``detect(x)``.  ``x`` is an (n_r, k)
+matrix with one received vector per column (the sweep passes one column
+per SNR point), and ``detect`` returns the (n_t, k) int array of detected
+constellation indices: it slices once, and the caller reads bits off the
+constellation's bit table.  Zero forcing and ML take the channel's QR, so
+a caller can share one between them.
 """
 
 from __future__ import annotations
@@ -45,14 +47,14 @@ class SearchSpaceTooLarge(ValueError):
 
 def zf_detector(qr: QRFactorization, c: Constellation):
     """Zero forcing prepared for the channel whose QR is ``qr``: the
-    returned ``detect(x)`` applies the pseudo-inverse by back-substitution
-    and slices each entry to the nearest constellation point."""
+    returned ``detect(x)`` applies the pseudo-inverse to every column by
+    back-substitution and slices each entry to its nearest constellation
+    point's index."""
     q, r = qr
     q_h = q.conj().T
 
     def detect(x) -> np.ndarray:
-        s_tilde = back_substitute(r, q_h @ np.asarray(x, dtype=complex))
-        return c.points[c.nearest_index(s_tilde)]
+        return c.nearest_index(back_substitute(r, q_h @ x))
 
     return detect
 
@@ -69,7 +71,9 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     and returns the quantized z-domain vector.  A real ``z_tilde`` is in
     stacked [Re; Im] coordinates of the real block embedding (T real),
     where components map to integers via ``u = (s_comp/scale + 1) / 2``
-    and the shift is ``shift.real = T^{-1} ones``.
+    and the shift is ``shift.real = T^{-1} ones``.  Every step is
+    elementwise, so an (n, k) ``z_tilde`` of k estimates quantizes column
+    by column against an (n, 1) ``shift``.
     """
     z_tilde = np.asarray(z_tilde)
     if np.iscomplexobj(z_tilde):
@@ -88,19 +92,18 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
     The float T and the quantizer shift, which T carries exactly, are read
     once.  The returned ``detect(x)`` solves the z-domain least squares via
     the reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
-    pseudo-inverse of h @ T applied to x), quantizes on the z-domain
-    lattice (``quantize_z_domain``), maps back through T, and clips any
-    out-of-alphabet entry to the nearest constellation point.  A reduction
-    whose ``q_tilde`` has twice as many rows as ``x`` has entries was of
-    the real embedding: it works on the stacked [Re; Im] coordinates of
-    ``x`` and folds the result back to complex symbols.
+    pseudo-inverse of h @ T applied to each column of x), quantizes on the
+    z-domain lattice (``quantize_z_domain``), maps back through T, and
+    slices, which clips any out-of-alphabet entry to the nearest
+    constellation point.  A reduction whose ``q_tilde`` has twice as many
+    rows as ``x`` was of the real embedding: it works on the stacked
+    [Re; Im] coordinates of ``x`` and folds the result back to complex.
     """
     q_h = red.q_tilde.conj().T
-    shift = red.t.shift
+    shift = red.t.shift[:, None]
     t_float = red.t.to_complex()
 
     def detect(x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
         if q_h.shape[1] == 2 * x.shape[0]:
             z_tilde = back_substitute(red.r_tilde, q_h @ real_embedding_vector(x)).real
             z_q = quantize_z_domain(z_tilde, shift, c)
@@ -108,7 +111,7 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
         else:
             z_tilde = back_substitute(red.r_tilde, q_h @ x)
             s_raw = t_float @ quantize_z_domain(z_tilde, shift, c)
-        return c.points[c.nearest_index(s_raw)]
+        return c.nearest_index(s_raw)
 
     return detect
 
@@ -121,7 +124,9 @@ def check_search_space(m_s: int, n_t: int) -> None:
 
 def ml_detector(qr: QRFactorization, c: Constellation):
     """Maximum likelihood for the channel whose QR is ``qr``: ``detect(x)``
-    returns the constellation vector ``s`` minimizing ``||q^H x - r s||^2``.
+    returns, for each column of ``x``, the index vector of the
+    constellation vector ``s`` minimizing ``||q^H x - r s||^2``.  Each
+    column is searched on its own.
 
     Levels go from n_t-1 down to 0; level k's centre is ``(y_k - sum_{j>k}
     r_kj s_j) / r_kk`` and its increment ``r_kk^2 |centre - s_k|^2``
@@ -197,13 +202,14 @@ def ml_detector(qr: QRFactorization, c: Constellation):
         return idx[np.lexsort(idx.T[::-1])[0]]
 
     def detect(x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
         if not np.isfinite(x).all():
             raise ValueError("received vector is not finite")
-        y = q_h @ x
-        best_dist, best_idx, finished = depth_first(y.tolist())
-        if not finished:
-            best_idx = breadth_first(y, best_dist + 1e-9 * (best_dist + slack))
-        return c.points[best_idx]
+        out = np.empty((n_t, x.shape[1]), dtype=int)
+        for j, y in enumerate((q_h @ x).T):
+            best_dist, best_idx, finished = depth_first(y.tolist())
+            if not finished:
+                best_idx = breadth_first(y, best_dist + 1e-9 * (best_dist + slack))
+            out[:, j] = best_idx
+        return out
 
     return detect

@@ -102,11 +102,12 @@ def qr_decompose(h) -> QRFactorization:
 
 
 def back_substitute(r, y) -> np.ndarray:
-    """Solve the upper-triangular system ``r @ z = y``."""
+    """Solve the upper-triangular system ``r @ z = y`` for a vector ``y``
+    or, column by column, for an (n, k) matrix of right-hand sides."""
     r = np.asarray(r)
     y = np.asarray(y, dtype=complex)
     n = r.shape[0]
-    z = np.zeros(n, dtype=complex)
+    z = np.zeros(y.shape, dtype=complex)
     for i in range(n - 1, -1, -1):
         z[i] = (y[i] - r[i, i + 1:] @ z[i + 1:]) / r[i, i]
     return z
@@ -123,13 +124,15 @@ def real_embedding(h) -> np.ndarray:
 
 
 def real_embedding_vector(x) -> np.ndarray:
-    """Companion vector embedding: stack ``[Re(x); Im(x)]``."""
+    """Companion vector embedding: stack ``[Re(x); Im(x)]`` (each column
+    of a matrix)."""
     x = np.asarray(x, dtype=complex)
     return np.concatenate([x.real, x.imag])
 
 
 def complex_from_real_vector(v) -> np.ndarray:
-    """Fold a stacked real vector ``[Re; Im]`` back to complex form."""
+    """Fold a stacked real vector ``[Re; Im]`` (or each column of a
+    matrix) back to complex form."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
     return v[:n] + 1j * v[n:]

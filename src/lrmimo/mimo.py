@@ -1,6 +1,10 @@
 """Transmit-side and channel modeling: square-QAM constellations with Gray
 labeling, i.i.d. Rayleigh channels, AWGN, and SNR bookkeeping.
 
+A constellation carries its bit table, the Gray label of every point as a
+row of bits, so the bits of a detected index are one table lookup; the
+only slicer is ``Constellation.nearest_index``.
+
 SNR convention used everywhere in this package:
 ``sigma_n^2 = n_t / 10**(snr_db / 10)`` per receive antenna, i.e. snr_db
 is the per-receive-antenna ratio of total signal power (n_t unit-power
@@ -44,7 +48,8 @@ class Constellation:
     unnormalized levels are the odd integers -(L-1), ..., -1, 1, ..., L-1
     with L = sqrt(m_s).  Bit labels are per-axis reflected Gray codes:
     the first half of a symbol's bits selects the real level, the second
-    half the imaginary level.
+    half the imaginary level.  Row i of ``bit_table`` holds the
+    ``bits_per_symbol`` bits of point i.
     """
 
     m_s: int
@@ -54,6 +59,7 @@ class Constellation:
     side: int
     label_from_level: np.ndarray = field(repr=False)
     level_from_label: np.ndarray = field(repr=False)
+    bit_table: np.ndarray = field(repr=False)
 
     def nearest_index(self, v) -> np.ndarray:
         """Canonical index of the nearest constellation point for each
@@ -79,14 +85,19 @@ def build_constellation(m_s: int) -> Constellation:
     points = scale * (re_lvl + 1j * im_lvl).reshape(-1)
     label_from_level = np.array([_gray(i) for i in range(side)])
     level_from_label = np.array([_gray_inverse(g) for g in range(side)])
+    half = int(math.log2(side))
+    axis_bits = (label_from_level[:, None] >> np.arange(half - 1, -1, -1)) & 1
+    bit_table = np.concatenate([np.repeat(axis_bits, side, axis=0),
+                                np.tile(axis_bits, (side, 1))], axis=1)
     return Constellation(
         m_s=int(m_s),
         points=points,
         scale=scale,
-        bits_per_symbol=2 * int(math.log2(side)),
+        bits_per_symbol=2 * half,
         side=side,
         label_from_level=label_from_level,
         level_from_label=level_from_label,
+        bit_table=bit_table,
     )
 
 
@@ -111,14 +122,7 @@ def modulate(bits, c: Constellation, n_t: int) -> np.ndarray:
 def demodulate(symbols, c: Constellation) -> np.ndarray:
     """Recover bits by slicing each symbol to its nearest constellation
     point and reading off the point's Gray label."""
-    idx = c.nearest_index(symbols)
-    half = c.bits_per_symbol // 2
-    shifts = np.arange(half - 1, -1, -1)
-    re_label = c.label_from_level[idx // c.side]
-    im_label = c.label_from_level[idx % c.side]
-    re_bits = (re_label[:, None] >> shifts) & 1
-    im_bits = (im_label[:, None] >> shifts) & 1
-    return np.concatenate([re_bits, im_bits], axis=1).reshape(-1)
+    return c.bit_table[c.nearest_index(symbols)].reshape(-1)
 
 
 def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,8 +10,13 @@ The sweep is frame-major.  Each frame is drawn once; each reduction runs
 once, up to the largest listed iteration cap, with a snapshot kept at
 every cap (a run capped at k sweeps is the prefix of one capped at K > k);
 the work that depends only on the channel is done once, and zero forcing,
-ML and the capped reductions share one QR of the channel; then every
-(algorithm, cap, SNR) cell detects ``H s + std(snr) * base_noise``.
+ML and the capped reductions share one QR of the channel.  Then each
+distinct detector makes one call per noise stream: the received vectors
+``H s + std(snr) * base_noise`` of every finite SNR point are the columns
+of one matrix, built once per frame from noise stds computed once per
+sweep, and the noiseless vector ``H s`` is a one-column call of its own.
+Bit errors are counted per column, reading the bits of each detected
+index off the constellation's bit table.
 
 A rank-deficient draw is redrawn from the same stream.  Each detector
 family, ML included, walks the frame's draw attempts until one does not
@@ -46,7 +51,6 @@ from .matcore import QRFactorization, RankDeficient, qr_decompose
 from .mimo import (
     base_noise,
     build_constellation,
-    demodulate,
     generate_channel,
     modulate,
     snr_to_noise_variance,
@@ -154,9 +158,8 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 @dataclass
 class _Attempt:
     h: np.ndarray
-    bits: np.ndarray
-    y: np.ndarray             # noiseless received vector h @ s
-    noise: np.ndarray | None  # base noise; None on the noiseless stream
+    bits: np.ndarray  # (n_t, 1, bits_per_symbol): each symbol's bits in a row
+    x: np.ndarray     # received vectors, one column per SNR point of the stream
 
     @cached_property
     def qr(self) -> QRFactorization:
@@ -168,14 +171,17 @@ class _Attempt:
 class _Stream:
     """The draw attempts of one frame's stream, drawn on first use.
 
-    Every attempt draws channel, then bits, then (on the noisy stream)
-    base noise from the frame's generator, the order in which the
-    per-cell definition ``add_noise(H s, spec, rng)`` draws them.
+    Every attempt draws channel, then bits, then (on the noisy stream,
+    whose noise stds ``stds`` are given) base noise from the frame's
+    generator, the order in which the per-cell definition
+    ``add_noise(H s, spec, rng)`` draws them.  Column j of an attempt's
+    ``x`` is ``H s + stds[j] * base_noise``; the noiseless stream's one
+    column is ``H s``.
     """
 
-    def __init__(self, cfg: SimConfig, frame_index: int, noisy: bool):
+    def __init__(self, cfg: SimConfig, frame_index: int, stds: np.ndarray | None):
         self.cfg = cfg
-        self.noisy = noisy
+        self.stds = stds
         self.rng = _frame_rng(cfg.seed, frame_index)
         self.attempts: list[_Attempt] = []
 
@@ -185,8 +191,10 @@ class _Stream:
             h = generate_channel(cfg.n_r, cfg.n_t, self.rng)
             bits = self.rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
             y = h @ modulate(bits, c, cfg.n_t)
-            noise = base_noise(y.shape, self.rng) if self.noisy else None
-            self.attempts.append(_Attempt(h, bits, y, noise))
+            x = y[:, None]
+            if self.stds is not None:
+                x = x + self.stds * base_noise(y.shape, self.rng)[:, None]
+            self.attempts.append(_Attempt(h, bits.reshape(cfg.n_t, 1, -1), x))
         return self.attempts[i]
 
 
@@ -213,30 +221,50 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, attempt: _Attempt, c) -> dict
     return detectors
 
 
-def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]:
-    """Run one frame for every (algorithm, iter_max, snr_db) cell of
-    ``cells`` (iter_max None for the cap-free detectors), sharing draws,
-    reductions and channel-dependent detector work among them; one
-    FrameResult per cell, in order."""
+class _Plan(NamedTuple):
+    """What every frame of a sweep detects, worked out once per sweep."""
+
+    cells: list                 # (algorithm, iter_max, snr_db), output order
+    caps: dict[str, list]       # algorithm -> its iter_max values
+    columns: dict[bool, tuple]  # noisy -> the SNRs of the stream's columns
+    stds: np.ndarray            # noise std of each noisy column
+
+
+def _plan(cfg: SimConfig, cells: list) -> _Plan:
+    """The plan of ``cells``: caps and SNR columns in order of first use."""
+    caps, columns = {}, {}
+    for alg, cap, snr in cells:
+        if cap not in caps.setdefault(alg, []):
+            caps[alg].append(cap)
+        noisy = snr_to_noise_variance(snr, cfg.n_t).sigma_n_sq != 0.0
+        if snr not in columns.setdefault(noisy, ()):
+            columns[noisy] += (snr,)
+    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std
+                     for snr in columns.get(True, ())])
+    return _Plan(cells, caps, columns, stds)
+
+
+def _frame_results(cfg: SimConfig, plan: _Plan, frame_index: int) -> list[FrameResult]:
+    """Run one frame for every (algorithm, iter_max, snr_db) cell of the
+    plan (iter_max None for the cap-free detectors), sharing draws,
+    reductions and channel-dependent detector work among them, and
+    detecting all of a stream's SNR points in one call per distinct
+    detector; one FrameResult per cell, in order."""
     c = _constellation(cfg.m_s)
-    caps = {}
-    for alg, cap, _ in cells:
-        caps.setdefault(alg, []).append(cap)
     streams: dict[bool, _Stream] = {}
     prepared: dict[tuple[str, bytes], dict | None] = {}
-    accepted = {}
 
     def accept(alg: str, noisy: bool):
         """First attempt of the stream on which ``alg`` is not rank deficient."""
         if noisy not in streams:
-            streams[noisy] = _Stream(cfg, frame_index, noisy)
+            streams[noisy] = _Stream(cfg, frame_index, plan.stds if noisy else None)
         stream = streams[noisy]
         for redraws in range(_MAX_REDRAWS):
             attempt = stream[redraws]
             key = (alg, attempt.h.tobytes())
             if key not in prepared:
                 try:
-                    prepared[key] = _prepare(cfg, alg, caps[alg], attempt, c)
+                    prepared[key] = _prepare(cfg, alg, plan.caps[alg], attempt, c)
                 except RankDeficient:
                     prepared[key] = None
                     logger.warning("frame %d: rank-deficient channel for %s, redrawing",
@@ -245,27 +273,26 @@ def _frame_results(cfg: SimConfig, cells, frame_index: int) -> list[FrameResult]
                 return redraws, attempt, prepared[key]
         raise RuntimeError(f"frame {frame_index}: {_MAX_REDRAWS} rank-deficient redraws")
 
-    errors = {}  # (detect, snr) -> bit errors
-    results = []
-    for alg, cap, snr in cells:
-        spec = snr_to_noise_variance(snr, cfg.n_t)
-        noisy = spec.sigma_n_sq != 0.0
-        if (alg, noisy) not in accepted:
-            accepted[alg, noisy] = accept(alg, noisy)
-        redraws, attempt, detectors = accepted[alg, noisy]
-        detect, frame_flops = detectors[cap]
-        if (detect, snr) not in errors:
-            x = attempt.y + spec.component_std * attempt.noise if noisy else attempt.y
-            errors[detect, snr] = int(np.sum(attempt.bits != demodulate(detect(x), c)))
-        results.append(FrameResult(errors[detect, snr], frame_flops, redraws))
-    return results
+    results = {}
+    for alg, caps in plan.caps.items():
+        for noisy, snrs in plan.columns.items():
+            redraws, attempt, detectors = accept(alg, noisy)
+            errors = {}  # detect -> bit errors per column
+            for cap in caps:
+                detect, frame_flops = detectors[cap]
+                if detect not in errors:
+                    wrong = c.bit_table[detect(attempt.x)] != attempt.bits
+                    errors[detect] = wrong.sum(axis=(0, 2)).tolist()
+                for snr, bit_errors in zip(snrs, errors[detect]):
+                    results[alg, cap, snr] = FrameResult(bit_errors, frame_flops, redraws)
+    return [results[cell] for cell in plan.cells]
 
 
-def _frame_chunk(cfg: SimConfig, cells, lo: int, hi: int) -> list[list]:
+def _frame_chunk(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[list]:
     """Per-cell ``[bit errors, FLOPs, redraws]`` summed over frames lo..hi-1."""
-    sums = [[0, 0, 0] for _ in cells]
+    sums = [[0, 0, 0] for _ in plan.cells]
     for idx in range(lo, hi):
-        for acc, res in zip(sums, _frame_results(cfg, cells, idx)):
+        for acc, res in zip(sums, _frame_results(cfg, plan, idx)):
             acc[0] += res.bit_errors
             acc[1] += res.flops
             acc[2] += res.redraws
@@ -292,13 +319,14 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     c = _constellation(cfg.m_s)
     total_bits = cfg.frames * cfg.n_t * c.bits_per_symbol
     cells = list(_cells(cfg))
+    plan = _plan(cfg, cells)
     if cfg.workers == 1:
-        chunks = [_frame_chunk(cfg, cells, 0, cfg.frames)]
+        chunks = [_frame_chunk(cfg, plan, 0, cfg.frames)]
     else:
         chunk = max(1, math.ceil(cfg.frames / (cfg.workers * 4)))
         bounds = list(range(0, cfg.frames, chunk)) + [cfg.frames]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_frame_chunk, cfg, cells, lo, hi)
+            futures = [pool.submit(_frame_chunk, cfg, plan, lo, hi)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             chunks = [fut.result() for fut in futures]
     records = []

@@ -33,6 +33,7 @@ from lrmimo.reduction import (
     is_siegel_reduced,
 )
 from lrmimo.simharness import SimConfig, emit_csv, run_sweep
+from test_detect import detect_one
 from test_reduction import reduce_once
 from test_simharness import run_frame
 
@@ -325,5 +326,5 @@ def test_ber_monotone_in_snr(sweep_mclll_caps):
 def test_ml_search_space_within_guard():
     c = build_constellation(16)
     h = np.eye(4, dtype=complex)
-    out = ml_detector(qr_decompose(h), c)(c.points[[0, 1, 2, 3]])
+    out = detect_one(ml_detector(qr_decompose(h), c), c, c.points[[0, 1, 2, 3]])
     assert np.array_equal(out, c.points[[0, 1, 2, 3]])

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,48 @@ class TestReduceVerify:
         assert abs(abs(np.linalg.det(t)) - 1.0) < 1e-6
 
 
+def write_near_singular(tmp_path, n, eps):
+    """An n x n channel file whose column 1 is column 0 times (1+0.3j) plus
+    ``eps`` times a random vector, so its second QR pivot is near
+    ``eps * ||v||``."""
+    rng = np.random.default_rng((n, 0))
+    h = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
+    v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
+    h[:, 1] = h[:, 0] * (1 + 0.3j) + eps * v
+    path = tmp_path / "near_singular.txt"
+    save_matrix(str(path), h)
+    return path
+
+
+NEAR_SINGULAR_COMMANDS = [["reduce", "--algorithm", "mclll"], ["reduce", "--algorithm", "fclll"],
+                          ["reduce", "--algorithm", "lll"], ["verify"]]
+
+
+class TestNearSingularMatrixFile:
+    # RANK_TOL is 1e-12 relative to ||h||_F: a pivot near 1e-11 * ||v||
+    # passes, and one near 1e-12 or 1e-13 * ||v|| is a runtime error.
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("command", NEAR_SINGULAR_COMMANDS)
+    def test_pivot_above_tolerance_runs(self, command, n, tmp_path, capsys):
+        path = write_near_singular(tmp_path, n, 1e-11)
+        assert main([*command, "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "siegel_reduced:" in out
+        if command[0] == "reduce":
+            assert "unimodular: True" in out
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-13])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("command", NEAR_SINGULAR_COMMANDS)
+    def test_pivot_below_tolerance_is_runtime_error(self, command, n, eps, tmp_path, capsys):
+        path = write_near_singular(tmp_path, n, eps)
+        assert main([*command, "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"error: pivot \d+ norm \S+ not above 1e-12 \* \|\|h\|\|_F",
+                         captured.err)
+        assert captured.out == ""
+
+
 class TestFlopsReport:
     def test_text_table(self, capsys):
         rc = main(["flops-report", "--nt", "4", "--nr", "4",
@@ -391,11 +434,11 @@ class TestPinnedOutput:
 
 @st.composite
 def sweep_inputs(draw):
-    """A ``ber-sweep`` the CLI accepts: n_t <= n_r <= 4, any constellation
+    """A ``ber-sweep`` the CLI accepts: n_t <= n_r <= 8, any constellation
     size, any subset of detectors (ML within its search guard), caps 1-18
     and an SNR grid that may end in the noiseless ``inf``."""
-    n_t = draw(st.integers(1, 4))
-    n_r = draw(st.integers(n_t, 4))
+    n_t = draw(st.integers(1, 8))
+    n_r = draw(st.integers(n_t, 8))
     m_s = draw(st.sampled_from([4, 16, 64]))
     allowed = [a for a in ALGORITHMS if a != "ml" or m_s ** n_t <= ML_SEARCH_LIMIT]
     algorithms = draw(st.lists(st.sampled_from(allowed), min_size=1, unique=True))

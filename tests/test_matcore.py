@@ -310,6 +310,29 @@ class TestPseudoInverse:
         z = back_substitute(r, np.array([4.0, 8.0]))
         assert np.allclose(z, [1.0, 2.0])
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (4, 7), (8, 16)])
+    def test_back_substitute_matrix_is_column_solves(self, n, k):
+        # Column j of an (n, k) right-hand side solves like the vector
+        # y[:, j]: the same loop, with only the row-times-column products
+        # summed as one matrix product, so agreement is to rounding.
+        rng = np.random.default_rng(100 + n + k)
+        r = np.triu(random_complex(rng, n, n)) + 2 * np.eye(n)
+        y = random_complex(rng, n, k)
+        z = back_substitute(r, y)
+        assert z.shape == (n, k)
+        for j in range(k):
+            assert np.allclose(z[:, j], back_substitute(r, y[:, j]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(r @ z, y, rtol=0, atol=1e-12)
+
+    def test_embedding_vectors_per_column(self):
+        rng = np.random.default_rng(9)
+        x = random_complex(rng, 3, 5)
+        stacked = real_embedding_vector(x)
+        assert stacked.shape == (6, 5)
+        for j in range(5):
+            assert np.array_equal(stacked[:, j], real_embedding_vector(x[:, j]))
+        assert np.array_equal(complex_from_real_vector(stacked), x)
+
 
 class TestGaussIntMatrix:
     def test_identity_and_complex_view(self):

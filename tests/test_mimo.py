@@ -85,6 +85,16 @@ class TestModulation:
         mid = c.scale * (-3 - 2j)
         assert c.nearest_index(np.array([mid]))[0] == 0
 
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_bit_table_inverts_modulate(self, m_s):
+        # Row i of the bit table is the one bit group that modulate maps
+        # to point i, for every point.
+        c = build_constellation(m_s)
+        assert c.bit_table.shape == (m_s, c.bits_per_symbol)
+        for i, bits in enumerate(c.bit_table):
+            assert modulate(bits, c, 1)[0] == c.points[i]
+        assert len({tuple(row) for row in c.bit_table.tolist()}) == m_s
+
     def test_gray_neighbors_differ_by_one_bit(self):
         c = build_constellation(16)
         half = c.bits_per_symbol // 2

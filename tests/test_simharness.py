@@ -19,7 +19,7 @@ from lrmimo.simharness import (
     run_sweep,
     save_matrix,
 )
-from test_detect import exhaustive_ml
+from test_detect import detect_one, exhaustive_ml
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply
 from test_reduction import reduce_once
@@ -31,7 +31,7 @@ def run_frame(cfg, algorithm, iter_max, snr_db, frame_index):
     """One cell of one frame, as the sweep computes it: the single-cell
     view of ``simharness._frame_results``."""
     cell = algorithm, iter_max if simharness._capped(algorithm) else None, snr_db
-    return simharness._frame_results(cfg, [cell], frame_index)[0]
+    return simharness._frame_results(cfg, simharness._plan(cfg, [cell]), frame_index)[0]
 
 
 def small_cfg(**kw):
@@ -174,7 +174,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
                     name = alg[6:]
                     basis = real_embedding(h) if name == "lll" else h
                     red = reduce_once(name, basis, cap, REDUCTIONS[name].params(cfg.delta))
-                symbols = zf_lr_detector(red, c)(x)
+                symbols = detect_one(zf_lr_detector(red, c), c, x)
                 guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
                 charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
                 flops = tally.flops(charges, guards).total
