@@ -130,8 +130,6 @@ class TestQuantizeZDomain:
             z_q = quantize_z_domain(s + wobble, t.shift, c)
             assert np.allclose(z_q, s, atol=1e-12)
 
-
-class TestQuantizeZDomainColumns:
     def test_complex_columns_quantize_independently(self):
         rng = np.random.default_rng(13)
         c = build_constellation(16)
