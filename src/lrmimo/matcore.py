@@ -178,13 +178,21 @@ class GaussIntMatrix:
     def col_update(self, k: int, l: int, mu_re: int, mu_im: int) -> None:
         """Column operation ``col_k -= (mu_re + i*mu_im) * col_l``, exact;
         the shift takes the inverse row operation
-        ``shift[l] += (mu_re + i*mu_im) * shift[k]``."""
+        ``shift[l] += (mu_re + i*mu_im) * shift[k]``.  A real mu
+        (``mu_im == 0``, every update of a real basis and most complex
+        ones) skips the cross terms, which it would multiply by zero."""
         re, im = self.re, self.im
         lr, li = re[l], im[l]
-        re[k] = tuple([a - mu_re * b + mu_im * c for a, b, c in zip(re[k], lr, li)])
-        im[k] = tuple([a - mu_re * c - mu_im * b for a, b, c in zip(im[k], lr, li)])
         sr, si = self.shift_re, self.shift_im
         kr, ki = sr[k], si[k]
+        if not mu_im:
+            re[k] = tuple([a - mu_re * b for a, b in zip(re[k], lr)])
+            im[k] = tuple([a - mu_re * c for a, c in zip(im[k], li)])
+            sr[l] += mu_re * kr
+            si[l] += mu_re * ki
+            return
+        re[k] = tuple([a - mu_re * b + mu_im * c for a, b, c in zip(re[k], lr, li)])
+        im[k] = tuple([a - mu_re * c - mu_im * b for a, b, c in zip(im[k], lr, li)])
         sr[l] += mu_re * kr - mu_im * ki
         si[l] += mu_re * ki + mu_im * kr
 

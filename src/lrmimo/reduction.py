@@ -16,7 +16,10 @@ channel or unbounded on the channel's real block embedding, and its step
 loop, whose docstring describes the algorithm.  All three step loops call
 one kernel, ``_Run.visit``: a column visit that size-reduces, applies the
 swap test and, on a swap, exchanges the column pair (k-1, k) and
-re-triangularizes it with a Givens rotation, on Python scalars.
+re-triangularizes it with a Givens rotation, on Python scalars: floats
+for a real basis (lll's real embedding), complex numbers otherwise.  A
+size step whose ratio lies well inside the rounding window to zero
+skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
 once on the basis it is given and snapshots it at several iteration caps.
 Every snapshot holds (q_tilde, r_tilde, T) with T in exact
@@ -141,17 +144,24 @@ class _Run:
     column visit at a time; ``result`` snapshots it.  ``qr``, when given,
     is the QR of ``basis``; the run works on copies of its factors.
 
-    The factors are lists of columns of Python complex: a visit reads and
+    The factors are lists of columns of Python scalars: a visit reads and
     writes single entries, which numpy does several times slower one at a
-    time.  r is held scaled by ``2**-e``, e the binary exponent of the
-    basis's largest part (``max_exponent``), so no square in the swap
-    tests over- or underflows at any channel scale.  The scaling is exact,
+    time.  They are floats when the basis is real, since the complex QR of
+    a real basis has imaginary parts exactly zero, and complex otherwise.
+    A real mu is applied as an int, which keeps real arithmetic real and,
+    on a complex entry, is the same product as ``complex(mu, 0) * z``; so
+    both kinds make the decisions the complex arithmetic made.  r is held
+    scaled by ``2**-e``, e the binary exponent of the basis's largest part
+    (``max_exponent``), so no square in the swap tests over- or
+    underflows at any channel scale.  The scaling is exact,
     so wherever the unscaled squares stay in range every decision is the
     one they would give.
     """
 
     def __init__(self, basis, params: ReductionParams, qr: QRFactorization | None = None):
         q, r = qr_decompose(basis) if qr is None else qr
+        if np.isrealobj(basis):  # the complex QR of a real basis is real
+            q, r = q.real, r.real
         self.exponent = max_exponent(basis)
         self.q = q.T.tolist()
         self.r = ldexp(r, -self.exponent).T.tolist()
@@ -174,7 +184,10 @@ class _Run:
 
         Size reduction subtracts ``mu`` (see ``_mu``) times column l from
         column k in rows 0..l of r and in T, when mu is nonzero; it raises
-        ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * ||basis||_F``.  The
+        ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * ||basis||_F``.  A ratio
+        with both parts strictly inside (-0.49, 0.49) has mu = (0, 0), since
+        ``0.49 + 0.5 + TIE_TOL < 1``, so it skips ``_mu``; a NaN ratio
+        fails that test and raises in ``_mu``.  The
         Siegel test swaps when ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2``; the
         Lovasz test adds ``|r[k-1,k]|^2`` to the right side.  The rotation
         raises ZeroPivot unless the swapped pair's norm is above
@@ -186,9 +199,12 @@ class _Run:
             left = r[l]
             if not abs(left[l]) > DIAG_TOL * scale:
                 raise ZeroDiagonal(f"|r[{l},{l}]| not above {DIAG_TOL:.0e} * ||basis||_F")
-            mu_re, mu_im = _mu(col[l] / left[l])
+            ratio = col[l] / left[l]
+            if -0.49 < ratio.real < 0.49 and -0.49 < ratio.imag < 0.49:
+                continue  # mu = (0, 0); a NaN fails the test and reaches _mu
+            mu_re, mu_im = _mu(ratio)
             if mu_re or mu_im:
-                mu = complex(mu_re, mu_im)
+                mu = complex(mu_re, mu_im) if mu_im else mu_re
                 for i in range(l + 1):
                     col[i] -= mu * left[i]
                 t.col_update(k, l, mu_re, mu_im)
@@ -221,10 +237,10 @@ class _Run:
             pass
 
     def result(self) -> ReductionResult:
-        """Snapshot of the run so far, with numpy factors; later steps
-        leave it unchanged."""
-        return ReductionResult(np.array(self.q).T.copy(),
-                               ldexp(np.array(self.r).T.copy(), self.exponent),
+        """Snapshot of the run so far, with complex numpy factors for either
+        kind of basis; later steps leave it unchanged."""
+        return ReductionResult(np.array(self.q, dtype=complex).T.copy(),
+                               ldexp(np.array(self.r, dtype=complex).T.copy(), self.exponent),
                                self.t.copy(), self.iterations, self.converged,
                                list(self.visits), self.size_updates)
 
@@ -335,7 +351,9 @@ def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
     ascending cap order, and each equals the run stopped at that cap: both
     capped reductions run a fixed schedule, so a run capped at k is the
     prefix of a run capped at K > k.  The unbounded "lll" runs to
-    completion and every cap (None included) gets that run.  ``qr``, when
+    completion and every cap (None included) gets that run.  Caps at which
+    the run stands where it stood at the previous cap share that cap's
+    snapshot object; a snapshot is never mutated.  ``qr``, when
     given, is the QR of ``basis``, so the run starts from copies of its
     factors instead of factoring the basis again.
     """
@@ -346,10 +364,15 @@ def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
     run = _Run(basis, params, qr)
     steps = reduction.steps(run)
-    snapshots = []
+    snapshots, result = [], None
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
         run.advance(steps, cap if reduction.capped else None)
-        snapshots.append((cap, run.result()))
+        # A run that took no step since the last cap is where it was then,
+        # except that fclll may have found its flags clear in between.
+        if result is None or (run.iterations, run.converged) != (
+                result.iterations_used, result.converged):
+            result = run.result()
+        snapshots.append((cap, result))
     return snapshots
 
 

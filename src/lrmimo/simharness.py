@@ -96,12 +96,13 @@ class SimConfig:
         grid = tuple(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be nonempty and strictly increasing")
-        try:  # the lowest SNR has the largest noise variance
-            finite = math.isfinite(snr_to_noise_variance(grid[0], self.n_t).sigma_n_sq)
-        except ZeroDivisionError:
-            finite = False
-        if not finite:
-            raise ValueError(f"snr {grid[0]} dB gives a non-finite noise variance")
+        for snr in grid:  # the noiseless inf gives variance 0
+            try:
+                finite = math.isfinite(snr_to_noise_variance(snr, self.n_t).sigma_n_sq)
+            except (ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"snr {snr} dB gives a noise variance out of float range")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")

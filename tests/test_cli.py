@@ -74,6 +74,8 @@ class TestExitCodes:
         ["verify", "--matrix", "/nonexistent/h.txt", "--delta", "2"],
         ["ber-sweep", "--nt", "8", "--nr", "8", "--ms", "16", "--algorithms", "ml"],
         ["ber-sweep", "--frames", "1", "--snr=-4000,0"],
+        ["ber-sweep", "--frames", "1", "--snr", "0,4000"],
+        ["ber-sweep", "--frames", "1", "--snr", "0,3100"],
     ])
     def test_rejected_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1

@@ -372,6 +372,25 @@ class TestGaussIntMatrix:
         assert t.shift_re == t.shift_im
         assert np.array_equal(t.to_complex().real @ t.shift.real, np.ones(3))
 
+    def test_real_mu_update_matches_gaussian_formula(self):
+        # A real mu (mu_im = 0) drops the cross terms, which it multiplies
+        # by zero: col_k -= mu * col_l and shift_l += mu * shift_k, per part.
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            t = GaussIntMatrix.identity(4)
+            for _ in range(8):
+                k, l = (int(v) for v in rng.choice(4, size=2, replace=False))
+                t.col_update(k, l, int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+            k, l = (int(v) for v in rng.choice(4, size=2, replace=False))
+            mu = int(rng.integers(-3, 4))
+            before = t.copy()
+            t.col_update(k, l, mu, 0)
+            assert t.re[k] == tuple(a - mu * b for a, b in zip(before.re[k], before.re[l]))
+            assert t.im[k] == tuple(a - mu * b for a, b in zip(before.im[k], before.im[l]))
+            assert t.shift_re[l] == before.shift_re[l] + mu * before.shift_re[k]
+            assert t.shift_im[l] == before.shift_im[l] + mu * before.shift_im[k]
+            assert_shift_exact(t)
+
     def test_entries_stay_exact_beyond_float_precision(self):
         t = GaussIntMatrix.identity(2)
         for _ in range(40):

@@ -1,9 +1,13 @@
 """Tests for the reduction kernel and algorithms, the predicates, and traces."""
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrmimo import reduction
 from lrmimo.flops import instrument_caps, schedule_for
@@ -528,6 +532,82 @@ class TestRoundingTies:
             assert own.visits == oracle.visits, i
             assert own.size_updates == oracle.size_updates, i
             assert (own.t.re, own.t.im) == (oracle.t.re, oracle.t.im), i
+
+
+class TestScalarFastPaths:
+    # The kernel runs a real basis on Python floats and skips _mu where mu
+    # must be (0, 0); these are the facts both rest on.
+    @pytest.mark.parametrize("n, count", [(4, 1000), (8, 100)])
+    def test_complex_qr_of_real_embedding_is_real(self, n, count):
+        for i in range(count):
+            basis = real_embedding(generate_channel(n, n, np.random.default_rng((23, n, i))))
+            q, r = qr_decompose(basis)
+            assert not q.imag.any() and not r.imag.any(), i
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_run_holds_python_scalars_of_its_basis(self, name):
+        # Before and after 18 steps: float entries on lll's real embedding,
+        # complex entries on the complex channel.  The snapshot's factors
+        # are complex either way.
+        entry = REDUCTIONS[name]
+        kind = complex if entry.capped else float
+        for i in range(20):
+            basis = entry.basis(generate_channel(4, 4, np.random.default_rng((24, i))))
+            run = reduction._Run(basis, entry.params())
+            assert {type(x) for col in run.q + run.r for x in col} == {kind}
+            for _ in itertools.islice(entry.steps(run), 18):
+                pass
+            assert run.size_updates > 0
+            assert {type(x) for col in run.q + run.r for x in col} == {kind}
+            res = run.result()
+            assert res.q_tilde.dtype == complex and res.r_tilde.dtype == complex
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True),
+           st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True))
+    def test_mu_is_zero_inside_the_skip_window(self, x, y):
+        assert reduction._mu(complex(x, y)) == (0, 0)
+        assert reduction._mu(x) == (0, 0)
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_nan_ratio_still_raises(self, name):
+        entry = REDUCTIONS[name]
+        basis = entry.basis(generate_channel(4, 4, np.random.default_rng(25)))
+        run = reduction._Run(basis, entry.params())
+        run.r[1][0] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            run.visit(1)
+
+
+class TestSnapshotReuse:
+    def test_caps_after_convergence_share_one_snapshot(self):
+        rng = np.random.default_rng(26)
+        shared = 0
+        for _ in range(20):
+            h = generate_channel(4, 4, rng)
+            snaps = reduce_at_caps("mclll", h, REDUCTIONS["mclll"].params(), [4, 6, 8, 18])
+            for (_, a), (_, b) in zip(snaps, snaps[1:]):
+                if a is b:
+                    shared += 1
+                    assert a.converged
+            for cap, got in snaps:
+                want = reduce_once("mclll", h, cap)
+                assert (got.visits, got.iterations_used, got.converged) == (
+                    want.visits, want.iterations_used, want.converged)
+                assert np.array_equal(got.r_tilde, want.r_tilde)
+        assert shared > 0
+
+    def test_fclll_guard_between_caps_takes_a_new_snapshot(self):
+        # At cap m, the number of visits fclll converges after, the guard
+        # that finds every flag clear has not run yet; at cap m + 1 it has,
+        # with no further visit.
+        h = generate_channel(4, 4, np.random.default_rng(27))
+        params = REDUCTIONS["fclll"].params()
+        m = reduce_once("fclll", h, 1000).iterations_used
+        (_, at_m), (_, after) = reduce_at_caps("fclll", h, params, [m, m + 1])
+        assert (at_m.iterations_used, at_m.converged) == (m, False)
+        assert (after.iterations_used, after.converged) == (m, True)
+        assert at_m.visits == after.visits
 
 
 def discrete_digest(channels) -> str:
