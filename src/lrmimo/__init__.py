@@ -53,7 +53,6 @@ from .mimo import (
 from .reduction import (
     REDUCTIONS,
     Reduction,
-    ReductionParams,
     ReductionResult,
     ZeroDiagonal,
     ZeroPivot,

@@ -90,11 +90,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(_parse_list("--iter-max", text, int))
 
 
-def _reduction_params(name: str, delta: float):
-    """Parameters of reduction ``name`` at ``delta``; a delta it rejects is
-    a usage error."""
+def _check_delta(name: str, delta: float) -> None:
+    """A delta that reduction ``name`` rejects is a usage error."""
     try:
-        return REDUCTIONS[name].params(delta)
+        REDUCTIONS[name].check_delta(delta)
     except ValueError as exc:
         raise UsageError(f"--delta: {exc}") from None
 
@@ -221,9 +220,9 @@ def _cmd_flops_report(args) -> int:
         alg = alg.strip()
         if alg not in _CAPPED_REDUCTIONS:
             raise UsageError(f"--algorithms: unknown algorithm {alg!r}")
-        _reduction_params(alg, args.delta)
+        _check_delta(alg, args.delta)
         entries.extend((alg, cap) for cap in caps)
-    _reduction_params("lll", args.delta)  # the implicit baseline
+    _check_delta("lll", args.delta)  # the implicit baseline
     rng = np.random.default_rng(args.seed)
     channels = [generate_channel(args.nr, args.nt, rng)
                 for _ in range(args.channels)]
@@ -241,9 +240,9 @@ def _cmd_reduce(args) -> int:
     if reduction.capped and args.iter_max < 1:
         raise UsageError(f"--iter-max: {args.algorithm} needs a cap >= 1, "
                          f"got {args.iter_max}")
-    params = _reduction_params(args.algorithm, args.delta)
+    _check_delta(args.algorithm, args.delta)
     basis = reduction.basis(load_matrix(args.matrix))
-    [(_, result)] = reduce_at_caps(args.algorithm, basis, params, [args.iter_max])
+    [(_, result)] = reduce_at_caps(args.algorithm, basis, [args.iter_max], delta=args.delta)
     t = result.t
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")
@@ -265,7 +264,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _reduction_params("lll", args.delta)  # the Lovasz predicate's range
+    _check_delta("lll", args.delta)  # the Lovasz predicate's range
     m = load_matrix(args.matrix)
     r = qr_decompose(m).r
     print(f"size_reduced: {is_size_reduced(r)}")
@@ -299,7 +298,10 @@ def main(argv=None) -> int:
             for key, val in values.items():
                 if key not in _SWEEP_CONFIG_CASTS:
                     raise UsageError(f"config file: unknown key {key!r}")
-                defaults[key] = _SWEEP_CONFIG_CASTS[key](val)
+                try:
+                    defaults[key] = _SWEEP_CONFIG_CASTS[key](val)
+                except ValueError:
+                    raise UsageError(f"config file: {key}: cannot parse {val!r}") from None
             args = build_parser(defaults).parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

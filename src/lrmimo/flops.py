@@ -4,10 +4,11 @@ Every charge comes from one per-step formula (``_step_charges``) over op
 weights: a size-reduction check (one division), its update when mu != 0,
 the Lovasz or Siegel swap test, and on a swap the column exchange, the
 Givens computation and its rotations of r and q, plus the flag-table
-summation of the fixed-complexity guard.  Scalar weights default to
-add/mult = 1, sqrt/div = 8.  Two counting modes exist because a static
-per-iteration cost model cannot express early termination, which is the
-whole point of capping iterations:
+summation of the fixed-complexity guard.  The sweep and the complexity
+report charge the default scalar weights, add/mult = 1, sqrt/div = 8;
+``schedule_for`` is the one place that takes other weights.  Two counting
+modes exist because a static per-iteration cost model cannot express
+early termination, which is the whole point of capping iterations:
 
 * ``dynamic``  -- every executed step is charged at the complex
   expansions of the weights (``complex_op_cost``): the reduction-loop
@@ -24,9 +25,10 @@ reduction runs how comes from ``reduction.REDUCTIONS``; ``instrument_caps``
 runs one and counts its FLOPs.
 
 The reductions count nothing: ``count_flops`` reads every count off the
-``ReductionResult`` of a run.  Only a reduction whose ``REDUCTIONS``
-entry has a flag table (fclll) is charged the flag-table summation, once
-per evaluation of its loop guard; mclll's scalar flag costs nothing.
+``ReductionResult`` of a run and prices it with the run's ``REDUCTIONS``
+entry, which fixes the swap test charged per visit.  Only an entry with a
+flag table (fclll) is charged the flag-table summation, once per
+evaluation of its loop guard; mclll's scalar flag costs nothing.
 Counts are exact under integer-valued weights, which every caller uses.
 """
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .matcore import QRFactorization
-from .reduction import REDUCTIONS, ReductionParams, ReductionResult, reduce_at_caps
+from .reduction import REDUCTIONS, Reduction, ReductionResult, reduce_at_caps
 
 
 @dataclass(frozen=True)
@@ -150,16 +152,17 @@ def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def count_flops(result: ReductionResult, charges: ChargeSchedule, *,
-                condition: str, flag_table: bool) -> FlopCounter:
-    """The FLOPs of the run that returned ``result``, at ``charges``: a
-    visit at pivot k makes k size checks and one swap test under
-    ``condition``, and a run with a ``flag_table`` evaluates its loop guard
-    once per visit plus once more if it converged."""
+def count_flops(result: ReductionResult, charges: ChargeSchedule,
+                reduction: Reduction) -> FlopCounter:
+    """The FLOPs of the run of ``reduction`` (an entry of
+    ``reduction.REDUCTIONS``) that returned ``result``, at ``charges``: a
+    visit at pivot k makes k size checks and one swap test under the
+    entry's condition, and an entry with a flag table evaluates its loop
+    guard once per visit plus once more if the run converged."""
     visits, swaps = len(result.visits), result.swap_count
-    swap_test = (charges.swap_check_siegel if condition == "siegel"
+    swap_test = (charges.swap_check_siegel if reduction.condition == "siegel"
                  else charges.swap_check_lovasz)
-    guards = result.iterations_used + result.converged if flag_table else 0
+    guards = result.iterations_used + result.converged if reduction.flag_table else 0
     return FlopCounter(
         size_reduction=(sum(k for k, _ in result.visits) * charges.size_check
                         + result.size_updates * charges.size_update
@@ -173,17 +176,16 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule, *,
     )
 
 
-def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
+def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
                     mode: str = "dynamic",
-                    model: CostModel = DEFAULT_COST_MODEL,
                     qr: QRFactorization | None = None) -> dict:
-    """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once on the
-    basis it takes for the complex channel ``h`` (``Reduction.basis``: ``h``
-    itself, or its real block embedding for the unbounded "lll") and return
-    ``{cap: (result, FlopCounter)}``, one entry per distinct cap, each
-    counted at its cap's schedule.  This is how the sweep and the
-    complexity report run a reduction;
-    ``instrument_caps(alg, h, params, [cap])[cap]`` is one run.  The
+    """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once at
+    ``delta`` on the basis it takes for the complex channel ``h``
+    (``Reduction.basis``: ``h`` itself, or its real block embedding for the
+    unbounded "lll") and return ``{cap: (result, FlopCounter)}``, one entry
+    per distinct cap, each counted at its cap's schedule at the default
+    op weights.  This is how the sweep and the complexity report run a
+    reduction; ``instrument_caps(alg, h, [cap])[cap]`` is one run.  The
     snapshots and ``qr`` (the QR of that basis) are those of
     ``reduction.reduce_at_caps``.
     """
@@ -191,10 +193,10 @@ def instrument_caps(algorithm: str, h, params: ReductionParams, caps, *,
     n_r, n_t = h.shape
     reduction = REDUCTIONS[algorithm]
     runs = {}
-    for cap, result in reduce_at_caps(algorithm, reduction.basis(h), params, caps, qr):
-        charges = schedule_for(algorithm, mode, n_t, n_r, cap, model)
-        runs[cap] = result, count_flops(result, charges, condition=params.condition,
-                                        flag_table=reduction.flag_table)
+    for cap, result in reduce_at_caps(algorithm, reduction.basis(h), caps,
+                                      delta=delta, qr=qr):
+        charges = schedule_for(algorithm, mode, n_t, n_r, cap)
+        runs[cap] = result, count_flops(result, charges, reduction)
     return runs
 
 
@@ -211,8 +213,7 @@ class ComplexityRow:
 
 
 def complexity_report(channels, entries, *, mode: str = "literal",
-                      delta: float = 0.75,
-                      model: CostModel = DEFAULT_COST_MODEL) -> list[ComplexityRow]:
+                      delta: float = 0.75) -> list[ComplexityRow]:
     """Mean/median/max FLOPs per (algorithm, iter_max) over a channel
     sample, with relative gain versus the unbounded real-LLL baseline.
 
@@ -229,9 +230,7 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     totals: dict[tuple[str, int | None], list[float]] = {}
     for alg in dict.fromkeys(alg for alg, _ in entries):
         caps = [cap for a, cap in entries if a == alg]
-        params = REDUCTIONS[alg].params(delta)
-        runs = [instrument_caps(alg, h, params, caps, mode=mode, model=model)
-                for h in hs]
+        runs = [instrument_caps(alg, h, caps, delta=delta, mode=mode) for h in hs]
         for cap in caps:
             totals[(alg, cap)] = [by_cap[cap][1].total for by_cap in runs]
     baseline_mean = statistics.fmean(totals[baseline_key])

@@ -8,11 +8,13 @@ Three algorithms share the same machinery, one entry each in the table
 * "fclll" -- fixed-complexity complex LLL with a per-column swap-flag
   table and a capped number of column visits,
 * "mclll" -- the reduced-iteration modified complex LLL: full sweeps, a
-  single scalar swap flag, and (by default) the cheaper Siegel swap test
-  in place of the Lovasz test.
+  single scalar swap flag, and the cheaper Siegel swap test in place of
+  the Lovasz test.
 
-Each entry names its swap test, whether it runs capped on the complex
-channel or unbounded on the channel's real block embedding, and its step
+Each entry is the one place that fixes a reduction's swap test, and with
+it the deltas the reduction accepts (``Reduction.check_delta``); it also
+says whether the reduction runs capped on the complex channel or
+unbounded on the channel's real block embedding, and names its step
 loop, whose docstring describes the algorithm.  All three step loops call
 one kernel, ``_Run.visit``: a column visit that size-reduces, applies the
 swap test and, on a swap, exchanges the column pair (k-1, k) and
@@ -21,8 +23,8 @@ for a real basis (lll's real embedding), complex numbers otherwise.  A
 size step whose ratio lies well inside the rounding window to zero
 skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
-once on the basis it is given and snapshots it at several iteration caps.
-Every snapshot holds (q_tilde, r_tilde, T) with T in exact
+once on the basis it is given, at one delta, and snapshots it at several
+iteration caps.  Every snapshot holds (q_tilde, r_tilde, T) with T in exact
 Gaussian-integer arithmetic, one trace of the column visits and the
 number of size updates with nonzero mu.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
@@ -66,28 +68,6 @@ class ZeroDiagonal(ValueError):
 
 class ZeroPivot(ValueError):
     """A swap left a pivot pair of (near-)zero norm to rotate."""
-
-
-@dataclass(frozen=True)
-class ReductionParams:
-    """Knobs shared by every reduction algorithm; iteration caps go to
-    ``reduce_at_caps``.
-
-    delta      quality parameter in (1/4, 1]; 3/4 unless stated otherwise.
-               The Siegel condition needs delta > 1/2.
-    condition  "lovasz" or "siegel" swap test.
-    """
-
-    delta: float = 0.75
-    condition: str = "siegel"
-
-    def __post_init__(self):
-        if not 0.25 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0.25, 1], got {self.delta}")
-        if self.condition not in ("lovasz", "siegel"):
-            raise ValueError(f"unknown condition {self.condition!r}")
-        if self.condition == "siegel" and not self.delta > 0.5:
-            raise ValueError(f"siegel condition requires delta > 1/2, got {self.delta}")
 
 
 @dataclass
@@ -141,8 +121,10 @@ def _mu(ratio: complex) -> tuple[int, int]:
 class _Run:
     """One reduction in progress: the working factors, the exact T, the
     visit trace and the size-update count.  The step loops advance it one
-    column visit at a time; ``result`` snapshots it.  ``qr``, when given,
-    is the QR of ``basis``; the run works on copies of its factors.
+    column visit at a time; ``result`` snapshots it.  Its visits apply
+    the Lovasz swap test when ``lovasz`` is true and the Siegel test
+    otherwise, at ``delta``.  ``qr``, when given, is the QR of ``basis``;
+    the run works on copies of its factors.
 
     The factors are lists of columns of Python scalars: a visit reads and
     writes single entries, which numpy does several times slower one at a
@@ -158,7 +140,7 @@ class _Run:
     one they would give.
     """
 
-    def __init__(self, basis, params: ReductionParams, qr: QRFactorization | None = None):
+    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization | None = None):
         q, r = qr_decompose(basis) if qr is None else qr
         if np.isrealobj(basis):  # the complex QR of a real basis is real
             q, r = q.real, r.real
@@ -167,8 +149,8 @@ class _Run:
         self.r = ldexp(r, -self.exponent).T.tolist()
         self.n = len(self.r)
         self.scale = math.ldexp(np.hypot.reduce(np.abs(basis), axis=None), -self.exponent)
-        self.delta = params.delta
-        self.lovasz = params.condition == "lovasz"
+        self.delta = delta
+        self.lovasz = lovasz
         self.t = GaussIntMatrix.identity(self.n)
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
@@ -249,11 +231,10 @@ def _mclll_sweeps(run: _Run):
     """The reduced-iteration modified complex LLL, one full sweep per step.
 
     A sweep visits k = 1..n-1: it fully size-reduces column k, then
-    applies the swap test (Siegel by default); a swap is followed by a
-    Givens re-triangularization and the sweep continues at k+1 (no
-    step-back; deferred violations are fixed by later sweeps).  A single
-    scalar flag ends the steps as soon as a sweep completes without any
-    swap.
+    applies the Siegel swap test; a swap is followed by a Givens
+    re-triangularization and the sweep continues at k+1 (no step-back;
+    deferred violations are fixed by later sweeps).  A single scalar flag
+    ends the steps as soon as a sweep completes without any swap.
     """
     n = run.n
     while not run.converged:
@@ -268,11 +249,11 @@ def _fclll_visits(run: _Run):
     pivots 1, 2, ..., n-1 repeating.
 
     A visit clears its column's flag, fully size-reduces the column and
-    applies the swap test (Lovasz by default); a swap re-raises the flags
-    of columns k-1..k+1.  Each step first evaluates the loop guard, which
-    sums the flag table; the steps end when every flag in 1..n-1 is clear
-    (at once for a 1x1 basis, which has none); that summation is what the
-    modified algorithm's scalar flag removes.  A cap stops the run before
+    applies the Lovasz swap test; a swap re-raises the flags of columns
+    k-1..k+1.  Each step first evaluates the loop guard, which sums the
+    flag table; the steps end when every flag in 1..n-1 is clear (at once
+    for a 1x1 basis, which has none); that summation is what the modified
+    algorithm's scalar flag removes.  A cap stops the run before
     the guard of the next visit, never inside it, so a run evaluates the
     guard ``iterations_used + converged`` times.
     """
@@ -309,8 +290,9 @@ def _lll_visits(run: _Run):
 class Reduction(NamedTuple):
     """One entry of ``REDUCTIONS``.
 
-    condition  the swap test the sweep, the complexity report and the CLI
-               run it with.
+    condition  its swap test, "siegel" or "lovasz": every run of it uses
+               this test, which also fixes the deltas it accepts
+               (``check_delta``).
     capped     True: runs up to an iteration cap on the complex channel;
                False: runs unbounded on the channel's real block embedding.
     steps      its step loop, ``steps(run)``: one iteration per step.
@@ -322,10 +304,13 @@ class Reduction(NamedTuple):
     steps: Callable
     flag_table: bool = False
 
-    def params(self, delta: float = 0.75) -> ReductionParams:
-        """Its parameters at ``delta``, with no cap of their own (caps
-        go to ``reduce_at_caps``)."""
-        return ReductionParams(delta=delta, condition=self.condition)
+    def check_delta(self, delta: float) -> None:
+        """Raise ValueError unless its swap test runs at ``delta``: both
+        tests need delta in (1/4, 1], and the Siegel test needs delta > 1/2."""
+        if not 0.25 < delta <= 1.0:
+            raise ValueError(f"delta must be in (0.25, 1], got {delta}")
+        if self.condition == "siegel" and not delta > 0.5:
+            raise ValueError(f"siegel condition requires delta > 1/2, got {delta}")
 
     def basis(self, h) -> np.ndarray:
         """The basis it reduces for the complex channel ``h``."""
@@ -339,12 +324,13 @@ REDUCTIONS = {
 }
 
 
-def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
+def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
                    qr: QRFactorization | None = None):
-    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis`` and
-    snapshot it at every cap.  This is the one way to run a reduction; a
-    caller that starts from a complex channel ``h`` passes
-    ``REDUCTIONS[algorithm].basis(h)``.
+    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis``, with
+    its entry's swap test at ``delta``, and snapshot it at every cap.  This
+    is the one way to run a reduction; a caller that starts from a complex
+    channel ``h`` passes ``REDUCTIONS[algorithm].basis(h)``.  A delta the
+    entry rejects (``Reduction.check_delta``) raises ValueError.
 
     Returns ``[(cap, result)]``, one per distinct cap.  A capped reduction
     needs finite caps >= 1 and runs up to the largest; snapshots come in
@@ -362,7 +348,8 @@ def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
     reduction = REDUCTIONS[algorithm]
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
-    run = _Run(basis, params, qr)
+    reduction.check_delta(delta)
+    run = _Run(basis, delta, reduction.condition == "lovasz", qr)
     steps = reduction.steps(run)
     snapshots, result = [], None
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
@@ -376,9 +363,9 @@ def reduce_at_caps(algorithm: str, basis, params: ReductionParams, caps,
     return snapshots
 
 
-def is_size_reduced(r, tol: float = PREDICATE_TOL) -> bool:
+def is_size_reduced(r) -> bool:
     """Size-reduction predicate: for every l < k, both components of
-    ``r[l, k] / r[l, l]`` have magnitude <= 1/2 (within ``tol``).
+    ``r[l, k] / r[l, l]`` have magnitude <= 1/2 (within ``PREDICATE_TOL``).
 
     For real matrices this coincides with ``|r[l, k]| <= |r[l, l]| / 2``;
     for complex matrices the component-wise bound is what Gaussian
@@ -386,38 +373,40 @@ def is_size_reduced(r, tol: float = PREDICATE_TOL) -> bool:
     """
     r = np.asarray(r)
     n = r.shape[1]
+    bound = 0.5 + PREDICATE_TOL
     for k in range(1, n):
         for l in range(k):
             ratio = r[l, k] / r[l, l]
-            if abs(ratio.real) > 0.5 + tol or abs(ratio.imag) > 0.5 + tol:
+            if abs(ratio.real) > bound or abs(ratio.imag) > bound:
                 return False
     return True
 
 
-def is_lll_reduced(r, delta: float, tol: float = PREDICATE_TOL) -> bool:
+def is_lll_reduced(r, delta: float) -> bool:
     """True when ``r`` is size-reduced and no pivot violates the Lovasz
     condition ``delta*|r[k-1,k-1]|^2 <= |r[k,k]|^2 + |r[k-1,k]|^2``."""
-    return _passes_swap_tests(r, delta, tol, lovasz=True)
+    return _passes_swap_tests(r, delta, lovasz=True)
 
 
-def is_siegel_reduced(r, delta: float, tol: float = PREDICATE_TOL) -> bool:
+def is_siegel_reduced(r, delta: float) -> bool:
     """True when ``r`` is size-reduced and no pivot violates the Siegel
     condition ``delta*|r[k-1,k-1]|^2 <= |r[k,k]|^2``."""
-    return _passes_swap_tests(r, delta, tol, lovasz=False)
+    return _passes_swap_tests(r, delta, lovasz=False)
 
 
-def _passes_swap_tests(r, delta: float, tol: float, lovasz: bool) -> bool:
+def _passes_swap_tests(r, delta: float, lovasz: bool) -> bool:
     """The two predicates above.  The squares are taken on r scaled by
     the power of two that puts its largest part in [1/2, 1), so they
-    neither overflow nor underflow, and ``tol`` is relative to that part."""
+    neither overflow nor underflow, and ``PREDICATE_TOL`` is relative to
+    that part."""
     r = np.asarray(r)
-    if not is_size_reduced(r, tol):
+    if not is_size_reduced(r):
         return False
     r = ldexp(r, -max_exponent(r))
     for k in range(1, r.shape[1]):
         lhs = delta * abs(r[k - 1, k - 1]) ** 2
         rhs = abs(r[k, k]) ** 2 + (abs(r[k - 1, k]) ** 2 if lovasz else 0.0)
-        if lhs > rhs * (1.0 + tol) + tol:
+        if lhs > rhs * (1.0 + PREDICATE_TOL) + PREDICATE_TOL:
             return False
     return True
 

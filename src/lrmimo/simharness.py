@@ -107,7 +107,7 @@ class SimConfig:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
             if alg.startswith("zf-lr-"):  # raises for a delta the reduction rejects
-                REDUCTIONS[alg.removeprefix("zf-lr-")].params(self.delta)
+                REDUCTIONS[alg.removeprefix("zf-lr-")].check_delta(self.delta)
         if any(cap < 1 for cap in self.iter_max_list):
             raise ValueError("iter_max values must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -209,7 +209,7 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, attempt: _Attempt, c) -> dict
     if algorithm == "ml":
         return {None: (ml_detector(attempt.qr, c), 0)}
     name = algorithm.removeprefix("zf-lr-")
-    runs = flops.instrument_caps(name, attempt.h, REDUCTIONS[name].params(cfg.delta), caps,
+    runs = flops.instrument_caps(name, attempt.h, caps, delta=cfg.delta,
                                  mode=cfg.flop_mode,
                                  qr=attempt.qr if _capped(algorithm) else None)
     detectors, previous = {}, None

@@ -27,7 +27,6 @@ from lrmimo.flops import instrument_caps, schedule_for
 from lrmimo.matcore import is_unimodular, qr_decompose, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
-    ReductionParams,
     factorization_error,
     is_lll_reduced,
     is_siegel_reduced,
@@ -239,7 +238,7 @@ def test_criterion7_flop_gain_and_monotonicity():
     caps = (4, 5, 6, 7, 8, 9, 18)
     # One run per channel, snapshot at every cap: each snapshot is the run
     # capped there (tests/test_flops.py checks that, counters included).
-    runs = [instrument_caps("mclll", h, ReductionParams(), caps, mode="literal")
+    runs = [instrument_caps("mclll", h, caps, mode="literal")
             for h in channels]
     means = {cap: float(np.mean([run[cap][1].total for run in runs])) for cap in caps}
     ratio = means[6] / means[18]
@@ -268,9 +267,8 @@ def test_criterion8_bookkeeping_saving():
     while qualifying < 100 and attempts < 1000:
         attempts += 1
         h = rayleigh(rng, 4)
-        rm, cm = instrument_caps("mclll", h, ReductionParams(), [2])[2]
-        rf, cf = instrument_caps(
-            "fclll", h, ReductionParams(condition="lovasz"), [6])[6]
+        rm, cm = instrument_caps("mclll", h, [2])[2]
+        rf, cf = instrument_caps("fclll", h, [6])[6]
         if rm.iterations_used < 2 or rf.iterations_used < 6:
             continue
         assert cm.flag_bookkeeping == 0

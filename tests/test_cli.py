@@ -90,6 +90,26 @@ class TestExitCodes:
         assert "entry (0, 1) is not finite: nan" in captured.err
         assert captured.out == ""
 
+    def test_siegel_delta_bound_is_mclll_only(self, tmp_path, capsys):
+        path = write_channel(tmp_path)
+        assert main(["reduce", "--matrix", str(path), "--algorithm", "mclll",
+                     "--delta", "0.4"]) == 1
+        assert "siegel condition requires delta > 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--algorithm", "fclll", "--delta", "0.4"],
+        ["reduce", "--algorithm", "lll", "--delta", "0.4"],
+        ["flops-report", "--nt", "2", "--nr", "2", "--channels", "2",
+         "--algorithms", "fclll", "--delta", "0.4"],
+        ["ber-sweep", "--nt", "2", "--nr", "2", "--ms", "4", "--frames", "2",
+         "--snr", "10", "--algorithms", "zf,zf-lr-fclll", "--delta", "0.4"],
+    ])
+    def test_lovasz_reductions_accept_delta_at_most_half(self, argv, tmp_path, capsys):
+        if argv[0] == "reduce":
+            argv = argv + ["--matrix", str(write_channel(tmp_path))]
+        assert main(argv) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_uncapped_reduce_ignores_iter_max(self, tmp_path, capsys):
         path = write_channel(tmp_path)
         assert main(["reduce", "--matrix", str(path), "--algorithm", "lll",
@@ -165,9 +185,15 @@ class TestBerSweep:
         assert rows[1].endswith(",5")  # file seed used
 
     def test_bad_config_key_rejected(self, tmp_path, capsys):
+        # An unknown key, and values that do not parse as the key's type,
+        # are usage errors that name the key, as the same flags would be.
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("strangeness = 1\n")
-        assert main(["ber-sweep", "--config", str(cfg)]) == 1
+        for line, key in (("strangeness = 1", "strangeness"), ("nt = 4.5", "nt"),
+                          ("frames = abc", "frames"), ("delta = x", "delta")):
+            cfg.write_text(line + "\n")
+            assert main(["ber-sweep", "--config", str(cfg)]) == 1, line
+            err = capsys.readouterr().err
+            assert "usage error" in err and key in err, line
 
 
 # Full stdout of `reduce --iter-max 3` on write_channel(seed=21).

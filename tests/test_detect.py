@@ -200,12 +200,11 @@ class TestZfLr:
         # and a snapshot is what a run stopped at its cap leaves: continuing
         # the run past the cap changes neither its T nor its shift.
         rng = np.random.default_rng(100 * n_t + n_r)
-        params = REDUCTIONS[name].params()
         caps = [1, 2, 6, 18]
         for _ in range(3):
             h = random_channel(rng, n_r, n_t)
             basis = REDUCTIONS[name].basis(h)
-            for cap, red in reduce_at_caps(name, basis, params, caps):
+            for cap, red in reduce_at_caps(name, basis, caps):
                 t = red.t
                 for i in range(t.n):
                     acc_re = acc_im = 0
@@ -214,7 +213,7 @@ class TestZfLr:
                         acc_re += re * t.shift_re[j] - im * t.shift_im[j]
                         acc_im += re * t.shift_im[j] + im * t.shift_re[j]
                     assert (acc_re, acc_im) == (1, 1)
-                [(_, alone)] = reduce_at_caps(name, basis, params, [cap])
+                [(_, alone)] = reduce_at_caps(name, basis, [cap])
                 assert (t.re, t.im, t.shift_re, t.shift_im) == (
                     alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 
@@ -347,8 +346,8 @@ def index_digest(n, m_s, frames) -> str:
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
             caps = [1, 2, 6, 18] if entry.capped else [None]
-            runs = reduce_at_caps(name, entry.basis(h), entry.params(), caps,
-                                  qr if entry.capped else None)
+            runs = reduce_at_caps(name, entry.basis(h), caps,
+                                  qr=qr if entry.capped else None)
             detectors += [(name, cap, zf_lr_detector(red, c)) for cap, red in runs]
         for name, cap, detect in detectors:
             idx = np.concatenate([detect(x), detect(y[:, None])], axis=1)
@@ -384,7 +383,7 @@ class TestDetectedIndices:
             for name in sorted(REDUCTIONS):
                 entry = REDUCTIONS[name]
                 caps = [2, 18] if entry.capped else [None]
-                runs = reduce_at_caps(name, entry.basis(h), entry.params(), caps)
+                runs = reduce_at_caps(name, entry.basis(h), caps)
                 detectors += [zf_lr_detector(red, c) for _, red in runs]
             for detect in detectors:
                 out = detect(x)

@@ -10,18 +10,19 @@ from lrmimo.flops import (
     FlopCounter,
     complex_op_cost,
     complexity_report,
+    count_flops,
     format_complexity_table,
     instrument_caps,
     schedule_for,
 )
 from lrmimo.matcore import GaussIntMatrix
 from lrmimo.mimo import generate_channel
-from lrmimo.reduction import REDUCTIONS, ReductionParams, reduce_at_caps
+from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 
 
-def instrument(alg, h, params, cap, mode="dynamic"):
+def instrument(alg, h, cap, mode="dynamic"):
     """One counted run of ``alg`` at ``cap``."""
-    return instrument_caps(alg, h, params, [cap], mode=mode)[cap]
+    return instrument_caps(alg, h, [cap], mode=mode)[cap]
 
 
 class EventTally:
@@ -214,7 +215,7 @@ class TestStepCost:
 
 class TestInstrument:
     def test_identity_mclll_charges(self):
-        result, counter = instrument("mclll", np.eye(4), ReductionParams(), 6)
+        result, counter = instrument("mclll", np.eye(4), 6)
         # One clean sweep: 1+2+3 = 6 size checks, 3 siegel checks, no swaps.
         assert counter.size_reduction == 6 * 20
         assert counter.swap_condition == 3 * 20
@@ -224,8 +225,7 @@ class TestInstrument:
         assert result.converged
 
     def test_identity_fclll_flag_charges(self):
-        result, counter = instrument(
-            "fclll", np.eye(4), ReductionParams(condition="lovasz"), 50)
+        result, counter = instrument("fclll", np.eye(4), 50)
         # Guard reaches the flag summation once per visit plus the exit check.
         assert result.iterations_used == 3
         assert counter.flag_bookkeeping == 4 * 8
@@ -234,8 +234,7 @@ class TestInstrument:
     def test_fclll_capped_exit_skips_final_flag_sum(self):
         rng = np.random.default_rng(0)
         h = generate_channel(4, 4, rng)
-        result, counter = instrument(
-            "fclll", h, ReductionParams(condition="lovasz"), 2)
+        result, counter = instrument("fclll", h, 2)
         assert result.iterations_used == 2
         assert counter.flag_bookkeeping == 2 * 8
 
@@ -243,35 +242,35 @@ class TestInstrument:
         rng = np.random.default_rng(1)
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            _, counter = instrument("mclll", h, ReductionParams(), 18)
+            _, counter = instrument("mclll", h, 18)
             assert counter.flag_bookkeeping == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         h = generate_channel(4, 4, rng)
-        _, c1 = instrument("mclll", h, ReductionParams(), 6)
-        _, c2 = instrument("mclll", h, ReductionParams(), 6)
+        _, c1 = instrument("mclll", h, 6)
+        _, c2 = instrument("mclll", h, 6)
         assert c1 == c2
 
     def test_cap_prefix_property(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            _, small = instrument("mclll", h, ReductionParams(), 6)
-            _, big = instrument("mclll", h, ReductionParams(), 18)
+            _, small = instrument("mclll", h, 6)
+            _, big = instrument("mclll", h, 18)
             assert small.total <= big.total
 
     def test_integer_totals_under_integer_weights(self):
         rng = np.random.default_rng(4)
         h = generate_channel(4, 4, rng)
         for mode in ("dynamic", "literal"):
-            _, counter = instrument("mclll", h, ReductionParams(), 6, mode=mode)
+            _, counter = instrument("mclll", h, 6, mode=mode)
             assert counter.total == int(counter.total)
 
     def test_lll_on_complex_channel_embeds(self):
         rng = np.random.default_rng(5)
         h = generate_channel(4, 4, rng)
-        result, counter = instrument("lll", h, REDUCTIONS["lll"].params(), None)
+        result, counter = instrument("lll", h, None)
         assert result.r_tilde.shape == (8, 8)
         assert counter.total > 0
 
@@ -282,14 +281,14 @@ class TestInstrumentCaps:
     def test_snapshots_equal_separate_capped_runs(self, alg, condition, mode):
         # fclll's snapshot at cap k precedes the guard (and its flag-sum
         # charge) of visit k+1; literal charges depend on the cap itself.
+        assert REDUCTIONS[alg].condition == condition
         rng = np.random.default_rng(8)
         caps = (3, 1, 18, 2)
-        params = ReductionParams(condition=condition)
         for _ in range(10):
             h = generate_channel(4, 4, rng)
-            runs = instrument_caps(alg, h, params, caps, mode=mode)
+            runs = instrument_caps(alg, h, caps, mode=mode)
             for cap in caps:
-                want, want_counter = instrument(alg, h, params, cap, mode=mode)
+                want, want_counter = instrument(alg, h, cap, mode=mode)
                 got, got_counter = runs[cap]
                 assert got_counter == want_counter
                 assert np.array_equal(got.r_tilde, want.r_tilde)
@@ -301,28 +300,31 @@ class TestInstrumentCaps:
 class TestEventOracle:
     @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
     def test_counts_equal_observed_events(self, alg, monkeypatch):
-        # Every snapshot of one run equals the events of a run capped at
-        # that snapshot's cap, priced at that cap's schedule, in both modes
-        # and at both weight sets.
+        # Every snapshot of one run, priced with its entry at that cap's
+        # schedule in both modes and at both weight sets, equals the events
+        # of a run capped at that cap; so does ``instrument_caps`` at the
+        # default weights.
         rng = np.random.default_rng(9)
-        params = REDUCTIONS[alg].params()
+        entry = REDUCTIONS[alg]
         caps = (1, 2, 3, 6, 18)
+        modes = ("dynamic", "literal")
         tally = EventTally(monkeypatch)
         for n_t, n_r in [(n, n) for n in range(1, 9)] + [(2, 4)]:
             for _ in range(3):
                 h = generate_channel(n_r, n_t, rng)
-                runs = {(mode, model): instrument_caps(alg, h, params, caps, mode=mode,
-                                                       model=model)
-                        for mode in ("dynamic", "literal")
-                        for model in (CostModel(), CUSTOM_MODEL)}
+                snapshots = dict(reduce_at_caps(alg, entry.basis(h), caps))
+                counted = {mode: instrument_caps(alg, h, caps, mode=mode) for mode in modes}
                 for cap in caps:
                     tally.reset()
-                    [(_, result)] = reduce_at_caps(alg, REDUCTIONS[alg].basis(h), params,
-                                                   [cap])
+                    [(_, result)] = reduce_at_caps(alg, entry.basis(h), [cap])
                     guards = result.iterations_used + result.converged if alg == "fclll" else 0
-                    for (mode, model), by_cap in runs.items():
-                        charges = schedule_for(alg, mode, n_t, n_r, cap, model)
-                        assert by_cap[cap][1] == tally.flops(charges, guards)
+                    for mode in modes:
+                        for model in (CostModel(), CUSTOM_MODEL):
+                            charges = schedule_for(alg, mode, n_t, n_r, cap, model)
+                            assert (count_flops(snapshots[cap], charges, entry)
+                                    == tally.flops(charges, guards))
+                        charges = schedule_for(alg, mode, n_t, n_r, cap)
+                        assert counted[mode][cap][1] == tally.flops(charges, guards)
 
 
 class TestComplexityReport:

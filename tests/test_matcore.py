@@ -21,8 +21,6 @@ from lrmimo.matcore import (
     round_half_away,
 )
 from lrmimo.reduction import (
-    REDUCTIONS,
-    ReductionParams,
     ZeroPivot,
     factorization_error,
     reduce_at_caps,
@@ -51,11 +49,13 @@ def gram_schmidt_oracle(h):
 
 
 def one_sweep(r, condition="siegel"):
-    """mclll stopped after one sweep on the basis r, started from the QR
-    (I, r); on a 2x2 r that is one column visit."""
+    """The first step under the ``condition`` swap test on the basis r,
+    started from the QR (I, r): mclll's first sweep (Siegel) or fclll's
+    first visit (Lovasz); on a 2x2 r both are one column visit."""
     r = np.asarray(r, dtype=complex)
     qr = QRFactorization(np.eye(r.shape[0], dtype=complex), r)
-    [(_, res)] = reduce_at_caps("mclll", r, ReductionParams(condition=condition), [1], qr)
+    algorithm = {"siegel": "mclll", "lovasz": "fclll"}[condition]
+    [(_, res)] = reduce_at_caps(algorithm, r, [1], qr=qr)
     return res
 
 
@@ -210,7 +210,7 @@ class TestGivens:
         rng = np.random.default_rng(9)
         for _ in range(50):
             h = random_complex(rng, 4, 4)
-            [(_, res)] = reduce_at_caps("mclll", h, REDUCTIONS["mclll"].params(), [18])
+            [(_, res)] = reduce_at_caps("mclll", h, [18])
             assert res.swap_count > 0
             assert factorization_error(h, res) <= 1e-12
 
@@ -218,7 +218,7 @@ class TestGivens:
         rng = np.random.default_rng(13)
         for _ in range(50):
             h = random_complex(rng, 4, 4)
-            [(_, res)] = reduce_at_caps("fclll", h, REDUCTIONS["fclll"].params(), [18])
+            [(_, res)] = reduce_at_caps("fclll", h, [18])
             q = res.q_tilde
             assert np.allclose(q.conj().T @ q, np.eye(4), rtol=0, atol=1e-12)
 

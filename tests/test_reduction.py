@@ -15,7 +15,6 @@ from lrmimo.matcore import QRFactorization, is_unimodular, qr_decompose, real_em
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
-    ReductionParams,
     ZeroDiagonal,
     factorization_error,
     is_lll_reduced,
@@ -32,9 +31,9 @@ def random_complex(rng, n):
             + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
 
 
-def reduce_once(name, basis, cap=None, params=None):
+def reduce_once(name, basis, cap=None, delta=0.75):
     """The run of reduction ``name`` on ``basis`` stopped at ``cap``."""
-    [(_, result)] = reduce_at_caps(name, basis, params or REDUCTIONS[name].params(), [cap])
+    [(_, result)] = reduce_at_caps(name, basis, [cap], delta=delta)
     return result
 
 
@@ -57,21 +56,32 @@ def shortest_vector_bruteforce(basis, bound=50):
     return norms.min()
 
 
-class TestReductionParams:
-    def test_defaults_valid(self):
-        p = ReductionParams()
-        assert p.delta == 0.75 and p.condition == "siegel"
+class TestCheckDelta:
+    def test_default_valid(self):
+        for entry in REDUCTIONS.values():
+            entry.check_delta(0.75)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(delta=0.25), dict(delta=1.01), dict(delta=float("nan")),
-        dict(condition="siegel", delta=0.5),  # the Siegel test needs delta > 1/2
-        dict(condition="other"),
-        dict(condition="lovasz", delta=0.25),  # (1/4, 1] bounds the Lovasz test too
-        dict(condition="siegel", delta=0.3),
+    # Every entry rejects a delta outside (1/4, 1]; only the Siegel test
+    # (mclll) needs delta > 1/2.
+    @pytest.mark.parametrize("name, delta", [
+        *((name, delta) for name in sorted(REDUCTIONS) for delta in (0.25, 1.01, float("nan"))),
+        ("mclll", 0.3), ("mclll", 0.5),
     ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ReductionParams(**kwargs)
+    def test_invalid_rejected(self, name, delta):
+        if 0.25 < delta <= 0.5:
+            message = "siegel condition requires delta > 1/2"
+        else:
+            message = r"\(0\.25, 1\]"
+        with pytest.raises(ValueError, match=message):
+            REDUCTIONS[name].check_delta(delta)
+        with pytest.raises(ValueError, match=message):
+            reduce_at_caps(name, np.eye(2), [1], delta=delta)
+
+    @pytest.mark.parametrize("name", ["fclll", "lll"])
+    def test_lovasz_entries_accept_delta_at_most_half(self, name):
+        for delta in (0.3, 0.5):
+            REDUCTIONS[name].check_delta(delta)
+            reduce_at_caps(name, np.eye(2), [1], delta=delta)
 
 
 class TestSizeReduceColumn:
@@ -176,7 +186,7 @@ class TestVisit:
         for n in (4, 8):
             for _ in range(10):
                 basis = entry.basis(generate_channel(n, n, rng))
-                reduce_at_caps(name, basis, entry.params(), [18] if entry.capped else [None])
+                reduce_at_caps(name, basis, [18] if entry.capped else [None])
 
 
 class TestRealLLL:
@@ -253,7 +263,7 @@ class TestFclll:
         assert res.converged and res.iterations_used == 0 and res.visits == []
         assert not any(tally.events.values())
         charges = schedule_for("fclll", "dynamic", 1, 1, None)
-        _, counter = instrument_caps("fclll", h, REDUCTIONS["fclll"].params(), [6])[6]
+        _, counter = instrument_caps("fclll", h, [6])[6]
         assert counter == tally.flops(charges, guards=1)
         assert counter.total == counter.flag_bookkeeping == charges.csflag_sum
 
@@ -348,13 +358,6 @@ class TestMclll:
             checked += 1
         assert checked > 30
 
-    def test_lovasz_condition_selectable(self):
-        rng = np.random.default_rng(12)
-        h = random_complex(rng, 4)
-        res = reduce_once("mclll", h, 1000, ReductionParams(condition="lovasz"))
-        assert res.converged
-        assert is_lll_reduced(res.r_tilde, 0.75)
-
     def test_siegel_form_can_cycle_forever(self):
         # The aggressive delta-form swap test admits exact 2-cycles once
         # delta + 1/2 > 1; this seed state never converges at any cap.
@@ -387,26 +390,26 @@ class TestReductionTable:
         # real embedding of h.
         rng = np.random.default_rng(15)
         h = random_complex(rng, 4)
-        for name, want in (
-            ("mclll", reduce_once("mclll", h, 6, ReductionParams(condition="siegel"))),
-            ("fclll", reduce_once("fclll", h, 6, ReductionParams(condition="lovasz"))),
-            ("lll", reduce_once("lll", real_embedding(h), None,
-                                ReductionParams(condition="lovasz"))),
-        ):
+        for name, basis, lovasz in (("mclll", h, False), ("fclll", h, True),
+                                    ("lll", real_embedding(h), True)):
             entry = REDUCTIONS[name]
-            [(cap, got)] = reduce_at_caps(name, entry.basis(h), entry.params(), [6])
+            assert entry.condition == ("lovasz" if lovasz else "siegel")
+            run = reduction._Run(basis, 0.75, lovasz)
+            run.advance(entry.steps(run), 6 if entry.capped else None)
+            want = run.result()
+            [(cap, got)] = reduce_at_caps(name, entry.basis(h), [6])
             assert cap == 6
             assert np.array_equal(got.t.to_complex(), want.t.to_complex())
             assert (got.visits, got.converged) == (want.visits, want.converged)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            reduce_at_caps("bogus", np.eye(2), ReductionParams(), [1])
+            reduce_at_caps("bogus", np.eye(2), [1])
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_cap_below_one_rejected(self, name):
         with pytest.raises(ValueError):
-            reduce_at_caps(name, np.eye(2), REDUCTIONS[name].params(), [0])
+            reduce_at_caps(name, np.eye(2), [0])
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_given_qr_is_copied_not_rotated(self, name):
@@ -415,9 +418,8 @@ class TestReductionTable:
         h = random_complex(rng, 4)
         qr = qr_decompose(h)
         q0, r0 = qr.q.copy(), qr.r.copy()
-        params = REDUCTIONS[name].params()
-        [(_, got)] = reduce_at_caps(name, h, params, [18], qr)
-        [(_, want)] = reduce_at_caps(name, h, params, [18])
+        [(_, got)] = reduce_at_caps(name, h, [18], qr=qr)
+        [(_, want)] = reduce_at_caps(name, h, [18])
         assert got.swap_count > 0
         assert np.array_equal(qr.q, q0) and np.array_equal(qr.r, r0)
         assert np.array_equal(got.q_tilde, want.q_tilde)
@@ -450,7 +452,7 @@ class TestScaleInvariance:
             out = []
             for name, entry in REDUCTIONS.items():
                 caps = [1, 2, 6, 18] if entry.capped else [None]
-                for _, res in reduce_at_caps(name, entry.basis(h), entry.params(), caps):
+                for _, res in reduce_at_caps(name, entry.basis(h), caps):
                     out.append((res.visits, res.size_updates, res.t.re, res.t.im))
             return out
 
@@ -524,10 +526,9 @@ class TestRoundingTies:
         # differ from qr_decompose's, "lll" makes the same run on every
         # one of 1,000 sweep draws.  Without the tie window it did not on
         # frames 177, 501 and 952.
-        params = REDUCTIONS["lll"].params()
         for i in range(1000):
             basis = real_embedding(generate_channel(4, 4, np.random.default_rng((7, i))))
-            own, oracle = [reduce_at_caps("lll", basis, params, [None], qr)[0][1]
+            own, oracle = [reduce_at_caps("lll", basis, [None], qr=qr)[0][1]
                            for qr in (None, QRFactorization(*gram_schmidt_oracle(basis)))]
             assert own.visits == oracle.visits, i
             assert own.size_updates == oracle.size_updates, i
@@ -553,7 +554,7 @@ class TestScalarFastPaths:
         kind = complex if entry.capped else float
         for i in range(20):
             basis = entry.basis(generate_channel(4, 4, np.random.default_rng((24, i))))
-            run = reduction._Run(basis, entry.params())
+            run = reduction._Run(basis, 0.75, entry.condition == "lovasz")
             assert {type(x) for col in run.q + run.r for x in col} == {kind}
             for _ in itertools.islice(entry.steps(run), 18):
                 pass
@@ -573,7 +574,7 @@ class TestScalarFastPaths:
     def test_nan_ratio_still_raises(self, name):
         entry = REDUCTIONS[name]
         basis = entry.basis(generate_channel(4, 4, np.random.default_rng(25)))
-        run = reduction._Run(basis, entry.params())
+        run = reduction._Run(basis, 0.75, entry.condition == "lovasz")
         run.r[1][0] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             run.visit(1)
@@ -585,7 +586,7 @@ class TestSnapshotReuse:
         shared = 0
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            snaps = reduce_at_caps("mclll", h, REDUCTIONS["mclll"].params(), [4, 6, 8, 18])
+            snaps = reduce_at_caps("mclll", h, [4, 6, 8, 18])
             for (_, a), (_, b) in zip(snaps, snaps[1:]):
                 if a is b:
                     shared += 1
@@ -602,9 +603,8 @@ class TestSnapshotReuse:
         # that finds every flag clear has not run yet; at cap m + 1 it has,
         # with no further visit.
         h = generate_channel(4, 4, np.random.default_rng(27))
-        params = REDUCTIONS["fclll"].params()
         m = reduce_once("fclll", h, 1000).iterations_used
-        (_, at_m), (_, after) = reduce_at_caps("fclll", h, params, [m, m + 1])
+        (_, at_m), (_, after) = reduce_at_caps("fclll", h, [m, m + 1])
         assert (at_m.iterations_used, at_m.converged) == (m, False)
         assert (after.iterations_used, after.converged) == (m, True)
         assert at_m.visits == after.visits
@@ -619,7 +619,7 @@ def discrete_digest(channels) -> str:
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
             caps = [1, 2, 6, 18] if entry.capped else [None]
-            for cap, res in reduce_at_caps(name, entry.basis(h), entry.params(), caps):
+            for cap, res in reduce_at_caps(name, entry.basis(h), caps):
                 t = res.t
                 digest.update(repr((name, cap, res.visits, res.size_updates,
                                     res.iterations_used, res.converged, t.re, t.im,

@@ -10,7 +10,6 @@ from lrmimo import mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import RankDeficient, qr_decompose, real_embedding
-from lrmimo.reduction import REDUCTIONS
 from lrmimo.simharness import (
     BerRecord,
     SimConfig,
@@ -173,7 +172,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
                     tally = EventTally(mp)
                     name = alg[6:]
                     basis = real_embedding(h) if name == "lll" else h
-                    red = reduce_once(name, basis, cap, REDUCTIONS[name].params(cfg.delta))
+                    red = reduce_once(name, basis, cap, cfg.delta)
                 symbols = detect_one(zf_lr_detector(red, c), c, x)
                 guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
                 charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
