@@ -34,12 +34,13 @@ Counts are exact under integer-valued weights, which every caller uses.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matcore import QRFactorization
+from .matcore import QRFactorization, qr_decompose
 from .reduction import REDUCTIONS, Reduction, ReductionResult, reduce_at_caps
 
 
@@ -129,12 +130,14 @@ def _step_charges(w: CostModel, rows: int, flags: int) -> ChargeSchedule:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
                  iter_max: int | None,
                  m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
     """Charge schedule for one run of ``algorithm`` on an n_r x n_t
     channel.  The real-basis LLL always counts real executed steps; the
-    capped complex algorithms honor ``mode`` (literal needs ``iter_max``)."""
+    capped complex algorithms honor ``mode`` (literal needs ``iter_max``).
+    Memoized: a run asks for one per cap."""
     if not REDUCTIONS[algorithm].capped:
         return _step_charges(m, rows=2 * n_r, flags=0)
     if mode == "dynamic":
@@ -177,8 +180,8 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule,
 
 
 def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
-                    mode: str = "dynamic",
-                    qr: QRFactorization | None = None) -> dict:
+                    mode: str = "dynamic", qr: QRFactorization | None = None,
+                    factors: bool = True) -> dict:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once at
     ``delta`` on the basis it takes for the complex channel ``h``
     (``Reduction.basis``: ``h`` itself, or its real block embedding for the
@@ -186,7 +189,8 @@ def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
     per distinct cap, each counted at its cap's schedule at the default
     op weights.  This is how the sweep and the complexity report run a
     reduction; ``instrument_caps(alg, h, [cap])[cap]`` is one run.  The
-    snapshots and ``qr`` (the QR of that basis) are those of
+    snapshots, ``qr`` (the QR of that basis) and ``factors`` (False: a
+    count-only run, whose snapshots carry no q, r or T) are those of
     ``reduction.reduce_at_caps``.
     """
     h = np.asarray(h, dtype=complex)
@@ -194,7 +198,7 @@ def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
     reduction = REDUCTIONS[algorithm]
     runs = {}
     for cap, result in reduce_at_caps(algorithm, reduction.basis(h), caps,
-                                      delta=delta, qr=qr):
+                                      delta=delta, qr=qr, factors=factors):
         charges = schedule_for(algorithm, mode, n_t, n_r, cap)
         runs[cap] = result, count_flops(result, charges, reduction)
     return runs
@@ -218,7 +222,9 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     sample, with relative gain versus the unbounded real-LLL baseline.
 
     ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
-    baseline row is prepended automatically when absent.
+    baseline row is prepended automatically when absent.  The report reads
+    only FLOP counts, so its runs are count-only (no q, r or T), and the
+    capped entries share one QR per channel.
     """
     hs = [np.asarray(h, dtype=complex) for h in channels]
     if not hs:
@@ -227,10 +233,13 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     baseline_key = next((e for e in entries if e[0] == "lll"), ("lll", None))
     if baseline_key not in entries:
         entries.insert(0, baseline_key)
+    qrs = [qr_decompose(h) for h in hs]  # shared by the capped entries
     totals: dict[tuple[str, int | None], list[float]] = {}
     for alg in dict.fromkeys(alg for alg, _ in entries):
         caps = [cap for a, cap in entries if a == alg]
-        runs = [instrument_caps(alg, h, caps, delta=delta, mode=mode) for h in hs]
+        runs = [instrument_caps(alg, h, caps, delta=delta, mode=mode, factors=False,
+                                qr=qr if REDUCTIONS[alg].capped else None)
+                for h, qr in zip(hs, qrs)]
         for cap in caps:
             totals[(alg, cap)] = [by_cap[cap][1].total for by_cap in runs]
     baseline_mean = statistics.fmean(totals[baseline_key])

@@ -157,7 +157,7 @@ class GaussIntMatrix:
     @classmethod
     def identity(cls, n: int) -> "GaussIntMatrix":
         m = cls.__new__(cls)
-        m.re = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        m.re = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
         m.im = [(0,) * n] * n
         m.shift_re = [1] * n
         m.shift_im = [1] * n

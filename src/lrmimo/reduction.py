@@ -26,7 +26,9 @@ skips the rounding, so a visit pays only for the nonzero updates.
 once on the basis it is given, at one delta, and snapshots it at several
 iteration caps.  Every snapshot holds (q_tilde, r_tilde, T) with T in exact
 Gaussian-integer arithmetic, one trace of the column visits and the
-number of size updates with nonzero mu.  The reductions count no FLOPs:
+number of size updates with nonzero mu.  Every decision reads r alone, so
+a count-only run, which holds no q and no T, makes the same visits and
+snapshots only the counts.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
 """
 
@@ -75,20 +77,22 @@ class ReductionResult:
     """Output of a basis reduction run.
 
     ``q_tilde @ r_tilde`` equals the input basis times ``t`` (up to float
-    roundoff); ``t`` is exactly unimodular and carries the LR-ZF quantizer
-    shift ``t^{-1} (1+i) ones``.  ``iterations_used`` counts the
+    roundoff), and ``r_tilde`` is exactly upper triangular; ``t`` is
+    exactly unimodular and carries the LR-ZF quantizer shift
+    ``t^{-1} (1+i) ones``.  ``iterations_used`` counts the
     algorithm's own iteration unit: full sweeps for "mclll", single
     column visits for "fclll" and "lll".  ``converged`` is True only when
     the run exited through its swap flag rather than the iteration cap.
     ``visits`` is the one trace: per column visit, in order, the pivot
     column k (addressing the pair (k-1, k)) and whether it swapped; the
     swap counts below are read off it.  ``size_updates`` counts the
-    nonzero-mu size updates, which the trace does not show.
+    nonzero-mu size updates, which the trace does not show.  A count-only
+    run's snapshot holds None for ``q_tilde``, ``r_tilde`` and ``t``.
     """
 
-    q_tilde: np.ndarray
-    r_tilde: np.ndarray
-    t: GaussIntMatrix
+    q_tilde: np.ndarray | None
+    r_tilde: np.ndarray | None
+    t: GaussIntMatrix | None
     iterations_used: int
     converged: bool
     visits: list[tuple[int, bool]]
@@ -124,7 +128,8 @@ class _Run:
     column visit at a time; ``result`` snapshots it.  Its visits apply
     the Lovasz swap test when ``lovasz`` is true and the Siegel test
     otherwise, at ``delta``.  ``qr``, when given, is the QR of ``basis``;
-    the run works on copies of its factors.
+    the run works on copies of its factors.  A count-only run
+    (``factors=False``) holds no q and no T, and makes the same decisions.
 
     The factors are lists of columns of Python scalars: a visit reads and
     writes single entries, which numpy does several times slower one at a
@@ -140,18 +145,19 @@ class _Run:
     one they would give.
     """
 
-    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization | None = None):
+    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization | None = None,
+                 *, factors: bool = True):
         q, r = qr_decompose(basis) if qr is None else qr
         if np.isrealobj(basis):  # the complex QR of a real basis is real
             q, r = q.real, r.real
         self.exponent = max_exponent(basis)
-        self.q = q.T.tolist()
+        self.q = q.T.tolist() if factors else None
         self.r = ldexp(r, -self.exponent).T.tolist()
         self.n = len(self.r)
         self.scale = math.ldexp(np.hypot.reduce(np.abs(basis), axis=None), -self.exponent)
         self.delta = delta
         self.lovasz = lovasz
-        self.t = GaussIntMatrix.identity(self.n)
+        self.t = GaussIntMatrix.identity(self.n) if factors else None
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
         self.iterations = 0
@@ -189,13 +195,13 @@ class _Run:
                 mu = complex(mu_re, mu_im) if mu_im else mu_re
                 for i in range(l + 1):
                     col[i] -= mu * left[i]
-                t.col_update(k, l, mu_re, mu_im)
+                if t is not None:
+                    t.col_update(k, l, mu_re, mu_im)
                 self.size_updates += 1
         rhs = abs(col[k]) ** 2 + (abs(col[k - 1]) ** 2 if self.lovasz else 0.0)
         swap = self.delta * abs(r[k - 1][k - 1]) ** 2 > rhs
         if swap:
             r[k - 1], r[k] = col, r[k - 1]
-            t.swap_cols(k - 1, k)
             a, b = col[k - 1], col[k]
             nrm = math.hypot(abs(a), abs(b))
             if not nrm > PIVOT_TOL * scale:
@@ -206,9 +212,11 @@ class _Run:
             for c in r[k - 1:]:
                 x, y = c[k - 1], c[k]
                 c[k - 1], c[k] = ca * x + cb * y, a * y - b * x
-            q0, q1 = self.q[k - 1], self.q[k]
-            self.q[k - 1] = [x * a + y * b for x, y in zip(q0, q1)]
-            self.q[k] = [y * ca - x * cb for x, y in zip(q0, q1)]
+            if t is not None:
+                t.swap_cols(k - 1, k)
+                q0, q1 = self.q[k - 1], self.q[k]
+                self.q[k - 1] = [x * a + y * b for x, y in zip(q0, q1)]
+                self.q[k] = [y * ca - x * cb for x, y in zip(q0, q1)]
         self.visits.append((k, swap))
         return swap
 
@@ -220,10 +228,13 @@ class _Run:
 
     def result(self) -> ReductionResult:
         """Snapshot of the run so far, with complex numpy factors for either
-        kind of basis; later steps leave it unchanged."""
-        return ReductionResult(np.array(self.q, dtype=complex).T.copy(),
-                               ldexp(np.array(self.r, dtype=complex).T.copy(), self.exponent),
-                               self.t.copy(), self.iterations, self.converged,
+        kind of basis (None for a count-only run), r's rotation residue
+        below the diagonal set to zero; later steps leave it unchanged."""
+        factors = (None, None, None) if self.t is None else (
+            np.array(self.q, dtype=complex).T.copy(),
+            ldexp(np.triu(np.array(self.r, dtype=complex).T), self.exponent),
+            self.t.copy())
+        return ReductionResult(*factors, self.iterations, self.converged,
                                list(self.visits), self.size_updates)
 
 
@@ -325,7 +336,7 @@ REDUCTIONS = {
 
 
 def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
-                   qr: QRFactorization | None = None):
+                   qr: QRFactorization | None = None, factors: bool = True):
     """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis``, with
     its entry's swap test at ``delta``, and snapshot it at every cap.  This
     is the one way to run a reduction; a caller that starts from a complex
@@ -341,7 +352,9 @@ def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
     the run stands where it stood at the previous cap share that cap's
     snapshot object; a snapshot is never mutated.  ``qr``, when
     given, is the QR of ``basis``, so the run starts from copies of its
-    factors instead of factoring the basis again.
+    factors instead of factoring the basis again.  With ``factors=False``
+    the run is count-only: the same visits on r, with snapshots whose
+    ``q_tilde``, ``r_tilde`` and ``t`` are None.
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -349,7 +362,7 @@ def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
     reduction.check_delta(delta)
-    run = _Run(basis, delta, reduction.condition == "lovasz", qr)
+    run = _Run(basis, delta, reduction.condition == "lovasz", qr, factors=factors)
     steps = reduction.steps(run)
     snapshots, result = [], None
     for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):

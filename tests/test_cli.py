@@ -203,7 +203,7 @@ iterations_used: 3
 converged: False
 swap_count: 9
 unimodular: True
-factorization_error: 1.350e-15
+factorization_error: 1.348e-15
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -218,7 +218,7 @@ iterations_used: 3
 converged: False
 swap_count: 2
 unimodular: True
-factorization_error: 3.953e-16
+factorization_error: 3.958e-16
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -233,7 +233,7 @@ iterations_used: 63
 converged: True
 swap_count: 29
 unimodular: True
-factorization_error: 1.419e-15
+factorization_error: 1.420e-15
 size_reduced: True
 lll_reduced: True
 siegel_reduced: False
@@ -277,6 +277,19 @@ class TestReduceVerify:
         assert float(error.split()[1]) < 1e-14
         assert [line for line in got if line != error] == [
             line for line in want if not line.startswith("factorization_error")]
+
+    @pytest.mark.parametrize("algorithm", sorted(REDUCE_OUTPUT))
+    def test_out_r_is_exactly_upper_triangular(self, algorithm, tmp_path, capsys):
+        # A Givens rotation leaves rounding residue below the diagonal of
+        # the working r (5.55e-17 here); the written R holds none.
+        path, r_path = tmp_path / "h.txt", tmp_path / "r.txt"
+        path.write_text("2 2\n1.25-0.5j 0.3+2j\n0.7+0.1j -1.1+0.4j\n")
+        rc = main(["reduce", "--matrix", str(path), "--algorithm", algorithm,
+                   "--out-r", str(r_path)])
+        assert rc == 0
+        capsys.readouterr()
+        r = load_matrix(str(r_path))
+        assert np.count_nonzero(np.tril(r, -1)) == 0
 
     def test_reduce_prints_summary(self, tmp_path, capsys):
         path = write_channel(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the FLOP cost model, counters, and instrumented runs."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from lrmimo.flops import (
     instrument_caps,
     schedule_for,
 )
-from lrmimo.matcore import GaussIntMatrix
+from lrmimo.matcore import GaussIntMatrix, qr_decompose
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 
@@ -325,6 +327,56 @@ class TestEventOracle:
                                     == tally.flops(charges, guards))
                         charges = schedule_for(alg, mode, n_t, n_r, cap)
                         assert counted[mode][cap][1] == tally.flops(charges, guards)
+
+
+class TestCountOnlyRuns:
+    """A count-only run (``factors=False``, what the complexity report
+    runs) makes the full run's visits and so prices to the same FLOPs."""
+
+    @pytest.mark.parametrize("n, count", [(4, 30), (8, 10)])
+    def test_counts_and_flops_equal_full_runs(self, n, count):
+        for i in range(count):
+            h = generate_channel(n, n, np.random.default_rng((14, n, i)))
+            qr = qr_decompose(h)
+            for alg, entry in REDUCTIONS.items():
+                caps = [1, 2, 6, 18] if entry.capped else [None]
+                for mode in ("dynamic", "literal"):
+                    full = instrument_caps(alg, h, caps, mode=mode)
+                    lean = instrument_caps(alg, h, caps, mode=mode, factors=False,
+                                           qr=qr if entry.capped else None)
+                    for cap in caps:
+                        (want, want_counter), (got, got_counter) = full[cap], lean[cap]
+                        assert (got.visits, got.size_updates, got.iterations_used,
+                                got.converged) == (want.visits, want.size_updates,
+                                                   want.iterations_used, want.converged)
+                        assert got_counter == want_counter
+
+    @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
+    def test_snapshots_hold_no_factors(self, alg):
+        h = generate_channel(4, 4, np.random.default_rng(15))
+        entry = REDUCTIONS[alg]
+        for _, res in reduce_at_caps(alg, entry.basis(h), [1, 6] if entry.capped else [None],
+                                     factors=False):
+            assert (res.q_tilde, res.r_tilde, res.t) == (None, None, None)
+            assert res.visits
+
+    @pytest.mark.parametrize("mode", ["dynamic", "literal"])
+    def test_report_rows_equal_rows_priced_from_full_runs(self, mode):
+        rng = np.random.default_rng(16)
+        channels = [generate_channel(4, 4, rng) for _ in range(20)]
+        entries = [("lll", None), ("mclll", 2), ("mclll", 6), ("fclll", 6), ("fclll", 18)]
+        totals = {(alg, cap): [instrument(alg, h, cap, mode=mode)[1].total for h in channels]
+                  for alg, cap in entries}
+        baseline = statistics.fmean(totals[("lll", None)])
+        rows = complexity_report(channels, entries, mode=mode)
+        assert [(row.algorithm, row.iter_max) for row in rows] == entries
+        for row in rows:
+            vals = totals[(row.algorithm, row.iter_max)]
+            mean = statistics.fmean(vals)
+            assert (row.mean_flops, row.median_flops, row.max_flops) == (
+                mean, statistics.median(vals), max(vals))
+            assert row.gain_pct == (None if row.algorithm == "lll"
+                                    else 100.0 * (1.0 - mean / baseline))
 
 
 class TestComplexityReport:

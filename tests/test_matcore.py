@@ -336,8 +336,10 @@ class TestPseudoInverse:
 
 class TestGaussIntMatrix:
     def test_identity_and_complex_view(self):
-        t = GaussIntMatrix.identity(3)
-        assert np.array_equal(t.to_complex(), np.eye(3))
+        for n in (1, 3, 8):
+            t = GaussIntMatrix.identity(n)
+            assert np.array_equal(t.to_complex(), np.eye(n))
+            assert (t.shift_re, t.shift_im) == ([1] * n, [1] * n)
 
     def test_col_update_exact(self):
         t = GaussIntMatrix.identity(2)
