@@ -42,10 +42,8 @@ from .mimo import (
     InvalidSize,
     LengthMismatch,
     NoiseSpec,
-    add_noise,
     base_noise,
     build_constellation,
-    demodulate,
     generate_channel,
     modulate,
     snr_to_noise_variance,

@@ -14,7 +14,9 @@ matrix with one received vector per column (the sweep passes one column
 per SNR point), and ``detect`` returns the (n_t, k) int array of detected
 constellation indices: it slices once, and the caller reads bits off the
 constellation's bit table.  Zero forcing and ML take the channel's QR, so
-a caller can share one between them.
+a caller can share one between them.  Prepared for a block of frames'
+factors, zero forcing and LR-aided zero forcing map a (B, n_r, k) stack
+of received vectors to (B, n_t, k) indices in one call.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ def zf_detector(qr: QRFactorization, c: Constellation):
     """Zero forcing prepared for the channel whose QR is ``qr``: the
     returned ``detect(x)`` applies the pseudo-inverse to every column by
     back-substitution and slices each entry to its nearest constellation
-    point's index."""
+    point's index; a ``qr`` of stacked factors detects a block."""
     q, r = qr
-    q_h = q.conj().T
+    q_h = q.conj().swapaxes(-1, -2)
 
     def detect(x) -> np.ndarray:
         return c.nearest_index(back_substitute(r, q_h @ x))
@@ -73,7 +75,8 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     where components map to integers via ``u = (s_comp/scale + 1) / 2``
     and the shift is ``shift.real = T^{-1} ones``.  Every step is
     elementwise, so an (n, k) ``z_tilde`` of k estimates quantizes column
-    by column against an (n, 1) ``shift``.
+    by column against an (n, 1) ``shift``, and a (B, n, k) stack against a
+    (B, n, 1) one.
     """
     z_tilde = np.asarray(z_tilde)
     if np.iscomplexobj(z_tilde):
@@ -84,10 +87,11 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     return c.scale * (2.0 * w - shift)
 
 
-def zf_lr_detector(red: ReductionResult, c: Constellation):
+def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellation):
     """LR-aided zero forcing prepared for one reduction of the channel:
     either of the complex channel (capped reductions) or of its real block
-    embedding (``lll``, doubled dimensions, integer T).
+    embedding (``lll``, doubled dimensions, integer T).  A list of
+    reductions, one per frame of a block, detects the block.
 
     The float T and the quantizer shift, which T carries exactly, are read
     once.  The returned ``detect(x)`` solves the z-domain least squares via
@@ -99,19 +103,24 @@ def zf_lr_detector(red: ReductionResult, c: Constellation):
     rows as ``x`` was of the real embedding: it works on the stacked
     [Re; Im] coordinates of ``x`` and folds the result back to complex.
     """
-    q_h = red.q_tilde.conj().T
-    shift = red.t.shift[:, None]
-    t_float = red.t.to_complex()
+    one = isinstance(red, ReductionResult)
+    reds = [red] if one else red
+    q_h = np.stack([r.q_tilde for r in reds]).conj().swapaxes(-1, -2)
+    r_tilde = np.stack([r.r_tilde for r in reds])
+    shift = np.stack([r.t.shift for r in reds])[..., None]
+    t_float = np.stack([r.t.to_complex() for r in reds])
 
     def detect(x) -> np.ndarray:
-        if q_h.shape[1] == 2 * x.shape[0]:
-            z_tilde = back_substitute(red.r_tilde, q_h @ real_embedding_vector(x)).real
+        x = x[None] if one else x
+        if q_h.shape[-1] == 2 * x.shape[-2]:
+            z_tilde = back_substitute(r_tilde, q_h @ real_embedding_vector(x)).real
             z_q = quantize_z_domain(z_tilde, shift, c)
             s_raw = complex_from_real_vector(t_float.real @ z_q)
         else:
-            z_tilde = back_substitute(red.r_tilde, q_h @ x)
+            z_tilde = back_substitute(r_tilde, q_h @ x)
             s_raw = t_float @ quantize_z_domain(z_tilde, shift, c)
-        return c.nearest_index(s_raw)
+        index = c.nearest_index(s_raw)
+        return index[0] if one else index
 
     return detect
 

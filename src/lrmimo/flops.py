@@ -167,7 +167,7 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule,
                  else charges.swap_check_lovasz)
     guards = result.iterations_used + result.converged if reduction.flag_table else 0
     return FlopCounter(
-        size_reduction=(sum(k for k, _ in result.visits) * charges.size_check
+        size_reduction=(result.pivot_sum * charges.size_check
                         + result.size_updates * charges.size_update
                         + visits * charges.size_visit),
         swap_condition=visits * swap_test,

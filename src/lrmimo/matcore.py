@@ -71,6 +71,22 @@ class QRFactorization(NamedTuple):
     r: np.ndarray
 
 
+def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QRs of a stack of complex matrices, shape (..., n_r, n_t), as
+    ``qr_decompose`` factors each one: returns ``(q, r, low)``, where
+    ``low[..., j]`` flags pivot j of a matrix that fails the rank test.
+    A flagged pivot keeps its phase, so nothing divides by a zero pivot."""
+    h = np.asarray(h, dtype=complex)
+    q, r = np.linalg.qr(h)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.abs(diag)
+    norm = np.hypot.reduce(np.abs(h).reshape(*h.shape[:-2], -1), axis=-1, keepdims=True)
+    low = ~(d > RANK_TOL * norm)
+    # Rotate row/column phases so diag(r) is real and positive.
+    ph = np.divide(diag, d, out=np.ones_like(diag), where=~low)
+    return q * ph[..., None, :], ph.conj()[..., :, None] * r, low
+
+
 def qr_decompose(h) -> QRFactorization:
     """Thin QR of an (n_r, n_t) complex matrix (LAPACK, via numpy).
 
@@ -88,33 +104,33 @@ def qr_decompose(h) -> QRFactorization:
     n_r, n_t = h.shape
     if n_r < n_t:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
-    q, r = np.linalg.qr(h)
-    d = np.abs(r.diagonal())
-    low = ~(d > RANK_TOL * np.hypot.reduce(np.abs(h), axis=None))
+    q, r, low = qr_stack(h)
     if low.any():
         j = low.argmax()
-        raise RankDeficient(f"pivot {j} norm {d[j]:.3e} not above {RANK_TOL:.0e} * ||h||_F")
-    # Rotate row/column phases so diag(r) is real and positive.
-    ph = r.diagonal() / d
-    r = ph.conj()[:, None] * r
-    q = q * ph[None, :]
+        raise RankDeficient(f"pivot {j} norm {abs(r[j, j]):.3e} not above "
+                            f"{RANK_TOL:.0e} * ||h||_F")
     return QRFactorization(q, r)
 
 
 def back_substitute(r, y) -> np.ndarray:
     """Solve the upper-triangular system ``r @ z = y`` for a vector ``y``
-    or, column by column, for an (n, k) matrix of right-hand sides."""
+    or, column by column, for an (n, k) matrix of right-hand sides; leading
+    axes of ``r`` and ``y`` hold a stack of systems, solved together."""
     r = np.asarray(r)
     y = np.asarray(y, dtype=complex)
-    n = r.shape[0]
+    if y.ndim == 1:
+        return back_substitute(r, y[:, None])[:, 0]
     z = np.zeros(y.shape, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        z[i] = (y[i] - r[i, i + 1:] @ z[i + 1:]) / r[i, i]
+    for i in range(r.shape[-1] - 1, -1, -1):
+        # Row i of r times the solved rows, a (1, n-i-1) @ (n-i-1, k) product.
+        prod = r[..., i:i + 1, i + 1:] @ z[..., i + 1:, :]
+        z[..., i, :] = (y[..., i, :] - prod[..., 0, :]) / r[..., i, i, None]
     return z
 
 
 def real_embedding(h) -> np.ndarray:
-    """Real block embedding ``[[Re, -Im], [Im, Re]]`` of a complex matrix.
+    """Real block embedding ``[[Re, -Im], [Im, Re]]`` of a complex matrix,
+    or of each matrix of a stack.
 
     Doubles both dimensions and is a ring homomorphism: the embedding of a
     product equals the product of the embeddings.
@@ -125,17 +141,16 @@ def real_embedding(h) -> np.ndarray:
 
 def real_embedding_vector(x) -> np.ndarray:
     """Companion vector embedding: stack ``[Re(x); Im(x)]`` (each column
-    of a matrix)."""
+    of a matrix, or of each matrix of a stack)."""
     x = np.asarray(x, dtype=complex)
-    return np.concatenate([x.real, x.imag])
+    return np.concatenate([x.real, x.imag], axis=-2 if x.ndim > 1 else 0)
 
 
 def complex_from_real_vector(v) -> np.ndarray:
     """Fold a stacked real vector ``[Re; Im]`` (or each column of a
-    matrix) back to complex form."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    return v[:n] + 1j * v[n:]
+    matrix, or of each matrix of a stack) back to complex form."""
+    re, im = np.split(np.asarray(v, dtype=float), 2, axis=-2 if np.ndim(v) > 1 else 0)
+    return re + 1j * im
 
 
 class GaussIntMatrix:

@@ -119,12 +119,6 @@ def modulate(bits, c: Constellation, n_t: int) -> np.ndarray:
     return c.points[re_lvl * c.side + im_lvl]
 
 
-def demodulate(symbols, c: Constellation) -> np.ndarray:
-    """Recover bits by slicing each symbol to its nearest constellation
-    point and reading off the point's Gray label."""
-    return c.bit_table[c.nearest_index(symbols)].reshape(-1)
-
-
 def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_r, n_t) channel with i.i.d. circularly-symmetric complex
     Gaussian entries of unit variance (real/imag parts drawn in that order)."""
@@ -152,17 +146,9 @@ class NoiseSpec:
 
 def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
     """Complex noise with unit-variance real and imaginary parts (real
-    parts drawn first); ``add_noise`` scales it by the component std."""
+    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
+    that spec's noise."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. complex Gaussian noise to ``x``.  With zero variance the
-    vector is returned unchanged (and the stream is not advanced)."""
-    x = np.asarray(x, dtype=complex)
-    if spec.sigma_n_sq == 0.0:
-        return x.copy()
-    return x + spec.component_std * base_noise(x.shape, rng)
 
 
 def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:

@@ -84,8 +84,9 @@ class ReductionResult:
     column visits for "fclll" and "lll".  ``converged`` is True only when
     the run exited through its swap flag rather than the iteration cap.
     ``visits`` is the one trace: per column visit, in order, the pivot
-    column k (addressing the pair (k-1, k)) and whether it swapped; the
-    swap counts below are read off it.  ``size_updates`` counts the
+    column k (addressing the pair (k-1, k)) and whether it swapped;
+    ``swap_count`` and ``pivot_sum`` (the sum of the visits' k) are its
+    totals, counted once by the run.  ``size_updates`` counts the
     nonzero-mu size updates, which the trace does not show.  A count-only
     run's snapshot holds None for ``q_tilde``, ``r_tilde`` and ``t``.
     """
@@ -97,15 +98,13 @@ class ReductionResult:
     converged: bool
     visits: list[tuple[int, bool]]
     size_updates: int
+    swap_count: int
+    pivot_sum: int
 
     @property
     def visit_swaps(self) -> list[int]:
         """1 or 0 per column visit: whether it swapped."""
         return [int(swapped) for _, swapped in self.visits]
-
-    @property
-    def swap_count(self) -> int:
-        return sum(self.visit_swaps)
 
 
 def _mu(ratio: complex) -> tuple[int, int]:
@@ -160,6 +159,7 @@ class _Run:
         self.t = GaussIntMatrix.identity(self.n) if factors else None
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
+        self.counted = self.swaps = self.pivot_sum = 0  # trace totals up to visit `counted`
         self.iterations = 0
         self.converged = False
 
@@ -229,13 +229,18 @@ class _Run:
     def result(self) -> ReductionResult:
         """Snapshot of the run so far, with complex numpy factors for either
         kind of basis (None for a count-only run), r's rotation residue
-        below the diagonal set to zero; later steps leave it unchanged."""
+        below the diagonal set to zero; later steps leave it unchanged.
+        The trace totals add only the visits since the last snapshot."""
+        new, self.counted = self.visits[self.counted:], len(self.visits)
+        self.swaps += sum(swapped for _, swapped in new)
+        self.pivot_sum += sum(k for k, _ in new)
         factors = (None, None, None) if self.t is None else (
             np.array(self.q, dtype=complex).T.copy(),
             ldexp(np.triu(np.array(self.r, dtype=complex).T), self.exponent),
             self.t.copy())
         return ReductionResult(*factors, self.iterations, self.converged,
-                               list(self.visits), self.size_updates)
+                               list(self.visits), self.size_updates, self.swaps,
+                               self.pivot_sum)
 
 
 def _mclll_sweeps(run: _Run):

@@ -13,16 +13,16 @@ from lrmimo.detect import (
     zf_detector,
     zf_lr_detector,
 )
-from lrmimo.matcore import GaussIntMatrix, qr_decompose, real_embedding
+from lrmimo.matcore import GaussIntMatrix, QRFactorization, qr_decompose, real_embedding
 from lrmimo.mimo import (
     NoiseSpec,
-    add_noise,
     base_noise,
     build_constellation,
     generate_channel,
     snr_to_noise_variance,
 )
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
+from test_mimo import add_noise
 from test_reduction import reduce_once
 
 
@@ -225,6 +225,39 @@ class TestZfLr:
             red = reduce_once("lll", real_embedding(h))
             s = random_symbols(rng, c, 4)
             assert np.array_equal(detect_one(zf_lr_detector(red, c), c, h @ s), s)
+
+
+class TestBlockDetection:
+    """A detector prepared for a block of frames detects each frame as the
+    one prepared for that frame alone does, index for index."""
+
+    def block(self, n_r, n_t, frames=6, k=3):
+        rng = np.random.default_rng(41)
+        c = build_constellation(16)
+        hs = [generate_channel(n_r, n_t, rng) for _ in range(frames)]
+        x = np.stack([h @ c.points[rng.integers(0, 16, (n_t, k))] + 0.4 * base_noise((n_r, k), rng)
+                      for h in hs])
+        return c, hs, x
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (4, 2)])
+    def test_zf(self, n_r, n_t):
+        c, hs, x = self.block(n_r, n_t)
+        qrs = [qr_decompose(h) for h in hs]
+        stacked = QRFactorization(np.stack([q for q, _ in qrs]), np.stack([r for _, r in qrs]))
+        out = zf_detector(stacked, c)(x)
+        assert out.shape == x.shape[:1] + (n_t, x.shape[2])
+        for qr, x_i, out_i in zip(qrs, x, out):
+            assert np.array_equal(out_i, zf_detector(qr, c)(x_i))
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (4, 2)])
+    def test_zf_lr(self, name, n_r, n_t):
+        c, hs, x = self.block(n_r, n_t)
+        entry = REDUCTIONS[name]
+        reds = [reduce_once(name, entry.basis(h), 2 if entry.capped else None) for h in hs]
+        out = zf_lr_detector(reds, c)(x)
+        for red, x_i, out_i in zip(reds, x, out):
+            assert np.array_equal(out_i, zf_lr_detector(red, c)(x_i))
 
 
 class TestML:

@@ -15,6 +15,7 @@ from lrmimo.matcore import (
     ldexp,
     max_exponent,
     qr_decompose,
+    qr_stack,
     real_embedding,
     real_embedding_vector,
     round_gaussian,
@@ -147,6 +148,28 @@ class TestQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             qr_decompose(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (8, 8), (6, 3)])
+    def test_stack_factors_each_matrix_as_qr_decompose(self, n_r, n_t):
+        # Bit for bit, with a rank verdict of its own for each matrix; the
+        # zero matrix's pivots divide nothing (RuntimeWarning is an error).
+        rng = np.random.default_rng(12)
+        hs = [random_complex(rng, n_r, n_t) for _ in range(20)]
+        hs[3][:, 1] = 2j * hs[3][:, 0]
+        hs[7] = np.zeros((n_r, n_t), dtype=complex)
+        hs[9] = real_embedding(random_complex(rng, n_r // 2, (n_t + 1) // 2))[:, :n_t]
+        q, r, low = qr_stack(np.stack(hs))
+        rejected = 0
+        for h, q_i, r_i, low_i in zip(hs, q, r, low):
+            try:
+                want = qr_decompose(h)
+            except RankDeficient:
+                assert low_i.any()
+                rejected += 1
+                continue
+            assert not low_i.any()
+            assert np.array_equal(q_i, want.q) and np.array_equal(r_i, want.r)
+        assert rejected == 2
 
 
 class TestGivens:
@@ -323,6 +346,25 @@ class TestPseudoInverse:
         for j in range(k):
             assert np.allclose(z[:, j], back_substitute(r, y[:, j]), rtol=1e-12, atol=1e-12)
         assert np.allclose(r @ z, y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (4, 7), (8, 3)])
+    def test_back_substitute_stack_is_per_system_solves(self, n, k):
+        rng = np.random.default_rng(200 + n + k)
+        r = np.stack([np.triu(random_complex(rng, n, n)) + 2 * np.eye(n) for _ in range(5)])
+        y = np.stack([random_complex(rng, n, k) for _ in range(5)])
+        z = back_substitute(r, y)
+        assert z.shape == (5, n, k)
+        for r_i, y_i, z_i in zip(r, y, z):
+            assert np.array_equal(z_i, back_substitute(r_i, y_i))
+
+    def test_embedding_vectors_of_a_stack(self):
+        x = np.stack([random_complex(np.random.default_rng(i), 3, 2) for i in range(4)])
+        stacked = real_embedding_vector(x)
+        assert stacked.shape == (4, 6, 2)
+        for x_i, v_i in zip(x, stacked):
+            assert np.array_equal(v_i, real_embedding_vector(x_i))
+        assert np.array_equal(complex_from_real_vector(stacked), x)
+        assert np.array_equal(real_embedding(x)[1], real_embedding(x[1]))
 
     def test_embedding_vectors_per_column(self):
         rng = np.random.default_rng(9)

@@ -638,3 +638,16 @@ class TestDiscreteOutputs:
         channels = [generate_channel(n, n, np.random.default_rng((11, n, i)))
                     for i in range(count)]
         assert discrete_digest(channels) == digest
+
+    @pytest.mark.parametrize("n, count", [(4, 300), (8, 50)])
+    def test_trace_totals_equal_a_walk_of_the_trace(self, n, count):
+        # Each snapshot's totals, counted once over the run, are those of
+        # its own trace, in full and in count-only runs.
+        for i in range(count):
+            h = generate_channel(n, n, np.random.default_rng((11, n, i)))
+            for name, entry in REDUCTIONS.items():
+                caps = [1, 2, 6, 18] if entry.capped else [None]
+                for factors in (True, False):
+                    for _, res in reduce_at_caps(name, entry.basis(h), caps, factors=factors):
+                        assert res.swap_count == sum(swapped for _, swapped in res.visits)
+                        assert res.pivot_sum == sum(k for k, _ in res.visits)

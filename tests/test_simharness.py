@@ -21,16 +21,18 @@ from lrmimo.simharness import (
 from test_detect import detect_one, exhaustive_ml
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply
+from test_mimo import add_noise, demodulate
 from test_reduction import reduce_once
 
 INF = float("inf")
 
 
 def run_frame(cfg, algorithm, iter_max, snr_db, frame_index):
-    """One cell of one frame, as the sweep computes it: the single-cell
-    view of ``simharness._frame_results``."""
+    """One cell of one frame, as the sweep computes it: the Tally of a
+    one-frame block of that cell alone."""
     cell = algorithm, iter_max if simharness._capped(algorithm) else None, snr_db
-    return simharness._frame_results(cfg, simharness._plan(cfg, [cell]), frame_index)[0]
+    plan = simharness._plan(cfg, [cell])
+    return simharness._block_tallies(cfg, plan, frame_index, frame_index + 1)[0]
 
 
 def small_cfg(**kw):
@@ -126,19 +128,33 @@ class TestRunSweep:
 
     def test_zf_and_ml_share_one_qr_per_channel(self, monkeypatch):
         # The noisy and the noiseless stream's first attempts share a channel.
-        calls = []
-        qr = simharness.qr_decompose
-        monkeypatch.setattr(simharness, "qr_decompose", lambda h: calls.append(h) or qr(h))
+        factored = []
+        qr = simharness.qr_stack
+        monkeypatch.setattr(simharness, "qr_stack", lambda h: factored.extend(h) or qr(h))
         run_sweep(small_cfg(frames=3, m_s=4, algorithms=("zf", "ml"), snr_db_grid=(12.0, INF)))
-        assert len(calls) == 3
+        assert len(factored) == 3
 
     def test_capped_reduction_reuses_the_channel_qr(self, monkeypatch):
-        calls = []
-        for module in (simharness, reduction):
-            monkeypatch.setattr(module, "qr_decompose",
-                                lambda h, qr=module.qr_decompose: calls.append(h) or qr(h))
+        factored = []
+        qr = simharness.qr_stack
+        monkeypatch.setattr(simharness, "qr_stack", lambda h: factored.extend(h) or qr(h))
+        monkeypatch.setattr(reduction, "qr_decompose",
+                            lambda h, qr=reduction.qr_decompose: factored.append(h) or qr(h))
         run_sweep(small_cfg(frames=3, algorithms=("zf", "zf-lr-mclll"), snr_db_grid=(12.0, INF)))
-        assert len(calls) == 3
+        assert len(factored) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_do_not_depend_on_the_block_size(self, workers, monkeypatch):
+        # 29 frames: blocks of 3 leave a partial block, in the serial range
+        # and in the pool's chunks of 4 frames.
+        cfg = SimConfig(snr_db_grid=(4.0, 12.0, INF), frames=29, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(2, 6),
+                        workers=workers, seed=3)
+        records = []
+        for block in (1, 3, simharness._BLOCK_FRAMES):
+            monkeypatch.setattr(simharness, "_BLOCK_FRAMES", block)
+            records.append(run_sweep(cfg))
+        assert records[0] == records[1] == records[2]
 
     def test_lr_flops_exceed_zf(self):
         cfg = small_cfg(frames=20)
@@ -159,7 +175,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     for redraws in range(100):
         h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
-        x = mimo.add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
+        x = add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
         flops = 0
         try:
             if alg == "zf":
@@ -179,8 +195,8 @@ def oracle_frame(cfg, alg, cap, snr, idx):
                 flops = tally.flops(charges, guards).total
         except RankDeficient:
             continue
-        errors = int(np.sum(bits != mimo.demodulate(symbols, c)))
-        return simharness.FrameResult(errors, flops, redraws)
+        errors = int(np.sum(bits != demodulate(symbols, c)))
+        return simharness.Tally(errors, flops, redraws)
     raise AssertionError("no full-rank draw")
 
 
@@ -228,18 +244,12 @@ class TestFrameMajorEquivalence:
     def test_forced_redraw_matches_oracle(self, monkeypatch, caplog):
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
-        fresh_frame1 = np.random.default_rng((cfg.seed, 1)).bit_generator.state
-        draw = mimo.generate_channel
 
-        def rank_one_first_draw_of_frame1(n_r, n_t, rng):
-            first = rng.bit_generator.state == fresh_frame1
-            h = draw(n_r, n_t, rng)
-            if first:
-                h[:, 1] = h[:, 0]
+        def rank_one(h):
+            h[:, 1] = h[:, 0]
             return h
 
-        monkeypatch.setattr(mimo, "generate_channel", rank_one_first_draw_of_frame1)
-        monkeypatch.setattr(simharness, "generate_channel", rank_one_first_draw_of_frame1)
+        force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
         for alg in cfg.algorithms:
             cap = 2 if alg in ("zf-lr-mclll", "zf-lr-fclll") else None
             for snr in cfg.snr_db_grid:
@@ -253,6 +263,47 @@ class TestFrameMajorEquivalence:
         n_cells = len(cfg.snr_db_grid) * (1 + 1 + 2 + 2 + 1)
         assert len(redraw_lines) == n_cells
         assert all(line.endswith(": 1 channel redraws") for line in redraw_lines)
+
+    def test_embedding_rank_test_redraws_lll_alone(self, monkeypatch, caplog):
+        # The witness passes the complex QR's rank test and its real
+        # embedding fails it, so only zf-lr-lll redraws the frame.
+        rng = np.random.default_rng((4, 4))
+        witness = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * np.sqrt(0.5)
+        v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * np.sqrt(0.5)
+        witness[:, 1] = witness[:, 0] * (1 + 0.3j) + 1e-11 * v
+        qr_decompose(witness)
+        with pytest.raises(RankDeficient, match="pivot 5"):
+            qr_decompose(real_embedding(witness))
+        cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
+        force_first_draw_of_frame1(monkeypatch, cfg, lambda h: witness.copy())
+        for alg in cfg.algorithms:
+            cap = 2 if alg in ("zf-lr-mclll", "zf-lr-fclll") else None
+            for snr in cfg.snr_db_grid:
+                res = run_frame(cfg, alg, cap, snr, 1)
+                assert res == oracle_frame(cfg, alg, cap, snr, 1)
+                assert res.redraws == (alg == "zf-lr-lll")
+        with caplog.at_level("INFO", logger="lrmimo.simharness"):
+            assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
+        redraw_lines = [r.getMessage() for r in caplog.records
+                        if r.getMessage().endswith("channel redraws")]
+        assert redraw_lines == [f"cell zf-lr-lll/None/{snr}: 1 channel redraws"
+                                for snr in cfg.snr_db_grid]
+
+
+def force_first_draw_of_frame1(monkeypatch, cfg, replace):
+    """Make frame 1's first channel draw, on either stream, ``replace(h)``
+    of the channel drawn; the frame's generator advances as it would."""
+    fresh_frame1 = np.random.default_rng((cfg.seed, 1)).bit_generator.state
+    draw = mimo.generate_channel
+
+    def forced(n_r, n_t, rng):
+        first = rng.bit_generator.state == fresh_frame1
+        h = draw(n_r, n_t, rng)
+        return replace(h) if first else h
+
+    monkeypatch.setattr(mimo, "generate_channel", forced)
+    monkeypatch.setattr(simharness, "generate_channel", forced)
 
 
 class TestEmitCsv:
