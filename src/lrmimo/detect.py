@@ -105,10 +105,10 @@ def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellatio
     """
     one = isinstance(red, ReductionResult)
     reds = [red] if one else red
-    q_h = np.stack([r.q_tilde for r in reds]).conj().swapaxes(-1, -2)
-    r_tilde = np.stack([r.r_tilde for r in reds])
-    shift = np.stack([r.t.shift for r in reds])[..., None]
-    t_float = np.stack([r.t.to_complex() for r in reds])
+    q_h = np.stack([each.q_tilde for each in reds]).conj().swapaxes(-1, -2)
+    r_tilde = np.stack([each.r_tilde for each in reds])
+    shift = np.stack([each.t.shift for each in reds])[..., None]
+    t_float = np.stack([each.t.to_complex() for each in reds])
 
     def detect(x) -> np.ndarray:
         x = x[None] if one else x
