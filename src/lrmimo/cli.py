@@ -8,13 +8,15 @@ Subcommands:
 
 Exit status: 0 success, 1 usage error, 2 runtime error.  Logs and progress
 go to stderr; data goes to stdout or the --out path.  A flat
-``key = value`` config file can pre-set any ber-sweep flag; explicit flags
-override the file.
+``key = value`` config file can pre-set any ber-sweep flag; the parser
+checks its values as it checks the flags, and explicit flags override the
+file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import sys
@@ -55,39 +57,54 @@ class _Parser(argparse.ArgumentParser):
 _CAPPED_REDUCTIONS = tuple(name for name, red in REDUCTIONS.items() if red.capped)
 
 
-def _parse_list(flag: str, text: str, cast, sep: str = ",") -> list:
+def _parse_list(text: str, cast, sep: str = ",") -> tuple:
     try:
-        return [cast(p) for p in text.split(sep)]
+        return tuple(cast(p) for p in text.split(sep))
     except ValueError:
-        raise UsageError(f"{flag}: cannot parse {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grid syntax: 'start:step:stop' (inclusive, finite) or a comma list
     (which may hold the noiseless 'inf'); NaN is rejected."""
     if ":" in text:
-        parts = _parse_list("--snr", text, float, ":")
+        parts = _parse_list(text, float, ":")
         if len(parts) != 3:
-            raise UsageError(f"--snr: expected start:step:stop, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected start:step:stop, got {text!r}")
         if not all(map(math.isfinite, parts)):
-            raise UsageError(f"--snr: start, step and stop must be finite, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"start, step and stop must be finite, got {text!r}")
         start, step, stop = parts
         if step <= 0:
-            raise UsageError("--snr: step must be positive")
+            raise argparse.ArgumentTypeError("step must be positive")
         grid = []
         v = start
         while v <= stop + 1e-9:
             grid.append(round(v, 9))
             v += step
         return tuple(grid)
-    grid = tuple(_parse_list("--snr", text, float))
+    grid = _parse_list(text, float)
     if any(map(math.isnan, grid)):
-        raise UsageError(f"--snr: NaN in {text!r}")
+        raise argparse.ArgumentTypeError(f"NaN in {text!r}")
     return grid
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_list("--iter-max", text, int))
+def _caps(text: str) -> tuple[int, ...]:
+    caps = _parse_list(text, int)
+    if any(cap < 1 for cap in caps):
+        raise argparse.ArgumentTypeError(f"caps must be >= 1, got {text!r}")
+    return caps
+
+
+def _names_from(allowed):
+    """Parser of a comma list of algorithm names, each one of ``allowed``."""
+    def names(text: str) -> tuple[str, ...]:
+        algs = _parse_list(text, str.strip)
+        for a in algs:
+            if a not in allowed:
+                raise argparse.ArgumentTypeError(f"unknown algorithm {a!r}")
+        return algs
+    return names
 
 
 def _check_delta(name: str, delta: float) -> None:
@@ -98,16 +115,10 @@ def _check_delta(name: str, delta: float) -> None:
         raise UsageError(f"--delta: {exc}") from None
 
 
-def _parse_algorithms(text: str) -> tuple[str, ...]:
-    algs = tuple(p.strip() for p in text.split(","))
-    for a in algs:
-        if a not in ALGORITHMS:
-            raise UsageError(f"--algorithms: unknown algorithm {a!r}")
-    return algs
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values = {}
+def _config_flags(path: str, dests) -> list[str]:
+    """The flat ``key = value`` lines of a config file as ``--key=value``
+    flags; each key, with '-' read as '_', must be one of ``dests``."""
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -116,18 +127,21 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            key = key.strip().replace("-", "_")
+            if key not in dests:
+                raise UsageError(f"config file: unknown key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={val.strip()}")
+    return flags
 
 
-_SWEEP_CONFIG_CASTS = {
-    "nt": int, "nr": int, "ms": int, "frames": int, "seed": int,
-    "workers": int, "delta": float, "snr": str, "iter_max": str,
-    "algorithms": str, "flop_mode": str, "out": str,
-}
+def _output(path: str | None):
+    """The --out file opened for writing, or stdout when no path is given."""
+    if path:
+        return open(path, "w", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
 
 
-def build_parser(sweep_defaults: dict | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="lrmimo", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,13 +151,14 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
     sweep.add_argument("--nt", type=int, default=4, help="transmit antennas")
     sweep.add_argument("--nr", type=int, default=4, help="receive antennas")
     sweep.add_argument("--ms", type=int, default=16, help="constellation size")
-    sweep.add_argument("--snr", default="0:4:24",
+    sweep.add_argument("--snr", type=_parse_snr_grid, default="0:4:24",
                        help="SNR dB grid, start:step:stop or comma list")
     sweep.add_argument("--frames", type=int, default=10_000,
                        help="Monte Carlo trials per SNR point")
-    sweep.add_argument("--iter-max", default="6",
+    sweep.add_argument("--iter-max", type=_caps, default="6",
                        help="comma list of iteration caps for capped reductions")
-    sweep.add_argument("--algorithms", default="zf,zf-lr-mclll",
+    sweep.add_argument("--algorithms", type=_names_from(ALGORITHMS),
+                       default="zf,zf-lr-mclll",
                        help="comma list from: " + ",".join(ALGORITHMS))
     sweep.add_argument("--delta", type=float, default=0.75)
     sweep.add_argument("--seed", type=int, default=0)
@@ -152,15 +167,14 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
     sweep.add_argument("--workers", type=int, default=1,
                        help="process pool size (1 = serial)")
     sweep.add_argument("--out", help="CSV path (default: stdout)")
-    if sweep_defaults:
-        sweep.set_defaults(**sweep_defaults)
 
     rep = sub.add_parser("flops-report", help="FLOP complexity table")
     rep.add_argument("--nt", type=int, default=8)
     rep.add_argument("--nr", type=int, default=8)
     rep.add_argument("--channels", type=int, default=1000)
-    rep.add_argument("--iter-max", default="6,8,18")
-    rep.add_argument("--algorithms", default=",".join(_CAPPED_REDUCTIONS),
+    rep.add_argument("--iter-max", type=_caps, default="6,8,18")
+    rep.add_argument("--algorithms", type=_names_from(_CAPPED_REDUCTIONS),
+                     default=",".join(_CAPPED_REDUCTIONS),
                      help="comma list from: " + ",".join(_CAPPED_REDUCTIONS)
                      + " (lll baseline is implicit)")
     rep.add_argument("--mode", choices=("dynamic", "literal"), default="literal")
@@ -185,13 +199,13 @@ def build_parser(sweep_defaults: dict | None = None) -> _Parser:
 def _cmd_ber_sweep(args) -> int:
     try:
         cfg = SimConfig(
-            snr_db_grid=_parse_snr_grid(args.snr),
+            snr_db_grid=args.snr,
             frames=args.frames,
             n_t=args.nt,
             n_r=args.nr,
             m_s=args.ms,
-            iter_max_list=_parse_int_list(str(args.iter_max)),
-            algorithms=_parse_algorithms(args.algorithms),
+            iter_max_list=args.iter_max,
+            algorithms=args.algorithms,
             delta=args.delta,
             seed=args.seed,
             flop_mode=args.flop_mode,
@@ -200,10 +214,8 @@ def _cmd_ber_sweep(args) -> int:
     except ValueError as exc:  # SimConfig rejects the flag values
         raise UsageError(str(exc)) from None
     records = run_sweep(cfg)
-    if args.out:
-        emit_csv(records, args.out, flop_mode=cfg.flop_mode, seed=cfg.seed)
-    else:
-        emit_csv(records, sys.stdout, flop_mode=cfg.flop_mode, seed=cfg.seed)
+    with _output(args.out) as out:
+        emit_csv(records, out, flop_mode=cfg.flop_mode, seed=cfg.seed)
     return 0
 
 
@@ -212,26 +224,21 @@ def _cmd_flops_report(args) -> int:
         raise UsageError(f"--nt/--nr: need 1 <= nt <= nr, got {args.nt} and {args.nr}")
     if args.channels < 1:
         raise UsageError(f"--channels: need at least one, got {args.channels}")
-    caps = _parse_int_list(str(args.iter_max))
-    if any(cap < 1 for cap in caps):
-        raise UsageError(f"--iter-max: caps must be >= 1, got {args.iter_max}")
     entries = []
-    for alg in args.algorithms.split(","):
-        alg = alg.strip()
-        if alg not in _CAPPED_REDUCTIONS:
-            raise UsageError(f"--algorithms: unknown algorithm {alg!r}")
+    for alg in args.algorithms:
         _check_delta(alg, args.delta)
-        entries.extend((alg, cap) for cap in caps)
+        entries.extend((alg, cap) for cap in args.iter_max)
     _check_delta("lll", args.delta)  # the implicit baseline
     rng = np.random.default_rng(args.seed)
     channels = [generate_channel(args.nr, args.nt, rng)
                 for _ in range(args.channels)]
     rows = flops_mod.complexity_report(channels, entries, mode=args.mode,
                                        delta=args.delta)
-    if args.out:
-        flops_mod.write_complexity_csv(rows, args.out, args.mode)
-    else:
-        print(flops_mod.format_complexity_table(rows, args.mode))
+    with _output(args.out) as out:
+        if args.out:
+            flops_mod.write_complexity_csv(rows, out, args.mode)
+        else:
+            print(flops_mod.format_complexity_table(rows, args.mode), file=out)
     return 0
 
 
@@ -281,28 +288,30 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(message)s")
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line.  A ber-sweep ``--config`` file's keys
+    become flags right after the subcommand, so the same parser checks
+    them and an explicit flag still wins."""
     for i in range(len(argv) - 1, 0, -1):  # argparse takes "-5,0" for an option
         if argv[i - 1] == "--snr" and argv[i][:1] == "-" and argv[i][:2] != "--":
             argv[i - 1:i + 1] = ["--snr=" + argv[i]]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "ber-sweep" and args.config:
+        dests = vars(args).keys() - {"command", "config"}
+        at = argv.index("ber-sweep") + 1
+        argv[at:at] = _config_flags(args.config, dests)
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
+                        format="%(levelname)s %(message)s")
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "ber-sweep" and args.config:
-            # Config values become parser defaults; re-parsing lets any
-            # explicitly given flag override the file.
-            values = _load_config_file(args.config)
-            defaults = {}
-            for key, val in values.items():
-                if key not in _SWEEP_CONFIG_CASTS:
-                    raise UsageError(f"config file: unknown key {key!r}")
-                try:
-                    defaults[key] = _SWEEP_CONFIG_CASTS[key](val)
-                except ValueError:
-                    raise UsageError(f"config file: {key}: cannot parse {val!r}") from None
-            args = build_parser(defaults).parse_args(argv)
+        # The parser is garbage before the command runs: held through a
+        # sweep, its reference cycles would outlive the young GC generations.
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -280,19 +280,12 @@ def format_complexity_table(rows, mode: str) -> str:
 
 
 def write_complexity_csv(rows, out, mode: str) -> None:
-    """CSV form of a complexity report (one row per table line)."""
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="\n")
-        close = True
-    try:
-        out.write("algorithm,iter_max,mean_flops,median_flops,max_flops,"
-                  "gain_pct_vs_lll,mode\n")
-        for r in rows:
-            cap = "" if r.iter_max is None else str(r.iter_max)
-            gain = "" if r.gain_pct is None else f"{r.gain_pct:.3f}"
-            out.write(f"{r.algorithm},{cap},{r.mean_flops:.3f},"
-                      f"{r.median_flops:.3f},{r.max_flops:.3f},{gain},{mode}\n")
-    finally:
-        if close:
-            out.close()
+    """CSV form of a complexity report (one row per table line), written
+    to the text stream ``out``."""
+    out.write("algorithm,iter_max,mean_flops,median_flops,max_flops,"
+              "gain_pct_vs_lll,mode\n")
+    for r in rows:
+        cap = "" if r.iter_max is None else str(r.iter_max)
+        gain = "" if r.gain_pct is None else f"{r.gain_pct:.3f}"
+        out.write(f"{r.algorithm},{cap},{r.mean_flops:.3f},"
+                  f"{r.median_flops:.3f},{r.max_flops:.3f},{gain},{mode}\n")

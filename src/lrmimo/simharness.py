@@ -34,8 +34,9 @@ including under worker-pool execution: the pool splits frames into
 chunks, blocks and chunks return per-cell integer tallies, and these are
 added in frame order.
 
-Progress goes to the logger (stderr in the CLI), one line per cell after
-the frame loop; data only to the CSV.
+Data goes only to the CSV.  The logger (stderr in the CLI) gets a
+warning for each draw a detector family rejects and, after the frame
+loop, one line per cell that redrew channels.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .reduction import REDUCTIONS
 logger = logging.getLogger(__name__)
 
 # "zf-lr-<name>" is LR-aided ZF after reduction <name> of REDUCTIONS.
-ALGORITHMS = ("zf", "zf-lr-lll", "zf-lr-fclll", "zf-lr-mclll", "ml")
+ALGORITHMS = ("zf", *(f"zf-lr-{name}" for name in REDUCTIONS), "ml")
 
 SNR_DEFINITION = "sigma_n^2=n_t/10^(snr_db/10)"
 
@@ -378,30 +379,21 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
                                  ci, tally.flops / cfg.frames))
         if tally.redraws:
             logger.info("cell %s/%s/%s: %d channel redraws", alg, cap, snr, tally.redraws)
-        logger.info("%s iter_max=%s snr=%g dB: ber=%.3e (%d errors)",
-                    alg, cap, snr, ber, tally.bit_errors)
     return records
 
 
 def emit_csv(records, out, *, flop_mode: str, seed: int) -> None:
-    """Write records as CSV: fixed header, one row per record, BER in
-    scientific notation with 6 significant digits, newline-terminated."""
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="\n")
-        close = True
-    try:
-        out.write(CSV_HEADER + "\n")
-        for r in records:
-            cap = "" if r.iter_max is None else str(r.iter_max)
-            out.write(
-                f"{r.algorithm},{cap},{r.snr_db:g},{r.frames},{r.bit_errors},"
-                f"{r.ber:.5e},{r.ci95_halfwidth:.5e},{r.mean_flops:.6g},"
-                f"{flop_mode},{SNR_DEFINITION},{seed}\n"
-            )
-    finally:
-        if close:
-            out.close()
+    """Write records to the text stream ``out`` as CSV: fixed header, one
+    row per record, BER in scientific notation with 6 significant digits,
+    newline-terminated."""
+    out.write(CSV_HEADER + "\n")
+    for r in records:
+        cap = "" if r.iter_max is None else str(r.iter_max)
+        out.write(
+            f"{r.algorithm},{cap},{r.snr_db:g},{r.frames},{r.bit_errors},"
+            f"{r.ber:.5e},{r.ci95_halfwidth:.5e},{r.mean_flops:.6g},"
+            f"{flop_mode},{SNR_DEFINITION},{seed}\n"
+        )
 
 
 def load_matrix(path: str) -> np.ndarray:

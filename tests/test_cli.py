@@ -156,13 +156,17 @@ class TestBerSweep:
     @pytest.mark.parametrize("grid, first", [("-5,0", "-5"), ("-10:5:0", "-10")])
     def test_negative_snr_grid_as_separate_value(self, grid, first, tmp_path, capsys):
         # argparse reads a value that starts with '-' as an option unless
-        # it is a plain number; both spellings must give the same sweep.
+        # it is a plain number; both spellings, and the grid given in a
+        # config file, must give the same sweep.
         args = ["ber-sweep", "--frames", "3", "--algorithms", "zf,zf-lr-mclll", "--seed", "2"]
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        p1, p2, p3 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"snr = {grid}\n")
         assert main(args + ["--snr", grid, "--out", str(p1)]) == 0
         assert main(args + [f"--snr={grid}", "--out", str(p2)]) == 0
+        assert main(args + ["--config", str(cfg), "--out", str(p3)]) == 0
         capsys.readouterr()
-        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
         assert p1.read_text().splitlines()[1].split(",")[2] == first
 
     def test_config_file_and_flag_override(self, tmp_path, capsys):
@@ -170,7 +174,8 @@ class TestBerSweep:
         cfg.write_text(
             "# sweep settings\n"
             "frames = 4\n"
-            "algorithms = zf\n"
+            "algorithms = zf,zf-lr-mclll\n"
+            "iter-max = 4,6\n"
             "snr = 8,12\n"
             "seed = 5\n"
         )
@@ -180,16 +185,21 @@ class TestBerSweep:
         assert rc == 0
         capsys.readouterr()
         rows = out.read_text().splitlines()
-        assert len(rows) == 2          # config frames/algorithms honored
+        assert len(rows) == 4          # config frames/algorithms honored
+        assert [row.split(",")[1] for row in rows[1:]] == ["", "4", "6"]  # iter-max read
         assert ",10," in rows[1]       # explicit --snr wins over the file
         assert rows[1].endswith(",5")  # file seed used
 
     def test_bad_config_key_rejected(self, tmp_path, capsys):
-        # An unknown key, and values that do not parse as the key's type,
-        # are usage errors that name the key, as the same flags would be.
+        # An unknown key (a key is never abbreviated, and --config is not a
+        # key), and values the same flags would reject, are usage errors
+        # that name the key or the value.
         cfg = tmp_path / "sim.cfg"
-        for line, key in (("strangeness = 1", "strangeness"), ("nt = 4.5", "nt"),
-                          ("frames = abc", "frames"), ("delta = x", "delta")):
+        for line, key in (("strangeness = 1", "unknown key 'strangeness'"),
+                          ("config = other.cfg", "unknown key 'config'"),
+                          ("fr = 4", "unknown key 'fr'"), ("nt = 4.5", "nt"),
+                          ("frames = abc", "frames"), ("delta = x", "delta"),
+                          ("flop_mode = fast", "fast"), ("seed =", "seed")):
             cfg.write_text(line + "\n")
             assert main(["ber-sweep", "--config", str(cfg)]) == 1, line
             err = capsys.readouterr().err

@@ -334,7 +334,8 @@ class TestEmitCsv:
 
     def test_file_output(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([], str(path), flop_mode="literal", seed=9)
+        with open(path, "w", newline="\n") as out:
+            emit_csv([], out, flop_mode="literal", seed=9)
         assert path.read_text().startswith("algorithm,")
 
 
