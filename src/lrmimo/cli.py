@@ -64,9 +64,14 @@ def _parse_list(text: str, cast, sep: str = ",") -> tuple:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
 
 
+# Most points a 'start:step:stop' SNR grid may hold.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: 'start:step:stop' (inclusive, finite) or a comma list
-    (which may hold the noiseless 'inf'); NaN is rejected."""
+    """Grid syntax: 'start:step:stop' (inclusive, finite, at most
+    ``_MAX_GRID_POINTS`` points) or a comma list (which may hold the
+    noiseless 'inf'); NaN is rejected."""
     if ":" in text:
         parts = _parse_list(text, float, ":")
         if len(parts) != 3:
@@ -80,6 +85,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         grid = []
         v = start
         while v <= stop + 1e-9:
+            if len(grid) == _MAX_GRID_POINTS:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} holds more than {_MAX_GRID_POINTS} points")
             grid.append(round(v, 9))
             v += step
         return tuple(grid)
@@ -165,7 +173,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--flop-mode", choices=("dynamic", "literal"),
                        default="dynamic")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process pool size (1 = serial)")
+                       help="process pool size, at most the CPU count (1 = serial)")
     sweep.add_argument("--out", help="CSV path (default: stdout)")
 
     rep = sub.add_parser("flops-report", help="FLOP complexity table")

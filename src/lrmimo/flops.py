@@ -2,34 +2,34 @@
 
 Every charge comes from one per-step formula (``_step_charges``) over op
 weights: a size-reduction check (one division), its update when mu != 0,
-the Lovasz or Siegel swap test, and on a swap the column exchange, the
-Givens computation and its rotations of r and q, plus the flag-table
-summation of the fixed-complexity guard.  The sweep and the complexity
-report charge the default scalar weights, add/mult = 1, sqrt/div = 8;
-``schedule_for`` is the one place that takes other weights.  Two counting
-modes exist because a static per-iteration cost model cannot express
-early termination, which is the whole point of capping iterations:
+the entry's swap test (Lovasz, or Siegel, which drops one cross term),
+and on a swap the column exchange, the Givens computation and its
+rotations of r and q, plus the flag-table summation of the
+fixed-complexity guard.  There is one weight set, the scalar weights
+add/mult = 1, sqrt/div = 8 (``SCALAR_WEIGHTS``), and its complex
+expansions (``COMPLEX_WEIGHTS``).  Two counting modes exist because a
+static per-iteration cost model cannot express early termination, which
+is the whole point of capping iterations:
 
 * ``dynamic``  -- every executed step is charged at the complex
-  expansions of the weights (``complex_op_cost``): the reduction-loop
-  scalars are complex numbers.
+  expansions: the reduction-loop scalars are complex numbers.
 * ``literal``  -- every executed step is charged at scalar weights, with
   the size check and update folded into one per-visit charge,
-  ``size_visit = (n_max - 2) * (div + 2 * (mult + add))`` at the cap
-  ``n_max``.
+  ``size_visit = max(n_max - 2, 0) * (div + 2 * (mult + add))`` at the
+  cap ``n_max``; the clamp keeps caps 1 and 2 at 0.
 
 The classic real-basis LLL runs on real scalars, so it is always counted
 dynamically at scalar weights on the ``2 * n_r`` rows of the embedding;
-its rows in a complexity report are the unbounded baseline.  Which
-reduction runs how comes from ``reduction.REDUCTIONS``; ``instrument_caps``
-runs one and counts its FLOPs.
+its rows in a complexity report are the unbounded baseline.
 
+``schedule_for`` is the one function that reads a run's
+``reduction.REDUCTIONS`` entry: it fixes the swap test charged per visit
+and, only for an entry with a flag table (fclll), a flag-table summation
+per evaluation of its loop guard; mclll's scalar flag costs nothing.
 The reductions count nothing: ``count_flops`` reads every count off the
-``ReductionResult`` of a run and prices it with the run's ``REDUCTIONS``
-entry, which fixes the swap test charged per visit.  Only an entry with a
-flag table (fclll) is charged the flag-table summation, once per
-evaluation of its loop guard; mclll's scalar flag costs nothing.
-Counts are exact under integer-valued weights, which every caller uses.
+``ReductionResult`` of a run and prices it at that schedule, and
+``instrument_caps`` runs a reduction and counts its FLOPs.  Counts are
+exact integers.
 """
 
 from __future__ import annotations
@@ -37,41 +37,34 @@ from __future__ import annotations
 import functools
 import statistics
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .matcore import QRFactorization, qr_decompose
-from .reduction import REDUCTIONS, Reduction, ReductionResult, reduce_at_caps
+from .reduction import REDUCTIONS, ReductionResult, reduce_at_caps
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """FLOP weights per real scalar operation."""
+class OpWeights(NamedTuple):
+    """FLOP weights of one operation on real or complex scalars."""
 
-    add: float = 1
-    mult: float = 1
-    sqrt: float = 8
-    div: float = 8
-
-
-DEFAULT_COST_MODEL = CostModel()
+    add: int
+    mult: int
+    sqrt: int
+    div: int
 
 
-def complex_op_cost(op: str, m: CostModel = DEFAULT_COST_MODEL):
-    """Cost of one complex scalar operation in real FLOPs.
+def _complex_expansion(add, mult, sqrt, div) -> OpWeights:
+    """Each complex operation in real ones: cadd = 2 adds; cmult = 4 mults
+    + 2 adds; csqrt = 1 div + 3 mults + 2 adds + 3 sqrts; cdiv = 1 div +
+    8 mults + 4 adds."""
+    return OpWeights(add=2 * add, mult=4 * mult + 2 * add,
+                     sqrt=div + 3 * mult + 2 * add + 3 * sqrt,
+                     div=div + 8 * mult + 4 * add)
 
-    cadd = 2 adds; cmult = 4 mults + 2 adds; cdiv = 1 div + 8 mults +
-    4 adds; csqrt = 1 div + 3 mults + 2 adds + 3 sqrts.
-    """
-    if op == "cadd":
-        return 2 * m.add
-    if op == "cmult":
-        return 4 * m.mult + 2 * m.add
-    if op == "cdiv":
-        return m.div + 8 * m.mult + 4 * m.add
-    if op == "csqrt":
-        return m.div + 3 * m.mult + 2 * m.add + 3 * m.sqrt
-    raise ValueError(f"unknown complex op {op!r}")
+
+SCALAR_WEIGHTS = OpWeights(add=1, mult=1, sqrt=8, div=8)
+COMPLEX_WEIGHTS = _complex_expansion(*SCALAR_WEIGHTS)
 
 
 @dataclass
@@ -97,22 +90,23 @@ class ChargeSchedule:
 
     ``size_check``/``size_update`` drive dynamic counting of size
     reduction; ``size_visit`` is the literal-mode whole-phase charge per
-    column visit.  A mode's unused fields are zero.
+    column visit.  ``swap_check`` is the entry's own swap test and
+    ``csflag_sum`` is 0 unless the entry's guard sums a flag table.  A
+    mode's unused fields are zero.
     """
 
-    size_check: float
-    size_update: float
-    size_visit: float
-    swap_check_lovasz: float
-    swap_check_siegel: float
-    column_swap: float
-    givens: float
-    rotation_r: float
-    rotation_q: float
-    csflag_sum: float
+    size_check: int
+    size_update: int
+    size_visit: int
+    swap_check: int
+    column_swap: int
+    givens: int
+    rotation_r: int
+    rotation_q: int
+    csflag_sum: int
 
 
-def _step_charges(w: CostModel, rows: int, flags: int) -> ChargeSchedule:
+def _step_charges(w: OpWeights, rows: int, flags: int, siegel: bool) -> ChargeSchedule:
     """The one per-step formula at op weights ``w`` for a basis of ``rows``
     rows whose loop guard sums ``flags`` swap flags.  The Siegel test is
     the Lovasz test minus the cross term it drops."""
@@ -120,8 +114,7 @@ def _step_charges(w: CostModel, rows: int, flags: int) -> ChargeSchedule:
         size_check=w.div,
         size_update=2 * (w.mult + w.add),
         size_visit=0,
-        swap_check_lovasz=4 * w.mult + 2 * w.add,
-        swap_check_siegel=3 * w.mult + 1 * w.add,
+        swap_check=3 * w.mult + 1 * w.add if siegel else 4 * w.mult + 2 * w.add,
         column_swap=rows * 3 * w.add,
         givens=2 * w.div + 2 * w.mult + 1 * w.add + 1 * w.sqrt,
         rotation_r=2 * (2 * w.mult + 1 * w.add) * rows,
@@ -132,50 +125,44 @@ def _step_charges(w: CostModel, rows: int, flags: int) -> ChargeSchedule:
 
 @functools.lru_cache(maxsize=256)
 def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
-                 iter_max: int | None,
-                 m: CostModel = DEFAULT_COST_MODEL) -> ChargeSchedule:
+                 iter_max: int | None) -> ChargeSchedule:
     """Charge schedule for one run of ``algorithm`` on an n_r x n_t
-    channel.  The real-basis LLL always counts real executed steps; the
-    capped complex algorithms honor ``mode`` (literal needs ``iter_max``).
-    Memoized: a run asks for one per cap."""
-    if not REDUCTIONS[algorithm].capped:
-        return _step_charges(m, rows=2 * n_r, flags=0)
+    channel, priced by its ``REDUCTIONS`` entry.  The real-basis LLL always
+    counts real executed steps; the capped complex algorithms honor
+    ``mode`` (literal needs ``iter_max``).  Memoized: a run asks for one
+    per cap."""
+    entry = REDUCTIONS[algorithm]
+    flags = n_t if entry.flag_table else 0
+    siegel = entry.condition == "siegel"
+    if not entry.capped:
+        return _step_charges(SCALAR_WEIGHTS, 2 * n_r, flags, siegel)
     if mode == "dynamic":
-        complex_weights = CostModel(add=complex_op_cost("cadd", m),
-                                    mult=complex_op_cost("cmult", m),
-                                    sqrt=complex_op_cost("csqrt", m),
-                                    div=complex_op_cost("cdiv", m))
-        return _step_charges(complex_weights, rows=n_r, flags=n_t)
+        return _step_charges(COMPLEX_WEIGHTS, n_r, flags, siegel)
     if mode == "literal":
         if iter_max is None:
             raise ValueError("literal mode needs a finite iter_max")
-        s = _step_charges(m, rows=n_r, flags=n_t)
+        s = _step_charges(SCALAR_WEIGHTS, n_r, flags, siegel)
         return replace(s, size_check=0, size_update=0,
-                       size_visit=(iter_max - 2) * (s.size_check + s.size_update))
+                       size_visit=max(iter_max - 2, 0) * (s.size_check + s.size_update))
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def count_flops(result: ReductionResult, charges: ChargeSchedule,
-                reduction: Reduction) -> FlopCounter:
-    """The FLOPs of the run of ``reduction`` (an entry of
-    ``reduction.REDUCTIONS``) that returned ``result``, at ``charges``: a
-    visit at pivot k makes k size checks and one swap test under the
-    entry's condition, and an entry with a flag table evaluates its loop
-    guard once per visit plus once more if the run converged."""
+def count_flops(result: ReductionResult, charges: ChargeSchedule) -> FlopCounter:
+    """The FLOPs of the run that returned ``result``, at its ``charges``:
+    a visit at pivot k makes k size checks and one swap test, and the
+    loop guard is evaluated once per visit plus once more if the run
+    converged."""
     visits, swaps = len(result.visits), result.swap_count
-    swap_test = (charges.swap_check_siegel if reduction.condition == "siegel"
-                 else charges.swap_check_lovasz)
-    guards = result.iterations_used + result.converged if reduction.flag_table else 0
     return FlopCounter(
         size_reduction=(result.pivot_sum * charges.size_check
                         + result.size_updates * charges.size_update
                         + visits * charges.size_visit),
-        swap_condition=visits * swap_test,
+        swap_condition=visits * charges.swap_check,
         column_swap=swaps * charges.column_swap,
         givens_computation=swaps * charges.givens,
         rotation_r=swaps * charges.rotation_r,
         rotation_q=swaps * charges.rotation_q,
-        flag_bookkeeping=guards * charges.csflag_sum,
+        flag_bookkeeping=(result.iterations_used + result.converged) * charges.csflag_sum,
     )
 
 
@@ -186,21 +173,20 @@ def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
     ``delta`` on the basis it takes for the complex channel ``h``
     (``Reduction.basis``: ``h`` itself, or its real block embedding for the
     unbounded "lll") and return ``{cap: (result, FlopCounter)}``, one entry
-    per distinct cap, each counted at its cap's schedule at the default
-    op weights.  This is how the sweep and the complexity report run a
-    reduction; ``instrument_caps(alg, h, [cap])[cap]`` is one run.  The
-    snapshots, ``qr`` (the QR of that basis) and ``factors`` (False: a
-    count-only run, whose snapshots carry no q, r or T) are those of
+    per distinct cap, each counted at its cap's schedule.  This is how
+    the sweep and the complexity report run a reduction;
+    ``instrument_caps(alg, h, [cap])[cap]`` is one run.  The snapshots,
+    ``qr`` (the QR of that basis) and ``factors`` (False: a count-only
+    run, whose snapshots carry no q, r or T) are those of
     ``reduction.reduce_at_caps``.
     """
     h = np.asarray(h, dtype=complex)
     n_r, n_t = h.shape
-    reduction = REDUCTIONS[algorithm]
     runs = {}
-    for cap, result in reduce_at_caps(algorithm, reduction.basis(h), caps,
+    for cap, result in reduce_at_caps(algorithm, REDUCTIONS[algorithm].basis(h), caps,
                                       delta=delta, qr=qr, factors=factors):
         charges = schedule_for(algorithm, mode, n_t, n_r, cap)
-        runs[cap] = result, count_flops(result, charges, reduction)
+        runs[cap] = result, count_flops(result, charges)
     return runs
 
 

@@ -45,6 +45,7 @@ import cmath
 import functools
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -353,21 +354,22 @@ def _cells(cfg: SimConfig):
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """Run the whole sweep and return one record per cell.
 
-    Frames may run on a process pool (``cfg.workers``); the pool splits
-    the frame range into chunks whose per-cell tallies are merged in frame
-    order, so neither the worker count nor the block size changes the
-    output.
+    Frames may run on a process pool of ``cfg.workers`` processes, at
+    most ``os.cpu_count()``; the pool splits the frame range into chunks
+    whose per-cell tallies are merged in frame order, so neither the
+    worker count nor the block size changes the output.
     """
     c = _constellation(cfg.m_s)
     total_bits = cfg.frames * cfg.n_t * c.bits_per_symbol
     cells = list(_cells(cfg))
     plan = _plan(cfg, cells)
-    if cfg.workers == 1:
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers == 1:
         tallies = _frame_chunk(cfg, plan, 0, cfg.frames)
     else:
-        chunk = max(1, math.ceil(cfg.frames / (cfg.workers * 4)))
+        chunk = max(1, math.ceil(cfg.frames / (workers * 4)))
         bounds = list(range(0, cfg.frames, chunk)) + [cfg.frames]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_frame_chunk, cfg, plan, lo, hi)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             tallies = _merged(fut.result() for fut in futures)

@@ -260,8 +260,8 @@ def test_criterion8_bookkeeping_saving():
     # swap-decision traces coincide, which is the regime the two-savings
     # accounting describes; on those the difference decomposes exactly.
     rng = np.random.default_rng(SEED)
-    sched = schedule_for("mclll", "dynamic", 4, 4, None)
-    per_check = sched.swap_check_lovasz - sched.swap_check_siegel
+    per_check = (schedule_for("fclll", "dynamic", 4, 4, None).swap_check
+                 - schedule_for("mclll", "dynamic", 4, 4, None).swap_check)
     qualifying = 0
     attempts = 0
     while qualifying < 100 and attempts < 1000:

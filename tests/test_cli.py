@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, output, config files."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmimo.cli import main
+from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
 
@@ -120,6 +121,17 @@ class TestExitCodes:
         # An infinite bound once made the range loop grow without end.
         assert main(["ber-sweep", f"--snr={grid}", "--frames", "1"]) == 1
         assert "--snr" in capsys.readouterr().err
+
+
+    def test_oversized_snr_range_is_usage_error(self, capsys):
+        # 10^6 points: rejected while parsing, before the frame count.
+        assert main(["ber-sweep", "--frames", "0", "--snr", "0:1e-6:1"]) == 1
+        assert "--snr: '0:1e-6:1' holds more than 10000 points" in capsys.readouterr().err
+
+    def test_snr_range_holds_at_most_ten_thousand_points(self):
+        assert len(_parse_snr_grid("1:1:10000")) == 10_000
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_snr_grid("0:1:10000")
 
 
 class TestBerSweep:
@@ -402,14 +414,16 @@ class TestFlopsReport:
 
 
 # SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the
-# FLOP counts were read off the visit trace instead of a live counter.
+# FLOP counts were read off the visit trace instead of a live counter; the
+# literal config with cap 1 was re-recorded when literal counting clamped
+# the size-visit charge at 0, which changed its cap-1 rows alone.
 SWEEP_DIGESTS = {
     "--snr 0,10,inf --frames 20 --algorithms zf,zf-lr-mclll,zf-lr-fclll,zf-lr-lll "
     "--iter-max 1,2,6,18 --seed 1":
         "a4ca330059954adb8677bccaaeb5d4c9db717db4b31f2e97db9bd5b96f5f850f",
     "--snr 5,15 --frames 20 --algorithms zf-lr-mclll,zf-lr-fclll --iter-max 1,2,3,18 "
     "--flop-mode literal --seed 2":
-        "2743d75c9f41a757745c53b3e90659f85194dc77b8617e0c07f87d3166adbd95",
+        "1527c2b71307500e4c282babdac68ea11b0d90e216f8733db70198a740271b80",
     "--snr 10,20 --frames 12 --algorithms zf,zf-lr-mclll --iter-max 6 "
     "--flop-mode literal --workers 2 --seed 3":
         "10576efbf0cae7dfd3f7e608dbaafd0d47d4b3da56d9c4ccdf971565df7af2e0",
@@ -425,24 +439,24 @@ SWEEP_DIGESTS = {
 }
 
 # `flops-report` argv -> (full text table on stdout, SHA-256 of its --out CSV),
-# recorded with SWEEP_DIGESTS.
+# recorded with SWEEP_DIGESTS, and the literal report re-recorded with it.
 FLOPS_REPORTS = {
     "--nt 8 --nr 8 --channels 20 --iter-max 1,2,6,8,18 --mode literal --seed 8": ("""\
 counting mode: literal
 algorithm  iter_max  mean     median   max    gain_vs_lll
 ---------  --------  -------  -------  -----  -----------
 lll        inf       14751.7  14249.5  20452  baseline
-mclll      1         460.1    388.0    721    +96.9%
+mclll      1         544.1    472.0    805    +96.3%
 mclll      2         994.0    999.5    1277   +93.3%
 mclll      6         4206.6   4182.0   5181   +71.5%
 mclll      8         6325.4   6309.5   8141   +57.1%
 mclll      18        21250.2  27748.5  29691  -44.1%
-fclll      1         29.8     2.0      113    +99.8%
+fclll      1         41.8     14.0     125    +99.7%
 fclll      2         122.3    139.0    250    +99.2%
 fclll      6         743.9    705.0    927    +95.0%
 fclll      8         1182.0   1187.5   1465   +92.0%
 fclll      18        4527.4   4540.5   4929   +69.3%
-""", "dd5513c3e54561954dff4b774678032ed85e8e9b388e934667e2a02c3f83bf4b"),
+""", "170f7c3ec1b86fe08d5d0cf0c62c7ef30c002195981b73b226ea6efc0a66c066"),
     "--nt 4 --nr 4 --channels 30 --iter-max 1,2,6,8,18 --mode dynamic --seed 9": ("""\
 counting mode: dynamic
 algorithm  iter_max  mean    median  max   gain_vs_lll

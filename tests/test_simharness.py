@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo driver, CSV emission, and matrix file IO."""
 
+import concurrent.futures
 import io
 import math
 
@@ -125,6 +126,32 @@ class TestRunSweep:
         cfg1 = small_cfg(frames=24)
         cfg2 = small_cfg(frames=24, workers=3)
         assert run_sweep(cfg1) == run_sweep(cfg2)
+
+    @pytest.mark.parametrize("cpus, workers, pool", [(2, 5000, 2), (4, 3, 3), (None, 8, None)])
+    def test_pool_never_exceeds_the_cpu_count(self, cpus, workers, pool, monkeypatch):
+        # A fake executor runs each chunk in this process and records the
+        # pool size asked for, so no process is started; None: no pool.
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simharness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
+        assert run_sweep(small_cfg(frames=24, workers=workers)) == run_sweep(small_cfg(frames=24))
+        assert asked == ([] if pool is None else [pool])
 
     def test_zf_and_ml_share_one_qr_per_channel(self, monkeypatch):
         # The noisy and the noiseless stream's first attempts share a channel.
