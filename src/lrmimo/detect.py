@@ -1,6 +1,7 @@
 """Symbol detection back-ends: plain zero forcing, lattice-reduction-aided
-zero forcing with z-domain quantization, and maximum likelihood by
-Schnorr-Euchner sphere decoding.
+zero forcing with z-domain quantization, and maximum likelihood by a
+vectorized sphere search: a K-best descent sets each search's radius,
+then an exact breadth-first search keeps every node within it.
 
 LR-aided zero forcing has one path for both reduced bases, the complex
 channel and its real block embedding: ``quantize_z_domain`` is the one
@@ -15,13 +16,11 @@ per SNR point), and ``detect`` returns the (n_t, k) int array of detected
 constellation indices: it slices once, and the caller reads bits off the
 constellation's bit table.  Zero forcing and ML take the channel's QR, so
 a caller can share one between them.  Prepared for a block of frames'
-factors, zero forcing and LR-aided zero forcing map a (B, n_r, k) stack
-of received vectors to (B, n_t, k) indices in one call.
+factors, every detector maps a (B, n_r, k) stack of received vectors to
+(B, n_t, k) indices in one call; ML runs its B * k searches as one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .matcore import (
     QRFactorization,
     back_substitute,
     complex_from_real_vector,
+    ldexp,
+    max_exponent,
     real_embedding_vector,
     round_gaussian,
     round_half_away,
@@ -38,9 +39,12 @@ from .reduction import ReductionResult
 
 ML_SEARCH_LIMIT = 2 ** 20
 
-# Points (m_s per node) ml_detector's depth-first search scores before it
-# restarts breadth-first; it always completes its first descent.
-_DEPTH_FIRST_POINTS = 256
+# Nodes per search and level that ml_detector's K-best descent keeps.
+_K_BEST = 8
+# (node, point) pairs one level of ml_detector's search expands at most at
+# once: at low SNR, where nearly every node is within the radius, it then
+# needs about the memory of one breadth-first 4x4 16QAM search.
+_EXPANSION_LIMIT = 2 ** 14
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -132,93 +136,100 @@ def check_search_space(m_s: int, n_t: int) -> None:
 
 
 def ml_detector(qr: QRFactorization, c: Constellation):
-    """Maximum likelihood for the channel whose QR is ``qr``: ``detect(x)``
-    returns, for each column of ``x``, the index vector of the
-    constellation vector ``s`` minimizing ``||q^H x - r s||^2``.  Each
-    column is searched on its own.
+    """Maximum likelihood for the channel whose QR is ``qr`` (stacked
+    factors detect a block): ``detect(x)`` returns, for each column of
+    ``x``, the index vector of the constellation vector ``s`` minimizing
+    ``||q^H x - r s||^2``, all (frame, column) searches in one.
 
     Levels go from n_t-1 down to 0; level k's centre is ``(y_k - sum_{j>k}
     r_kj s_j) / r_kk`` and its increment ``r_kk^2 |centre - s_k|^2``
-    (``r_kk`` real) is a real-axis plus an imaginary-axis term.  The search
-    starts depth-first (Schnorr-Euchner): points by increasing increment,
-    the radius shrinking at every leaf.  Near a lattice point (high SNR)
-    that ends after a few nodes; where it does not, after
-    ``_DEPTH_FIRST_POINTS`` scored points the search restarts breadth-first,
-    vectorized, keeping every node within the best distance found so far.
-    Either way a node is pruned only when its partial distance is strictly
-    greater than the best, and of leaves that tie exactly the one with the
+    (``r_kk`` real) is a real-axis plus an imaginary-axis term.  A K-best
+    descent reaches one leaf per search; its distance, plus a margin far
+    above rounding, is the radius of a breadth-first search that keeps
+    every node within it, expanding at most ``_EXPANSION_LIMIT`` (node,
+    point) pairs at once.  Of leaves that tie exactly, the one with the
     lexicographically smaller index vector wins, as in an exhaustive
-    argmin.  ``ML_SEARCH_LIMIT`` bounds the candidate count ``m_s^n_t``, and
-    so the leaves visited.
+    argmin.  Each frame's r and y, and each search's y and constellation,
+    are scaled by exact powers of two: no square overflows at any SNR or
+    scale, and no distance moves at normal ones.
     """
     q, r = qr
-    n_t = r.shape[0]
-    check_search_space(c.m_s, n_t)
-    q_h, r_diag = q.conj().T, r.diagonal().real
-    budget = max(n_t, _DEPTH_FIRST_POINTS // c.m_s)  # nodes
-    r_sq, levels = r_diag ** 2, c.scale * (2 * np.arange(c.side) - c.side + 1)
-    # The depth-first search works on Python numbers: numpy scalars are
-    # several times slower one at a time.
-    rows, points = r.tolist(), c.points.tolist()
-    diag_l, r_sq_l, levels_l = r_diag.tolist(), r_sq.tolist(), levels.tolist()
-    # Bounds ||r s||^2 over constellation vectors: a slack far above the
-    # rounding by which the two searches' distances of one leaf can differ.
-    slack = n_t * np.max(np.abs(c.points)) ** 2 * np.sum(np.abs(r) ** 2)
-
-    def depth_first(y):
-        """(best distance, best index vector, finished within the budget)."""
-        s, idx = [0j] * n_t, [0] * n_t
-        best_dist, best_idx, nodes = math.inf, None, 0
-
-        def search(k: int, partial: float) -> bool:
-            nonlocal best_dist, best_idx, nodes
-            nodes += 1
-            if nodes > budget:
-                return False
-            centre = (y[k] - sum(rows[k][j] * s[j] for j in range(k + 1, n_t))) / diag_l[k]
-            re = [r_sq_l[k] * (centre.real - a) ** 2 for a in levels_l]
-            im = [r_sq_l[k] * (centre.imag - b) ** 2 for b in levels_l]
-            step = [dr + di for dr in re for di in im]  # canonical point order
-            for i in sorted(range(len(step)), key=step.__getitem__):
-                dist = partial + step[i]
-                if dist > best_dist:
-                    break  # the rest of this level is no closer
-                s[k], idx[k] = points[i], i
-                if k:
-                    if not search(k - 1, dist):
-                        return False
-                elif best_idx is None or dist < best_dist or idx < best_idx:
-                    best_dist, best_idx = dist, idx.copy()
-            return True
-
-        finished = search(n_t - 1, 0.0)
-        return best_dist, best_idx, finished
-
-    def breadth_first(y, radius):
-        """Best index vector among the leaves within ``radius``."""
-        part, b, trail = np.zeros(1), y[None, :], []
-        for k in range(n_t - 1, -1, -1):
-            centre = b[:, k] / r_diag[k]
-            d = ((part[:, None] + r_sq[k] * (centre.real[:, None] - levels) ** 2)[:, :, None]
-                 + r_sq[k] * (centre.imag[:, None, None] - levels) ** 2).reshape(len(part), -1)
-            parent, point = np.nonzero(d <= radius)
-            part, b = d[parent, point], b[parent, :k] - c.points[point, None] * r[:k, k]
-            trail.append((parent, point))
-        node = np.flatnonzero(part == part.min())
-        idx = np.empty((len(node), n_t), dtype=int)
-        for k, (parent, point) in enumerate(reversed(trail)):
-            idx[:, k], node = point[node], parent[node]
-        return idx[np.lexsort(idx.T[::-1])[0]]
+    n_t, m_s = r.shape[-1], c.m_s
+    check_search_space(m_s, n_t)
+    q_h = q.conj().swapaxes(-1, -2)
+    r_exp = max_exponent(r.reshape(-1, n_t, n_t), axis=(-2, -1))
+    r = ldexp(r.reshape(-1, n_t, n_t), -r_exp[:, None, None])
+    # A radius margin far above the rounding of a distance: ||r s||^2 <= slack.
+    slack = n_t * np.max(np.abs(c.points)) ** 2 * np.sum(np.abs(r) ** 2, axis=(-2, -1))
+    levels = c.scale * (2 * np.arange(c.side) - c.side + 1)
+    weight = m_s ** np.arange(n_t - 1, -1, -1)  # index vectors as base-m_s codes
+    rs, rd = r.transpose(1, 2, 0), r.diagonal(axis1=-2, axis2=-1).real.T  # frame last
 
     def detect(x) -> np.ndarray:
         if not np.isfinite(x).all():
             raise ValueError("received vector is not finite")
-        out = np.empty((n_t, x.shape[1]), dtype=int)
-        for j, y in enumerate((q_h @ x).T):
-            best_dist, best_idx, finished = depth_first(y.tolist())
-            if not finished:
-                best_idx = breadth_first(y, best_dist + 1e-9 * (best_dist + slack))
-            out[:, j] = best_idx
-        return out
+        y = q_h @ x
+        shape, cols = y.shape, y.shape[-1]
+        frame = np.arange(y.size // n_t) // cols  # of each search
+        y = ldexp(np.moveaxis(y, -1, -2).reshape(-1, n_t), -r_exp[frame, None])
+        unit = np.ldexp(1.0, -np.maximum(max_exponent(y, axis=-1), 0))
+        y = (y * unit[:, None]).T  # level by level
+
+        def children(k, nodes, pick):
+            """The children of level-k ``nodes`` (searches, distances, codes,
+            residuals) that ``pick(d, sid)`` names in their distances d."""
+            sid, part, code, b = nodes
+            f, lvl = frame[sid], levels[:, None] * unit[sid]
+            centre, rk = b[k] / rd[k, f], rd[k, f] ** 2
+            re = part + rk * (centre.real - lvl) ** 2
+            d = (re[:, None] + rk * (centre.imag - lvl) ** 2).reshape(m_s, len(part))
+            flat = pick(d, sid)
+            point, node = np.divmod(flat, len(part))
+            sid, f = sid[node], f[node]
+            b = b[:k, node] - c.points[point] * unit[sid] * rs[:k, k, f]
+            return sid, d.ravel()[flat], code[node] + point * weight[k], b
+
+        def k_best(sid):
+            """One leaf's distance for each search ``sid``."""
+            def pick(d, _):
+                w = d.shape[1] // len(sid)  # nodes per search
+                per = d.reshape(m_s, len(sid), w).transpose(1, 0, 2).reshape(len(sid), -1)
+                keep = np.argpartition(per, min(_K_BEST, m_s * w) - 1, axis=1)[:, :_K_BEST]
+                return (keep // w * d.shape[1] + keep % w + w * np.arange(len(sid))[:, None]).ravel()
+
+            nodes = sid, np.zeros(len(sid)), 0 * sid, y[:, sid]
+            for k in range(n_t - 1, -1, -1):
+                nodes = children(k, nodes, pick)
+            return nodes[1].reshape(len(sid), -1).min(axis=1)
+
+        every = np.arange(len(frame))
+        step = max(1, _EXPANSION_LIMIT // (_K_BEST * m_s))
+        best = np.concatenate([np.zeros(0), *(k_best(every[i:i + step])
+                                              for i in range(0, len(every), step))])
+        radius = best + 1e-9 * (best + slack[frame])
+        top, top_code = np.full(len(every), np.inf), np.zeros(len(every), dtype=int)
+
+        def descend(k, nodes):
+            """Breadth-first from level-k ``nodes``, halved until a group
+            fits ``_EXPANSION_LIMIT``; a code is an index vector in base m_s."""
+            if len(nodes[0]) * m_s > _EXPANSION_LIMIT:
+                half = len(nodes[0]) // 2
+                for group in slice(half), slice(half, None):
+                    descend(k, [a[..., group] for a in nodes])
+                return
+            nodes = children(k, nodes, lambda d, sid: np.flatnonzero(d <= radius[sid]))
+            if k:
+                return descend(k - 1, nodes)
+            # Each search's nearest leaf so far; of exact ties, the smallest code.
+            sid, part, code = nodes[:3]
+            order = np.lexsort((code, part, sid))
+            first = order[np.diff(sid[order], prepend=-1) != 0]
+            sid, part, code = sid[first], part[first], code[first]
+            better = (part < top[sid]) | ((part == top[sid]) & (code < top_code[sid]))
+            top[sid[better]], top_code[sid[better]] = part[better], code[better]
+
+        descend(n_t - 1, (every, np.zeros(len(every)), np.zeros(len(every), dtype=int), y))
+        index = top_code[:, None] // weight % m_s
+        return np.moveaxis(index.reshape(*shape[:-2], cols, n_t), -1, -2)
 
     return detect

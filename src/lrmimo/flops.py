@@ -220,14 +220,14 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     if baseline_key not in entries:
         entries.insert(0, baseline_key)
     qrs = [qr_decompose(h) for h in hs]  # shared by the capped entries
-    totals: dict[tuple[str, int | None], list[float]] = {}
+    totals: dict[tuple[str, int | None], list[float]] = {entry: [] for entry in entries}
     for alg in dict.fromkeys(alg for alg, _ in entries):
-        caps = [cap for a, cap in entries if a == alg]
-        runs = [instrument_caps(alg, h, caps, delta=delta, mode=mode, factors=False,
-                                qr=qr if REDUCTIONS[alg].capped else None)
-                for h, qr in zip(hs, qrs)]
-        for cap in caps:
-            totals[(alg, cap)] = [by_cap[cap][1].total for by_cap in runs]
+        caps = [cap for a, cap in totals if a == alg]
+        for h, qr in zip(hs, qrs):  # keeps only each run's FLOP totals
+            runs = instrument_caps(alg, h, caps, delta=delta, mode=mode, factors=False,
+                                   qr=qr if REDUCTIONS[alg].capped else None)
+            for cap in caps:
+                totals[(alg, cap)].append(runs[cap][1].total)
     baseline_mean = statistics.fmean(totals[baseline_key])
     rows = []
     for alg, cap in entries:

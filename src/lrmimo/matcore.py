@@ -36,11 +36,13 @@ def _real_view(a) -> np.ndarray:
     return np.ascontiguousarray(a).view(a.real.dtype) if np.iscomplexobj(a) else a
 
 
-def max_exponent(a) -> int:
+def max_exponent(a, axis=None):
     """The binary exponent e of the largest real or imaginary part of
     ``a`` (0 for a zero matrix): every part of ``ldexp(a, -e)`` lies
-    below 1 in magnitude, and the largest at or above 1/2."""
-    return math.frexp(float(np.abs(_real_view(a)).max()))[1]
+    below 1 in magnitude, and the largest at or above 1/2.  An ``axis`` of
+    -1 or (-2, -1) gives one per vector or matrix of a stack."""
+    top = np.abs(_real_view(a)).max(axis=axis)
+    return math.frexp(float(top))[1] if axis is None else np.frexp(top)[1]
 
 
 def ldexp(a, e: int) -> np.ndarray:

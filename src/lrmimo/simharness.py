@@ -11,9 +11,9 @@ Each frame is drawn once.  One stacked QR factors the block's channels,
 shared by zero forcing, ML and the capped reductions, and another their
 real embeddings for ``lll``.  Each reduction runs once per frame, up to
 the largest listed iteration cap, with a snapshot kept at every cap (a
-run capped at k sweeps is the prefix of one capped at K > k), and ML
-searches each frame on its own.  Then each distinct set of the frames'
-factors makes one detection call per noise stream for the whole block:
+run capped at k sweeps is the prefix of one capped at K > k).  Then each
+distinct set of the frames' factors makes one detection call per noise
+stream for the whole block (ML's one search over every frame and SNR):
 the received vectors ``H s + std(snr) * base_noise`` of every finite SNR
 point are the columns of one matrix per frame, with noise stds computed
 once per sweep, and the noiseless ``H s`` is a one-column call of its
@@ -217,16 +217,14 @@ class _Stream:
 
 
 def _prepare(cfg: SimConfig, algorithm: str, caps, h: np.ndarray,
-             qr: QRFactorization, c) -> dict:
+             qr: QRFactorization) -> dict:
     """Channel-dependent work of one detector family on the channel ``h``,
     given the QR its rank test passed: ``{cap: (factors, reduction
     FLOPs)}``, one entry under None for the cap-free detectors.  The
-    factors are the QR for zero forcing, ML's ``detect``, or else the
-    reduction's snapshot, shared by caps at which the run stood still."""
-    if algorithm == "zf":
+    factors are the QR for zero forcing and ML, or else the reduction's
+    snapshot, shared by caps at which the run stood still."""
+    if algorithm in ("zf", "ml"):
         return {None: (qr, 0)}
-    if algorithm == "ml":
-        return {None: (ml_detector(qr, c), 0)}
     runs = flops.instrument_caps(algorithm.removeprefix("zf-lr-"), h, caps,
                                  delta=cfg.delta, mode=cfg.flop_mode, qr=qr)
     return {cap: (red, counter.total) for cap, (red, counter) in runs.items()}
@@ -235,11 +233,10 @@ def _prepare(cfg: SimConfig, algorithm: str, caps, h: np.ndarray,
 def _detect(algorithm: str, factors: list, x: np.ndarray, c) -> np.ndarray:
     """Detected indices, (B, n_t, k), of a block's stack ``x`` of received
     vectors, frame i detected with ``factors[i]`` (see ``_prepare``)."""
-    if algorithm == "ml":
-        return np.stack([detect(xi) for detect, xi in zip(factors, x)])
-    if algorithm == "zf":
-        return zf_detector(QRFactorization(*map(np.stack, zip(*factors))), c)(x)
-    return zf_lr_detector(factors, c)(x)
+    if algorithm.startswith("zf-lr-"):
+        return zf_lr_detector(factors, c)(x)
+    detector = ml_detector if algorithm == "ml" else zf_detector
+    return detector(QRFactorization(*map(np.stack, zip(*factors))), c)(x)
 
 
 class _Plan(NamedTuple):
@@ -304,7 +301,7 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
                     logger.warning("frame %d: rank-deficient channel for %s, redrawing",
                                    stream.index, alg)
                 prepared[key] = None if qr is None else _prepare(
-                    cfg, alg, plan.caps[alg], attempt.h, qr, c)
+                    cfg, alg, plan.caps[alg], attempt.h, qr)
             if prepared[key] is not None:
                 return redraws, attempt, prepared[key]
         raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")

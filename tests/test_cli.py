@@ -82,6 +82,15 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["-3075", "-3070"])
+    @pytest.mark.parametrize("algorithm", ["ml", "zf"])
+    def test_lowest_accepted_snrs_run(self, snr, algorithm, capsys):
+        # ML's squares once overflowed here: an OverflowError at -3075 dB
+        # and a RuntimeWarning (an error under the test filter) at -3070.
+        assert main(["ber-sweep", f"--snr={snr}", "--frames", "3",
+                     "--algorithms", algorithm, "--seed", "1"]) == 0
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "reduce"])
     def test_non_finite_matrix_file_is_runtime_error(self, command, tmp_path, capsys):
         path = tmp_path / "h.txt"

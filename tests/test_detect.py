@@ -1,10 +1,12 @@
-"""Tests for the ZF, LR-aided ZF, and sphere-decoding ML detectors."""
+"""Tests for the ZF, LR-aided ZF, and ML detectors."""
 
 import hashlib
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrmimo.detect import (
     SearchSpaceTooLarge,
@@ -13,7 +15,14 @@ from lrmimo.detect import (
     zf_detector,
     zf_lr_detector,
 )
-from lrmimo.matcore import GaussIntMatrix, QRFactorization, qr_decompose, real_embedding
+from lrmimo.matcore import (
+    GaussIntMatrix,
+    QRFactorization,
+    ldexp,
+    qr_decompose,
+    qr_stack,
+    real_embedding,
+)
 from lrmimo.mimo import (
     NoiseSpec,
     base_noise,
@@ -67,6 +76,35 @@ def exhaustive_ml(h, c):
         return cand[np.argmin(dist)]
 
     return detect
+
+
+def stacked_qr(hs) -> QRFactorization:
+    """The stacked QR factors of a block of channels, as the sweep builds them."""
+    return QRFactorization(*qr_stack(hs)[:2])
+
+
+@lru_cache(maxsize=None)
+def oracle_cases():
+    """(m_s, channels, received vectors, exhaustive-ML symbols) per config:
+    each channel's five columns are its noisy vector at -10, 0, 10 and 20
+    dB and the noiseless one."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for n_t, n_r, m_s, channels in [(4, 4, 16, 200), (8, 8, 4, 30),
+                                    (2, 4, 16, 150), (1, 1, 16, 100)]:
+        c = build_constellation(m_s)
+        hs, xs = [], []
+        for _ in range(channels):
+            h = random_channel(rng, n_r, n_t)
+            y = h @ random_symbols(rng, c, n_t)
+            noise = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
+            stds = np.sqrt(n_t / 10 ** (np.array([-10.0, 0.0, 10.0, 20.0, np.inf]) / 10) / 2)
+            hs.append(h)
+            xs.append(y[:, None] + stds * noise[:, None])
+        expected = [np.stack([exhaustive_ml(h, c)(col) for col in x.T], axis=1)
+                    for h, x in zip(hs, xs)]
+        cases.append((m_s, np.stack(hs), np.stack(xs), np.stack(expected)))
+    return cases
 
 
 class TestZF:
@@ -315,40 +353,110 @@ class TestML:
         with pytest.raises(SearchSpaceTooLarge):
             ml_detector(qr_decompose(np.eye(4)), c)
 
-    @pytest.mark.parametrize("depth_first_points", [0, 10 ** 9])
-    def test_sphere_decoder_matches_exhaustive_oracle(self, monkeypatch, depth_first_points):
-        # Frame by frame, 2,400 frames per search: (n_t, n_r, m_s,
-        # channels), each channel detected at -10, 0, 10 and 20 dB and
-        # noiseless.  A points budget of 0 hands every search that is not
-        # over after its first descent to the breadth-first search; 10^9
-        # keeps every search depth-first.
-        monkeypatch.setattr("lrmimo.detect._DEPTH_FIRST_POINTS", depth_first_points)
-        rng = np.random.default_rng(12)
-        frames = mismatches = 0
-        for n_t, n_r, m_s, channels in [(4, 4, 16, 200), (8, 8, 4, 30),
-                                        (2, 4, 16, 150), (1, 1, 16, 100)]:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_search_matches_exhaustive_oracle(self, block):
+        # 2,400 (frame, SNR) searches: (n_t, n_r, m_s, channels), each
+        # channel detected at -10, 0, 10 and 20 dB and noiseless, the five
+        # SNRs as the columns of one frame, ``block`` frames per call.
+        searches = mismatches = 0
+        for m_s, hs, x, expected in oracle_cases():
             c = build_constellation(m_s)
-            for _ in range(channels):
-                h = random_channel(rng, n_r, n_t)
-                y = h @ random_symbols(rng, c, n_t)
-                noise = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
-                oracle, detect_ml = exhaustive_ml(h, c), ml_detector(qr_decompose(h), c)
-                for snr in (-10.0, 0.0, 10.0, 20.0, np.inf):
-                    x = y + np.sqrt(n_t / 10 ** (snr / 10) / 2) * noise
-                    frames += 1
-                    mismatches += not np.array_equal(detect_one(detect_ml, c, x), oracle(x))
-        assert frames == 2400 and mismatches == 0
+            for lo in range(0, len(hs), block):
+                got = ml_detector(stacked_qr(hs[lo:lo + block]), c)(x[lo:lo + block])
+                wrong = (c.points[got] != expected[lo:lo + block]).any(axis=1)
+                searches, mismatches = searches + wrong.size, mismatches + wrong.sum()
+        assert searches == 2400 and mismatches == 0
 
-    @pytest.mark.parametrize("depth_first_points", [0, 10 ** 9])
-    def test_exact_tie_goes_to_lexicographically_first(self, monkeypatch, depth_first_points):
+    def test_exact_tie_goes_to_lexicographically_first(self):
         # h = I at QPSK with x = 0: all 16 candidates are at the same
         # distance, exactly; exhaustive argmin keeps the first candidate.
-        monkeypatch.setattr("lrmimo.detect._DEPTH_FIRST_POINTS", depth_first_points)
         c = build_constellation(4)
         h, x = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
         first = c.points[[0, 0]]
         assert np.array_equal(exhaustive_ml(h, c)(x), first)
         assert np.array_equal(detect_one(ml_detector(qr_decompose(h), c), c, x), first)
+
+    def test_exact_tie_inside_a_block(self):
+        # The tie frame (h = I, x = 0) among random frames, each with a
+        # noisy and a noiseless column: every search as the oracle's.
+        rng = np.random.default_rng(14)
+        c = build_constellation(4)
+        hs = np.stack([random_channel(rng, 2, 2) for _ in range(9)])
+        hs[4] = np.eye(2)
+        y = hs @ c.points[rng.integers(0, 4, (9, 2, 1))]
+        x = np.concatenate([y + 0.4 * base_noise(y.shape, rng), y], axis=2)
+        x[4] = 0.0
+        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        assert np.array_equal(got[4], np.full((2, 2), c.points[0]))
+        for h, x_i, got_i in zip(hs, x, got):
+            oracle = exhaustive_ml(h, c)
+            assert all(np.array_equal(got_i[:, j], oracle(x_i[:, j])) for j in range(2))
+
+    @pytest.mark.parametrize("at", [(0, 0, 0), (3, 1, 2), (5, 1, 0)])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_received_vector_anywhere_in_a_block_rejected(self, at, bad):
+        rng = np.random.default_rng(16)
+        c = build_constellation(4)
+        hs = np.stack([random_channel(rng, 2, 2) for _ in range(6)])
+        x = base_noise((6, 2, 3), rng)
+        x[at] = bad
+        with pytest.raises(ValueError):
+            ml_detector(stacked_qr(hs), c)(x)
+
+    def test_block_without_columns(self):
+        c = build_constellation(16)
+        hs = np.stack([np.eye(2, dtype=complex)] * 3)
+        assert ml_detector(stacked_qr(hs), c)(np.zeros((3, 2, 0), complex)).shape == (3, 2, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_t=st.integers(1, 3), extra=st.integers(0, 1), m_s=st.sampled_from([4, 16]),
+           frames=st.integers(1, 12), snr=st.floats(-20.0, 40.0), seed=st.integers(0, 2 ** 32))
+    def test_random_blocks_match_the_oracle(self, n_t, extra, m_s, frames, snr, seed):
+        rng = np.random.default_rng(seed)
+        c = build_constellation(m_s)
+        hs = np.stack([random_channel(rng, n_t + extra, n_t) for _ in range(frames)])
+        y = hs @ c.points[rng.integers(0, m_s, (frames, n_t, 1))]
+        std = snr_to_noise_variance(snr, n_t).component_std
+        x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
+        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        for h, x_i, got_i in zip(hs, x, got):
+            oracle = exhaustive_ml(h, c)
+            assert all(np.array_equal(got_i[:, j], oracle(x_i[:, j])) for j in range(2))
+
+    @pytest.mark.parametrize("k", [-900, -200, 200, 1000])
+    def test_power_of_two_scale_does_not_move_any_search(self, k):
+        # ML on (2^k h, 2^k x) equals ML on (h, x): the search scales y
+        # and r by exact powers of two, so no square over- or underflows.
+        rng = np.random.default_rng(17)
+        c = build_constellation(16)
+        stds = np.array([snr_to_noise_variance(snr, 4).component_std
+                         for snr in (-30.0, 0.0, 10.0, 30.0)])
+        hs = np.stack([random_channel(rng, 4, 4) for _ in range(8)])
+        y = hs @ c.points[rng.integers(0, 16, (8, 4, 1))]
+        x = np.concatenate([y + stds * base_noise((8, 4, 1), rng), y], axis=2)
+        got = ml_detector(stacked_qr(hs), c)(x)
+        assert np.array_equal(ml_detector(stacked_qr(ldexp(hs, k)), c)(ldexp(x, k)), got)
+
+    def test_no_level_expands_more_than_the_bound(self, monkeypatch):
+        # Spies every K-best selection and breadth-first mask: each sees
+        # one group's (node, point) pairs.  At -30 dB nearly every node of
+        # a 3x3 16QAM search is within the radius, so groups split a search.
+        rng = np.random.default_rng(18)
+        c = build_constellation(16)
+        hs = np.stack([random_channel(rng, 3, 3) for _ in range(16)])
+        y = hs @ c.points[rng.integers(0, 16, (16, 3, 1))]
+        std = snr_to_noise_variance(-30.0, 3).component_std
+        x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
+        sizes = []
+        for name in ("argpartition", "flatnonzero"):
+            monkeypatch.setattr(np, name, lambda a, *args, f=getattr(np, name), **kw:
+                                sizes.append(np.size(a)) or f(a, *args, **kw))
+        monkeypatch.setattr("lrmimo.detect._EXPANSION_LIMIT", 512)
+        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        assert max(sizes) == 512
+        for h, x_i, got_i in zip(hs, x, got):
+            oracle = exhaustive_ml(h, c)
+            assert all(np.array_equal(got_i[:, j], oracle(x_i[:, j])) for j in range(2))
 
     def test_non_finite_received_vector_rejected(self):
         c = build_constellation(4)

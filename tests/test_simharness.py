@@ -173,8 +173,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_do_not_depend_on_the_block_size(self, workers, monkeypatch):
         # 29 frames: blocks of 3 leave a partial block, in the serial range
-        # and in the pool's chunks of 4 frames.
-        cfg = SimConfig(snr_db_grid=(4.0, 12.0, INF), frames=29, m_s=4,
+        # and in the pool's chunks of 4 frames.  ML searches three noisy
+        # columns per frame, all of a block's in one call.
+        cfg = SimConfig(snr_db_grid=(-6.0, 4.0, 12.0, INF), frames=29, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 6),
                         workers=workers, seed=3)
         records = []
