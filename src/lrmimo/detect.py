@@ -211,8 +211,9 @@ def ml_detector(qr: QRFactorization, c: Constellation):
 
         def descend(k, nodes):
             """Breadth-first from level-k ``nodes``, halved until a group
-            fits ``_EXPANSION_LIMIT``; a code is an index vector in base m_s."""
-            if len(nodes[0]) * m_s > _EXPANSION_LIMIT:
+            fits ``_EXPANSION_LIMIT`` or is one node; a code is an index
+            vector in base m_s."""
+            if len(nodes[0]) > 1 and len(nodes[0]) * m_s > _EXPANSION_LIMIT:
                 half = len(nodes[0]) // 2
                 for group in slice(half), slice(half, None):
                     descend(k, [a[..., group] for a in nodes])

@@ -367,9 +367,13 @@ class TestML:
                 searches, mismatches = searches + wrong.size, mismatches + wrong.sum()
         assert searches == 2400 and mismatches == 0
 
-    def test_exact_tie_goes_to_lexicographically_first(self):
+    @pytest.mark.parametrize("expansion_limit", [0, 10 ** 9])
+    def test_exact_tie_goes_to_lexicographically_first(self, monkeypatch, expansion_limit):
         # h = I at QPSK with x = 0: all 16 candidates are at the same
         # distance, exactly; exhaustive argmin keeps the first candidate.
+        # An expansion limit of 0 splits the search into one-node groups,
+        # whose tied leaves meet only across groups; 10^9 keeps one group.
+        monkeypatch.setattr("lrmimo.detect._EXPANSION_LIMIT", expansion_limit)
         c = build_constellation(4)
         h, x = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
         first = c.points[[0, 0]]
