@@ -238,8 +238,7 @@ def _cmd_flops_report(args) -> int:
         entries.extend((alg, cap) for cap in args.iter_max)
     _check_delta("lll", args.delta)  # the implicit baseline
     rng = np.random.default_rng(args.seed)
-    channels = [generate_channel(args.nr, args.nt, rng)
-                for _ in range(args.channels)]
+    channels = (generate_channel(args.nr, args.nt, rng) for _ in range(args.channels))
     rows = flops_mod.complexity_report(channels, entries, mode=args.mode,
                                        delta=args.delta)
     with _output(args.out) as out:

@@ -208,26 +208,30 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     sample, with relative gain versus the unbounded real-LLL baseline.
 
     ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
-    baseline row is prepended automatically when absent.  The report reads
-    only FLOP counts, so its runs are count-only (no q, r or T), and the
-    capped entries share one QR per channel.
+    baseline row is prepended automatically when absent.  ``channels`` may
+    be any iterable, read once: each channel gets one QR, shared by the
+    capped entries, and then every entry's runs, before the next channel
+    is read.  The report reads only FLOP counts, so its runs are
+    count-only (no q, r or T).
     """
-    hs = [np.asarray(h, dtype=complex) for h in channels]
-    if not hs:
-        raise ValueError("need at least one channel")
     entries = [(alg, cap) for alg, cap in entries]
     baseline_key = next((e for e in entries if e[0] == "lll"), ("lll", None))
     if baseline_key not in entries:
         entries.insert(0, baseline_key)
-    qrs = [qr_decompose(h) for h in hs]  # shared by the capped entries
     totals: dict[tuple[str, int | None], list[float]] = {entry: [] for entry in entries}
-    for alg in dict.fromkeys(alg for alg, _ in entries):
-        caps = [cap for a, cap in totals if a == alg]
-        for h, qr in zip(hs, qrs):  # keeps only each run's FLOP totals
-            runs = instrument_caps(alg, h, caps, delta=delta, mode=mode, factors=False,
+    caps: dict[str, list] = {}
+    for alg, cap in totals:
+        caps.setdefault(alg, []).append(cap)
+    for h in channels:
+        h = np.asarray(h, dtype=complex)
+        qr = qr_decompose(h)
+        for alg, alg_caps in caps.items():  # keeps only each run's FLOP totals
+            runs = instrument_caps(alg, h, alg_caps, delta=delta, mode=mode, factors=False,
                                    qr=qr if REDUCTIONS[alg].capped else None)
-            for cap in caps:
-                totals[(alg, cap)].append(runs[cap][1].total)
+            for cap in alg_caps:
+                totals[alg, cap].append(runs[cap][1].total)
+    if not totals[baseline_key]:
+        raise ValueError("need at least one channel")
     baseline_mean = statistics.fmean(totals[baseline_key])
     rows = []
     for alg, cap in entries:

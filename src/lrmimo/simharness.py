@@ -12,22 +12,21 @@ shared by zero forcing, ML and the capped reductions, and another their
 real embeddings for ``lll``.  Each reduction runs once per frame, up to
 the largest listed iteration cap, with a snapshot kept at every cap (a
 run capped at k sweeps is the prefix of one capped at K > k).  Then each
-distinct set of the frames' factors makes one detection call per noise
-stream for the whole block (ML's one search over every frame and SNR):
-the received vectors ``H s + std(snr) * base_noise`` of every finite SNR
-point are the columns of one matrix per frame, with noise stds computed
-once per sweep, and the noiseless ``H s`` is a one-column call of its
-own.  Bit errors are counted per column, once per block, reading the
+distinct set of the frames' factors makes one detection call for the
+whole block (ML's one search over every frame and SNR): the received
+vectors ``H s + std(snr) * base_noise`` of every SNR point are the
+columns of one matrix per frame, with noise stds computed once per sweep.
+The noiseless point (snr = inf) has std 0, so its column is ``H s`` bit
+for bit.  Bit errors are counted per column, once per block, reading the
 bits of each detected index off the constellation's bit table.  Each
 frame's results are those a frame-by-frame loop gets, bit for bit.
 
-A rank-deficient draw is redrawn from the same stream.  Each detector
-family, ML included, walks the frame's draw attempts until one passes
-its rank test (``lll`` tests its real embedding's QR, the others the
-channel's) and counts the attempts it skipped as redraws.  A noiseless
-cell (snr = inf) draws no noise, so its stream of attempts is a
-different one from that of the finite-SNR cells; the first attempt's
-channel and bits are the same in both.
+A rank-deficient draw is redrawn from the same stream: every attempt
+draws channel, bits and base noise, whatever the SNR points.  Each
+detector family, ML included, walks the frame's draw attempts until one
+passes its rank test (``lll`` tests its real embedding's QR, the others
+the channel's) and counts the attempts it skipped as redraws.  Every SNR
+point of a detector sees the attempt it accepted.
 
 Everything downstream of the config is deterministic, byte-for-byte,
 including under worker-pool execution: the pool splits frames into
@@ -183,20 +182,19 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 class _Attempt(NamedTuple):
     h: np.ndarray
     bits: np.ndarray  # (n_t, 1, bits_per_symbol): each symbol's bits in a row
-    x: np.ndarray     # received vectors, one column per SNR point of the stream
+    x: np.ndarray     # received vectors, one column per SNR point
 
 
 class _Stream:
     """The draw attempts of frame ``index``'s stream, drawn on first use.
 
-    Every attempt draws channel, then bits, then (on the noisy stream,
-    whose noise stds ``stds`` are given) base noise from the frame's
-    generator, the order in which a cell-by-cell loop draws a frame.
-    Column j of an attempt's ``x`` is ``H s + stds[j] * base_noise``; the
-    noiseless stream's one column is ``H s``.
+    Every attempt draws channel, then bits, then base noise from the
+    frame's generator, the order in which a cell-by-cell loop draws a
+    frame.  Column j of an attempt's ``x`` is ``H s + stds[j] *
+    base_noise``.
     """
 
-    def __init__(self, cfg: SimConfig, index: int, stds: np.ndarray | None):
+    def __init__(self, cfg: SimConfig, index: int, stds: np.ndarray):
         self.cfg = cfg
         self.index = index
         self.stds = stds
@@ -209,9 +207,7 @@ class _Stream:
             h = generate_channel(cfg.n_r, cfg.n_t, self.rng)
             bits = self.rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
             y = h @ modulate(bits, c, cfg.n_t)
-            x = y[:, None]
-            if self.stds is not None:
-                x = x + self.stds * base_noise(y.shape, self.rng)[:, None]
+            x = y[:, None] + self.stds * base_noise(y.shape, self.rng)[:, None]
             self.attempts.append(_Attempt(h, bits.reshape(cfg.n_t, 1, -1), x))
         return self.attempts[i]
 
@@ -242,24 +238,22 @@ def _detect(algorithm: str, factors: list, x: np.ndarray, c) -> np.ndarray:
 class _Plan(NamedTuple):
     """What every frame of a sweep detects, worked out once per sweep."""
 
-    cells: list                 # (algorithm, iter_max, snr_db), output order
-    caps: dict[str, list]       # algorithm -> its iter_max values
-    columns: dict[bool, tuple]  # noisy -> the SNRs of the stream's columns
-    stds: np.ndarray            # noise std of each noisy column
+    cells: list              # (algorithm, iter_max, snr_db), output order
+    caps: dict[str, list]    # algorithm -> its iter_max values
+    snrs: tuple              # the SNR of each received-vector column
+    stds: np.ndarray         # noise std of each column, 0 for inf
 
 
 def _plan(cfg: SimConfig, cells: list) -> _Plan:
     """The plan of ``cells``: caps and SNR columns in order of first use."""
-    caps, columns = {}, {}
+    caps, snrs = {}, ()
     for alg, cap, snr in cells:
         if cap not in caps.setdefault(alg, []):
             caps[alg].append(cap)
-        noisy = snr_to_noise_variance(snr, cfg.n_t).sigma_n_sq != 0.0
-        if snr not in columns.setdefault(noisy, ()):
-            columns[noisy] += (snr,)
-    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std
-                     for snr in columns.get(True, ())])
-    return _Plan(cells, caps, columns, stds)
+        if snr not in snrs:
+            snrs += (snr,)
+    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std for snr in snrs])
+    return _Plan(cells, caps, snrs, stds)
 
 
 def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
@@ -268,9 +262,7 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     one Tally per cell, in order.  Only redrawn channels are factored on
     their own."""
     c = _constellation(cfg.m_s)
-    streams = {noisy: [_Stream(cfg, idx, plan.stds if noisy else None)
-                       for idx in range(lo, hi)]
-               for noisy in plan.columns}
+    streams = [_Stream(cfg, idx, plan.stds) for idx in range(lo, hi)]
     factored: dict[tuple[bool, bytes], QRFactorization | None] = {}
 
     def factor(hs: list, embedded: bool) -> None:
@@ -280,11 +272,8 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
         for h, *qr, rejected in zip(hs, q, r, low):
             factored[embedded, h.tobytes()] = None if rejected.any() else QRFactorization(*qr)
 
-    # The first attempts of the noisy and noiseless streams share a channel.
-    first = [stream[0].h for stream in next(iter(streams.values()))]
     for embedded in dict.fromkeys(map(_embedded, plan.caps)):
-        factor(first, embedded)
-    prepared: dict[tuple[int, str, bytes], dict | None] = {}
+        factor([stream[0].h for stream in streams], embedded)
 
     def accept(alg: str, stream: _Stream):
         """First attempt of the stream on which ``alg`` is not rank deficient."""
@@ -292,36 +281,29 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
         for redraws in range(_MAX_REDRAWS):
             attempt = stream[redraws]
             h = attempt.h.tobytes()
-            key = stream.index, alg, h
-            if key not in prepared:
-                if (embedded, h) not in factored:
-                    factor([attempt.h], embedded)
-                qr = factored[embedded, h]
-                if qr is None:
-                    logger.warning("frame %d: rank-deficient channel for %s, redrawing",
-                                   stream.index, alg)
-                prepared[key] = None if qr is None else _prepare(
-                    cfg, alg, plan.caps[alg], attempt.h, qr)
-            if prepared[key] is not None:
-                return redraws, attempt, prepared[key]
+            if (embedded, h) not in factored:
+                factor([attempt.h], embedded)
+            qr = factored[embedded, h]
+            if qr is not None:
+                return redraws, attempt, _prepare(cfg, alg, plan.caps[alg], attempt.h, qr)
+            logger.warning("frame %d: rank-deficient channel for %s, redrawing",
+                           stream.index, alg)
         raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
 
     tallies = {}
     for alg, caps in plan.caps.items():
-        for noisy, snrs in plan.columns.items():
-            redraws, attempts, prepared_by_frame = zip(*(accept(alg, stream)
-                                                         for stream in streams[noisy]))
-            x = np.stack([attempt.x for attempt in attempts])
-            bits = np.stack([attempt.bits for attempt in attempts])
-            errors = {}  # ids of the frames' factors -> bit errors per column
-            for cap in caps:
-                factors, frame_flops = zip(*(by_cap[cap] for by_cap in prepared_by_frame))
-                key = tuple(map(id, factors))
-                if key not in errors:
-                    wrong = c.bit_table[_detect(alg, factors, x, c)] != bits
-                    errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
-                for snr, bit_errors in zip(snrs, errors[key]):
-                    tallies[alg, cap, snr] = Tally(bit_errors, sum(frame_flops), sum(redraws))
+        redraws, attempts, prepared = zip(*(accept(alg, stream) for stream in streams))
+        x = np.stack([attempt.x for attempt in attempts])
+        bits = np.stack([attempt.bits for attempt in attempts])
+        errors = {}  # ids of the frames' factors -> bit errors per column
+        for cap in caps:
+            factors, frame_flops = zip(*(by_cap[cap] for by_cap in prepared))
+            key = tuple(map(id, factors))
+            if key not in errors:
+                wrong = c.bit_table[_detect(alg, factors, x, c)] != bits
+                errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
+            for snr, bit_errors in zip(plan.snrs, errors[key]):
+                tallies[alg, cap, snr] = Tally(bit_errors, sum(frame_flops), sum(redraws))
     return [tallies[cell] for cell in plan.cells]
 
 

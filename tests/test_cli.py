@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrmimo import cli
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
@@ -420,6 +421,25 @@ class TestFlopsReport:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("algorithm,iter_max,mean_flops")
         assert len(lines) == 1 + 1 + 2  # header + lll + mclll/fclll at cap 6
+
+    def test_rank_deficient_draw_is_runtime_error(self, monkeypatch, capsys):
+        # The second of three draws repeats a column: the report stops at
+        # that channel's QR and prints no table.
+        drawn = []
+        draw = cli.generate_channel
+
+        def forced(n_r, n_t, rng):
+            drawn.append(draw(n_r, n_t, rng))
+            if len(drawn) == 2:
+                drawn[-1][:, 1] = drawn[-1][:, 0]
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "generate_channel", forced)
+        assert main(["flops-report", "--nt", "4", "--nr", "4", "--channels", "3"]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"error: pivot \d+ norm \S+ not above 1e-12 \* \|\|h\|\|_F",
+                         captured.err)
+        assert captured.out == ""
 
 
 # SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the

@@ -412,6 +412,18 @@ class TestComplexityReport:
         means = [r.mean_flops for r in rows if r.algorithm == "mclll"]
         assert all(a <= b for a, b in zip(means, means[1:]))
 
+    def test_one_pass_generator_gives_the_rows_of_a_list(self):
+        rng = np.random.default_rng(8)
+        channels = [generate_channel(4, 4, rng) for _ in range(12)]
+        entries = [("mclll", 2), ("fclll", 6), ("mclll", 6), ("lll", None)]
+        assert complexity_report((h for h in channels), entries) == \
+            complexity_report(channels, entries)
+
+    @pytest.mark.parametrize("channels", [[], iter(())], ids=["list", "iterator"])
+    def test_no_channel_is_an_error(self, channels):
+        with pytest.raises(ValueError, match="need at least one channel"):
+            complexity_report(channels, [("mclll", 6)])
+
     def test_table_formatting(self):
         rows = complexity_report([np.eye(4)], [("mclll", 6)])
         text = format_complexity_table(rows, "literal")

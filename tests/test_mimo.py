@@ -24,9 +24,9 @@ def demodulate(symbols, c: Constellation) -> np.ndarray:
 
 
 def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Oracle: add i.i.d. complex Gaussian noise to ``x``, the per-cell
-    definition the sweep's noise streams follow.  With zero variance the
-    vector is returned unchanged (and the stream is not advanced)."""
+    """Oracle: add i.i.d. complex Gaussian noise of ``spec``'s variance
+    to ``x``.  With zero variance the vector is returned unchanged (and
+    the stream is not advanced)."""
     x = np.asarray(x, dtype=complex)
     if spec.sigma_n_sq == 0.0:
         return x.copy()

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo driver, CSV emission, and matrix file IO."""
 
 import concurrent.futures
+import dataclasses
 import io
 import math
 
@@ -22,7 +23,7 @@ from lrmimo.simharness import (
 from test_detect import detect_one, exhaustive_ml
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply
-from test_mimo import add_noise, demodulate
+from test_mimo import demodulate
 from test_reduction import reduce_once
 
 INF = float("inf")
@@ -154,7 +155,7 @@ class TestRunSweep:
         assert asked == ([] if pool is None else [pool])
 
     def test_zf_and_ml_share_one_qr_per_channel(self, monkeypatch):
-        # The noisy and the noiseless stream's first attempts share a channel.
+        # One QR per channel serves both detectors and every SNR column.
         factored = []
         qr = simharness.qr_stack
         monkeypatch.setattr(simharness, "qr_stack", lambda h: factored.extend(h) or qr(h))
@@ -173,8 +174,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_do_not_depend_on_the_block_size(self, workers, monkeypatch):
         # 29 frames: blocks of 3 leave a partial block, in the serial range
-        # and in the pool's chunks of 4 frames.  ML searches three noisy
-        # columns per frame, all of a block's in one call.
+        # and in the pool's chunks of 4 frames.  ML searches four columns
+        # per frame, the noiseless one included, all of a block's in one call.
         cfg = SimConfig(snr_db_grid=(-6.0, 4.0, 12.0, INF), frames=29, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 6),
                         workers=workers, seed=3)
@@ -195,6 +196,7 @@ class TestRunSweep:
 def oracle_frame(cfg, alg, cap, snr, idx):
     """Per-cell reference: redraw and re-reduce the frame for this one
     cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws).
+    Every attempt draws channel, bits and base noise, at std 0 for inf.
     FLOPs are the reduction's events, counted while it runs, priced at the
     cell's schedule."""
     rng = np.random.default_rng((cfg.seed, idx))
@@ -203,7 +205,8 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     for redraws in range(100):
         h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
-        x = add_noise(h @ mimo.modulate(bits, c, cfg.n_t), spec, rng)
+        y = h @ mimo.modulate(bits, c, cfg.n_t)
+        x = y + spec.component_std * mimo.base_noise(y.shape, rng)  # std 0 for inf
         flops = 0
         try:
             if alg == "zf":
@@ -272,11 +275,6 @@ class TestFrameMajorEquivalence:
     def test_forced_redraw_matches_oracle(self, monkeypatch, caplog):
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
-
-        def rank_one(h):
-            h[:, 1] = h[:, 0]
-            return h
-
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
         for alg in cfg.algorithms:
             cap = 2 if alg in ("zf-lr-mclll", "zf-lr-fclll") else None
@@ -318,10 +316,62 @@ class TestFrameMajorEquivalence:
         assert redraw_lines == [f"cell zf-lr-lll/None/{snr}: 1 channel redraws"
                                 for snr in cfg.snr_db_grid]
 
+    def test_noiseless_column_detects_the_accepted_attempt(self, monkeypatch):
+        # Frame 1's first draw is rank deficient for every detector.  Each
+        # detector prepares each frame once, and one detection call per
+        # block serves every SNR column: the inf column is H s of the
+        # attempt the finite columns use, so its cells cost the same FLOPs.
+        cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
+        force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
+        c = mimo.build_constellation(cfg.m_s)
+        stds = [mimo.snr_to_noise_variance(snr, cfg.n_t).component_std
+                for snr in cfg.snr_db_grid]
+        accepted = []  # (h, received columns) of each frame's accepted attempt
+        for idx in range(cfg.frames):
+            rng = np.random.default_rng((cfg.seed, idx))
+            for _ in range(1 + (idx == 1)):
+                h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
+                bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
+                y = h @ mimo.modulate(bits, c, cfg.n_t)
+                noise = mimo.base_noise(y.shape, rng)
+            accepted.append((h, np.stack([y + std * noise for std in stds], axis=-1)))
+            assert np.array_equal(accepted[-1][1][:, -1], y)
+
+        prepared, detected = [], []
+        prepare, detect = simharness._prepare, simharness._detect
+        monkeypatch.setattr(simharness, "_prepare", lambda cfg, alg, caps, h, qr: (
+            prepared.append((alg, h)) or prepare(cfg, alg, caps, h, qr)))
+        monkeypatch.setattr(simharness, "_detect", lambda alg, factors, x, c: (
+            detected.append((alg, x)) or detect(alg, factors, x, c)))
+        records = run_sweep(cfg)
+        for alg in cfg.algorithms:
+            hs = [h for each, h in prepared if each == alg]
+            assert len(hs) == cfg.frames
+            assert all(np.array_equal(h, want) for h, (want, _) in zip(hs, accepted))
+        assert {alg for alg, _ in detected} == set(cfg.algorithms)
+        for _, x in detected:
+            assert np.array_equal(x, np.stack([cols for _, cols in accepted]))
+        by_cell = {(r.algorithm, r.iter_max, r.snr_db): r for r in records}
+        for (alg, cap, snr), record in by_cell.items():
+            assert record.mean_flops == by_cell[alg, cap, INF].mean_flops
+
+        # Adding inf to the grid leaves every finite row's bytes unchanged.
+        finite = dataclasses.replace(cfg, snr_db_grid=cfg.snr_db_grid[:-1])
+        rows = csv_text(records, cfg).splitlines()
+        assert csv_text(run_sweep(finite), finite).splitlines() == [
+            row for row in rows if row.split(",")[2] != "inf"]
+
+
+def rank_one(h):
+    """``h`` with its second column replaced by its first."""
+    h[:, 1] = h[:, 0]
+    return h
+
 
 def force_first_draw_of_frame1(monkeypatch, cfg, replace):
-    """Make frame 1's first channel draw, on either stream, ``replace(h)``
-    of the channel drawn; the frame's generator advances as it would."""
+    """Make frame 1's first channel draw ``replace(h)`` of the channel
+    drawn; the frame's generator advances as it would."""
     fresh_frame1 = np.random.default_rng((cfg.seed, 1)).bit_generator.state
     draw = mimo.generate_channel
 
