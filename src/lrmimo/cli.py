@@ -99,18 +99,21 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 
 def _caps(text: str) -> tuple[int, ...]:
     caps = _parse_list(text, int)
-    if any(cap < 1 for cap in caps):
-        raise argparse.ArgumentTypeError(f"caps must be >= 1, got {text!r}")
+    if any(cap < 1 for cap in caps) or len(set(caps)) < len(caps):
+        raise argparse.ArgumentTypeError(f"caps must be >= 1 and not repeated, got {text!r}")
     return caps
 
 
 def _names_from(allowed):
-    """Parser of a comma list of algorithm names, each one of ``allowed``."""
+    """Parser of a comma list of algorithm names, each one of ``allowed``
+    and none repeated."""
     def names(text: str) -> tuple[str, ...]:
         algs = _parse_list(text, str.strip)
         for a in algs:
             if a not in allowed:
                 raise argparse.ArgumentTypeError(f"unknown algorithm {a!r}")
+        if len(set(algs)) < len(algs):
+            raise argparse.ArgumentTypeError(f"repeated algorithm in {text!r}")
         return algs
     return names
 

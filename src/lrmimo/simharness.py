@@ -6,27 +6,27 @@ same frame sees the same channel, bits and base noise across algorithms
 and SNR points (common random numbers), and changing the frame count never
 shifts earlier frames.
 
-The sweep runs blocks of up to ``_BLOCK_FRAMES`` consecutive frames.
-Each frame is drawn once.  One stacked QR factors the block's channels,
-shared by zero forcing, ML and the capped reductions, and another their
-real embeddings for ``lll``.  Each reduction runs once per frame, up to
-the largest listed iteration cap, with a snapshot kept at every cap (a
-run capped at k sweeps is the prefix of one capped at K > k).  Then each
-distinct set of the frames' factors makes one detection call for the
-whole block (ML's one search over every frame and SNR): the received
-vectors ``H s + std(snr) * base_noise`` of every SNR point are the
-columns of one matrix per frame, with noise stds computed once per sweep.
-The noiseless point (snr = inf) has std 0, so its column is ``H s`` bit
-for bit.  Bit errors are counted per column, once per block, reading the
-bits of each detected index off the constellation's bit table.  Each
-frame's results are those a frame-by-frame loop gets, bit for bit.
-
-A rank-deficient draw is redrawn from the same stream: every attempt
-draws channel, bits and base noise, whatever the SNR points.  Each
-detector family, ML included, walks the frame's draw attempts until one
-passes its rank test (``lll`` tests its real embedding's QR, the others
-the channel's) and counts the attempts it skipped as redraws.  Every SNR
-point of a detector sees the attempt it accepted.
+The sweep runs blocks of up to ``_BLOCK_FRAMES`` consecutive frames in
+five stages: draw, QR per basis kind, reductions, detection and bit
+count.  Each frame is drawn once.  There are two basis kinds: the
+channel, for zero forcing, ML and the capped reductions, and its real
+block embedding, for ``lll`` (``DETECTORS`` maps each algorithm to its
+reduction and detector).  A kind's one stacked QR rank-tests the block's
+first attempts; only a frame that fails walks on, factoring each further
+attempt alone until one passes, and every detector family of the kind
+counts the skipped attempts as redraws.  A kind stacks the accepted
+attempts' QR, received vectors and bits once for all of its detectors.
+Each reduction runs once per frame, up to the largest listed iteration
+cap, with a snapshot kept at every cap (a run capped at k sweeps is the
+prefix of one capped at K > k).  Each distinct set of factors then makes
+one detection call for the block (ML's one search over every frame and
+SNR); zero forcing and ML take the kind's stacked QR as it is.  Every
+attempt draws channel, bits and base noise; the received vectors ``H s
++ std(snr) * base_noise`` of every SNR point are the columns of one
+matrix per frame, and the noiseless point (snr = inf) has std 0, so its
+column is ``H s`` bit for bit.  Bit errors are counted per column, once
+per block, off the constellation's bit table.  Each frame's results are
+those a frame-by-frame loop gets.
 
 Everything downstream of the config is deterministic, byte-for-byte,
 including under worker-pool execution: the pool splits frames into
@@ -34,8 +34,9 @@ chunks, blocks and chunks return per-cell integer tallies, and these are
 added in frame order.
 
 Data goes only to the CSV.  The logger (stderr in the CLI) gets a
-warning for each draw a detector family rejects and, after the frame
-loop, one line per cell that redrew channels.
+warning for each draw a basis kind rejects, once per detector family of
+the kind, in kind, frame, attempt order, and, after the frame loop, one
+line per cell that redrew channels.
 """
 
 from __future__ import annotations
@@ -65,8 +66,12 @@ from .reduction import REDUCTIONS
 
 logger = logging.getLogger(__name__)
 
-# "zf-lr-<name>" is LR-aided ZF after reduction <name> of REDUCTIONS.
-ALGORITHMS = ("zf", *(f"zf-lr-{name}" for name in REDUCTIONS), "ml")
+# Algorithm -> (the REDUCTIONS key it reduces with first, or None; its detector
+# factory, given a block's stacked QR or per-frame reductions).
+DETECTORS = {"zf": (None, zf_detector),
+             **{f"zf-lr-{name}": (name, zf_lr_detector) for name in REDUCTIONS},
+             "ml": (None, ml_detector)}
+ALGORITHMS = tuple(DETECTORS)
 
 SNR_DEFINITION = "sigma_n^2=n_t/10^(snr_db/10)"
 
@@ -115,10 +120,11 @@ class SimConfig:
             if not finite:
                 raise ValueError(f"snr {snr} dB gives a noise variance out of float range")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+            if alg not in DETECTORS:
                 raise ValueError(f"unknown algorithm {alg!r}")
-            if alg.startswith("zf-lr-"):  # raises for a delta the reduction rejects
-                REDUCTIONS[alg.removeprefix("zf-lr-")].check_delta(self.delta)
+            name = DETECTORS[alg][0]
+            if name is not None:  # raises for a delta the reduction rejects
+                REDUCTIONS[name].check_delta(self.delta)
         if any(cap < 1 for cap in self.iter_max_list):
             raise ValueError("iter_max values must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -161,13 +167,13 @@ class Tally:
 
 def _capped(algorithm: str) -> bool:
     """Whether the detector runs a reduction at each listed iteration cap."""
-    reduction = REDUCTIONS.get(algorithm.removeprefix("zf-lr-"))
-    return reduction is not None and reduction.capped
+    name = DETECTORS[algorithm][0]
+    return name is not None and REDUCTIONS[name].capped
 
 
 def _embedded(algorithm: str) -> bool:
-    """Whether the detector tests and reduces the real block embedding."""
-    return algorithm.startswith("zf-lr-") and not _capped(algorithm)
+    """Whether the detector's basis kind is the real block embedding."""
+    return DETECTORS[algorithm][0] is not None and not _capped(algorithm)
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,29 +218,6 @@ class _Stream:
         return self.attempts[i]
 
 
-def _prepare(cfg: SimConfig, algorithm: str, caps, h: np.ndarray,
-             qr: QRFactorization) -> dict:
-    """Channel-dependent work of one detector family on the channel ``h``,
-    given the QR its rank test passed: ``{cap: (factors, reduction
-    FLOPs)}``, one entry under None for the cap-free detectors.  The
-    factors are the QR for zero forcing and ML, or else the reduction's
-    snapshot, shared by caps at which the run stood still."""
-    if algorithm in ("zf", "ml"):
-        return {None: (qr, 0)}
-    runs = flops.instrument_caps(algorithm.removeprefix("zf-lr-"), h, caps,
-                                 delta=cfg.delta, mode=cfg.flop_mode, qr=qr)
-    return {cap: (red, counter.total) for cap, (red, counter) in runs.items()}
-
-
-def _detect(algorithm: str, factors: list, x: np.ndarray, c) -> np.ndarray:
-    """Detected indices, (B, n_t, k), of a block's stack ``x`` of received
-    vectors, frame i detected with ``factors[i]`` (see ``_prepare``)."""
-    if algorithm.startswith("zf-lr-"):
-        return zf_lr_detector(factors, c)(x)
-    detector = ml_detector if algorithm == "ml" else zf_detector
-    return detector(QRFactorization(*map(np.stack, zip(*factors))), c)(x)
-
-
 class _Plan(NamedTuple):
     """What every frame of a sweep detects, worked out once per sweep."""
 
@@ -256,54 +239,62 @@ def _plan(cfg: SimConfig, cells: list) -> _Plan:
     return _Plan(cells, caps, snrs, stds)
 
 
+def _accepted(streams: list[_Stream], embedded: bool, algs: list[str]):
+    """Each stream's first attempt whose basis of the kind ``embedded`` (the
+    real block embedding, else the channel) passes the rank test, for the
+    kind's detector families ``algs``: the attempts, each stream's
+    redraws, and their stacked QR, a redrawn row factored on its own."""
+    basis = real_embedding if embedded else np.asarray
+    attempts = [stream[0] for stream in streams]
+    q, r, low = qr_stack(basis(np.stack([attempt.h for attempt in attempts])))
+    redraws = [0] * len(streams)
+    for i in np.flatnonzero(low.any(axis=-1)):
+        stream = streams[i]
+        while low[i].any():
+            for alg in algs:
+                logger.warning("frame %d: rank-deficient channel for %s, redrawing",
+                               stream.index, alg)
+            redraws[i] += 1
+            if redraws[i] == _MAX_REDRAWS:
+                raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
+            attempts[i] = stream[redraws[i]]
+            q[i], r[i], low[i] = qr_stack(basis(attempts[i].h))
+    return attempts, redraws, QRFactorization(q, r)
+
+
 def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
     """Run frames lo..hi-1 as one block for every (algorithm, iter_max,
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
-    one Tally per cell, in order.  Only redrawn channels are factored on
-    their own."""
+    one Tally per cell, in order.  The detector families of one basis kind
+    share its accepted attempts, their stacked QR, x and bits."""
     c = _constellation(cfg.m_s)
     streams = [_Stream(cfg, idx, plan.stds) for idx in range(lo, hi)]
-    factored: dict[tuple[bool, bytes], QRFactorization | None] = {}
-
-    def factor(hs: list, embedded: bool) -> None:
-        """One stacked QR of the channels ``hs`` or of their embeddings."""
-        stack = np.stack(hs)
-        q, r, low = qr_stack(real_embedding(stack) if embedded else stack)
-        for h, *qr, rejected in zip(hs, q, r, low):
-            factored[embedded, h.tobytes()] = None if rejected.any() else QRFactorization(*qr)
-
-    for embedded in dict.fromkeys(map(_embedded, plan.caps)):
-        factor([stream[0].h for stream in streams], embedded)
-
-    def accept(alg: str, stream: _Stream):
-        """First attempt of the stream on which ``alg`` is not rank deficient."""
-        embedded = _embedded(alg)
-        for redraws in range(_MAX_REDRAWS):
-            attempt = stream[redraws]
-            h = attempt.h.tobytes()
-            if (embedded, h) not in factored:
-                factor([attempt.h], embedded)
-            qr = factored[embedded, h]
-            if qr is not None:
-                return redraws, attempt, _prepare(cfg, alg, plan.caps[alg], attempt.h, qr)
-            logger.warning("frame %d: rank-deficient channel for %s, redrawing",
-                           stream.index, alg)
-        raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
-
+    kinds: dict[bool, list[str]] = {}
+    for alg in plan.caps:
+        kinds.setdefault(_embedded(alg), []).append(alg)
     tallies = {}
-    for alg, caps in plan.caps.items():
-        redraws, attempts, prepared = zip(*(accept(alg, stream) for stream in streams))
+    for embedded, algs in kinds.items():
+        attempts, redraws, qr = _accepted(streams, embedded, algs)
         x = np.stack([attempt.x for attempt in attempts])
         bits = np.stack([attempt.bits for attempt in attempts])
-        errors = {}  # ids of the frames' factors -> bit errors per column
-        for cap in caps:
-            factors, frame_flops = zip(*(by_cap[cap] for by_cap in prepared))
-            key = tuple(map(id, factors))
-            if key not in errors:
-                wrong = c.bit_table[_detect(alg, factors, x, c)] != bits
-                errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
-            for snr, bit_errors in zip(plan.snrs, errors[key]):
-                tallies[alg, cap, snr] = Tally(bit_errors, sum(frame_flops), sum(redraws))
+        for alg in algs:
+            name, detector = DETECTORS[alg]
+            if name is None:
+                by_cap = {None: (qr, 0)}
+            else:  # one run per frame, a snapshot per cap
+                runs = [flops.instrument_caps(name, attempt.h, plan.caps[alg], delta=cfg.delta,
+                                              mode=cfg.flop_mode, qr=QRFactorization(q, r))
+                        for attempt, q, r in zip(attempts, *qr)]
+                by_cap = {cap: ([run[cap][0] for run in runs],
+                                sum(run[cap][1].total for run in runs)) for cap in plan.caps[alg]}
+            errors = {}  # ids of the frames' factors -> bit errors per column
+            for cap, (factors, block_flops) in by_cap.items():
+                key = tuple(map(id, factors))
+                if key not in errors:
+                    wrong = c.bit_table[detector(factors, c)(x)] != bits
+                    errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
+                for snr, bit_errors in zip(plan.snrs, errors[key]):
+                    tallies[alg, cap, snr] = Tally(bit_errors, block_flops, sum(redraws))
     return [tallies[cell] for cell in plan.cells]
 
 
@@ -386,6 +377,8 @@ def load_matrix(path: str) -> np.ndarray:
     if len(tokens) < 2:
         raise ValueError(f"{path}: expected 'rows cols' header")
     rows, cols = int(tokens[0]), int(tokens[1])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: need at least one row and one column, got {rows} {cols}")
     entries = tokens[2:]
     if len(entries) != rows * cols:
         raise ValueError(

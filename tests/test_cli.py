@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmimo import cli
+from lrmimo import cli, simharness
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
@@ -99,6 +99,29 @@ class TestExitCodes:
         assert main([command, "--matrix", str(path)]) == 2
         captured = capsys.readouterr()
         assert "entry (0, 1) is not finite: nan" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["0 0\n", "3 0\n", "0 3\n", "-1 -2\n1+0j 2+0j\n"])
+    @pytest.mark.parametrize("command", ["verify", "reduce"])
+    def test_matrix_file_without_rows_or_columns_is_runtime_error(self, command, text,
+                                                                  tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        assert main([command, "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: need at least one row and one column" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ber-sweep", "--frames", "1", "--iter-max", "6,6"],
+        ["ber-sweep", "--frames", "1", "--algorithms", "zf,zf"],
+        ["flops-report", "--channels", "1", "--iter-max", "6,8,6"],
+        ["flops-report", "--channels", "1", "--algorithms", "mclll, mclll"],
+    ])
+    def test_repeated_list_entries_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "repeated" in captured.err
         assert captured.out == ""
 
     def test_siegel_delta_bound_is_mclll_only(self, tmp_path, capsys):
@@ -191,6 +214,21 @@ class TestBerSweep:
         assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
         assert p1.read_text().splitlines()[1].split(",")[2] == first
 
+    def test_redraw_limit_is_runtime_error(self, monkeypatch, capsys):
+        # Every draw repeats a column: frame 0 gives up after 100 attempts.
+        draw = simharness.generate_channel
+
+        def rank_one(n_r, n_t, rng):
+            h = draw(n_r, n_t, rng)
+            h[:, 1] = h[:, 0]
+            return h
+
+        monkeypatch.setattr(simharness, "generate_channel", rank_one)
+        assert main(["ber-sweep", "--frames", "2", "--snr", "10", "--algorithms", "zf"]) == 2
+        captured = capsys.readouterr()
+        assert "error: frame 0: 100 rank-deficient redraws" in captured.err
+        assert captured.out == ""
+
     def test_config_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -221,7 +259,9 @@ class TestBerSweep:
                           ("config = other.cfg", "unknown key 'config'"),
                           ("fr = 4", "unknown key 'fr'"), ("nt = 4.5", "nt"),
                           ("frames = abc", "frames"), ("delta = x", "delta"),
-                          ("flop_mode = fast", "fast"), ("seed =", "seed")):
+                          ("flop_mode = fast", "fast"), ("seed =", "seed"),
+                          ("algorithms = zf,zf", "repeated algorithm"),
+                          ("iter-max = 4,6,4", "not repeated")):
             cfg.write_text(line + "\n")
             assert main(["ber-sweep", "--config", str(cfg)]) == 1, line
             err = capsys.readouterr().err

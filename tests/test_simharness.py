@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lrmimo import mimo, reduction, simharness
+from lrmimo import flops, mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import RankDeficient, qr_decompose, real_embedding
@@ -155,12 +155,23 @@ class TestRunSweep:
         assert asked == ([] if pool is None else [pool])
 
     def test_zf_and_ml_share_one_qr_per_channel(self, monkeypatch):
-        # One QR per channel serves both detectors and every SNR column.
-        factored = []
+        # One QR per channel serves both detectors and every SNR column:
+        # they detect on the very arrays qr_stack returned, not a restack.
+        factored, returned, received = [], [], {}
         qr = simharness.qr_stack
-        monkeypatch.setattr(simharness, "qr_stack", lambda h: factored.extend(h) or qr(h))
+
+        def qr_spy(h):
+            factored.extend(h)
+            returned.append(qr(h))
+            return returned[-1]
+
+        monkeypatch.setattr(simharness, "qr_stack", qr_spy)
+        spy_detectors(monkeypatch, lambda alg, factors, x: received.setdefault(alg, factors))
         run_sweep(small_cfg(frames=3, m_s=4, algorithms=("zf", "ml"), snr_db_grid=(12.0, INF)))
-        assert len(factored) == 3
+        assert len(factored) == 3 and len(returned) == 1
+        q, r, _ = returned[0]
+        assert received.keys() == {"zf", "ml"}
+        assert all(each.q is q and each.r is r for each in received.values())
 
     def test_capped_reduction_reuses_the_channel_qr(self, monkeypatch):
         factored = []
@@ -293,13 +304,7 @@ class TestFrameMajorEquivalence:
     def test_embedding_rank_test_redraws_lll_alone(self, monkeypatch, caplog):
         # The witness passes the complex QR's rank test and its real
         # embedding fails it, so only zf-lr-lll redraws the frame.
-        rng = np.random.default_rng((4, 4))
-        witness = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * np.sqrt(0.5)
-        v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * np.sqrt(0.5)
-        witness[:, 1] = witness[:, 0] * (1 + 0.3j) + 1e-11 * v
-        qr_decompose(witness)
-        with pytest.raises(RankDeficient, match="pivot 5"):
-            qr_decompose(real_embedding(witness))
+        witness = embedding_only_witness()
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, lambda h: witness.copy())
@@ -318,9 +323,10 @@ class TestFrameMajorEquivalence:
 
     def test_noiseless_column_detects_the_accepted_attempt(self, monkeypatch):
         # Frame 1's first draw is rank deficient for every detector.  Each
-        # detector prepares each frame once, and one detection call per
-        # block serves every SNR column: the inf column is H s of the
-        # attempt the finite columns use, so its cells cost the same FLOPs.
+        # reduction runs once per frame on the accepted channel, and one
+        # detection call per block serves every SNR column: the inf column
+        # is H s of the attempt the finite columns use, so its cells cost
+        # the same FLOPs.
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
@@ -338,20 +344,21 @@ class TestFrameMajorEquivalence:
             accepted.append((h, np.stack([y + std * noise for std in stds], axis=-1)))
             assert np.array_equal(accepted[-1][1][:, -1], y)
 
-        prepared, detected = [], []
-        prepare, detect = simharness._prepare, simharness._detect
-        monkeypatch.setattr(simharness, "_prepare", lambda cfg, alg, caps, h, qr: (
-            prepared.append((alg, h)) or prepare(cfg, alg, caps, h, qr)))
-        monkeypatch.setattr(simharness, "_detect", lambda alg, factors, x, c: (
-            detected.append((alg, x)) or detect(alg, factors, x, c)))
+        reduced, detected = [], []  # (name, h) of each run; (alg, factors, x) of each call
+        instrument = flops.instrument_caps
+        monkeypatch.setattr(flops, "instrument_caps", lambda name, h, caps, **kw: (
+            reduced.append((name, h)) or instrument(name, h, caps, **kw)))
+        spy_detectors(monkeypatch, lambda alg, factors, x: detected.append((alg, factors, x)))
         records = run_sweep(cfg)
-        for alg in cfg.algorithms:
-            hs = [h for each, h in prepared if each == alg]
+        for name in reduction.REDUCTIONS:
+            hs = [h for each, h in reduced if each == name]
             assert len(hs) == cfg.frames
             assert all(np.array_equal(h, want) for h, (want, _) in zip(hs, accepted))
-        assert {alg for alg, _ in detected} == set(cfg.algorithms)
-        for _, x in detected:
+        assert {alg for alg, _, _ in detected} == set(cfg.algorithms)
+        for alg, factors, x in detected:
             assert np.array_equal(x, np.stack([cols for _, cols in accepted]))
+            if alg in ("zf", "ml"):  # the accepted channels' stacked QR
+                assert np.allclose(factors.q @ factors.r, np.stack([h for h, _ in accepted]))
         by_cell = {(r.algorithm, r.iter_max, r.snr_db): r for r in records}
         for (alg, cap, snr), record in by_cell.items():
             assert record.mean_flops == by_cell[alg, cap, INF].mean_flops
@@ -362,6 +369,62 @@ class TestFrameMajorEquivalence:
         assert csv_text(run_sweep(finite), finite).splitlines() == [
             row for row in rows if row.split(",")[2] != "inf"]
 
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_mixed_redraws_in_one_block_match_oracle(self, block, monkeypatch, caplog):
+        # Frame 0 redraws twice for every family; frame 2's first draw is
+        # rank deficient only in its real embedding, so lll redraws it too.
+        cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, m_s=4,
+                        algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
+        witness = embedding_only_witness()
+        force_draws(monkeypatch, cfg, {(0, 0): rank_one, (0, 1): rank_one,
+                                       (2, 0): lambda h: witness.copy()})
+        monkeypatch.setattr(simharness, "_BLOCK_FRAMES", block)
+        with caplog.at_level("INFO", logger="lrmimo.simharness"):
+            assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
+        redraw_lines = [r.getMessage() for r in caplog.records
+                        if r.getMessage().endswith("channel redraws")]
+        assert redraw_lines == [
+            f"cell {alg}/{cap}/{snr}: {3 if alg == 'zf-lr-lll' else 2} channel redraws"
+            for alg in cfg.algorithms
+            for cap in (cfg.iter_max_list if simharness._capped(alg) else (None,))
+            for snr in cfg.snr_db_grid]
+        # Rejected draws are logged in basis kind, frame, attempt order,
+        # once per detector family of the kind.
+        rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
+        channel = [alg for alg in cfg.algorithms if alg != "zf-lr-lll"]
+        assert rejected == [f"frame {frame}: rank-deficient channel for {alg}, redrawing"
+                            for frame, algs in ((0, channel), (0, channel),
+                                                (0, ["zf-lr-lll"]), (0, ["zf-lr-lll"]),
+                                                (2, ["zf-lr-lll"]))
+                            for alg in algs]
+
+    @pytest.mark.parametrize("algorithms", [("zf", "zf-lr-mclll"), ("ml",), ("zf-lr-lll",)])
+    def test_redraw_limit_is_runtime_error(self, algorithms, monkeypatch, caplog):
+        # Every draw is rank deficient, in both bases: frame 0 gives up
+        # after _MAX_REDRAWS attempts, each rejected once per family.
+        draw = mimo.generate_channel
+        monkeypatch.setattr(simharness, "generate_channel",
+                            lambda n_r, n_t, rng: rank_one(draw(n_r, n_t, rng)))
+        cfg = small_cfg(frames=2, m_s=4, algorithms=algorithms)
+        with pytest.raises(RuntimeError, match=r"^frame 0: 100 rank-deficient redraws$"):
+            run_sweep(cfg)
+        rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
+        assert rejected == [f"frame 0: rank-deficient channel for {alg}, redrawing"
+                            for _ in range(100) for alg in algorithms]
+
+
+def embedding_only_witness():
+    """A 4x4 channel that passes the complex QR's rank test and whose real
+    embedding fails it."""
+    rng = np.random.default_rng((4, 4))
+    witness = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * np.sqrt(0.5)
+    v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * np.sqrt(0.5)
+    witness[:, 1] = witness[:, 0] * (1 + 0.3j) + 1e-11 * v
+    qr_decompose(witness)
+    with pytest.raises(RankDeficient, match="pivot 5"):
+        qr_decompose(real_embedding(witness))
+    return witness
+
 
 def rank_one(h):
     """``h`` with its second column replaced by its first."""
@@ -369,19 +432,48 @@ def rank_one(h):
     return h
 
 
-def force_first_draw_of_frame1(monkeypatch, cfg, replace):
-    """Make frame 1's first channel draw ``replace(h)`` of the channel
-    drawn; the frame's generator advances as it would."""
-    fresh_frame1 = np.random.default_rng((cfg.seed, 1)).bit_generator.state
+def force_draws(monkeypatch, cfg, replace):
+    """Make attempt a of frame f draw ``replace[f, a](h)`` of the channel
+    drawn, for each key (f, a) of ``replace``; every frame's generator
+    advances as it would.  An attempt is known by its generator's state,
+    found by replaying the earlier attempts' draws."""
+    c = mimo.build_constellation(cfg.m_s)
+    states = []
+    for frame, attempt in replace:
+        rng = np.random.default_rng((cfg.seed, frame))
+        for _ in range(attempt):
+            mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
+            rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
+            mimo.base_noise((cfg.n_r,), rng)
+        states.append((rng.bit_generator.state, replace[frame, attempt]))
     draw = mimo.generate_channel
 
     def forced(n_r, n_t, rng):
-        first = rng.bit_generator.state == fresh_frame1
+        state = rng.bit_generator.state
         h = draw(n_r, n_t, rng)
-        return replace(h) if first else h
+        return next((each(h) for known, each in states if known == state), h)
 
     monkeypatch.setattr(mimo, "generate_channel", forced)
     monkeypatch.setattr(simharness, "generate_channel", forced)
+
+
+def force_first_draw_of_frame1(monkeypatch, cfg, replace):
+    """Make frame 1's first channel draw ``replace(h)`` of the channel drawn."""
+    force_draws(monkeypatch, cfg, {(1, 0): replace})
+
+
+def spy_detectors(monkeypatch, record):
+    """Make every detector of ``simharness.DETECTORS`` call ``record(alg,
+    factors, x)`` for each block it detects, then detect as before."""
+    for alg, (name, factory) in simharness.DETECTORS.items():
+        def prepare(factors, c, alg=alg, factory=factory):
+            detect = factory(factors, c)
+
+            def spied(x):
+                record(alg, factors, x)
+                return detect(x)
+            return spied
+        monkeypatch.setitem(simharness.DETECTORS, alg, (name, prepare))
 
 
 class TestEmitCsv:
