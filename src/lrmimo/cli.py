@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import math
 import sys
@@ -152,7 +153,10 @@ def _output(path: str | None):
     return contextlib.nullcontext(sys.stdout)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: it reads only the
+    module-level tables and ``parse_args`` keeps no state on it."""
     parser = _Parser(prog="lrmimo", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,8 +323,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
-        # The parser is garbage before the command runs: held through a
-        # sweep, its reference cycles would outlive the young GC generations.
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except UsageError as exc:

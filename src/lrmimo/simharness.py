@@ -46,7 +46,6 @@ import functools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -119,6 +118,10 @@ class SimConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"snr {snr} dB gives a noise variance out of float range")
+        for entries in (self.algorithms, self.iter_max_list):  # a repeat repeats records
+            repeated = next((e for i, e in enumerate(entries) if e in entries[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"repeated entry {repeated!r} in {entries}")
         for alg in self.algorithms:
             if alg not in DETECTORS:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -336,7 +339,9 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers == 1:
         tallies = _frame_chunk(cfg, plan, 0, cfg.frames)
-    else:
+    else:  # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, math.ceil(cfg.frames / (workers * 4)))
         bounds = list(range(0, cfg.frames, chunk)) + [cfg.frames]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -374,11 +379,13 @@ def load_matrix(path: str) -> np.ndarray:
     finite."""
     with open(path) as fh:
         tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: expected 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    try:
+        rows, cols = map(int, tokens[:2])
+    except ValueError:  # fewer than two tokens, or one is not an integer
+        rows = cols = 0
     if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: need at least one row and one column, got {rows} {cols}")
+        raise ValueError(f"{path}: need at least one row and one column in a 'rows cols' "
+                         f"header of two integers, got {' '.join(tokens[:2])!r}")
     entries = tokens[2:]
     if len(entries) != rows * cols:
         raise ValueError(

@@ -101,7 +101,8 @@ class TestExitCodes:
         assert "entry (0, 1) is not finite: nan" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("text", ["0 0\n", "3 0\n", "0 3\n", "-1 -2\n1+0j 2+0j\n"])
+    @pytest.mark.parametrize("text", ["0 0\n", "3 0\n", "0 3\n", "-1 -2\n1+0j 2+0j\n",
+                                      "2.5 2\n", "x 3\n"])
     @pytest.mark.parametrize("command", ["verify", "reduce"])
     def test_matrix_file_without_rows_or_columns_is_runtime_error(self, command, text,
                                                                   tmp_path, capsys):
@@ -109,7 +110,9 @@ class TestExitCodes:
         path.write_text(text)
         assert main([command, "--matrix", str(path)]) == 2
         captured = capsys.readouterr()
-        assert f"error: {path}: need at least one row and one column" in captured.err
+        header = " ".join(text.split()[:2])
+        assert (f"error: {path}: need at least one row and one column in a 'rows cols' "
+                f"header of two integers, got {header!r}") in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -165,6 +168,30 @@ class TestExitCodes:
         assert len(_parse_snr_grid("1:1:10000")) == 10_000
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_snr_grid("0:1:10000")
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        # The parser is built once per process, so no call may leave a
+        # --config value or a failed parse on it for the next call to see.
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(["ber-sweep"]))
+        builds = []
+
+        def add_subparsers(parser, **kwargs):
+            builds.append(parser)
+            return argparse.ArgumentParser.add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "add_subparsers", add_subparsers)
+        cli.build_parser.cache_clear()
+        config = tmp_path / "sweep.cfg"
+        config.write_text("frames = 2\nalgorithms = zf\n")
+        assert main(["ber-sweep", "--config", str(config), "--snr", "10"]) == 0
+        rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert [(row["algorithm"], row["frames"]) for row in rows] == [("zf", "2")]
+        assert vars(cli._parse_args(["ber-sweep"])) == fresh
+        assert main(["ber-sweep", "--frames", "many"]) == 1
+        assert main(["verify", "--matrix", str(write_channel(tmp_path))]) == 0
+        assert len(builds) == 1
 
 
 class TestBerSweep:

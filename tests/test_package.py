@@ -10,12 +10,23 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def run_fresh(code: str) -> None:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("module", ["matcore", "reduction", "mimo", "detect", "flops",
                                     "simharness", "cli"])
 def test_module_imports_in_a_fresh_interpreter(module):
     # The package root imports no module, so each one must pull in what it
     # needs; an import cycle between two modules shows up here.
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    code = f"import lrmimo.{module}, lrmimo; assert lrmimo.__version__"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(f"import lrmimo.{module}, lrmimo; assert lrmimo.__version__")
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a sweep with more than one worker starts a pool, so only that
+    # branch may load the pool machinery.
+    run_fresh("import sys, lrmimo.cli; "
+              "loaded = {'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys(); "
+              "assert not loaded, loaded")

@@ -67,6 +67,18 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             small_cfg(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, repeated", [
+        (dict(algorithms=("zf", "zf")), "'zf'"),
+        (dict(algorithms=("zf", "zf-lr-mclll", "ml", "zf-lr-mclll")), "'zf-lr-mclll'"),
+        (dict(iter_max_list=(6, 8, 6)), "6"),
+        (dict(algorithms=("zf",), iter_max_list=(6, 6)), "6"),
+    ])
+    def test_repeated_entries_rejected(self, kwargs, repeated):
+        # A repeat would make run_sweep repeat records; caps are checked
+        # even where no capped detector reads them, as the CLI checks them.
+        with pytest.raises(ValueError, match=f"repeated entry {repeated} in"):
+            small_cfg(**kwargs)
+
     def test_delta_checked_per_listed_reduction(self):
         # fclll's Lovasz test takes delta = 0.4; no listed detector runs mclll.
         small_cfg(algorithms=("zf", "zf-lr-fclll"), delta=0.4)
@@ -149,7 +161,7 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(simharness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
         assert run_sweep(small_cfg(frames=24, workers=workers)) == run_sweep(small_cfg(frames=24))
         assert asked == ([] if pool is None else [pool])
