@@ -102,29 +102,38 @@ def build_constellation(m_s: int) -> Constellation:
 
 
 def modulate(bits, c: Constellation, n_t: int) -> np.ndarray:
-    """Map a bit vector to ``n_t`` constellation points (one symbol per
-    consecutive group of ``c.bits_per_symbol`` bits)."""
-    bits = np.asarray(bits, dtype=int)
+    """Map bits to ``n_t`` constellation points (one symbol per consecutive
+    group of ``c.bits_per_symbol`` bits).  ``bits`` may be a stack, shape
+    (..., n_t * bits_per_symbol), mapped to points of shape (..., n_t)."""
+    bits = np.atleast_1d(np.asarray(bits, dtype=int))
     bps = c.bits_per_symbol
-    if bits.shape != (n_t * bps,):
+    if bits.shape[-1] != n_t * bps:
         raise LengthMismatch(
             f"need {n_t * bps} bits for {n_t} antennas at {c.m_s}-QAM, "
-            f"got {bits.size}"
+            f"got {bits.shape[-1]}"
         )
     half = bps // 2
     weights = 1 << np.arange(half - 1, -1, -1)
-    groups = bits.reshape(n_t, bps)
-    re_lvl = c.level_from_label[groups[:, :half] @ weights]
-    im_lvl = c.level_from_label[groups[:, half:] @ weights]
+    groups = bits.reshape(*bits.shape[:-1], n_t, bps)
+    re_lvl = c.level_from_label[groups[..., :half] @ weights]
+    im_lvl = c.level_from_label[groups[..., half:] @ weights]
     return c.points[re_lvl * c.side + im_lvl]
 
 
+def channel_from_normals(re, im) -> np.ndarray:
+    """The channel whose entries have real parts ``re`` and imaginary parts
+    ``im``, each scaled by sqrt(1/2); unit-variance normals give i.i.d.
+    circularly-symmetric complex Gaussian entries of unit variance.  Any
+    matching shapes, so a stack of normals gives a stack of channels."""
+    return (re + 1j * im) * math.sqrt(0.5)
+
+
 def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n_r, n_t) channel with i.i.d. circularly-symmetric complex
-    Gaussian entries of unit variance (real/imag parts drawn in that order)."""
+    """Draw an (n_r, n_t) channel of ``channel_from_normals`` (real/imag
+    parts drawn in that order)."""
     re = rng.standard_normal((n_r, n_t))
     im = rng.standard_normal((n_r, n_t))
-    return (re + 1j * im) * math.sqrt(0.5)
+    return channel_from_normals(re, im)
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,19 @@ class NoiseSpec:
         return math.sqrt(self.sigma_n_sq / 2.0)
 
 
-def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex noise with unit-variance real and imaginary parts (real
-    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
+def noise_from_normals(re, im) -> np.ndarray:
+    """Complex noise with real parts ``re`` and imaginary parts ``im``;
+    scaled by a ``NoiseSpec``'s component std, unit-variance normals give
     that spec's noise."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return re + 1j * im
+
+
+def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex noise of ``noise_from_normals`` with unit-variance real and
+    imaginary parts (real parts drawn first)."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return noise_from_normals(re, im)
 
 
 def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:

@@ -1,31 +1,38 @@
 """Monte Carlo BER/FLOP sweep driver.
 
 One frame = one independent channel draw, one symbol vector, one base
-noise draw.  Frame streams derive from (master seed, frame index), so the
-same frame sees the same channel, bits and base noise across algorithms
-and SNR points (common random numbers), and changing the frame count never
+noise draw.  Frame f's generator is ``default_rng((seed, f))``, and each
+draw attempt makes three calls on it, in this order: the channel's
+normals (every real part, then every imaginary part), the bits, and the
+base noise's normals (real parts, then imaginary).  That order is a
+reproducibility rule: every output byte depends on it.  The same frame
+sees the same channel, bits and base noise across algorithms and SNR
+points (common random numbers), and changing the frame count never
 shifts earlier frames.
 
 The sweep runs blocks of up to ``_BLOCK_FRAMES`` consecutive frames in
 five stages: draw, QR per basis kind, reductions, detection and bit
-count.  Each frame is drawn once.  There are two basis kinds: the
-channel, for zero forcing, ML and the capped reductions, and its real
-block embedding, for ``lll`` (``DETECTORS`` maps each algorithm to its
-reduction and detector).  A kind's one stacked QR rank-tests the block's
-first attempts; only a frame that fails walks on, factoring each further
-attempt alone until one passes, and every detector family of the kind
-counts the skipped attempts as redraws.  A kind stacks the accepted
-attempts' QR, received vectors and bits once for all of its detectors.
-Each reduction runs once per frame, up to the largest listed iteration
-cap, with a snapshot kept at every cap (a run capped at k sweeps is the
-prefix of one capped at K > k).  Each distinct set of factors then makes
-one detection call for the block (ML's one search over every frame and
-SNR); zero forcing and ML take the kind's stacked QR as it is.  Every
-attempt draws channel, bits and base noise; the received vectors ``H s
-+ std(snr) * base_noise`` of every SNR point are the columns of one
-matrix per frame, and the noiseless point (snr = inf) has std 0, so its
-column is ``H s`` bit for bit.  Bit errors are counted per column, once
-per block, off the constellation's bit table.  Each frame's results are
+count.  The draw stage makes only the three generator calls per frame,
+into the block's arrays, then assembles the channels, maps the bits to
+symbols and forms ``H s`` and the received vectors once for the stack;
+the received vectors ``H s + std(snr) * base_noise`` of every SNR point
+are the columns of one matrix per frame, and the noiseless point (snr =
+inf) has std 0, so its column is ``H s`` bit for bit.  Each frame is
+drawn once.  There are two basis kinds: the channel, for zero forcing,
+ML and the capped reductions, and its real block embedding, for ``lll``
+(``DETECTORS`` maps each algorithm to its reduction and detector).  A
+kind's one stacked QR rank-tests the block's first attempts; only a
+frame that fails walks on, drawing each further attempt from its own
+generator as a block of one and factoring it alone until one passes,
+and every detector family of the kind counts the skipped attempts as
+redraws.  The kind's stacks are the block's, with the accepted attempt
+written over a redrawn frame's row.  Each reduction runs once per frame,
+up to the largest listed iteration cap, with a snapshot kept at every
+cap (a run capped at k sweeps is the prefix of one capped at K > k).
+Each distinct set of factors then makes one detection call for the block
+(ML's one search over every frame and SNR); zero forcing and ML take the
+kind's stacked QR as it is.  Bit errors are counted per column, once per
+block, off the constellation's bit table.  Each frame's results are
 those a frame-by-frame loop gets.
 
 Everything downstream of the config is deterministic, byte-for-byte,
@@ -55,10 +62,10 @@ from . import flops
 from .detect import check_search_space, ml_detector, zf_detector, zf_lr_detector
 from .matcore import QRFactorization, qr_stack, real_embedding
 from .mimo import (
-    base_noise,
     build_constellation,
-    generate_channel,
+    channel_from_normals,
     modulate,
+    noise_from_normals,
     snr_to_noise_variance,
 )
 from .reduction import REDUCTIONS
@@ -111,6 +118,12 @@ class SimConfig:
         grid = tuple(self.snr_db_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_db_grid must be nonempty and strictly increasing")
+        labelled = {}  # CSV label -> the first point that prints it
+        for snr in grid:
+            first = labelled.setdefault(snr_label(snr), snr)
+            if first != snr:
+                raise ValueError(f"snr points {first!r} and {snr!r} dB both print as "
+                                 f"{snr_label(snr)!r} in the CSV")
         for snr in grid:  # the noiseless inf gives variance 0
             try:
                 finite = math.isfinite(snr_to_noise_variance(snr, self.n_t).sigma_n_sq)
@@ -189,18 +202,45 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 
 
 class _Attempt(NamedTuple):
-    h: np.ndarray
-    bits: np.ndarray  # (n_t, 1, bits_per_symbol): each symbol's bits in a row
-    x: np.ndarray     # received vectors, one column per SNR point
+    """Draw attempts of a run of frames, one per frame, stacked."""
+
+    h: np.ndarray     # (frames, n_r, n_t)
+    bits: np.ndarray  # (frames, n_t, 1, bits_per_symbol): each symbol's bits in a row
+    x: np.ndarray     # (frames, n_r, SNR points): received vectors, one column per point
+
+
+def _draw(cfg: SimConfig, stds: np.ndarray, rngs: list) -> _Attempt:
+    """One draw attempt from each generator of ``rngs``, stacked in order.
+
+    Each generator makes three calls, in this order: the channel's
+    normals (every real part, then every imaginary part), the bits, and
+    the base noise's normals (real parts, then imaginary).  Channel,
+    symbols, ``H s`` and the received vectors are then computed once for
+    the stack; column j of an attempt's ``x`` is ``H s + stds[j] *
+    base_noise``.
+    """
+    c = _constellation(cfg.m_s)
+    n_bits = cfg.n_t * c.bits_per_symbol
+    h_normals = np.empty((len(rngs), 2, cfg.n_r, cfg.n_t))
+    bits = np.empty((len(rngs), n_bits), dtype=np.int64)
+    noise_normals = np.empty((len(rngs), 2, cfg.n_r))
+    for rng, h_row, bits_row, noise_row in zip(rngs, h_normals, bits, noise_normals):
+        rng.standard_normal(out=h_row)
+        bits_row[:] = rng.integers(0, 2, n_bits, dtype=np.int64)  # dtype named: skips its lookup
+        rng.standard_normal(out=noise_row)
+    h = channel_from_normals(h_normals[:, 0], h_normals[:, 1])
+    y = h @ modulate(bits, c, cfg.n_t)[..., None]
+    x = y + stds * noise_from_normals(noise_normals[:, 0], noise_normals[:, 1])[..., None]
+    return _Attempt(h, bits.reshape(len(rngs), cfg.n_t, 1, -1), x)
 
 
 class _Stream:
-    """The draw attempts of frame ``index``'s stream, drawn on first use.
+    """Frame ``index``'s generator, and the attempts it draws after the
+    block's first, each on first use.
 
-    Every attempt draws channel, then bits, then base noise from the
-    frame's generator, the order in which a cell-by-cell loop draws a
-    frame.  Column j of an attempt's ``x`` is ``H s + stds[j] *
-    base_noise``.
+    The block draws every frame's first attempt with ``_draw``; attempt
+    i >= 1 is a ``_draw`` of one frame, kept so that every basis kind
+    that redraws the frame sees the same attempts.
     """
 
     def __init__(self, cfg: SimConfig, index: int, stds: np.ndarray):
@@ -208,17 +248,13 @@ class _Stream:
         self.index = index
         self.stds = stds
         self.rng = _frame_rng(cfg.seed, index)
-        self.attempts: list[_Attempt] = []
+        self.later: list[_Attempt] = []
 
     def __getitem__(self, i: int) -> _Attempt:
-        cfg, c = self.cfg, _constellation(self.cfg.m_s)
-        while len(self.attempts) <= i:
-            h = generate_channel(cfg.n_r, cfg.n_t, self.rng)
-            bits = self.rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
-            y = h @ modulate(bits, c, cfg.n_t)
-            x = y[:, None] + self.stds * base_noise(y.shape, self.rng)[:, None]
-            self.attempts.append(_Attempt(h, bits.reshape(cfg.n_t, 1, -1), x))
-        return self.attempts[i]
+        """Attempt ``i`` >= 1, a stack of one frame."""
+        while len(self.later) < i:
+            self.later.append(_draw(self.cfg, self.stds, [self.rng]))
+        return self.later[i - 1]
 
 
 class _Plan(NamedTuple):
@@ -242,16 +278,21 @@ def _plan(cfg: SimConfig, cells: list) -> _Plan:
     return _Plan(cells, caps, snrs, stds)
 
 
-def _accepted(streams: list[_Stream], embedded: bool, algs: list[str]):
+def _accepted(first: _Attempt, streams: list[_Stream], embedded: bool, algs: list[str]):
     """Each stream's first attempt whose basis of the kind ``embedded`` (the
     real block embedding, else the channel) passes the rank test, for the
-    kind's detector families ``algs``: the attempts, each stream's
-    redraws, and their stacked QR, a redrawn row factored on its own."""
+    kind's detector families ``algs``: the attempts, stacked from the
+    block's ``first`` with a redrawn frame's row written over, each
+    stream's redraws, and their stacked QR, a redrawn row factored on its
+    own."""
     basis = real_embedding if embedded else np.asarray
-    attempts = [stream[0] for stream in streams]
-    q, r, low = qr_stack(basis(np.stack([attempt.h for attempt in attempts])))
+    h, bits, x = first
+    q, r, low = qr_stack(basis(h))
     redraws = [0] * len(streams)
-    for i in np.flatnonzero(low.any(axis=-1)):
+    flagged = np.flatnonzero(low.any(axis=-1))
+    if flagged.size:  # the other kind reads the block's first attempts
+        h, bits, x = h.copy(), bits.copy(), x.copy()
+    for i in flagged:
         stream = streams[i]
         while low[i].any():
             for alg in algs:
@@ -260,34 +301,33 @@ def _accepted(streams: list[_Stream], embedded: bool, algs: list[str]):
             redraws[i] += 1
             if redraws[i] == _MAX_REDRAWS:
                 raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
-            attempts[i] = stream[redraws[i]]
-            q[i], r[i], low[i] = qr_stack(basis(attempts[i].h))
-    return attempts, redraws, QRFactorization(q, r)
+            h[i], bits[i], x[i] = (part[0] for part in stream[redraws[i]])
+            q[i], r[i], low[i] = qr_stack(basis(h[i]))
+    return _Attempt(h, bits, x), redraws, QRFactorization(q, r)
 
 
 def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
     """Run frames lo..hi-1 as one block for every (algorithm, iter_max,
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
     one Tally per cell, in order.  The detector families of one basis kind
-    share its accepted attempts, their stacked QR, x and bits."""
+    share its accepted attempts and their stacked QR."""
     c = _constellation(cfg.m_s)
     streams = [_Stream(cfg, idx, plan.stds) for idx in range(lo, hi)]
+    first = _draw(cfg, plan.stds, [stream.rng for stream in streams])
     kinds: dict[bool, list[str]] = {}
     for alg in plan.caps:
         kinds.setdefault(_embedded(alg), []).append(alg)
     tallies = {}
     for embedded, algs in kinds.items():
-        attempts, redraws, qr = _accepted(streams, embedded, algs)
-        x = np.stack([attempt.x for attempt in attempts])
-        bits = np.stack([attempt.bits for attempt in attempts])
+        (h, bits, x), redraws, qr = _accepted(first, streams, embedded, algs)
         for alg in algs:
             name, detector = DETECTORS[alg]
             if name is None:
                 by_cap = {None: (qr, 0)}
             else:  # one run per frame, a snapshot per cap
-                runs = [flops.instrument_caps(name, attempt.h, plan.caps[alg], delta=cfg.delta,
+                runs = [flops.instrument_caps(name, h_i, plan.caps[alg], delta=cfg.delta,
                                               mode=cfg.flop_mode, qr=QRFactorization(q, r))
-                        for attempt, q, r in zip(attempts, *qr)]
+                        for h_i, q, r in zip(h, *qr)]
                 by_cap = {cap: ([run[cap][0] for run in runs],
                                 sum(run[cap][1].total for run in runs)) for cap in plan.caps[alg]}
             errors = {}  # ids of the frames' factors -> bit errors per column
@@ -359,6 +399,12 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
+def snr_label(snr_db: float) -> str:
+    """The ``snr_db`` field of a CSV row: 6 significant digits, so
+    ``SimConfig`` rejects a grid in which two points print the same."""
+    return f"{snr_db:g}"
+
+
 def emit_csv(records, out, *, flop_mode: str, seed: int) -> None:
     """Write records to the text stream ``out`` as CSV: fixed header, one
     row per record, BER in scientific notation with 6 significant digits,
@@ -367,7 +413,7 @@ def emit_csv(records, out, *, flop_mode: str, seed: int) -> None:
     for r in records:
         cap = "" if r.iter_max is None else str(r.iter_max)
         out.write(
-            f"{r.algorithm},{cap},{r.snr_db:g},{r.frames},{r.bit_errors},"
+            f"{r.algorithm},{cap},{snr_label(r.snr_db)},{r.frames},{r.bit_errors},"
             f"{r.ber:.5e},{r.ci95_halfwidth:.5e},{r.mean_flops:.6g},"
             f"{flop_mode},{SNR_DEFINITION},{seed}\n"
         )

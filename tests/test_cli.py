@@ -83,6 +83,17 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("10,10.0000001", "snr points 10.0 and 10.0000001 dB both print as '10' in the CSV"),
+        ("100:0.00001:100.00003",
+         "snr points 100.0 and 100.00001 dB both print as '100' in the CSV"),
+    ])
+    def test_snr_points_that_print_alike_are_usage_errors(self, grid, message, capsys):
+        assert main(["ber-sweep", "--frames", "1", "--snr", grid, "--algorithms", "zf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().endswith(f"usage error: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("snr", ["-3075", "-3070"])
     @pytest.mark.parametrize("algorithm", ["ml", "zf"])
     def test_lowest_accepted_snrs_run(self, snr, algorithm, capsys):
@@ -243,14 +254,14 @@ class TestBerSweep:
 
     def test_redraw_limit_is_runtime_error(self, monkeypatch, capsys):
         # Every draw repeats a column: frame 0 gives up after 100 attempts.
-        draw = simharness.generate_channel
+        draw = simharness.channel_from_normals
 
-        def rank_one(n_r, n_t, rng):
-            h = draw(n_r, n_t, rng)
-            h[:, 1] = h[:, 0]
+        def rank_one(real, imag):
+            h = draw(real, imag)
+            h[..., 1] = h[..., 0]
             return h
 
-        monkeypatch.setattr(simharness, "generate_channel", rank_one)
+        monkeypatch.setattr(simharness, "channel_from_normals", rank_one)
         assert main(["ber-sweep", "--frames", "2", "--snr", "10", "--algorithms", "zf"]) == 2
         captured = capsys.readouterr()
         assert "error: frame 0: 100 rank-deficient redraws" in captured.err

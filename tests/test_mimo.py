@@ -76,6 +76,23 @@ class TestModulation:
         with pytest.raises(LengthMismatch):
             modulate(np.zeros(15, dtype=int), c, 4)
 
+    @pytest.mark.parametrize("m_s", [4, 16, 64])
+    def test_stacked_bits_map_row_by_row(self, m_s):
+        c = build_constellation(m_s)
+        n_t = 3
+        bits = np.random.default_rng(m_s).integers(0, 2, (2, 5, n_t * c.bits_per_symbol))
+        s = modulate(bits, c, n_t)
+        assert s.shape == (2, 5, n_t)
+        for i, j in np.ndindex(2, 5):
+            assert np.array_equal(s[i, j], modulate(bits[i, j], c, n_t))
+
+    @pytest.mark.parametrize("shape, got", [((6, 15), 15), ((2, 3, 17), 17), ((16, 2), 2)])
+    def test_stacked_length_mismatch_names_the_counts(self, shape, got):
+        c = build_constellation(16)
+        with pytest.raises(LengthMismatch,
+                           match=f"^need 16 bits for 4 antennas at 16-QAM, got {got}$"):
+            modulate(np.zeros(shape, dtype=int), c, 4)
+
     def test_roundtrip_bulk(self):
         rng = np.random.default_rng(0)
         for m_s in (4, 16, 64):

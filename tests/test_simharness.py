@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"repeated entry {repeated} in"):
             small_cfg(**kwargs)
 
+    @pytest.mark.parametrize("grid, first, second, label", [
+        ((10.0, 10.0000001), 10.0, 10.0000001, "10"),
+        ((0.0, 100.0, 100.00001, 100.00002), 100.0, 100.00001, "100"),
+        ((-2.0000001, -2.0, INF), -2.0000001, -2.0, "-2"),
+    ])
+    def test_points_that_print_alike_rejected(self, grid, first, second, label):
+        # Two rows whose snr_db fields read the same could not be told apart.
+        with pytest.raises(ValueError, match=(
+                f"^snr points {re.escape(repr(first))} and {re.escape(repr(second))} dB "
+                f"both print as '{label}' in the CSV$")):
+            small_cfg(snr_db_grid=grid)
+
+    def test_points_that_print_apart_accepted(self):
+        cfg = small_cfg(snr_db_grid=(10.0, 10.0001, 10.0002, INF))
+        assert [simharness.snr_label(snr) for snr in cfg.snr_db_grid] == [
+            "10", "10.0001", "10.0002", "inf"]
+
     def test_delta_checked_per_listed_reduction(self):
         # fclll's Lovasz test takes delta = 0.4; no listed detector runs mclll.
         small_cfg(algorithms=("zf", "zf-lr-fclll"), delta=0.4)
@@ -111,6 +129,37 @@ class TestRunFrame:
         cfg = small_cfg()
         res = run_frame(cfg, "zf", None, 12.0, 0)
         assert res.flops == 0
+
+
+class TestDraw:
+    @pytest.mark.parametrize("frames", [1, 7, 64])
+    def test_block_draw_equals_single_frame_draws(self, frames):
+        # The reproducibility rule: frame f's generator is default_rng((seed,
+        # f)), and every attempt draws the channel's normals (real parts,
+        # then imaginary), the bits, then the base noise's normals (real,
+        # then imaginary).  A block of frames draws each frame's first
+        # attempt; an attempt drawn after the block continues its generator.
+        cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), n_t=3, n_r=4, m_s=16, seed=9)
+        stds = simharness._plan(cfg, list(simharness._cells(cfg))).stds
+        c = mimo.build_constellation(cfg.m_s)
+        streams = [simharness._Stream(cfg, f, stds) for f in range(frames)]
+        block = simharness._draw(cfg, stds, [stream.rng for stream in streams])
+        assert block.h.shape == (frames, cfg.n_r, cfg.n_t)
+        assert block.bits.shape == (frames, cfg.n_t, 1, c.bits_per_symbol)
+        assert block.x.shape == (frames, cfg.n_r, len(stds))
+        for f, stream in enumerate(streams):
+            rng = np.random.default_rng((cfg.seed, f))
+            for drawn, row in ((block, f), (stream[1], 0)):
+                real = rng.standard_normal((cfg.n_r, cfg.n_t))
+                imag = rng.standard_normal((cfg.n_r, cfg.n_t))
+                bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
+                noise = rng.standard_normal(cfg.n_r)
+                noise = noise + 1j * rng.standard_normal(cfg.n_r)
+                h = (real + 1j * imag) * math.sqrt(0.5)
+                x = (h @ mimo.modulate(bits, c, cfg.n_t))[:, None] + stds * noise[:, None]
+                assert drawn.h[row].tobytes() == h.tobytes()
+                assert drawn.bits[row].tobytes() == bits.tobytes()
+                assert drawn.x[row].tobytes() == x.tobytes()
 
 
 class TestRunSweep:
@@ -414,9 +463,9 @@ class TestFrameMajorEquivalence:
     def test_redraw_limit_is_runtime_error(self, algorithms, monkeypatch, caplog):
         # Every draw is rank deficient, in both bases: frame 0 gives up
         # after _MAX_REDRAWS attempts, each rejected once per family.
-        draw = mimo.generate_channel
-        monkeypatch.setattr(simharness, "generate_channel",
-                            lambda n_r, n_t, rng: rank_one(draw(n_r, n_t, rng)))
+        draw = mimo.channel_from_normals
+        monkeypatch.setattr(simharness, "channel_from_normals",
+                            lambda real, imag: rank_one(draw(real, imag)))
         cfg = small_cfg(frames=2, m_s=4, algorithms=algorithms)
         with pytest.raises(RuntimeError, match=r"^frame 0: 100 rank-deficient redraws$"):
             run_sweep(cfg)
@@ -439,34 +488,40 @@ def embedding_only_witness():
 
 
 def rank_one(h):
-    """``h`` with its second column replaced by its first."""
-    h[:, 1] = h[:, 0]
+    """``h``, one channel or a stack, with each channel's second column
+    replaced by its first."""
+    h[..., 1] = h[..., 0]
     return h
 
 
 def force_draws(monkeypatch, cfg, replace):
     """Make attempt a of frame f draw ``replace[f, a](h)`` of the channel
     drawn, for each key (f, a) of ``replace``; every frame's generator
-    advances as it would.  An attempt is known by its generator's state,
-    found by replaying the earlier attempts' draws."""
+    advances as it would.  The forced channel is the one that
+    ``channel_from_normals`` assembles, stacked or alone, so it feeds
+    ``H s``.  An attempt is known by its channel's normals, found by
+    replaying the frame's draws in their documented order."""
     c = mimo.build_constellation(cfg.m_s)
-    states = []
-    for frame, attempt in replace:
+    known = []
+    for (frame, attempt), each in replace.items():
         rng = np.random.default_rng((cfg.seed, frame))
-        for _ in range(attempt):
-            mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
+        for _ in range(attempt + 1):
+            normals = rng.standard_normal((2, cfg.n_r, cfg.n_t))
             rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
-            mimo.base_noise((cfg.n_r,), rng)
-        states.append((rng.bit_generator.state, replace[frame, attempt]))
-    draw = mimo.generate_channel
+            rng.standard_normal((2, cfg.n_r))
+        known.append((normals, each))
+    assemble = mimo.channel_from_normals
 
-    def forced(n_r, n_t, rng):
-        state = rng.bit_generator.state
-        h = draw(n_r, n_t, rng)
-        return next((each(h) for known, each in states if known == state), h)
+    def forced(real, imag):
+        h = assemble(real, imag)
+        for i in np.ndindex(h.shape[:-2]):
+            for normals, each in known:
+                if np.array_equal(real[i], normals[0]) and np.array_equal(imag[i], normals[1]):
+                    h[i] = each(h[i])
+        return h
 
-    monkeypatch.setattr(mimo, "generate_channel", forced)
-    monkeypatch.setattr(simharness, "generate_channel", forced)
+    monkeypatch.setattr(mimo, "channel_from_normals", forced)
+    monkeypatch.setattr(simharness, "channel_from_normals", forced)
 
 
 def force_first_draw_of_frame1(monkeypatch, cfg, replace):
