@@ -35,14 +35,18 @@ exact integers.
 from __future__ import annotations
 
 import functools
+import operator
 import statistics
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import QRFactorization, qr_decompose
+from .matcore import QRFactorization, check_pivots, check_shape, qr_stack, real_embedding
 from .reduction import REDUCTIONS, ReductionResult, reduce_at_caps
+
+# Channels a complexity report factors together, as the sweep's blocks of frames.
+_BLOCK_CHANNELS = 64
 
 
 class OpWeights(NamedTuple):
@@ -81,7 +85,11 @@ class FlopCounter:
 
     @property
     def total(self):
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(_categories(self))
+
+
+# Every category of a FlopCounter, read as one tuple.
+_categories = operator.attrgetter(*(f.name for f in fields(FlopCounter)))
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule) -> FlopCounter
 
 
 def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
-                    mode: str = "dynamic", qr: QRFactorization | None = None,
+                    mode: str = "dynamic", basis=None, qr: QRFactorization | None = None,
                     factors: bool = True) -> dict:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once at
     ``delta`` on the basis it takes for the complex channel ``h``
@@ -175,15 +183,18 @@ def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
     unbounded "lll") and return ``{cap: (result, FlopCounter)}``, one entry
     per distinct cap, each counted at its cap's schedule.  This is how
     the sweep and the complexity report run a reduction;
-    ``instrument_caps(alg, h, [cap])[cap]`` is one run.  The snapshots,
-    ``qr`` (the QR of that basis) and ``factors`` (False: a count-only
-    run, whose snapshots carry no q, r or T) are those of
+    ``instrument_caps(alg, h, [cap])[cap]`` is one run.  ``basis``, when
+    given, is that basis, so the run does not build it again.  The
+    snapshots, ``qr`` (the QR of that basis) and ``factors`` (False: a
+    count-only run, whose snapshots carry no q, r or T) are those of
     ``reduction.reduce_at_caps``.
     """
     h = np.asarray(h, dtype=complex)
     n_r, n_t = h.shape
+    if basis is None:
+        basis = REDUCTIONS[algorithm].basis(h)
     runs = {}
-    for cap, result in reduce_at_caps(algorithm, REDUCTIONS[algorithm].basis(h), caps,
+    for cap, result in reduce_at_caps(algorithm, basis, caps,
                                       delta=delta, qr=qr, factors=factors):
         charges = schedule_for(algorithm, mode, n_t, n_r, cap)
         runs[cap] = result, count_flops(result, charges)
@@ -209,9 +220,13 @@ def complexity_report(channels, entries, *, mode: str = "literal",
 
     ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
     baseline row is prepended automatically when absent.  ``channels`` may
-    be any iterable, read once: each channel gets one QR, shared by the
-    capped entries, and then every entry's runs, before the next channel
-    is read.  The report reads only FLOP counts, so its runs are
+    be any iterable, read once, in blocks of up to ``_BLOCK_CHANNELS``
+    channels of one shape (``_blocks``).  Each block gets one stacked QR
+    per basis kind: one of its channels, shared by the capped entries, and
+    one of their real embeddings for "lll".  Then each channel, in order,
+    takes its rank test (the complex one first, the embedding's at the
+    "lll" run) and every entry's runs, which start from its rows of the
+    stacks.  The report reads only FLOP counts, so its runs are
     count-only (no q, r or T).
     """
     entries = [(alg, cap) for alg, cap in entries]
@@ -222,14 +237,8 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     caps: dict[str, list] = {}
     for alg, cap in totals:
         caps.setdefault(alg, []).append(cap)
-    for h in channels:
-        h = np.asarray(h, dtype=complex)
-        qr = qr_decompose(h)
-        for alg, alg_caps in caps.items():  # keeps only each run's FLOP totals
-            runs = instrument_caps(alg, h, alg_caps, delta=delta, mode=mode, factors=False,
-                                   qr=qr if REDUCTIONS[alg].capped else None)
-            for cap in alg_caps:
-                totals[alg, cap].append(runs[cap][1].total)
+    for block in _blocks(channels):
+        _count_block(block, caps, totals, delta=delta, mode=mode)
     if not totals[baseline_key]:
         raise ValueError("need at least one channel")
     baseline_mean = statistics.fmean(totals[baseline_key])
@@ -243,6 +252,43 @@ def complexity_report(channels, entries, *, mode: str = "literal",
         rows.append(ComplexityRow(alg, cap, mean, statistics.median(vals),
                                   max(vals), gain))
     return rows
+
+
+def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
+    """Count-only runs of every ``caps`` entry on each channel of ``block``,
+    a list of channels of one shape, in order: each run's FLOP total goes
+    to ``totals[alg, cap]``.  The block's channels share one stacked QR,
+    and their real embeddings another; each run starts from its channel's
+    rows of its kind's stacks, after that row's rank test."""
+    check_shape(block[0])
+    hs = np.stack(block)
+    embedded = real_embedding(hs)
+    kinds = {True: (hs, *qr_stack(hs)), False: (embedded, *qr_stack(embedded))}
+    _, _, r_h, low_h = kinds[True]
+    for i, h in enumerate(hs):
+        check_pivots(r_h[i], low_h[i])  # the channel's own rank test comes first
+        for alg, alg_caps in caps.items():
+            basis, q, r, low = kinds[REDUCTIONS[alg].capped]
+            check_pivots(r[i], low[i])
+            runs = instrument_caps(alg, h, alg_caps, delta=delta, mode=mode, factors=False,
+                                   basis=basis[i], qr=QRFactorization(q[i], r[i]))
+            for cap in alg_caps:
+                totals[alg, cap].append(runs[cap][1].total)
+
+
+def _blocks(channels):
+    """``channels`` as complex arrays, in lists of up to ``_BLOCK_CHANNELS``
+    consecutive channels of one shape: a channel whose shape differs from
+    the one before starts a new list."""
+    block = []
+    for h in channels:
+        h = np.asarray(h, dtype=complex)
+        if block and (h.shape != block[0].shape or len(block) == _BLOCK_CHANNELS):
+            yield block
+            block = []
+        block.append(h)
+    if block:
+        yield block
 
 
 def format_complexity_table(rows, mode: str) -> str:

@@ -101,17 +101,29 @@ def qr_decompose(h) -> QRFactorization:
     ``h``.
     """
     h = np.asarray(h, dtype=complex)
+    check_shape(h)
+    q, r, low = qr_stack(h)
+    check_pivots(r, low)
+    return QRFactorization(q, r)
+
+
+def check_shape(h) -> None:
+    """Raise ValueError unless ``h`` is a matrix with rows >= cols, the
+    shapes ``qr_decompose`` factors."""
     if h.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={h.ndim}")
     n_r, n_t = h.shape
     if n_r < n_t:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
-    q, r, low = qr_stack(h)
+
+
+def check_pivots(r, low) -> None:
+    """Raise ``qr_decompose``'s RankDeficient for one matrix's ``r`` and
+    ``low`` from ``qr_stack``, naming its first flagged pivot, if any."""
     if low.any():
         j = low.argmax()
         raise RankDeficient(f"pivot {j} norm {abs(r[j, j]):.3e} not above "
                             f"{RANK_TOL:.0e} * ||h||_F")
-    return QRFactorization(q, r)
 
 
 def back_substitute(r, y) -> np.ndarray:

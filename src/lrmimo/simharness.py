@@ -27,8 +27,9 @@ generator as a block of one and factoring it alone until one passes,
 and every detector family of the kind counts the skipped attempts as
 redraws.  The kind's stacks are the block's, with the accepted attempt
 written over a redrawn frame's row.  Each reduction runs once per frame,
-up to the largest listed iteration cap, with a snapshot kept at every
-cap (a run capped at k sweeps is the prefix of one capped at K > k).
+from the frame's rows of its kind's stacked basis and QR, up to the
+largest listed iteration cap, with a snapshot kept at every cap (a run
+capped at k sweeps is the prefix of one capped at K > k).
 Each distinct set of factors then makes one detection call for the block
 (ML's one search over every frame and SNR); zero forcing and ML take the
 kind's stacked QR as it is.  Bit errors are counted per column, once per
@@ -282,16 +283,17 @@ def _accepted(first: _Attempt, streams: list[_Stream], embedded: bool, algs: lis
     """Each stream's first attempt whose basis of the kind ``embedded`` (the
     real block embedding, else the channel) passes the rank test, for the
     kind's detector families ``algs``: the attempts, stacked from the
-    block's ``first`` with a redrawn frame's row written over, each
-    stream's redraws, and their stacked QR, a redrawn row factored on its
-    own."""
+    block's ``first`` with a redrawn frame's row written over, their
+    stacked bases of the kind, each stream's redraws, and their stacked
+    QR, a redrawn row's basis built and factored on its own."""
     basis = real_embedding if embedded else np.asarray
     h, bits, x = first
-    q, r, low = qr_stack(basis(h))
+    bases = basis(h)
+    q, r, low = qr_stack(bases)
     redraws = [0] * len(streams)
     flagged = np.flatnonzero(low.any(axis=-1))
     if flagged.size:  # the other kind reads the block's first attempts
-        h, bits, x = h.copy(), bits.copy(), x.copy()
+        h, bits, x, bases = h.copy(), bits.copy(), x.copy(), bases.copy()
     for i in flagged:
         stream = streams[i]
         while low[i].any():
@@ -302,8 +304,9 @@ def _accepted(first: _Attempt, streams: list[_Stream], embedded: bool, algs: lis
             if redraws[i] == _MAX_REDRAWS:
                 raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
             h[i], bits[i], x[i] = (part[0] for part in stream[redraws[i]])
-            q[i], r[i], low[i] = qr_stack(basis(h[i]))
-    return _Attempt(h, bits, x), redraws, QRFactorization(q, r)
+            bases[i] = basis(h[i])
+            q[i], r[i], low[i] = qr_stack(bases[i])
+    return _Attempt(h, bits, x), bases, redraws, QRFactorization(q, r)
 
 
 def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
@@ -319,15 +322,16 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
         kinds.setdefault(_embedded(alg), []).append(alg)
     tallies = {}
     for embedded, algs in kinds.items():
-        (h, bits, x), redraws, qr = _accepted(first, streams, embedded, algs)
+        (h, bits, x), bases, redraws, qr = _accepted(first, streams, embedded, algs)
         for alg in algs:
             name, detector = DETECTORS[alg]
             if name is None:
                 by_cap = {None: (qr, 0)}
             else:  # one run per frame, a snapshot per cap
                 runs = [flops.instrument_caps(name, h_i, plan.caps[alg], delta=cfg.delta,
-                                              mode=cfg.flop_mode, qr=QRFactorization(q, r))
-                        for h_i, q, r in zip(h, *qr)]
+                                              mode=cfg.flop_mode, basis=basis,
+                                              qr=QRFactorization(q, r))
+                        for h_i, basis, q, r in zip(h, bases, *qr)]
                 by_cap = {cap: ([run[cap][0] for run in runs],
                                 sum(run[cap][1].total for run in runs)) for cap in plan.caps[alg]}
             errors = {}  # ids of the frames' factors -> bit errors per column

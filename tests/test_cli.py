@@ -580,6 +580,31 @@ fclll      6         1435.0  1409.0  1999  +44.1%
 fclll      8         1621.9  1776.0  2414  +36.8%
 fclll      18        1755.4  1824.0  3289  +31.6%
 """, "5529865388cc2e98bbd835d37d6cda3ad5b11cdf1fc8b9a1ed5d2981edb858f1"),
+    # These two cross the report's blocks of 64 channels.
+    "--nt 4 --nr 4 --channels 200 --iter-max 2,6,18 --mode dynamic --seed 10": ("""\
+counting mode: dynamic
+algorithm  iter_max  mean    median  max    gain_vs_lll
+---------  --------  ------  ------  -----  -----------
+lll        inf       2561.1  2440.0  6986   baseline
+mclll      2         1425.6  1540.0  2202   +44.3%
+mclll      6         2304.6  2165.0  5015   +10.0%
+mclll      18        3532.2  2165.0  13529  -37.9%
+fclll      2         435.2   431.0   746    +83.0%
+fclll      6         1289.4  1369.0  2266   +49.7%
+fclll      18        1648.7  1535.0  4573   +35.6%
+""", "d07fff5eb91dee70bfa9d248065c9825236f2936f732f45d04d049a6b7af0347"),
+    "--nt 8 --nr 8 --channels 130 --iter-max 6,8,18 --mode literal --seed 11": ("""\
+counting mode: literal
+algorithm  iter_max  mean     median   max    gain_vs_lll
+---------  --------  -------  -------  -----  -----------
+lll        inf       14696.7  14125.5  33510  baseline
+mclll      6         4243.2   4293.0   5514   +71.1%
+mclll      8         6344.6   6476.0   8585   +56.8%
+mclll      18        22071.1  27804.0  30246  -50.2%
+fclll      6         730.6    705.0    1038   +95.0%
+fclll      8         1154.2   1132.0   1465   +92.1%
+fclll      18        4526.4   4596.0   5373   +69.2%
+""", "fce3cd1f0573e853a90d940f7da4342c1854101dec6606a06c6d80b9144f039c"),
 }
 
 

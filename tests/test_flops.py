@@ -5,11 +5,12 @@ import statistics
 import numpy as np
 import pytest
 
-from lrmimo import reduction
+from lrmimo import flops, reduction
 from lrmimo.flops import (
     COMPLEX_WEIGHTS,
     SCALAR_WEIGHTS,
     ChargeSchedule,
+    ComplexityRow,
     FlopCounter,
     OpWeights,
     complexity_report,
@@ -18,7 +19,7 @@ from lrmimo.flops import (
     instrument_caps,
     schedule_for,
 )
-from lrmimo.matcore import GaussIntMatrix, qr_decompose
+from lrmimo.matcore import GaussIntMatrix, RankDeficient, qr_decompose, real_embedding
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 
@@ -26,6 +27,21 @@ from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 def instrument(alg, h, cap, mode="dynamic"):
     """One counted run of ``alg`` at ``cap``."""
     return instrument_caps(alg, h, [cap], mode=mode)[cap]
+
+
+def rows_priced_run_by_run(channels, entries, mode):
+    """The rows of ``complexity_report(channels, entries, mode=mode)``, from
+    one full run per channel and entry, each factoring its own basis."""
+    totals = {(alg, cap): [instrument(alg, h, cap, mode=mode)[1].total for h in channels]
+              for alg, cap in entries}
+    baseline = statistics.fmean(totals[("lll", None)])
+    rows = []
+    for alg, cap in entries:
+        vals = totals[(alg, cap)]
+        mean = statistics.fmean(vals)
+        rows.append(ComplexityRow(alg, cap, mean, statistics.median(vals), max(vals),
+                                  None if alg == "lll" else 100.0 * (1.0 - mean / baseline)))
+    return rows
 
 
 class EventTally:
@@ -86,6 +102,8 @@ class TestCounter:
     def test_total_is_category_sum(self):
         c = FlopCounter(size_reduction=3, swap_condition=5, flag_bookkeeping=2)
         assert c.total == 10
+        every = FlopCounter(*range(1, 8))  # one value per category
+        assert every.total == 28 and type(every.total) is int
 
 
 CHARGE_FIELDS = ("size_check", "size_update", "size_visit", "swap_check",
@@ -372,18 +390,18 @@ class TestCountOnlyRuns:
         rng = np.random.default_rng(16)
         channels = [generate_channel(4, 4, rng) for _ in range(20)]
         entries = [("lll", None), ("mclll", 2), ("mclll", 6), ("fclll", 6), ("fclll", 18)]
-        totals = {(alg, cap): [instrument(alg, h, cap, mode=mode)[1].total for h in channels]
-                  for alg, cap in entries}
-        baseline = statistics.fmean(totals[("lll", None)])
-        rows = complexity_report(channels, entries, mode=mode)
-        assert [(row.algorithm, row.iter_max) for row in rows] == entries
-        for row in rows:
-            vals = totals[(row.algorithm, row.iter_max)]
-            mean = statistics.fmean(vals)
-            assert (row.mean_flops, row.median_flops, row.max_flops) == (
-                mean, statistics.median(vals), max(vals))
-            assert row.gain_pct == (None if row.algorithm == "lll"
-                                    else 100.0 * (1.0 - mean / baseline))
+        assert complexity_report(channels, entries, mode=mode) == \
+            rows_priced_run_by_run(channels, entries, mode)
+
+    def test_channels_of_changing_shape_give_the_rows_priced_run_by_run(self):
+        # A shape change starts a new block, and a run of one shape longer
+        # than a block crosses a block boundary.
+        rng = np.random.default_rng(17)
+        shapes = [(4, 4)] * 3 + [(3, 2)] * 70 + [(4, 4)] * 2 + [(2, 2), (1, 1)]
+        channels = [generate_channel(n_r, n_t, rng) for n_r, n_t in shapes]
+        entries = [("mclll", 2), ("fclll", 6), ("lll", None)]
+        assert complexity_report(iter(channels), entries, mode="dynamic") == \
+            rows_priced_run_by_run(channels, entries, "dynamic")
 
 
 class TestComplexityReport:
@@ -413,11 +431,73 @@ class TestComplexityReport:
         assert all(a <= b for a, b in zip(means, means[1:]))
 
     def test_one_pass_generator_gives_the_rows_of_a_list(self):
-        rng = np.random.default_rng(8)
-        channels = [generate_channel(4, 4, rng) for _ in range(12)]
         entries = [("mclll", 2), ("fclll", 6), ("mclll", 6), ("lll", None)]
-        assert complexity_report((h for h in channels), entries) == \
-            complexity_report(channels, entries)
+        for count in (12, 1, 64, 65, 130):  # within, at and across blocks of 64
+            rng = np.random.default_rng(8)
+            channels = [generate_channel(4, 4, rng) for _ in range(count)]
+            assert complexity_report((h for h in channels), entries) == \
+                complexity_report(channels, entries)
+
+    def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch):
+        # 130 channels are blocks of 64, 64 and 2; each factors its channels,
+        # then their real embeddings, and no run factors or embeds its own.
+        shapes = []
+        stack = flops.qr_stack
+
+        def spy(h):
+            shapes.append(np.shape(h))
+            return stack(h)
+
+        def refuse(*args):
+            raise AssertionError("a run factored or embedded its own basis")
+
+        monkeypatch.setattr(flops, "qr_stack", spy)
+        monkeypatch.setattr(reduction, "qr_decompose", refuse)
+        monkeypatch.setattr(reduction, "real_embedding", refuse)
+        rng = np.random.default_rng(19)
+        complexity_report((generate_channel(4, 4, rng) for _ in range(130)),
+                          [("mclll", 6), ("fclll", 6)])
+        assert shapes == [(64, 4, 4), (64, 8, 8)] * 2 + [(2, 4, 4), (2, 8, 8)]
+
+    def test_rank_deficient_channel_in_second_block_raises_its_own_message(self):
+        rng = np.random.default_rng(20)
+        channels = [generate_channel(4, 4, rng) for _ in range(130)]
+        channels[70][:, 1] = channels[70][:, 0]
+        channels[100] = np.zeros(4)  # never reached
+        with pytest.raises(RankDeficient) as alone:
+            qr_decompose(channels[70])
+        with pytest.raises(RankDeficient) as report:
+            complexity_report(iter(channels), [("mclll", 6)])
+        assert str(report.value) == str(alone.value)
+
+    def test_embedding_only_witness_raises_the_embeddings_message(self):
+        from test_simharness import embedding_only_witness  # it imports this module
+
+        witness = embedding_only_witness()
+        rng = np.random.default_rng(21)
+        channels = [generate_channel(4, 4, rng) for _ in range(100)]
+        channels[66] = witness
+        channels[80][:, 1] = channels[80][:, 0]  # never reached
+        with pytest.raises(RankDeficient) as alone:
+            qr_decompose(real_embedding(witness))
+        for entries in ([("mclll", 6), ("lll", None)], [("fclll", 6)]):
+            with pytest.raises(RankDeficient, match="pivot 5") as report:
+                complexity_report(iter(channels), entries)
+            assert str(report.value) == str(alone.value)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((2, 4), dtype=complex), "need rows >= cols, got 2x4"),
+        (np.zeros(4, dtype=complex), "expected a matrix, got ndim=1"),
+    ], ids=["wide", "vector"])
+    def test_shape_errors_come_in_channel_order(self, bad, message):
+        rng = np.random.default_rng(22)
+        channels = [generate_channel(4, 4, rng) for _ in range(70)]
+        channels[66] = bad
+        with pytest.raises(ValueError, match=message):
+            complexity_report(iter(channels), [("mclll", 6)])
+        channels[65][:, 1] = channels[65][:, 0]  # the earlier channel's error wins
+        with pytest.raises(RankDeficient, match="pivot 1"):
+            complexity_report(iter(channels), [("mclll", 6)])
 
     @pytest.mark.parametrize("channels", [[], iter(())], ids=["list", "iterator"])
     def test_no_channel_is_an_error(self, channels):

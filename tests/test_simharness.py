@@ -362,6 +362,22 @@ class TestFrameMajorEquivalence:
         assert len(redraw_lines) == n_cells
         assert all(line.endswith(": 1 channel redraws") for line in redraw_lines)
 
+    def test_lll_runs_take_their_rows_of_the_block_embedding(self, monkeypatch):
+        # Frame 1's first draw is rank deficient, so its row of the block's
+        # embedding is that of the attempt it accepts; no run embeds its
+        # channel again.
+        cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
+                        algorithms=("zf", "zf-lr-lll"), seed=4)
+        force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
+
+        def refuse(h):
+            raise AssertionError("a run embedded its channel")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(reduction, "real_embedding", refuse)
+            text = csv_text(run_sweep(cfg), cfg)
+        assert text == oracle_csv(cfg)
+
     def test_embedding_rank_test_redraws_lll_alone(self, monkeypatch, caplog):
         # The witness passes the complex QR's rank test and its real
         # embedding fails it, so only zf-lr-lll redraws the frame.
