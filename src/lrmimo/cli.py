@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import flops as flops_mod
-from .matcore import is_unimodular, qr_decompose
+from .matcore import QRFactorization, is_unimodular, qr_decompose, qr_stack
 from .mimo import generate_channel
 from .reduction import (
     REDUCTIONS,
@@ -262,8 +262,11 @@ def _cmd_reduce(args) -> int:
         raise UsageError(f"--iter-max: {args.algorithm} needs a cap >= 1, "
                          f"got {args.iter_max}")
     _check_delta(args.algorithm, args.delta)
-    basis = reduction.basis(load_matrix(args.matrix))
-    [(_, result)] = reduce_at_caps(args.algorithm, basis, [args.iter_max], delta=args.delta)
+    h = load_matrix(args.matrix)
+    qr_decompose(h)  # the one rank test, the channel's, for every reduction
+    basis = reduction.basis(h)
+    [(_, result)] = reduce_at_caps(args.algorithm, basis, [args.iter_max], delta=args.delta,
+                                   qr=QRFactorization(*qr_stack(basis)[:2]))
     t = result.t
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")

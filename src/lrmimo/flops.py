@@ -30,6 +30,9 @@ The reductions count nothing: ``count_flops`` reads every count off the
 ``ReductionResult`` of a run and prices it at that schedule, and
 ``instrument_caps`` runs a reduction and counts its FLOPs.  Counts are
 exact integers.
+
+``complexity_report`` runs count-only, in blocks of channels of one
+shape, and its one rank test per channel is the channel's own.
 """
 
 from __future__ import annotations
@@ -259,17 +262,17 @@ def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
     a list of channels of one shape, in order: each run's FLOP total goes
     to ``totals[alg, cap]``.  The block's channels share one stacked QR,
     and their real embeddings another; each run starts from its channel's
-    rows of its kind's stacks, after that row's rank test."""
+    rows of its basis kind's stacks, after the channel's rank test, the
+    only one."""
     check_shape(block[0])
     hs = np.stack(block)
     embedded = real_embedding(hs)
-    kinds = {True: (hs, *qr_stack(hs)), False: (embedded, *qr_stack(embedded))}
-    _, _, r_h, low_h = kinds[True]
+    q_h, r_h, low_h = qr_stack(hs)
+    kinds = {True: (hs, q_h, r_h), False: (embedded, *qr_stack(embedded)[:2])}
     for i, h in enumerate(hs):
-        check_pivots(r_h[i], low_h[i])  # the channel's own rank test comes first
+        check_pivots(r_h[i], low_h[i])
         for alg, alg_caps in caps.items():
-            basis, q, r, low = kinds[REDUCTIONS[alg].capped]
-            check_pivots(r[i], low[i])
+            basis, q, r = kinds[REDUCTIONS[alg].capped]
             runs = instrument_caps(alg, h, alg_caps, delta=delta, mode=mode, factors=False,
                                    basis=basis[i], qr=QRFactorization(q[i], r[i]))
             for cap in alg_caps:

@@ -30,6 +30,14 @@ number of size updates with nonzero mu.  Every decision reads r alone, so
 a count-only run, which holds no q and no T, makes the same visits and
 snapshots only the counts.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
+
+The kernel's float arithmetic is a fixed sequence of IEEE operations, so
+a second implementation can replay it bit for bit: a modulus is libm
+``hypot`` (Python's complex ``abs``, ``np.abs``), a square is ``a * a``,
+never ``pow``, the swap test is ``delta * (p * p) > d * d (+ o * o)`` on
+the moduli p, d, o of r[k-1, k-1], r[k, k], r[k-1, k], and the Givens
+norm is ``hypot`` of the swapped pair's moduli; complex products and
+quotients are CPython's (Smith's method for a quotient).
 """
 
 from __future__ import annotations
@@ -198,12 +206,13 @@ class _Run:
                 if t is not None:
                     t.col_update(k, l, mu_re, mu_im)
                 self.size_updates += 1
-        rhs = abs(col[k]) ** 2 + (abs(col[k - 1]) ** 2 if self.lovasz else 0.0)
-        swap = self.delta * abs(r[k - 1][k - 1]) ** 2 > rhs
+        diag, off, prev = abs(col[k]), abs(col[k - 1]), abs(r[k - 1][k - 1])
+        rhs = diag * diag + (off * off if self.lovasz else 0.0)
+        swap = self.delta * (prev * prev) > rhs
         if swap:
             r[k - 1], r[k] = col, r[k - 1]
             a, b = col[k - 1], col[k]
-            nrm = math.hypot(abs(a), abs(b))
+            nrm = abs(complex(abs(a), abs(b)))
             if not nrm > PIVOT_TOL * scale:
                 raise ZeroPivot(f"pivot pair at column {k - 1} not above "
                                 f"{PIVOT_TOL:.0e} * ||basis||_F")
@@ -422,8 +431,9 @@ def _passes_swap_tests(r, delta: float, lovasz: bool) -> bool:
         return False
     r = ldexp(r, -max_exponent(r))
     for k in range(1, r.shape[1]):
-        lhs = delta * abs(r[k - 1, k - 1]) ** 2
-        rhs = abs(r[k, k]) ** 2 + (abs(r[k - 1, k]) ** 2 if lovasz else 0.0)
+        diag, off, prev = abs(r[k, k]), abs(r[k - 1, k]), abs(r[k - 1, k - 1])
+        lhs = delta * (prev * prev)
+        rhs = diag * diag + (off * off if lovasz else 0.0)
         if lhs > rhs * (1.0 + PREDICATE_TOL) + PREDICATE_TOL:
             return False
     return True

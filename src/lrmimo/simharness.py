@@ -11,30 +11,30 @@ points (common random numbers), and changing the frame count never
 shifts earlier frames.
 
 The sweep runs blocks of up to ``_BLOCK_FRAMES`` consecutive frames in
-five stages: draw, QR per basis kind, reductions, detection and bit
-count.  The draw stage makes only the three generator calls per frame,
-into the block's arrays, then assembles the channels, maps the bits to
-symbols and forms ``H s`` and the received vectors once for the stack;
-the received vectors ``H s + std(snr) * base_noise`` of every SNR point
-are the columns of one matrix per frame, and the noiseless point (snr =
-inf) has std 0, so its column is ``H s`` bit for bit.  Each frame is
-drawn once.  There are two basis kinds: the channel, for zero forcing,
-ML and the capped reductions, and its real block embedding, for ``lll``
-(``DETECTORS`` maps each algorithm to its reduction and detector).  A
-kind's one stacked QR rank-tests the block's first attempts; only a
-frame that fails walks on, drawing each further attempt from its own
-generator as a block of one and factoring it alone until one passes,
-and every detector family of the kind counts the skipped attempts as
-redraws.  The kind's stacks are the block's, with the accepted attempt
-written over a redrawn frame's row.  Each reduction runs once per frame,
-from the frame's rows of its kind's stacked basis and QR, up to the
-largest listed iteration cap, with a snapshot kept at every cap (a run
-capped at k sweeps is the prefix of one capped at K > k).
-Each distinct set of factors then makes one detection call for the block
-(ML's one search over every frame and SNR); zero forcing and ML take the
-kind's stacked QR as it is.  Bit errors are counted per column, once per
-block, off the constellation's bit table.  Each frame's results are
-those a frame-by-frame loop gets.
+five stages: draw, QR, reductions, detection and bit count.  The draw
+stage makes only the three generator calls per frame, into the block's
+arrays, then assembles the channels, maps the bits to symbols and forms
+``H s`` and the received vectors once for the stack; the received
+vectors ``H s + std(snr) * base_noise`` of every SNR point are the
+columns of one matrix per frame, and the noiseless point (snr = inf) has
+std 0, so its column is ``H s`` bit for bit.  There is one rank test,
+the channel's: the block's one stacked QR of its channels tests their
+first attempts, and only a frame that fails draws each further attempt
+from its own generator, factored alone, until one passes.  Every
+detector family (``DETECTORS`` maps each algorithm to its reduction and
+detector) sees that one accepted attempt and counts the skipped ones as
+redraws.  The channel's real block embedding has the channel's singular
+values, each twice, so it is rank deficient exactly when the channel is;
+``lll`` reduces the embeddings from one stacked QR of them and reads
+none of its rank flags.  Each reduction runs once per frame, from the
+frame's rows of its stacked basis and QR, up to the largest listed
+iteration cap, with a snapshot kept at every cap (a run capped at k
+sweeps is the prefix of one capped at K > k).  Each distinct set of
+factors then makes one detection call for the block (ML's one search
+over every frame and SNR); zero forcing and ML take the channels'
+stacked QR as it is.  Bit errors are counted per column, once per block,
+off the constellation's bit table.  Each frame's results are those a
+frame-by-frame loop gets.
 
 Everything downstream of the config is deterministic, byte-for-byte,
 including under worker-pool execution: the pool splits frames into
@@ -42,9 +42,8 @@ chunks, blocks and chunks return per-cell integer tallies, and these are
 added in frame order.
 
 Data goes only to the CSV.  The logger (stderr in the CLI) gets a
-warning for each draw a basis kind rejects, once per detector family of
-the kind, in kind, frame, attempt order, and, after the frame loop, one
-line per cell that redrew channels.
+warning for each rejected draw, in frame, attempt order, and, after the
+frame loop, one line per cell that redrew channels.
 """
 
 from __future__ import annotations
@@ -188,11 +187,6 @@ def _capped(algorithm: str) -> bool:
     return name is not None and REDUCTIONS[name].capped
 
 
-def _embedded(algorithm: str) -> bool:
-    """Whether the detector's basis kind is the real block embedding."""
-    return DETECTORS[algorithm][0] is not None and not _capped(algorithm)
-
-
 @functools.lru_cache(maxsize=8)
 def _constellation(m_s: int):
     return build_constellation(m_s)
@@ -235,29 +229,6 @@ def _draw(cfg: SimConfig, stds: np.ndarray, rngs: list) -> _Attempt:
     return _Attempt(h, bits.reshape(len(rngs), cfg.n_t, 1, -1), x)
 
 
-class _Stream:
-    """Frame ``index``'s generator, and the attempts it draws after the
-    block's first, each on first use.
-
-    The block draws every frame's first attempt with ``_draw``; attempt
-    i >= 1 is a ``_draw`` of one frame, kept so that every basis kind
-    that redraws the frame sees the same attempts.
-    """
-
-    def __init__(self, cfg: SimConfig, index: int, stds: np.ndarray):
-        self.cfg = cfg
-        self.index = index
-        self.stds = stds
-        self.rng = _frame_rng(cfg.seed, index)
-        self.later: list[_Attempt] = []
-
-    def __getitem__(self, i: int) -> _Attempt:
-        """Attempt ``i`` >= 1, a stack of one frame."""
-        while len(self.later) < i:
-            self.later.append(_draw(self.cfg, self.stds, [self.rng]))
-        return self.later[i - 1]
-
-
 class _Plan(NamedTuple):
     """What every frame of a sweep detects, worked out once per sweep."""
 
@@ -279,69 +250,57 @@ def _plan(cfg: SimConfig, cells: list) -> _Plan:
     return _Plan(cells, caps, snrs, stds)
 
 
-def _accepted(first: _Attempt, streams: list[_Stream], embedded: bool, algs: list[str]):
-    """Each stream's first attempt whose basis of the kind ``embedded`` (the
-    real block embedding, else the channel) passes the rank test, for the
-    kind's detector families ``algs``: the attempts, stacked from the
-    block's ``first`` with a redrawn frame's row written over, their
-    stacked bases of the kind, each stream's redraws, and their stacked
-    QR, a redrawn row's basis built and factored on its own."""
-    basis = real_embedding if embedded else np.asarray
-    h, bits, x = first
-    bases = basis(h)
-    q, r, low = qr_stack(bases)
-    redraws = [0] * len(streams)
-    flagged = np.flatnonzero(low.any(axis=-1))
-    if flagged.size:  # the other kind reads the block's first attempts
-        h, bits, x, bases = h.copy(), bits.copy(), x.copy(), bases.copy()
-    for i in flagged:
-        stream = streams[i]
+def _accepted(cfg: SimConfig, plan: _Plan, lo: int, hi: int):
+    """Each of frames lo..hi-1's first draw attempt whose channel passes the
+    rank test: the attempts, stacked, their redraws in all and their stacked
+    QR.  The block's first attempts share one stacked QR; a frame that fails
+    draws each further attempt from its own generator and factors it alone,
+    written over its row, until one passes."""
+    rngs = [_frame_rng(cfg.seed, idx) for idx in range(lo, hi)]
+    h, bits, x = _draw(cfg, plan.stds, rngs)
+    q, r, low = qr_stack(h)
+    redraws = [0] * len(rngs)
+    for i in np.flatnonzero(low.any(axis=-1)):
         while low[i].any():
-            for alg in algs:
-                logger.warning("frame %d: rank-deficient channel for %s, redrawing",
-                               stream.index, alg)
+            logger.warning("frame %d: rank-deficient channel, redrawing", lo + i)
             redraws[i] += 1
             if redraws[i] == _MAX_REDRAWS:
-                raise RuntimeError(f"frame {stream.index}: {_MAX_REDRAWS} rank-deficient redraws")
-            h[i], bits[i], x[i] = (part[0] for part in stream[redraws[i]])
-            bases[i] = basis(h[i])
-            q[i], r[i], low[i] = qr_stack(bases[i])
-    return _Attempt(h, bits, x), bases, redraws, QRFactorization(q, r)
+                raise RuntimeError(f"frame {lo + i}: {_MAX_REDRAWS} rank-deficient redraws")
+            h[i], bits[i], x[i] = (part[0] for part in _draw(cfg, plan.stds, [rngs[i]]))
+            q[i], r[i], low[i] = qr_stack(h[i])
+    return _Attempt(h, bits, x), sum(redraws), QRFactorization(q, r)
 
 
 def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
     """Run frames lo..hi-1 as one block for every (algorithm, iter_max,
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
-    one Tally per cell, in order.  The detector families of one basis kind
-    share its accepted attempts and their stacked QR."""
+    one Tally per cell, in order.  Every detector family detects the same
+    accepted attempts; zf, ml and the capped reductions start from their
+    stacked QR, and lll from one stacked QR of their real embeddings."""
     c = _constellation(cfg.m_s)
-    streams = [_Stream(cfg, idx, plan.stds) for idx in range(lo, hi)]
-    first = _draw(cfg, plan.stds, [stream.rng for stream in streams])
-    kinds: dict[bool, list[str]] = {}
-    for alg in plan.caps:
-        kinds.setdefault(_embedded(alg), []).append(alg)
+    (h, bits, x), redraws, qr = _accepted(cfg, plan, lo, hi)
     tallies = {}
-    for embedded, algs in kinds.items():
-        (h, bits, x), bases, redraws, qr = _accepted(first, streams, embedded, algs)
-        for alg in algs:
-            name, detector = DETECTORS[alg]
-            if name is None:
-                by_cap = {None: (qr, 0)}
-            else:  # one run per frame, a snapshot per cap
-                runs = [flops.instrument_caps(name, h_i, plan.caps[alg], delta=cfg.delta,
-                                              mode=cfg.flop_mode, basis=basis,
-                                              qr=QRFactorization(q, r))
-                        for h_i, basis, q, r in zip(h, bases, *qr)]
-                by_cap = {cap: ([run[cap][0] for run in runs],
-                                sum(run[cap][1].total for run in runs)) for cap in plan.caps[alg]}
-            errors = {}  # ids of the frames' factors -> bit errors per column
-            for cap, (factors, block_flops) in by_cap.items():
-                key = tuple(map(id, factors))
-                if key not in errors:
-                    wrong = c.bit_table[detector(factors, c)(x)] != bits
-                    errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
-                for snr, bit_errors in zip(plan.snrs, errors[key]):
-                    tallies[alg, cap, snr] = Tally(bit_errors, block_flops, sum(redraws))
+    for alg, caps in plan.caps.items():
+        name, detector = DETECTORS[alg]
+        if name is None:
+            by_cap = {None: (qr, 0)}
+        else:  # one run per frame, a snapshot per cap
+            bases = h if REDUCTIONS[name].capped else real_embedding(h)
+            stacked = qr if bases is h else qr_stack(bases)[:2]  # rank flags unread
+            runs = [flops.instrument_caps(name, h_i, caps, delta=cfg.delta,
+                                          mode=cfg.flop_mode, basis=basis,
+                                          qr=QRFactorization(q, r))
+                    for h_i, basis, q, r in zip(h, bases, *stacked)]
+            by_cap = {cap: ([run[cap][0] for run in runs],
+                            sum(run[cap][1].total for run in runs)) for cap in caps}
+        errors = {}  # ids of the frames' factors -> bit errors per column
+        for cap, (factors, block_flops) in by_cap.items():
+            key = tuple(map(id, factors))
+            if key not in errors:
+                wrong = c.bit_table[detector(factors, c)(x)] != bits
+                errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
+            for snr, bit_errors in zip(plan.snrs, errors[key]):
+                tallies[alg, cap, snr] = Tally(bit_errors, block_flops, redraws)
     return [tallies[cell] for cell in plan.cells]
 
 

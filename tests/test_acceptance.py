@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  The full module takes roughly ten minutes; the BER
-criteria dominate (10^4 Monte Carlo frames per cell, exhaustive ML at one
-SNR point).
+line per criterion.  The full module takes 19-29 s on a 2-CPU x86-64
+host (Python 3.11, numpy 2.4, BLAS on one thread).  Criterion 1's
+40,000 reductions take about 9 s of it; the shared BER sweeps (10^4
+Monte Carlo frames per cell, ML as a sphere search at one SNR point) and
+criteria 2a and 4 take 2-3 s each.
 
 Known red: the Siegel-closure criterion for the modified complex LLL
 cannot pass.  The delta-form swap test (delta = 3/4 applied directly to
@@ -319,7 +321,8 @@ def test_ber_monotone_in_snr(sweep_mclll_caps):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive-ML guard sanity: the 16QAM 4-antenna search fits the limit.
+# ML search-space guard sanity: the 16QAM 4-antenna search (16^4 = 65,536
+# candidates, searched as a sphere search) fits ML_SEARCH_LIMIT.
 
 def test_ml_search_space_within_guard():
     c = build_constellation(16)

@@ -17,6 +17,7 @@ from lrmimo import cli, simharness
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
+from test_simharness import embedding_only_witness
 
 
 def write_channel(tmp_path, seed=0, n=4):
@@ -313,7 +314,7 @@ iterations_used: 3
 converged: False
 swap_count: 9
 unimodular: True
-factorization_error: 1.348e-15
+factorization_error: 1.310e-15
 size_reduced: False
 lll_reduced: False
 siegel_reduced: False
@@ -464,6 +465,19 @@ class TestNearSingularMatrixFile:
     @pytest.mark.parametrize("command", NEAR_SINGULAR_COMMANDS)
     def test_pivot_above_tolerance_runs(self, command, n, tmp_path, capsys):
         path = write_near_singular(tmp_path, n, 1e-11)
+        assert main([*command, "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "siegel_reduced:" in out
+        if command[0] == "reduce":
+            assert "unimodular: True" in out
+
+    @pytest.mark.parametrize("command", NEAR_SINGULAR_COMMANDS)
+    def test_embedding_only_witness_runs(self, command, tmp_path, capsys):
+        # The channel's rank test is every command's only one, so lll
+        # reduces the witness's embedding though that embedding's QR flags
+        # a pivot.
+        path = tmp_path / "witness.txt"
+        save_matrix(str(path), embedding_only_witness())
         assert main([*command, "--matrix", str(path)]) == 0
         out = capsys.readouterr().out
         assert "siegel_reduced:" in out

@@ -19,7 +19,7 @@ from lrmimo.flops import (
     instrument_caps,
     schedule_for,
 )
-from lrmimo.matcore import GaussIntMatrix, RankDeficient, qr_decompose, real_embedding
+from lrmimo.matcore import GaussIntMatrix, RankDeficient, qr_decompose
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 
@@ -470,20 +470,22 @@ class TestComplexityReport:
             complexity_report(iter(channels), [("mclll", 6)])
         assert str(report.value) == str(alone.value)
 
-    def test_embedding_only_witness_raises_the_embeddings_message(self):
+    def test_report_runs_past_the_embedding_only_witness(self):
+        # The witness passes the channel's rank test, the report's only one,
+        # so the report stops at the later rank-one channel.
         from test_simharness import embedding_only_witness  # it imports this module
 
-        witness = embedding_only_witness()
         rng = np.random.default_rng(21)
         channels = [generate_channel(4, 4, rng) for _ in range(100)]
-        channels[66] = witness
-        channels[80][:, 1] = channels[80][:, 0]  # never reached
+        channels[66] = embedding_only_witness()
+        channels[80][:, 1] = channels[80][:, 0]
         with pytest.raises(RankDeficient) as alone:
-            qr_decompose(real_embedding(witness))
+            qr_decompose(channels[80])
         for entries in ([("mclll", 6), ("lll", None)], [("fclll", 6)]):
-            with pytest.raises(RankDeficient, match="pivot 5") as report:
+            with pytest.raises(RankDeficient, match="pivot 1") as report:
                 complexity_report(iter(channels), entries)
             assert str(report.value) == str(alone.value)
+        assert complexity_report(channels[:80], [("fclll", 6)])
 
     @pytest.mark.parametrize("bad, message", [
         (np.zeros((2, 4), dtype=complex), "need rows >= cols, got 2x4"),

@@ -3,6 +3,9 @@ work) and for the Givens rotation the reduction applies after a swap."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lrmimo.matcore import (
     GaussIntMatrix,
@@ -292,6 +295,28 @@ class TestEmbedding:
             lhs = real_embedding(a @ b)
             rhs = real_embedding(a) @ real_embedding(b)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(lhs)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.sampled_from([(), (1,), (3,)]), st.integers(1, 4), st.integers(0, 2),
+           st.integers(0, 4), st.data())
+    def test_singular_values_each_twice(self, stack, n_t, extra, rank, data):
+        # The embedding of h, or of each matrix of a stack, has h's singular
+        # values, each twice: it is rank deficient exactly when h is.  A
+        # product of n_r x rank and rank x n_t factors has rank below n_t
+        # when rank < n_t.
+        def factor(rows, cols):
+            re, im = data.draw(hnp.arrays(float, (2, *stack, rows, cols),
+                                          elements=st.floats(-4, 4)))
+            return re + 1j * im
+
+        rank = min(rank, n_t)
+        h = factor(n_t + extra, rank) @ factor(rank, n_t)
+        sv = np.linalg.svd(h, compute_uv=False)
+        twice = np.repeat(sv, 2, axis=-1)  # descending, each repeated in place
+        got = np.linalg.svd(real_embedding(h), compute_uv=False)
+        assert got.shape == twice.shape
+        tol = 1e-12 * max(1.0, float(np.max(sv, initial=0.0)))
+        assert np.all(np.abs(got - twice) <= tol)
 
     def test_vector_roundtrip(self):
         x = np.array([1 + 2j, -3 + 0.5j])

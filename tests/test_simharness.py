@@ -12,7 +12,13 @@ import pytest
 from lrmimo import flops, mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
-from lrmimo.matcore import RankDeficient, qr_decompose, real_embedding
+from lrmimo.matcore import (
+    QRFactorization,
+    RankDeficient,
+    qr_decompose,
+    qr_stack,
+    real_embedding,
+)
 from lrmimo.simharness import (
     BerRecord,
     SimConfig,
@@ -25,7 +31,6 @@ from test_detect import detect_one, exhaustive_ml
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply
 from test_mimo import demodulate
-from test_reduction import reduce_once
 
 INF = float("inf")
 
@@ -142,14 +147,15 @@ class TestDraw:
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), n_t=3, n_r=4, m_s=16, seed=9)
         stds = simharness._plan(cfg, list(simharness._cells(cfg))).stds
         c = mimo.build_constellation(cfg.m_s)
-        streams = [simharness._Stream(cfg, f, stds) for f in range(frames)]
-        block = simharness._draw(cfg, stds, [stream.rng for stream in streams])
+        rngs = [simharness._frame_rng(cfg.seed, f) for f in range(frames)]
+        block = simharness._draw(cfg, stds, rngs)
+        later = [simharness._draw(cfg, stds, [rng]) for rng in rngs]
         assert block.h.shape == (frames, cfg.n_r, cfg.n_t)
         assert block.bits.shape == (frames, cfg.n_t, 1, c.bits_per_symbol)
         assert block.x.shape == (frames, cfg.n_r, len(stds))
-        for f, stream in enumerate(streams):
+        for f in range(frames):
             rng = np.random.default_rng((cfg.seed, f))
-            for drawn, row in ((block, f), (stream[1], 0)):
+            for drawn, row in ((block, f), (later[f], 0)):
                 real = rng.standard_normal((cfg.n_r, cfg.n_t))
                 imag = rng.standard_normal((cfg.n_r, cfg.n_t))
                 bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
@@ -268,7 +274,9 @@ class TestRunSweep:
 def oracle_frame(cfg, alg, cap, snr, idx):
     """Per-cell reference: redraw and re-reduce the frame for this one
     cell, as a cell-major loop does; returns (bit errors, FLOPs, redraws).
-    Every attempt draws channel, bits and base noise, at std 0 for inf.
+    Every attempt draws channel, bits and base noise, at std 0 for inf, and
+    is accepted when its channel passes ``qr_decompose``'s rank test; lll
+    reduces the accepted channel's real embedding from its untested QR.
     FLOPs are the reduction's events, counted while it runs, priced at the
     cell's schedule."""
     rng = np.random.default_rng((cfg.seed, idx))
@@ -279,25 +287,26 @@ def oracle_frame(cfg, alg, cap, snr, idx):
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
         y = h @ mimo.modulate(bits, c, cfg.n_t)
         x = y + spec.component_std * mimo.base_noise(y.shape, rng)  # std 0 for inf
-        flops = 0
         try:
-            if alg == "zf":
-                symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
-            elif alg == "ml":
-                qr_decompose(h)  # ML redraws a rank-deficient channel too
-                symbols = exhaustive_ml(h, c)(x)
-            else:
-                with pytest.MonkeyPatch.context() as mp:
-                    tally = EventTally(mp)
-                    name = alg[6:]
-                    basis = real_embedding(h) if name == "lll" else h
-                    red = reduce_once(name, basis, cap, cfg.delta)
-                symbols = detect_one(zf_lr_detector(red, c), c, x)
-                guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
-                charges = schedule_for(alg[6:], cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
-                flops = tally.flops(charges, guards).total
+            qr_decompose(h)  # the one rank test, the channel's, for every algorithm
         except RankDeficient:
             continue
+        flops = 0
+        if alg == "zf":
+            symbols = c.points[c.nearest_index(pseudo_inverse_apply(h, x))]
+        elif alg == "ml":
+            symbols = exhaustive_ml(h, c)(x)
+        else:
+            name = alg[6:]
+            basis = real_embedding(h) if name == "lll" else h
+            qr = QRFactorization(*qr_stack(basis)[:2])  # its rank flags are not read
+            with pytest.MonkeyPatch.context() as mp:
+                tally = EventTally(mp)
+                [(_, red)] = reduction.reduce_at_caps(name, basis, [cap], delta=cfg.delta, qr=qr)
+            symbols = detect_one(zf_lr_detector(red, c), c, x)
+            guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
+            charges = schedule_for(name, cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
+            flops = tally.flops(charges, guards).total
         errors = int(np.sum(bits != demodulate(symbols, c)))
         return simharness.Tally(errors, flops, redraws)
     raise AssertionError("no full-rank draw")
@@ -354,13 +363,19 @@ class TestFrameMajorEquivalence:
                 res = run_frame(cfg, alg, cap, snr, 1)
                 assert res == oracle_frame(cfg, alg, cap, snr, 1)
                 assert res.redraws == 1
-        with caplog.at_level("INFO", logger="lrmimo.simharness"):
-            assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
-        redraw_lines = [r.getMessage() for r in caplog.records
-                        if r.getMessage().endswith("channel redraws")]
-        n_cells = len(cfg.snr_db_grid) * (1 + 1 + 2 + 2 + 1)
-        assert len(redraw_lines) == n_cells
-        assert all(line.endswith(": 1 channel redraws") for line in redraw_lines)
+        # Under a pool of two, a worker process makes the forced draw; the
+        # CSV and the per-cell redraw lines are those of the serial run.
+        redraw_lines = []
+        for workers in (1, 2):
+            caplog.clear()
+            run = dataclasses.replace(cfg, workers=workers)
+            with caplog.at_level("INFO", logger="lrmimo.simharness"):
+                assert csv_text(run_sweep(run), cfg) == oracle_csv(cfg)
+            redraw_lines.append([r.getMessage() for r in caplog.records
+                                 if r.getMessage().endswith("channel redraws")])
+        assert redraw_lines[0] == redraw_lines[1]
+        assert len(redraw_lines[0]) == len(cfg.snr_db_grid) * (1 + 1 + 2 + 2 + 1)
+        assert all(line.endswith(": 1 channel redraws") for line in redraw_lines[0])
 
     def test_lll_runs_take_their_rows_of_the_block_embedding(self, monkeypatch):
         # Frame 1's first draw is rank deficient, so its row of the block's
@@ -378,9 +393,10 @@ class TestFrameMajorEquivalence:
             text = csv_text(run_sweep(cfg), cfg)
         assert text == oracle_csv(cfg)
 
-    def test_embedding_rank_test_redraws_lll_alone(self, monkeypatch, caplog):
-        # The witness passes the complex QR's rank test and its real
-        # embedding fails it, so only zf-lr-lll redraws the frame.
+    def test_embedding_only_witness_is_accepted_by_every_detector(self, monkeypatch, caplog):
+        # The witness passes the channel's rank test, the only one, though
+        # its real embedding's QR flags a pivot: no detector redraws it, and
+        # zf-lr-lll reduces its embedding.
         witness = embedding_only_witness()
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
@@ -390,13 +406,16 @@ class TestFrameMajorEquivalence:
             for snr in cfg.snr_db_grid:
                 res = run_frame(cfg, alg, cap, snr, 1)
                 assert res == oracle_frame(cfg, alg, cap, snr, 1)
-                assert res.redraws == (alg == "zf-lr-lll")
+                assert res.redraws == 0
+        bases = []
+        instrument = flops.instrument_caps
+        monkeypatch.setattr(flops, "instrument_caps", lambda name, h, caps, **kw: (
+            bases.append((name, kw["basis"])) or instrument(name, h, caps, **kw)))
         with caplog.at_level("INFO", logger="lrmimo.simharness"):
             assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
-        redraw_lines = [r.getMessage() for r in caplog.records
-                        if r.getMessage().endswith("channel redraws")]
-        assert redraw_lines == [f"cell zf-lr-lll/None/{snr}: 1 channel redraws"
-                                for snr in cfg.snr_db_grid]
+        assert not [r for r in caplog.records if "redraw" in r.getMessage()]
+        lll = [basis for name, basis in bases if name == "lll"]
+        assert np.array_equal(lll[1], real_embedding(witness))
 
     def test_noiseless_column_detects_the_accepted_attempt(self, monkeypatch):
         # Frame 1's first draw is rank deficient for every detector.  Each
@@ -449,7 +468,7 @@ class TestFrameMajorEquivalence:
     @pytest.mark.parametrize("block", [1, 64])
     def test_mixed_redraws_in_one_block_match_oracle(self, block, monkeypatch, caplog):
         # Frame 0 redraws twice for every family; frame 2's first draw is
-        # rank deficient only in its real embedding, so lll redraws it too.
+        # the witness, which every family accepts.
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         witness = embedding_only_witness()
@@ -461,24 +480,18 @@ class TestFrameMajorEquivalence:
         redraw_lines = [r.getMessage() for r in caplog.records
                         if r.getMessage().endswith("channel redraws")]
         assert redraw_lines == [
-            f"cell {alg}/{cap}/{snr}: {3 if alg == 'zf-lr-lll' else 2} channel redraws"
+            f"cell {alg}/{cap}/{snr}: 2 channel redraws"
             for alg in cfg.algorithms
             for cap in (cfg.iter_max_list if simharness._capped(alg) else (None,))
             for snr in cfg.snr_db_grid]
-        # Rejected draws are logged in basis kind, frame, attempt order,
-        # once per detector family of the kind.
+        # Each rejected draw is logged once, in frame, attempt order.
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
-        channel = [alg for alg in cfg.algorithms if alg != "zf-lr-lll"]
-        assert rejected == [f"frame {frame}: rank-deficient channel for {alg}, redrawing"
-                            for frame, algs in ((0, channel), (0, channel),
-                                                (0, ["zf-lr-lll"]), (0, ["zf-lr-lll"]),
-                                                (2, ["zf-lr-lll"]))
-                            for alg in algs]
+        assert rejected == ["frame 0: rank-deficient channel, redrawing"] * 2
 
     @pytest.mark.parametrize("algorithms", [("zf", "zf-lr-mclll"), ("ml",), ("zf-lr-lll",)])
     def test_redraw_limit_is_runtime_error(self, algorithms, monkeypatch, caplog):
-        # Every draw is rank deficient, in both bases: frame 0 gives up
-        # after _MAX_REDRAWS attempts, each rejected once per family.
+        # Every draw is rank deficient: frame 0 gives up after
+        # _MAX_REDRAWS attempts, each rejected once, whatever the families.
         draw = mimo.channel_from_normals
         monkeypatch.setattr(simharness, "channel_from_normals",
                             lambda real, imag: rank_one(draw(real, imag)))
@@ -486,13 +499,13 @@ class TestFrameMajorEquivalence:
         with pytest.raises(RuntimeError, match=r"^frame 0: 100 rank-deficient redraws$"):
             run_sweep(cfg)
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
-        assert rejected == [f"frame 0: rank-deficient channel for {alg}, redrawing"
-                            for _ in range(100) for alg in algorithms]
+        assert rejected == ["frame 0: rank-deficient channel, redrawing"] * 100
 
 
 def embedding_only_witness():
     """A 4x4 channel that passes the complex QR's rank test and whose real
-    embedding fails it."""
+    embedding's QR flags a pivot.  The embedding has the channel's singular
+    values, each twice, so the flag is an artefact of that QR."""
     rng = np.random.default_rng((4, 4))
     witness = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * np.sqrt(0.5)
     v = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) * np.sqrt(0.5)
