@@ -97,22 +97,28 @@ def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellatio
     embedding (``lll``, doubled dimensions, integer T).  A list of
     reductions, one per frame of a block, detects the block.
 
-    The float T and the quantizer shift, which T carries exactly, are read
-    once.  The returned ``detect(x)`` solves the z-domain least squares via
-    the reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
+    Each stack is built once, by one ``np.array`` call on the snapshots'
+    columns: q^H, r_tilde (upper triangle, each frame unscaled by its own
+    exponent), and T's float form and its quantizer shift, which T carries
+    exactly.  The returned ``detect(x)`` solves the z-domain least squares
+    via the reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
     pseudo-inverse of h @ T applied to each column of x), quantizes on the
     z-domain lattice (``quantize_z_domain``), maps back through T, and
     slices, which clips any out-of-alphabet entry to the nearest
-    constellation point.  A reduction whose ``q_tilde`` has twice as many
-    rows as ``x`` was of the real embedding: it works on the stacked
-    [Re; Im] coordinates of ``x`` and folds the result back to complex.
+    constellation point.  A reduction whose q has twice as many rows as
+    ``x`` was of the real embedding: it works on the stacked [Re; Im]
+    coordinates of ``x`` and folds the result back to complex.
     """
     one = isinstance(red, ReductionResult)
     reds = [red] if one else red
-    q_h = np.stack([each.q_tilde for each in reds]).conj().swapaxes(-1, -2)
-    r_tilde = np.stack([each.r_tilde for each in reds])
-    shift = np.stack([each.t.shift for each in reds])[..., None]
-    t_float = np.stack([each.t.to_complex() for each in reds])
+    q_h = np.array([each.q_columns for each in reds], dtype=complex).conj()
+    r_cols = np.array([each.r_columns for each in reds], dtype=complex)
+    exponents = np.array([each.exponent for each in reds])[:, None, None]
+    r_tilde = ldexp(np.triu(r_cols.swapaxes(-1, -2)), exponents)
+    shift = np.array([(each.t.shift_re, each.t.shift_im) for each in reds], dtype=float)
+    shift = (shift[:, 0] + 1j * shift[:, 1])[..., None]
+    t_parts = np.array([(each.t.re, each.t.im) for each in reds], dtype=float).swapaxes(-1, -2)
+    t_float = np.ascontiguousarray(t_parts[:, 0] + 1j * t_parts[:, 1])
 
     def detect(x) -> np.ndarray:
         x = x[None] if one else x

@@ -209,14 +209,18 @@ class GaussIntMatrix:
         the shift takes the inverse row operation
         ``shift[l] += (mu_re + i*mu_im) * shift[k]``.  A real mu
         (``mu_im == 0``, every update of a real basis and most complex
-        ones) skips the cross terms, which it would multiply by zero."""
+        ones) skips the cross terms, which it would multiply by zero; when
+        column l's imaginary part is also all zero (every update of a real
+        T), it leaves column k's imaginary part as it is, which the update
+        would not change."""
         re, im = self.re, self.im
         lr, li = re[l], im[l]
         sr, si = self.shift_re, self.shift_im
         kr, ki = sr[k], si[k]
         if not mu_im:
             re[k] = tuple([a - mu_re * b for a, b in zip(re[k], lr)])
-            im[k] = tuple([a - mu_re * c for a, c in zip(im[k], li)])
+            if any(li):
+                im[k] = tuple([a - mu_re * c for a, c in zip(im[k], li)])
             sr[l] += mu_re * kr
             si[l] += mu_re * ki
             return

@@ -24,9 +24,11 @@ size step whose ratio lies well inside the rounding window to zero
 skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
 once on the basis it is given, at one delta, and snapshots it at several
-iteration caps.  Every snapshot holds (q_tilde, r_tilde, T) with T in exact
-Gaussian-integer arithmetic, one trace of the column visits and the
-number of size updates with nonzero mu.  Every decision reads r alone, so
+iteration caps.  Every snapshot holds the run's q and r as it holds them,
+in columns of Python scalars, and T in exact Gaussian-integer arithmetic,
+one trace of the column visits and the number of size updates with
+nonzero mu; the arrays q_tilde and r_tilde are built on first read.  Taking
+a snapshot copies lists and builds no array.  Every decision reads r alone, so
 a count-only run, which holds no q and no T, makes the same visits and
 snapshots only the counts.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
@@ -42,6 +44,7 @@ quotients are CPython's (Smith's method for a quotient).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,12 +98,20 @@ class ReductionResult:
     column k (addressing the pair (k-1, k)) and whether it swapped;
     ``swap_count`` and ``pivot_sum`` (the sum of the visits' k) are its
     totals, counted once by the run.  ``size_updates`` counts the
-    nonzero-mu size updates, which the trace does not show.  A count-only
-    run's snapshot holds None for ``q_tilde``, ``r_tilde`` and ``t``.
+    nonzero-mu size updates, which the trace does not show.
+
+    A snapshot holds the run's factors as it holds them: ``q_columns``
+    and ``r_columns`` are lists of columns of Python scalars, r scaled by
+    ``2**-exponent``, with its rotation residue below the diagonal.  The
+    arrays ``q_tilde`` and ``r_tilde`` (complex, residue set to zero) are
+    built from them on first read; a block's detector stacks the columns
+    of all its snapshots instead.  A count-only run's snapshot holds None
+    for the columns, ``q_tilde``, ``r_tilde`` and ``t``.
     """
 
-    q_tilde: np.ndarray | None
-    r_tilde: np.ndarray | None
+    q_columns: list | None
+    r_columns: list | None
+    exponent: int
     t: GaussIntMatrix | None
     iterations_used: int
     converged: bool
@@ -108,6 +119,20 @@ class ReductionResult:
     size_updates: int
     swap_count: int
     pivot_sum: int
+
+    @functools.cached_property
+    def q_tilde(self) -> np.ndarray | None:
+        """q as a complex (rows, n) array."""
+        if self.q_columns is None:
+            return None
+        return np.array(self.q_columns, dtype=complex).T.copy()
+
+    @functools.cached_property
+    def r_tilde(self) -> np.ndarray | None:
+        """r as a complex upper-triangular (n, n) array, unscaled."""
+        if self.r_columns is None:
+            return None
+        return ldexp(np.triu(np.array(self.r_columns, dtype=complex).T), self.exponent)
 
     @property
     def visit_swaps(self) -> list[int]:
@@ -236,17 +261,15 @@ class _Run:
             pass
 
     def result(self) -> ReductionResult:
-        """Snapshot of the run so far, with complex numpy factors for either
-        kind of basis (None for a count-only run), r's rotation residue
-        below the diagonal set to zero; later steps leave it unchanged.
-        The trace totals add only the visits since the last snapshot."""
+        """Snapshot of the run so far: its q columns (replaced by a visit,
+        never changed in place), a copy of each r column, and a copy of T
+        (None for a count-only run); later steps leave it unchanged.  The
+        trace totals add only the visits since the last snapshot."""
         new, self.counted = self.visits[self.counted:], len(self.visits)
         self.swaps += sum(swapped for _, swapped in new)
         self.pivot_sum += sum(k for k, _ in new)
-        factors = (None, None, None) if self.t is None else (
-            np.array(self.q, dtype=complex).T.copy(),
-            ldexp(np.triu(np.array(self.r, dtype=complex).T), self.exponent),
-            self.t.copy())
+        factors = (None, None, self.exponent, None) if self.t is None else (
+            list(self.q), [col[:] for col in self.r], self.exponent, self.t.copy())
         return ReductionResult(*factors, self.iterations, self.converged,
                                list(self.visits), self.size_updates, self.swaps,
                                self.pivot_sum)

@@ -29,10 +29,13 @@ values, each twice, so it is rank deficient exactly when the channel is;
 none of its rank flags.  Each reduction runs once per frame, from the
 frame's rows of its stacked basis and QR, up to the largest listed
 iteration cap, with a snapshot kept at every cap (a run capped at k
-sweeps is the prefix of one capped at K > k).  Each distinct set of
-factors then makes one detection call for the block (ML's one search
-over every frame and SNR); zero forcing and ML take the channels'
-stacked QR as it is.  Bit errors are counted per column, once per block,
+sweeps is the prefix of one capped at K > k).  Each algorithm then
+makes one detection call for the block: zero forcing and ML on the
+channels' stacked QR as it is (ML's one search over every frame and
+SNR), an LR-ZF detector on the distinct sets of its frames' cap
+snapshots (caps where every frame stands where it stood share a set),
+stacked along the frame axis against one copy of the received vectors
+per set.  Bit errors are counted per set and column, once per block,
 off the constellation's bit table.  Each frame's results are those a
 frame-by-frame loop gets.
 
@@ -73,7 +76,7 @@ from .reduction import REDUCTIONS
 logger = logging.getLogger(__name__)
 
 # Algorithm -> (the REDUCTIONS key it reduces with first, or None; its detector
-# factory, given a block's stacked QR or per-frame reductions).
+# factory, given a block's stacked QR or a list of reduction snapshots).
 DETECTORS = {"zf": (None, zf_detector),
              **{f"zf-lr-{name}": (name, zf_lr_detector) for name in REDUCTIONS},
              "ml": (None, ml_detector)}
@@ -276,14 +279,17 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
     one Tally per cell, in order.  Every detector family detects the same
     accepted attempts; zf, ml and the capped reductions start from their
-    stacked QR, and lll from one stacked QR of their real embeddings."""
+    stacked QR, and lll from one stacked QR of their real embeddings.
+    Each algorithm makes one detection call; a reduction's distinct sets
+    of cap snapshots, known by the ids of their snapshots, go in it one
+    after another, each against its own copy of x."""
     c = _constellation(cfg.m_s)
     (h, bits, x), redraws, qr = _accepted(cfg, plan, lo, hi)
     tallies = {}
     for alg, caps in plan.caps.items():
         name, detector = DETECTORS[alg]
         if name is None:
-            by_cap = {None: (qr, 0)}
+            factors, sets, cells = qr, [None], {None: (None, 0)}  # one set, one cell
         else:  # one run per frame, a snapshot per cap
             bases = h if REDUCTIONS[name].capped else real_embedding(h)
             stacked = qr if bases is h else qr_stack(bases)[:2]  # rank flags unread
@@ -291,14 +297,19 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
                                           mode=cfg.flop_mode, basis=basis,
                                           qr=QRFactorization(q, r))
                     for h_i, basis, q, r in zip(h, bases, *stacked)]
-            by_cap = {cap: ([run[cap][0] for run in runs],
-                            sum(run[cap][1].total for run in runs)) for cap in caps}
-        errors = {}  # ids of the frames' factors -> bit errors per column
-        for cap, (factors, block_flops) in by_cap.items():
-            key = tuple(map(id, factors))
-            if key not in errors:
-                wrong = c.bit_table[detector(factors, c)(x)] != bits
-                errors[key] = wrong.sum(axis=(0, 1, 3)).tolist()
+            distinct, cells = {}, {}  # ids of a cap's snapshots -> them; cap -> (ids, FLOPs)
+            for cap in caps:
+                snapshots = [run[cap][0] for run in runs]
+                key = tuple(map(id, snapshots))
+                distinct.setdefault(key, snapshots)
+                cells[cap] = key, sum(run[cap][1].total for run in runs)
+            sets = list(distinct)
+            factors = [each for snapshots in distinct.values() for each in snapshots]
+        # One call detects every distinct set, stacked along the frame axis.
+        index = detector(factors, c)(np.concatenate([x] * len(sets)))
+        wrong = c.bit_table[index.reshape(len(sets), -1, *index.shape[-2:])] != bits
+        errors = dict(zip(sets, wrong.sum(axis=(1, 2, 4)).tolist()))  # per SNR column
+        for cap, (key, block_flops) in cells.items():
             for snr, bit_errors in zip(plan.snrs, errors[key]):
                 tallies[alg, cap, snr] = Tally(bit_errors, block_flops, redraws)
     return [tallies[cell] for cell in plan.cells]

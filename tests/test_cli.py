@@ -4,9 +4,12 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -626,6 +629,20 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def load_perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``: its command lines, recorded
+    seeds and the reference rows every pass is checked against."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH = load_perfbench_workloads()
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))
     def test_ber_sweep_csv_pinned(self, args, tmp_path, capsys):
@@ -641,6 +658,19 @@ class TestPinnedOutput:
         out = tmp_path / "flops.csv"
         assert main(["flops-report", *args.split(), "--out", str(out)]) == 0
         assert sha256_of(out) == csv_digest
+
+    @pytest.mark.parametrize("workload", sorted(PERFBENCH.WORKLOADS))
+    def test_perfbench_passes_write_the_reference_rows(self, workload, tmp_path, capsys):
+        # Each benchmark pass, at its full size and for every recorded seed,
+        # writes its reference CSV byte for byte: a byte that moves fails
+        # here, before the benchmark counts the row as failed.
+        bench = PERFBENCH.WORKLOADS[workload]
+        reference = PERFBENCH.load_reference(PERFBENCH.REFERENCE_PATH)
+        out = tmp_path / "pass.csv"
+        for seed in PERFBENCH.SEEDS:
+            want = PERFBENCH.expected_lines(reference, "full", workload, seed)
+            assert main(PERFBENCH.command(bench, seed, bench.work["full"], str(out))) == 0
+            assert out.read_bytes() == "".join(line + "\n" for line in want).encode()
 
 
 @st.composite

@@ -297,6 +297,31 @@ class TestBlockDetection:
         for red, x_i, out_i in zip(reds, x, out):
             assert np.array_equal(out_i, zf_lr_detector(red, c)(x_i))
 
+    @pytest.mark.parametrize("frames", [1, 64])
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_stacked_snapshot_sets_equal_one_call_per_set(self, name, frames):
+        # Several sets of snapshots of one block (a set per cap; for the
+        # uncapped lll, a set per delta), stacked along the frame axis
+        # against as many copies of x, detect as one call per set does.
+        rng = np.random.default_rng((41, frames))
+        c = build_constellation(16)
+        hs = [generate_channel(4, 4, rng) for _ in range(frames)]
+        x = np.stack([h @ c.points[rng.integers(0, 16, (4, 3))] + 0.4 * base_noise((4, 3), rng)
+                      for h in hs])
+        entry = REDUCTIONS[name]
+        if entry.capped:
+            runs = [reduce_at_caps(name, h, [1, 2, 18]) for h in hs]
+            sets = [[run[i][1] for run in runs] for i in range(3)]
+            assert {red.converged for each in sets for red in each} == {False, True}
+        else:
+            sets = [[reduce_once(name, real_embedding(h), delta=delta) for h in hs]
+                    for delta in (0.3, 0.75, 0.99)]
+        stacked = zf_lr_detector([red for each in sets for red in each], c)(
+            np.concatenate([x] * len(sets)))
+        one_by_one = np.concatenate([zf_lr_detector(each, c)(x) for each in sets])
+        assert stacked.dtype == one_by_one.dtype
+        assert stacked.shape == one_by_one.shape and stacked.tobytes() == one_by_one.tobytes()
+
 
 class TestML:
     def test_noiseless_exact(self):

@@ -460,6 +460,28 @@ class TestGaussIntMatrix:
             assert t.shift_im[l] == before.shift_im[l] + mu * before.shift_im[k]
             assert_shift_exact(t)
 
+    def test_real_transform_matches_an_integer_reference(self):
+        # Every update of a real T has a real mu and a zero imaginary column
+        # l, so it leaves column k's imaginary part as it is: T stays the
+        # integer matrix that the same column operations give.
+        rng = np.random.default_rng(7)
+        for n in (2, 4, 8):
+            t = GaussIntMatrix.identity(n)
+            ref = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(60):
+                k, l = (int(v) for v in rng.choice(n, size=2, replace=False))
+                mu = int(rng.integers(-3, 4))
+                t.col_update(k, l, mu, 0)
+                for row in ref:
+                    row[k] -= mu * row[l]
+                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                t.swap_cols(i, j)
+                for row in ref:
+                    row[i], row[j] = row[j], row[i]
+            assert [[t.entry(i, j) for j in range(n)] for i in range(n)] == [
+                [(v, 0) for v in row] for row in ref]
+            assert_shift_exact(t)
+
     def test_entries_stay_exact_beyond_float_precision(self):
         t = GaussIntMatrix.identity(2)
         for _ in range(40):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lrmimo import reduction
 from lrmimo.flops import instrument_caps, schedule_for
-from lrmimo.matcore import QRFactorization, is_unimodular, qr_decompose, real_embedding
+from lrmimo.matcore import QRFactorization, is_unimodular, ldexp, qr_decompose, real_embedding
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
@@ -608,6 +608,43 @@ class TestSnapshotReuse:
         assert (at_m.iterations_used, at_m.converged) == (m, False)
         assert (after.iterations_used, after.converged) == (m, True)
         assert at_m.visits == after.visits
+
+
+class TestLazySnapshots:
+    """A snapshot keeps the run's columns and builds its arrays on first
+    read: they are, byte for byte, the arrays built from the run when the
+    snapshot was taken."""
+
+    @pytest.mark.parametrize("n, count", [(4, 20), (8, 4)])
+    def test_arrays_equal_the_eager_build(self, n, count, monkeypatch):
+        eager = {}  # id of a snapshot -> its arrays, built from the run as it was taken
+        take = reduction._Run.result
+
+        def result(run):
+            snap = take(run)
+            eager[id(snap)] = (np.array(run.q, dtype=complex).T.copy(),
+                               ldexp(np.triu(np.array(run.r, dtype=complex).T), run.exponent),
+                               run.t.to_complex(), run.t.shift)
+            return snap
+
+        monkeypatch.setattr(reduction._Run, "result", result)
+        for i in range(count):
+            h = generate_channel(n, n, np.random.default_rng((27, n, i)))
+            for name, entry in REDUCTIONS.items():
+                eager.clear()
+                caps = range(1, 19) if entry.capped else [None]
+                snaps = reduce_at_caps(name, entry.basis(h), caps)
+                for _, snap in snaps:
+                    got = snap.q_tilde, snap.r_tilde, snap.t.to_complex(), snap.t.shift
+                    for a, b in zip(got, eager[id(snap)]):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    assert snap.q_tilde is got[0] and snap.r_tilde is got[1]  # built once
+
+    def test_count_only_snapshot_holds_no_factors(self):
+        h = generate_channel(4, 4, np.random.default_rng(28))
+        for _, snap in reduce_at_caps("mclll", h, [1, 6], factors=False):
+            assert (snap.q_columns, snap.r_columns, snap.t) == (None, None, None)
+            assert snap.q_tilde is None and snap.r_tilde is None
 
 
 def discrete_digest(channels) -> str:

@@ -249,6 +249,29 @@ class TestRunSweep:
         run_sweep(small_cfg(frames=3, algorithms=("zf", "zf-lr-mclll"), snr_db_grid=(12.0, INF)))
         assert len(factored) == 3
 
+    def test_one_detection_call_per_algorithm_per_block(self, monkeypatch):
+        # Five frames in blocks of 2, 2 and 1: each algorithm detects a
+        # block in one call, an LR-ZF one over its distinct sets of cap
+        # snapshots, stacked along the frame axis, with a copy of x each.
+        cfg = SimConfig(snr_db_grid=(6.0, INF), frames=5, m_s=4, algorithms=simharness.ALGORITHMS,
+                        iter_max_list=(1, 2, 18), seed=8)
+        monkeypatch.setattr(simharness, "_BLOCK_FRAMES", 2)
+        calls = []
+        spy_detectors(monkeypatch, lambda alg, factors, x: calls.append((alg, factors, x)))
+        run_sweep(cfg)
+        for alg in cfg.algorithms:
+            mine = [(factors, x) for each, factors, x in calls if each == alg]
+            assert len(mine) == 3
+            for (factors, x), frames in zip(mine, (2, 2, 1)):
+                if simharness.DETECTORS[alg][0] is None:
+                    assert len(x) == len(factors.q) == frames
+                    continue
+                sets = {tuple(map(id, factors[i:i + frames]))
+                        for i in range(0, len(factors), frames)}
+                assert len(x) == len(factors) == len(sets) * frames
+                assert len(sets) <= len(cfg.iter_max_list)
+        assert any(len(x) > 2 for _, _, x in calls)  # a call that stacks several sets
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_do_not_depend_on_the_block_size(self, workers, monkeypatch):
         # 29 frames: blocks of 3 leave a partial block, in the serial range
@@ -422,7 +445,8 @@ class TestFrameMajorEquivalence:
         # reduction runs once per frame on the accepted channel, and one
         # detection call per block serves every SNR column: the inf column
         # is H s of the attempt the finite columns use, so its cells cost
-        # the same FLOPs.
+        # the same FLOPs.  An LR-ZF call detects each distinct set of cap
+        # snapshots against its own copy of the accepted columns.
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
@@ -451,8 +475,11 @@ class TestFrameMajorEquivalence:
             assert len(hs) == cfg.frames
             assert all(np.array_equal(h, want) for h, (want, _) in zip(hs, accepted))
         assert {alg for alg, _, _ in detected} == set(cfg.algorithms)
+        columns = np.stack([cols for _, cols in accepted])
         for alg, factors, x in detected:
-            assert np.array_equal(x, np.stack([cols for _, cols in accepted]))
+            copies = 1 if alg in ("zf", "ml") else len(factors) // cfg.frames
+            assert x.shape[0] == copies * cfg.frames
+            assert all(np.array_equal(each, columns) for each in np.split(x, copies))
             if alg in ("zf", "ml"):  # the accepted channels' stacked QR
                 assert np.allclose(factors.q @ factors.r, np.stack([h for h, _ in accepted]))
         by_cell = {(r.algorithm, r.iter_max, r.snr_db): r for r in records}
