@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import flops as flops_mod
-from .matcore import QRFactorization, is_unimodular, qr_decompose, qr_stack
+from .matcore import QRFactorization, is_unimodular, qr_decompose
 from .mimo import generate_channel
 from .reduction import (
     REDUCTIONS,
@@ -33,7 +33,6 @@ from .reduction import (
     is_lll_reduced,
     is_siegel_reduced,
     is_size_reduced,
-    reduce_at_caps,
 )
 from .simharness import (
     ALGORITHMS,
@@ -103,6 +102,14 @@ def _caps(text: str) -> tuple[int, ...]:
     if any(cap < 1 for cap in caps) or len(set(caps)) < len(caps):
         raise argparse.ArgumentTypeError(f"caps must be >= 1 and not repeated, got {text!r}")
     return caps
+
+
+def _seed(text: str) -> int:
+    """A generator seed, by ``SimConfig``'s rule: an integer, 0 <= seed < 2**64."""
+    seed = _parse_list(text, int)
+    if len(seed) > 1 or not 0 <= seed[0] < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"need an integer 0 <= seed < 2**64, got {text!r}")
+    return seed[0]
 
 
 def _names_from(allowed):
@@ -176,7 +183,7 @@ def build_parser() -> _Parser:
                        default="zf,zf-lr-mclll",
                        help="comma list from: " + ",".join(ALGORITHMS))
     sweep.add_argument("--delta", type=float, default=0.75)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--flop-mode", choices=("dynamic", "literal"),
                        default="dynamic")
     sweep.add_argument("--workers", type=int, default=1,
@@ -194,7 +201,7 @@ def build_parser() -> _Parser:
                      + " (lll baseline is implicit)")
     rep.add_argument("--mode", choices=("dynamic", "literal"), default="literal")
     rep.add_argument("--delta", type=float, default=0.75)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=_seed, default=0)
     rep.add_argument("--out", help="CSV path (default: text table on stdout)")
 
     red = sub.add_parser("reduce", help="reduce one matrix file")
@@ -263,17 +270,17 @@ def _cmd_reduce(args) -> int:
                          f"got {args.iter_max}")
     _check_delta(args.algorithm, args.delta)
     h = load_matrix(args.matrix)
-    qr_decompose(h)  # the one rank test, the channel's, for every reduction
-    basis = reduction.basis(h)
-    [(_, result)] = reduce_at_caps(args.algorithm, basis, [args.iter_max], delta=args.delta,
-                                   qr=QRFactorization(*qr_stack(basis)[:2]))
+    q, r = qr_decompose(h)  # the one rank test, the channel's, for every reduction
+    [runs] = flops_mod.reduce_block(args.algorithm, h[None], QRFactorization(q[None], r[None]),
+                                    [args.iter_max], delta=args.delta)
+    result, _ = runs[args.iter_max]
     t = result.t
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")
     print(f"converged: {result.converged}")
     print(f"swap_count: {result.swap_count}")
     print(f"unimodular: {is_unimodular(t)}")
-    print(f"factorization_error: {factorization_error(basis, result):.3e}")
+    print(f"factorization_error: {factorization_error(reduction.basis(h), result):.3e}")
     print(f"size_reduced: {is_size_reduced(result.r_tilde)}")
     print(f"lll_reduced: {is_lll_reduced(result.r_tilde, args.delta)}")
     print(f"siegel_reduced: {is_siegel_reduced(result.r_tilde, args.delta)}")

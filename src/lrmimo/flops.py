@@ -27,25 +27,25 @@ its rows in a complexity report are the unbounded baseline.
 and, only for an entry with a flag table (fclll), a flag-table summation
 per evaluation of its loop guard; mclll's scalar flag costs nothing.
 The reductions count nothing: ``count_flops`` reads every count off the
-``ReductionResult`` of a run and prices it at that schedule, and
-``instrument_caps`` runs a reduction and counts its FLOPs.  Counts are
+``ReductionResult`` of a run and prices it at that schedule.  Counts are
 exact integers.
 
-``complexity_report`` runs count-only, in blocks of channels of one
-shape, and its one rank test per channel is the channel's own.
+``reduce_block``, the one stage that runs reductions for every command,
+runs an entry on a stack of channels that passed their rank test and
+prices each snapshot.  ``complexity_report`` runs it count-only, in
+blocks of channels of one shape, whose rank tests are their only ones.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import statistics
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .matcore import QRFactorization, check_pivots, check_shape, qr_stack, real_embedding
+from .matcore import QRFactorization, check_pivots, check_shape, qr_stack
 from .reduction import REDUCTIONS, ReductionResult, reduce_at_caps
 
 # Channels a complexity report factors together, as the sweep's blocks of frames.
@@ -134,14 +134,12 @@ def _step_charges(w: OpWeights, rows: int, flags: int, siegel: bool) -> ChargeSc
     )
 
 
-@functools.lru_cache(maxsize=256)
 def schedule_for(algorithm: str, mode: str, n_t: int, n_r: int,
                  iter_max: int | None) -> ChargeSchedule:
     """Charge schedule for one run of ``algorithm`` on an n_r x n_t
     channel, priced by its ``REDUCTIONS`` entry.  The real-basis LLL always
     counts real executed steps; the capped complex algorithms honor
-    ``mode`` (literal needs ``iter_max``).  Memoized: a run asks for one
-    per cap."""
+    ``mode`` (literal needs ``iter_max``)."""
     entry = REDUCTIONS[algorithm]
     flags = n_t if entry.flag_table else 0
     siegel = entry.condition == "siegel"
@@ -177,31 +175,32 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule) -> FlopCounter
     )
 
 
-def instrument_caps(algorithm: str, h, caps, *, delta: float = 0.75,
-                    mode: str = "dynamic", basis=None, qr: QRFactorization | None = None,
-                    factors: bool = True) -> dict:
+def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float = 0.75,
+                 mode: str = "dynamic", factors: bool = True) -> Iterator[dict]:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once at
-    ``delta`` on the basis it takes for the complex channel ``h``
-    (``Reduction.basis``: ``h`` itself, or its real block embedding for the
-    unbounded "lll") and return ``{cap: (result, FlopCounter)}``, one entry
-    per distinct cap, each counted at its cap's schedule.  This is how
-    the sweep and the complexity report run a reduction;
-    ``instrument_caps(alg, h, [cap])[cap]`` is one run.  ``basis``, when
-    given, is that basis, so the run does not build it again.  The
-    snapshots, ``qr`` (the QR of that basis) and ``factors`` (False: a
-    count-only run, whose snapshots carry no q, r or T) are those of
-    ``reduction.reduce_at_caps``.
+    ``delta`` on each channel of ``h``, a (B, n_r, n_t) stack of channels
+    that passed their rank test, with stacked QR ``qr``, and yield
+    ``{cap: (result, FlopCounter)}`` per channel, in order, one entry per
+    distinct cap, priced at one schedule per cap.  Every command runs its
+    reductions here.  The basis is ``Reduction.basis`` of the stack: the
+    channels, from ``qr``, or lll's real embeddings, from one stacked QR
+    whose rank flags are not read; each run starts from its channel's rows.
+    The snapshots and ``factors`` (False: count-only, no q, r or T) are
+    those of ``reduction.reduce_at_caps``.  A caller that reads each
+    channel's runs as they come holds no block of snapshots, which would
+    survive into the garbage collector's oldest generation and cost a
+    full collection or two per report.
     """
     h = np.asarray(h, dtype=complex)
-    n_r, n_t = h.shape
-    if basis is None:
-        basis = REDUCTIONS[algorithm].basis(h)
-    runs = {}
-    for cap, result in reduce_at_caps(algorithm, basis, caps,
-                                      delta=delta, qr=qr, factors=factors):
-        charges = schedule_for(algorithm, mode, n_t, n_r, cap)
-        runs[cap] = result, count_flops(result, charges)
-    return runs
+    basis = REDUCTIONS[algorithm].basis(h)
+    if basis is not h:  # lll's embeddings: the channels' rank test stands for theirs
+        qr = QRFactorization(*qr_stack(basis)[:2])
+    n_r, n_t = h.shape[-2:]
+    charges = {cap: schedule_for(algorithm, mode, n_t, n_r, cap) for cap in caps}
+    for b, q, r in zip(basis, *qr):
+        run = reduce_at_caps(algorithm, b, caps, delta=delta, qr=QRFactorization(q, r),
+                             factors=factors)
+        yield {cap: (result, count_flops(result, charges[cap])) for cap, result in run}
 
 
 @dataclass(frozen=True)
@@ -225,11 +224,10 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     baseline row is prepended automatically when absent.  ``channels`` may
     be any iterable, read once, in blocks of up to ``_BLOCK_CHANNELS``
     channels of one shape (``_blocks``).  Each block gets one stacked QR
-    per basis kind: one of its channels, shared by the capped entries, and
-    one of their real embeddings for "lll".  Then each channel, in order,
-    takes its rank test (the complex one first, the embedding's at the
-    "lll" run) and every entry's runs, which start from its rows of the
-    stacks.  The report reads only FLOP counts, so its runs are
+    of its channels, which is their rank test, the only one, and every
+    entry's runs come from ``reduce_block`` on that stack; a channel that
+    fails the test raises, in channel order, once the channels before it
+    are reduced.  The report reads only FLOP counts, so its runs are
     count-only (no q, r or T).
     """
     entries = [(alg, cap) for alg, cap in entries]
@@ -260,23 +258,22 @@ def complexity_report(channels, entries, *, mode: str = "literal",
 def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
     """Count-only runs of every ``caps`` entry on each channel of ``block``,
     a list of channels of one shape, in order: each run's FLOP total goes
-    to ``totals[alg, cap]``.  The block's channels share one stacked QR,
-    and their real embeddings another; each run starts from its channel's
-    rows of its basis kind's stacks, after the channel's rank test, the
-    only one."""
+    to ``totals[alg, cap]``.  One stacked QR of the block's channels is
+    their rank test, the only one; the channels before the first that
+    fails it are reduced (``reduce_block``), and then that channel raises
+    ``qr_decompose``'s RankDeficient."""
     check_shape(block[0])
     hs = np.stack(block)
-    embedded = real_embedding(hs)
-    q_h, r_h, low_h = qr_stack(hs)
-    kinds = {True: (hs, q_h, r_h), False: (embedded, *qr_stack(embedded)[:2])}
-    for i, h in enumerate(hs):
-        check_pivots(r_h[i], low_h[i])
+    q, r, low = qr_stack(hs)
+    passed = next(iter(np.flatnonzero(low.any(axis=-1))), len(hs))
+    if passed:
         for alg, alg_caps in caps.items():
-            basis, q, r = kinds[REDUCTIONS[alg].capped]
-            runs = instrument_caps(alg, h, alg_caps, delta=delta, mode=mode, factors=False,
-                                   basis=basis[i], qr=QRFactorization(q[i], r[i]))
-            for cap in alg_caps:
-                totals[alg, cap].append(runs[cap][1].total)
+            for run in reduce_block(alg, hs[:passed], QRFactorization(q[:passed], r[:passed]),
+                                    alg_caps, delta=delta, mode=mode, factors=False):
+                for cap in alg_caps:
+                    totals[alg, cap].append(run[cap][1].total)
+    if passed < len(hs):
+        check_pivots(r[passed], low[passed])
 
 
 def _blocks(channels):

@@ -23,12 +23,15 @@ for a real basis (lll's real embedding), complex numbers otherwise.  A
 size step whose ratio lies well inside the rounding window to zero
 skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
-once on the basis it is given, at one delta, and snapshots it at several
-iteration caps.  Every snapshot holds the run's q and r as it holds them,
-in columns of Python scalars, and T in exact Gaussian-integer arithmetic,
-one trace of the column visits and the number of size updates with
-nonzero mu; the arrays q_tilde and r_tilde are built on first read.  Taking
-a snapshot copies lists and builds no array.  Every decision reads r alone, so
+once on the basis it is given, from the QR of that basis it is given, at
+one delta, and snapshots it at several iteration caps.  No reduction
+factors or rank-tests its basis: ``lrmimo.flops.reduce_block`` runs
+them on a block of channels that passed their rank test.  Every
+snapshot holds the run's q and r as it holds them, in columns of Python
+scalars, and T in exact Gaussian-integer arithmetic, one trace of the
+column visits and the number of size updates with nonzero mu; the arrays
+q_tilde and r_tilde are built on first read.  Taking a snapshot copies
+lists and builds no array.  Every decision reads r alone, so
 a count-only run, which holds no q and no T, makes the same visits and
 snapshots only the counts.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
@@ -52,14 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .matcore import (
-    GaussIntMatrix,
-    QRFactorization,
-    ldexp,
-    max_exponent,
-    qr_decompose,
-    real_embedding,
-)
+from .matcore import GaussIntMatrix, QRFactorization, ldexp, max_exponent, real_embedding
 
 # Size reduction needs |r[l, l]| above this, relative to the basis's norm.
 DIAG_TOL = 1e-14
@@ -97,7 +93,7 @@ class ReductionResult:
     ``visits`` is the one trace: per column visit, in order, the pivot
     column k (addressing the pair (k-1, k)) and whether it swapped;
     ``swap_count`` and ``pivot_sum`` (the sum of the visits' k) are its
-    totals, counted once by the run.  ``size_updates`` counts the
+    totals, kept by the run as it visits.  ``size_updates`` counts the
     nonzero-mu size updates, which the trace does not show.
 
     A snapshot holds the run's factors as it holds them: ``q_columns``
@@ -159,8 +155,9 @@ class _Run:
     visit trace and the size-update count.  The step loops advance it one
     column visit at a time; ``result`` snapshots it.  Its visits apply
     the Lovasz swap test when ``lovasz`` is true and the Siegel test
-    otherwise, at ``delta``.  ``qr``, when given, is the QR of ``basis``;
-    the run works on copies of its factors.  A count-only run
+    otherwise, at ``delta``, from ``qr``, the QR of ``basis``: the run
+    works on copies of its factors and never factors or rank-tests its
+    basis.  It adds each visit to its trace totals.  A count-only run
     (``factors=False``) holds no q and no T, and makes the same decisions.
 
     The factors are lists of columns of Python scalars: a visit reads and
@@ -177,9 +174,9 @@ class _Run:
     one they would give.
     """
 
-    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization | None = None,
+    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization,
                  *, factors: bool = True):
-        q, r = qr_decompose(basis) if qr is None else qr
+        q, r = qr
         if np.isrealobj(basis):  # the complex QR of a real basis is real
             q, r = q.real, r.real
         self.exponent = max_exponent(basis)
@@ -192,7 +189,7 @@ class _Run:
         self.t = GaussIntMatrix.identity(self.n) if factors else None
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
-        self.counted = self.swaps = self.pivot_sum = 0  # trace totals up to visit `counted`
+        self.swaps = self.pivot_sum = 0  # totals of the visit trace
         self.iterations = 0
         self.converged = False
 
@@ -252,6 +249,8 @@ class _Run:
                 self.q[k - 1] = [x * a + y * b for x, y in zip(q0, q1)]
                 self.q[k] = [y * ca - x * cb for x, y in zip(q0, q1)]
         self.visits.append((k, swap))
+        self.swaps += swap
+        self.pivot_sum += k
         return swap
 
     def advance(self, steps, cap: int | None) -> None:
@@ -263,11 +262,7 @@ class _Run:
     def result(self) -> ReductionResult:
         """Snapshot of the run so far: its q columns (replaced by a visit,
         never changed in place), a copy of each r column, and a copy of T
-        (None for a count-only run); later steps leave it unchanged.  The
-        trace totals add only the visits since the last snapshot."""
-        new, self.counted = self.visits[self.counted:], len(self.visits)
-        self.swaps += sum(swapped for _, swapped in new)
-        self.pivot_sum += sum(k for k, _ in new)
+        (None for a count-only run); later steps leave it unchanged."""
         factors = (None, None, self.exponent, None) if self.t is None else (
             list(self.q), [col[:] for col in self.r], self.exponent, self.t.copy())
         return ReductionResult(*factors, self.iterations, self.converged,
@@ -372,13 +367,14 @@ REDUCTIONS = {
 }
 
 
-def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
-                   qr: QRFactorization | None = None, factors: bool = True):
-    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis``, with
-    its entry's swap test at ``delta``, and snapshot it at every cap.  This
-    is the one way to run a reduction; a caller that starts from a complex
-    channel ``h`` passes ``REDUCTIONS[algorithm].basis(h)``.  A delta the
-    entry rejects (``Reduction.check_delta``) raises ValueError.
+def reduce_at_caps(algorithm: str, basis, caps, *, qr: QRFactorization,
+                   delta: float = 0.75, factors: bool = True):
+    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis`` from
+    ``qr``, the QR of ``basis``, with its entry's swap test at ``delta``,
+    and snapshot it at every cap.  This is the one way to run a reduction;
+    ``lrmimo.flops.reduce_block`` runs it on ``Reduction.basis`` of each
+    channel of a block.  It tests no rank.  A delta the entry rejects
+    (``Reduction.check_delta``) raises ValueError.
 
     Returns ``[(cap, result)]``, one per distinct cap.  A capped reduction
     needs finite caps >= 1 and runs up to the largest; snapshots come in
@@ -387,9 +383,7 @@ def reduce_at_caps(algorithm: str, basis, caps, *, delta: float = 0.75,
     prefix of a run capped at K > k.  The unbounded "lll" runs to
     completion and every cap (None included) gets that run.  Caps at which
     the run stands where it stood at the previous cap share that cap's
-    snapshot object; a snapshot is never mutated.  ``qr``, when
-    given, is the QR of ``basis``, so the run starts from copies of its
-    factors instead of factoring the basis again.  With ``factors=False``
+    snapshot object; a snapshot is never mutated.  With ``factors=False``
     the run is count-only: the same visits on r, with snapshots whose
     ``q_tilde``, ``r_tilde`` and ``t`` are None.
     """

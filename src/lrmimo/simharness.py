@@ -25,11 +25,11 @@ detector family (``DETECTORS`` maps each algorithm to its reduction and
 detector) sees that one accepted attempt and counts the skipped ones as
 redraws.  The channel's real block embedding has the channel's singular
 values, each twice, so it is rank deficient exactly when the channel is;
-``lll`` reduces the embeddings from one stacked QR of them and reads
-none of its rank flags.  Each reduction runs once per frame, from the
-frame's rows of its stacked basis and QR, up to the largest listed
-iteration cap, with a snapshot kept at every cap (a run capped at k
-sweeps is the prefix of one capped at K > k).  Each algorithm then
+``flops.reduce_block`` reduces ``lll``'s embeddings from one stacked QR
+of them and reads none of its rank flags.  Each reduction runs once per
+frame, from the frame's rows of its stacked basis and QR, up to the
+largest listed iteration cap, with a snapshot kept at every cap (a run
+capped at k sweeps is the prefix of one capped at K > k).  Each algorithm then
 makes one detection call for the block: zero forcing and ML on the
 channels' stacked QR as it is (ML's one search over every frame and
 SNR), an LR-ZF detector on the distinct sets of its frames' cap
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import flops
 from .detect import check_search_space, ml_detector, zf_detector, zf_lr_detector
-from .matcore import QRFactorization, qr_stack, real_embedding
+from .matcore import QRFactorization, qr_stack
 from .mimo import (
     build_constellation,
     channel_from_normals,
@@ -278,8 +278,8 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     """Run frames lo..hi-1 as one block for every (algorithm, iter_max,
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
     one Tally per cell, in order.  Every detector family detects the same
-    accepted attempts; zf, ml and the capped reductions start from their
-    stacked QR, and lll from one stacked QR of their real embeddings.
+    accepted attempts: zf and ml on their stacked QR, and each reduction
+    on the block's runs from ``flops.reduce_block`` of them.
     Each algorithm makes one detection call; a reduction's distinct sets
     of cap snapshots, known by the ids of their snapshots, go in it one
     after another, each against its own copy of x."""
@@ -291,12 +291,8 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
         if name is None:
             factors, sets, cells = qr, [None], {None: (None, 0)}  # one set, one cell
         else:  # one run per frame, a snapshot per cap
-            bases = h if REDUCTIONS[name].capped else real_embedding(h)
-            stacked = qr if bases is h else qr_stack(bases)[:2]  # rank flags unread
-            runs = [flops.instrument_caps(name, h_i, caps, delta=cfg.delta,
-                                          mode=cfg.flop_mode, basis=basis,
-                                          qr=QRFactorization(q, r))
-                    for h_i, basis, q, r in zip(h, bases, *stacked)]
+            runs = list(flops.reduce_block(name, h, qr, caps, delta=cfg.delta,
+                                           mode=cfg.flop_mode))
             distinct, cells = {}, {}  # ids of a cap's snapshots -> them; cap -> (ids, FLOPs)
             for cap in caps:
                 snapshots = [run[cap][0] for run in runs]

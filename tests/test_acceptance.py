@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from lrmimo.detect import ml_detector
-from lrmimo.flops import instrument_caps, schedule_for
+from lrmimo.flops import schedule_for
 from lrmimo.matcore import is_unimodular, qr_decompose, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
@@ -35,6 +35,7 @@ from lrmimo.reduction import (
 )
 from lrmimo.simharness import SimConfig, emit_csv, run_sweep
 from test_detect import detect_one
+from test_flops import reduce_one
 from test_reduction import reduce_once
 from test_simharness import run_frame
 
@@ -240,7 +241,7 @@ def test_criterion7_flop_gain_and_monotonicity():
     caps = (4, 5, 6, 7, 8, 9, 18)
     # One run per channel, snapshot at every cap: each snapshot is the run
     # capped there (tests/test_flops.py checks that, counters included).
-    runs = [instrument_caps("mclll", h, caps, mode="literal")
+    runs = [reduce_one("mclll", h, caps, mode="literal")
             for h in channels]
     means = {cap: float(np.mean([run[cap][1].total for run in runs])) for cap in caps}
     ratio = means[6] / means[18]
@@ -269,8 +270,8 @@ def test_criterion8_bookkeeping_saving():
     while qualifying < 100 and attempts < 1000:
         attempts += 1
         h = rayleigh(rng, 4)
-        rm, cm = instrument_caps("mclll", h, [2])[2]
-        rf, cf = instrument_caps("fclll", h, [6])[6]
+        rm, cm = reduce_one("mclll", h, [2])[2]
+        rf, cf = reduce_one("fclll", h, [6])[6]
         if rm.iterations_used < 2 or rf.iterations_used < 6:
             continue
         assert cm.flag_bookkeeping == 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmimo import cli, simharness
+from lrmimo import cli, flops, matcore, reduction, simharness
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
@@ -86,6 +86,22 @@ class TestExitCodes:
     def test_rejected_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("command", [["ber-sweep", "--frames", "1"],
+                                         ["flops-report", "--channels", "1"]])
+    def test_seed_outside_64_bits_is_usage_error(self, command, seed, capsys):
+        # Both subcommands check --seed by SimConfig's rule, 0 <= seed < 2**64.
+        assert main([*command, "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: argument --seed:" in captured.err and seed in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["ber-sweep", "--frames", "1", "--algorithms", "zf"],
+                                         ["flops-report", "--channels", "1"]])
+    def test_largest_seed_runs(self, command, capsys):
+        assert main([*command, "--nt", "2", "--nr", "2", "--seed", str(2 ** 64 - 1)]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("grid, message", [
         ("10,10.0000001", "snr points 10.0 and 10.0000001 dB both print as '10' in the CSV"),
@@ -535,6 +551,72 @@ class TestFlopsReport:
         assert re.search(r"error: pivot \d+ norm \S+ not above 1e-12 \* \|\|h\|\|_F",
                          captured.err)
         assert captured.out == ""
+
+
+class TestOneReductionStage:
+    """Every command runs its reductions through ``flops.reduce_block``, on
+    channels that passed their own rank test, the only one."""
+
+    N_R, N_T = 3, 2  # a channel's shape differs from its embedding's (6, 4)
+
+    @pytest.mark.parametrize("argv, lll_blocks", [  # lll_blocks: the sizes of lll's blocks
+        (["ber-sweep", "--ms", "4", "--snr", "10", "--frames", "70", "--iter-max", "2,6",
+          "--algorithms", "zf,zf-lr-mclll,zf-lr-fclll,zf-lr-lll"], [64, 6]),
+        (["flops-report", "--channels", "70"], [64, 6]),
+        *((["reduce", "--algorithm", name], [1] if name == "lll" else [])
+          for name in reduction.REDUCTIONS),
+    ], ids=["ber-sweep", "flops-report", *(f"reduce-{n}" for n in reduction.REDUCTIONS)])
+    def test_runs_go_through_reduce_block(self, argv, lll_blocks, tmp_path, monkeypatch,
+                                          capsys):
+        n_r, n_t = self.N_R, self.N_T
+        if argv[0] == "reduce":
+            rng = np.random.default_rng(31)
+            path = tmp_path / "h.txt"
+            save_matrix(str(path), rng.standard_normal((n_r, n_t))
+                        + 1j * rng.standard_normal((n_r, n_t)))
+            argv = [*argv, "--matrix", str(path)]
+        else:
+            argv = [*argv, "--nt", str(n_t), "--nr", str(n_r)]
+        blocks, runs, factored, embedded, tested = [], [], [], [], []
+        reduce_block, stack, embed = flops.reduce_block, flops.qr_stack, reduction.real_embedding
+        check, decompose = matcore.check_pivots, matcore.qr_decompose
+
+        def spy_block(name, h, *args, **kw):
+            out = list(reduce_block(name, h, *args, **kw))
+            blocks.append((name, len(h), len(out)))
+            return out
+
+        class Run(reduction._Run):
+            def __init__(self, *args, **kw):
+                runs.append(1)
+                super().__init__(*args, **kw)
+
+        def spy_check(r, low):
+            tested.append(np.shape(r))
+            return check(r, low)
+
+        monkeypatch.setattr(flops, "reduce_block", spy_block)
+        monkeypatch.setattr(reduction, "_Run", Run)
+        monkeypatch.setattr(flops, "qr_stack", lambda h: factored.append(np.shape(h)) or stack(h))
+        monkeypatch.setattr(reduction, "real_embedding",
+                            lambda h: embedded.append(np.shape(h)) or embed(h))
+        monkeypatch.setattr(matcore, "check_pivots", spy_check)  # qr_decompose's
+        monkeypatch.setattr(flops, "check_pivots", spy_check)
+        monkeypatch.setattr(cli, "qr_decompose",
+                            lambda h: tested.append(np.shape(h)) or decompose(h))
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Every run is one of a reduce_block call's.
+        assert runs and len(runs) == sum(count for _, _, count in blocks)
+        assert all(size == count for _, size, count in blocks)
+        # lll's block embeds its channels and factors the embeddings once.
+        assert [size for name, size, _ in blocks if name == "lll"] == lll_blocks
+        assert [s for s in embedded if len(s) == 3] == [(size, n_r, n_t) for size in lll_blocks]
+        assert [s for s in factored if s[-2:] == (2 * n_r, 2 * n_t)] == [
+            (size, 2 * n_r, 2 * n_t) for size in lll_blocks]
+        # Every rank test is a channel's.
+        assert set(tested) <= {(n_r, n_t), (n_t, n_t)}
+        assert tested or argv[0] != "reduce"
 
 
 # SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the

@@ -242,7 +242,7 @@ class TestZfLr:
         for _ in range(3):
             h = random_channel(rng, n_r, n_t)
             basis = REDUCTIONS[name].basis(h)
-            for cap, red in reduce_at_caps(name, basis, caps):
+            for cap, red in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
                 t = red.t
                 for i in range(t.n):
                     acc_re = acc_im = 0
@@ -251,7 +251,7 @@ class TestZfLr:
                         acc_re += re * t.shift_re[j] - im * t.shift_im[j]
                         acc_im += re * t.shift_im[j] + im * t.shift_re[j]
                     assert (acc_re, acc_im) == (1, 1)
-                [(_, alone)] = reduce_at_caps(name, basis, [cap])
+                [(_, alone)] = reduce_at_caps(name, basis, [cap], qr=qr_decompose(basis))
                 assert (t.re, t.im, t.shift_re, t.shift_im) == (
                     alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 
@@ -310,7 +310,7 @@ class TestBlockDetection:
                       for h in hs])
         entry = REDUCTIONS[name]
         if entry.capped:
-            runs = [reduce_at_caps(name, h, [1, 2, 18]) for h in hs]
+            runs = [reduce_at_caps(name, h, [1, 2, 18], qr=qr_decompose(h)) for h in hs]
             sets = [[run[i][1] for run in runs] for i in range(3)]
             assert {red.converged for each in sets for red in each} == {False, True}
         else:
@@ -515,9 +515,9 @@ def index_digest(n, m_s, frames) -> str:
         detectors = [("zf", None, zf_detector(qr, c))]
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
-            caps = [1, 2, 6, 18] if entry.capped else [None]
-            runs = reduce_at_caps(name, entry.basis(h), caps,
-                                  qr=qr if entry.capped else None)
+            caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
+            runs = reduce_at_caps(name, basis, caps,
+                                  qr=qr if entry.capped else qr_decompose(basis))
             detectors += [(name, cap, zf_lr_detector(red, c)) for cap, red in runs]
         for name, cap, detect in detectors:
             idx = np.concatenate([detect(x), detect(y[:, None])], axis=1)
@@ -552,8 +552,8 @@ class TestDetectedIndices:
             detectors = [zf_detector(qr, c), ml_detector(qr, c)]
             for name in sorted(REDUCTIONS):
                 entry = REDUCTIONS[name]
-                caps = [2, 18] if entry.capped else [None]
-                runs = reduce_at_caps(name, entry.basis(h), caps)
+                caps, basis = [2, 18] if entry.capped else [None], entry.basis(h)
+                runs = reduce_at_caps(name, basis, caps, qr=qr_decompose(basis))
                 detectors += [zf_lr_detector(red, c) for _, red in runs]
             for detect in detectors:
                 out = detect(x)

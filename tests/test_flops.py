@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from lrmimo import flops, reduction
+from lrmimo import flops, matcore, reduction
 from lrmimo.flops import (
     COMPLEX_WEIGHTS,
     SCALAR_WEIGHTS,
@@ -16,22 +16,37 @@ from lrmimo.flops import (
     complexity_report,
     count_flops,
     format_complexity_table,
-    instrument_caps,
+    reduce_block,
     schedule_for,
 )
-from lrmimo.matcore import GaussIntMatrix, RankDeficient, qr_decompose
+from lrmimo.matcore import (
+    GaussIntMatrix,
+    QRFactorization,
+    RankDeficient,
+    is_unimodular,
+    qr_decompose,
+)
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS, reduce_at_caps
 
 
+def reduce_one(alg, h, caps, **kw):
+    """``reduce_block`` on a stack of one, the channel ``h``, from
+    ``qr_decompose(h)``, its rank test: ``{cap: (result, FlopCounter)}``."""
+    h = np.asarray(h, dtype=complex)
+    q, r = qr_decompose(h)
+    [runs] = reduce_block(alg, h[None], QRFactorization(q[None], r[None]), caps, **kw)
+    return runs
+
+
 def instrument(alg, h, cap, mode="dynamic"):
     """One counted run of ``alg`` at ``cap``."""
-    return instrument_caps(alg, h, [cap], mode=mode)[cap]
+    return reduce_one(alg, h, [cap], mode=mode)[cap]
 
 
 def rows_priced_run_by_run(channels, entries, mode):
     """The rows of ``complexity_report(channels, entries, mode=mode)``, from
-    one full run per channel and entry, each factoring its own basis."""
+    one full run per channel and entry, each on a stack of one."""
     totals = {(alg, cap): [instrument(alg, h, cap, mode=mode)[1].total for h in channels]
               for alg, cap in entries}
     baseline = statistics.fmean(totals[("lll", None)])
@@ -294,7 +309,7 @@ class TestInstrument:
         for _ in range(20):
             h = generate_channel(4, 4, rng)
             for alg in ("mclll", "fclll"):
-                for _, counter in instrument_caps(alg, h, [1, 2], mode="literal").values():
+                for _, counter in reduce_one(alg, h, [1, 2], mode="literal").values():
                     assert counter.size_reduction == 0
 
     def test_lll_on_complex_channel_embeds(self):
@@ -316,7 +331,7 @@ class TestInstrumentCaps:
         caps = (3, 1, 18, 2)
         for _ in range(10):
             h = generate_channel(4, 4, rng)
-            runs = instrument_caps(alg, h, caps, mode=mode)
+            runs = reduce_one(alg, h, caps, mode=mode)
             for cap in caps:
                 want, want_counter = instrument(alg, h, cap, mode=mode)
                 got, got_counter = runs[cap]
@@ -327,12 +342,29 @@ class TestInstrumentCaps:
                     want.iterations_used, want.converged, want.visits)
 
 
+class TestReduceBlock:
+    def test_runs_every_entry_on_the_embedding_only_witness(self):
+        # The witness passes the channel's rank test, the only one, though
+        # its real embedding's QR flags a pivot: every entry reduces it.
+        from test_simharness import embedding_only_witness  # it imports this module
+
+        witness = embedding_only_witness()
+        caps = list(range(1, 19))
+        for alg in ("mclll", "fclll"):
+            runs = reduce_one(alg, witness, caps)
+            assert list(runs) == caps
+            assert all(is_unimodular(result.t) for result, _ in runs.values())
+        [(result, counter)] = reduce_one("lll", witness, [None]).values()
+        assert result.converged and counter.total > 0
+        assert not any(map(any, result.t.im)) and is_unimodular(result.t)
+
+
 class TestEventOracle:
     @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
     def test_counts_equal_observed_events(self, alg, monkeypatch):
         # Every snapshot of one run, priced at its entry's schedule for that
         # cap in both modes, equals the events of a run capped at that cap;
-        # so does ``instrument_caps``.  A run makes only its entry's test.
+        # so does ``reduce_block``.  A run makes only its entry's test.
         rng = np.random.default_rng(9)
         entry = REDUCTIONS[alg]
         caps = (1, 2, 3, 6, 18)
@@ -341,11 +373,12 @@ class TestEventOracle:
         for n_t, n_r in [(n, n) for n in range(1, 9)] + [(2, 4)]:
             for _ in range(3):
                 h = generate_channel(n_r, n_t, rng)
-                snapshots = dict(reduce_at_caps(alg, entry.basis(h), caps))
-                counted = {mode: instrument_caps(alg, h, caps, mode=mode) for mode in modes}
+                basis = entry.basis(h)
+                snapshots = dict(reduce_at_caps(alg, basis, caps, qr=qr_decompose(basis)))
+                counted = {mode: reduce_one(alg, h, caps, mode=mode) for mode in modes}
                 for cap in caps:
                     tally.reset()
-                    [(_, result)] = reduce_at_caps(alg, entry.basis(h), [cap])
+                    [(_, result)] = reduce_at_caps(alg, basis, [cap], qr=qr_decompose(basis))
                     guards = result.iterations_used + result.converged if alg == "fclll" else 0
                     assert tally.events["lovasz" if entry.condition == "siegel" else "siegel"] == 0
                     for mode in modes:
@@ -366,9 +399,9 @@ class TestCountOnlyRuns:
             for alg, entry in REDUCTIONS.items():
                 caps = [1, 2, 6, 18] if entry.capped else [None]
                 for mode in ("dynamic", "literal"):
-                    full = instrument_caps(alg, h, caps, mode=mode)
-                    lean = instrument_caps(alg, h, caps, mode=mode, factors=False,
-                                           qr=qr if entry.capped else None)
+                    full = reduce_one(alg, h, caps, mode=mode)
+                    [lean] = reduce_block(alg, h[None], QRFactorization(qr.q[None], qr.r[None]),
+                                          caps, mode=mode, factors=False)
                     for cap in caps:
                         (want, want_counter), (got, got_counter) = full[cap], lean[cap]
                         assert (got.visits, got.size_updates, got.iterations_used,
@@ -380,8 +413,9 @@ class TestCountOnlyRuns:
     def test_snapshots_hold_no_factors(self, alg):
         h = generate_channel(4, 4, np.random.default_rng(15))
         entry = REDUCTIONS[alg]
-        for _, res in reduce_at_caps(alg, entry.basis(h), [1, 6] if entry.capped else [None],
-                                     factors=False):
+        basis = entry.basis(h)
+        for _, res in reduce_at_caps(alg, basis, [1, 6] if entry.capped else [None],
+                                     factors=False, qr=qr_decompose(basis)):
             assert (res.q_tilde, res.r_tilde, res.t) == (None, None, None)
             assert res.visits
 
@@ -440,24 +474,30 @@ class TestComplexityReport:
 
     def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch):
         # 130 channels are blocks of 64, 64 and 2; each factors its channels,
-        # then their real embeddings, and no run factors or embeds its own.
-        shapes = []
-        stack = flops.qr_stack
+        # then embeds them and factors their real embeddings once, for lll,
+        # and no run factors or embeds its own.
+        shapes, embedded = [], []
+        stack, embed = flops.qr_stack, reduction.real_embedding
 
         def spy(h):
             shapes.append(np.shape(h))
             return stack(h)
 
+        def spy_embed(h):
+            embedded.append(np.shape(h))
+            return embed(h)
+
         def refuse(*args):
-            raise AssertionError("a run factored or embedded its own basis")
+            raise AssertionError("a run factored its own basis")
 
         monkeypatch.setattr(flops, "qr_stack", spy)
-        monkeypatch.setattr(reduction, "qr_decompose", refuse)
-        monkeypatch.setattr(reduction, "real_embedding", refuse)
+        monkeypatch.setattr(reduction, "real_embedding", spy_embed)
+        monkeypatch.setattr(matcore, "qr_decompose", refuse)
         rng = np.random.default_rng(19)
         complexity_report((generate_channel(4, 4, rng) for _ in range(130)),
                           [("mclll", 6), ("fclll", 6)])
         assert shapes == [(64, 4, 4), (64, 8, 8)] * 2 + [(2, 4, 4), (2, 8, 8)]
+        assert embedded == [(64, 4, 4)] * 2 + [(2, 4, 4)]
 
     def test_rank_deficient_channel_in_second_block_raises_its_own_message(self):
         rng = np.random.default_rng(20)
@@ -469,6 +509,18 @@ class TestComplexityReport:
         with pytest.raises(RankDeficient) as report:
             complexity_report(iter(channels), [("mclll", 6)])
         assert str(report.value) == str(alone.value)
+
+    def test_rank_deficient_first_channel_of_a_block_raises_its_own_message(self):
+        # No channel of the block comes before it, so none is reduced.
+        rng = np.random.default_rng(23)
+        channels = [generate_channel(4, 4, rng) for _ in range(70)]
+        channels[64][:, 1] = channels[64][:, 0]
+        with pytest.raises(RankDeficient) as alone:
+            qr_decompose(channels[64])
+        for entries in ([("mclll", 6)], [("fclll", 6), ("lll", None)]):
+            with pytest.raises(RankDeficient) as report:
+                complexity_report(iter(channels), entries)
+            assert str(report.value) == str(alone.value)
 
     def test_report_runs_past_the_embedding_only_witness(self):
         # The witness passes the channel's rank test, the report's only one,

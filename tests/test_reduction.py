@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrmimo import reduction
-from lrmimo.flops import instrument_caps, schedule_for
+from lrmimo.flops import schedule_for
 from lrmimo.matcore import QRFactorization, is_unimodular, ldexp, qr_decompose, real_embedding
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
@@ -22,7 +22,7 @@ from lrmimo.reduction import (
     is_size_reduced,
     reduce_at_caps,
 )
-from test_flops import EventTally
+from test_flops import EventTally, reduce_one
 from test_matcore import gram_schmidt_oracle, one_sweep
 
 
@@ -33,7 +33,7 @@ def random_complex(rng, n):
 
 def reduce_once(name, basis, cap=None, delta=0.75):
     """The run of reduction ``name`` on ``basis`` stopped at ``cap``."""
-    [(_, result)] = reduce_at_caps(name, basis, [cap], delta=delta)
+    [(_, result)] = reduce_at_caps(name, basis, [cap], delta=delta, qr=qr_decompose(basis))
     return result
 
 
@@ -75,13 +75,13 @@ class TestCheckDelta:
         with pytest.raises(ValueError, match=message):
             REDUCTIONS[name].check_delta(delta)
         with pytest.raises(ValueError, match=message):
-            reduce_at_caps(name, np.eye(2), [1], delta=delta)
+            reduce_at_caps(name, np.eye(2), [1], delta=delta, qr=qr_decompose(np.eye(2)))
 
     @pytest.mark.parametrize("name", ["fclll", "lll"])
     def test_lovasz_entries_accept_delta_at_most_half(self, name):
         for delta in (0.3, 0.5):
             REDUCTIONS[name].check_delta(delta)
-            reduce_at_caps(name, np.eye(2), [1], delta=delta)
+            reduce_at_caps(name, np.eye(2), [1], delta=delta, qr=qr_decompose(np.eye(2)))
 
 
 class TestSizeReduceColumn:
@@ -186,7 +186,8 @@ class TestVisit:
         for n in (4, 8):
             for _ in range(10):
                 basis = entry.basis(generate_channel(n, n, rng))
-                reduce_at_caps(name, basis, [18] if entry.capped else [None])
+                reduce_at_caps(name, basis, [18] if entry.capped else [None],
+                               qr=qr_decompose(basis))
 
 
 class TestRealLLL:
@@ -263,7 +264,7 @@ class TestFclll:
         assert res.converged and res.iterations_used == 0 and res.visits == []
         assert not any(tally.events.values())
         charges = schedule_for("fclll", "dynamic", 1, 1, None)
-        _, counter = instrument_caps("fclll", h, [6])[6]
+        _, counter = reduce_one("fclll", h, [6])[6]
         assert counter == tally.flops(charges, guards=1)
         assert counter.total == counter.flag_bookkeeping == charges.csflag_sum
 
@@ -394,22 +395,22 @@ class TestReductionTable:
                                     ("lll", real_embedding(h), True)):
             entry = REDUCTIONS[name]
             assert entry.condition == ("lovasz" if lovasz else "siegel")
-            run = reduction._Run(basis, 0.75, lovasz)
+            run = reduction._Run(basis, 0.75, lovasz, qr_decompose(basis))
             run.advance(entry.steps(run), 6 if entry.capped else None)
             want = run.result()
-            [(cap, got)] = reduce_at_caps(name, entry.basis(h), [6])
+            [(cap, got)] = reduce_at_caps(name, entry.basis(h), [6], qr=qr_decompose(basis))
             assert cap == 6
             assert np.array_equal(got.t.to_complex(), want.t.to_complex())
             assert (got.visits, got.converged) == (want.visits, want.converged)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            reduce_at_caps("bogus", np.eye(2), [1])
+            reduce_at_caps("bogus", np.eye(2), [1], qr=qr_decompose(np.eye(2)))
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_cap_below_one_rejected(self, name):
         with pytest.raises(ValueError):
-            reduce_at_caps(name, np.eye(2), [0])
+            reduce_at_caps(name, np.eye(2), [0], qr=qr_decompose(np.eye(2)))
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_given_qr_is_copied_not_rotated(self, name):
@@ -419,7 +420,7 @@ class TestReductionTable:
         qr = qr_decompose(h)
         q0, r0 = qr.q.copy(), qr.r.copy()
         [(_, got)] = reduce_at_caps(name, h, [18], qr=qr)
-        [(_, want)] = reduce_at_caps(name, h, [18])
+        [(_, want)] = reduce_at_caps(name, h, [18], qr=qr_decompose(h))
         assert got.swap_count > 0
         assert np.array_equal(qr.q, q0) and np.array_equal(qr.r, r0)
         assert np.array_equal(got.q_tilde, want.q_tilde)
@@ -451,8 +452,8 @@ class TestScaleInvariance:
         def runs(h):
             out = []
             for name, entry in REDUCTIONS.items():
-                caps = [1, 2, 6, 18] if entry.capped else [None]
-                for _, res in reduce_at_caps(name, entry.basis(h), caps):
+                caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
+                for _, res in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
                     out.append((res.visits, res.size_updates, res.t.re, res.t.im))
             return out
 
@@ -529,7 +530,8 @@ class TestRoundingTies:
         for i in range(1000):
             basis = real_embedding(generate_channel(4, 4, np.random.default_rng((7, i))))
             own, oracle = [reduce_at_caps("lll", basis, [None], qr=qr)[0][1]
-                           for qr in (None, QRFactorization(*gram_schmidt_oracle(basis)))]
+                           for qr in (qr_decompose(basis),
+                                      QRFactorization(*gram_schmidt_oracle(basis)))]
             assert own.visits == oracle.visits, i
             assert own.size_updates == oracle.size_updates, i
             assert (own.t.re, own.t.im) == (oracle.t.re, oracle.t.im), i
@@ -554,7 +556,7 @@ class TestScalarFastPaths:
         kind = complex if entry.capped else float
         for i in range(20):
             basis = entry.basis(generate_channel(4, 4, np.random.default_rng((24, i))))
-            run = reduction._Run(basis, 0.75, entry.condition == "lovasz")
+            run = reduction._Run(basis, 0.75, entry.condition == "lovasz", qr_decompose(basis))
             assert {type(x) for col in run.q + run.r for x in col} == {kind}
             for _ in itertools.islice(entry.steps(run), 18):
                 pass
@@ -574,7 +576,7 @@ class TestScalarFastPaths:
     def test_nan_ratio_still_raises(self, name):
         entry = REDUCTIONS[name]
         basis = entry.basis(generate_channel(4, 4, np.random.default_rng(25)))
-        run = reduction._Run(basis, 0.75, entry.condition == "lovasz")
+        run = reduction._Run(basis, 0.75, entry.condition == "lovasz", qr_decompose(basis))
         run.r[1][0] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             run.visit(1)
@@ -586,7 +588,7 @@ class TestSnapshotReuse:
         shared = 0
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            snaps = reduce_at_caps("mclll", h, [4, 6, 8, 18])
+            snaps = reduce_at_caps("mclll", h, [4, 6, 8, 18], qr=qr_decompose(h))
             for (_, a), (_, b) in zip(snaps, snaps[1:]):
                 if a is b:
                     shared += 1
@@ -604,7 +606,7 @@ class TestSnapshotReuse:
         # with no further visit.
         h = generate_channel(4, 4, np.random.default_rng(27))
         m = reduce_once("fclll", h, 1000).iterations_used
-        (_, at_m), (_, after) = reduce_at_caps("fclll", h, [m, m + 1])
+        (_, at_m), (_, after) = reduce_at_caps("fclll", h, [m, m + 1], qr=qr_decompose(h))
         assert (at_m.iterations_used, at_m.converged) == (m, False)
         assert (after.iterations_used, after.converged) == (m, True)
         assert at_m.visits == after.visits
@@ -632,8 +634,8 @@ class TestLazySnapshots:
             h = generate_channel(n, n, np.random.default_rng((27, n, i)))
             for name, entry in REDUCTIONS.items():
                 eager.clear()
-                caps = range(1, 19) if entry.capped else [None]
-                snaps = reduce_at_caps(name, entry.basis(h), caps)
+                caps, basis = range(1, 19) if entry.capped else [None], entry.basis(h)
+                snaps = reduce_at_caps(name, basis, caps, qr=qr_decompose(basis))
                 for _, snap in snaps:
                     got = snap.q_tilde, snap.r_tilde, snap.t.to_complex(), snap.t.shift
                     for a, b in zip(got, eager[id(snap)]):
@@ -642,7 +644,7 @@ class TestLazySnapshots:
 
     def test_count_only_snapshot_holds_no_factors(self):
         h = generate_channel(4, 4, np.random.default_rng(28))
-        for _, snap in reduce_at_caps("mclll", h, [1, 6], factors=False):
+        for _, snap in reduce_at_caps("mclll", h, [1, 6], factors=False, qr=qr_decompose(h)):
             assert (snap.q_columns, snap.r_columns, snap.t) == (None, None, None)
             assert snap.q_tilde is None and snap.r_tilde is None
 
@@ -655,8 +657,8 @@ def discrete_digest(channels) -> str:
     for h in channels:
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
-            caps = [1, 2, 6, 18] if entry.capped else [None]
-            for cap, res in reduce_at_caps(name, entry.basis(h), caps):
+            caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
+            for cap, res in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
                 t = res.t
                 digest.update(repr((name, cap, res.visits, res.size_updates,
                                     res.iterations_used, res.converged, t.re, t.im,
@@ -683,8 +685,9 @@ class TestDiscreteOutputs:
         for i in range(count):
             h = generate_channel(n, n, np.random.default_rng((11, n, i)))
             for name, entry in REDUCTIONS.items():
-                caps = [1, 2, 6, 18] if entry.capped else [None]
+                caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
+                qr = qr_decompose(basis)
                 for factors in (True, False):
-                    for _, res in reduce_at_caps(name, entry.basis(h), caps, factors=factors):
+                    for _, res in reduce_at_caps(name, basis, caps, qr=qr, factors=factors):
                         assert res.swap_count == sum(swapped for _, swapped in res.visits)
                         assert res.pivot_sum == sum(k for k, _ in res.visits)

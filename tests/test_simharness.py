@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from lrmimo import flops, mimo, reduction, simharness
+from lrmimo import flops, matcore, mimo, reduction, simharness
 from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import (
@@ -244,8 +244,9 @@ class TestRunSweep:
         factored = []
         qr = simharness.qr_stack
         monkeypatch.setattr(simharness, "qr_stack", lambda h: factored.extend(h) or qr(h))
-        monkeypatch.setattr(reduction, "qr_decompose",
-                            lambda h, qr=reduction.qr_decompose: factored.append(h) or qr(h))
+        monkeypatch.setattr(flops, "qr_stack", lambda h: factored.extend(h) or qr(h))
+        monkeypatch.setattr(matcore, "qr_decompose",
+                            lambda h, qr=matcore.qr_decompose: factored.append(h) or qr(h))
         run_sweep(small_cfg(frames=3, algorithms=("zf", "zf-lr-mclll"), snr_db_grid=(12.0, INF)))
         assert len(factored) == 3
 
@@ -402,19 +403,21 @@ class TestFrameMajorEquivalence:
 
     def test_lll_runs_take_their_rows_of_the_block_embedding(self, monkeypatch):
         # Frame 1's first draw is rank deficient, so its row of the block's
-        # embedding is that of the attempt it accepts; no run embeds its
-        # channel again.
+        # embedding is that of the attempt it accepts; the block embeds its
+        # accepted channels once, and no run embeds its channel again.
         cfg = SimConfig(snr_db_grid=(12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=("zf", "zf-lr-lll"), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
-
-        def refuse(h):
-            raise AssertionError("a run embedded its channel")
-
+        embedded = []
+        embed = reduction.real_embedding
         with monkeypatch.context() as mp:
-            mp.setattr(reduction, "real_embedding", refuse)
+            mp.setattr(reduction, "real_embedding",
+                       lambda h: embedded.append(np.array(h)) or embed(h))
             text = csv_text(run_sweep(cfg), cfg)
         assert text == oracle_csv(cfg)
+        assert [h.shape for h in embedded] == [(cfg.frames, cfg.n_r, cfg.n_t)]
+        for h in embedded[0]:
+            qr_decompose(h)  # every row is an accepted attempt
 
     def test_embedding_only_witness_is_accepted_by_every_detector(self, monkeypatch, caplog):
         # The witness passes the channel's rank test, the only one, though
@@ -431,9 +434,9 @@ class TestFrameMajorEquivalence:
                 assert res == oracle_frame(cfg, alg, cap, snr, 1)
                 assert res.redraws == 0
         bases = []
-        instrument = flops.instrument_caps
-        monkeypatch.setattr(flops, "instrument_caps", lambda name, h, caps, **kw: (
-            bases.append((name, kw["basis"])) or instrument(name, h, caps, **kw)))
+        run = flops.reduce_at_caps
+        monkeypatch.setattr(flops, "reduce_at_caps", lambda name, basis, caps, **kw: (
+            bases.append((name, basis)) or run(name, basis, caps, **kw)))
         with caplog.at_level("INFO", logger="lrmimo.simharness"):
             assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
         assert not [r for r in caplog.records if "redraw" in r.getMessage()]
@@ -464,16 +467,21 @@ class TestFrameMajorEquivalence:
             accepted.append((h, np.stack([y + std * noise for std in stds], axis=-1)))
             assert np.array_equal(accepted[-1][1][:, -1], y)
 
-        reduced, detected = [], []  # (name, h) of each run; (alg, factors, x) of each call
-        instrument = flops.instrument_caps
-        monkeypatch.setattr(flops, "instrument_caps", lambda name, h, caps, **kw: (
-            reduced.append((name, h)) or instrument(name, h, caps, **kw)))
+        reduced, detected = [], []  # (name, h, runs) of each block; (alg, factors, x) of each call
+        reduce_block = flops.reduce_block
+
+        def spy(name, h, *args, **kw):
+            runs = list(reduce_block(name, h, *args, **kw))
+            reduced.append((name, h, runs))
+            return runs
+
+        monkeypatch.setattr(flops, "reduce_block", spy)
         spy_detectors(monkeypatch, lambda alg, factors, x: detected.append((alg, factors, x)))
         records = run_sweep(cfg)
         for name in reduction.REDUCTIONS:
-            hs = [h for each, h in reduced if each == name]
-            assert len(hs) == cfg.frames
-            assert all(np.array_equal(h, want) for h, (want, _) in zip(hs, accepted))
+            [(h, runs)] = [(h, runs) for each, h, runs in reduced if each == name]
+            assert len(runs) == cfg.frames
+            assert np.array_equal(h, np.stack([want for want, _ in accepted]))
         assert {alg for alg, _, _ in detected} == set(cfg.algorithms)
         columns = np.stack([cols for _, cols in accepted])
         for alg, factors, x in detected:
