@@ -26,7 +26,7 @@ import numpy as np
 
 from . import flops as flops_mod
 from .matcore import QRFactorization, is_unimodular, qr_decompose
-from .mimo import generate_channel
+from .mimo import channel_from_normals
 from .reduction import (
     REDUCTIONS,
     factorization_error,
@@ -55,6 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 # Capped reductions; flops-report adds the unbounded baseline itself.
 _CAPPED_REDUCTIONS = tuple(name for name, red in REDUCTIONS.items() if red.capped)
+
+# Channels flops-report draws and factors together, as the sweep's blocks of frames.
+_BLOCK_CHANNELS = 64
 
 
 def _parse_list(text: str, cast, sep: str = ",") -> tuple:
@@ -252,8 +255,14 @@ def _cmd_flops_report(args) -> int:
         entries.extend((alg, cap) for cap in args.iter_max)
     _check_delta("lll", args.delta)  # the implicit baseline
     rng = np.random.default_rng(args.seed)
-    channels = (generate_channel(args.nr, args.nt, rng) for _ in range(args.channels))
-    rows = flops_mod.complexity_report(channels, entries, mode=args.mode,
+    # Each block draws the normals of its channels in one call, the bytes that
+    # as many mimo.generate_channel calls draw: each channel's real parts,
+    # then its imaginary parts.
+    sizes = (min(_BLOCK_CHANNELS, args.channels - lo)
+             for lo in range(0, args.channels, _BLOCK_CHANNELS))
+    blocks = (channel_from_normals(*rng.standard_normal((size, 2, args.nr, args.nt))
+                                   .swapaxes(0, 1)) for size in sizes)
+    rows = flops_mod.complexity_report(blocks, entries, mode=args.mode,
                                        delta=args.delta)
     with _output(args.out) as out:
         if args.out:

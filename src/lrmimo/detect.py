@@ -9,15 +9,16 @@ quantizer (Gaussian rounding for a complex estimate, per-component
 rounding for a real one) and reads its shift off the transform T, which
 carries it exactly.
 
-Each ``*_detector`` does the work that depends only on the channel (or on
-its reduction) once and returns ``detect(x)``.  ``x`` is an (n_r, k)
-matrix with one received vector per column (the sweep passes one column
-per SNR point), and ``detect`` returns the (n_t, k) int array of detected
+Each ``*_detector`` does the work that depends only on the channels (or
+on their reductions) once and returns ``detect(x)``.  ``x`` is a
+(B, n_r, k) stack, one frame's (n_r, k) matrix per prepared channel,
+with one received vector per column (the sweep passes one column per SNR
+point), and ``detect`` returns the (B, n_t, k) int array of detected
 constellation indices: it slices once, and the caller reads bits off the
-constellation's bit table.  Zero forcing and ML take the channel's QR, so
-a caller can share one between them.  Prepared for a block of frames'
-factors, every detector maps a (B, n_r, k) stack of received vectors to
-(B, n_t, k) indices in one call; ML runs its B * k searches as one.
+constellation's bit table; ML runs its B * k searches as one.  Zero
+forcing and ML take the channels' QR, so a caller can share one between
+them; a QR of one (n_r, n_t) channel detects an (n_r, k) ``x`` alone.
+LR-aided zero forcing takes a list of reductions, one per frame.
 """
 
 from __future__ import annotations
@@ -91,17 +92,17 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     return c.scale * (2.0 * w - shift)
 
 
-def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellation):
-    """LR-aided zero forcing prepared for one reduction of the channel:
-    either of the complex channel (capped reductions) or of its real block
-    embedding (``lll``, doubled dimensions, integer T).  A list of
-    reductions, one per frame of a block, detects the block.
+def zf_lr_detector(reds: list[ReductionResult], c: Constellation):
+    """LR-aided zero forcing prepared for a block of frames, one reduction
+    per frame: either of the complex channel (capped reductions) or of its
+    real block embedding (``lll``, doubled dimensions, integer T).
 
     Each stack is built once, by one ``np.array`` call on the snapshots'
     columns: q^H, r_tilde (upper triangle, each frame unscaled by its own
     exponent), and T's float form and its quantizer shift, which T carries
-    exactly.  The returned ``detect(x)`` solves the z-domain least squares
-    via the reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
+    exactly.  The returned ``detect(x)``, for a (B, n_r, k) stack of
+    received vectors, solves each frame's z-domain least squares via its
+    reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
     pseudo-inverse of h @ T applied to each column of x), quantizes on the
     z-domain lattice (``quantize_z_domain``), maps back through T, and
     slices, which clips any out-of-alphabet entry to the nearest
@@ -109,8 +110,6 @@ def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellatio
     ``x`` was of the real embedding: it works on the stacked [Re; Im]
     coordinates of ``x`` and folds the result back to complex.
     """
-    one = isinstance(red, ReductionResult)
-    reds = [red] if one else red
     q_h = np.array([each.q_columns for each in reds], dtype=complex).conj()
     r_cols = np.array([each.r_columns for each in reds], dtype=complex)
     exponents = np.array([each.exponent for each in reds])[:, None, None]
@@ -121,7 +120,6 @@ def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellatio
     t_float = np.ascontiguousarray(t_parts[:, 0] + 1j * t_parts[:, 1])
 
     def detect(x) -> np.ndarray:
-        x = x[None] if one else x
         if q_h.shape[-1] == 2 * x.shape[-2]:
             z_tilde = back_substitute(r_tilde, q_h @ real_embedding_vector(x)).real
             z_q = quantize_z_domain(z_tilde, shift, c)
@@ -129,8 +127,7 @@ def zf_lr_detector(red: ReductionResult | list[ReductionResult], c: Constellatio
         else:
             z_tilde = back_substitute(r_tilde, q_h @ x)
             s_raw = t_float @ quantize_z_domain(z_tilde, shift, c)
-        index = c.nearest_index(s_raw)
-        return index[0] if one else index
+        return c.nearest_index(s_raw)
 
     return detect
 

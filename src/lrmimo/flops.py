@@ -32,8 +32,8 @@ exact integers.
 
 ``reduce_block``, the one stage that runs reductions for every command,
 runs an entry on a stack of channels that passed their rank test and
-prices each snapshot.  ``complexity_report`` runs it count-only, in
-blocks of channels of one shape, whose rank tests are their only ones.
+prices each snapshot.  ``complexity_report`` runs it count-only on each
+stack of channels it is given, whose one stacked QR is their rank test.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ import numpy as np
 
 from .matcore import QRFactorization, check_pivots, check_shape, qr_stack
 from .reduction import REDUCTIONS, ReductionResult, reduce_at_caps
-
-# Channels a complexity report factors together, as the sweep's blocks of frames.
-_BLOCK_CHANNELS = 64
 
 
 class OpWeights(NamedTuple):
@@ -215,19 +212,19 @@ class ComplexityRow:
     gain_pct: float | None
 
 
-def complexity_report(channels, entries, *, mode: str = "literal",
+def complexity_report(blocks, entries, *, mode: str = "literal",
                       delta: float = 0.75) -> list[ComplexityRow]:
     """Mean/median/max FLOPs per (algorithm, iter_max) over a channel
     sample, with relative gain versus the unbounded real-LLL baseline.
 
     ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
-    baseline row is prepended automatically when absent.  ``channels`` may
-    be any iterable, read once, in blocks of up to ``_BLOCK_CHANNELS``
-    channels of one shape (``_blocks``).  Each block gets one stacked QR
-    of its channels, which is their rank test, the only one, and every
-    entry's runs come from ``reduce_block`` on that stack; a channel that
-    fails the test raises, in channel order, once the channels before it
-    are reduced.  The report reads only FLOP counts, so its runs are
+    baseline row is prepended automatically when absent.  ``blocks`` is
+    any iterable, read once, of (B, n_r, n_t) stacks of channels; blocks
+    may differ in size and shape.  Each block gets one stacked QR of its
+    channels, which is their rank test, the only one, and every entry's
+    runs come from ``reduce_block`` on that stack; a channel that fails
+    the test raises, in channel order, once the channels before it are
+    reduced.  The report reads only FLOP counts, so its runs are
     count-only (no q, r or T).
     """
     entries = [(alg, cap) for alg, cap in entries]
@@ -238,7 +235,7 @@ def complexity_report(channels, entries, *, mode: str = "literal",
     caps: dict[str, list] = {}
     for alg, cap in totals:
         caps.setdefault(alg, []).append(cap)
-    for block in _blocks(channels):
+    for block in blocks:
         _count_block(block, caps, totals, delta=delta, mode=mode)
     if not totals[baseline_key]:
         raise ValueError("need at least one channel")
@@ -257,13 +254,13 @@ def complexity_report(channels, entries, *, mode: str = "literal",
 
 def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
     """Count-only runs of every ``caps`` entry on each channel of ``block``,
-    a list of channels of one shape, in order: each run's FLOP total goes
-    to ``totals[alg, cap]``.  One stacked QR of the block's channels is
-    their rank test, the only one; the channels before the first that
-    fails it are reduced (``reduce_block``), and then that channel raises
+    a (B, n_r, n_t) stack, in order: each run's FLOP total goes to
+    ``totals[alg, cap]``.  One stacked QR of the block's channels is their
+    rank test, the only one; the channels before the first that fails it
+    are reduced (``reduce_block``), and then that channel raises
     ``qr_decompose``'s RankDeficient."""
-    check_shape(block[0])
-    hs = np.stack(block)
+    hs = np.asarray(block, dtype=complex)
+    check_shape(hs[0])
     q, r, low = qr_stack(hs)
     passed = next(iter(np.flatnonzero(low.any(axis=-1))), len(hs))
     if passed:
@@ -274,21 +271,6 @@ def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
                     totals[alg, cap].append(run[cap][1].total)
     if passed < len(hs):
         check_pivots(r[passed], low[passed])
-
-
-def _blocks(channels):
-    """``channels`` as complex arrays, in lists of up to ``_BLOCK_CHANNELS``
-    consecutive channels of one shape: a channel whose shape differs from
-    the one before starts a new list."""
-    block = []
-    for h in channels:
-        h = np.asarray(h, dtype=complex)
-        if block and (h.shape != block[0].shape or len(block) == _BLOCK_CHANNELS):
-            yield block
-            block = []
-        block.append(h)
-    if block:
-        yield block
 
 
 def format_complexity_table(rows, mode: str) -> str:

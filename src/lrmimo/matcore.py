@@ -84,8 +84,13 @@ def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.abs(diag)
     norm = np.hypot.reduce(np.abs(h).reshape(*h.shape[:-2], -1), axis=-1, keepdims=True)
     low = ~(d > RANK_TOL * norm)
-    # Rotate row/column phases so diag(r) is real and positive.
-    ph = np.divide(diag, d, out=np.ones_like(diag), where=~low)
+    # Rotate row/column phases so diag(r) is real and positive.  numpy
+    # divides by a reciprocal, which overflows for a subnormal pivot, so the
+    # pivots are first scaled by the power of two that puts ||h||_F in
+    # [1/2, 1), which makes every pivot that passes the rank test normal;
+    # the phase is the same, bit for bit, at normal scales.
+    e = -np.frexp(norm)[1]
+    ph = np.divide(ldexp(diag, e), np.ldexp(d, e), out=np.ones_like(diag), where=~low)
     return q * ph[..., None, :], ph.conj()[..., :, None] * r, low
 
 
@@ -127,13 +132,11 @@ def check_pivots(r, low) -> None:
 
 
 def back_substitute(r, y) -> np.ndarray:
-    """Solve the upper-triangular system ``r @ z = y`` for a vector ``y``
-    or, column by column, for an (n, k) matrix of right-hand sides; leading
-    axes of ``r`` and ``y`` hold a stack of systems, solved together."""
+    """Solve the upper-triangular system ``r @ z = y``, column by column,
+    for an (n, k) matrix of right-hand sides; leading axes of ``r`` and
+    ``y`` hold a stack of systems, solved together."""
     r = np.asarray(r)
     y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        return back_substitute(r, y[:, None])[:, 0]
     z = np.zeros(y.shape, dtype=complex)
     for i in range(r.shape[-1] - 1, -1, -1):
         # Row i of r times the solved rows, a (1, n-i-1) @ (n-i-1, k) product.

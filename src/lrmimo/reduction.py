@@ -413,9 +413,11 @@ def is_size_reduced(r) -> bool:
 
     For real matrices this coincides with ``|r[l, k]| <= |r[l, l]| / 2``;
     for complex matrices the component-wise bound is what Gaussian
-    rounding can actually enforce.
+    rounding can actually enforce.  The ratios are taken on r scaled by
+    the power of two that puts its largest part in [1/2, 1): numpy
+    divides by a reciprocal, which overflows for a subnormal entry.
     """
-    r = np.asarray(r)
+    r = ldexp(r, -max_exponent(r))
     n = r.shape[1]
     bound = 0.5 + PREDICATE_TOL
     for k in range(1, n):

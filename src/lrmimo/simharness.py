@@ -32,10 +32,9 @@ largest listed iteration cap, with a snapshot kept at every cap (a run
 capped at k sweeps is the prefix of one capped at K > k).  Each algorithm then
 makes one detection call for the block: zero forcing and ML on the
 channels' stacked QR as it is (ML's one search over every frame and
-SNR), an LR-ZF detector on the distinct sets of its frames' cap
-snapshots (caps where every frame stands where it stood share a set),
+SNR), an LR-ZF detector on its frames' snapshots, one set per cap,
 stacked along the frame axis against one copy of the received vectors
-per set.  Bit errors are counted per set and column, once per block,
+per cap.  Bit errors are counted per cap and column, once per block,
 off the constellation's bit table.  Each frame's results are those a
 frame-by-frame loop gets.
 
@@ -46,7 +45,7 @@ added in frame order.
 
 Data goes only to the CSV.  The logger (stderr in the CLI) gets a
 warning for each rejected draw, in frame, attempt order, and, after the
-frame loop, one line per cell that redrew channels.
+frame loop, one line with the sweep's redraws, if it made any.
 """
 
 from __future__ import annotations
@@ -237,20 +236,20 @@ class _Plan(NamedTuple):
 
     cells: list              # (algorithm, iter_max, snr_db), output order
     caps: dict[str, list]    # algorithm -> its iter_max values
-    snrs: tuple              # the SNR of each received-vector column
-    stds: np.ndarray         # noise std of each column, 0 for inf
+    stds: np.ndarray         # noise std of each SNR column, 0 for inf
 
 
-def _plan(cfg: SimConfig, cells: list) -> _Plan:
-    """The plan of ``cells``: caps and SNR columns in order of first use."""
-    caps, snrs = {}, ()
-    for alg, cap, snr in cells:
-        if cap not in caps.setdefault(alg, []):
-            caps[alg].append(cap)
-        if snr not in snrs:
-            snrs += (snr,)
-    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std for snr in snrs])
-    return _Plan(cells, caps, snrs, stds)
+def _plan(cfg: SimConfig) -> _Plan:
+    """The plan of ``cfg``: each algorithm's caps (``iter_max_list``, or
+    [None] for a cap-free detector), one received-vector column per point
+    of the SNR grid, and the cells in output order: algorithm (config
+    order), iter_max (list order), then SNR."""
+    caps = {alg: list(cfg.iter_max_list) if _capped(alg) else [None] for alg in cfg.algorithms}
+    cells = [(alg, cap, snr) for alg, alg_caps in caps.items() for cap in alg_caps
+             for snr in cfg.snr_db_grid]
+    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std
+                     for snr in cfg.snr_db_grid])
+    return _Plan(cells, caps, stds)
 
 
 def _accepted(cfg: SimConfig, plan: _Plan, lo: int, hi: int):
@@ -279,34 +278,27 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
     one Tally per cell, in order.  Every detector family detects the same
     accepted attempts: zf and ml on their stacked QR, and each reduction
-    on the block's runs from ``flops.reduce_block`` of them.
-    Each algorithm makes one detection call; a reduction's distinct sets
-    of cap snapshots, known by the ids of their snapshots, go in it one
-    after another, each against its own copy of x."""
+    on the block's runs from ``flops.reduce_block`` of them.  Each
+    algorithm makes one detection call; a reduction's snapshots go in it
+    one cap after another, each cap's against its own copy of x."""
     c = _constellation(cfg.m_s)
     (h, bits, x), redraws, qr = _accepted(cfg, plan, lo, hi)
     tallies = {}
     for alg, caps in plan.caps.items():
         name, detector = DETECTORS[alg]
         if name is None:
-            factors, sets, cells = qr, [None], {None: (None, 0)}  # one set, one cell
+            factors, cap_flops = qr, {None: 0}
         else:  # one run per frame, a snapshot per cap
             runs = list(flops.reduce_block(name, h, qr, caps, delta=cfg.delta,
                                            mode=cfg.flop_mode))
-            distinct, cells = {}, {}  # ids of a cap's snapshots -> them; cap -> (ids, FLOPs)
-            for cap in caps:
-                snapshots = [run[cap][0] for run in runs]
-                key = tuple(map(id, snapshots))
-                distinct.setdefault(key, snapshots)
-                cells[cap] = key, sum(run[cap][1].total for run in runs)
-            sets = list(distinct)
-            factors = [each for snapshots in distinct.values() for each in snapshots]
-        # One call detects every distinct set, stacked along the frame axis.
-        index = detector(factors, c)(np.concatenate([x] * len(sets)))
-        wrong = c.bit_table[index.reshape(len(sets), -1, *index.shape[-2:])] != bits
-        errors = dict(zip(sets, wrong.sum(axis=(1, 2, 4)).tolist()))  # per SNR column
-        for cap, (key, block_flops) in cells.items():
-            for snr, bit_errors in zip(plan.snrs, errors[key]):
+            factors = [run[cap][0] for cap in caps for run in runs]
+            cap_flops = {cap: sum(run[cap][1].total for run in runs) for cap in caps}
+        # One call detects every cap's snapshots, stacked along the frame axis.
+        index = detector(factors, c)(np.concatenate([x] * len(caps)))
+        wrong = c.bit_table[index.reshape(len(caps), -1, *index.shape[-2:])] != bits
+        errors = wrong.sum(axis=(1, 2, 4)).tolist()  # per cap and SNR column
+        for (cap, block_flops), cap_errors in zip(cap_flops.items(), errors):
+            for snr, bit_errors in zip(cfg.snr_db_grid, cap_errors):
                 tallies[alg, cap, snr] = Tally(bit_errors, block_flops, redraws)
     return [tallies[cell] for cell in plan.cells]
 
@@ -324,16 +316,6 @@ def _frame_chunk(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]:
                    for start in range(lo, hi, _BLOCK_FRAMES))
 
 
-def _cells(cfg: SimConfig):
-    """Deterministic cell order: algorithm (config order), iter_max (list
-    order; a single uncapped slot for cap-free detectors), then SNR."""
-    for alg in cfg.algorithms:
-        caps = cfg.iter_max_list if _capped(alg) else (None,)
-        for cap in caps:
-            for snr in cfg.snr_db_grid:
-                yield alg, cap, snr
-
-
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """Run the whole sweep and return one record per cell.
 
@@ -344,8 +326,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """
     c = _constellation(cfg.m_s)
     total_bits = cfg.frames * cfg.n_t * c.bits_per_symbol
-    cells = list(_cells(cfg))
-    plan = _plan(cfg, cells)
+    plan = _plan(cfg)
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers == 1:
         tallies = _frame_chunk(cfg, plan, 0, cfg.frames)
@@ -359,13 +340,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
             tallies = _merged(fut.result() for fut in futures)
     records = []
-    for (alg, cap, snr), tally in zip(cells, tallies):
+    for (alg, cap, snr), tally in zip(plan.cells, tallies):
         ber = tally.bit_errors / total_bits
         ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / total_bits)
         records.append(BerRecord(alg, cap, snr, cfg.frames, tally.bit_errors, ber,
                                  ci, tally.flops / cfg.frames))
-        if tally.redraws:
-            logger.info("cell %s/%s/%s: %d channel redraws", alg, cap, snr, tally.redraws)
+    if tallies and tallies[0].redraws:  # every cell counts the sweep's redraws
+        logger.info("sweep: %d channel redraws", tallies[0].redraws)
     return records
 
 

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from lrmimo import cli, flops, matcore, reduction, simharness
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
+from lrmimo.mimo import generate_channel
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
+from test_flops import rows_priced_run_by_run
 from test_simharness import embedding_only_witness
 
 
@@ -408,6 +410,32 @@ class TestReduceVerify:
         assert [line for line in got if line != error] == [
             line for line in want if not line.startswith("factorization_error")]
 
+    @pytest.mark.parametrize("exponent", [-1040, -1060])
+    @pytest.mark.parametrize("command", [
+        *(["reduce", "--algorithm", name] for name in sorted(reduction.REDUCTIONS)), ["verify"],
+    ], ids=[*(f"reduce-{name}" for name in sorted(reduction.REDUCTIONS)), "verify"])
+    @pytest.mark.parametrize("matrix", [
+        [[1, 3], [0, 2 + 1j]],
+        [[1 - 3j, 2 - 3j, -3 - 2j, 2 + 3j], [-2j, 1j, 1 + 2j, -1 - 2j],
+         [3 - 2j, -3, -2 - 2j, -1 + 3j], [-2j, -1 + 3j, -3 + 2j, -3 + 2j]],
+    ], ids=["2x2", "4x4"])
+    def test_subnormal_scale_prints_the_unscaled_lines(self, matrix, command, exponent,
+                                                       tmp_path, capsys):
+        # 2**exponent times a Gaussian-integer matrix is exact, with entries
+        # and pivots subnormal: the QR's phase fix and the predicates take
+        # their quotients at a power-of-two scale, so every line is the one
+        # the unscaled matrix prints.  Only the factorization error moves,
+        # since r is held at the input's scale.
+        lines = []
+        for scale in (0, exponent):
+            path = tmp_path / f"m{scale}.txt"
+            m = np.array(matrix, dtype=complex)
+            save_matrix(str(path), matcore.ldexp(m, scale))
+            assert main([*command, "--matrix", str(path)]) == 0
+            lines.append([line for line in capsys.readouterr().out.splitlines()
+                          if not line.startswith("factorization_error")])
+        assert lines[0] == lines[1]
+
     @pytest.mark.parametrize("algorithm", sorted(REDUCE_OUTPUT))
     def test_out_r_is_exactly_upper_triangular(self, algorithm, tmp_path, capsys):
         # A Givens rotation leaves rounding residue below the diagonal of
@@ -534,23 +562,38 @@ class TestFlopsReport:
         assert len(lines) == 1 + 1 + 2  # header + lll + mclll/fclll at cap 6
 
     def test_rank_deficient_draw_is_runtime_error(self, monkeypatch, capsys):
-        # The second of three draws repeats a column: the report stops at
+        # The second of three channels repeats a column: the report stops at
         # that channel's QR and prints no table.
-        drawn = []
-        draw = cli.generate_channel
+        draw = cli.channel_from_normals
 
-        def forced(n_r, n_t, rng):
-            drawn.append(draw(n_r, n_t, rng))
-            if len(drawn) == 2:
-                drawn[-1][:, 1] = drawn[-1][:, 0]
-            return drawn[-1]
+        def forced(real, imag):
+            block = draw(real, imag)
+            block[1][:, 1] = block[1][:, 0]
+            return block
 
-        monkeypatch.setattr(cli, "generate_channel", forced)
+        monkeypatch.setattr(cli, "channel_from_normals", forced)
         assert main(["flops-report", "--nt", "4", "--nr", "4", "--channels", "3"]) == 2
         captured = capsys.readouterr()
         assert re.search(r"error: pivot \d+ norm \S+ not above 1e-12 \* \|\|h\|\|_F",
                          captured.err)
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (3, 2)])
+    def test_blocks_of_drawn_channels_give_the_rows_priced_run_by_run(
+            self, n_r, n_t, tmp_path, capsys):
+        # 130 channels are drawn in blocks of 64, 64 and 2, with the bytes
+        # of one generate_channel call per channel from the same generator.
+        out = tmp_path / "flops.csv"
+        assert main(["flops-report", "--nt", str(n_t), "--nr", str(n_r), "--channels", "130",
+                     "--iter-max", "2,6", "--seed", "1607", "--out", str(out)]) == 0
+        rng = np.random.default_rng(1607)
+        channels = [generate_channel(n_r, n_t, rng) for _ in range(130)]
+        entries = [("lll", None)] + [(alg, cap) for alg in ("mclll", "fclll") for cap in (2, 6)]
+        want = io.StringIO()
+        flops.write_complexity_csv(rows_priced_run_by_run(channels, entries, "literal"),
+                                   want, "literal")
+        assert out.read_text() == want.getvalue()
 
 
 class TestOneReductionStage:

@@ -49,6 +49,13 @@ def detect_one(detect, c, x):
     return c.points[detect(np.asarray(x)[:, None])[:, 0]]
 
 
+def zf_lr_one(red, c):
+    """``zf_lr_detector`` prepared for a block of one frame, reduced as
+    ``red``: its ``detect(x)`` maps that frame's (n_r, k) matrix ``x``."""
+    detect = zf_lr_detector([red], c)
+    return lambda x: detect(np.asarray(x)[None])[0]
+
+
 @lru_cache(maxsize=None)
 def candidate_vectors(m_s, n_t):
     """All constellation vectors of length n_t, rows ordered
@@ -205,7 +212,7 @@ class TestZfLr:
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
             assert np.array_equal(detect_one(zf_detector(qr_decompose(h), c), c, x),
-                                  detect_one(zf_lr_detector(red, c), c, x))
+                                  detect_one(zf_lr_one(red, c), c, x))
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(5)
@@ -214,7 +221,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("mclll", h, 18)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(zf_lr_detector(red, c), c, h @ s), s)
+            assert np.array_equal(detect_one(zf_lr_one(red, c), c, h @ s), s)
 
     def test_symbols_always_in_alphabet(self):
         # Heavy noise pushes z-domain estimates off the alphabet; every
@@ -225,7 +232,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("mclll", h, 6)
             x = add_noise(h @ random_symbols(rng, c, 4), NoiseSpec(2.0), rng)
-            out = zf_lr_detector(red, c)(x[:, None])
+            out = zf_lr_one(red, c)(x[:, None])
             assert out.shape == (4, 1) and out.dtype.kind == "i"
             assert ((0 <= out) & (out < c.m_s)).all()
 
@@ -262,7 +269,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("lll", real_embedding(h))
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(zf_lr_detector(red, c), c, h @ s), s)
+            assert np.array_equal(detect_one(zf_lr_one(red, c), c, h @ s), s)
 
 
 class TestBlockDetection:
@@ -295,7 +302,7 @@ class TestBlockDetection:
         reds = [reduce_once(name, entry.basis(h), 2 if entry.capped else None) for h in hs]
         out = zf_lr_detector(reds, c)(x)
         for red, x_i, out_i in zip(reds, x, out):
-            assert np.array_equal(out_i, zf_lr_detector(red, c)(x_i))
+            assert np.array_equal(out_i, zf_lr_one(red, c)(x_i))
 
     @pytest.mark.parametrize("frames", [1, 64])
     @pytest.mark.parametrize("name", sorted(REDUCTIONS))
@@ -518,7 +525,7 @@ def index_digest(n, m_s, frames) -> str:
             caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
             runs = reduce_at_caps(name, basis, caps,
                                   qr=qr if entry.capped else qr_decompose(basis))
-            detectors += [(name, cap, zf_lr_detector(red, c)) for cap, red in runs]
+            detectors += [(name, cap, zf_lr_one(red, c)) for cap, red in runs]
         for name, cap, detect in detectors:
             idx = np.concatenate([detect(x), detect(y[:, None])], axis=1)
             digest.update(repr((name, cap, idx.tolist())).encode())
@@ -554,7 +561,7 @@ class TestDetectedIndices:
                 entry = REDUCTIONS[name]
                 caps, basis = [2, 18] if entry.capped else [None], entry.basis(h)
                 runs = reduce_at_caps(name, basis, caps, qr=qr_decompose(basis))
-                detectors += [zf_lr_detector(red, c) for _, red in runs]
+                detectors += [zf_lr_one(red, c) for _, red in runs]
             for detect in detectors:
                 out = detect(x)
                 assert out.shape == (n, len(snrs))

@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from lrmimo import flops, matcore, reduction
+from lrmimo import cli, flops, matcore, reduction
 from lrmimo.flops import (
     COMPLEX_WEIGHTS,
     SCALAR_WEIGHTS,
@@ -424,23 +424,24 @@ class TestCountOnlyRuns:
         rng = np.random.default_rng(16)
         channels = [generate_channel(4, 4, rng) for _ in range(20)]
         entries = [("lll", None), ("mclll", 2), ("mclll", 6), ("fclll", 6), ("fclll", 18)]
-        assert complexity_report(channels, entries, mode=mode) == \
+        assert complexity_report([np.stack(channels)], entries, mode=mode) == \
             rows_priced_run_by_run(channels, entries, mode)
 
     def test_channels_of_changing_shape_give_the_rows_priced_run_by_run(self):
-        # A shape change starts a new block, and a run of one shape longer
-        # than a block crosses a block boundary.
+        # Blocks may differ in shape and size, one of them above 64 channels.
         rng = np.random.default_rng(17)
-        shapes = [(4, 4)] * 3 + [(3, 2)] * 70 + [(4, 4)] * 2 + [(2, 2), (1, 1)]
-        channels = [generate_channel(n_r, n_t, rng) for n_r, n_t in shapes]
+        stacks = [np.stack([generate_channel(n_r, n_t, rng) for _ in range(size)])
+                  for size, n_r, n_t in [(3, 4, 4), (70, 3, 2), (6, 3, 2), (2, 4, 4),
+                                         (1, 2, 2), (1, 1, 1)]]
+        channels = [h for stack in stacks for h in stack]
         entries = [("mclll", 2), ("fclll", 6), ("lll", None)]
-        assert complexity_report(iter(channels), entries, mode="dynamic") == \
+        assert complexity_report(iter(stacks), entries, mode="dynamic") == \
             rows_priced_run_by_run(channels, entries, "dynamic")
 
 
 class TestComplexityReport:
     def test_single_identity_channel_rows_degenerate(self):
-        rows = complexity_report([np.eye(4)], [("mclll", 6), ("fclll", 6)])
+        rows = complexity_report([np.eye(4)[None]], [("mclll", 6), ("fclll", 6)])
         assert rows[0].algorithm == "lll" and rows[0].gain_pct is None
         for row in rows:
             assert row.mean_flops == row.median_flops == row.max_flops
@@ -449,33 +450,36 @@ class TestComplexityReport:
 
     def test_mclll_literal_gain_8x8(self):
         rng = np.random.default_rng(6)
-        channels = [generate_channel(8, 8, rng) for _ in range(100)]
-        rows = complexity_report(channels, [("mclll", 6), ("mclll", 18)],
+        channels = np.stack([generate_channel(8, 8, rng) for _ in range(100)])
+        rows = complexity_report([channels], [("mclll", 6), ("mclll", 18)],
                                  mode="literal")
         by_cap = {r.iter_max: r.mean_flops for r in rows if r.algorithm == "mclll"}
         assert by_cap[6] <= 0.70 * by_cap[18]
 
     def test_mean_monotone_in_cap(self):
         rng = np.random.default_rng(7)
-        channels = [generate_channel(4, 4, rng) for _ in range(50)]
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(50)])
         caps = (4, 6, 9, 18)
-        rows = complexity_report(channels, [("mclll", c) for c in caps],
+        rows = complexity_report([channels], [("mclll", c) for c in caps],
                                  mode="literal")
         means = [r.mean_flops for r in rows if r.algorithm == "mclll"]
         assert all(a <= b for a, b in zip(means, means[1:]))
 
     def test_one_pass_generator_gives_the_rows_of_a_list(self):
+        # However the channels are cut into blocks, the rows are the same.
         entries = [("mclll", 2), ("fclll", 6), ("mclll", 6), ("lll", None)]
         for count in (12, 1, 64, 65, 130):  # within, at and across blocks of 64
             rng = np.random.default_rng(8)
-            channels = [generate_channel(4, 4, rng) for _ in range(count)]
-            assert complexity_report((h for h in channels), entries) == \
-                complexity_report(channels, entries)
+            channels = np.stack([generate_channel(4, 4, rng) for _ in range(count)])
+            blocks = [channels[lo:lo + 64] for lo in range(0, count, 64)]
+            rows = complexity_report(iter(blocks), entries)
+            assert rows == complexity_report(blocks, entries)
+            assert rows == complexity_report([channels], entries)
 
-    def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch):
-        # 130 channels are blocks of 64, 64 and 2; each factors its channels,
-        # then embeds them and factors their real embeddings once, for lll,
-        # and no run factors or embeds its own.
+    def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch, capsys):
+        # flops-report cuts 130 channels into blocks of 64, 64 and 2; each
+        # factors its channels, then embeds them and factors their real
+        # embeddings once, for lll, and no run factors or embeds its own.
         shapes, embedded = [], []
         stack, embed = flops.qr_stack, reduction.real_embedding
 
@@ -493,33 +497,33 @@ class TestComplexityReport:
         monkeypatch.setattr(flops, "qr_stack", spy)
         monkeypatch.setattr(reduction, "real_embedding", spy_embed)
         monkeypatch.setattr(matcore, "qr_decompose", refuse)
-        rng = np.random.default_rng(19)
-        complexity_report((generate_channel(4, 4, rng) for _ in range(130)),
-                          [("mclll", 6), ("fclll", 6)])
+        assert cli.main(["flops-report", "--nt", "4", "--nr", "4", "--channels", "130",
+                         "--iter-max", "6", "--seed", "19"]) == 0
+        capsys.readouterr()
         assert shapes == [(64, 4, 4), (64, 8, 8)] * 2 + [(2, 4, 4), (2, 8, 8)]
         assert embedded == [(64, 4, 4)] * 2 + [(2, 4, 4)]
 
     def test_rank_deficient_channel_in_second_block_raises_its_own_message(self):
         rng = np.random.default_rng(20)
-        channels = [generate_channel(4, 4, rng) for _ in range(130)]
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(130)])
         channels[70][:, 1] = channels[70][:, 0]
-        channels[100] = np.zeros(4)  # never reached
+        blocks = [channels[:64], channels[64:128], np.zeros(4)]  # the last is never reached
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[70])
         with pytest.raises(RankDeficient) as report:
-            complexity_report(iter(channels), [("mclll", 6)])
+            complexity_report(iter(blocks), [("mclll", 6)])
         assert str(report.value) == str(alone.value)
 
     def test_rank_deficient_first_channel_of_a_block_raises_its_own_message(self):
         # No channel of the block comes before it, so none is reduced.
         rng = np.random.default_rng(23)
-        channels = [generate_channel(4, 4, rng) for _ in range(70)]
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(70)])
         channels[64][:, 1] = channels[64][:, 0]
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[64])
         for entries in ([("mclll", 6)], [("fclll", 6), ("lll", None)]):
             with pytest.raises(RankDeficient) as report:
-                complexity_report(iter(channels), entries)
+                complexity_report(iter([channels[:64], channels[64:]]), entries)
             assert str(report.value) == str(alone.value)
 
     def test_report_runs_past_the_embedding_only_witness(self):
@@ -528,30 +532,30 @@ class TestComplexityReport:
         from test_simharness import embedding_only_witness  # it imports this module
 
         rng = np.random.default_rng(21)
-        channels = [generate_channel(4, 4, rng) for _ in range(100)]
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(100)])
         channels[66] = embedding_only_witness()
         channels[80][:, 1] = channels[80][:, 0]
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[80])
         for entries in ([("mclll", 6), ("lll", None)], [("fclll", 6)]):
             with pytest.raises(RankDeficient, match="pivot 1") as report:
-                complexity_report(iter(channels), entries)
+                complexity_report(iter([channels[:64], channels[64:]]), entries)
             assert str(report.value) == str(alone.value)
-        assert complexity_report(channels[:80], [("fclll", 6)])
+        assert complexity_report([channels[:64], channels[64:80]], [("fclll", 6)])
 
     @pytest.mark.parametrize("bad, message", [
-        (np.zeros((2, 4), dtype=complex), "need rows >= cols, got 2x4"),
-        (np.zeros(4, dtype=complex), "expected a matrix, got ndim=1"),
+        (np.zeros((2, 2, 4), dtype=complex), "need rows >= cols, got 2x4"),
+        (np.zeros((2, 4), dtype=complex), "expected a matrix, got ndim=1"),
     ], ids=["wide", "vector"])
     def test_shape_errors_come_in_channel_order(self, bad, message):
         rng = np.random.default_rng(22)
-        channels = [generate_channel(4, 4, rng) for _ in range(70)]
-        channels[66] = bad
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(66)])
+        blocks = [channels[:64], channels[64:], bad]
         with pytest.raises(ValueError, match=message):
-            complexity_report(iter(channels), [("mclll", 6)])
+            complexity_report(iter(blocks), [("mclll", 6)])
         channels[65][:, 1] = channels[65][:, 0]  # the earlier channel's error wins
         with pytest.raises(RankDeficient, match="pivot 1"):
-            complexity_report(iter(channels), [("mclll", 6)])
+            complexity_report(iter(blocks), [("mclll", 6)])
 
     @pytest.mark.parametrize("channels", [[], iter(())], ids=["list", "iterator"])
     def test_no_channel_is_an_error(self, channels):
@@ -559,7 +563,7 @@ class TestComplexityReport:
             complexity_report(channels, [("mclll", 6)])
 
     def test_table_formatting(self):
-        rows = complexity_report([np.eye(4)], [("mclll", 6)])
+        rows = complexity_report([np.eye(4)[None]], [("mclll", 6)])
         text = format_complexity_table(rows, "literal")
         assert "algorithm" in text and "baseline" in text
         assert "mclll" in text and "lll" in text

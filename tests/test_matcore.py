@@ -65,9 +65,9 @@ def one_sweep(r, condition="siegel"):
 
 def pseudo_inverse_apply(h, x):
     """The Moore-Penrose pseudo-inverse of a full-column-rank ``h`` applied
-    to ``x`` by QR back-substitution."""
+    to the vector ``x`` by QR back-substitution."""
     q, r = qr_decompose(h)
-    return back_substitute(r, q.conj().T @ x)
+    return back_substitute(r, (q.conj().T @ x)[:, None])[:, 0]
 
 
 class TestRounding:
@@ -355,13 +355,13 @@ class TestPseudoInverse:
 
     def test_back_substitute(self):
         r = np.array([[2.0, 1.0], [0.0, 4.0]])
-        z = back_substitute(r, np.array([4.0, 8.0]))
-        assert np.allclose(z, [1.0, 2.0])
+        z = back_substitute(r, np.array([[4.0], [8.0]]))
+        assert np.allclose(z, [[1.0], [2.0]])
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (4, 7), (8, 16)])
     def test_back_substitute_matrix_is_column_solves(self, n, k):
-        # Column j of an (n, k) right-hand side solves like the vector
-        # y[:, j]: the same loop, with only the row-times-column products
+        # Column j of an (n, k) right-hand side solves like the (n, 1)
+        # y[:, [j]]: the same loop, with only the row-times-column products
         # summed as one matrix product, so agreement is to rounding.
         rng = np.random.default_rng(100 + n + k)
         r = np.triu(random_complex(rng, n, n)) + 2 * np.eye(n)
@@ -369,7 +369,7 @@ class TestPseudoInverse:
         z = back_substitute(r, y)
         assert z.shape == (n, k)
         for j in range(k):
-            assert np.allclose(z[:, j], back_substitute(r, y[:, j]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(z[:, [j]], back_substitute(r, y[:, [j]]), rtol=1e-12, atol=1e-12)
         assert np.allclose(r @ z, y, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (4, 7), (8, 3)])

@@ -1,11 +1,16 @@
-"""Tests for the package layout: every module imports on its own."""
+"""Tests for the package layout: every module imports on its own, and the
+benchmark's metric names match the package's."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lrmimo.flops import FlopCounter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,3 +35,13 @@ def test_cli_import_loads_no_process_pool():
     run_fresh("import sys, lrmimo.cli; "
               "loaded = {'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys(); "
               "assert not loaded, loaded")
+
+
+def test_benchmark_stage_flops_are_the_flop_counter_fields():
+    # The benchmark's trace mode reports one stage.<field>.flops metric per
+    # FlopCounter field, read by name; a field renamed, added or dropped
+    # here must be renamed in BENCHMARK.json too.
+    spec = json.loads((SRC.parent / "BENCHMARK.json").read_text())
+    stages = [m["name"].split(".")[1] for m in spec["per_layer"]
+              if m["name"].startswith("stage.") and m["name"].endswith(".flops")]
+    assert stages == [f.name for f in dataclasses.fields(FlopCounter)]

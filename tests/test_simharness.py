@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lrmimo import flops, matcore, mimo, reduction, simharness
-from lrmimo.detect import zf_lr_detector
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import (
     QRFactorization,
@@ -27,7 +26,7 @@ from lrmimo.simharness import (
     run_sweep,
     save_matrix,
 )
-from test_detect import detect_one, exhaustive_ml
+from test_detect import detect_one, exhaustive_ml, zf_lr_one
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply
 from test_mimo import demodulate
@@ -37,10 +36,12 @@ INF = float("inf")
 
 def run_frame(cfg, algorithm, iter_max, snr_db, frame_index):
     """One cell of one frame, as the sweep computes it: the Tally of a
-    one-frame block of that cell alone."""
-    cell = algorithm, iter_max if simharness._capped(algorithm) else None, snr_db
-    plan = simharness._plan(cfg, [cell])
-    return simharness._block_tallies(cfg, plan, frame_index, frame_index + 1)[0]
+    one-frame block of the config reduced to that cell alone."""
+    one_cell = dataclasses.replace(
+        cfg, algorithms=(algorithm,), snr_db_grid=(snr_db,),
+        iter_max_list=(iter_max,) if simharness._capped(algorithm) else cfg.iter_max_list)
+    plan = simharness._plan(one_cell)
+    return simharness._block_tallies(one_cell, plan, frame_index, frame_index + 1)[0]
 
 
 def small_cfg(**kw):
@@ -145,7 +146,7 @@ class TestDraw:
         # then imaginary).  A block of frames draws each frame's first
         # attempt; an attempt drawn after the block continues its generator.
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), n_t=3, n_r=4, m_s=16, seed=9)
-        stds = simharness._plan(cfg, list(simharness._cells(cfg))).stds
+        stds = simharness._plan(cfg).stds
         c = mimo.build_constellation(cfg.m_s)
         rngs = [simharness._frame_rng(cfg.seed, f) for f in range(frames)]
         block = simharness._draw(cfg, stds, rngs)
@@ -327,7 +328,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             with pytest.MonkeyPatch.context() as mp:
                 tally = EventTally(mp)
                 [(_, red)] = reduction.reduce_at_caps(name, basis, [cap], delta=cfg.delta, qr=qr)
-            symbols = detect_one(zf_lr_detector(red, c), c, x)
+            symbols = detect_one(zf_lr_one(red, c), c, x)
             guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
             charges = schedule_for(name, cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
             flops = tally.flops(charges, guards).total
@@ -388,7 +389,7 @@ class TestFrameMajorEquivalence:
                 assert res == oracle_frame(cfg, alg, cap, snr, 1)
                 assert res.redraws == 1
         # Under a pool of two, a worker process makes the forced draw; the
-        # CSV and the per-cell redraw lines are those of the serial run.
+        # CSV and the sweep's one redraw line are those of the serial run.
         redraw_lines = []
         for workers in (1, 2):
             caplog.clear()
@@ -397,9 +398,7 @@ class TestFrameMajorEquivalence:
                 assert csv_text(run_sweep(run), cfg) == oracle_csv(cfg)
             redraw_lines.append([r.getMessage() for r in caplog.records
                                  if r.getMessage().endswith("channel redraws")])
-        assert redraw_lines[0] == redraw_lines[1]
-        assert len(redraw_lines[0]) == len(cfg.snr_db_grid) * (1 + 1 + 2 + 2 + 1)
-        assert all(line.endswith(": 1 channel redraws") for line in redraw_lines[0])
+        assert redraw_lines[0] == redraw_lines[1] == ["sweep: 1 channel redraws"]
 
     def test_lll_runs_take_their_rows_of_the_block_embedding(self, monkeypatch):
         # Frame 1's first draw is rank deficient, so its row of the block's
@@ -448,8 +447,8 @@ class TestFrameMajorEquivalence:
         # reduction runs once per frame on the accepted channel, and one
         # detection call per block serves every SNR column: the inf column
         # is H s of the attempt the finite columns use, so its cells cost
-        # the same FLOPs.  An LR-ZF call detects each distinct set of cap
-        # snapshots against its own copy of the accepted columns.
+        # the same FLOPs.  An LR-ZF call detects each cap's snapshots
+        # against its own copy of the accepted columns.
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
@@ -485,11 +484,16 @@ class TestFrameMajorEquivalence:
         assert {alg for alg, _, _ in detected} == set(cfg.algorithms)
         columns = np.stack([cols for _, cols in accepted])
         for alg, factors, x in detected:
-            copies = 1 if alg in ("zf", "ml") else len(factors) // cfg.frames
-            assert x.shape[0] == copies * cfg.frames
-            assert all(np.array_equal(each, columns) for each in np.split(x, copies))
+            caps = cfg.iter_max_list if simharness._capped(alg) else [None]
+            assert x.shape[0] == len(caps) * cfg.frames
+            assert all(np.array_equal(each, columns) for each in np.split(x, len(caps)))
             if alg in ("zf", "ml"):  # the accepted channels' stacked QR
                 assert np.allclose(factors.q @ factors.r, np.stack([h for h, _ in accepted]))
+            else:  # the frames' snapshots, cap by cap
+                [runs] = [runs for name, _, runs in reduced if name == alg[6:]]
+                assert len(factors) == len(caps) * cfg.frames
+                assert all(got is want for got, want in zip(
+                    factors, [run[cap][0] for cap in caps for run in runs]))
         by_cell = {(r.algorithm, r.iter_max, r.snr_db): r for r in records}
         for (alg, cap, snr), record in by_cell.items():
             assert record.mean_flops == by_cell[alg, cap, INF].mean_flops
@@ -514,11 +518,7 @@ class TestFrameMajorEquivalence:
             assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
         redraw_lines = [r.getMessage() for r in caplog.records
                         if r.getMessage().endswith("channel redraws")]
-        assert redraw_lines == [
-            f"cell {alg}/{cap}/{snr}: 2 channel redraws"
-            for alg in cfg.algorithms
-            for cap in (cfg.iter_max_list if simharness._capped(alg) else (None,))
-            for snr in cfg.snr_db_grid]
+        assert redraw_lines == ["sweep: 2 channel redraws"]
         # Each rejected draw is logged once, in frame, attempt order.
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
         assert rejected == ["frame 0: rank-deficient channel, redrawing"] * 2
