@@ -29,6 +29,7 @@ from .matcore import QRFactorization, is_unimodular, qr_decompose
 from .mimo import channel_from_normals
 from .reduction import (
     REDUCTIONS,
+    factor_stacks,
     factorization_error,
     is_lll_reduced,
     is_siegel_reduced,
@@ -284,22 +285,23 @@ def _cmd_reduce(args) -> int:
                                     [args.iter_max], delta=args.delta)
     result, _ = runs[args.iter_max]
     t = result.t
+    _, [r_tilde], [t_float], _ = factor_stacks([result])
     print(f"algorithm: {args.algorithm}")
     print(f"iterations_used: {result.iterations_used}")
     print(f"converged: {result.converged}")
     print(f"swap_count: {result.swap_count}")
     print(f"unimodular: {is_unimodular(t)}")
     print(f"factorization_error: {factorization_error(reduction.basis(h), result):.3e}")
-    print(f"size_reduced: {is_size_reduced(result.r_tilde)}")
-    print(f"lll_reduced: {is_lll_reduced(result.r_tilde, args.delta)}")
-    print(f"siegel_reduced: {is_siegel_reduced(result.r_tilde, args.delta)}")
+    print(f"size_reduced: {is_size_reduced(r_tilde)}")
+    print(f"lll_reduced: {is_lll_reduced(r_tilde, args.delta)}")
+    print(f"siegel_reduced: {is_siegel_reduced(r_tilde, args.delta)}")
     print("T =")
     for i in range(t.n):
         print("  " + " ".join("{:+d}{:+d}j".format(*t.entry(i, j)) for j in range(t.n)))
     if args.out_r:
-        save_matrix(args.out_r, result.r_tilde)
+        save_matrix(args.out_r, r_tilde)
     if args.out_t:
-        save_matrix(args.out_t, t.to_complex())
+        save_matrix(args.out_t, t_float)
     return 0
 
 

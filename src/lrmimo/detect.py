@@ -18,7 +18,8 @@ constellation indices: it slices once, and the caller reads bits off the
 constellation's bit table; ML runs its B * k searches as one.  Zero
 forcing and ML take the channels' QR, so a caller can share one between
 them; a QR of one (n_r, n_t) channel detects an (n_r, k) ``x`` alone.
-LR-aided zero forcing takes a list of reductions, one per frame.
+LR-aided zero forcing takes a list of reductions, one per frame, and
+reads them only through ``reduction.factor_stacks``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .matcore import (
     round_half_away,
 )
 from .mimo import Constellation
-from .reduction import ReductionResult
+from .reduction import ReductionResult, factor_stacks
 
 ML_SEARCH_LIMIT = 2 ** 20
 
@@ -73,7 +74,7 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     Constellation points map affinely to Gaussian integers via
     ``u = (s/scale + (1+i)*ones) / 2``, so valid z-vectors are
     ``scale * (2*w - shift)`` with ``w`` Gaussian-integer and
-    ``shift = T^{-1} (1+i) ones``, which T carries as ``T.shift``.  Rounds
+    ``shift = T^{-1} (1+i) ones``, which T carries exactly.  Rounds
     ``w`` component-wise (ties away from zero, matching size reduction)
     and returns the quantized z-domain vector.  A real ``z_tilde`` is in
     stacked [Re; Im] coordinates of the real block embedding (T real),
@@ -97,9 +98,8 @@ def zf_lr_detector(reds: list[ReductionResult], c: Constellation):
     per frame: either of the complex channel (capped reductions) or of its
     real block embedding (``lll``, doubled dimensions, integer T).
 
-    Each stack is built once, by one ``np.array`` call on the snapshots'
-    columns: q^H, r_tilde (upper triangle, each frame unscaled by its own
-    exponent), and T's float form and its quantizer shift, which T carries
+    Its stacks are ``reduction.factor_stacks`` of the snapshots: q,
+    r_tilde, and T's float form and its quantizer shift, which T carries
     exactly.  The returned ``detect(x)``, for a (B, n_r, k) stack of
     received vectors, solves each frame's z-domain least squares via its
     reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
@@ -110,14 +110,9 @@ def zf_lr_detector(reds: list[ReductionResult], c: Constellation):
     ``x`` was of the real embedding: it works on the stacked [Re; Im]
     coordinates of ``x`` and folds the result back to complex.
     """
-    q_h = np.array([each.q_columns for each in reds], dtype=complex).conj()
-    r_cols = np.array([each.r_columns for each in reds], dtype=complex)
-    exponents = np.array([each.exponent for each in reds])[:, None, None]
-    r_tilde = ldexp(np.triu(r_cols.swapaxes(-1, -2)), exponents)
-    shift = np.array([(each.t.shift_re, each.t.shift_im) for each in reds], dtype=float)
-    shift = (shift[:, 0] + 1j * shift[:, 1])[..., None]
-    t_parts = np.array([(each.t.re, each.t.im) for each in reds], dtype=float).swapaxes(-1, -2)
-    t_float = np.ascontiguousarray(t_parts[:, 0] + 1j * t_parts[:, 1])
+    q, r_tilde, t_float, shift = factor_stacks(reds)
+    q_h = q.conj().swapaxes(-1, -2)
+    shift = shift[..., None]
 
     def detect(x) -> np.ndarray:
         if q_h.shape[-1] == 2 * x.shape[-2]:

@@ -31,9 +31,10 @@ The reductions count nothing: ``count_flops`` reads every count off the
 exact integers.
 
 ``reduce_block``, the one stage that runs reductions for every command,
-runs an entry on a stack of channels that passed their rank test and
-prices each snapshot.  ``complexity_report`` runs it count-only on each
-stack of channels it is given, whose one stacked QR is their rank test.
+runs an entry on a stack of channels that passed their rank test, in one
+``reduction.reduce_at_caps`` call, and prices each snapshot.
+``complexity_report`` runs it count-only on each stack of channels it is
+given, whose one stacked QR is their rank test.
 """
 
 from __future__ import annotations
@@ -179,14 +180,14 @@ def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float =
     that passed their rank test, with stacked QR ``qr``, and yield
     ``{cap: (result, FlopCounter)}`` per channel, in order, one entry per
     distinct cap, priced at one schedule per cap.  Every command runs its
-    reductions here.  The basis is ``Reduction.basis`` of the stack: the
-    channels, from ``qr``, or lll's real embeddings, from one stacked QR
-    whose rank flags are not read; each run starts from its channel's rows.
-    The snapshots and ``factors`` (False: count-only, no q, r or T) are
-    those of ``reduction.reduce_at_caps``.  A caller that reads each
-    channel's runs as they come holds no block of snapshots, which would
-    survive into the garbage collector's oldest generation and cost a
-    full collection or two per report.
+    reductions here, through one ``reduction.reduce_at_caps`` call on the
+    stack.  The basis is ``Reduction.basis`` of the stack: the channels,
+    from ``qr``, or lll's real embeddings, from one stacked QR whose rank
+    flags are not read.  The snapshots and ``factors`` (False:
+    count-only, no q, r or T) are those of ``reduce_at_caps``.  A caller
+    that reads each channel's runs as they come holds no block of
+    snapshots, which would survive into the garbage collector's oldest
+    generation and cost a full collection or two per report.
     """
     h = np.asarray(h, dtype=complex)
     basis = REDUCTIONS[algorithm].basis(h)
@@ -194,9 +195,7 @@ def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float =
         qr = QRFactorization(*qr_stack(basis)[:2])
     n_r, n_t = h.shape[-2:]
     charges = {cap: schedule_for(algorithm, mode, n_t, n_r, cap) for cap in caps}
-    for b, q, r in zip(basis, *qr):
-        run = reduce_at_caps(algorithm, b, caps, delta=delta, qr=QRFactorization(q, r),
-                             factors=factors)
+    for run in reduce_at_caps(algorithm, basis, caps, qr=qr, delta=delta, factors=factors):
         yield {cap: (result, count_flops(result, charges[cap])) for cap, result in run}
 
 

@@ -237,19 +237,6 @@ class GaussIntMatrix:
         for part in (self.re, self.im, self.shift_re, self.shift_im):
             part[i], part[j] = part[j], part[i]
 
-    def to_complex(self) -> np.ndarray:
-        """Float view of T (row-major)."""
-        re = np.array(self.re, dtype=np.float64).T
-        im = np.array(self.im, dtype=np.float64).T
-        return np.ascontiguousarray(re + 1j * im)
-
-    @property
-    def shift(self) -> np.ndarray:
-        """Float view of the shift ``T^{-1} (1+i) ones``; for a real T its
-        real part is ``T^{-1} ones``."""
-        return (np.array(self.shift_re, dtype=float)
-                + 1j * np.array(self.shift_im, dtype=float))
-
     def entry(self, i: int, j: int) -> tuple[int, int]:
         return self.re[j][i], self.im[j][i]
 

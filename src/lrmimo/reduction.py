@@ -23,17 +23,18 @@ for a real basis (lll's real embedding), complex numbers otherwise.  A
 size step whose ratio lies well inside the rounding window to zero
 skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
-once on the basis it is given, from the QR of that basis it is given, at
-one delta, and snapshots it at several iteration caps.  No reduction
-factors or rank-tests its basis: ``lrmimo.flops.reduce_block`` runs
-them on a block of channels that passed their rank test.  Every
-snapshot holds the run's q and r as it holds them, in columns of Python
-scalars, and T in exact Gaussian-integer arithmetic, one trace of the
-column visits and the number of size updates with nonzero mu; the arrays
-q_tilde and r_tilde are built on first read.  Taking a snapshot copies
-lists and builds no array.  Every decision reads r alone, so
-a count-only run, which holds no q and no T, makes the same visits and
-snapshots only the counts.  The reductions count no FLOPs:
+on each basis of a stack, from the stack's QR, at one delta, with one
+numpy set-up per stack, and snapshots each run at several iteration
+caps.  No reduction factors or rank-tests its basis:
+``lrmimo.flops.reduce_block`` runs them on a block of channels that
+passed their rank test.  Every snapshot holds the run's q and r as it
+holds them, in columns of Python scalars, and T in exact
+Gaussian-integer arithmetic, one trace of the column visits and the
+number of size updates with nonzero mu.  Taking a snapshot copies lists
+and builds no array; ``factor_stacks``, the one reader of that form,
+stacks the arrays of a list of snapshots.  Every decision reads r alone,
+so a count-only run, which holds no q and no T, makes the same visits
+and snapshots only the counts.  The reductions count no FLOPs:
 ``lrmimo.flops`` reads every count off the result a run returns.
 
 The kernel's float arithmetic is a fixed sequence of IEEE operations, so
@@ -47,7 +48,6 @@ quotients are CPython's (Smith's method for a quotient).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,26 +83,24 @@ class ZeroPivot(ValueError):
 class ReductionResult:
     """Output of a basis reduction run.
 
-    ``q_tilde @ r_tilde`` equals the input basis times ``t`` (up to float
-    roundoff), and ``r_tilde`` is exactly upper triangular; ``t`` is
-    exactly unimodular and carries the LR-ZF quantizer shift
-    ``t^{-1} (1+i) ones``.  ``iterations_used`` counts the
-    algorithm's own iteration unit: full sweeps for "mclll", single
-    column visits for "fclll" and "lll".  ``converged`` is True only when
-    the run exited through its swap flag rather than the iteration cap.
-    ``visits`` is the one trace: per column visit, in order, the pivot
-    column k (addressing the pair (k-1, k)) and whether it swapped;
-    ``swap_count`` and ``pivot_sum`` (the sum of the visits' k) are its
-    totals, kept by the run as it visits.  ``size_updates`` counts the
-    nonzero-mu size updates, which the trace does not show.
+    q @ r equals the input basis times ``t`` (up to float roundoff), and r
+    is exactly upper triangular; ``t`` is exactly unimodular and carries
+    the LR-ZF quantizer shift ``t^{-1} (1+i) ones``.  ``iterations_used``
+    counts the algorithm's own iteration unit: full sweeps for "mclll",
+    single column visits for "fclll" and "lll".  ``converged`` is True
+    only when the run exited through its swap flag rather than the
+    iteration cap.  ``visits`` is the one trace: per column visit, in
+    order, the pivot column k (addressing the pair (k-1, k)) and whether
+    it swapped; ``swap_count`` and ``pivot_sum`` (the sum of the visits'
+    k) are its totals, kept by the run as it visits.  ``size_updates``
+    counts the nonzero-mu size updates, which the trace does not show.
 
     A snapshot holds the run's factors as it holds them: ``q_columns``
     and ``r_columns`` are lists of columns of Python scalars, r scaled by
-    ``2**-exponent``, with its rotation residue below the diagonal.  The
-    arrays ``q_tilde`` and ``r_tilde`` (complex, residue set to zero) are
-    built from them on first read; a block's detector stacks the columns
-    of all its snapshots instead.  A count-only run's snapshot holds None
-    for the columns, ``q_tilde``, ``r_tilde`` and ``t``.
+    ``2**-exponent``, with its rotation residue below the diagonal.
+    ``factor_stacks`` is their one reader: it builds the arrays of a list
+    of snapshots.  A count-only run's snapshot holds None for the columns
+    and ``t``.
     """
 
     q_columns: list | None
@@ -115,20 +113,6 @@ class ReductionResult:
     size_updates: int
     swap_count: int
     pivot_sum: int
-
-    @functools.cached_property
-    def q_tilde(self) -> np.ndarray | None:
-        """q as a complex (rows, n) array."""
-        if self.q_columns is None:
-            return None
-        return np.array(self.q_columns, dtype=complex).T.copy()
-
-    @functools.cached_property
-    def r_tilde(self) -> np.ndarray | None:
-        """r as a complex upper-triangular (n, n) array, unscaled."""
-        if self.r_columns is None:
-            return None
-        return ldexp(np.triu(np.array(self.r_columns, dtype=complex).T), self.exponent)
 
     @property
     def visit_swaps(self) -> list[int]:
@@ -155,10 +139,11 @@ class _Run:
     visit trace and the size-update count.  The step loops advance it one
     column visit at a time; ``result`` snapshots it.  Its visits apply
     the Lovasz swap test when ``lovasz`` is true and the Siegel test
-    otherwise, at ``delta``, from ``qr``, the QR of ``basis``: the run
-    works on copies of its factors and never factors or rank-tests its
-    basis.  It adds each visit to its trace totals.  A count-only run
-    (``factors=False``) holds no q and no T, and makes the same decisions.
+    otherwise, at ``delta``, from the columns ``q`` and ``r`` of its
+    basis's QR and the basis's norm ``scale``, r and scale times
+    ``2**-exponent``: it never sees, factors or rank-tests its basis.  It
+    adds each visit to its trace totals.  A count-only run (``q`` None)
+    holds no q and no T, and makes the same decisions.
 
     The factors are lists of columns of Python scalars: a visit reads and
     writes single entries, which numpy does several times slower one at a
@@ -166,27 +151,19 @@ class _Run:
     a real basis has imaginary parts exactly zero, and complex otherwise.
     A real mu is applied as an int, which keeps real arithmetic real and,
     on a complex entry, is the same product as ``complex(mu, 0) * z``; so
-    both kinds make the decisions the complex arithmetic made.  r is held
-    scaled by ``2**-e``, e the binary exponent of the basis's largest part
-    (``max_exponent``), so no square in the swap tests over- or
-    underflows at any channel scale.  The scaling is exact,
-    so wherever the unscaled squares stay in range every decision is the
-    one they would give.
+    both kinds make the decisions the complex arithmetic made.  The
+    exponent is that of the basis's largest part (``max_exponent``), so no
+    square in the swap tests over- or underflows at any channel scale.
+    The scaling is exact, so wherever the unscaled squares stay in range
+    every decision is the one they would give.
     """
 
-    def __init__(self, basis, delta: float, lovasz: bool, qr: QRFactorization,
-                 *, factors: bool = True):
-        q, r = qr
-        if np.isrealobj(basis):  # the complex QR of a real basis is real
-            q, r = q.real, r.real
-        self.exponent = max_exponent(basis)
-        self.q = q.T.tolist() if factors else None
-        self.r = ldexp(r, -self.exponent).T.tolist()
-        self.n = len(self.r)
-        self.scale = math.ldexp(np.hypot.reduce(np.abs(basis), axis=None), -self.exponent)
+    def __init__(self, q, r, exponent: int, scale: float, delta: float, lovasz: bool):
+        self.q, self.r, self.exponent, self.scale = q, r, exponent, scale
+        self.n = len(r)
         self.delta = delta
         self.lovasz = lovasz
-        self.t = GaussIntMatrix.identity(self.n) if factors else None
+        self.t = None if q is None else GaussIntMatrix.identity(self.n)
         self.visits: list[tuple[int, bool]] = []
         self.size_updates = 0
         self.swaps = self.pivot_sum = 0  # totals of the visit trace
@@ -367,25 +344,40 @@ REDUCTIONS = {
 }
 
 
-def reduce_at_caps(algorithm: str, basis, caps, *, qr: QRFactorization,
-                   delta: float = 0.75, factors: bool = True):
-    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on ``basis`` from
-    ``qr``, the QR of ``basis``, with its entry's swap test at ``delta``,
-    and snapshot it at every cap.  This is the one way to run a reduction;
-    ``lrmimo.flops.reduce_block`` runs it on ``Reduction.basis`` of each
-    channel of a block.  It tests no rank.  A delta the entry rejects
-    (``Reduction.check_delta``) raises ValueError.
+def _runs(bases, qr: QRFactorization, delta: float, lovasz: bool, factors: bool):
+    """An iterator of one ``_Run`` per basis of the stack ``bases``, from
+    its rows of ``qr``, with the stack's set-up made once; each run lists
+    its own rows when it is reached, so only its own lists are held."""
+    q, r = qr
+    if np.isrealobj(bases):  # the complex QR of a real basis is real
+        q, r = q.real, r.real
+    exponents = max_exponent(bases, axis=(-2, -1))
+    r = ldexp(r, -exponents[:, None, None])
+    scales = np.ldexp(np.hypot.reduce(np.abs(bases), axis=(-2, -1)), -exponents)
+    columns = zip(q.swapaxes(-1, -2), r.swapaxes(-1, -2), exponents.tolist(), scales.tolist())
+    return (_Run(q_b.tolist() if factors else None, r_b.tolist(), e, scale, delta, lovasz)
+            for q_b, r_b, e, scale in columns)
 
-    Returns ``[(cap, result)]``, one per distinct cap.  A capped reduction
-    needs finite caps >= 1 and runs up to the largest; snapshots come in
-    ascending cap order, and each equals the run stopped at that cap: both
-    capped reductions run a fixed schedule, so a run capped at k is the
-    prefix of a run capped at K > k.  The unbounded "lll" runs to
-    completion and every cap (None included) gets that run.  Caps at which
-    the run stands where it stood at the previous cap share that cap's
-    snapshot object; a snapshot is never mutated.  With ``factors=False``
-    the run is count-only: the same visits on r, with snapshots whose
-    ``q_tilde``, ``r_tilde`` and ``t`` are None.
+
+def reduce_at_caps(algorithm: str, bases, caps, *, qr: QRFactorization,
+                   delta: float = 0.75, factors: bool = True):
+    """Run reduction ``algorithm`` of ``REDUCTIONS`` once on each basis of
+    ``bases``, a (B, rows, n) stack, from ``qr``, their stacked QR, with
+    its entry's swap test at ``delta``, and snapshot each run at every
+    cap; ``lrmimo.flops.reduce_block`` runs it on ``Reduction.basis`` of a
+    block of channels.  It tests no rank.  The call checks the arguments:
+    a delta the entry rejects (``Reduction.check_delta``) raises ValueError.
+
+    Returns an iterator of each basis's ``[(cap, result)]``, in order, one
+    per distinct cap.  A capped reduction needs finite caps >= 1 and runs
+    up to the largest; snapshots come in ascending cap order, and each
+    equals the run stopped at that cap: both capped reductions run a fixed
+    schedule, so a run capped at k is the prefix of a run capped at K > k.
+    The unbounded "lll" runs to completion and every cap (None included)
+    gets that run.  Caps at which the run stands where it stood at the
+    previous cap share that cap's snapshot object; a snapshot is never
+    mutated.  With ``factors=False`` the runs are count-only: the same
+    visits on r, with snapshots that hold no q, r or T.
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -393,18 +385,42 @@ def reduce_at_caps(algorithm: str, basis, caps, *, qr: QRFactorization,
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
     reduction.check_delta(delta)
-    run = _Run(basis, delta, reduction.condition == "lovasz", qr, factors=factors)
-    steps = reduction.steps(run)
-    snapshots, result = [], None
-    for cap in sorted(set(caps)) if reduction.capped else dict.fromkeys(caps):
-        run.advance(steps, cap if reduction.capped else None)
-        # A run that took no step since the last cap is where it was then,
-        # except that fclll may have found its flags clear in between.
-        if result is None or (run.iterations, run.converged) != (
-                result.iterations_used, result.converged):
-            result = run.result()
-        snapshots.append((cap, result))
-    return snapshots
+    order = sorted(set(caps)) if reduction.capped else list(dict.fromkeys(caps))
+
+    def at_caps(run: _Run) -> list:
+        steps = reduction.steps(run)
+        snapshots, result = [], None
+        for cap in order:
+            run.advance(steps, cap if reduction.capped else None)
+            # A run that took no step since the last cap is where it was then,
+            # except that fclll may have found its flags clear in between.
+            if result is None or (run.iterations, run.converged) != (
+                    result.iterations_used, result.converged):
+                result = run.result()
+            snapshots.append((cap, result))
+        return snapshots
+
+    lovasz = reduction.condition == "lovasz"
+    return map(at_caps, _runs(np.asarray(bases), qr, delta, lovasz, factors))
+
+
+def factor_stacks(results: list[ReductionResult]):
+    """``(q, r, t, shift)``, the complex arrays of the B snapshots
+    ``results`` of runs on bases of one shape, stacked: q (B, rows, n), r
+    (B, n, n) unscaled and upper triangular, T (B, n, n) and its quantizer
+    shift (B, n), whose real part for a real T is ``T^{-1} ones``.  It is
+    the one reader of a snapshot's columns, exponent and T's parts, with
+    one ``np.array`` call per stack.  A count-only snapshot raises
+    ValueError."""
+    if any(each.t is None for each in results):
+        raise ValueError("a count-only snapshot holds no factors")
+    q = np.array([each.q_columns for each in results], dtype=complex).swapaxes(-1, -2)
+    r = np.array([each.r_columns for each in results], dtype=complex).swapaxes(-1, -2)
+    exponents = np.array([each.exponent for each in results])[:, None, None]
+    t = np.array([(each.t.re, each.t.im) for each in results], dtype=float).swapaxes(-1, -2)
+    shift = np.array([(each.t.shift_re, each.t.shift_im) for each in results], dtype=float)
+    return (q, ldexp(np.triu(r), exponents), np.ascontiguousarray(t[:, 0] + 1j * t[:, 1]),
+            shift[:, 0] + 1j * shift[:, 1])
 
 
 def is_size_reduced(r) -> bool:
@@ -459,11 +475,11 @@ def _passes_swap_tests(r, delta: float, lovasz: bool) -> bool:
 
 
 def factorization_error(h, result: ReductionResult) -> float:
-    """Relative Frobenius error ``||h @ T - q_tilde @ r_tilde|| / ||h||``,
-    taken on h and r_tilde scaled by the same power of two, so no norm
-    overflows or underflows at any scale of h."""
+    """Relative Frobenius error ``||h @ T - q @ r|| / ||h||`` of the
+    snapshot ``result`` of a run on ``h``, taken on h and r scaled by the
+    same power of two, so no norm overflows or underflows at any scale of
+    h."""
+    [q], [r], [t], _ = factor_stacks([result])
     e = max_exponent(h)
     h = ldexp(np.asarray(h, dtype=complex), -e)
-    lhs = h @ result.t.to_complex()
-    rhs = result.q_tilde @ ldexp(result.r_tilde, -e)
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(h))
+    return float(np.linalg.norm(h @ t - q @ ldexp(r, -e)) / np.linalg.norm(h))

@@ -111,6 +111,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("frames", "n_t", "n_r", "m_s", "seed", "workers"):
+            _check_integer(name, getattr(self, name))
+        for cap in self.iter_max_list:
+            _check_integer("iter_max_list", cap)
+        if not self.algorithms:
+            raise ValueError("algorithms must be nonempty")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.n_t < 1:
@@ -143,6 +149,8 @@ class SimConfig:
             name = DETECTORS[alg][0]
             if name is not None:  # raises for a delta the reduction rejects
                 REDUCTIONS[name].check_delta(self.delta)
+        if not self.iter_max_list and any(map(_capped, self.algorithms)):
+            raise ValueError("iter_max_list must be nonempty for a capped algorithm")
         if any(cap < 1 for cap in self.iter_max_list):
             raise ValueError("iter_max values must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -154,6 +162,13 @@ class SimConfig:
         _constellation(self.m_s)  # raises InvalidSize for an unsupported m_s
         if "ml" in self.algorithms:
             check_search_space(self.m_s, self.n_t)
+
+
+def _check_integer(field: str, value) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is a Python or
+    numpy integer; a bool, which Python counts as one, is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from lrmimo.mimo import (
     generate_channel,
     snr_to_noise_variance,
 )
-from lrmimo.reduction import REDUCTIONS, reduce_at_caps
+from lrmimo.reduction import REDUCTIONS
+from test_matcore import factors, reduce_stack_of_one
 from test_mimo import add_noise
 from test_reduction import reduce_once
 
@@ -149,30 +150,30 @@ class TestQuantizeZDomain:
         t.col_update(1, 0, 2, -1)
         t.col_update(3, 2, -1, 3)
         t.swap_cols(0, 2)
-        tc = t.to_complex()
+        tc, shift = factors(t)[2:]
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             z = np.linalg.solve(tc, s)
-            z_q = quantize_z_domain(z, t.shift, c)
+            z_q = quantize_z_domain(z, shift, c)
             assert np.allclose(tc @ z_q, s, atol=1e-9)
 
     def test_identity_reduces_to_grid_slicing_without_clipping(self):
         c = build_constellation(16)
         t = GaussIntMatrix.identity(2)
         z = np.array([c.scale * (5 + 0.3j), c.scale * (-7.2 - 5.4j)])
-        z_q = quantize_z_domain(z, t.shift, c)
+        z_q = quantize_z_domain(z, factors(t).shift, c)
         # Slices onto the infinite odd grid; values outside the alphabet stay.
         assert np.allclose(z_q / c.scale, [5 + 1j, -7 - 5j])
 
     def test_quarter_scale_perturbation_recovers(self):
         rng = np.random.default_rng(3)
         c = build_constellation(16)
-        t = GaussIntMatrix.identity(4)
+        shift = factors(GaussIntMatrix.identity(4)).shift
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             wobble = (rng.uniform(-0.24, 0.24, 4)
                       + 1j * rng.uniform(-0.24, 0.24, 4)) * c.scale
-            z_q = quantize_z_domain(s + wobble, t.shift, c)
+            z_q = quantize_z_domain(s + wobble, shift, c)
             assert np.allclose(z_q, s, atol=1e-12)
 
     def test_complex_columns_quantize_independently(self):
@@ -182,18 +183,19 @@ class TestQuantizeZDomain:
         t.col_update(1, 0, 2, -1)
         t.col_update(3, 2, -1, 3)
         t.swap_cols(0, 2)
+        shift = factors(t).shift
         z = 3 * c.scale * (rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)))
-        z_q = quantize_z_domain(z, t.shift[:, None], c)
+        z_q = quantize_z_domain(z, shift[:, None], c)
         assert z_q.shape == (4, 9)
         for j in range(9):
-            assert np.array_equal(z_q[:, j], quantize_z_domain(z[:, j], t.shift, c))
+            assert np.array_equal(z_q[:, j], quantize_z_domain(z[:, j], shift, c))
 
     def test_real_embedding_columns_quantize_independently(self):
         rng = np.random.default_rng(14)
         c = build_constellation(16)
         h = random_channel(rng, 4, 4)
         red = reduce_once("lll", real_embedding(h))
-        shift = red.t.shift
+        shift = factors(red).shift
         z = 3 * c.scale * rng.standard_normal((8, 9))
         z_q = quantize_z_domain(z, shift[:, None], c)
         assert z_q.shape == (8, 9) and not np.iscomplexobj(z_q)
@@ -207,7 +209,7 @@ class TestZfLr:
         c = build_constellation(16)
         h = np.eye(4, dtype=complex)
         red = reduce_once("mclll", h, 6)
-        assert np.array_equal(red.t.to_complex(), np.eye(4))
+        assert np.array_equal(factors(red).t, np.eye(4))
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
@@ -249,7 +251,7 @@ class TestZfLr:
         for _ in range(3):
             h = random_channel(rng, n_r, n_t)
             basis = REDUCTIONS[name].basis(h)
-            for cap, red in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
+            for cap, red in reduce_stack_of_one(name, basis, caps):
                 t = red.t
                 for i in range(t.n):
                     acc_re = acc_im = 0
@@ -258,7 +260,7 @@ class TestZfLr:
                         acc_re += re * t.shift_re[j] - im * t.shift_im[j]
                         acc_im += re * t.shift_im[j] + im * t.shift_re[j]
                     assert (acc_re, acc_im) == (1, 1)
-                [(_, alone)] = reduce_at_caps(name, basis, [cap], qr=qr_decompose(basis))
+                [(_, alone)] = reduce_stack_of_one(name, basis, [cap])
                 assert (t.re, t.im, t.shift_re, t.shift_im) == (
                     alone.t.re, alone.t.im, alone.t.shift_re, alone.t.shift_im)
 
@@ -317,7 +319,7 @@ class TestBlockDetection:
                       for h in hs])
         entry = REDUCTIONS[name]
         if entry.capped:
-            runs = [reduce_at_caps(name, h, [1, 2, 18], qr=qr_decompose(h)) for h in hs]
+            runs = [reduce_stack_of_one(name, h, [1, 2, 18]) for h in hs]
             sets = [[run[i][1] for run in runs] for i in range(3)]
             assert {red.converged for each in sets for red in each} == {False, True}
         else:
@@ -523,8 +525,7 @@ def index_digest(n, m_s, frames) -> str:
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
             caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
-            runs = reduce_at_caps(name, basis, caps,
-                                  qr=qr if entry.capped else qr_decompose(basis))
+            runs = reduce_stack_of_one(name, basis, caps, qr=qr if entry.capped else None)
             detectors += [(name, cap, zf_lr_one(red, c)) for cap, red in runs]
         for name, cap, detect in detectors:
             idx = np.concatenate([detect(x), detect(y[:, None])], axis=1)
@@ -560,7 +561,7 @@ class TestDetectedIndices:
             for name in sorted(REDUCTIONS):
                 entry = REDUCTIONS[name]
                 caps, basis = [2, 18] if entry.capped else [None], entry.basis(h)
-                runs = reduce_at_caps(name, basis, caps, qr=qr_decompose(basis))
+                runs = reduce_stack_of_one(name, basis, caps)
                 detectors += [zf_lr_one(red, c) for _, red in runs]
             for detect in detectors:
                 out = detect(x)

@@ -27,7 +27,8 @@ from lrmimo.matcore import (
     qr_decompose,
 )
 from lrmimo.mimo import generate_channel
-from lrmimo.reduction import REDUCTIONS, reduce_at_caps
+from lrmimo.reduction import REDUCTIONS
+from test_matcore import factors, reduce_stack_of_one
 
 
 def reduce_one(alg, h, caps, **kw):
@@ -316,7 +317,7 @@ class TestInstrument:
         rng = np.random.default_rng(5)
         h = generate_channel(4, 4, rng)
         result, counter = instrument("lll", h, None)
-        assert result.r_tilde.shape == (8, 8)
+        assert factors(result).r.shape == (8, 8)
         assert counter.total > 0
 
 
@@ -336,8 +337,8 @@ class TestInstrumentCaps:
                 want, want_counter = instrument(alg, h, cap, mode=mode)
                 got, got_counter = runs[cap]
                 assert got_counter == want_counter
-                assert np.array_equal(got.r_tilde, want.r_tilde)
-                assert np.array_equal(got.t.to_complex(), want.t.to_complex())
+                assert np.array_equal(factors(got).r, factors(want).r)
+                assert np.array_equal(factors(got).t, factors(want).t)
                 assert (got.iterations_used, got.converged, got.visits) == (
                     want.iterations_used, want.converged, want.visits)
 
@@ -359,6 +360,21 @@ class TestReduceBlock:
         assert not any(map(any, result.t.im)) and is_unimodular(result.t)
 
 
+    @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
+    def test_set_up_is_made_once_per_stack(self, alg, monkeypatch):
+        # The numpy set-up of a block's runs (exponents, scaled r, norms)
+        # is made once for the stack, not once per channel.
+        shapes = []
+        exponent = reduction.max_exponent
+        monkeypatch.setattr(reduction, "max_exponent", lambda a, *args, **kw: (
+            shapes.append(np.shape(a)) or exponent(a, *args, **kw)))
+        hs = np.stack([generate_channel(4, 4, np.random.default_rng((30, i))) for i in range(5)])
+        q, r, _ = matcore.qr_stack(hs)
+        caps = [2, 6] if REDUCTIONS[alg].capped else [None]
+        assert len(list(reduce_block(alg, hs, QRFactorization(q, r), caps))) == 5
+        assert shapes == [REDUCTIONS[alg].basis(hs).shape]
+
+
 class TestEventOracle:
     @pytest.mark.parametrize("alg", sorted(REDUCTIONS))
     def test_counts_equal_observed_events(self, alg, monkeypatch):
@@ -374,11 +390,11 @@ class TestEventOracle:
             for _ in range(3):
                 h = generate_channel(n_r, n_t, rng)
                 basis = entry.basis(h)
-                snapshots = dict(reduce_at_caps(alg, basis, caps, qr=qr_decompose(basis)))
+                snapshots = dict(reduce_stack_of_one(alg, basis, caps))
                 counted = {mode: reduce_one(alg, h, caps, mode=mode) for mode in modes}
                 for cap in caps:
                     tally.reset()
-                    [(_, result)] = reduce_at_caps(alg, basis, [cap], qr=qr_decompose(basis))
+                    [(_, result)] = reduce_stack_of_one(alg, basis, [cap])
                     guards = result.iterations_used + result.converged if alg == "fclll" else 0
                     assert tally.events["lovasz" if entry.condition == "siegel" else "siegel"] == 0
                     for mode in modes:
@@ -414,9 +430,9 @@ class TestCountOnlyRuns:
         h = generate_channel(4, 4, np.random.default_rng(15))
         entry = REDUCTIONS[alg]
         basis = entry.basis(h)
-        for _, res in reduce_at_caps(alg, basis, [1, 6] if entry.capped else [None],
-                                     factors=False, qr=qr_decompose(basis)):
-            assert (res.q_tilde, res.r_tilde, res.t) == (None, None, None)
+        for _, res in reduce_stack_of_one(alg, basis, [1, 6] if entry.capped else [None],
+                                          factors=False):
+            assert (res.q_columns, res.r_columns, res.t) == (None, None, None)
             assert res.visits
 
     @pytest.mark.parametrize("mode", ["dynamic", "literal"])

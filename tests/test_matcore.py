@@ -1,6 +1,8 @@
 """Tests for the matrix kernels (QR, exact scaling, embeddings, exact integer
 work) and for the Givens rotation the reduction applies after a swap."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,9 @@ from lrmimo.matcore import (
     round_half_away,
 )
 from lrmimo.reduction import (
+    ReductionResult,
     ZeroPivot,
+    factor_stacks,
     factorization_error,
     reduce_at_caps,
 )
@@ -34,6 +38,35 @@ from lrmimo.reduction import (
 def random_complex(rng, rows, cols):
     return (rng.standard_normal((rows, cols))
             + 1j * rng.standard_normal((rows, cols))) * np.sqrt(0.5)
+
+
+def reduce_stack_of_one(algorithm, basis, caps, *, qr=None, **kw):
+    """``reduce_at_caps`` on a stack of one, ``basis``, from ``qr`` (by
+    default ``qr_decompose(basis)``): that basis's ``[(cap, result)]``."""
+    basis = np.asarray(basis)
+    q, r = qr_decompose(basis) if qr is None else qr
+    [run] = reduce_at_caps(algorithm, basis[None], caps,
+                           qr=QRFactorization(q[None], r[None]), **kw)
+    return run
+
+
+class FactorStacks(NamedTuple):
+    """One snapshot's arrays, as ``factors`` returns them."""
+
+    q: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    shift: np.ndarray
+
+
+def factors(snapshot):
+    """``factor_stacks`` of the one ``snapshot``: its q, r, T and shift,
+    without the stack axis.  A bare GaussIntMatrix stands for the snapshot
+    that holds it as T, with identity q and r."""
+    if isinstance(snapshot, GaussIntMatrix):
+        eye = np.eye(snapshot.n).tolist()
+        snapshot = ReductionResult(eye, eye, 0, snapshot, 0, False, [], 0, 0, 0)
+    return FactorStacks(*(stack[0] for stack in factor_stacks([snapshot])))
 
 
 def gram_schmidt_oracle(h):
@@ -59,7 +92,7 @@ def one_sweep(r, condition="siegel"):
     r = np.asarray(r, dtype=complex)
     qr = QRFactorization(np.eye(r.shape[0], dtype=complex), r)
     algorithm = {"siegel": "mclll", "lovasz": "fclll"}[condition]
-    [(_, res)] = reduce_at_caps(algorithm, r, [1], qr=qr)
+    [(_, res)] = reduce_stack_of_one(algorithm, r, [1], qr=qr)
     return res
 
 
@@ -185,23 +218,23 @@ class TestGivens:
         # The swapped pair (1, 0) needs no turn: r is only swapped.
         res = one_sweep([[3.0, 1.0], [0.0, 0.0]])
         assert res.visits == [(1, True)]
-        assert np.array_equal(res.r_tilde, [[1.0, 3.0], [0.0, 0.0]])
-        assert np.array_equal(res.q_tilde, np.eye(2))
+        assert np.array_equal(factors(res).r, [[1.0, 3.0], [0.0, 0.0]])
+        assert np.array_equal(factors(res).q, np.eye(2))
 
     def test_pure_swap_segment(self):
         # The swapped pair (0, 0.5) turns by a quarter.
         res = one_sweep([[1.0, 0.0], [0.0, 0.5]])
         assert res.visits == [(1, True)]
-        assert np.array_equal(res.r_tilde, [[0.5, 0.0], [0.0, -1.0]])
-        assert np.array_equal(res.q_tilde, [[0.0, -1.0], [1.0, 0.0]])
+        assert np.array_equal(factors(res).r, [[0.5, 0.0], [0.0, -1.0]])
+        assert np.array_equal(factors(res).q, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_three_four(self):
         # The swapped pair (3, 4) rotates to (5, 0), and the rest of the
         # two rows turns with it: (7, 0) goes to (4.2, -5.6).
         res = one_sweep([[7.0, 3.0], [0.0, 4.0]])
         assert res.visits == [(1, True)] and res.size_updates == 0
-        assert np.allclose(res.r_tilde, [[5.0, 4.2], [0.0, -5.6]], rtol=0, atol=1e-15)
-        assert np.allclose(res.q_tilde, [[0.6, -0.8], [0.8, 0.6]], rtol=0, atol=1e-15)
+        assert np.allclose(factors(res).r, [[5.0, 4.2], [0.0, -5.6]], rtol=0, atol=1e-15)
+        assert np.allclose(factors(res).q, [[0.6, -0.8], [0.8, 0.6]], rtol=0, atol=1e-15)
 
     def test_zero_pivot_raises(self):
         with pytest.raises(ZeroPivot):
@@ -212,14 +245,14 @@ class TestGivens:
         r = np.triu(np.full((3, 3), 0.3 + 0.1j), 1) + np.eye(3)
         res = one_sweep(r)
         assert res.swap_count == 0 and res.size_updates == 0
-        assert np.array_equal(res.r_tilde, r) and np.array_equal(res.q_tilde, np.eye(3))
+        assert np.array_equal(factors(res).r, r) and np.array_equal(factors(res).q, np.eye(3))
 
     def test_left_zeroes_subdiagonal(self):
         # A complex pair (1.5i, 2) rotates to a real, positive 2.5 on top.
         res = one_sweep([[4.0, 1.5j], [0.0, 2.0]])
         assert res.visits == [(1, True)] and res.size_updates == 0
-        assert abs(res.r_tilde[1, 0]) < 1e-12
-        assert abs(res.r_tilde[0, 0] - 2.5) < 1e-12
+        assert abs(factors(res).r[1, 0]) < 1e-12
+        assert abs(factors(res).r[0, 0] - 2.5) < 1e-12
 
     def test_left_preserves_row_norms(self):
         # With no size update, a swap and a rotation keep the norm of r.
@@ -230,13 +263,13 @@ class TestGivens:
                           [0.0, d]])
             res = one_sweep(r)
             assert res.visits == [(1, True)] and res.size_updates == 0
-            assert abs(np.linalg.norm(res.r_tilde) - np.linalg.norm(r)) < 1e-12
+            assert abs(np.linalg.norm(factors(res).r) - np.linalg.norm(r)) < 1e-12
 
     def test_pair_preserves_product(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             h = random_complex(rng, 4, 4)
-            [(_, res)] = reduce_at_caps("mclll", h, [18], qr=qr_decompose(h))
+            [(_, res)] = reduce_stack_of_one("mclll", h, [18])
             assert res.swap_count > 0
             assert factorization_error(h, res) <= 1e-12
 
@@ -244,8 +277,8 @@ class TestGivens:
         rng = np.random.default_rng(13)
         for _ in range(50):
             h = random_complex(rng, 4, 4)
-            [(_, res)] = reduce_at_caps("fclll", h, [18], qr=qr_decompose(h))
-            q = res.q_tilde
+            [(_, res)] = reduce_stack_of_one("fclll", h, [18])
+            q = factors(res).q
             assert np.allclose(q.conj().T @ q, np.eye(4), rtol=0, atol=1e-12)
 
 
@@ -405,7 +438,7 @@ class TestGaussIntMatrix:
     def test_identity_and_complex_view(self):
         for n in (1, 3, 8):
             t = GaussIntMatrix.identity(n)
-            assert np.array_equal(t.to_complex(), np.eye(n))
+            assert np.array_equal(factors(t).t, np.eye(n))
             assert (t.shift_re, t.shift_im) == ([1] * n, [1] * n)
 
     def test_col_update_exact(self):
@@ -417,7 +450,7 @@ class TestGaussIntMatrix:
     def test_swap_cols(self):
         t = GaussIntMatrix.identity(2)
         t.swap_cols(0, 1)
-        assert np.array_equal(t.to_complex(), [[0, 1], [1, 0]])
+        assert np.array_equal(factors(t).t, [[0, 1], [1, 0]])
 
     def test_carried_shift_is_exact(self):
         # T @ shift == (1+i) ones in exact Python-int arithmetic after any
@@ -439,7 +472,7 @@ class TestGaussIntMatrix:
         t.col_update(2, 1, -2, 0)
         t.swap_cols(0, 2)
         assert t.shift_re == t.shift_im
-        assert np.array_equal(t.to_complex().real @ t.shift.real, np.ones(3))
+        assert np.array_equal(factors(t).t.real @ factors(t).shift.real, np.ones(3))
 
     def test_real_mu_update_matches_gaussian_formula(self):
         # A real mu (mu_im = 0) drops the cross terms, which it multiplies

@@ -1,6 +1,8 @@
-"""Tests for the package layout: every module imports on its own, and the
+"""Tests for the package layout: every module imports on its own, the
+reduction's snapshot format is read in its own modules, and the
 benchmark's metric names match the package's."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -35,6 +37,21 @@ def test_cli_import_loads_no_process_pool():
     run_fresh("import sys, lrmimo.cli; "
               "loaded = {'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys(); "
               "assert not loaded, loaded")
+
+
+def test_snapshot_format_is_read_only_where_it_is_kept():
+    # A snapshot's columns and exponent are read in reduction alone, whose
+    # factor_stacks turns them into arrays, and T's carried shift in
+    # matcore, which keeps it, and reduction.
+    owners = {"q_columns": {"reduction"}, "r_columns": {"reduction"},
+              "exponent": {"reduction"},
+              "shift_re": {"matcore", "reduction"}, "shift_im": {"matcore", "reduction"}}
+    strays = set()
+    for path in sorted((SRC / "lrmimo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and path.stem not in owners.get(node.attr, {path.stem}):
+                strays.add((path.name, node.attr, node.lineno))
+    assert not strays
 
 
 def test_benchmark_stage_flops_are_the_flop_counter_fields():

@@ -11,11 +11,19 @@ from hypothesis import strategies as st
 
 from lrmimo import reduction
 from lrmimo.flops import schedule_for
-from lrmimo.matcore import QRFactorization, is_unimodular, ldexp, qr_decompose, real_embedding
+from lrmimo.matcore import (
+    QRFactorization,
+    is_unimodular,
+    ldexp,
+    qr_decompose,
+    qr_stack,
+    real_embedding,
+)
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
     ZeroDiagonal,
+    factor_stacks,
     factorization_error,
     is_lll_reduced,
     is_siegel_reduced,
@@ -23,7 +31,7 @@ from lrmimo.reduction import (
     reduce_at_caps,
 )
 from test_flops import EventTally, reduce_one
-from test_matcore import gram_schmidt_oracle, one_sweep
+from test_matcore import factors, gram_schmidt_oracle, one_sweep, reduce_stack_of_one
 
 
 def random_complex(rng, n):
@@ -32,9 +40,19 @@ def random_complex(rng, n):
 
 
 def reduce_once(name, basis, cap=None, delta=0.75):
-    """The run of reduction ``name`` on ``basis`` stopped at ``cap``."""
-    [(_, result)] = reduce_at_caps(name, basis, [cap], delta=delta, qr=qr_decompose(basis))
+    """The run of reduction ``name`` on ``basis``, a stack of one, stopped
+    at ``cap``."""
+    [(_, result)] = reduce_stack_of_one(name, basis, [cap], delta=delta)
     return result
+
+
+def start_run(basis, lovasz):
+    """The ``_Run`` that ``reduce_at_caps`` starts at delta 3/4 on
+    ``basis``, a stack of one, from ``qr_decompose(basis)``."""
+    q, r = qr_decompose(basis)
+    [run] = reduction._runs(np.asarray(basis)[None], QRFactorization(q[None], r[None]),
+                            0.75, lovasz, True)
+    return run
 
 
 def sweep_swaps(res, n):
@@ -75,13 +93,13 @@ class TestCheckDelta:
         with pytest.raises(ValueError, match=message):
             REDUCTIONS[name].check_delta(delta)
         with pytest.raises(ValueError, match=message):
-            reduce_at_caps(name, np.eye(2), [1], delta=delta, qr=qr_decompose(np.eye(2)))
+            reduce_stack_of_one(name, np.eye(2), [1], delta=delta)
 
     @pytest.mark.parametrize("name", ["fclll", "lll"])
     def test_lovasz_entries_accept_delta_at_most_half(self, name):
         for delta in (0.3, 0.5):
             REDUCTIONS[name].check_delta(delta)
-            reduce_at_caps(name, np.eye(2), [1], delta=delta, qr=qr_decompose(np.eye(2)))
+            reduce_stack_of_one(name, np.eye(2), [1], delta=delta)
 
 
 class TestSizeReduceColumn:
@@ -91,13 +109,13 @@ class TestSizeReduceColumn:
         r = np.array([[1.0, 0.3 + 0.2j], [0.0, 1.0]])
         res = one_sweep(r)
         assert res.visits == [(1, False)] and res.size_updates == 0
-        assert np.array_equal(res.r_tilde, r)
-        assert np.array_equal(res.t.to_complex(), np.eye(2))
+        assert np.array_equal(factors(res).r, r)
+        assert np.array_equal(factors(res).t, np.eye(2))
 
     def test_ratio_1_6_reduces(self):
         res = one_sweep([[2.0, 3.2], [0.0, 2.0]])  # ratio 1.6
         assert res.visits == [(1, False)] and res.size_updates == 1
-        assert abs(res.r_tilde[0, 1] - (-0.4 * 2.0)) < 1e-12
+        assert abs(factors(res).r[0, 1] - (-0.4 * 2.0)) < 1e-12
         assert res.t.entry(0, 1) == (-2, 0)
 
     def test_half_tie_rounds_away(self):
@@ -114,7 +132,8 @@ class TestSizeReduceColumn:
             r = np.triu(random_complex(rng, 3)) + 2 * np.eye(3)
             res = one_sweep(r)
             if res.visits[-1] == (2, False):
-                ratio = res.r_tilde[1, 2] / res.r_tilde[1, 1]
+                r = factors(res).r
+                ratio = r[1, 2] / r[1, 1]
                 assert abs(ratio.real) <= 0.5 + 1e-12
                 assert abs(ratio.imag) <= 0.5 + 1e-12
                 checked += 1
@@ -167,9 +186,10 @@ class TestVisit:
         def checked(run, k):
             swapped = visit(run, k)
             res = run.result()
-            r, n = res.r_tilde, res.r_tilde.shape[0]
+            q, r = factors(res)[:2]
+            n = r.shape[0]
             assert factorization_error(basis, res) <= 1e-12
-            assert np.allclose(res.q_tilde.conj().T @ res.q_tilde, np.eye(n), atol=1e-12)
+            assert np.allclose(q.conj().T @ q, np.eye(n), atol=1e-12)
             assert np.all(np.abs(r[np.tril_indices(n, -1)]) <= 1e-12 * np.linalg.norm(basis))
             j = k - 1 if swapped else k
             ratios = r[:j, j] / r.diagonal()[:j]
@@ -186,20 +206,19 @@ class TestVisit:
         for n in (4, 8):
             for _ in range(10):
                 basis = entry.basis(generate_channel(n, n, rng))
-                reduce_at_caps(name, basis, [18] if entry.capped else [None],
-                               qr=qr_decompose(basis))
+                reduce_stack_of_one(name, basis, [18] if entry.capped else [None])
 
 
 class TestRealLLL:
     def test_identity_basis(self):
         res = reduce_once("lll", np.eye(3))
         assert res.swap_count == 0 and res.converged
-        assert np.array_equal(res.t.to_complex(), np.eye(3))
+        assert np.array_equal(factors(res).t, np.eye(3))
 
     def test_skewed_2d_basis_finds_shortest(self):
         basis = np.array([[1.0, 0.51], [0.0, 1e-3]])
         res = reduce_once("lll", basis)
-        reduced = basis @ res.t.to_complex().real
+        reduced = basis @ factors(res).t.real
         lam1 = shortest_vector_bruteforce(basis)
         assert abs(np.linalg.norm(reduced[:, 0]) - lam1) < 1e-12
 
@@ -211,12 +230,12 @@ class TestRealLLL:
                 if abs(np.linalg.det(basis)) < 0.5:
                     continue
                 res = reduce_once("lll", basis)
-                reduced = basis @ res.t.to_complex().real
+                reduced = basis @ factors(res).t.real
                 b1 = np.linalg.norm(reduced[:, 0])
                 if n == 2:
                     lam1 = shortest_vector_bruteforce(basis)
                     assert b1 <= 2 ** 0.5 * lam1 + 1e-9
-                assert is_lll_reduced(res.r_tilde, 0.75)
+                assert is_lll_reduced(factors(res).r, 0.75)
                 assert is_unimodular(res.t)
 
     def test_on_real_embedding(self):
@@ -224,7 +243,7 @@ class TestRealLLL:
         h = random_complex(rng, 4)
         hr = real_embedding(h)
         res = reduce_once("lll", hr)
-        assert is_lll_reduced(res.r_tilde, 0.75)
+        assert is_lll_reduced(factors(res).r, 0.75)
         assert is_unimodular(res.t)
         assert factorization_error(hr, res) <= 1e-9
 
@@ -234,7 +253,7 @@ class TestFclll:
         res = reduce_once("fclll", np.eye(4), 50)
         assert res.converged
         assert res.iterations_used == 3  # one visit per column pair
-        assert np.array_equal(res.t.to_complex(), np.eye(4))
+        assert np.array_equal(factors(res).t, np.eye(4))
         assert res.visits == [(1, False), (2, False), (3, False)]
 
     def test_requires_finite_cap(self):
@@ -274,7 +293,7 @@ class TestFclll:
             h = random_complex(rng, 4)
             res = reduce_once("fclll", h, 1000)
             assert res.converged
-            assert is_lll_reduced(res.r_tilde, 0.75)
+            assert is_lll_reduced(factors(res).r, 0.75)
             assert is_unimodular(res.t)
             assert factorization_error(h, res) <= 1e-9
 
@@ -330,8 +349,8 @@ class TestMclll:
             res = reduce_once("mclll", h, 100)
             if res.converged:
                 checked += 1
-                assert is_siegel_reduced(res.r_tilde, 0.75)
-                assert is_size_reduced(res.r_tilde)
+                assert is_siegel_reduced(factors(res).r, 0.75)
+                assert is_size_reduced(factors(res).r)
         assert checked > 50
 
     def test_cs_flag_zero_when_capped_mid_swap(self):
@@ -353,7 +372,7 @@ class TestMclll:
             res = reduce_once("mclll", h, 100)
             if not res.converged:
                 continue
-            res2 = reduce_once("mclll", h @ res.t.to_complex(), 100)
+            res2 = reduce_once("mclll", h @ factors(res).t, 100)
             assert res2.converged and res2.iterations_used == 1
             assert res2.swap_count == 0
             checked += 1
@@ -395,22 +414,22 @@ class TestReductionTable:
                                     ("lll", real_embedding(h), True)):
             entry = REDUCTIONS[name]
             assert entry.condition == ("lovasz" if lovasz else "siegel")
-            run = reduction._Run(basis, 0.75, lovasz, qr_decompose(basis))
+            run = start_run(basis, lovasz)
             run.advance(entry.steps(run), 6 if entry.capped else None)
             want = run.result()
-            [(cap, got)] = reduce_at_caps(name, entry.basis(h), [6], qr=qr_decompose(basis))
+            [(cap, got)] = reduce_stack_of_one(name, entry.basis(h), [6])
             assert cap == 6
-            assert np.array_equal(got.t.to_complex(), want.t.to_complex())
+            assert np.array_equal(factors(got).t, factors(want).t)
             assert (got.visits, got.converged) == (want.visits, want.converged)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            reduce_at_caps("bogus", np.eye(2), [1], qr=qr_decompose(np.eye(2)))
+            reduce_stack_of_one("bogus", np.eye(2), [1])
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_cap_below_one_rejected(self, name):
         with pytest.raises(ValueError):
-            reduce_at_caps(name, np.eye(2), [0], qr=qr_decompose(np.eye(2)))
+            reduce_stack_of_one(name, np.eye(2), [0])
 
     @pytest.mark.parametrize("name", ["mclll", "fclll"])
     def test_given_qr_is_copied_not_rotated(self, name):
@@ -419,12 +438,12 @@ class TestReductionTable:
         h = random_complex(rng, 4)
         qr = qr_decompose(h)
         q0, r0 = qr.q.copy(), qr.r.copy()
-        [(_, got)] = reduce_at_caps(name, h, [18], qr=qr)
-        [(_, want)] = reduce_at_caps(name, h, [18], qr=qr_decompose(h))
+        [(_, got)] = reduce_stack_of_one(name, h, [18], qr=qr)
+        [(_, want)] = reduce_stack_of_one(name, h, [18])
         assert got.swap_count > 0
         assert np.array_equal(qr.q, q0) and np.array_equal(qr.r, r0)
-        assert np.array_equal(got.q_tilde, want.q_tilde)
-        assert np.array_equal(got.r_tilde, want.r_tilde)
+        assert np.array_equal(factors(got).q, factors(want).q)
+        assert np.array_equal(factors(got).r, factors(want).r)
         assert (got.visits, got.size_updates) == (want.visits, want.size_updates)
 
 
@@ -442,7 +461,7 @@ class TestScaleInvariance:
                 lambda m: reduce_once("fclll", m, 18),
                 lambda m: reduce_once("lll", real_embedding(m)),
             ):
-                assert np.array_equal(reduce(h).t.to_complex(), reduce(hs).t.to_complex())
+                assert np.array_equal(factors(reduce(h)).t, factors(reduce(hs)).t)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
     def test_same_run_at_extreme_scales(self, scale):
@@ -453,7 +472,7 @@ class TestScaleInvariance:
             out = []
             for name, entry in REDUCTIONS.items():
                 caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
-                for _, res in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
+                for _, res in reduce_stack_of_one(name, basis, caps):
                     out.append((res.visits, res.size_updates, res.t.re, res.t.im))
             return out
 
@@ -529,7 +548,7 @@ class TestRoundingTies:
         # frames 177, 501 and 952.
         for i in range(1000):
             basis = real_embedding(generate_channel(4, 4, np.random.default_rng((7, i))))
-            own, oracle = [reduce_at_caps("lll", basis, [None], qr=qr)[0][1]
+            own, oracle = [reduce_stack_of_one("lll", basis, [None], qr=qr)[0][1]
                            for qr in (qr_decompose(basis),
                                       QRFactorization(*gram_schmidt_oracle(basis)))]
             assert own.visits == oracle.visits, i
@@ -556,14 +575,15 @@ class TestScalarFastPaths:
         kind = complex if entry.capped else float
         for i in range(20):
             basis = entry.basis(generate_channel(4, 4, np.random.default_rng((24, i))))
-            run = reduction._Run(basis, 0.75, entry.condition == "lovasz", qr_decompose(basis))
+            run = start_run(basis, entry.condition == "lovasz")
             assert {type(x) for col in run.q + run.r for x in col} == {kind}
             for _ in itertools.islice(entry.steps(run), 18):
                 pass
             assert run.size_updates > 0
             assert {type(x) for col in run.q + run.r for x in col} == {kind}
             res = run.result()
-            assert res.q_tilde.dtype == complex and res.r_tilde.dtype == complex
+            q, r = factors(res)[:2]
+            assert q.dtype == complex and r.dtype == complex
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True),
@@ -576,7 +596,7 @@ class TestScalarFastPaths:
     def test_nan_ratio_still_raises(self, name):
         entry = REDUCTIONS[name]
         basis = entry.basis(generate_channel(4, 4, np.random.default_rng(25)))
-        run = reduction._Run(basis, 0.75, entry.condition == "lovasz", qr_decompose(basis))
+        run = start_run(basis, entry.condition == "lovasz")
         run.r[1][0] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             run.visit(1)
@@ -588,7 +608,7 @@ class TestSnapshotReuse:
         shared = 0
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            snaps = reduce_at_caps("mclll", h, [4, 6, 8, 18], qr=qr_decompose(h))
+            snaps = reduce_stack_of_one("mclll", h, [4, 6, 8, 18])
             for (_, a), (_, b) in zip(snaps, snaps[1:]):
                 if a is b:
                     shared += 1
@@ -597,7 +617,7 @@ class TestSnapshotReuse:
                 want = reduce_once("mclll", h, cap)
                 assert (got.visits, got.iterations_used, got.converged) == (
                     want.visits, want.iterations_used, want.converged)
-                assert np.array_equal(got.r_tilde, want.r_tilde)
+                assert np.array_equal(factors(got).r, factors(want).r)
         assert shared > 0
 
     def test_fclll_guard_between_caps_takes_a_new_snapshot(self):
@@ -606,16 +626,60 @@ class TestSnapshotReuse:
         # with no further visit.
         h = generate_channel(4, 4, np.random.default_rng(27))
         m = reduce_once("fclll", h, 1000).iterations_used
-        (_, at_m), (_, after) = reduce_at_caps("fclll", h, [m, m + 1], qr=qr_decompose(h))
+        (_, at_m), (_, after) = reduce_stack_of_one("fclll", h, [m, m + 1])
         assert (at_m.iterations_used, at_m.converged) == (m, False)
         assert (after.iterations_used, after.converged) == (m, True)
         assert at_m.visits == after.visits
 
 
+class TestBlockForm:
+    """``reduce_at_caps`` on a stack gives, basis by basis, what stacks of
+    one give, from the same rows of the stacked QR."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_stack_equals_stacks_of_one(self, name, n):
+        from test_simharness import embedding_only_witness  # it imports this module
+
+        entry = REDUCTIONS[name]
+        hs = [generate_channel(n, n, np.random.default_rng((29, n, i))) for i in range(6)]
+        if n == 4:
+            hs[2] = embedding_only_witness()
+        bases = entry.basis(np.stack(hs))
+        q, r, _ = qr_stack(bases)  # the embeddings' rank flags are not read
+        caps = [1, 2, 6, 18] if entry.capped else [None]
+        runs = list(reduce_at_caps(name, bases, caps, qr=QRFactorization(q, r)))
+        alone = [reduce_stack_of_one(name, basis, caps, qr=QRFactorization(q_b, r_b))
+                 for basis, q_b, r_b in zip(bases, q, r)]
+        assert len(runs) == len(alone) == len(hs)
+        for i, cap in enumerate(caps):
+            got = [run[i][1] for run in runs]
+            want = [run[i][1] for run in alone]
+            assert [run[i][0] for run in runs + alone] == [cap] * 2 * len(hs)
+            for a, b in zip(got, want):
+                assert (a.visits, a.size_updates, a.iterations_used, a.converged) == (
+                    b.visits, b.size_updates, b.iterations_used, b.converged)
+                assert (a.t.re, a.t.im, a.t.shift_re, a.t.shift_im) == (
+                    b.t.re, b.t.im, b.t.shift_re, b.t.shift_im)
+            for a, b in zip(factor_stacks(got), factor_stacks(want), strict=True):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert any(result.swap_count for run in runs for _, result in run) == (n > 1)
+
+    def test_arguments_are_checked_at_the_call(self):
+        # Before any basis is reduced: the stack's runs start only as they
+        # are read.
+        bases = np.stack([np.eye(2)] * 3)
+        qr = QRFactorization(bases.astype(complex), bases.astype(complex))
+        for name, caps, delta in (("bogus", [1], 0.75), ("mclll", [0], 0.75),
+                                  ("fclll", [None], 0.75), ("mclll", [1], 0.5)):
+            with pytest.raises(ValueError):
+                reduce_at_caps(name, bases, caps, qr=qr, delta=delta)
+
+
 class TestLazySnapshots:
-    """A snapshot keeps the run's columns and builds its arrays on first
-    read: they are, byte for byte, the arrays built from the run when the
-    snapshot was taken."""
+    """A snapshot keeps the run's columns and builds no array;
+    ``factor_stacks`` builds them: byte for byte, the arrays built from
+    the run when each snapshot was taken."""
 
     @pytest.mark.parametrize("n, count", [(4, 20), (8, 4)])
     def test_arrays_equal_the_eager_build(self, n, count, monkeypatch):
@@ -624,9 +688,13 @@ class TestLazySnapshots:
 
         def result(run):
             snap = take(run)
-            eager[id(snap)] = (np.array(run.q, dtype=complex).T.copy(),
-                               ldexp(np.triu(np.array(run.r, dtype=complex).T), run.exponent),
-                               run.t.to_complex(), run.t.shift)
+            t = run.t
+            eager[id(snap)] = (
+                np.array(run.q, dtype=complex).T.copy(),
+                ldexp(np.triu(np.array(run.r, dtype=complex).T), run.exponent),
+                np.ascontiguousarray(np.array(t.re, dtype=float).T
+                                     + 1j * np.array(t.im, dtype=float).T),
+                np.array(t.shift_re, dtype=float) + 1j * np.array(t.shift_im, dtype=float))
             return snap
 
         monkeypatch.setattr(reduction._Run, "result", result)
@@ -635,18 +703,19 @@ class TestLazySnapshots:
             for name, entry in REDUCTIONS.items():
                 eager.clear()
                 caps, basis = range(1, 19) if entry.capped else [None], entry.basis(h)
-                snaps = reduce_at_caps(name, basis, caps, qr=qr_decompose(basis))
-                for _, snap in snaps:
-                    got = snap.q_tilde, snap.r_tilde, snap.t.to_complex(), snap.t.shift
-                    for a, b in zip(got, eager[id(snap)]):
-                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                    assert snap.q_tilde is got[0] and snap.r_tilde is got[1]  # built once
+                snaps = [snap for _, snap in reduce_stack_of_one(name, basis, caps)]
+                for j, snap in enumerate(snaps):
+                    for got in factors(snap), [stack[j] for stack in factor_stacks(snaps)]:
+                        for a, b in zip(got, eager[id(snap)], strict=True):
+                            assert (a.dtype, a.shape, a.tobytes()) == (
+                                b.dtype, b.shape, b.tobytes())
 
     def test_count_only_snapshot_holds_no_factors(self):
         h = generate_channel(4, 4, np.random.default_rng(28))
-        for _, snap in reduce_at_caps("mclll", h, [1, 6], factors=False, qr=qr_decompose(h)):
+        for _, snap in reduce_stack_of_one("mclll", h, [1, 6], factors=False):
             assert (snap.q_columns, snap.r_columns, snap.t) == (None, None, None)
-            assert snap.q_tilde is None and snap.r_tilde is None
+            with pytest.raises(ValueError, match="count-only"):
+                factor_stacks([snap])
 
 
 def discrete_digest(channels) -> str:
@@ -658,7 +727,7 @@ def discrete_digest(channels) -> str:
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
             caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
-            for cap, res in reduce_at_caps(name, basis, caps, qr=qr_decompose(basis)):
+            for cap, res in reduce_stack_of_one(name, basis, caps):
                 t = res.t
                 digest.update(repr((name, cap, res.visits, res.size_updates,
                                     res.iterations_used, res.converged, t.re, t.im,
@@ -687,7 +756,7 @@ class TestDiscreteOutputs:
             for name, entry in REDUCTIONS.items():
                 caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
                 qr = qr_decompose(basis)
-                for factors in (True, False):
-                    for _, res in reduce_at_caps(name, basis, caps, qr=qr, factors=factors):
+                for full in (True, False):
+                    for _, res in reduce_stack_of_one(name, basis, caps, qr=qr, factors=full):
                         assert res.swap_count == sum(swapped for _, swapped in res.visits)
                         assert res.pivot_sum == sum(k for k, _ in res.visits)

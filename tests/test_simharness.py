@@ -28,7 +28,7 @@ from lrmimo.simharness import (
 )
 from test_detect import detect_one, exhaustive_ml, zf_lr_one
 from test_flops import EventTally
-from test_matcore import pseudo_inverse_apply
+from test_matcore import pseudo_inverse_apply, reduce_stack_of_one
 from test_mimo import demodulate
 
 INF = float("inf")
@@ -102,6 +102,36 @@ class TestSimConfig:
         cfg = small_cfg(snr_db_grid=(10.0, 10.0001, 10.0002, INF))
         assert [simharness.snr_label(snr) for snr in cfg.snr_db_grid] == [
             "10", "10.0001", "10.0002", "inf"]
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(iter_max_list=()), "iter_max_list"),  # zf-lr-mclll needs a cap
+        (dict(iter_max_list=(2.5,)), "iter_max_list"),
+        (dict(iter_max_list=(True,)), "iter_max_list"),
+        (dict(iter_max_list=(6, np.True_)), "iter_max_list"),
+        (dict(frames=True), "frames"),
+        (dict(n_t=4.0), "n_t"),
+        (dict(n_r=4.0), "n_r"),
+        (dict(m_s=16.0), "m_s"),
+        (dict(seed=7.0), "seed"),
+        (dict(workers="1"), "workers"),
+        (dict(algorithms=()), "algorithms"),
+    ])
+    def test_configs_run_sweep_cannot_run_rejected(self, kwargs, field):
+        # Each of these fails inside run_sweep, or prints a value that is
+        # not the integer it stands for.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            small_cfg(**kwargs)
+
+    def test_capless_detectors_need_no_caps(self):
+        assert small_cfg(algorithms=("zf", "zf-lr-lll"), iter_max_list=()).iter_max_list == ()
+
+    def test_numpy_integers_give_the_same_csv(self):
+        cfg = small_cfg(frames=12, algorithms=("zf", "zf-lr-mclll", "zf-lr-fclll", "ml"),
+                        iter_max_list=(2, 6))
+        as_numpy = dataclasses.replace(
+            cfg, frames=np.int64(12), n_t=np.int32(4), n_r=np.int64(4), m_s=np.int16(16),
+            seed=np.uint64(7), workers=np.int8(1), iter_max_list=(np.int64(2), np.uint8(6)))
+        assert csv_text(run_sweep(as_numpy), as_numpy) == csv_text(run_sweep(cfg), cfg)
 
     def test_delta_checked_per_listed_reduction(self):
         # fclll's Lovasz test takes delta = 0.4; no listed detector runs mclll.
@@ -327,7 +357,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             qr = QRFactorization(*qr_stack(basis)[:2])  # its rank flags are not read
             with pytest.MonkeyPatch.context() as mp:
                 tally = EventTally(mp)
-                [(_, red)] = reduction.reduce_at_caps(name, basis, [cap], delta=cfg.delta, qr=qr)
+                [(_, red)] = reduce_stack_of_one(name, basis, [cap], delta=cfg.delta, qr=qr)
             symbols = detect_one(zf_lr_one(red, c), c, x)
             guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
             charges = schedule_for(name, cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
@@ -434,8 +464,8 @@ class TestFrameMajorEquivalence:
                 assert res.redraws == 0
         bases = []
         run = flops.reduce_at_caps
-        monkeypatch.setattr(flops, "reduce_at_caps", lambda name, basis, caps, **kw: (
-            bases.append((name, basis)) or run(name, basis, caps, **kw)))
+        monkeypatch.setattr(flops, "reduce_at_caps", lambda name, stack, caps, **kw: (
+            bases.extend((name, basis) for basis in stack) or run(name, stack, caps, **kw)))
         with caplog.at_level("INFO", logger="lrmimo.simharness"):
             assert csv_text(run_sweep(cfg), cfg) == oracle_csv(cfg)
         assert not [r for r in caplog.records if "redraw" in r.getMessage()]
