@@ -280,10 +280,10 @@ def _cmd_reduce(args) -> int:
                          f"got {args.iter_max}")
     _check_delta(args.algorithm, args.delta)
     h = load_matrix(args.matrix)
-    q, r = qr_decompose(h)  # the one rank test, the channel's, for every reduction
-    [runs] = flops_mod.reduce_block(args.algorithm, h[None], QRFactorization(q[None], r[None]),
-                                    [args.iter_max], delta=args.delta)
-    result, _ = runs[args.iter_max]
+    qr = QRFactorization(*(part[None] for part in qr_decompose(h)))  # the channel's rank test
+    [(snapshots, at)] = flops_mod.reduce_block(args.algorithm, h[None], qr, [args.iter_max],
+                                               delta=args.delta)
+    result = snapshots[at[args.iter_max][0]]
     t = result.t
     _, [r_tilde], [t_float], _ = factor_stacks([result])
     print(f"algorithm: {args.algorithm}")

@@ -18,8 +18,8 @@ constellation indices: it slices once, and the caller reads bits off the
 constellation's bit table; ML runs its B * k searches as one.  Zero
 forcing and ML take the channels' QR, so a caller can share one between
 them; a QR of one (n_r, n_t) channel detects an (n_r, k) ``x`` alone.
-LR-aided zero forcing takes a list of reductions, one per frame, and
-reads them only through ``reduction.factor_stacks``.
+LR-aided zero forcing takes a list of reduction snapshots, one per row of
+``x``, and reads them only through ``reduction.factor_stacks``.
 """
 
 from __future__ import annotations
@@ -94,15 +94,15 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
 
 
 def zf_lr_detector(reds: list[ReductionResult], c: Constellation):
-    """LR-aided zero forcing prepared for a block of frames, one reduction
-    per frame: either of the complex channel (capped reductions) or of its
-    real block embedding (``lll``, doubled dimensions, integer T).
+    """LR-aided zero forcing prepared for reduction snapshots, one per row
+    of the stack it detects: each of a complex channel (capped reductions)
+    or of its real block embedding (``lll``, doubled dimensions, integer T).
 
     Its stacks are ``reduction.factor_stacks`` of the snapshots: q,
     r_tilde, and T's float form and its quantizer shift, which T carries
     exactly.  The returned ``detect(x)``, for a (B, n_r, k) stack of
-    received vectors, solves each frame's z-domain least squares via its
-    reduction's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
+    received vectors, solves each row's z-domain least squares via its
+    snapshot's own factors (``z = r_tilde^{-1} q_tilde^H x``, the
     pseudo-inverse of h @ T applied to each column of x), quantizes on the
     z-domain lattice (``quantize_z_domain``), maps back through T, and
     slices, which clips any out-of-alphabet entry to the nearest

@@ -32,7 +32,7 @@ exact integers.
 
 ``reduce_block``, the one stage that runs reductions for every command,
 runs an entry on a stack of channels that passed their rank test, in one
-``reduction.reduce_at_caps`` call, and prices each snapshot.
+``reduction.reduce_at_caps`` call, and prices each cap's snapshot.
 ``complexity_report`` runs it count-only on each stack of channels it is
 given, whose one stacked QR is their rank test.
 """
@@ -159,7 +159,7 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule) -> FlopCounter
     a visit at pivot k makes k size checks and one swap test, and the
     loop guard is evaluated once per visit plus once more if the run
     converged."""
-    visits, swaps = len(result.visits), result.swap_count
+    visits, swaps = result.visit_count, result.swap_count
     return FlopCounter(
         size_reduction=(result.pivot_sum * charges.size_check
                         + result.size_updates * charges.size_update
@@ -174,16 +174,17 @@ def count_flops(result: ReductionResult, charges: ChargeSchedule) -> FlopCounter
 
 
 def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float = 0.75,
-                 mode: str = "dynamic", factors: bool = True) -> Iterator[dict]:
+                 mode: str = "dynamic", factors: bool = True) -> Iterator[tuple]:
     """Run reduction ``algorithm`` of ``reduction.REDUCTIONS`` once at
     ``delta`` on each channel of ``h``, a (B, n_r, n_t) stack of channels
-    that passed their rank test, with stacked QR ``qr``, and yield
-    ``{cap: (result, FlopCounter)}`` per channel, in order, one entry per
-    distinct cap, priced at one schedule per cap.  Every command runs its
-    reductions here, through one ``reduction.reduce_at_caps`` call on the
-    stack.  The basis is ``Reduction.basis`` of the stack: the channels,
-    from ``qr``, or lll's real embeddings, from one stacked QR whose rank
-    flags are not read.  The snapshots and ``factors`` (False:
+    that passed their rank test, with stacked QR ``qr``, and yield per
+    channel, in order, its run's distinct snapshots and ``{cap: (i,
+    FlopCounter)}``: per distinct cap, its snapshot's index and its FLOPs
+    at that cap's own schedule.  Every command runs its reductions here,
+    through one ``reduction.reduce_at_caps`` call on the stack.  The basis
+    is ``Reduction.basis`` of the stack: the channels, from ``qr``, or
+    lll's real embeddings, from one stacked QR whose rank flags are not
+    read.  The snapshots and ``factors`` (False:
     count-only, no q, r or T) are those of ``reduce_at_caps``.  A caller
     that reads each channel's runs as they come holds no block of
     snapshots, which would survive into the garbage collector's oldest
@@ -195,8 +196,10 @@ def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float =
         qr = QRFactorization(*qr_stack(basis)[:2])
     n_r, n_t = h.shape[-2:]
     charges = {cap: schedule_for(algorithm, mode, n_t, n_r, cap) for cap in caps}
-    for run in reduce_at_caps(algorithm, basis, caps, qr=qr, delta=delta, factors=factors):
-        yield {cap: (result, count_flops(result, charges[cap])) for cap, result in run}
+    for snapshots, index in reduce_at_caps(algorithm, basis, caps, qr=qr, delta=delta,
+                                           factors=factors):
+        yield snapshots, {cap: (i, count_flops(snapshots[i], charges[cap]))
+                          for cap, i in index.items()}
 
 
 @dataclass(frozen=True)
@@ -264,10 +267,10 @@ def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
     passed = next(iter(np.flatnonzero(low.any(axis=-1))), len(hs))
     if passed:
         for alg, alg_caps in caps.items():
-            for run in reduce_block(alg, hs[:passed], QRFactorization(q[:passed], r[:passed]),
-                                    alg_caps, delta=delta, mode=mode, factors=False):
+            for _, at in reduce_block(alg, hs[:passed], QRFactorization(q[:passed], r[:passed]),
+                                      alg_caps, delta=delta, mode=mode, factors=False):
                 for cap in alg_caps:
-                    totals[alg, cap].append(run[cap][1].total)
+                    totals[alg, cap].append(at[cap][1].total)
     if passed < len(hs):
         check_pivots(r[passed], low[passed])
 

@@ -24,18 +24,18 @@ size step whose ratio lies well inside the rounding window to zero
 skips the rounding, so a visit pays only for the nonzero updates.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
 on each basis of a stack, from the stack's QR, at one delta, with one
-numpy set-up per stack, and snapshots each run at several iteration
-caps.  No reduction factors or rank-tests its basis:
-``lrmimo.flops.reduce_block`` runs them on a block of channels that
-passed their rank test.  Every snapshot holds the run's q and r as it
-holds them, in columns of Python scalars, and T in exact
-Gaussian-integer arithmetic, one trace of the column visits and the
-number of size updates with nonzero mu.  Taking a snapshot copies lists
-and builds no array; ``factor_stacks``, the one reader of that form,
-stacks the arrays of a list of snapshots.  Every decision reads r alone,
-so a count-only run, which holds no q and no T, makes the same visits
-and snapshots only the counts.  The reductions count no FLOPs:
-``lrmimo.flops`` reads every count off the result a run returns.
+numpy set-up per stack, and hands out each run's distinct snapshots
+at several iteration caps, with each cap's index among them.  No
+reduction factors or rank-tests its basis: ``lrmimo.flops.reduce_block``
+runs them on a block of channels that passed their rank test.  Every
+snapshot holds the run's q and r as it holds them, in columns of Python
+scalars, T in exact Gaussian-integer arithmetic, and the run's counts
+of visits, swaps, pivots and nonzero-mu size updates.  Taking a
+snapshot copies lists and builds no array; ``factor_stacks``, the one
+reader of that form, stacks the arrays of a list of snapshots.  Every
+decision reads r alone, so a count-only run, which holds no q and no T,
+makes the same visits and snapshots only the counts.  The reductions
+count no FLOPs: ``lrmimo.flops`` reads every count off a snapshot.
 
 The kernel's float arithmetic is a fixed sequence of IEEE operations, so
 a second implementation can replay it bit for bit: a modulus is libm
@@ -89,11 +89,9 @@ class ReductionResult:
     counts the algorithm's own iteration unit: full sweeps for "mclll",
     single column visits for "fclll" and "lll".  ``converged`` is True
     only when the run exited through its swap flag rather than the
-    iteration cap.  ``visits`` is the one trace: per column visit, in
-    order, the pivot column k (addressing the pair (k-1, k)) and whether
-    it swapped; ``swap_count`` and ``pivot_sum`` (the sum of the visits'
-    k) are its totals, kept by the run as it visits.  ``size_updates``
-    counts the nonzero-mu size updates, which the trace does not show.
+    iteration cap.  ``visit_count`` counts its column visits, ``swap_count``
+    those that swapped, ``pivot_sum`` the sum of their pivots k (each the
+    pair (k-1, k)) and ``size_updates`` the nonzero-mu size updates.
 
     A snapshot holds the run's factors as it holds them: ``q_columns``
     and ``r_columns`` are lists of columns of Python scalars, r scaled by
@@ -109,15 +107,10 @@ class ReductionResult:
     t: GaussIntMatrix | None
     iterations_used: int
     converged: bool
-    visits: list[tuple[int, bool]]
+    visit_count: int
     size_updates: int
     swap_count: int
     pivot_sum: int
-
-    @property
-    def visit_swaps(self) -> list[int]:
-        """1 or 0 per column visit: whether it swapped."""
-        return [int(swapped) for _, swapped in self.visits]
 
 
 def _mu(ratio: complex) -> tuple[int, int]:
@@ -135,14 +128,13 @@ def _mu(ratio: complex) -> tuple[int, int]:
 
 
 class _Run:
-    """One reduction in progress: the working factors, the exact T, the
-    visit trace and the size-update count.  The step loops advance it one
-    column visit at a time; ``result`` snapshots it.  Its visits apply
-    the Lovasz swap test when ``lovasz`` is true and the Siegel test
-    otherwise, at ``delta``, from the columns ``q`` and ``r`` of its
-    basis's QR and the basis's norm ``scale``, r and scale times
-    ``2**-exponent``: it never sees, factors or rank-tests its basis.  It
-    adds each visit to its trace totals.  A count-only run (``q`` None)
+    """One reduction in progress: the working factors, the exact T and
+    the counts of its visits.  The step loops advance it one column visit
+    at a time; ``result`` snapshots it.  Its visits apply the Lovasz swap
+    test when ``lovasz`` is true and the Siegel test otherwise, at
+    ``delta``, from the columns ``q`` and ``r`` of its basis's QR and the
+    basis's norm ``scale``, r and scale times ``2**-exponent``: it never
+    sees, factors or rank-tests its basis.  A count-only run (``q`` None)
     holds no q and no T, and makes the same decisions.
 
     The factors are lists of columns of Python scalars: a visit reads and
@@ -164,9 +156,7 @@ class _Run:
         self.delta = delta
         self.lovasz = lovasz
         self.t = None if q is None else GaussIntMatrix.identity(self.n)
-        self.visits: list[tuple[int, bool]] = []
-        self.size_updates = 0
-        self.swaps = self.pivot_sum = 0  # totals of the visit trace
+        self.visit_count = self.swap_count = self.pivot_sum = self.size_updates = 0
         self.iterations = 0
         self.converged = False
 
@@ -225,8 +215,8 @@ class _Run:
                 q0, q1 = self.q[k - 1], self.q[k]
                 self.q[k - 1] = [x * a + y * b for x, y in zip(q0, q1)]
                 self.q[k] = [y * ca - x * cb for x, y in zip(q0, q1)]
-        self.visits.append((k, swap))
-        self.swaps += swap
+        self.visit_count += 1
+        self.swap_count += swap
         self.pivot_sum += k
         return swap
 
@@ -242,9 +232,8 @@ class _Run:
         (None for a count-only run); later steps leave it unchanged."""
         factors = (None, None, self.exponent, None) if self.t is None else (
             list(self.q), [col[:] for col in self.r], self.exponent, self.t.copy())
-        return ReductionResult(*factors, self.iterations, self.converged,
-                               list(self.visits), self.size_updates, self.swaps,
-                               self.pivot_sum)
+        return ReductionResult(*factors, self.iterations, self.converged, self.visit_count,
+                               self.size_updates, self.swap_count, self.pivot_sum)
 
 
 def _mclll_sweeps(run: _Run):
@@ -368,16 +357,16 @@ def reduce_at_caps(algorithm: str, bases, caps, *, qr: QRFactorization,
     block of channels.  It tests no rank.  The call checks the arguments:
     a delta the entry rejects (``Reduction.check_delta``) raises ValueError.
 
-    Returns an iterator of each basis's ``[(cap, result)]``, in order, one
-    per distinct cap.  A capped reduction needs finite caps >= 1 and runs
-    up to the largest; snapshots come in ascending cap order, and each
-    equals the run stopped at that cap: both capped reductions run a fixed
-    schedule, so a run capped at k is the prefix of a run capped at K > k.
-    The unbounded "lll" runs to completion and every cap (None included)
-    gets that run.  Caps at which the run stands where it stood at the
-    previous cap share that cap's snapshot object; a snapshot is never
-    mutated.  With ``factors=False`` the runs are count-only: the same
-    visits on r, with snapshots that hold no q, r or T.
+    Returns an iterator of each basis's ``(snapshots, index)``, in order:
+    the run's distinct snapshots and ``{cap: i}``, one entry per distinct
+    cap, whose ``snapshots[i]`` equals the run stopped at that cap.  A
+    capped reduction needs finite caps >= 1 and runs up to the largest, in
+    ascending cap order, snapshotting where it moved since the previous
+    cap: a capped run follows a fixed schedule, so a run capped at k is
+    the prefix of a run capped at K > k.  The unbounded "lll" runs to
+    completion and every cap (None included) gets its one snapshot.  No
+    snapshot is mutated.  With ``factors=False`` the runs are count-only:
+    the same visits on r, with snapshots that hold no q, r or T.
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -385,20 +374,20 @@ def reduce_at_caps(algorithm: str, bases, caps, *, qr: QRFactorization,
     if not caps or (reduction.capped and any(cap is None or cap < 1 for cap in caps)):
         raise ValueError(f"{algorithm} needs finite caps >= 1, got {caps}")
     reduction.check_delta(delta)
-    order = sorted(set(caps)) if reduction.capped else list(dict.fromkeys(caps))
+    order = sorted(set(caps)) if reduction.capped else caps
 
-    def at_caps(run: _Run) -> list:
+    def at_caps(run: _Run) -> tuple[list[ReductionResult], dict]:
         steps = reduction.steps(run)
-        snapshots, result = [], None
+        snapshots, index = [], {}
         for cap in order:
             run.advance(steps, cap if reduction.capped else None)
             # A run that took no step since the last cap is where it was then,
             # except that fclll may have found its flags clear in between.
-            if result is None or (run.iterations, run.converged) != (
-                    result.iterations_used, result.converged):
-                result = run.result()
-            snapshots.append((cap, result))
-        return snapshots
+            if not snapshots or (run.iterations, run.converged) != (
+                    snapshots[-1].iterations_used, snapshots[-1].converged):
+                snapshots.append(run.result())
+            index[cap] = len(snapshots) - 1
+        return snapshots, index
 
     lovasz = reduction.condition == "lovasz"
     return map(at_caps, _runs(np.asarray(bases), qr, delta, lovasz, factors))

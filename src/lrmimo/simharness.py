@@ -28,14 +28,15 @@ values, each twice, so it is rank deficient exactly when the channel is;
 ``flops.reduce_block`` reduces ``lll``'s embeddings from one stacked QR
 of them and reads none of its rank flags.  Each reduction runs once per
 frame, from the frame's rows of its stacked basis and QR, up to the
-largest listed iteration cap, with a snapshot kept at every cap (a run
-capped at k sweeps is the prefix of one capped at K > k).  Each algorithm then
-makes one detection call for the block: zero forcing and ML on the
-channels' stacked QR as it is (ML's one search over every frame and
-SNR), an LR-ZF detector on its frames' snapshots, one set per cap,
-stacked along the frame axis against one copy of the received vectors
-per cap.  Bit errors are counted per cap and column, once per block,
-off the constellation's bit table.  Each frame's results are those a
+largest listed iteration cap, and hands out its distinct snapshots with
+each cap's index among them (a run capped at k sweeps is the prefix of
+one capped at K > k).  Each algorithm then makes one detection call for
+the block: zero forcing and ML on the channels' stacked QR as it is
+(ML's one search over every frame and SNR), an LR-ZF detector on every
+frame's distinct snapshots, stacked along the frame axis, each against
+its frame's received vectors, whose rows each cap then gathers.  Bit
+errors are counted per cap and column, once per block, off the
+constellation's bit table.  Each frame's results are those a
 frame-by-frame loop gets.
 
 Everything downstream of the config is deterministic, byte-for-byte,
@@ -75,7 +76,7 @@ from .reduction import REDUCTIONS
 logger = logging.getLogger(__name__)
 
 # Algorithm -> (the REDUCTIONS key it reduces with first, or None; its detector
-# factory, given a block's stacked QR or a list of reduction snapshots).
+# factory, given a block's stacked QR or a list of distinct reduction snapshots).
 DETECTORS = {"zf": (None, zf_detector),
              **{f"zf-lr-{name}": (name, zf_lr_detector) for name in REDUCTIONS},
              "ml": (None, ml_detector)}
@@ -112,9 +113,12 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("frames", "n_t", "n_r", "m_s", "seed", "workers"):
-            _check_integer(name, getattr(self, name))
+            _check_number(name, getattr(self, name))
         for cap in self.iter_max_list:
-            _check_integer("iter_max_list", cap)
+            _check_number("iter_max_list", cap)
+        _check_number("delta", self.delta, real=True)
+        for snr in self.snr_db_grid:
+            _check_number("snr_db_grid", snr, real=True)
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
         if self.frames < 1:
@@ -164,11 +168,14 @@ class SimConfig:
             check_search_space(self.m_s, self.n_t)
 
 
-def _check_integer(field: str, value) -> None:
+def _check_number(field: str, value, real: bool = False) -> None:
     """Raise ValueError naming ``field`` unless ``value`` is a Python or
-    numpy integer; a bool, which Python counts as one, is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+    numpy integer or, with ``real``, a double, the swap tests' precision.
+    A bool, which Python counts as an integer, is neither."""
+    kinds, what = ((int, np.integer, float), "a real number") if real else (
+        (int, np.integer), "an integer")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{field} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -292,26 +299,27 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     """Run frames lo..hi-1 as one block for every (algorithm, iter_max,
     snr_db) cell of the plan (iter_max None for the cap-free detectors):
     one Tally per cell, in order.  Every detector family detects the same
-    accepted attempts: zf and ml on their stacked QR, and each reduction
-    on the block's runs from ``flops.reduce_block`` of them.  Each
-    algorithm makes one detection call; a reduction's snapshots go in it
-    one cap after another, each cap's against its own copy of x."""
+    accepted attempts, in one detection call per algorithm: zf and ml on
+    their stacked QR, and a reduction on each frame's distinct snapshots
+    from ``flops.reduce_block`` of them, once, against that frame's x."""
     c = _constellation(cfg.m_s)
     (h, bits, x), redraws, qr = _accepted(cfg, plan, lo, hi)
     tallies = {}
     for alg, caps in plan.caps.items():
         name, detector = DETECTORS[alg]
         if name is None:
-            factors, cap_flops = qr, {None: 0}
-        else:  # one run per frame, a snapshot per cap
-            runs = list(flops.reduce_block(name, h, qr, caps, delta=cfg.delta,
-                                           mode=cfg.flop_mode))
-            factors = [run[cap][0] for cap in caps for run in runs]
-            cap_flops = {cap: sum(run[cap][1].total for run in runs) for cap in caps}
-        # One call detects every cap's snapshots, stacked along the frame axis.
-        index = detector(factors, c)(np.concatenate([x] * len(caps)))
-        wrong = c.bit_table[index.reshape(len(caps), -1, *index.shape[-2:])] != bits
-        errors = wrong.sum(axis=(1, 2, 4)).tolist()  # per cap and SNR column
+            index, cap_flops = detector(qr, c)(x)[None], {None: 0}
+        else:  # one run per frame, whose distinct snapshots are detected once
+            snapshots, frame, rows, cap_flops = [], [], [], dict.fromkeys(caps, 0)
+            for f, (snaps, at) in enumerate(flops.reduce_block(
+                    name, h, qr, caps, delta=cfg.delta, mode=cfg.flop_mode)):
+                rows.append([len(snapshots) + at[cap][0] for cap in caps])
+                cap_flops = {cap: cap_flops[cap] + at[cap][1].total for cap in caps}
+                snapshots += snaps
+                frame += [f] * len(snaps)
+            # Each cap gathers its frames' rows: (caps, frames, n_t, k), as zf's.
+            index = detector(snapshots, c)(x[frame])[np.transpose(rows)]
+        errors = (c.bit_table[index] != bits).sum(axis=(1, 2, 4)).tolist()  # per cap, column
         for (cap, block_flops), cap_errors in zip(cap_flops.items(), errors):
             for snr, bit_errors in zip(cfg.snr_db_grid, cap_errors):
                 tallies[alg, cap, snr] = Tally(bit_errors, block_flops, redraws)

@@ -276,11 +276,11 @@ def test_criterion8_bookkeeping_saving():
         if rm.iterations_used < 2 or rf.iterations_used < 6:
             continue
         assert cm.flag_bookkeeping == 0
-        if rm.visit_swaps != rf.visit_swaps:
+        if [swapped for _, swapped in rm.visits] != [swapped for _, swapped in rf.visits]:
             continue
         qualifying += 1
         diff = cf.total - cm.total
-        expected = cf.flag_bookkeeping + per_check * len(rm.visit_swaps)
+        expected = cf.flag_bookkeeping + per_check * len(rm.visits)
         assert diff == expected, f"exact decomposition failed: {diff} != {expected}"
         assert diff >= cf.flag_bookkeeping > 0
     ok = qualifying >= 100

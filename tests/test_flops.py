@@ -28,16 +28,19 @@ from lrmimo.matcore import (
 )
 from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS
-from test_matcore import factors, reduce_stack_of_one
+from test_matcore import factors, reduce_stack_of_one, traced
 
 
 def reduce_one(alg, h, caps, **kw):
     """``reduce_block`` on a stack of one, the channel ``h``, from
-    ``qr_decompose(h)``, its rank test: ``{cap: (result, FlopCounter)}``."""
+    ``qr_decompose(h)``, its rank test, traced: ``{cap: (snapshot,
+    FlopCounter)}``, read through its cap index."""
     h = np.asarray(h, dtype=complex)
     q, r = qr_decompose(h)
-    [runs] = reduce_block(alg, h[None], QRFactorization(q[None], r[None]), caps, **kw)
-    return runs
+    with traced():
+        [(snapshots, at)] = reduce_block(alg, h[None], QRFactorization(q[None], r[None]),
+                                         caps, **kw)
+    return {cap: (snapshots[i], counter) for cap, (i, counter) in at.items()}
 
 
 def instrument(alg, h, cap, mode="dynamic"):
@@ -411,13 +414,11 @@ class TestCountOnlyRuns:
     def test_counts_and_flops_equal_full_runs(self, n, count):
         for i in range(count):
             h = generate_channel(n, n, np.random.default_rng((14, n, i)))
-            qr = qr_decompose(h)
             for alg, entry in REDUCTIONS.items():
                 caps = [1, 2, 6, 18] if entry.capped else [None]
                 for mode in ("dynamic", "literal"):
                     full = reduce_one(alg, h, caps, mode=mode)
-                    [lean] = reduce_block(alg, h[None], QRFactorization(qr.q[None], qr.r[None]),
-                                          caps, mode=mode, factors=False)
+                    lean = reduce_one(alg, h, caps, mode=mode, factors=False)
                     for cap in caps:
                         (want, want_counter), (got, got_counter) = full[cap], lean[cap]
                         assert (got.visits, got.size_updates, got.iterations_used,

@@ -1,7 +1,9 @@
 """Tests for the matrix kernels (QR, exact scaling, embeddings, exact integer
 work) and for the Givens rotation the reduction applies after a swap."""
 
+from dataclasses import dataclass, field
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lrmimo import reduction
 from lrmimo.matcore import (
     GaussIntMatrix,
     QRFactorization,
@@ -40,14 +43,55 @@ def random_complex(rng, rows, cols):
             + 1j * rng.standard_normal((rows, cols))) * np.sqrt(0.5)
 
 
-def reduce_stack_of_one(algorithm, basis, caps, *, qr=None, **kw):
+@dataclass
+class TracedResult(ReductionResult):
+    """A snapshot with its run's trace: per column visit, in order, the
+    pivot column k (addressing the pair (k-1, k)) and whether it swapped."""
+
+    visits: list[tuple[int, bool]] = field(default_factory=list)
+
+
+class TracingRun(reduction._Run):
+    """A ``_Run`` that records each of its visits and whose snapshots are
+    ``TracedResult``s of the trace so far."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.trace = []
+
+    def visit(self, k):
+        swapped = super().visit(k)
+        self.trace.append((k, swapped))
+        return swapped
+
+    def result(self):
+        return TracedResult(**vars(super().result()), visits=list(self.trace))
+
+
+def traced():
+    """A context in which every run started records its visits:
+    ``reduction._runs`` looks ``_Run`` up as it starts each run.  A patch,
+    not ``monkeypatch``, so it also serves inside ``hypothesis`` tests."""
+    return mock.patch.object(reduction, "_Run", TracingRun)
+
+
+def run_stack_of_one(algorithm, basis, caps, *, qr=None, **kw):
     """``reduce_at_caps`` on a stack of one, ``basis``, from ``qr`` (by
-    default ``qr_decompose(basis)``): that basis's ``[(cap, result)]``."""
+    default ``qr_decompose(basis)``), traced: that basis's distinct
+    snapshots and cap index."""
     basis = np.asarray(basis)
     q, r = qr_decompose(basis) if qr is None else qr
-    [run] = reduce_at_caps(algorithm, basis[None], caps,
-                           qr=QRFactorization(q[None], r[None]), **kw)
+    with traced():
+        [run] = reduce_at_caps(algorithm, basis[None], caps,
+                               qr=QRFactorization(q[None], r[None]), **kw)
     return run
+
+
+def reduce_stack_of_one(algorithm, basis, caps, **kw):
+    """``run_stack_of_one`` read through its cap index: ``[(cap,
+    snapshot)]``, one per distinct cap."""
+    snapshots, index = run_stack_of_one(algorithm, basis, caps, **kw)
+    return [(cap, snapshots[i]) for cap, i in index.items()]
 
 
 class FactorStacks(NamedTuple):
@@ -65,7 +109,7 @@ def factors(snapshot):
     that holds it as T, with identity q and r."""
     if isinstance(snapshot, GaussIntMatrix):
         eye = np.eye(snapshot.n).tolist()
-        snapshot = ReductionResult(eye, eye, 0, snapshot, 0, False, [], 0, 0, 0)
+        snapshot = ReductionResult(eye, eye, 0, snapshot, 0, False, 0, 0, 0, 0)
     return FactorStacks(*(stack[0] for stack in factor_stacks([snapshot])))
 
 

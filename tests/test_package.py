@@ -1,6 +1,7 @@
 """Tests for the package layout: every module imports on its own, the
-reduction's snapshot format is read in its own modules, and the
-benchmark's metric names match the package's."""
+reduction's snapshot format is read in its own modules, no module reads
+object identity or a per-visit trace, and the benchmark's metric names
+match the package's."""
 
 import ast
 import dataclasses
@@ -15,6 +16,13 @@ import pytest
 from lrmimo.flops import FlopCounter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_nodes():
+    """Each module's path and every node of its syntax tree."""
+    for path in sorted((SRC / "lrmimo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path, node
 
 
 def run_fresh(code: str) -> None:
@@ -46,12 +54,22 @@ def test_snapshot_format_is_read_only_where_it_is_kept():
     owners = {"q_columns": {"reduction"}, "r_columns": {"reduction"},
               "exponent": {"reduction"},
               "shift_re": {"matcore", "reduction"}, "shift_im": {"matcore", "reduction"}}
-    strays = set()
-    for path in sorted((SRC / "lrmimo").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and path.stem not in owners.get(node.attr, {path.stem}):
-                strays.add((path.name, node.attr, node.lineno))
+    strays = {(path.name, node.attr, node.lineno) for path, node in src_nodes()
+              if isinstance(node, ast.Attribute)
+              and path.stem not in owners.get(node.attr, {path.stem})}
     assert not strays
+
+
+def test_no_module_reads_object_identity_or_a_visit_trace():
+    # Caps that share a snapshot share its index in the run's cap index, so
+    # no module tells snapshots apart by identity; a run keeps counts of
+    # its visits, and a trace of them is the tests' own.
+    def stray(node) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id == "id"
+        return isinstance(node, ast.Attribute) and node.attr in ("visits", "visit_swaps")
+
+    assert not {(path.name, node.lineno) for path, node in src_nodes() if stray(node)}
 
 
 def test_benchmark_stage_flops_are_the_flop_counter_fields():

@@ -31,7 +31,14 @@ from lrmimo.reduction import (
     reduce_at_caps,
 )
 from test_flops import EventTally, reduce_one
-from test_matcore import factors, gram_schmidt_oracle, one_sweep, reduce_stack_of_one
+from test_matcore import (
+    factors,
+    gram_schmidt_oracle,
+    one_sweep,
+    reduce_stack_of_one,
+    run_stack_of_one,
+    traced,
+)
 
 
 def random_complex(rng, n):
@@ -48,16 +55,17 @@ def reduce_once(name, basis, cap=None, delta=0.75):
 
 def start_run(basis, lovasz):
     """The ``_Run`` that ``reduce_at_caps`` starts at delta 3/4 on
-    ``basis``, a stack of one, from ``qr_decompose(basis)``."""
+    ``basis``, a stack of one, from ``qr_decompose(basis)``, traced."""
     q, r = qr_decompose(basis)
-    [run] = reduction._runs(np.asarray(basis)[None], QRFactorization(q[None], r[None]),
-                            0.75, lovasz, True)
+    with traced():
+        [run] = reduction._runs(np.asarray(basis)[None], QRFactorization(q[None], r[None]),
+                                0.75, lovasz, True)
     return run
 
 
 def sweep_swaps(res, n):
     """Swaps per mclll sweep of an n-column basis (n-1 visits a sweep)."""
-    swaps = res.visit_swaps
+    swaps = [swapped for _, swapped in res.visits]
     return [sum(swaps[i:i + n - 1]) for i in range(0, len(swaps), n - 1)]
 
 
@@ -266,7 +274,7 @@ class TestFclll:
             h = random_complex(rng, 4)
             res = reduce_once("fclll", h, cap)
             assert res.iterations_used <= cap
-            assert len(res.visit_swaps) == res.iterations_used
+            assert len(res.visits) == res.iterations_used
 
     def test_visit_order_is_cyclic(self):
         rng = np.random.default_rng(5)
@@ -329,7 +337,7 @@ class TestMclll:
             assert res.iterations_used <= cap
             assert len(sweep_swaps(res, 4)) == res.iterations_used
             assert sum(sweep_swaps(res, 4)) == res.swap_count
-            assert len(res.visit_swaps) == 3 * res.iterations_used
+            assert len(res.visits) == 3 * res.iterations_used
             assert [k for k, _ in res.visits] == [1, 2, 3] * res.iterations_used
 
     def test_invariants_hold_even_without_convergence(self):
@@ -604,17 +612,23 @@ class TestScalarFastPaths:
 
 class TestSnapshotReuse:
     def test_caps_after_convergence_share_one_snapshot(self):
+        # A run hands out one snapshot per cap at which it had moved, in cap
+        # order; a cap where it stood still gets the previous cap's index.
         rng = np.random.default_rng(26)
         shared = 0
         for _ in range(20):
             h = generate_channel(4, 4, rng)
-            snaps = reduce_stack_of_one("mclll", h, [4, 6, 8, 18])
-            for (_, a), (_, b) in zip(snaps, snaps[1:]):
-                if a is b:
+            snaps, index = run_stack_of_one("mclll", h, [18, 4, 8, 6, 4])
+            assert list(index) == [4, 6, 8, 18]
+            at = list(index.values())
+            assert at == sorted(at) and set(at) == set(range(len(snaps)))
+            assert len({(s.iterations_used, s.converged) for s in snaps}) == len(snaps)
+            for a, b in zip(at, at[1:]):
+                if a == b:
                     shared += 1
-                    assert a.converged
-            for cap, got in snaps:
-                want = reduce_once("mclll", h, cap)
+                    assert snaps[a].converged
+            for cap, i in index.items():
+                got, want = snaps[i], reduce_once("mclll", h, cap)
                 assert (got.visits, got.iterations_used, got.converged) == (
                     want.visits, want.iterations_used, want.converged)
                 assert np.array_equal(factors(got).r, factors(want).r)
@@ -626,7 +640,8 @@ class TestSnapshotReuse:
         # with no further visit.
         h = generate_channel(4, 4, np.random.default_rng(27))
         m = reduce_once("fclll", h, 1000).iterations_used
-        (_, at_m), (_, after) = reduce_stack_of_one("fclll", h, [m, m + 1])
+        (at_m, after), index = run_stack_of_one("fclll", h, [m, m + 1])
+        assert index == {m: 0, m + 1: 1}
         assert (at_m.iterations_used, at_m.converged) == (m, False)
         assert (after.iterations_used, after.converged) == (m, True)
         assert at_m.visits == after.visits
@@ -648,22 +663,24 @@ class TestBlockForm:
         bases = entry.basis(np.stack(hs))
         q, r, _ = qr_stack(bases)  # the embeddings' rank flags are not read
         caps = [1, 2, 6, 18] if entry.capped else [None]
-        runs = list(reduce_at_caps(name, bases, caps, qr=QRFactorization(q, r)))
-        alone = [reduce_stack_of_one(name, basis, caps, qr=QRFactorization(q_b, r_b))
+        with traced():
+            runs = list(reduce_at_caps(name, bases, caps, qr=QRFactorization(q, r)))
+        alone = [run_stack_of_one(name, basis, caps, qr=QRFactorization(q_b, r_b))
                  for basis, q_b, r_b in zip(bases, q, r)]
         assert len(runs) == len(alone) == len(hs)
-        for i, cap in enumerate(caps):
-            got = [run[i][1] for run in runs]
-            want = [run[i][1] for run in alone]
-            assert [run[i][0] for run in runs + alone] == [cap] * 2 * len(hs)
+        for (got, index), (want, want_index) in zip(runs, alone):
+            assert list(index) == caps and index == want_index
+            assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert (a.visits, a.size_updates, a.iterations_used, a.converged) == (
                     b.visits, b.size_updates, b.iterations_used, b.converged)
                 assert (a.t.re, a.t.im, a.t.shift_re, a.t.shift_im) == (
                     b.t.re, b.t.im, b.t.shift_re, b.t.shift_im)
+        for cap in caps:
+            got, want = ([snaps[index[cap]] for snaps, index in each] for each in (runs, alone))
             for a, b in zip(factor_stacks(got), factor_stacks(want), strict=True):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert any(result.swap_count for run in runs for _, result in run) == (n > 1)
+        assert any(result.swap_count for snaps, _ in runs for result in snaps) == (n > 1)
 
     def test_arguments_are_checked_at_the_call(self):
         # Before any basis is reduced: the stack's runs start only as they
@@ -683,19 +700,18 @@ class TestLazySnapshots:
 
     @pytest.mark.parametrize("n, count", [(4, 20), (8, 4)])
     def test_arrays_equal_the_eager_build(self, n, count, monkeypatch):
-        eager = {}  # id of a snapshot -> its arrays, built from the run as it was taken
+        eager = []  # each snapshot's arrays, in order, built from the run as it was taken
         take = reduction._Run.result
 
         def result(run):
-            snap = take(run)
             t = run.t
-            eager[id(snap)] = (
+            eager.append((
                 np.array(run.q, dtype=complex).T.copy(),
                 ldexp(np.triu(np.array(run.r, dtype=complex).T), run.exponent),
                 np.ascontiguousarray(np.array(t.re, dtype=float).T
                                      + 1j * np.array(t.im, dtype=float).T),
-                np.array(t.shift_re, dtype=float) + 1j * np.array(t.shift_im, dtype=float))
-            return snap
+                np.array(t.shift_re, dtype=float) + 1j * np.array(t.shift_im, dtype=float)))
+            return take(run)
 
         monkeypatch.setattr(reduction._Run, "result", result)
         for i in range(count):
@@ -703,10 +719,11 @@ class TestLazySnapshots:
             for name, entry in REDUCTIONS.items():
                 eager.clear()
                 caps, basis = range(1, 19) if entry.capped else [None], entry.basis(h)
-                snaps = [snap for _, snap in reduce_stack_of_one(name, basis, caps)]
+                snaps, _ = run_stack_of_one(name, basis, caps)
+                assert len(snaps) == len(eager)
                 for j, snap in enumerate(snaps):
                     for got in factors(snap), [stack[j] for stack in factor_stacks(snaps)]:
-                        for a, b in zip(got, eager[id(snap)], strict=True):
+                        for a, b in zip(got, eager[j], strict=True):
                             assert (a.dtype, a.shape, a.tobytes()) == (
                                 b.dtype, b.shape, b.tobytes())
 
@@ -758,5 +775,6 @@ class TestDiscreteOutputs:
                 qr = qr_decompose(basis)
                 for full in (True, False):
                     for _, res in reduce_stack_of_one(name, basis, caps, qr=qr, factors=full):
+                        assert res.visit_count == len(res.visits)
                         assert res.swap_count == sum(swapped for _, swapped in res.visits)
                         assert res.pivot_sum == sum(k for k, _ in res.visits)

@@ -30,6 +30,7 @@ from test_detect import detect_one, exhaustive_ml, zf_lr_one
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply, reduce_stack_of_one
 from test_mimo import demodulate
+from test_reduction import reduce_once
 
 INF = float("inf")
 
@@ -115,6 +116,14 @@ class TestSimConfig:
         (dict(seed=7.0), "seed"),
         (dict(workers="1"), "workers"),
         (dict(algorithms=()), "algorithms"),
+        (dict(delta=True), "delta"),
+        (dict(delta="0.75"), "delta"),
+        (dict(delta="x", algorithms=("zf",)), "delta"),
+        (dict(delta=0.75 + 0j), "delta"),
+        (dict(delta=np.float16(0.75)), "delta"),  # its swap tests differ from 0.75's
+        (dict(snr_db_grid=(True,)), "snr_db_grid"),
+        (dict(snr_db_grid=(4.0, np.True_)), "snr_db_grid"),
+        (dict(snr_db_grid=("10",)), "snr_db_grid"),
     ])
     def test_configs_run_sweep_cannot_run_rejected(self, kwargs, field):
         # Each of these fails inside run_sweep, or prints a value that is
@@ -130,7 +139,8 @@ class TestSimConfig:
                         iter_max_list=(2, 6))
         as_numpy = dataclasses.replace(
             cfg, frames=np.int64(12), n_t=np.int32(4), n_r=np.int64(4), m_s=np.int16(16),
-            seed=np.uint64(7), workers=np.int8(1), iter_max_list=(np.int64(2), np.uint8(6)))
+            seed=np.uint64(7), workers=np.int8(1), iter_max_list=(np.int64(2), np.uint8(6)),
+            delta=np.float64(0.75), snr_db_grid=(np.int64(12),))
         assert csv_text(run_sweep(as_numpy), as_numpy) == csv_text(run_sweep(cfg), cfg)
 
     def test_delta_checked_per_listed_reduction(self):
@@ -477,8 +487,8 @@ class TestFrameMajorEquivalence:
         # reduction runs once per frame on the accepted channel, and one
         # detection call per block serves every SNR column: the inf column
         # is H s of the attempt the finite columns use, so its cells cost
-        # the same FLOPs.  An LR-ZF call detects each cap's snapshots
-        # against its own copy of the accepted columns.
+        # the same FLOPs.  An LR-ZF call detects each frame's distinct
+        # snapshots, each against that frame's accepted columns.
         cfg = SimConfig(snr_db_grid=(0.0, 12.0, INF), frames=3, n_t=2, n_r=2, m_s=4,
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
@@ -514,16 +524,16 @@ class TestFrameMajorEquivalence:
         assert {alg for alg, _, _ in detected} == set(cfg.algorithms)
         columns = np.stack([cols for _, cols in accepted])
         for alg, factors, x in detected:
-            caps = cfg.iter_max_list if simharness._capped(alg) else [None]
-            assert x.shape[0] == len(caps) * cfg.frames
-            assert all(np.array_equal(each, columns) for each in np.split(x, len(caps)))
             if alg in ("zf", "ml"):  # the accepted channels' stacked QR
+                assert np.array_equal(x, columns)
                 assert np.allclose(factors.q @ factors.r, np.stack([h for h, _ in accepted]))
-            else:  # the frames' snapshots, cap by cap
+            else:  # each frame's distinct snapshots, frame by frame
                 [runs] = [runs for name, _, runs in reduced if name == alg[6:]]
-                assert len(factors) == len(caps) * cfg.frames
-                assert all(got is want for got, want in zip(
-                    factors, [run[cap][0] for cap in caps for run in runs]))
+                snapshots = [snap for snaps, _ in runs for snap in snaps]
+                frame = [f for f, (snaps, _) in enumerate(runs) for _ in snaps]
+                assert len(factors) == len(snapshots) == len(x)
+                assert all(got is want for got, want in zip(factors, snapshots))
+                assert np.array_equal(x, columns[frame])
         by_cell = {(r.algorithm, r.iter_max, r.snr_db): r for r in records}
         for (alg, cap, snr), record in by_cell.items():
             assert record.mean_flops == by_cell[alg, cap, INF].mean_flops
@@ -565,6 +575,56 @@ class TestFrameMajorEquivalence:
             run_sweep(cfg)
         rejected = [r.getMessage() for r in caplog.records if r.getMessage().endswith("redrawing")]
         assert rejected == ["frame 0: rank-deficient channel, redrawing"] * 100
+
+
+class TestDistinctSnapshots:
+    """LR-ZF detection gets each frame's distinct snapshots once, and each
+    cap reads the detections of the snapshot its cap index names."""
+
+    def test_each_distinct_snapshot_is_detected_once(self, monkeypatch):
+        cfg = SimConfig(snr_db_grid=(8.0, INF), frames=40,
+                        algorithms=("zf-lr-mclll", "zf-lr-fclll", "zf-lr-lll"),
+                        iter_max_list=(1, 2, 4, 6, 18), seed=12)
+        reduced, detected = {}, []
+        reduce_block = flops.reduce_block
+
+        def spy(name, h, *args, **kw):
+            reduced[name] = h, list(reduce_block(name, h, *args, **kw))
+            return reduced[name][1]
+
+        monkeypatch.setattr(flops, "reduce_block", spy)
+        spy_detectors(monkeypatch, lambda alg, snapshots, x: detected.append((alg, snapshots)))
+        run_sweep(cfg)  # one block
+        assert [alg for alg, _ in detected] == list(cfg.algorithms)
+        for alg, snapshots in detected:
+            name = alg[6:]
+            entry, (h, runs) = reduction.REDUCTIONS[name], reduced[name]
+            caps = cfg.iter_max_list if entry.capped else [None]
+            rows = 0
+            for h_f, (snaps, at) in zip(h, runs, strict=True):
+                stopped = {cap: reduce_once(name, entry.basis(h_f), cap) for cap in caps}
+                rows += len({(res.iterations_used, res.converged) for res in stopped.values()})
+                for cap, want in stopped.items():
+                    got = snaps[at[cap][0]]
+                    assert (got.iterations_used, got.converged, got.visit_count,
+                            got.swap_count, got.pivot_sum, got.size_updates) == (
+                        want.iterations_used, want.converged, want.visit_count,
+                        want.swap_count, want.pivot_sum, want.size_updates)
+                    assert (got.t.re, got.t.im) == (want.t.re, want.t.im)
+            assert len(snapshots) == rows
+            assert rows < len(caps) * cfg.frames or not entry.capped
+
+    def test_real_size_sweep_detects_2778_snapshots(self, monkeypatch):
+        # The 1,024-frame sweep's 4 mclll caps and lll make 5,120 (cap,
+        # frame) pairs, of which 2,778 are distinct snapshots.
+        cfg = SimConfig(snr_db_grid=tuple(float(snr) for snr in range(0, 25, 4)), frames=1024,
+                        algorithms=("zf", "zf-lr-mclll", "zf-lr-lll"),
+                        iter_max_list=(4, 6, 8, 18), seed=3)
+        rows = []
+        spy_detectors(monkeypatch, lambda alg, factors, x: rows.append(
+            len(x) if alg.startswith("zf-lr") else 0))
+        run_sweep(cfg)
+        assert sum(rows) == 2778
 
 
 def embedding_only_witness():
