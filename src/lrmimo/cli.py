@@ -250,11 +250,8 @@ def _cmd_flops_report(args) -> int:
         raise UsageError(f"--nt/--nr: need 1 <= nt <= nr, got {args.nt} and {args.nr}")
     if args.channels < 1:
         raise UsageError(f"--channels: need at least one, got {args.channels}")
-    entries = []
-    for alg in args.algorithms:
+    for alg in (*args.algorithms, "lll"):  # each listed one, then the implicit baseline
         _check_delta(alg, args.delta)
-        entries.extend((alg, cap) for cap in args.iter_max)
-    _check_delta("lll", args.delta)  # the implicit baseline
     rng = np.random.default_rng(args.seed)
     # Each block draws the normals of its channels in one call, the bytes that
     # as many mimo.generate_channel calls draw: each channel's real parts,
@@ -263,8 +260,8 @@ def _cmd_flops_report(args) -> int:
              for lo in range(0, args.channels, _BLOCK_CHANNELS))
     blocks = (channel_from_normals(*rng.standard_normal((size, 2, args.nr, args.nt))
                                    .swapaxes(0, 1)) for size in sizes)
-    rows = flops_mod.complexity_report(blocks, entries, mode=args.mode,
-                                       delta=args.delta)
+    rows = flops_mod.complexity_report(blocks, args.algorithms, args.iter_max,
+                                       mode=args.mode, delta=args.delta)
     with _output(args.out) as out:
         if args.out:
             flops_mod.write_complexity_csv(rows, out, args.mode)

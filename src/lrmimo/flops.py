@@ -190,9 +190,9 @@ def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float =
     snapshots, which would survive into the garbage collector's oldest
     generation and cost a full collection or two per report.
     """
-    h = np.asarray(h, dtype=complex)
-    basis = REDUCTIONS[algorithm].basis(h)
-    if basis is not h:  # lll's embeddings: the channels' rank test stands for theirs
+    h, entry = np.asarray(h, dtype=complex), REDUCTIONS[algorithm]
+    basis = entry.basis(h)
+    if not entry.capped:  # lll's embeddings: the channels' rank test stands for theirs
         qr = QRFactorization(*qr_stack(basis)[:2])
     n_r, n_t = h.shape[-2:]
     charges = {cap: schedule_for(algorithm, mode, n_t, n_r, cap) for cap in caps}
@@ -214,59 +214,54 @@ class ComplexityRow:
     gain_pct: float | None
 
 
-def complexity_report(blocks, entries, *, mode: str = "literal",
+def complexity_report(blocks, algorithms, caps, *, mode: str = "literal",
                       delta: float = 0.75) -> list[ComplexityRow]:
-    """Mean/median/max FLOPs per (algorithm, iter_max) over a channel
-    sample, with relative gain versus the unbounded real-LLL baseline.
+    """Mean/median/max FLOPs of each of ``algorithms``, capped reductions,
+    at each of ``caps`` over a channel sample, with relative gain versus
+    the unbounded real-LLL baseline, whose row comes first; then the
+    algorithms in order, each cap by cap.
 
-    ``entries`` is a list of (algorithm, iter_max) pairs; the "lll"
-    baseline row is prepended automatically when absent.  ``blocks`` is
-    any iterable, read once, of (B, n_r, n_t) stacks of channels; blocks
-    may differ in size and shape.  Each block gets one stacked QR of its
-    channels, which is their rank test, the only one, and every entry's
-    runs come from ``reduce_block`` on that stack; a channel that fails
-    the test raises, in channel order, once the channels before it are
-    reduced.  The report reads only FLOP counts, so its runs are
-    count-only (no q, r or T).
+    ``blocks`` is any iterable, read once, of (B, n_r, n_t) stacks of
+    channels; blocks may differ in size and shape.  Each block gets one
+    stacked QR of its channels, which is their rank test, the only one,
+    and every algorithm's runs come from ``reduce_block`` on that stack; a
+    channel that fails the test raises, in channel order, once the
+    channels before it are reduced.  The report reads only FLOP counts,
+    so its runs are count-only (no q, r or T).
     """
-    entries = [(alg, cap) for alg, cap in entries]
-    baseline_key = next((e for e in entries if e[0] == "lll"), ("lll", None))
-    if baseline_key not in entries:
-        entries.insert(0, baseline_key)
-    totals: dict[tuple[str, int | None], list[float]] = {entry: [] for entry in entries}
-    caps: dict[str, list] = {}
-    for alg, cap in totals:
-        caps.setdefault(alg, []).append(cap)
+    if "lll" in algorithms:
+        raise ValueError("lll is the report's baseline, not one of its algorithms")
+    plan = {"lll": [None], **{alg: list(caps) for alg in algorithms}}
+    totals = {(alg, cap): [] for alg, alg_caps in plan.items() for cap in alg_caps}
     for block in blocks:
-        _count_block(block, caps, totals, delta=delta, mode=mode)
-    if not totals[baseline_key]:
+        _count_block(block, plan, totals, delta=delta, mode=mode)
+    if not totals["lll", None]:
         raise ValueError("need at least one channel")
-    baseline_mean = statistics.fmean(totals[baseline_key])
+    baseline_mean = statistics.fmean(totals["lll", None])
     rows = []
-    for alg, cap in entries:
-        vals = totals[(alg, cap)]
+    for (alg, cap), vals in totals.items():
         mean = statistics.fmean(vals)
         gain = None
-        if (alg, cap) != baseline_key and baseline_mean > 0:
+        if alg != "lll" and baseline_mean > 0:
             gain = 100.0 * (1.0 - mean / baseline_mean)
         rows.append(ComplexityRow(alg, cap, mean, statistics.median(vals),
                                   max(vals), gain))
     return rows
 
 
-def _count_block(block, caps, totals, *, delta: float, mode: str) -> None:
-    """Count-only runs of every ``caps`` entry on each channel of ``block``,
-    a (B, n_r, n_t) stack, in order: each run's FLOP total goes to
-    ``totals[alg, cap]``.  One stacked QR of the block's channels is their
-    rank test, the only one; the channels before the first that fails it
-    are reduced (``reduce_block``), and then that channel raises
-    ``qr_decompose``'s RankDeficient."""
+def _count_block(block, plan, totals, *, delta: float, mode: str) -> None:
+    """Count-only runs of every ``plan`` algorithm at each of its caps on
+    each channel of ``block``, a (B, n_r, n_t) stack, in order: each run's
+    FLOP total goes to ``totals[alg, cap]``.  One stacked QR of the block's
+    channels is their rank test, the only one; the channels before the
+    first that fails it are reduced (``reduce_block``), and then that
+    channel raises ``qr_decompose``'s RankDeficient."""
     hs = np.asarray(block, dtype=complex)
     check_shape(hs[0])
     q, r, low = qr_stack(hs)
     passed = next(iter(np.flatnonzero(low.any(axis=-1))), len(hs))
     if passed:
-        for alg, alg_caps in caps.items():
+        for alg, alg_caps in plan.items():
             for _, at in reduce_block(alg, hs[:passed], QRFactorization(q[:passed], r[:passed]),
                                       alg_caps, delta=delta, mode=mode, factors=False):
                 for cap in alg_caps:

@@ -30,11 +30,11 @@ of them and reads none of its rank flags.  Each reduction runs once per
 frame, from the frame's rows of its stacked basis and QR, up to the
 largest listed iteration cap, and hands out its distinct snapshots with
 each cap's index among them (a run capped at k sweeps is the prefix of
-one capped at K > k).  Each algorithm then makes one detection call for
+one capped at K > k).  Each algorithm then calls its detector once for
 the block: zero forcing and ML on the channels' stacked QR as it is
-(ML's one search over every frame and SNR), an LR-ZF detector on every
-frame's distinct snapshots, stacked along the frame axis, each against
-its frame's received vectors, whose rows each cap then gathers.  Bit
+(ML's one search over every frame and SNR), LR-ZF on every frame's
+distinct snapshots, stacked along the frame axis, each against its
+frame's received vectors, whose rows each cap then gathers.  Bit
 errors are counted per cap and column, once per block, off the
 constellation's bit table.  Each frame's results are those a
 frame-by-frame loop gets.
@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flops
-from .detect import check_search_space, ml_detector, zf_detector, zf_lr_detector
+from .detect import check_search_space, ml_detect, zf_detect, zf_lr_detect
 from .matcore import QRFactorization, qr_stack
 from .mimo import (
     build_constellation,
@@ -75,11 +75,11 @@ from .reduction import REDUCTIONS
 
 logger = logging.getLogger(__name__)
 
-# Algorithm -> (the REDUCTIONS key it reduces with first, or None; its detector
-# factory, given a block's stacked QR or a list of distinct reduction snapshots).
-DETECTORS = {"zf": (None, zf_detector),
-             **{f"zf-lr-{name}": (name, zf_lr_detector) for name in REDUCTIONS},
-             "ml": (None, ml_detector)}
+# Algorithm -> (the REDUCTIONS key it reduces with first, or None; its detector,
+# called once per block on the stacked QR or the distinct reduction snapshots).
+DETECTORS = {"zf": (None, zf_detect),
+             **{f"zf-lr-{name}": (name, zf_lr_detect) for name in REDUCTIONS},
+             "ml": (None, ml_detect)}
 ALGORITHMS = tuple(DETECTORS)
 
 SNR_DEFINITION = "sigma_n^2=n_t/10^(snr_db/10)"
@@ -170,11 +170,11 @@ class SimConfig:
 
 def _check_number(field: str, value, real: bool = False) -> None:
     """Raise ValueError naming ``field`` unless ``value`` is a Python or
-    numpy integer or, with ``real``, a double, the swap tests' precision.
-    A bool, which Python counts as an integer, is neither."""
+    numpy integer or, with ``real``, a double (the swap tests' precision)
+    that is not NaN.  A bool, which Python counts as an integer, is neither."""
     kinds, what = ((int, np.integer, float), "a real number") if real else (
         (int, np.integer), "an integer")
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds) or value != value:
         raise ValueError(f"{field} must be {what}, got {value!r}")
 
 
@@ -308,7 +308,7 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
     for alg, caps in plan.caps.items():
         name, detector = DETECTORS[alg]
         if name is None:
-            index, cap_flops = detector(qr, c)(x)[None], {None: 0}
+            index, cap_flops = detector(qr, c, x)[None], {None: 0}
         else:  # one run per frame, whose distinct snapshots are detected once
             snapshots, frame, rows, cap_flops = [], [], [], dict.fromkeys(caps, 0)
             for f, (snaps, at) in enumerate(flops.reduce_block(
@@ -318,7 +318,7 @@ def _block_tallies(cfg: SimConfig, plan: _Plan, lo: int, hi: int) -> list[Tally]
                 snapshots += snaps
                 frame += [f] * len(snaps)
             # Each cap gathers its frames' rows: (caps, frames, n_t, k), as zf's.
-            index = detector(snapshots, c)(x[frame])[np.transpose(rows)]
+            index = detector(snapshots, c, x[frame])[np.transpose(rows)]
         errors = (c.bit_table[index] != bits).sum(axis=(1, 2, 4)).tolist()  # per cap, column
         for (cap, block_flops), cap_errors in zip(cap_flops.items(), errors):
             for snr, bit_errors in zip(cfg.snr_db_grid, cap_errors):

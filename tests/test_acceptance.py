@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
-line per criterion.  The full module takes about 10 s on a 2-CPU x86-64
-host (Python 3.11, numpy 2.4).  Criterion 1's 40,000 reductions take
-about 5 s of it; the shared BER sweeps (10^4 Monte Carlo frames per
+line per criterion.  The full module takes about 9 s on a 2-CPU x86-64
+host (Python 3.11, numpy 2.4).  Criterion 1's 40,000 results, from
+20,000 runs, take about 3 s of it; the shared BER sweeps (10^4 Monte Carlo frames per
 cell, ML as a sphere search at one SNR point) take about 1.4 s, and
 criteria 2a and 4 about 1.1 s each.
 
@@ -24,14 +24,15 @@ import time
 import numpy as np
 import pytest
 
-from lrmimo.detect import ml_detector
+from lrmimo.detect import ml_detect
 from lrmimo.flops import schedule_for
-from lrmimo.matcore import is_unimodular, qr_decompose, real_embedding
+from lrmimo.matcore import QRFactorization, is_unimodular, qr_decompose, real_embedding
 from lrmimo.mimo import build_constellation, generate_channel
 from lrmimo.reduction import (
     factorization_error,
     is_lll_reduced,
     is_siegel_reduced,
+    reduce_at_caps,
 )
 from lrmimo.simharness import SimConfig, emit_csv, run_sweep
 from test_detect import detect_one
@@ -88,8 +89,11 @@ def test_criterion1_unimodularity_suite():
     runs = 0
     for _ in range(10_000):
         h = rayleigh(rng, 4)
-        results = [reduce_once("mclll", h, cap) for cap in (1, 6, 18)]
-        results.append(reduce_once("fclll", h, 18))
+        qr = QRFactorization(*(part[None] for part in qr_decompose(h)))
+        results = []
+        for name, caps in (("mclll", (1, 6, 18)), ("fclll", (18,))):  # untraced runs
+            [(snapshots, index)] = reduce_at_caps(name, h[None], caps, qr=qr)
+            results += [snapshots[index[cap]] for cap in caps]
         for res in results:
             assert is_unimodular(res.t)
             assert factorization_error(h, res) <= 1e-9
@@ -329,5 +333,5 @@ def test_ber_monotone_in_snr(sweep_mclll_caps):
 def test_ml_search_space_within_guard():
     c = build_constellation(16)
     h = np.eye(4, dtype=complex)
-    out = detect_one(ml_detector(qr_decompose(h), c), c, c.points[[0, 1, 2, 3]])
+    out = detect_one(ml_detect, qr_decompose(h), c, c.points[[0, 1, 2, 3]])
     assert np.array_equal(out, c.points[[0, 1, 2, 3]])

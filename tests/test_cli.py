@@ -185,6 +185,16 @@ class TestExitCodes:
         assert main(["reduce", "--matrix", str(path), "--algorithm", "lll",
                      "--iter-max", "0"]) == 0
 
+    @pytest.mark.parametrize("snr, message", [
+        (["--snr", "0:4"], "expected start:step:stop, got '0:4'"),
+        (["--snr", "0:0:4"], "step must be positive"),
+        (["--snr=4:-1:0"], "step must be positive"),
+    ])
+    def test_snr_range_without_three_parts_or_a_positive_step_is_usage_error(
+            self, snr, message, capsys):
+        assert main(["ber-sweep", *snr, "--frames", "1"]) == 1
+        assert f"argument --snr: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0:4:inf", "-inf:4:0", "0:inf:4", "nan:4:8"])
     def test_non_finite_snr_range_is_usage_error(self, grid, capsys):
         # An infinite bound once made the range loop grow without end.
@@ -321,7 +331,8 @@ class TestBerSweep:
                           ("frames = abc", "frames"), ("delta = x", "delta"),
                           ("flop_mode = fast", "fast"), ("seed =", "seed"),
                           ("algorithms = zf,zf", "repeated algorithm"),
-                          ("iter-max = 4,6,4", "not repeated")):
+                          ("iter-max = 4,6,4", "not repeated"),
+                          ("frames 4", "sim.cfg:1: expected 'key = value'")):
             cfg.write_text(line + "\n")
             assert main(["ber-sweep", "--config", str(cfg)]) == 1, line
             err = capsys.readouterr().err
@@ -589,10 +600,9 @@ class TestFlopsReport:
                      "--iter-max", "2,6", "--seed", "1607", "--out", str(out)]) == 0
         rng = np.random.default_rng(1607)
         channels = [generate_channel(n_r, n_t, rng) for _ in range(130)]
-        entries = [("lll", None)] + [(alg, cap) for alg in ("mclll", "fclll") for cap in (2, 6)]
         want = io.StringIO()
-        flops.write_complexity_csv(rows_priced_run_by_run(channels, entries, "literal"),
-                                   want, "literal")
+        flops.write_complexity_csv(
+            rows_priced_run_by_run(channels, ("mclll", "fclll"), (2, 6), "literal"), want, "literal")
         assert out.read_text() == want.getvalue()
 
 

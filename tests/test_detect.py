@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from lrmimo.detect import (
     SearchSpaceTooLarge,
-    ml_detector,
+    ml_detect,
     quantize_z_domain,
-    zf_detector,
-    zf_lr_detector,
+    zf_detect,
+    zf_lr_detect,
 )
 from lrmimo.matcore import (
     GaussIntMatrix,
@@ -45,16 +45,16 @@ def random_symbols(rng, c, n_t):
     return c.points[rng.integers(0, c.m_s, n_t)]
 
 
-def detect_one(detect, c, x):
-    """The symbol vector ``detect`` gives for the one received vector ``x``."""
-    return c.points[detect(np.asarray(x)[:, None])[:, 0]]
+def detect_one(detect, factors, c, x):
+    """The symbol vector ``detect(factors, c, x)`` gives for the one
+    received vector ``x``."""
+    return c.points[detect(factors, c, np.asarray(x)[:, None])[:, 0]]
 
 
-def zf_lr_one(red, c):
-    """``zf_lr_detector`` prepared for a block of one frame, reduced as
-    ``red``: its ``detect(x)`` maps that frame's (n_r, k) matrix ``x``."""
-    detect = zf_lr_detector([red], c)
-    return lambda x: detect(np.asarray(x)[None])[0]
+def zf_lr_one(red, c, x):
+    """``zf_lr_detect`` on a block of one frame, reduced as ``red``: the
+    indices it detects for that frame's (n_r, k) matrix ``x``."""
+    return zf_lr_detect([red], c, np.asarray(x)[None])[0]
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +119,7 @@ class TestZF:
     def test_identity_channel_exact_points(self):
         c = build_constellation(16)
         s = c.points[[0, 5, 9, 15]]
-        assert np.array_equal(detect_one(zf_detector(qr_decompose(np.eye(4)), c), c, s), s)
+        assert np.array_equal(detect_one(zf_detect, qr_decompose(np.eye(4)), c, s), s)
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -127,7 +127,7 @@ class TestZF:
         for _ in range(200):
             h = random_channel(rng, 4, 4)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(zf_detector(qr_decompose(h), c), c, h @ s), s)
+            assert np.array_equal(detect_one(zf_detect, qr_decompose(h), c, h @ s), s)
 
     def test_near_singular_channel_makes_errors(self):
         rng = np.random.default_rng(1)
@@ -138,7 +138,7 @@ class TestZF:
             h[:, 1] = h[:, 0] + 1e-3 * h[:, 1]  # nearly dependent columns
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.1), rng)
-            errors += int(np.sum(detect_one(zf_detector(qr_decompose(h), c), c, x) != s))
+            errors += int(np.sum(detect_one(zf_detect, qr_decompose(h), c, x) != s))
         assert errors > 0
 
 
@@ -213,8 +213,8 @@ class TestZfLr:
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
-            assert np.array_equal(detect_one(zf_detector(qr_decompose(h), c), c, x),
-                                  detect_one(zf_lr_one(red, c), c, x))
+            assert np.array_equal(detect_one(zf_detect, qr_decompose(h), c, x),
+                                  detect_one(zf_lr_one, red, c, x))
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(5)
@@ -223,7 +223,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("mclll", h, 18)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(zf_lr_one(red, c), c, h @ s), s)
+            assert np.array_equal(detect_one(zf_lr_one, red, c, h @ s), s)
 
     def test_symbols_always_in_alphabet(self):
         # Heavy noise pushes z-domain estimates off the alphabet; every
@@ -234,7 +234,7 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("mclll", h, 6)
             x = add_noise(h @ random_symbols(rng, c, 4), NoiseSpec(2.0), rng)
-            out = zf_lr_one(red, c)(x[:, None])
+            out = zf_lr_one(red, c, x[:, None])
             assert out.shape == (4, 1) and out.dtype.kind == "i"
             assert ((0 <= out) & (out < c.m_s)).all()
 
@@ -271,12 +271,12 @@ class TestZfLr:
             h = random_channel(rng, 4, 4)
             red = reduce_once("lll", real_embedding(h))
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(zf_lr_one(red, c), c, h @ s), s)
+            assert np.array_equal(detect_one(zf_lr_one, red, c, h @ s), s)
 
 
 class TestBlockDetection:
-    """A detector prepared for a block of frames detects each frame as the
-    one prepared for that frame alone does, index for index."""
+    """A detector called on a block of frames detects each frame as a
+    call on that frame alone does, index for index."""
 
     def block(self, n_r, n_t, frames=6, k=3):
         rng = np.random.default_rng(41)
@@ -291,10 +291,10 @@ class TestBlockDetection:
         c, hs, x = self.block(n_r, n_t)
         qrs = [qr_decompose(h) for h in hs]
         stacked = QRFactorization(np.stack([q for q, _ in qrs]), np.stack([r for _, r in qrs]))
-        out = zf_detector(stacked, c)(x)
+        out = zf_detect(stacked, c, x)
         assert out.shape == x.shape[:1] + (n_t, x.shape[2])
         for qr, x_i, out_i in zip(qrs, x, out):
-            assert np.array_equal(out_i, zf_detector(qr, c)(x_i))
+            assert np.array_equal(out_i, zf_detect(qr, c, x_i))
 
     @pytest.mark.parametrize("name", sorted(REDUCTIONS))
     @pytest.mark.parametrize("n_r, n_t", [(4, 4), (4, 2)])
@@ -302,9 +302,9 @@ class TestBlockDetection:
         c, hs, x = self.block(n_r, n_t)
         entry = REDUCTIONS[name]
         reds = [reduce_once(name, entry.basis(h), 2 if entry.capped else None) for h in hs]
-        out = zf_lr_detector(reds, c)(x)
+        out = zf_lr_detect(reds, c, x)
         for red, x_i, out_i in zip(reds, x, out):
-            assert np.array_equal(out_i, zf_lr_one(red, c)(x_i))
+            assert np.array_equal(out_i, zf_lr_one(red, c, x_i))
 
     @pytest.mark.parametrize("frames", [1, 64])
     @pytest.mark.parametrize("name", sorted(REDUCTIONS))
@@ -325,9 +325,9 @@ class TestBlockDetection:
         else:
             sets = [[reduce_once(name, real_embedding(h), delta=delta) for h in hs]
                     for delta in (0.3, 0.75, 0.99)]
-        stacked = zf_lr_detector([red for each in sets for red in each], c)(
-            np.concatenate([x] * len(sets)))
-        one_by_one = np.concatenate([zf_lr_detector(each, c)(x) for each in sets])
+        stacked = zf_lr_detect([red for each in sets for red in each], c,
+                               np.concatenate([x] * len(sets)))
+        one_by_one = np.concatenate([zf_lr_detect(each, c, x) for each in sets])
         assert stacked.dtype == one_by_one.dtype
         assert stacked.shape == one_by_one.shape and stacked.tobytes() == one_by_one.tobytes()
 
@@ -339,7 +339,7 @@ class TestML:
         for _ in range(20):
             h = random_channel(rng, 4, 4)
             s = random_symbols(rng, c, 4)
-            assert np.array_equal(detect_one(ml_detector(qr_decompose(h), c), c, h @ s), s)
+            assert np.array_equal(detect_one(ml_detect, qr_decompose(h), c, h @ s), s)
 
     def test_degenerate_1x1_matches_slicing(self):
         rng = np.random.default_rng(9)
@@ -348,7 +348,7 @@ class TestML:
             h = random_channel(rng, 1, 1)
             x = (rng.standard_normal(1) + 1j * rng.standard_normal(1))
             sliced = c.points[c.nearest_index(x / h[0, 0])]
-            assert np.array_equal(detect_one(ml_detector(qr_decompose(h), c), c, x), sliced)
+            assert np.array_equal(detect_one(ml_detect, qr_decompose(h), c, x), sliced)
 
     def test_prepared_detector_matches_whole_table_argmin(self):
         # Reference: one einsum over the whole lexicographic candidate table.
@@ -358,13 +358,13 @@ class TestML:
         cand = c.points[np.stack(grid, axis=-1).reshape(-1, 4)]
         for _ in range(10):
             h = random_channel(rng, 4, 4)
-            detect = ml_detector(qr_decompose(h), c)
+            qr = qr_decompose(h)
             for sigma in (0.1, 1.0):
                 noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 x = h @ random_symbols(rng, c, 4) + sigma * noise
                 diff = cand @ h.T - x[None, :]
                 dist = np.einsum("ij,ij->i", diff.conj(), diff).real
-                assert np.array_equal(detect_one(detect, c, x), cand[np.argmin(dist)])
+                assert np.array_equal(detect_one(ml_detect, qr, c, x), cand[np.argmin(dist)])
 
     def test_ml_beats_zf_statistically(self):
         rng = np.random.default_rng(10)
@@ -375,17 +375,17 @@ class TestML:
             s = random_symbols(rng, c, 2)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
             try:
-                zf_out = detect_one(zf_detector(qr_decompose(h), c), c, x)
+                zf_out = detect_one(zf_detect, qr_decompose(h), c, x)
             except Exception:
                 continue
-            ml_err += int(np.sum(detect_one(ml_detector(qr_decompose(h), c), c, x) != s))
+            ml_err += int(np.sum(detect_one(ml_detect, qr_decompose(h), c, x) != s))
             zf_err += int(np.sum(zf_out != s))
         assert ml_err <= zf_err
 
     def test_search_space_guard(self):
         c = build_constellation(64)
         with pytest.raises(SearchSpaceTooLarge):
-            ml_detector(qr_decompose(np.eye(4)), c)
+            ml_detect(qr_decompose(np.eye(4)), c, np.zeros((4, 1)))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_block_search_matches_exhaustive_oracle(self, block):
@@ -396,7 +396,7 @@ class TestML:
         for m_s, hs, x, expected in oracle_cases():
             c = build_constellation(m_s)
             for lo in range(0, len(hs), block):
-                got = ml_detector(stacked_qr(hs[lo:lo + block]), c)(x[lo:lo + block])
+                got = ml_detect(stacked_qr(hs[lo:lo + block]), c, x[lo:lo + block])
                 wrong = (c.points[got] != expected[lo:lo + block]).any(axis=1)
                 searches, mismatches = searches + wrong.size, mismatches + wrong.sum()
         assert searches == 2400 and mismatches == 0
@@ -412,7 +412,7 @@ class TestML:
         h, x = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
         first = c.points[[0, 0]]
         assert np.array_equal(exhaustive_ml(h, c)(x), first)
-        assert np.array_equal(detect_one(ml_detector(qr_decompose(h), c), c, x), first)
+        assert np.array_equal(detect_one(ml_detect, qr_decompose(h), c, x), first)
 
     def test_exact_tie_inside_a_block(self):
         # The tie frame (h = I, x = 0) among random frames, each with a
@@ -424,7 +424,7 @@ class TestML:
         y = hs @ c.points[rng.integers(0, 4, (9, 2, 1))]
         x = np.concatenate([y + 0.4 * base_noise(y.shape, rng), y], axis=2)
         x[4] = 0.0
-        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        got = c.points[ml_detect(stacked_qr(hs), c, x)]
         assert np.array_equal(got[4], np.full((2, 2), c.points[0]))
         for h, x_i, got_i in zip(hs, x, got):
             oracle = exhaustive_ml(h, c)
@@ -439,12 +439,12 @@ class TestML:
         x = base_noise((6, 2, 3), rng)
         x[at] = bad
         with pytest.raises(ValueError):
-            ml_detector(stacked_qr(hs), c)(x)
+            ml_detect(stacked_qr(hs), c, x)
 
     def test_block_without_columns(self):
         c = build_constellation(16)
         hs = np.stack([np.eye(2, dtype=complex)] * 3)
-        assert ml_detector(stacked_qr(hs), c)(np.zeros((3, 2, 0), complex)).shape == (3, 2, 0)
+        assert ml_detect(stacked_qr(hs), c, np.zeros((3, 2, 0), complex)).shape == (3, 2, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(n_t=st.integers(1, 3), extra=st.integers(0, 1), m_s=st.sampled_from([4, 16]),
@@ -456,7 +456,7 @@ class TestML:
         y = hs @ c.points[rng.integers(0, m_s, (frames, n_t, 1))]
         std = snr_to_noise_variance(snr, n_t).component_std
         x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
-        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        got = c.points[ml_detect(stacked_qr(hs), c, x)]
         for h, x_i, got_i in zip(hs, x, got):
             oracle = exhaustive_ml(h, c)
             assert all(np.array_equal(got_i[:, j], oracle(x_i[:, j])) for j in range(2))
@@ -472,8 +472,8 @@ class TestML:
         hs = np.stack([random_channel(rng, 4, 4) for _ in range(8)])
         y = hs @ c.points[rng.integers(0, 16, (8, 4, 1))]
         x = np.concatenate([y + stds * base_noise((8, 4, 1), rng), y], axis=2)
-        got = ml_detector(stacked_qr(hs), c)(x)
-        assert np.array_equal(ml_detector(stacked_qr(ldexp(hs, k)), c)(ldexp(x, k)), got)
+        got = ml_detect(stacked_qr(hs), c, x)
+        assert np.array_equal(ml_detect(stacked_qr(ldexp(hs, k)), c, ldexp(x, k)), got)
 
     def test_no_level_expands_more_than_the_bound(self, monkeypatch):
         # Spies every K-best selection and breadth-first mask: each sees
@@ -490,7 +490,7 @@ class TestML:
             monkeypatch.setattr(np, name, lambda a, *args, f=getattr(np, name), **kw:
                                 sizes.append(np.size(a)) or f(a, *args, **kw))
         monkeypatch.setattr("lrmimo.detect._EXPANSION_LIMIT", 512)
-        got = c.points[ml_detector(stacked_qr(hs), c)(x)]
+        got = c.points[ml_detect(stacked_qr(hs), c, x)]
         assert max(sizes) == 512
         for h, x_i, got_i in zip(hs, x, got):
             oracle = exhaustive_ml(h, c)
@@ -498,10 +498,10 @@ class TestML:
 
     def test_non_finite_received_vector_rejected(self):
         c = build_constellation(4)
-        detect_ml = ml_detector(qr_decompose(np.eye(2, dtype=complex)), c)
+        qr = qr_decompose(np.eye(2, dtype=complex))
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError):
-                detect_ml(np.array([[0.5], [bad]], dtype=complex))
+                ml_detect(qr, c, np.array([[0.5], [bad]], dtype=complex))
 
 
 INDEX_SNRS = tuple(float(snr) for snr in range(0, 31, 2))
@@ -521,14 +521,14 @@ def index_digest(n, m_s, frames) -> str:
         y = h @ c.points[rng.integers(0, m_s, n)]
         x = y[:, None] + stds * base_noise(n, rng)[:, None]
         qr = qr_decompose(h)
-        detectors = [("zf", None, zf_detector(qr, c))]
+        detectors = [("zf", None, zf_detect, qr)]
         for name in sorted(REDUCTIONS):
             entry = REDUCTIONS[name]
             caps, basis = [1, 2, 6, 18] if entry.capped else [None], entry.basis(h)
             runs = reduce_stack_of_one(name, basis, caps, qr=qr if entry.capped else None)
-            detectors += [(name, cap, zf_lr_one(red, c)) for cap, red in runs]
-        for name, cap, detect in detectors:
-            idx = np.concatenate([detect(x), detect(y[:, None])], axis=1)
+            detectors += [(name, cap, zf_lr_one, red) for cap, red in runs]
+        for name, cap, detect, factors in detectors:
+            idx = np.concatenate([detect(factors, c, x), detect(factors, c, y[:, None])], axis=1)
             digest.update(repr((name, cap, idx.tolist())).encode())
     return digest.hexdigest()
 
@@ -557,14 +557,14 @@ class TestDetectedIndices:
             y = h @ random_symbols(rng, c, n)
             x = y[:, None] + stds * base_noise(n, rng)[:, None]
             qr = qr_decompose(h)
-            detectors = [zf_detector(qr, c), ml_detector(qr, c)]
+            detectors = [(zf_detect, qr), (ml_detect, qr)]
             for name in sorted(REDUCTIONS):
                 entry = REDUCTIONS[name]
                 caps, basis = [2, 18] if entry.capped else [None], entry.basis(h)
                 runs = reduce_stack_of_one(name, basis, caps)
-                detectors += [zf_lr_one(red, c) for _, red in runs]
-            for detect in detectors:
-                out = detect(x)
+                detectors += [(zf_lr_one, red) for _, red in runs]
+            for detect, factors in detectors:
+                out = detect(factors, c, x)
                 assert out.shape == (n, len(snrs))
                 for j in range(len(snrs)):
-                    assert np.array_equal(out[:, j], detect(x[:, [j]])[:, 0])
+                    assert np.array_equal(out[:, j], detect(factors, c, x[:, [j]])[:, 0])

@@ -48,9 +48,11 @@ def instrument(alg, h, cap, mode="dynamic"):
     return reduce_one(alg, h, [cap], mode=mode)[cap]
 
 
-def rows_priced_run_by_run(channels, entries, mode):
-    """The rows of ``complexity_report(channels, entries, mode=mode)``, from
-    one full run per channel and entry, each on a stack of one."""
+def rows_priced_run_by_run(channels, algorithms, caps, mode):
+    """The rows of ``complexity_report(channels, algorithms, caps,
+    mode=mode)``, from one full run per channel, algorithm and cap, and of
+    the lll baseline, each on a stack of one."""
+    entries = [("lll", None)] + [(alg, cap) for alg in algorithms for cap in caps]
     totals = {(alg, cap): [instrument(alg, h, cap, mode=mode)[1].total for h in channels]
               for alg, cap in entries}
     baseline = statistics.fmean(totals[("lll", None)])
@@ -440,9 +442,9 @@ class TestCountOnlyRuns:
     def test_report_rows_equal_rows_priced_from_full_runs(self, mode):
         rng = np.random.default_rng(16)
         channels = [generate_channel(4, 4, rng) for _ in range(20)]
-        entries = [("lll", None), ("mclll", 2), ("mclll", 6), ("fclll", 6), ("fclll", 18)]
-        assert complexity_report([np.stack(channels)], entries, mode=mode) == \
-            rows_priced_run_by_run(channels, entries, mode)
+        plan = ("mclll", "fclll"), (2, 6, 18)
+        assert complexity_report([np.stack(channels)], *plan, mode=mode) == \
+            rows_priced_run_by_run(channels, *plan, mode)
 
     def test_channels_of_changing_shape_give_the_rows_priced_run_by_run(self):
         # Blocks may differ in shape and size, one of them above 64 channels.
@@ -451,14 +453,14 @@ class TestCountOnlyRuns:
                   for size, n_r, n_t in [(3, 4, 4), (70, 3, 2), (6, 3, 2), (2, 4, 4),
                                          (1, 2, 2), (1, 1, 1)]]
         channels = [h for stack in stacks for h in stack]
-        entries = [("mclll", 2), ("fclll", 6), ("lll", None)]
-        assert complexity_report(iter(stacks), entries, mode="dynamic") == \
-            rows_priced_run_by_run(channels, entries, "dynamic")
+        plan = ("mclll", "fclll"), (2, 6)
+        assert complexity_report(iter(stacks), *plan, mode="dynamic") == \
+            rows_priced_run_by_run(channels, *plan, "dynamic")
 
 
 class TestComplexityReport:
     def test_single_identity_channel_rows_degenerate(self):
-        rows = complexity_report([np.eye(4)[None]], [("mclll", 6), ("fclll", 6)])
+        rows = complexity_report([np.eye(4)[None]], ("mclll", "fclll"), (6,))
         assert rows[0].algorithm == "lll" and rows[0].gain_pct is None
         for row in rows:
             assert row.mean_flops == row.median_flops == row.max_flops
@@ -468,8 +470,7 @@ class TestComplexityReport:
     def test_mclll_literal_gain_8x8(self):
         rng = np.random.default_rng(6)
         channels = np.stack([generate_channel(8, 8, rng) for _ in range(100)])
-        rows = complexity_report([channels], [("mclll", 6), ("mclll", 18)],
-                                 mode="literal")
+        rows = complexity_report([channels], ("mclll",), (6, 18), mode="literal")
         by_cap = {r.iter_max: r.mean_flops for r in rows if r.algorithm == "mclll"}
         assert by_cap[6] <= 0.70 * by_cap[18]
 
@@ -477,21 +478,20 @@ class TestComplexityReport:
         rng = np.random.default_rng(7)
         channels = np.stack([generate_channel(4, 4, rng) for _ in range(50)])
         caps = (4, 6, 9, 18)
-        rows = complexity_report([channels], [("mclll", c) for c in caps],
-                                 mode="literal")
+        rows = complexity_report([channels], ("mclll",), caps, mode="literal")
         means = [r.mean_flops for r in rows if r.algorithm == "mclll"]
         assert all(a <= b for a, b in zip(means, means[1:]))
 
     def test_one_pass_generator_gives_the_rows_of_a_list(self):
         # However the channels are cut into blocks, the rows are the same.
-        entries = [("mclll", 2), ("fclll", 6), ("mclll", 6), ("lll", None)]
+        plan = ("mclll", "fclll"), (2, 6)
         for count in (12, 1, 64, 65, 130):  # within, at and across blocks of 64
             rng = np.random.default_rng(8)
             channels = np.stack([generate_channel(4, 4, rng) for _ in range(count)])
             blocks = [channels[lo:lo + 64] for lo in range(0, count, 64)]
-            rows = complexity_report(iter(blocks), entries)
-            assert rows == complexity_report(blocks, entries)
-            assert rows == complexity_report([channels], entries)
+            rows = complexity_report(iter(blocks), *plan)
+            assert rows == complexity_report(blocks, *plan)
+            assert rows == complexity_report([channels], *plan)
 
     def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch, capsys):
         # flops-report cuts 130 channels into blocks of 64, 64 and 2; each
@@ -528,7 +528,7 @@ class TestComplexityReport:
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[70])
         with pytest.raises(RankDeficient) as report:
-            complexity_report(iter(blocks), [("mclll", 6)])
+            complexity_report(iter(blocks), ("mclll",), (6,))
         assert str(report.value) == str(alone.value)
 
     def test_rank_deficient_first_channel_of_a_block_raises_its_own_message(self):
@@ -538,9 +538,9 @@ class TestComplexityReport:
         channels[64][:, 1] = channels[64][:, 0]
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[64])
-        for entries in ([("mclll", 6)], [("fclll", 6), ("lll", None)]):
+        for algorithms in (("mclll",), ("fclll",)):
             with pytest.raises(RankDeficient) as report:
-                complexity_report(iter([channels[:64], channels[64:]]), entries)
+                complexity_report(iter([channels[:64], channels[64:]]), algorithms, (6,))
             assert str(report.value) == str(alone.value)
 
     def test_report_runs_past_the_embedding_only_witness(self):
@@ -554,11 +554,11 @@ class TestComplexityReport:
         channels[80][:, 1] = channels[80][:, 0]
         with pytest.raises(RankDeficient) as alone:
             qr_decompose(channels[80])
-        for entries in ([("mclll", 6), ("lll", None)], [("fclll", 6)]):
+        for algorithms in (("mclll",), ("fclll",)):
             with pytest.raises(RankDeficient, match="pivot 1") as report:
-                complexity_report(iter([channels[:64], channels[64:]]), entries)
+                complexity_report(iter([channels[:64], channels[64:]]), algorithms, (6,))
             assert str(report.value) == str(alone.value)
-        assert complexity_report([channels[:64], channels[64:80]], [("fclll", 6)])
+        assert complexity_report([channels[:64], channels[64:80]], ("fclll",), (6,))
 
     @pytest.mark.parametrize("bad, message", [
         (np.zeros((2, 2, 4), dtype=complex), "need rows >= cols, got 2x4"),
@@ -569,18 +569,22 @@ class TestComplexityReport:
         channels = np.stack([generate_channel(4, 4, rng) for _ in range(66)])
         blocks = [channels[:64], channels[64:], bad]
         with pytest.raises(ValueError, match=message):
-            complexity_report(iter(blocks), [("mclll", 6)])
+            complexity_report(iter(blocks), ("mclll",), (6,))
         channels[65][:, 1] = channels[65][:, 0]  # the earlier channel's error wins
         with pytest.raises(RankDeficient, match="pivot 1"):
-            complexity_report(iter(blocks), [("mclll", 6)])
+            complexity_report(iter(blocks), ("mclll",), (6,))
+
+    def test_lll_is_the_baseline_not_an_algorithm(self):
+        with pytest.raises(ValueError, match="lll is the report's baseline"):
+            complexity_report([np.eye(4)[None]], ("mclll", "lll"), (6,))
 
     @pytest.mark.parametrize("channels", [[], iter(())], ids=["list", "iterator"])
     def test_no_channel_is_an_error(self, channels):
         with pytest.raises(ValueError, match="need at least one channel"):
-            complexity_report(channels, [("mclll", 6)])
+            complexity_report(channels, ("mclll",), (6,))
 
     def test_table_formatting(self):
-        rows = complexity_report([np.eye(4)[None]], [("mclll", 6)])
+        rows = complexity_report([np.eye(4)[None]], ("mclll",), (6,))
         text = format_complexity_table(rows, "literal")
         assert "algorithm" in text and "baseline" in text
         assert "mclll" in text and "lll" in text

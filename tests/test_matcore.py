@@ -589,6 +589,7 @@ class TestIntegerDeterminant:
 
     def test_singular(self):
         assert integer_determinant([[1, 2], [2, 4]]) == (0, 0)
+        assert integer_determinant([[0, 1], [0, 1]]) == (0, 0)  # no pivot in column 0
 
     def test_gaussian_entries(self):
         # det [[i, 0], [0, i]] = -1
@@ -622,3 +623,7 @@ class TestIntegerDeterminant:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             integer_determinant([[1.5, 0.0], [0.0, 1.0]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="need a nonempty square matrix"):
+            integer_determinant([])

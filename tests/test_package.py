@@ -1,7 +1,8 @@
 """Tests for the package layout: every module imports on its own, the
 reduction's snapshot format is read in its own modules, no module reads
-object identity or a per-visit trace, and the benchmark's metric names
-match the package's."""
+object identity or a per-visit trace, no public function hands back a
+function it defines, and the benchmark's metric names match the
+package's."""
 
 import ast
 import dataclasses
@@ -70,6 +71,30 @@ def test_no_module_reads_object_identity_or_a_visit_trace():
         return isinstance(node, ast.Attribute) and node.attr in ("visits", "visit_swaps")
 
     assert not {(path.name, node.lineno) for path, node in src_nodes() if stray(node)}
+
+
+def test_no_public_function_returns_a_function_it_defines():
+    # Every caller calls a detector once per block, so a public function
+    # takes all it needs and returns its result, not a prepared closure.
+    def own_nodes(func):
+        """The nodes of ``func``'s body outside the functions it defines."""
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+
+    def returns_its_own(func) -> bool:
+        nodes = list(own_nodes(func))
+        defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+        return any(isinstance(node, ast.Return) and (
+            isinstance(node.value, ast.Lambda)
+            or isinstance(node.value, ast.Name) and node.value.id in defined) for node in nodes)
+
+    assert not {(path.name, node.name) for path, node in src_nodes()
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and returns_its_own(node)}
 
 
 def test_benchmark_stage_flops_are_the_flop_counter_fields():

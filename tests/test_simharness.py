@@ -124,6 +124,8 @@ class TestSimConfig:
         (dict(snr_db_grid=(True,)), "snr_db_grid"),
         (dict(snr_db_grid=(4.0, np.True_)), "snr_db_grid"),
         (dict(snr_db_grid=("10",)), "snr_db_grid"),
+        (dict(snr_db_grid=(float("nan"),)), "snr_db_grid"),  # nan != nan passes a label check
+        (dict(snr_db_grid=(10.0, float("nan"))), "snr_db_grid"),
     ])
     def test_configs_run_sweep_cannot_run_rejected(self, kwargs, field):
         # Each of these fails inside run_sweep, or prints a value that is
@@ -368,7 +370,7 @@ def oracle_frame(cfg, alg, cap, snr, idx):
             with pytest.MonkeyPatch.context() as mp:
                 tally = EventTally(mp)
                 [(_, red)] = reduce_stack_of_one(name, basis, [cap], delta=cfg.delta, qr=qr)
-            symbols = detect_one(zf_lr_one(red, c), c, x)
+            symbols = detect_one(zf_lr_one, red, c, x)
             guards = red.iterations_used + red.converged if alg == "zf-lr-fclll" else 0
             charges = schedule_for(name, cfg.flop_mode, cfg.n_t, cfg.n_r, cap)
             flops = tally.flops(charges, guards).total
@@ -686,15 +688,11 @@ def force_first_draw_of_frame1(monkeypatch, cfg, replace):
 def spy_detectors(monkeypatch, record):
     """Make every detector of ``simharness.DETECTORS`` call ``record(alg,
     factors, x)`` for each block it detects, then detect as before."""
-    for alg, (name, factory) in simharness.DETECTORS.items():
-        def prepare(factors, c, alg=alg, factory=factory):
-            detect = factory(factors, c)
-
-            def spied(x):
-                record(alg, factors, x)
-                return detect(x)
-            return spied
-        monkeypatch.setitem(simharness.DETECTORS, alg, (name, prepare))
+    for alg, (name, detect) in simharness.DETECTORS.items():
+        def spied(factors, c, x, alg=alg, detect=detect):
+            record(alg, factors, x)
+            return detect(factors, c, x)
+        monkeypatch.setitem(simharness.DETECTORS, alg, (name, spied))
 
 
 class TestEmitCsv:
