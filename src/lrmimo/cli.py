@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import flops as flops_mod
-from .matcore import QRFactorization, is_unimodular, qr_decompose
+from .matcore import QRFactorization, is_unimodular, ldexp, max_exponent, qr_decompose
 from .mimo import channel_from_normals
 from .reduction import (
     REDUCTIONS,
@@ -277,6 +277,8 @@ def _cmd_reduce(args) -> int:
                          f"got {args.iter_max}")
     _check_delta(args.algorithm, args.delta)
     h = load_matrix(args.matrix)
+    e = max_exponent(h)  # factored at unit scale, where a subnormal input keeps every bit
+    h = ldexp(h, -e)
     qr = QRFactorization(*(part[None] for part in qr_decompose(h)))  # the channel's rank test
     [(snapshots, at)] = flops_mod.reduce_block(args.algorithm, h[None], qr, [args.iter_max],
                                                delta=args.delta)
@@ -296,7 +298,7 @@ def _cmd_reduce(args) -> int:
     for i in range(t.n):
         print("  " + " ".join("{:+d}{:+d}j".format(*t.entry(i, j)) for j in range(t.n)))
     if args.out_r:
-        save_matrix(args.out_r, r_tilde)
+        save_matrix(args.out_r, ldexp(r_tilde, e))
     if args.out_t:
         save_matrix(args.out_t, t_float)
     return 0
@@ -305,7 +307,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     _check_delta("lll", args.delta)  # the Lovasz predicate's range
     m = load_matrix(args.matrix)
-    r = qr_decompose(m).r
+    r = qr_decompose(ldexp(m, -max_exponent(m))).r  # at unit scale, as reduce
     print(f"size_reduced: {is_size_reduced(r)}")
     print(f"lll_reduced: {is_lll_reduced(r, args.delta)}")
     print(f"siegel_reduced: {is_siegel_reduced(r, args.delta)}")

@@ -5,9 +5,9 @@ then an exact breadth-first search keeps every node within it.
 
 LR-aided zero forcing has one path for both reduced bases, the complex
 channel and its real block embedding: ``quantize_z_domain`` is the one
-quantizer (Gaussian rounding for a complex estimate, per-component
-rounding for a real one) and reads its shift off the transform T, which
-carries it exactly.
+quantizer (one half-away rounding of every real and imaginary part:
+Gaussian rounding for a complex estimate) and reads its shift off the
+transform T, which carries it exactly.
 
 Each detector is one call per block: ``x`` is a (B, n_r, k) stack, one
 frame's (n_r, k) matrix per channel, with one received vector per column
@@ -32,7 +32,6 @@ from .matcore import (
     ldexp,
     max_exponent,
     real_embedding_vector,
-    round_gaussian,
     round_half_away,
 )
 from .mimo import Constellation
@@ -68,22 +67,20 @@ def quantize_z_domain(z_tilde, shift, c: Constellation) -> np.ndarray:
     Constellation points map affinely to Gaussian integers via
     ``u = (s/scale + (1+i)*ones) / 2``, so valid z-vectors are
     ``scale * (2*w - shift)`` with ``w`` Gaussian-integer and
-    ``shift = T^{-1} (1+i) ones``, which T carries exactly.  Rounds
-    ``w`` component-wise (ties away from zero, matching size reduction)
-    and returns the quantized z-domain vector.  A real ``z_tilde`` is in
-    stacked [Re; Im] coordinates of the real block embedding (T real),
-    where components map to integers via ``u = (s_comp/scale + 1) / 2``
-    and the shift is ``shift.real = T^{-1} ones``.  Every step is
-    elementwise, so an (n, k) ``z_tilde`` of k estimates quantizes column
-    by column against an (n, 1) ``shift``, and a (B, n, k) stack against a
-    (B, n, 1) one.
+    ``shift = T^{-1} (1+i) ones``, which T carries exactly.  One
+    ``round_half_away`` call rounds every part of ``w`` (ties away from
+    zero, matching size reduction).  A real ``z_tilde`` is in stacked
+    [Re; Im] coordinates of the real block embedding (T real), where
+    components map to integers via ``u = (s_comp/scale + 1) / 2`` and the
+    shift is ``shift.real = T^{-1} ones``.  Every step is elementwise, so
+    an (n, k) ``z_tilde`` of k estimates quantizes column by column
+    against an (n, 1) ``shift``, and a (B, n, k) stack against a (B, n, 1)
+    one.
     """
     z_tilde = np.asarray(z_tilde)
-    if np.iscomplexobj(z_tilde):
-        w = round_gaussian((z_tilde / c.scale + shift) / 2.0)
-    else:
+    if not np.iscomplexobj(z_tilde):
         shift = shift.real
-        w = round_half_away((z_tilde / c.scale + shift) / 2.0)
+    w = round_half_away((z_tilde / c.scale + shift) / 2.0)
     return c.scale * (2.0 * w - shift)
 
 

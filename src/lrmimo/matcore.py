@@ -45,24 +45,23 @@ def max_exponent(a, axis=None):
     return math.frexp(float(top))[1] if axis is None else np.frexp(top)[1]
 
 
+def _on_parts(f, a) -> np.ndarray:
+    """``f`` of every real and imaginary part of ``a``, in ``a``'s dtype and shape."""
+    a = np.asarray(a)
+    out = f(_real_view(a))
+    return out.view(a.dtype).reshape(a.shape) if np.iscomplexobj(a) else out
+
+
 def ldexp(a, e: int) -> np.ndarray:
     """``a * 2**e`` for a real or complex array; exact while every part
     stays a normal float."""
-    a = np.asarray(a)
-    out = np.ldexp(_real_view(a), e)
-    return out.view(a.dtype) if np.iscomplexobj(a) else out
+    return _on_parts(lambda p: np.ldexp(p, e), a)
 
 
 def round_half_away(x):
-    """Round to the nearest integer, ties away from zero, elementwise."""
-    x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def round_gaussian(z):
-    """Round real and imaginary parts independently, ties away from zero."""
-    z = np.asarray(z)
-    return round_half_away(z.real) + 1j * round_half_away(z.imag)
+    """Round every real and imaginary part of ``x`` to the nearest
+    integer, ties away from zero; Gaussian rounding of a complex ``x``."""
+    return _on_parts(lambda p: np.sign(p) * np.floor(np.abs(p) + 0.5), x)
 
 
 class QRFactorization(NamedTuple):

@@ -2,8 +2,9 @@
 labeling, i.i.d. Rayleigh channels, AWGN, and SNR bookkeeping.
 
 A constellation carries its bit table, the Gray label of every point as a
-row of bits, so the bits of a detected index are one table lookup; the
-only slicer is ``Constellation.nearest_index``.
+row of bits, and that table's inverse, so the bits of a detected index
+and the point of a bit group are one lookup each; the only slicer is
+``Constellation.nearest_index``.
 
 SNR convention used everywhere in this package:
 ``sigma_n^2 = n_t / 10**(snr_db / 10)`` per receive antenna, i.e. snr_db
@@ -28,16 +29,8 @@ class LengthMismatch(ValueError):
     """Bit vector length does not match antennas * bits-per-symbol."""
 
 
-def _gray(n: int) -> int:
+def _gray(n):
     return n ^ (n >> 1)
-
-
-def _gray_inverse(g: int) -> int:
-    n = 0
-    while g:
-        n ^= g
-        g >>= 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,9 @@ class Constellation:
     with L = sqrt(m_s).  Bit labels are per-axis reflected Gray codes:
     the first half of a symbol's bits selects the real level, the second
     half the imaginary level.  Row i of ``bit_table`` holds the
-    ``bits_per_symbol`` bits of point i.
+    ``bits_per_symbol`` bits of point i, and ``index_from_code`` is its
+    inverse: entry b is the point whose bits, read as one binary number
+    (first bit most significant), equal b.
     """
 
     m_s: int
@@ -57,9 +52,8 @@ class Constellation:
     scale: float
     bits_per_symbol: int
     side: int
-    label_from_level: np.ndarray = field(repr=False)
-    level_from_label: np.ndarray = field(repr=False)
     bit_table: np.ndarray = field(repr=False)
+    index_from_code: np.ndarray = field(repr=False)
 
     def nearest_index(self, v) -> np.ndarray:
         """Canonical index of the nearest constellation point for each
@@ -83,21 +77,19 @@ def build_constellation(m_s: int) -> Constellation:
     scale = 1.0 / math.sqrt(2.0 * (side * side - 1) / 3.0)
     re_lvl, im_lvl = np.meshgrid(levels, levels, indexing="ij")
     points = scale * (re_lvl + 1j * im_lvl).reshape(-1)
-    label_from_level = np.array([_gray(i) for i in range(side)])
-    level_from_label = np.array([_gray_inverse(g) for g in range(side)])
-    half = int(math.log2(side))
-    axis_bits = (label_from_level[:, None] >> np.arange(half - 1, -1, -1)) & 1
-    bit_table = np.concatenate([np.repeat(axis_bits, side, axis=0),
-                                np.tile(axis_bits, (side, 1))], axis=1)
+    bps = int(math.log2(m_s))
+    gray = _gray(np.arange(side))
+    codes = (gray[:, None] * side + gray).reshape(-1)  # point -> its bits as one number
+    index_from_code = np.empty_like(codes)
+    index_from_code[codes] = np.arange(m_s)  # a scatter: argsort would load 0.3 MB of sort code
     return Constellation(
         m_s=int(m_s),
         points=points,
         scale=scale,
-        bits_per_symbol=2 * half,
+        bits_per_symbol=bps,
         side=side,
-        label_from_level=label_from_level,
-        level_from_label=level_from_label,
-        bit_table=bit_table,
+        bit_table=(codes[:, None] >> np.arange(bps - 1, -1, -1)) & 1,
+        index_from_code=index_from_code,
     )
 
 
@@ -112,12 +104,8 @@ def modulate(bits, c: Constellation, n_t: int) -> np.ndarray:
             f"need {n_t * bps} bits for {n_t} antennas at {c.m_s}-QAM, "
             f"got {bits.shape[-1]}"
         )
-    half = bps // 2
-    weights = 1 << np.arange(half - 1, -1, -1)
     groups = bits.reshape(*bits.shape[:-1], n_t, bps)
-    re_lvl = c.level_from_label[groups[..., :half] @ weights]
-    im_lvl = c.level_from_label[groups[..., half:] @ weights]
-    return c.points[re_lvl * c.side + im_lvl]
+    return c.points[c.index_from_code[groups @ (1 << np.arange(bps - 1, -1, -1))]]
 
 
 def channel_from_normals(re, im) -> np.ndarray:
@@ -153,19 +141,13 @@ class NoiseSpec:
         return math.sqrt(self.sigma_n_sq / 2.0)
 
 
-def noise_from_normals(re, im) -> np.ndarray:
-    """Complex noise with real parts ``re`` and imaginary parts ``im``;
-    scaled by a ``NoiseSpec``'s component std, unit-variance normals give
-    that spec's noise."""
-    return re + 1j * im
-
-
 def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex noise of ``noise_from_normals`` with unit-variance real and
-    imaginary parts (real parts drawn first)."""
+    """Complex noise with unit-variance real and imaginary parts (real
+    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
+    that spec's noise."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return noise_from_normals(re, im)
+    return re + 1j * im
 
 
 def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:

@@ -57,11 +57,8 @@ import numpy as np
 
 from .matcore import GaussIntMatrix, QRFactorization, ldexp, max_exponent, real_embedding
 
-# Size reduction needs |r[l, l]| above this, relative to the basis's norm.
-DIAG_TOL = 1e-14
-
-# A swapped pivot pair whose norm is not above this, relative to the
-# basis's norm, cannot define the Givens rotation that re-triangularizes it.
+# Every pivot the kernel divides by (a size step's diagonal entry, a swapped
+# pair's norm, its new diagonal entry) must be above this times ||basis||_F.
 PIVOT_TOL = 1e-14
 
 # A ratio component this close to a half-integer rounds away from zero.
@@ -169,21 +166,21 @@ class _Run:
 
         Size reduction subtracts ``mu`` (see ``_mu``) times column l from
         column k in rows 0..l of r and in T, when mu is nonzero; it raises
-        ZeroDiagonal unless ``|r[l, l]| > DIAG_TOL * ||basis||_F``.  A ratio
+        ZeroDiagonal unless ``|r[l, l]| > PIVOT_TOL * ||basis||_F``.  A ratio
         with both parts strictly inside (-0.49, 0.49) has mu = (0, 0), since
         ``0.49 + 0.5 + TIE_TOL < 1``, so it skips ``_mu``; a NaN ratio
         fails that test and raises in ``_mu``.  The
         Siegel test swaps when ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2``; the
         Lovasz test adds ``|r[k-1,k]|^2`` to the right side.  The rotation
-        raises ZeroPivot unless the swapped pair's norm is above
-        ``PIVOT_TOL * ||basis||_F``.
+        raises ZeroPivot unless the swapped pair's norm, the new
+        ``r[k-1, k-1]``, is above the same ``PIVOT_TOL * ||basis||_F``.
         """
         r, t, scale = self.r, self.t, self.scale
         col = r[k]
         for l in range(k - 1, -1, -1):
             left = r[l]
-            if not abs(left[l]) > DIAG_TOL * scale:
-                raise ZeroDiagonal(f"|r[{l},{l}]| not above {DIAG_TOL:.0e} * ||basis||_F")
+            if not abs(left[l]) > PIVOT_TOL * scale:
+                raise ZeroDiagonal(f"|r[{l},{l}]| not above {PIVOT_TOL:.0e} * ||basis||_F")
             ratio = col[l] / left[l]
             if -0.49 < ratio.real < 0.49 and -0.49 < ratio.imag < 0.49:
                 continue  # mu = (0, 0); a NaN fails the test and reaches _mu

@@ -68,7 +68,6 @@ from .mimo import (
     build_constellation,
     channel_from_normals,
     modulate,
-    noise_from_normals,
     snr_to_noise_variance,
 )
 from .reduction import REDUCTIONS
@@ -249,7 +248,7 @@ def _draw(cfg: SimConfig, stds: np.ndarray, rngs: list) -> _Attempt:
         rng.standard_normal(out=noise_row)
     h = channel_from_normals(h_normals[:, 0], h_normals[:, 1])
     y = h @ modulate(bits, c, cfg.n_t)[..., None]
-    x = y + stds * noise_from_normals(noise_normals[:, 0], noise_normals[:, 1])[..., None]
+    x = y + stds * (noise_normals[:, 0] + 1j * noise_normals[:, 1])[..., None]
     return _Attempt(h, bits.reshape(len(rngs), cfg.n_t, 1, -1), x)
 
 

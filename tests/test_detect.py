@@ -36,11 +36,6 @@ from test_mimo import add_noise
 from test_reduction import reduce_once
 
 
-def random_channel(rng, n_r, n_t):
-    return (rng.standard_normal((n_r, n_t))
-            + 1j * rng.standard_normal((n_r, n_t))) * np.sqrt(0.5)
-
-
 def random_symbols(rng, c, n_t):
     return c.points[rng.integers(0, c.m_s, n_t)]
 
@@ -103,7 +98,7 @@ def oracle_cases():
         c = build_constellation(m_s)
         hs, xs = [], []
         for _ in range(channels):
-            h = random_channel(rng, n_r, n_t)
+            h = generate_channel(n_r, n_t, rng)
             y = h @ random_symbols(rng, c, n_t)
             noise = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
             stds = np.sqrt(n_t / 10 ** (np.array([-10.0, 0.0, 10.0, 20.0, np.inf]) / 10) / 2)
@@ -125,7 +120,7 @@ class TestZF:
         rng = np.random.default_rng(0)
         c = build_constellation(16)
         for _ in range(200):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             s = random_symbols(rng, c, 4)
             assert np.array_equal(detect_one(zf_detect, qr_decompose(h), c, h @ s), s)
 
@@ -134,7 +129,7 @@ class TestZF:
         c = build_constellation(16)
         errors = 0
         for _ in range(300):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             h[:, 1] = h[:, 0] + 1e-3 * h[:, 1]  # nearly dependent columns
             s = random_symbols(rng, c, 4)
             x = add_noise(h @ s, NoiseSpec(0.1), rng)
@@ -142,15 +137,21 @@ class TestZF:
         assert errors > 0
 
 
+def mixed_transform():
+    """A 4x4 T with complex column updates and a swap, so its shift has
+    entries other than 1+i."""
+    t = GaussIntMatrix.identity(4)
+    t.col_update(1, 0, 2, -1)
+    t.col_update(3, 2, -1, 3)
+    t.swap_cols(0, 2)
+    return t
+
+
 class TestQuantizeZDomain:
     def test_fixed_point_recovers_symbols(self):
         rng = np.random.default_rng(2)
         c = build_constellation(16)
-        t = GaussIntMatrix.identity(4)
-        t.col_update(1, 0, 2, -1)
-        t.col_update(3, 2, -1, 3)
-        t.swap_cols(0, 2)
-        tc, shift = factors(t)[2:]
+        tc, shift = factors(mixed_transform())[2:]
         for _ in range(100):
             s = random_symbols(rng, c, 4)
             z = np.linalg.solve(tc, s)
@@ -179,21 +180,29 @@ class TestQuantizeZDomain:
     def test_complex_columns_quantize_independently(self):
         rng = np.random.default_rng(13)
         c = build_constellation(16)
-        t = GaussIntMatrix.identity(4)
-        t.col_update(1, 0, 2, -1)
-        t.col_update(3, 2, -1, 3)
-        t.swap_cols(0, 2)
-        shift = factors(t).shift
+        shift = factors(mixed_transform()).shift
         z = 3 * c.scale * (rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)))
         z_q = quantize_z_domain(z, shift[:, None], c)
         assert z_q.shape == (4, 9)
         for j in range(9):
             assert np.array_equal(z_q[:, j], quantize_z_domain(z[:, j], shift, c))
 
+    def test_complex_quantizes_as_its_two_real_parts(self):
+        # One rounding rule for both bases: a complex estimate quantizes
+        # as its real parts against shift.real and its imaginary parts
+        # against shift.imag, each as a real estimate (+0 and -0 equal).
+        rng = np.random.default_rng(15)
+        c = build_constellation(16)
+        shift = factors(mixed_transform()).shift[:, None]
+        z = 3 * c.scale * (rng.standard_normal((2, 4, 9)) + 1j * rng.standard_normal((2, 4, 9)))
+        z_q = quantize_z_domain(z, shift, c)
+        assert np.array_equal(z_q.real, quantize_z_domain(z.real, shift.real, c))
+        assert np.array_equal(z_q.imag, quantize_z_domain(z.imag, shift.imag, c))
+
     def test_real_embedding_columns_quantize_independently(self):
         rng = np.random.default_rng(14)
         c = build_constellation(16)
-        h = random_channel(rng, 4, 4)
+        h = generate_channel(4, 4, rng)
         red = reduce_once("lll", real_embedding(h))
         shift = factors(red).shift
         z = 3 * c.scale * rng.standard_normal((8, 9))
@@ -220,7 +229,7 @@ class TestZfLr:
         rng = np.random.default_rng(5)
         c = build_constellation(16)
         for _ in range(300):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             red = reduce_once("mclll", h, 18)
             s = random_symbols(rng, c, 4)
             assert np.array_equal(detect_one(zf_lr_one, red, c, h @ s), s)
@@ -231,7 +240,7 @@ class TestZfLr:
         rng = np.random.default_rng(6)
         c = build_constellation(16)
         for _ in range(100):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             red = reduce_once("mclll", h, 6)
             x = add_noise(h @ random_symbols(rng, c, 4), NoiseSpec(2.0), rng)
             out = zf_lr_one(red, c, x[:, None])
@@ -249,7 +258,7 @@ class TestZfLr:
         rng = np.random.default_rng(100 * n_t + n_r)
         caps = [1, 2, 6, 18]
         for _ in range(3):
-            h = random_channel(rng, n_r, n_t)
+            h = generate_channel(n_r, n_t, rng)
             basis = REDUCTIONS[name].basis(h)
             for cap, red in reduce_stack_of_one(name, basis, caps):
                 t = red.t
@@ -268,7 +277,7 @@ class TestZfLr:
         rng = np.random.default_rng(7)
         c = build_constellation(16)
         for _ in range(100):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             red = reduce_once("lll", real_embedding(h))
             s = random_symbols(rng, c, 4)
             assert np.array_equal(detect_one(zf_lr_one, red, c, h @ s), s)
@@ -337,7 +346,7 @@ class TestML:
         rng = np.random.default_rng(8)
         c = build_constellation(16)
         for _ in range(20):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             s = random_symbols(rng, c, 4)
             assert np.array_equal(detect_one(ml_detect, qr_decompose(h), c, h @ s), s)
 
@@ -345,7 +354,7 @@ class TestML:
         rng = np.random.default_rng(9)
         c = build_constellation(16)
         for _ in range(200):
-            h = random_channel(rng, 1, 1)
+            h = generate_channel(1, 1, rng)
             x = (rng.standard_normal(1) + 1j * rng.standard_normal(1))
             sliced = c.points[c.nearest_index(x / h[0, 0])]
             assert np.array_equal(detect_one(ml_detect, qr_decompose(h), c, x), sliced)
@@ -357,7 +366,7 @@ class TestML:
         grid = np.meshgrid(*[np.arange(16)] * 4, indexing="ij")
         cand = c.points[np.stack(grid, axis=-1).reshape(-1, 4)]
         for _ in range(10):
-            h = random_channel(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             qr = qr_decompose(h)
             for sigma in (0.1, 1.0):
                 noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -371,7 +380,7 @@ class TestML:
         c = build_constellation(4)
         ml_err = zf_err = 0
         for _ in range(3000):
-            h = random_channel(rng, 2, 2)
+            h = generate_channel(2, 2, rng)
             s = random_symbols(rng, c, 2)
             x = add_noise(h @ s, NoiseSpec(0.5), rng)
             try:
@@ -419,7 +428,7 @@ class TestML:
         # noisy and a noiseless column: every search as the oracle's.
         rng = np.random.default_rng(14)
         c = build_constellation(4)
-        hs = np.stack([random_channel(rng, 2, 2) for _ in range(9)])
+        hs = np.stack([generate_channel(2, 2, rng) for _ in range(9)])
         hs[4] = np.eye(2)
         y = hs @ c.points[rng.integers(0, 4, (9, 2, 1))]
         x = np.concatenate([y + 0.4 * base_noise(y.shape, rng), y], axis=2)
@@ -435,7 +444,7 @@ class TestML:
     def test_non_finite_received_vector_anywhere_in_a_block_rejected(self, at, bad):
         rng = np.random.default_rng(16)
         c = build_constellation(4)
-        hs = np.stack([random_channel(rng, 2, 2) for _ in range(6)])
+        hs = np.stack([generate_channel(2, 2, rng) for _ in range(6)])
         x = base_noise((6, 2, 3), rng)
         x[at] = bad
         with pytest.raises(ValueError):
@@ -452,7 +461,7 @@ class TestML:
     def test_random_blocks_match_the_oracle(self, n_t, extra, m_s, frames, snr, seed):
         rng = np.random.default_rng(seed)
         c = build_constellation(m_s)
-        hs = np.stack([random_channel(rng, n_t + extra, n_t) for _ in range(frames)])
+        hs = np.stack([generate_channel(n_t + extra, n_t, rng) for _ in range(frames)])
         y = hs @ c.points[rng.integers(0, m_s, (frames, n_t, 1))]
         std = snr_to_noise_variance(snr, n_t).component_std
         x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
@@ -469,7 +478,7 @@ class TestML:
         c = build_constellation(16)
         stds = np.array([snr_to_noise_variance(snr, 4).component_std
                          for snr in (-30.0, 0.0, 10.0, 30.0)])
-        hs = np.stack([random_channel(rng, 4, 4) for _ in range(8)])
+        hs = np.stack([generate_channel(4, 4, rng) for _ in range(8)])
         y = hs @ c.points[rng.integers(0, 16, (8, 4, 1))]
         x = np.concatenate([y + stds * base_noise((8, 4, 1), rng), y], axis=2)
         got = ml_detect(stacked_qr(hs), c, x)
@@ -481,7 +490,7 @@ class TestML:
         # a 3x3 16QAM search is within the radius, so groups split a search.
         rng = np.random.default_rng(18)
         c = build_constellation(16)
-        hs = np.stack([random_channel(rng, 3, 3) for _ in range(16)])
+        hs = np.stack([generate_channel(3, 3, rng) for _ in range(16)])
         y = hs @ c.points[rng.integers(0, 16, (16, 3, 1))]
         std = snr_to_noise_variance(-30.0, 3).component_std
         x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)

@@ -26,9 +26,9 @@ from lrmimo.matcore import (
     qr_stack,
     real_embedding,
     real_embedding_vector,
-    round_gaussian,
     round_half_away,
 )
+from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     ReductionResult,
     ZeroPivot,
@@ -36,11 +36,6 @@ from lrmimo.reduction import (
     factorization_error,
     reduce_at_caps,
 )
-
-
-def random_complex(rng, rows, cols):
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) * np.sqrt(0.5)
 
 
 @dataclass
@@ -160,9 +155,25 @@ class TestRounding:
         assert np.array_equal(round_half_away([0.2, 0.8]), [0, 1])
 
     def test_gaussian_componentwise(self):
-        z = round_gaussian(1.6 - 0.5j)
+        z = round_half_away(1.6 - 0.5j)
         assert z == 2 - 1j
-        assert complex(round_gaussian(0.3 + 0.2j)) == 0
+        assert complex(round_half_away(0.3 + 0.2j)) == 0
+
+    @pytest.mark.parametrize("z", [
+        np.array(0.3 + 0.2j),
+        np.array(-1.5 + 2.5j),
+        np.random.default_rng(8).standard_normal((3, 4, 5, 2)).view(complex)[..., 0] * 3,
+        (np.arange(24.0).reshape(4, 6) / 4 - 3 - 1j * np.arange(24.0).reshape(4, 6) / 8)[1:, ::2],
+        np.array([0.5 - 0.5j, -0.5 + 0.5j, 1.5 - 1.5j, -1.5 + 1.5j, 0.5 + 1.5j, -1.5 - 0.5j]),
+    ], ids=["0-d", "0-d-ties", "stack", "non-contiguous", "ties"])
+    def test_complex_rounds_each_part(self, z):
+        # A complex array is rounded through its real view; the result
+        # keeps the input's shape (a 0-d input stays 0-d) and equals the
+        # real rounding of each part (+0 and -0 compare equal).
+        got = round_half_away(z)
+        assert got.shape == z.shape and np.iscomplexobj(got)
+        assert np.array_equal(got.real, round_half_away(z.real))
+        assert np.array_equal(got.imag, round_half_away(z.imag))
 
 
 class TestQR:
@@ -176,7 +187,7 @@ class TestQR:
         assert abs(qr_decompose(h).r[0, 0] - 5.0) < 1e-12
         # A real input gives real factors, with no rounding-level
         # imaginary part left over.
-        embedding = real_embedding(random_complex(np.random.default_rng(5), 4, 4))
+        embedding = real_embedding(generate_channel(4, 4, np.random.default_rng(5)))
         for h in (h, embedding):
             q, r = qr_decompose(h)
             q_o, r_o = gram_schmidt_oracle(h)
@@ -186,7 +197,7 @@ class TestQR:
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(7)
-        h = random_complex(rng, 4, 4)
+        h = generate_channel(4, 4, rng)
         q, r = qr_decompose(h)
         assert np.linalg.norm(q @ r - h) < 1e-10 * np.linalg.norm(h)
         # R scales with the input; Q does not.
@@ -199,7 +210,7 @@ class TestQR:
         rng = np.random.default_rng(11)
         for n in (4, 8):
             for _ in range(500):
-                h = random_complex(rng, n, n)
+                h = generate_channel(n, n, rng)
                 q, r = qr_decompose(h)
                 nh = np.linalg.norm(h)
                 assert np.linalg.norm(q @ r - h) <= 1e-10 * nh
@@ -210,7 +221,7 @@ class TestQR:
 
     def test_tall_matrix(self):
         rng = np.random.default_rng(3)
-        h = random_complex(rng, 6, 3)
+        h = generate_channel(6, 3, rng)
         q, r = qr_decompose(h)
         assert q.shape == (6, 3) and r.shape == (3, 3)
         assert np.linalg.norm(q @ r - h) < 1e-10 * np.linalg.norm(h)
@@ -234,10 +245,10 @@ class TestQR:
         # Bit for bit, with a rank verdict of its own for each matrix; the
         # zero matrix's pivots divide nothing (RuntimeWarning is an error).
         rng = np.random.default_rng(12)
-        hs = [random_complex(rng, n_r, n_t) for _ in range(20)]
+        hs = [generate_channel(n_r, n_t, rng) for _ in range(20)]
         hs[3][:, 1] = 2j * hs[3][:, 0]
         hs[7] = np.zeros((n_r, n_t), dtype=complex)
-        hs[9] = real_embedding(random_complex(rng, n_r // 2, (n_t + 1) // 2))[:, :n_t]
+        hs[9] = real_embedding(generate_channel(n_r // 2, (n_t + 1) // 2, rng))[:, :n_t]
         q, r, low = qr_stack(np.stack(hs))
         rejected = 0
         for h, q_i, r_i, low_i in zip(hs, q, r, low):
@@ -312,7 +323,7 @@ class TestGivens:
     def test_pair_preserves_product(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            h = random_complex(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             [(_, res)] = reduce_stack_of_one("mclll", h, [18])
             assert res.swap_count > 0
             assert factorization_error(h, res) <= 1e-12
@@ -320,7 +331,7 @@ class TestGivens:
     def test_right_preserves_column_norms(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            h = random_complex(rng, 4, 4)
+            h = generate_channel(4, 4, rng)
             [(_, res)] = reduce_stack_of_one("fclll", h, [18])
             q = factors(res).q
             assert np.allclose(q.conj().T @ q, np.eye(4), rtol=0, atol=1e-12)
@@ -330,7 +341,7 @@ class TestExactScaling:
     def test_max_exponent_bounds_every_part(self):
         rng = np.random.default_rng(4)
         for exp in (-1000, -3, 0, 5, 1000):
-            m = random_complex(rng, 3, 3) * 2.0 ** exp
+            m = generate_channel(3, 3, rng) * 2.0 ** exp
             scaled = ldexp(m, -max_exponent(m))
             parts = np.abs(np.concatenate([scaled.real, scaled.imag]))
             assert parts.max() < 1 and parts.max() >= 0.5
@@ -339,7 +350,7 @@ class TestExactScaling:
 
     def test_ldexp_is_exact(self):
         rng = np.random.default_rng(5)
-        m = random_complex(rng, 3, 3)
+        m = generate_channel(3, 3, rng)
         for e in (-1000, -7, 0, 7, 1000):
             back = ldexp(ldexp(m, e), -e)
             assert np.array_equal(back, m)
@@ -419,13 +430,13 @@ class TestPseudoInverse:
 
     def test_exact_recovery(self):
         rng = np.random.default_rng(4)
-        h = random_complex(rng, 4, 4)
+        h = generate_channel(4, 4, rng)
         s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert np.allclose(pseudo_inverse_apply(h, h @ s), s, atol=1e-10)
 
     def test_tall_recovery(self):
         rng = np.random.default_rng(6)
-        h = random_complex(rng, 4, 2)
+        h = generate_channel(4, 2, rng)
         s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         out = pseudo_inverse_apply(h, h @ s)
         assert np.linalg.norm(out - s) < 1e-9
@@ -441,8 +452,8 @@ class TestPseudoInverse:
         # y[:, [j]]: the same loop, with only the row-times-column products
         # summed as one matrix product, so agreement is to rounding.
         rng = np.random.default_rng(100 + n + k)
-        r = np.triu(random_complex(rng, n, n)) + 2 * np.eye(n)
-        y = random_complex(rng, n, k)
+        r = np.triu(generate_channel(n, n, rng)) + 2 * np.eye(n)
+        y = generate_channel(n, k, rng)
         z = back_substitute(r, y)
         assert z.shape == (n, k)
         for j in range(k):
@@ -452,15 +463,15 @@ class TestPseudoInverse:
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (4, 7), (8, 3)])
     def test_back_substitute_stack_is_per_system_solves(self, n, k):
         rng = np.random.default_rng(200 + n + k)
-        r = np.stack([np.triu(random_complex(rng, n, n)) + 2 * np.eye(n) for _ in range(5)])
-        y = np.stack([random_complex(rng, n, k) for _ in range(5)])
+        r = np.stack([np.triu(generate_channel(n, n, rng)) + 2 * np.eye(n) for _ in range(5)])
+        y = np.stack([generate_channel(n, k, rng) for _ in range(5)])
         z = back_substitute(r, y)
         assert z.shape == (5, n, k)
         for r_i, y_i, z_i in zip(r, y, z):
             assert np.array_equal(z_i, back_substitute(r_i, y_i))
 
     def test_embedding_vectors_of_a_stack(self):
-        x = np.stack([random_complex(np.random.default_rng(i), 3, 2) for i in range(4)])
+        x = np.stack([generate_channel(3, 2, np.random.default_rng(i)) for i in range(4)])
         stacked = real_embedding_vector(x)
         assert stacked.shape == (4, 6, 2)
         for x_i, v_i in zip(x, stacked):
@@ -470,7 +481,7 @@ class TestPseudoInverse:
 
     def test_embedding_vectors_per_column(self):
         rng = np.random.default_rng(9)
-        x = random_complex(rng, 3, 5)
+        x = generate_channel(3, 5, rng)
         stacked = real_embedding_vector(x)
         assert stacked.shape == (6, 5)
         for j in range(5):

@@ -129,13 +129,13 @@ class TestModulation:
         assert len({tuple(row) for row in c.bit_table.tolist()}) == m_s
 
     def test_gray_neighbors_differ_by_one_bit(self):
-        c = build_constellation(16)
-        half = c.bits_per_symbol // 2
-        for lvl in range(c.side - 1):
-            a = int(c.label_from_level[lvl])
-            b = int(c.label_from_level[lvl + 1])
-            assert bin(a ^ b).count("1") == 1
-        assert half == 2
+        # Points are indexed (real level) * side + (imag level), so the
+        # neighbours of point i are i + side (real axis) and i + 1 (imag).
+        for m_s in (4, 16, 64):
+            c = build_constellation(m_s)
+            bits = c.bit_table.reshape(c.side, c.side, c.bits_per_symbol)
+            for a, b in ((bits[1:], bits[:-1]), (bits[:, 1:], bits[:, :-1])):
+                assert ((a != b).sum(axis=-1) == 1).all()
 
 
 class TestChannel:

@@ -1,8 +1,8 @@
 """Tests for the package layout: every module imports on its own, the
 reduction's snapshot format is read in its own modules, no module reads
 object identity or a per-visit trace, no public function hands back a
-function it defines, and the benchmark's metric names match the
-package's."""
+function it defines or only names arithmetic on its parameters, and the
+benchmark's metric names match the package's."""
 
 import ast
 import dataclasses
@@ -95,6 +95,29 @@ def test_no_public_function_returns_a_function_it_defines():
     assert not {(path.name, node.name) for path, node in src_nodes()
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                 and returns_its_own(node)}
+
+
+def test_no_public_function_is_only_arithmetic_on_its_parameters():
+    # A public function whose body is one return of arithmetic on its own
+    # parameters and literals (no call, attribute or subscript) names an
+    # expression its callers can write themselves.
+    def arithmetic_only(node, params) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in params
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            return all(arithmetic_only(child, params) for child in ast.iter_child_nodes(node)
+                       if not isinstance(child, (ast.operator, ast.unaryop)))
+        return isinstance(node, ast.Constant)
+
+    def pass_through(func) -> bool:
+        body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+        params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+        return (len(body) == 1 and isinstance(body[0], ast.Return)
+                and arithmetic_only(body[0].value, params))
+
+    assert not {(path.name, node.name) for path, node in src_nodes()
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and pass_through(node)}
 
 
 def test_benchmark_stage_flops_are_the_flop_counter_fields():

@@ -41,11 +41,6 @@ from test_matcore import (
 )
 
 
-def random_complex(rng, n):
-    return (rng.standard_normal((n, n))
-            + 1j * rng.standard_normal((n, n))) * np.sqrt(0.5)
-
-
 def reduce_once(name, basis, cap=None, delta=0.75):
     """The run of reduction ``name`` on ``basis``, a stack of one, stopped
     at ``cap``."""
@@ -137,7 +132,7 @@ class TestSizeReduceColumn:
         rng = np.random.default_rng(0)
         checked = 0
         for _ in range(200):
-            r = np.triu(random_complex(rng, 3)) + 2 * np.eye(3)
+            r = np.triu(generate_channel(3, 3, rng)) + 2 * np.eye(3)
             res = one_sweep(r)
             if res.visits[-1] == (2, False):
                 r = factors(res).r
@@ -248,7 +243,7 @@ class TestRealLLL:
 
     def test_on_real_embedding(self):
         rng = np.random.default_rng(3)
-        h = random_complex(rng, 4)
+        h = generate_channel(4, 4, rng)
         hr = real_embedding(h)
         res = reduce_once("lll", hr)
         assert is_lll_reduced(factors(res).r, 0.75)
@@ -271,14 +266,14 @@ class TestFclll:
     def test_cap_respected(self):
         rng = np.random.default_rng(4)
         for cap in (1, 2, 7):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("fclll", h, cap)
             assert res.iterations_used <= cap
             assert len(res.visits) == res.iterations_used
 
     def test_visit_order_is_cyclic(self):
         rng = np.random.default_rng(5)
-        h = random_complex(rng, 4)
+        h = generate_channel(4, 4, rng)
         res = reduce_once("fclll", h, 5)
         assert [k for k, _ in res.visits] == [1, 2, 3, 1, 2][: res.iterations_used]
 
@@ -298,7 +293,7 @@ class TestFclll:
     def test_converges_to_lll_reduced(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("fclll", h, 1000)
             assert res.converged
             assert is_lll_reduced(factors(res).r, 0.75)
@@ -332,7 +327,7 @@ class TestMclll:
     def test_cap_respected_and_trace_consistent(self):
         rng = np.random.default_rng(7)
         for cap in (1, 3, 6, 18):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("mclll", h, cap)
             assert res.iterations_used <= cap
             assert len(sweep_swaps(res, 4)) == res.iterations_used
@@ -344,7 +339,7 @@ class TestMclll:
         rng = np.random.default_rng(8)
         for cap in (1, 2):
             for _ in range(50):
-                h = random_complex(rng, 4)
+                h = generate_channel(4, 4, rng)
                 res = reduce_once("mclll", h, cap)
                 assert is_unimodular(res.t)
                 assert factorization_error(h, res) <= 1e-9
@@ -353,7 +348,7 @@ class TestMclll:
         rng = np.random.default_rng(9)
         checked = 0
         for _ in range(100):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("mclll", h, 100)
             if res.converged:
                 checked += 1
@@ -365,7 +360,7 @@ class TestMclll:
         rng = np.random.default_rng(10)
         found = False
         for _ in range(50):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("mclll", h, 1)
             if sweep_swaps(res, 4)[-1] > 0:
                 assert not res.converged
@@ -376,7 +371,7 @@ class TestMclll:
         rng = np.random.default_rng(11)
         checked = 0
         for _ in range(60):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("mclll", h, 100)
             if not res.converged:
                 continue
@@ -404,7 +399,7 @@ class TestMclll:
     def test_swap_counts_monotone_in_converged_runs(self):
         rng = np.random.default_rng(123)
         for _ in range(500):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             res = reduce_once("mclll", h, 60)
             if res.converged:
                 hist = sweep_swaps(res, 4)
@@ -417,7 +412,7 @@ class TestReductionTable:
         # with Siegel and fclll with Lovasz on h, lll with Lovasz on the
         # real embedding of h.
         rng = np.random.default_rng(15)
-        h = random_complex(rng, 4)
+        h = generate_channel(4, 4, rng)
         for name, basis, lovasz in (("mclll", h, False), ("fclll", h, True),
                                     ("lll", real_embedding(h), True)):
             entry = REDUCTIONS[name]
@@ -443,7 +438,7 @@ class TestReductionTable:
     def test_given_qr_is_copied_not_rotated(self, name):
         # The sweep passes the QR its zf and ml detectors hold.
         rng = np.random.default_rng(16)
-        h = random_complex(rng, 4)
+        h = generate_channel(4, 4, rng)
         qr = qr_decompose(h)
         q0, r0 = qr.q.copy(), qr.r.copy()
         [(_, got)] = reduce_stack_of_one(name, h, [18], qr=qr)
@@ -462,7 +457,7 @@ class TestScaleInvariance:
         # that is absolute instead of relative can change the outcome.
         rng = np.random.default_rng(14)
         for _ in range(20):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             hs = 2.0 ** exp * h
             for reduce in (
                 lambda m: reduce_once("mclll", m, 18),
@@ -510,7 +505,7 @@ class TestPredicates:
     def test_unimodularity_bulk_all_algorithms(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
-            h = random_complex(rng, 4)
+            h = generate_channel(4, 4, rng)
             for res in (
                 reduce_once("mclll", h, 6),
                 reduce_once("fclll", h, 20),
