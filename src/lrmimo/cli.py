@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import flops as flops_mod
-from .matcore import QRFactorization, is_unimodular, ldexp, max_exponent, qr_decompose
+from .matcore import is_unimodular, ldexp, max_exponent, qr_decompose
 from .mimo import channel_from_normals
 from .reduction import (
     REDUCTIONS,
@@ -253,9 +253,9 @@ def _cmd_flops_report(args) -> int:
     for alg in (*args.algorithms, "lll"):  # each listed one, then the implicit baseline
         _check_delta(alg, args.delta)
     rng = np.random.default_rng(args.seed)
-    # Each block draws the normals of its channels in one call, the bytes that
-    # as many mimo.generate_channel calls draw: each channel's real parts,
-    # then its imaginary parts.
+    # Each block draws the normals of its channels in one call: each channel's
+    # real parts, then its imaginary parts, the bytes that one draw of each
+    # part per channel gives.
     sizes = (min(_BLOCK_CHANNELS, args.channels - lo)
              for lo in range(0, args.channels, _BLOCK_CHANNELS))
     blocks = (channel_from_normals(*rng.standard_normal((size, 2, args.nr, args.nt))
@@ -279,9 +279,8 @@ def _cmd_reduce(args) -> int:
     h = load_matrix(args.matrix)
     e = max_exponent(h)  # factored at unit scale, where a subnormal input keeps every bit
     h = ldexp(h, -e)
-    qr = QRFactorization(*(part[None] for part in qr_decompose(h)))  # the channel's rank test
-    [(snapshots, at)] = flops_mod.reduce_block(args.algorithm, h[None], qr, [args.iter_max],
-                                               delta=args.delta)
+    [(snapshots, at)] = flops_mod.reduce_block(args.algorithm, h[None], qr_decompose(h[None]),
+                                               [args.iter_max], delta=args.delta)
     result = snapshots[at[args.iter_max][0]]
     t = result.t
     _, [r_tilde], [t_float], _ = factor_stacks([result])

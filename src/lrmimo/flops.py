@@ -34,7 +34,7 @@ exact integers.
 runs an entry on a stack of channels that passed their rank test, in one
 ``reduction.reduce_at_caps`` call, and prices each cap's snapshot.
 ``complexity_report`` runs it count-only on each stack of channels it is
-given, whose one stacked QR is their rank test.
+given, after one ``qr_decompose`` of the stack, their rank test.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .matcore import QRFactorization, check_pivots, check_shape, qr_stack
+from .matcore import QRFactorization, qr_decompose, qr_stack
 from .reduction import REDUCTIONS, ReductionResult, reduce_at_caps
 
 
@@ -223,10 +223,11 @@ def complexity_report(blocks, algorithms, caps, *, mode: str = "literal",
 
     ``blocks`` is any iterable, read once, of (B, n_r, n_t) stacks of
     channels; blocks may differ in size and shape.  Each block gets one
-    stacked QR of its channels, which is their rank test, the only one,
-    and every algorithm's runs come from ``reduce_block`` on that stack; a
-    channel that fails the test raises, in channel order, once the
-    channels before it are reduced.  The report reads only FLOP counts,
+    ``qr_decompose`` of its stack, which is their rank test, the only one,
+    taken before any channel of the block is reduced: a block that holds
+    a rank-deficient channel starts no run and raises the first such
+    channel's own RankDeficient.  Every algorithm's runs then come from
+    ``reduce_block`` on that stack.  The report reads only FLOP counts,
     so its runs are count-only (no q, r or T).
     """
     if "lll" in algorithms:
@@ -234,7 +235,15 @@ def complexity_report(blocks, algorithms, caps, *, mode: str = "literal",
     plan = {"lll": [None], **{alg: list(caps) for alg in algorithms}}
     totals = {(alg, cap): [] for alg, alg_caps in plan.items() for cap in alg_caps}
     for block in blocks:
-        _count_block(block, plan, totals, delta=delta, mode=mode)
+        hs = np.asarray(block, dtype=complex)
+        if hs.ndim != 3:
+            raise ValueError(f"expected a (B, n_r, n_t) stack of channels, got ndim={hs.ndim}")
+        qr = qr_decompose(hs)  # the block's rank test, before any of its runs
+        for alg, alg_caps in plan.items():
+            for _, at in reduce_block(alg, hs, qr, alg_caps, delta=delta, mode=mode,
+                                      factors=False):
+                for cap in alg_caps:
+                    totals[alg, cap].append(at[cap][1].total)
     if not totals["lll", None]:
         raise ValueError("need at least one channel")
     baseline_mean = statistics.fmean(totals["lll", None])
@@ -247,27 +256,6 @@ def complexity_report(blocks, algorithms, caps, *, mode: str = "literal",
         rows.append(ComplexityRow(alg, cap, mean, statistics.median(vals),
                                   max(vals), gain))
     return rows
-
-
-def _count_block(block, plan, totals, *, delta: float, mode: str) -> None:
-    """Count-only runs of every ``plan`` algorithm at each of its caps on
-    each channel of ``block``, a (B, n_r, n_t) stack, in order: each run's
-    FLOP total goes to ``totals[alg, cap]``.  One stacked QR of the block's
-    channels is their rank test, the only one; the channels before the
-    first that fails it are reduced (``reduce_block``), and then that
-    channel raises ``qr_decompose``'s RankDeficient."""
-    hs = np.asarray(block, dtype=complex)
-    check_shape(hs[0])
-    q, r, low = qr_stack(hs)
-    passed = next(iter(np.flatnonzero(low.any(axis=-1))), len(hs))
-    if passed:
-        for alg, alg_caps in plan.items():
-            for _, at in reduce_block(alg, hs[:passed], QRFactorization(q[:passed], r[:passed]),
-                                      alg_caps, delta=delta, mode=mode, factors=False):
-                for cap in alg_caps:
-                    totals[alg, cap].append(at[cap][1].total)
-    if passed < len(hs):
-        check_pivots(r[passed], low[passed])
 
 
 def format_complexity_table(rows, mode: str) -> str:

@@ -74,9 +74,10 @@ class QRFactorization(NamedTuple):
 
 def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin QRs of a stack of complex matrices, shape (..., n_r, n_t), as
-    ``qr_decompose`` factors each one: returns ``(q, r, low)``, where
-    ``low[..., j]`` flags pivot j of a matrix that fails the rank test.
-    A flagged pivot keeps its phase, so nothing divides by a zero pivot."""
+    ``qr_decompose`` factors them: returns ``(q, r, low)``, where
+    ``low[..., j]`` flags pivot j of a matrix that fails the rank test,
+    for a caller that redraws rather than raises.  A flagged pivot keeps
+    its phase, so nothing divides by a zero pivot."""
     h = np.asarray(h, dtype=complex)
     q, r = np.linalg.qr(h)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -94,40 +95,32 @@ def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qr_decompose(h) -> QRFactorization:
-    """Thin QR of an (n_r, n_t) complex matrix (LAPACK, via numpy).
+    """Thin QR of an (n_r, n_t) complex matrix, or of each matrix of a
+    (B, n_r, n_t) stack, as ``qr_stack`` factors it (LAPACK, via numpy):
+    the rank test of every matrix, taken before anything reads a factor.
 
     The diagonal of ``r`` is forced real and positive so that diagonal
     comparisons in the reduction conditions are unambiguous.
 
-    Raises RankDeficient unless every pivot ``|r[j, j]|`` is above
-    ``RANK_TOL * ||h||_F``; the norm is a chain of ``hypot``, which
-    neither overflows nor underflows, so the test holds at any scale of
-    ``h``.
+    Raises ValueError for any other ndim or for n_r < n_t, and
+    RankDeficient unless every pivot ``|r[j, j]|`` of every matrix is above
+    ``RANK_TOL * ||h||_F``, naming the first flagged pivot of the first
+    matrix that fails, as its own call would; the norm is a chain of
+    ``hypot``, which neither overflows nor underflows, so the test holds
+    at any scale of ``h``.
     """
     h = np.asarray(h, dtype=complex)
-    check_shape(h)
-    q, r, low = qr_stack(h)
-    check_pivots(r, low)
-    return QRFactorization(q, r)
-
-
-def check_shape(h) -> None:
-    """Raise ValueError unless ``h`` is a matrix with rows >= cols, the
-    shapes ``qr_decompose`` factors."""
-    if h.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={h.ndim}")
-    n_r, n_t = h.shape
+    if h.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={h.ndim}")
+    n_r, n_t = h.shape[-2:]
     if n_r < n_t:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
-
-
-def check_pivots(r, low) -> None:
-    """Raise ``qr_decompose``'s RankDeficient for one matrix's ``r`` and
-    ``low`` from ``qr_stack``, naming its first flagged pivot, if any."""
+    q, r, low = qr_stack(h)
     if low.any():
-        j = low.argmax()
-        raise RankDeficient(f"pivot {j} norm {abs(r[j, j]):.3e} not above "
+        *at, j = np.argwhere(low)[0]  # row-major: the first matrix, then its first pivot
+        raise RankDeficient(f"pivot {j} norm {abs(r[(*at, j, j)]):.3e} not above "
                             f"{RANK_TOL:.0e} * ||h||_F")
+    return QRFactorization(q, r)
 
 
 def back_substitute(r, y) -> np.ndarray:

@@ -116,14 +116,6 @@ def channel_from_normals(re, im) -> np.ndarray:
     return (re + 1j * im) * math.sqrt(0.5)
 
 
-def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n_r, n_t) channel of ``channel_from_normals`` (real/imag
-    parts drawn in that order)."""
-    re = rng.standard_normal((n_r, n_t))
-    im = rng.standard_normal((n_r, n_t))
-    return channel_from_normals(re, im)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Complex AWGN with per-entry variance ``sigma_n_sq`` (each real
@@ -139,15 +131,6 @@ class NoiseSpec:
     def component_std(self) -> float:
         """Standard deviation of each real component."""
         return math.sqrt(self.sigma_n_sq / 2.0)
-
-
-def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex noise with unit-variance real and imaginary parts (real
-    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
-    that spec's noise."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return re + 1j * im
 
 
 def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:

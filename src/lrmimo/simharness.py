@@ -15,9 +15,10 @@ five stages: draw, QR, reductions, detection and bit count.  The draw
 stage makes only the three generator calls per frame, into the block's
 arrays, then assembles the channels, maps the bits to symbols and forms
 ``H s`` and the received vectors once for the stack; the received
-vectors ``H s + std(snr) * base_noise`` of every SNR point are the
-columns of one matrix per frame, and the noiseless point (snr = inf) has
-std 0, so its column is ``H s`` bit for bit.  There is one rank test,
+vectors ``H s + std(snr) * w`` of every SNR point, w the frame's noise
+with unit-variance real and imaginary parts, are the columns of one
+matrix per frame, and the noiseless point (snr = inf) has std 0, so its
+column is ``H s`` bit for bit.  There is one rank test,
 the channel's: the block's one stacked QR of its channels tests their
 first attempts, and only a frame that fails draws each further attempt
 from its own generator, factored alone, until one passes.  Every
@@ -234,8 +235,8 @@ def _draw(cfg: SimConfig, stds: np.ndarray, rngs: list) -> _Attempt:
     normals (every real part, then every imaginary part), the bits, and
     the base noise's normals (real parts, then imaginary).  Channel,
     symbols, ``H s`` and the received vectors are then computed once for
-    the stack; column j of an attempt's ``x`` is ``H s + stds[j] *
-    base_noise``.
+    the stack; column j of an attempt's ``x`` is ``H s + stds[j] * w``,
+    w the complex noise of those normals.
     """
     c = _constellation(cfg.m_s)
     n_bits = cfg.n_t * c.bits_per_symbol

@@ -27,7 +27,7 @@ import pytest
 from lrmimo.detect import ml_detect
 from lrmimo.flops import schedule_for
 from lrmimo.matcore import QRFactorization, is_unimodular, qr_decompose, real_embedding
-from lrmimo.mimo import build_constellation, generate_channel
+from lrmimo.mimo import build_constellation
 from lrmimo.reduction import (
     factorization_error,
     is_lll_reduced,
@@ -38,6 +38,7 @@ from lrmimo.simharness import SimConfig, emit_csv, run_sweep
 from test_detect import detect_one
 from test_flops import reduce_one
 from test_matcore import factors
+from test_mimo import generate_channel
 from test_reduction import reduce_once
 from test_simharness import run_frame
 

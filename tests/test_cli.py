@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from lrmimo import cli, flops, matcore, reduction, simharness
 from lrmimo.cli import _parse_snr_grid, main
 from lrmimo.detect import ML_SEARCH_LIMIT
-from lrmimo.mimo import generate_channel
 from lrmimo.simharness import ALGORITHMS, load_matrix, save_matrix
 from test_flops import rows_priced_run_by_run
+from test_mimo import generate_channel
 from test_simharness import embedding_only_witness
 
 
@@ -630,7 +630,7 @@ class TestOneReductionStage:
             argv = [*argv, "--nt", str(n_t), "--nr", str(n_r)]
         blocks, runs, factored, embedded, tested = [], [], [], [], []
         reduce_block, stack, embed = flops.reduce_block, flops.qr_stack, reduction.real_embedding
-        check, decompose = matcore.check_pivots, matcore.qr_decompose
+        decompose = matcore.qr_decompose
 
         def spy_block(name, h, *args, **kw):
             out = list(reduce_block(name, h, *args, **kw))
@@ -642,19 +642,14 @@ class TestOneReductionStage:
                 runs.append(1)
                 super().__init__(*args, **kw)
 
-        def spy_check(r, low):
-            tested.append(np.shape(r))
-            return check(r, low)
-
         monkeypatch.setattr(flops, "reduce_block", spy_block)
         monkeypatch.setattr(reduction, "_Run", Run)
         monkeypatch.setattr(flops, "qr_stack", lambda h: factored.append(np.shape(h)) or stack(h))
         monkeypatch.setattr(reduction, "real_embedding",
                             lambda h: embedded.append(np.shape(h)) or embed(h))
-        monkeypatch.setattr(matcore, "check_pivots", spy_check)  # qr_decompose's
-        monkeypatch.setattr(flops, "check_pivots", spy_check)
-        monkeypatch.setattr(cli, "qr_decompose",
-                            lambda h: tested.append(np.shape(h)) or decompose(h))
+        for module in (flops, cli):
+            monkeypatch.setattr(module, "qr_decompose",
+                                lambda h: tested.append(np.shape(h)) or decompose(h))
         assert main(argv) == 0
         capsys.readouterr()
         # Every run is one of a reduce_block call's.
@@ -665,9 +660,10 @@ class TestOneReductionStage:
         assert [s for s in embedded if len(s) == 3] == [(size, n_r, n_t) for size in lll_blocks]
         assert [s for s in factored if s[-2:] == (2 * n_r, 2 * n_t)] == [
             (size, 2 * n_r, 2 * n_t) for size in lll_blocks]
-        # Every rank test is a channel's.
-        assert set(tested) <= {(n_r, n_t), (n_t, n_t)}
-        assert tested or argv[0] != "reduce"
+        # Every rank test is one qr_decompose of a stack of channels: one per
+        # report block and reduce's stack of one (the sweep redraws instead).
+        assert tested == {"ber-sweep": [], "flops-report": [(64, n_r, n_t), (6, n_r, n_t)],
+                          "reduce": [(1, n_r, n_t)]}[argv[0]]
 
 
 # SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the

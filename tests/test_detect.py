@@ -23,16 +23,10 @@ from lrmimo.matcore import (
     qr_stack,
     real_embedding,
 )
-from lrmimo.mimo import (
-    NoiseSpec,
-    base_noise,
-    build_constellation,
-    generate_channel,
-    snr_to_noise_variance,
-)
+from lrmimo.mimo import NoiseSpec, build_constellation, snr_to_noise_variance
 from lrmimo.reduction import REDUCTIONS
 from test_matcore import factors, reduce_stack_of_one
-from test_mimo import add_noise
+from test_mimo import add_noise, base_noise, generate_channel
 from test_reduction import reduce_once
 
 

@@ -1,5 +1,6 @@
 """Tests for the FLOP cost model, counters, and instrumented runs."""
 
+import re
 import statistics
 
 import numpy as np
@@ -26,9 +27,9 @@ from lrmimo.matcore import (
     is_unimodular,
     qr_decompose,
 )
-from lrmimo.mimo import generate_channel
 from lrmimo.reduction import REDUCTIONS
 from test_matcore import factors, reduce_stack_of_one, traced
+from test_mimo import generate_channel
 
 
 def reduce_one(alg, h, caps, **kw):
@@ -72,32 +73,45 @@ class EventTally:
     per Givens rotation).  ``flops`` prices the counts at a charge
     schedule, an oracle for the counts ``lrmimo.flops`` reads off the
     result.  The flag-table guard calls nothing, so its evaluations are
-    passed in."""
+    passed in.
 
-    EVENTS = ("size_steps", "updates", "siegel", "lovasz", "swaps")
+    On full runs it also counts the entries those steps execute: the rows
+    of q a swap rotates, the n - k + 1 columns of r a swap at pivot k
+    rotates (k - 1 on), and the l + 1 entries of r an update against
+    column l changes."""
+
+    EVENTS = ("size_steps", "updates", "siegel", "lovasz", "swaps",
+              "q_rows", "r_columns", "r_entries")
 
     def __init__(self, monkeypatch):
         self.reset()
         visit = reduction._Run.visit
+        update, swap = GaussIntMatrix.col_update, GaussIntMatrix.swap_cols
 
         def counted_visit(run, k):
             self.events["size_steps"] += k
             self.events["lovasz" if run.lovasz else "siegel"] += 1
-            return visit(run, k)
+            swapped = visit(run, k)
+            if swapped and run.q is not None:
+                self.events["q_rows"] += len(run.q[k])
+                self.events["r_columns"] += run.n - k + 1
+            return swapped
+
+        def counted_update(t, k, l, *mu):
+            self.events["updates"] += 1
+            self.events["r_entries"] += l + 1
+            return update(t, k, l, *mu)
+
+        def counted_swap(t, i, j):
+            self.events["swaps"] += 1
+            return swap(t, i, j)
 
         monkeypatch.setattr(reduction._Run, "visit", counted_visit)
-        for name, event in (("col_update", "updates"), ("swap_cols", "swaps")):
-            monkeypatch.setattr(GaussIntMatrix, name,
-                                self._counted(getattr(GaussIntMatrix, name), event))
+        monkeypatch.setattr(GaussIntMatrix, "col_update", counted_update)
+        monkeypatch.setattr(GaussIntMatrix, "swap_cols", counted_swap)
 
     def reset(self):
         self.events = dict.fromkeys(self.EVENTS, 0)
-
-    def _counted(self, fn, event):
-        def counted(*args, **kwargs):
-            self.events[event] += 1
-            return fn(*args, **kwargs)
-        return counted
 
     def flops(self, s: ChargeSchedule, guards: int = 0) -> FlopCounter:
         e = self.events
@@ -408,6 +422,51 @@ class TestEventOracle:
                         assert counted[mode][cap][1] == tally.flops(charges, guards)
 
 
+class TestExecutedEntries:
+    """Three charges against the entries full runs execute, each entry
+    priced at the charge's own weights (a row of q or a column of r is
+    ``rotation_q / 2``, an entry of r ``size_update / 2``): a swap is
+    charged the rotation of 2 rows of q and of as many columns of r as the
+    basis has rows, and a nonzero update 2 entries of r.  The charges are
+    the FLOP model's and stay as they are; these are its measured
+    executed/charged ratios over 200 seeded channels, summed, in dynamic
+    mode."""
+
+    # (n, entry, cap) -> executed/charged of rotation_q, rotation_r, size_update,
+    # to 3 significant digits
+    RATIOS = {
+        (4, "mclll", 6): (2.0, 0.764, 0.855),
+        (4, "mclll", 18): (2.0, 0.767, 0.87),
+        (4, "fclll", 6): (2.0, 0.731, 0.867),
+        (4, "fclll", 18): (2.0, 0.759, 0.841),
+        (4, "lll", None): (4.0, 0.636, 1.44),
+        (8, "mclll", 6): (4.0, 0.6, 1.59),
+        (8, "mclll", 18): (4.0, 0.616, 1.52),
+        (8, "fclll", 6): (4.0, 0.627, 1.37),
+        (8, "fclll", 18): (4.0, 0.575, 1.63),
+        (8, "lll", None): (8.0, 0.528, 2.88),
+    }
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_executed_over_charged(self, n, monkeypatch):
+        tally = EventTally(monkeypatch)
+        channels = [generate_channel(n, n, np.random.default_rng((41, n, i))) for i in range(200)]
+        for (size, alg, cap), want in self.RATIOS.items():
+            if size != n:
+                continue
+            tally.reset()
+            runs = [instrument(alg, h, cap) for h in channels]
+            s, e = schedule_for(alg, "dynamic", n, n, cap), tally.events
+            rotation, entry = s.rotation_q // 2, s.size_update // 2
+            executed = (e["q_rows"] * rotation, e["r_columns"] * rotation,
+                        e["r_entries"] * entry)
+            charged = (sum(counter.rotation_q for _, counter in runs),
+                       sum(counter.rotation_r for _, counter in runs),
+                       sum(result.size_updates for result, _ in runs) * s.size_update)
+            got = tuple(float(f"{x / c:.3g}") for x, c in zip(executed, charged))
+            assert got == want, (alg, cap)
+
+
 class TestCountOnlyRuns:
     """A count-only run (``factors=False``, what the complexity report
     runs) makes the full run's visits and so prices to the same FLOPs."""
@@ -495,14 +554,17 @@ class TestComplexityReport:
 
     def test_one_stacked_qr_per_basis_kind_per_block(self, monkeypatch, capsys):
         # flops-report cuts 130 channels into blocks of 64, 64 and 2; each
-        # factors its channels, then embeds them and factors their real
-        # embeddings once, for lll, and no run factors or embeds its own.
+        # factors its channels in one qr_decompose, their rank test, then
+        # embeds them and factors their real embeddings once, for lll, and
+        # no run factors or embeds its own.
         shapes, embedded = [], []
-        stack, embed = flops.qr_stack, reduction.real_embedding
+        decompose, stack, embed = flops.qr_decompose, flops.qr_stack, reduction.real_embedding
 
-        def spy(h):
-            shapes.append(np.shape(h))
-            return stack(h)
+        def spy(factor):
+            def spied(h):
+                shapes.append(np.shape(h))
+                return factor(h)
+            return spied
 
         def spy_embed(h):
             embedded.append(np.shape(h))
@@ -511,7 +573,8 @@ class TestComplexityReport:
         def refuse(*args):
             raise AssertionError("a run factored its own basis")
 
-        monkeypatch.setattr(flops, "qr_stack", spy)
+        monkeypatch.setattr(flops, "qr_decompose", spy(decompose))
+        monkeypatch.setattr(flops, "qr_stack", spy(stack))
         monkeypatch.setattr(reduction, "real_embedding", spy_embed)
         monkeypatch.setattr(matcore, "qr_decompose", refuse)
         assert cli.main(["flops-report", "--nt", "4", "--nr", "4", "--channels", "130",
@@ -562,17 +625,37 @@ class TestComplexityReport:
 
     @pytest.mark.parametrize("bad, message", [
         (np.zeros((2, 2, 4), dtype=complex), "need rows >= cols, got 2x4"),
-        (np.zeros((2, 4), dtype=complex), "expected a matrix, got ndim=1"),
+        (np.zeros((2, 4), dtype=complex),
+         "expected a (B, n_r, n_t) stack of channels, got ndim=2"),
     ], ids=["wide", "vector"])
     def test_shape_errors_come_in_channel_order(self, bad, message):
         rng = np.random.default_rng(22)
         channels = np.stack([generate_channel(4, 4, rng) for _ in range(66)])
         blocks = [channels[:64], channels[64:], bad]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             complexity_report(iter(blocks), ("mclll",), (6,))
         channels[65][:, 1] = channels[65][:, 0]  # the earlier channel's error wins
         with pytest.raises(RankDeficient, match="pivot 1"):
             complexity_report(iter(blocks), ("mclll",), (6,))
+
+    def test_rank_deficient_block_starts_no_run(self, monkeypatch):
+        # The block's one rank test comes before any of its runs: the runs
+        # started are those of the block before it, one per channel and
+        # entry (lll, mclll, fclll).
+        runs = []
+
+        class Run(reduction._Run):
+            def __init__(self, *args, **kw):
+                runs.append(1)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(reduction, "_Run", Run)
+        rng = np.random.default_rng(24)
+        channels = np.stack([generate_channel(4, 4, rng) for _ in range(7)])
+        channels[6][:, 3] = channels[6][:, 1]
+        with pytest.raises(RankDeficient, match="pivot 3"):
+            complexity_report(iter([channels[:3], channels[3:]]), ("mclll", "fclll"), (2, 6))
+        assert len(runs) == 3 * 3
 
     def test_lll_is_the_baseline_not_an_algorithm(self):
         with pytest.raises(ValueError, match="lll is the report's baseline"):

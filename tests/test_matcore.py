@@ -28,7 +28,6 @@ from lrmimo.matcore import (
     real_embedding_vector,
     round_half_away,
 )
-from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     ReductionResult,
     ZeroPivot,
@@ -36,6 +35,7 @@ from lrmimo.reduction import (
     factorization_error,
     reduce_at_caps,
 )
+from test_mimo import generate_channel
 
 
 @dataclass
@@ -239,6 +239,36 @@ class TestQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             qr_decompose(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (8, 8), (6, 3)])
+    def test_stack_is_qr_stack_bit_for_bit(self, n_r, n_t):
+        rng = np.random.default_rng(13)
+        hs = np.stack([generate_channel(n_r, n_t, rng) for _ in range(9)])
+        q, r, low = qr_stack(hs)
+        got = qr_decompose(hs)
+        assert not low.any()
+        assert np.array_equal(got.q, q) and np.array_equal(got.r, r)
+
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_stack_raises_the_first_failing_matrix_own_message(self, at):
+        # Later failures (zero matrices, pivot 0) do not win.
+        rng = np.random.default_rng(14)
+        hs = np.stack([generate_channel(4, 3, rng) for _ in range(6)])
+        hs[at][:, 2] = 2j * hs[at][:, 0]
+        hs[at + 1:] = 0
+        with pytest.raises(RankDeficient, match="pivot 2") as alone:
+            qr_decompose(hs[at])
+        with pytest.raises(RankDeficient) as stacked:
+            qr_decompose(hs)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4,), "got ndim=1"), ((2, 3, 4, 4), "got ndim=4"), ((2, 3), "got 2x3"),
+        ((5, 2, 3), "got 2x3"),
+    ], ids=["vector", "ndim-4", "wide", "wide-stack"])
+    def test_other_shapes_raise_value_error(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            qr_decompose(np.ones(shape))
 
     @pytest.mark.parametrize("n_r, n_t", [(4, 4), (8, 8), (6, 3)])
     def test_stack_factors_each_matrix_as_qr_decompose(self, n_r, n_t):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from lrmimo import mimo
 from lrmimo.mimo import (
     Constellation,
     InvalidSize,
     LengthMismatch,
     NoiseSpec,
-    base_noise,
     build_constellation,
-    generate_channel,
     modulate,
     snr_to_noise_variance,
 )
@@ -21,6 +20,26 @@ def demodulate(symbols, c: Constellation) -> np.ndarray:
     """Oracle: recover bits by slicing each symbol to its nearest
     constellation point and reading off the point's Gray label."""
     return c.bit_table[c.nearest_index(symbols)].reshape(-1)
+
+
+def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
+    """An (n_r, n_t) channel of ``mimo.channel_from_normals``, its real
+    parts drawn first, then its imaginary parts: the bytes each channel of
+    a sweep or report draw takes from its generator.  The assembler is
+    looked up on the module, so a test that patches it forces this draw
+    too."""
+    re = rng.standard_normal((n_r, n_t))
+    im = rng.standard_normal((n_r, n_t))
+    return mimo.channel_from_normals(re, im)
+
+
+def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex noise with unit-variance real and imaginary parts (real
+    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
+    that spec's noise."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return re + 1j * im
 
 
 def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:

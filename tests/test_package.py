@@ -1,8 +1,9 @@
 """Tests for the package layout: every module imports on its own, the
 reduction's snapshot format is read in its own modules, no module reads
-object identity or a per-visit trace, no public function hands back a
-function it defines or only names arithmetic on its parameters, and the
-benchmark's metric names match the package's."""
+object identity or a per-visit trace, every public name is used in the
+package, no public function hands back a function it defines or only
+names arithmetic on its parameters, and the benchmark's metric names
+match the package's."""
 
 import ast
 import dataclasses
@@ -71,6 +72,23 @@ def test_no_module_reads_object_identity_or_a_visit_trace():
         return isinstance(node, ast.Attribute) and node.attr in ("visits", "visit_swaps")
 
     assert not {(path.name, node.lineno) for path, node in src_nodes() if stray(node)}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # A public module-level function or class that no code in src/ names
+    # outside its own definition serves the tests alone, so it is kept in
+    # them.
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else node.attr
+
+    defs = (ast.FunctionDef, ast.ClassDef)
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "lrmimo").glob("*.py"))]
+    public = {stmt.name for tree in trees for stmt in tree.body
+              if isinstance(stmt, defs) and not stmt.name.startswith("_")}
+    named = {name(node) for tree in trees for stmt in tree.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and not (isinstance(stmt, defs) and stmt.name == name(node))}
+    assert sorted(public - named) == []
 
 
 def test_no_public_function_returns_a_function_it_defines():

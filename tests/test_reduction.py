@@ -19,7 +19,6 @@ from lrmimo.matcore import (
     qr_stack,
     real_embedding,
 )
-from lrmimo.mimo import generate_channel
 from lrmimo.reduction import (
     REDUCTIONS,
     ZeroDiagonal,
@@ -39,6 +38,7 @@ from test_matcore import (
     run_stack_of_one,
     traced,
 )
+from test_mimo import generate_channel
 
 
 def reduce_once(name, basis, cap=None, delta=0.75):

@@ -29,7 +29,7 @@ from lrmimo.simharness import (
 from test_detect import detect_one, exhaustive_ml, zf_lr_one
 from test_flops import EventTally
 from test_matcore import pseudo_inverse_apply, reduce_stack_of_one
-from test_mimo import demodulate
+from test_mimo import base_noise, demodulate, generate_channel
 from test_reduction import reduce_once
 
 INF = float("inf")
@@ -350,10 +350,10 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     c = mimo.build_constellation(cfg.m_s)
     spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
     for redraws in range(100):
-        h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
+        h = generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
         y = h @ mimo.modulate(bits, c, cfg.n_t)
-        x = y + spec.component_std * mimo.base_noise(y.shape, rng)  # std 0 for inf
+        x = y + spec.component_std * base_noise(y.shape, rng)  # std 0 for inf
         try:
             qr_decompose(h)  # the one rank test, the channel's, for every algorithm
         except RankDeficient:
@@ -501,10 +501,10 @@ class TestFrameMajorEquivalence:
         for idx in range(cfg.frames):
             rng = np.random.default_rng((cfg.seed, idx))
             for _ in range(1 + (idx == 1)):
-                h = mimo.generate_channel(cfg.n_r, cfg.n_t, rng)
+                h = generate_channel(cfg.n_r, cfg.n_t, rng)
                 bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
                 y = h @ mimo.modulate(bits, c, cfg.n_t)
-                noise = mimo.base_noise(y.shape, rng)
+                noise = base_noise(y.shape, rng)
             accepted.append((h, np.stack([y + std * noise for std in stds], axis=-1)))
             assert np.array_equal(accepted[-1][1][:, -1], y)
 
