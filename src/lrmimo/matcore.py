@@ -251,37 +251,12 @@ def _gi_div_exact(a, b):
     return num_re // den, num_im // den
 
 
-def _as_gauss_int_rows(t):
-    if isinstance(t, GaussIntMatrix):
-        n = t.n
-        return [[t.entry(i, j) for j in range(n)] for i in range(n)]
-    t = np.asarray(t)
-    rows = []
-    for i in range(t.shape[0]):
-        row = []
-        for j in range(t.shape[1]):
-            z = complex(t[i, j])
-            re_i, im_i = int(round(z.real)), int(round(z.imag))
-            if z.real != re_i or z.imag != im_i:
-                raise ValueError(f"entry ({i},{j}) is not a Gaussian integer")
-            row.append((re_i, im_i))
-        rows.append(row)
-    return rows
-
-
-def integer_determinant(t) -> tuple[int, int]:
-    """Exact determinant of a square (Gaussian-)integer matrix.
-
-    Fraction-free Bareiss elimination over the Gaussian integers; every
-    intermediate value is an exact Python int.  Accepts a GaussIntMatrix,
-    an integer array, or a complex array with exactly integral entries.
-
-    Returns the determinant as an ``(re, im)`` pair of Python ints.
-    """
-    a = _as_gauss_int_rows(t)
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("need a nonempty square matrix")
+def integer_determinant(t: GaussIntMatrix) -> tuple[int, int]:
+    """Exact determinant of the transform T as an ``(re, im)`` pair of
+    Python ints: fraction-free Bareiss elimination over the Gaussian
+    integers, every intermediate value an exact Python int."""
+    n = t.n
+    a = [[t.entry(i, j) for j in range(n)] for i in range(n)]
     sign = (1, 0)
     prev = (1, 0)
     for col in range(n - 1):
@@ -303,7 +278,7 @@ def integer_determinant(t) -> tuple[int, int]:
     return _gi_mul(sign, a[n - 1][n - 1])
 
 
-def is_unimodular(t) -> bool:
+def is_unimodular(t: GaussIntMatrix) -> bool:
     """True when the exact determinant is a Gaussian unit (1, -1, i, -i)."""
     re, im = integer_determinant(t)
     return re * re + im * im == 1

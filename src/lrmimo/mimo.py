@@ -116,26 +116,19 @@ def channel_from_normals(re, im) -> np.ndarray:
     return (re + 1j * im) * math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Complex AWGN with per-entry variance ``sigma_n_sq`` (each real
-    component carries half of it)."""
-
-    sigma_n_sq: float
-
-    def __post_init__(self):
-        if not self.sigma_n_sq >= 0.0:
-            raise ValueError(f"sigma_n_sq must be >= 0, got {self.sigma_n_sq}")
-
-    @property
-    def component_std(self) -> float:
-        """Standard deviation of each real component."""
-        return math.sqrt(self.sigma_n_sq / 2.0)
-
-
-def snr_to_noise_variance(snr_db: float, n_t: int) -> NoiseSpec:
-    """Noise variance for a per-receive-antenna SNR of ``snr_db`` dB under
-    unit-power symbols and unit-variance channel entries:
-    ``sigma_n^2 = n_t / 10**(snr_db/10)``.  ``snr_db = inf`` is the
-    noiseless sentinel."""
-    return NoiseSpec(sigma_n_sq=n_t / 10.0 ** (snr_db / 10.0))
+def noise_std(snr_db: float, n_t: int) -> float:
+    """Standard deviation of each real component of the complex AWGN at a
+    per-receive-antenna SNR of ``snr_db`` dB: ``sqrt(sigma_n^2 / 2)``, with
+    ``sigma_n^2 = n_t / 10**(snr_db/10)`` (the module's convention); 0 at
+    the noiseless ``snr_db = inf``.  Raises ValueError where sigma_n^2 is
+    not a finite float: below about -3082.5 + 10 log10(n_t) dB the division
+    overflows (further down, -inf included, it divides by 0), and from
+    about +3082.5 dB up ``10**(snr_db/10)`` itself overflows, although the
+    variance would underflow toward 0."""
+    try:
+        var = n_t / 10.0 ** (snr_db / 10.0)
+    except (ZeroDivisionError, OverflowError):
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(f"snr {snr_db} dB gives a noise variance out of float range")
+    return math.sqrt(var / 2.0)

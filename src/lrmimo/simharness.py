@@ -69,7 +69,7 @@ from .mimo import (
     build_constellation,
     channel_from_normals,
     modulate,
-    snr_to_noise_variance,
+    noise_std,
 )
 from .reduction import REDUCTIONS
 
@@ -136,13 +136,8 @@ class SimConfig:
             if first != snr:
                 raise ValueError(f"snr points {first!r} and {snr!r} dB both print as "
                                  f"{snr_label(snr)!r} in the CSV")
-        for snr in grid:  # the noiseless inf gives variance 0
-            try:
-                finite = math.isfinite(snr_to_noise_variance(snr, self.n_t).sigma_n_sq)
-            except (ZeroDivisionError, OverflowError):
-                finite = False
-            if not finite:
-                raise ValueError(f"snr {snr} dB gives a noise variance out of float range")
+        for snr in grid:  # raises for a noise variance out of float range
+            noise_std(snr, self.n_t)
         for entries in (self.algorithms, self.iter_max_list):  # a repeat repeats records
             repeated = next((e for i, e in enumerate(entries) if e in entries[:i]), None)
             if repeated is not None:
@@ -269,8 +264,7 @@ def _plan(cfg: SimConfig) -> _Plan:
     caps = {alg: list(cfg.iter_max_list) if _capped(alg) else [None] for alg in cfg.algorithms}
     cells = [(alg, cap, snr) for alg, alg_caps in caps.items() for cap in alg_caps
              for snr in cfg.snr_db_grid]
-    stds = np.array([snr_to_noise_variance(snr, cfg.n_t).component_std
-                     for snr in cfg.snr_db_grid])
+    stds = np.array([noise_std(snr, cfg.n_t) for snr in cfg.snr_db_grid])
     return _Plan(cells, caps, stds)
 
 

@@ -1,6 +1,7 @@
 """Tests for the ZF, LR-aided ZF, and ML detectors."""
 
 import hashlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,7 @@ from lrmimo.matcore import (
     qr_stack,
     real_embedding,
 )
-from lrmimo.mimo import NoiseSpec, build_constellation, snr_to_noise_variance
+from lrmimo.mimo import build_constellation, noise_std
 from lrmimo.reduction import REDUCTIONS
 from test_matcore import factors, reduce_stack_of_one
 from test_mimo import add_noise, base_noise, generate_channel
@@ -126,7 +127,7 @@ class TestZF:
             h = generate_channel(4, 4, rng)
             h[:, 1] = h[:, 0] + 1e-3 * h[:, 1]  # nearly dependent columns
             s = random_symbols(rng, c, 4)
-            x = add_noise(h @ s, NoiseSpec(0.1), rng)
+            x = add_noise(h @ s, math.sqrt(0.1 / 2), rng)
             errors += int(np.sum(detect_one(zf_detect, qr_decompose(h), c, x) != s))
         assert errors > 0
 
@@ -215,7 +216,7 @@ class TestZfLr:
         assert np.array_equal(factors(red).t, np.eye(4))
         for _ in range(100):
             s = random_symbols(rng, c, 4)
-            x = add_noise(h @ s, NoiseSpec(0.5), rng)
+            x = add_noise(h @ s, math.sqrt(0.5 / 2), rng)
             assert np.array_equal(detect_one(zf_detect, qr_decompose(h), c, x),
                                   detect_one(zf_lr_one, red, c, x))
 
@@ -236,7 +237,7 @@ class TestZfLr:
         for _ in range(100):
             h = generate_channel(4, 4, rng)
             red = reduce_once("mclll", h, 6)
-            x = add_noise(h @ random_symbols(rng, c, 4), NoiseSpec(2.0), rng)
+            x = add_noise(h @ random_symbols(rng, c, 4), math.sqrt(2.0 / 2), rng)
             out = zf_lr_one(red, c, x[:, None])
             assert out.shape == (4, 1) and out.dtype.kind == "i"
             assert ((0 <= out) & (out < c.m_s)).all()
@@ -376,7 +377,7 @@ class TestML:
         for _ in range(3000):
             h = generate_channel(2, 2, rng)
             s = random_symbols(rng, c, 2)
-            x = add_noise(h @ s, NoiseSpec(0.5), rng)
+            x = add_noise(h @ s, math.sqrt(0.5 / 2), rng)
             try:
                 zf_out = detect_one(zf_detect, qr_decompose(h), c, x)
             except Exception:
@@ -457,7 +458,7 @@ class TestML:
         c = build_constellation(m_s)
         hs = np.stack([generate_channel(n_t + extra, n_t, rng) for _ in range(frames)])
         y = hs @ c.points[rng.integers(0, m_s, (frames, n_t, 1))]
-        std = snr_to_noise_variance(snr, n_t).component_std
+        std = noise_std(snr, n_t)
         x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
         got = c.points[ml_detect(stacked_qr(hs), c, x)]
         for h, x_i, got_i in zip(hs, x, got):
@@ -470,8 +471,7 @@ class TestML:
         # and r by exact powers of two, so no square over- or underflows.
         rng = np.random.default_rng(17)
         c = build_constellation(16)
-        stds = np.array([snr_to_noise_variance(snr, 4).component_std
-                         for snr in (-30.0, 0.0, 10.0, 30.0)])
+        stds = np.array([noise_std(snr, 4) for snr in (-30.0, 0.0, 10.0, 30.0)])
         hs = np.stack([generate_channel(4, 4, rng) for _ in range(8)])
         y = hs @ c.points[rng.integers(0, 16, (8, 4, 1))]
         x = np.concatenate([y + stds * base_noise((8, 4, 1), rng), y], axis=2)
@@ -486,7 +486,7 @@ class TestML:
         c = build_constellation(16)
         hs = np.stack([generate_channel(3, 3, rng) for _ in range(16)])
         y = hs @ c.points[rng.integers(0, 16, (16, 3, 1))]
-        std = snr_to_noise_variance(-30.0, 3).component_std
+        std = noise_std(-30.0, 3)
         x = np.concatenate([y + std * base_noise(y.shape, rng), y], axis=2)
         sizes = []
         for name in ("argpartition", "flatnonzero"):
@@ -516,7 +516,7 @@ def index_digest(n, m_s, frames) -> str:
     detect on seeded n x n frames at every SNR of ``INDEX_SNRS`` and
     noiseless, one frame's finite SNRs as the columns of one matrix."""
     c = build_constellation(m_s)
-    stds = np.array([snr_to_noise_variance(snr, n).component_std for snr in INDEX_SNRS])
+    stds = np.array([noise_std(snr, n) for snr in INDEX_SNRS])
     digest = hashlib.sha256()
     for i in range(frames):
         rng = np.random.default_rng((13, n, i))
@@ -554,7 +554,7 @@ class TestDetectedIndices:
         rng = np.random.default_rng(20 + n)
         c = build_constellation(m_s)
         snrs = (-10.0, 0.0, 6.0, 12.0, 20.0, 30.0, np.inf)
-        stds = np.array([snr_to_noise_variance(snr, n).component_std for snr in snrs])
+        stds = np.array([noise_std(snr, n) for snr in snrs])
         for _ in range(20):
             h = generate_channel(n, n, rng)
             y = h @ random_symbols(rng, c, n)

@@ -1,5 +1,7 @@
 """Tests for constellation construction, Gray mapping, channel and noise."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from lrmimo.mimo import (
     Constellation,
     InvalidSize,
     LengthMismatch,
-    NoiseSpec,
     build_constellation,
     modulate,
-    snr_to_noise_variance,
+    noise_std,
 )
 from lrmimo.simharness import SimConfig
 
@@ -35,21 +36,21 @@ def generate_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray
 
 def base_noise(shape, rng: np.random.Generator) -> np.ndarray:
     """Complex noise with unit-variance real and imaginary parts (real
-    parts drawn first); scaled by a ``NoiseSpec``'s component std, it is
-    that spec's noise."""
+    parts drawn first); scaled by ``noise_std``, it is the noise of that
+    SNR."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return re + 1j * im
 
 
-def add_noise(x, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Oracle: add i.i.d. complex Gaussian noise of ``spec``'s variance
-    to ``x``.  With zero variance the vector is returned unchanged (and
-    the stream is not advanced)."""
+def add_noise(x, std: float, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: add i.i.d. complex Gaussian noise to ``x``, each real
+    component of standard deviation ``std``.  With std 0 the vector is
+    returned unchanged (and the stream is not advanced)."""
     x = np.asarray(x, dtype=complex)
-    if spec.sigma_n_sq == 0.0:
+    if std == 0.0:
         return x.copy()
-    return x + spec.component_std * base_noise(x.shape, rng)
+    return x + std * base_noise(x.shape, rng)
 
 
 class TestConstellation:
@@ -186,32 +187,41 @@ class TestChannel:
 class TestNoise:
     def test_zero_variance_identity(self):
         x = np.array([1 + 1j, -2j])
-        out = add_noise(x, NoiseSpec(0.0), np.random.default_rng(0))
+        out = add_noise(x, 0.0, np.random.default_rng(0))
         assert np.array_equal(out, x)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(3)
         x = np.zeros(100_000, dtype=complex)
-        out = add_noise(x, NoiseSpec(0.7), rng)
+        out = add_noise(x, math.sqrt(0.7 / 2), rng)
         assert abs(np.mean(np.abs(out) ** 2) - 0.7) < 0.02 * 0.7
 
     def test_deterministic(self):
         x = np.zeros(16, dtype=complex)
-        a = add_noise(x, NoiseSpec(1.0), np.random.default_rng(9))
-        b = add_noise(x, NoiseSpec(1.0), np.random.default_rng(9))
+        a = add_noise(x, math.sqrt(1.0 / 2), np.random.default_rng(9))
+        b = add_noise(x, math.sqrt(1.0 / 2), np.random.default_rng(9))
         assert np.array_equal(a, b)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1)
 
 
 class TestSnr:
     def test_zero_db_single_antenna(self):
-        assert snr_to_noise_variance(0.0, 1).sigma_n_sq == 1.0
+        assert noise_std(0.0, 1) == math.sqrt(0.5)
 
     def test_ten_db_four_antennas(self):
-        assert abs(snr_to_noise_variance(10.0, 4).sigma_n_sq - 0.4) < 1e-15
+        assert abs(noise_std(10.0, 4) - math.sqrt(0.2)) < 1e-15
 
     def test_infinite_snr(self):
-        assert snr_to_noise_variance(float("inf"), 4).sigma_n_sq == 0.0
+        assert noise_std(float("inf"), 4) == 0.0
+
+    @pytest.mark.parametrize("n_t", range(1, 9))
+    def test_is_the_convention_bit_for_bit(self, n_t):
+        # Every point of a 0.25 dB grid over the whole finite range.
+        for snr in np.linspace(-3070.0, 3080.0, 24_601).tolist():
+            assert noise_std(snr, n_t) == math.sqrt(n_t / 10.0 ** (snr / 10.0) / 2.0)
+
+    @pytest.mark.parametrize("n_t", range(1, 9))
+    @pytest.mark.parametrize("snr", [-3090.0, -float("inf"), 3100.0, 4000.0])
+    def test_variance_out_of_float_range_raises(self, snr, n_t):
+        with pytest.raises(ValueError, match=f"snr {snr} dB gives a noise variance "
+                                             "out of float range"):
+            noise_std(snr, n_t)

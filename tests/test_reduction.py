@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrmimo import reduction
-from lrmimo.flops import schedule_for
+from lrmimo.flops import reduce_block, schedule_for
 from lrmimo.matcore import (
     QRFactorization,
     is_unimodular,
@@ -299,6 +299,51 @@ class TestFclll:
             assert is_lll_reduced(factors(res).r, 0.75)
             assert is_unimodular(res.t)
             assert factorization_error(h, res) <= 1e-9
+
+
+
+def fclll_counted(run):
+    """fclll's step loop with one count, the swap-free visits in a row, in
+    place of its flag table.  The visits cycle through pivots 1..n-1, and a
+    swap at k raises flag k, which only the next visit at k, n-1 visits
+    later, clears; so the table is clear exactly when the last n-1 visits
+    did not swap."""
+    n, clear = run.n, 0
+    while clear < n - 1:
+        k = run.iterations % (n - 1) + 1
+        run.iterations += 1
+        clear = 0 if run.visit(k) else clear + 1
+        yield
+    run.converged = True
+
+
+class TestFclllFlagCount:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_counter_loop_takes_the_same_visits(self, n, monkeypatch):
+        # Every snapshot and FLOP count, full and count-only, at caps 1-18,
+        # 40 and 200 on seeded (n+1) x n channels.
+        h = np.stack([generate_channel(n + 1, n, np.random.default_rng((35, n, i)))
+                      for i in range(120)])
+        qr, caps = qr_decompose(h), [*range(1, 19), 40, 200]
+        entry = REDUCTIONS["fclll"]
+        for full in (True, False):
+            want = list(reduce_block("fclll", h, qr, caps, factors=full))
+            monkeypatch.setitem(REDUCTIONS, "fclll", entry._replace(steps=fclll_counted))
+            got = list(reduce_block("fclll", h, qr, caps, factors=full))
+            monkeypatch.setitem(REDUCTIONS, "fclll", entry)
+            assert len(got) == len(want)
+            for (snaps, index), (want_snaps, want_index) in zip(got, want):
+                assert index == want_index  # each cap's snapshot and FLOPs
+                assert len(snaps) == len(want_snaps)
+                for a, b in zip(snaps, want_snaps):
+                    assert (a.iterations_used, a.converged, a.visit_count, a.swap_count,
+                            a.pivot_sum, a.size_updates) == (
+                        b.iterations_used, b.converged, b.visit_count, b.swap_count,
+                        b.pivot_sum, b.size_updates)
+                if full:
+                    for a, b in zip(factor_stacks(snaps), factor_stacks(want_snaps)):
+                        assert a.tobytes() == b.tobytes()
+        assert n == 1 or any(snaps[-1].swap_count for snaps, _ in want)
 
 
 class TestMclll:

@@ -348,12 +348,12 @@ def oracle_frame(cfg, alg, cap, snr, idx):
     cell's schedule."""
     rng = np.random.default_rng((cfg.seed, idx))
     c = mimo.build_constellation(cfg.m_s)
-    spec = mimo.snr_to_noise_variance(snr, cfg.n_t)
+    std = mimo.noise_std(snr, cfg.n_t)
     for redraws in range(100):
         h = generate_channel(cfg.n_r, cfg.n_t, rng)
         bits = rng.integers(0, 2, cfg.n_t * c.bits_per_symbol)
         y = h @ mimo.modulate(bits, c, cfg.n_t)
-        x = y + spec.component_std * base_noise(y.shape, rng)  # std 0 for inf
+        x = y + std * base_noise(y.shape, rng)  # std 0 for inf
         try:
             qr_decompose(h)  # the one rank test, the channel's, for every algorithm
         except RankDeficient:
@@ -495,8 +495,7 @@ class TestFrameMajorEquivalence:
                         algorithms=simharness.ALGORITHMS, iter_max_list=(2, 18), seed=4)
         force_first_draw_of_frame1(monkeypatch, cfg, rank_one)
         c = mimo.build_constellation(cfg.m_s)
-        stds = [mimo.snr_to_noise_variance(snr, cfg.n_t).component_std
-                for snr in cfg.snr_db_grid]
+        stds = [mimo.noise_std(snr, cfg.n_t) for snr in cfg.snr_db_grid]
         accepted = []  # (h, received columns) of each frame's accepted attempt
         for idx in range(cfg.frames):
             rng = np.random.default_rng((cfg.seed, idx))
