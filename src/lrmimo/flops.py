@@ -193,7 +193,7 @@ def reduce_block(algorithm: str, h, qr: QRFactorization, caps, *, delta: float =
     h, entry = np.asarray(h, dtype=complex), REDUCTIONS[algorithm]
     basis = entry.basis(h)
     if not entry.capped:  # lll's embeddings: the channels' rank test stands for theirs
-        qr = QRFactorization(*qr_stack(basis)[:2])
+        qr = QRFactorization(*qr_stack(basis, factors=factors)[:2])
     n_r, n_t = h.shape[-2:]
     charges = {cap: schedule_for(algorithm, mode, n_t, n_r, cap) for cap in caps}
     for snapshots, index in reduce_at_caps(algorithm, basis, caps, qr=qr, delta=delta,
@@ -238,7 +238,7 @@ def complexity_report(blocks, algorithms, caps, *, mode: str = "literal",
         hs = np.asarray(block, dtype=complex)
         if hs.ndim != 3:
             raise ValueError(f"expected a (B, n_r, n_t) stack of channels, got ndim={hs.ndim}")
-        qr = qr_decompose(hs)  # the block's rank test, before any of its runs
+        qr = qr_decompose(hs, factors=False)  # the block's rank test, before any run
         for alg, alg_caps in plan.items():
             for _, at in reduce_block(alg, hs, qr, alg_caps, delta=delta, mode=mode,
                                       factors=False):

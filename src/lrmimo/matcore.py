@@ -72,14 +72,15 @@ class QRFactorization(NamedTuple):
     r: np.ndarray
 
 
-def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def qr_stack(h, *, factors: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Thin QRs of a stack of complex matrices, shape (..., n_r, n_t), as
     ``qr_decompose`` factors them: returns ``(q, r, low)``, where
     ``low[..., j]`` flags pivot j of a matrix that fails the rank test,
     for a caller that redraws rather than raises.  A flagged pivot keeps
-    its phase, so nothing divides by a zero pivot."""
+    its phase, so nothing divides by a zero pivot.  With ``factors=False``
+    q is None: LAPACK's same ``geqrf``, bit for bit, forms no Q."""
     h = np.asarray(h, dtype=complex)
-    q, r = np.linalg.qr(h)
+    q, r = np.linalg.qr(h) if factors else (None, np.linalg.qr(h, mode="r"))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.abs(diag)
     norm = np.hypot.reduce(np.abs(h).reshape(*h.shape[:-2], -1), axis=-1, keepdims=True)
@@ -91,10 +92,10 @@ def qr_stack(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the phase is the same, bit for bit, at normal scales.
     e = -np.frexp(norm)[1]
     ph = np.divide(ldexp(diag, e), np.ldexp(d, e), out=np.ones_like(diag), where=~low)
-    return q * ph[..., None, :], ph.conj()[..., :, None] * r, low
+    return (q if q is None else q * ph[..., None, :]), ph.conj()[..., :, None] * r, low
 
 
-def qr_decompose(h) -> QRFactorization:
+def qr_decompose(h, *, factors: bool = True) -> QRFactorization:
     """Thin QR of an (n_r, n_t) complex matrix, or of each matrix of a
     (B, n_r, n_t) stack, as ``qr_stack`` factors it (LAPACK, via numpy):
     the rank test of every matrix, taken before anything reads a factor.
@@ -107,7 +108,7 @@ def qr_decompose(h) -> QRFactorization:
     ``RANK_TOL * ||h||_F``, naming the first flagged pivot of the first
     matrix that fails, as its own call would; the norm is a chain of
     ``hypot``, which neither overflows nor underflows, so the test holds
-    at any scale of ``h``.
+    at any scale of ``h``.  With ``factors=False`` q is None (no Q formed).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3):
@@ -115,7 +116,7 @@ def qr_decompose(h) -> QRFactorization:
     n_r, n_t = h.shape[-2:]
     if n_r < n_t:
         raise ValueError(f"need rows >= cols, got {n_r}x{n_t}")
-    q, r, low = qr_stack(h)
+    q, r, low = qr_stack(h, factors=factors)
     if low.any():
         *at, j = np.argwhere(low)[0]  # row-major: the first matrix, then its first pivot
         raise RankDeficient(f"pivot {j} norm {abs(r[(*at, j, j)]):.3e} not above "

@@ -20,8 +20,10 @@ one kernel, ``_Run.visit``: a column visit that size-reduces, applies the
 swap test and, on a swap, exchanges the column pair (k-1, k) and
 re-triangularizes it with a Givens rotation, on Python scalars: floats
 for a real basis (lll's real embedding), complex numbers otherwise.  A
-size step whose ratio lies well inside the rounding window to zero
-skips the rounding, so a visit pays only for the nonzero updates.
+size step rounds each part of its ratio (one for a real basis) with
+``_mu``, unless every part lies well inside the window to zero.  Only a
+swap writes a diagonal entry, so a run keeps their moduli, and a visit
+takes only |r[k-1, k]|, for the Lovasz test.
 ``reduce_at_caps`` is the one way to run a reduction: it runs an entry
 on each basis of a stack, from the stack's QR, at one delta, with one
 numpy set-up per stack, and hands out each run's distinct snapshots
@@ -29,10 +31,9 @@ at several iteration caps, with each cap's index among them.  No
 reduction factors or rank-tests its basis: ``lrmimo.flops.reduce_block``
 runs them on a block of channels that passed their rank test.  Every
 snapshot holds the run's q and r as it holds them, in columns of Python
-scalars, T in exact Gaussian-integer arithmetic, and the run's counts
-of visits, swaps, pivots and nonzero-mu size updates.  Taking a
-snapshot copies lists and builds no array; ``factor_stacks``, the one
-reader of that form, stacks the arrays of a list of snapshots.  Every
+scalars, T in exact Gaussian-integer arithmetic, and the run's counts of
+visits, swaps, pivots and nonzero-mu size updates; ``factor_stacks``,
+the one reader of that form, stacks the arrays of a list of them.  Every
 decision reads r alone, so a count-only run, which holds no q and no T,
 makes the same visits and snapshots only the counts.  The reductions
 count no FLOPs: ``lrmimo.flops`` reads every count off a snapshot.
@@ -110,18 +111,17 @@ class ReductionResult:
     pivot_sum: int
 
 
-def _mu(ratio: complex) -> tuple[int, int]:
-    """The size-reduction coefficient for ``ratio = r[l, k] / r[l, l]``:
-    each component rounded to the nearest integer, ties away from zero.
+def _mu(x: float) -> int:
+    """One component of the size-reduction coefficient for ``ratio =
+    r[l, k] / r[l, l]``: ``x`` rounded to the nearest integer, ties away
+    from zero.  A real ratio is one component, a complex one two.
 
     A component within ``TIE_TOL`` of a half-integer is a tie: the real
     embedding makes some ratios exactly +-1/2, which QR rounding puts a few
     ulps to either side, so this window makes mu a function of the basis
     alone, at any scale (the ratio has no unit).
     """
-    x, y = ratio.real, ratio.imag
-    return (int(math.copysign(math.floor(abs(x) + 0.5 + TIE_TOL), x)),
-            int(math.copysign(math.floor(abs(y) + 0.5 + TIE_TOL), y)))
+    return int(math.copysign(math.floor(abs(x) + 0.5 + TIE_TOL), x))
 
 
 class _Run:
@@ -145,13 +145,19 @@ class _Run:
     square in the swap tests over- or underflows at any channel scale.
     The scaling is exact, so wherever the unscaled squares stay in range
     every decision is the one they would give.
+
+    Only a swap writes a diagonal entry, so the run keeps ``tol``
+    (``PIVOT_TOL * scale``), ``diag``, the entries ``r[j][j]``, and
+    ``mods``, their moduli by ``abs`` (``hypot`` for a complex entry),
+    and a swap refreshes the pair it rotates.
     """
 
     def __init__(self, q, r, exponent: int, scale: float, delta: float, lovasz: bool):
-        self.q, self.r, self.exponent, self.scale = q, r, exponent, scale
-        self.n = len(r)
-        self.delta = delta
-        self.lovasz = lovasz
+        self.q, self.r, self.exponent, self.tol = q, r, exponent, PIVOT_TOL * scale
+        self.n, self.delta, self.lovasz = len(r), delta, lovasz
+        self.real = type(r[0][0]) is float
+        self.diag = [col[j] for j, col in enumerate(r)]
+        self.mods = [abs(x) for x in self.diag]
         self.t = None if q is None else GaussIntMatrix.identity(self.n)
         self.visit_count = self.swap_count = self.pivot_sum = self.size_updates = 0
         self.iterations = 0
@@ -164,42 +170,49 @@ class _Run:
         (k-1, k) of r and columns (k-1, k) of q.  Returns whether it
         swapped.
 
-        Size reduction subtracts ``mu`` (see ``_mu``) times column l from
-        column k in rows 0..l of r and in T, when mu is nonzero; it raises
-        ZeroDiagonal unless ``|r[l, l]| > PIVOT_TOL * ||basis||_F``.  A ratio
-        with both parts strictly inside (-0.49, 0.49) has mu = (0, 0), since
-        ``0.49 + 0.5 + TIE_TOL < 1``, so it skips ``_mu``; a NaN ratio
-        fails that test and raises in ``_mu``.  The
-        Siegel test swaps when ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2``; the
-        Lovasz test adds ``|r[k-1,k]|^2`` to the right side.  The rotation
-        raises ZeroPivot unless the swapped pair's norm, the new
-        ``r[k-1, k-1]``, is above the same ``PIVOT_TOL * ||basis||_F``.
+        Size reduction subtracts ``mu``, each part of ``r[l, k] / r[l, l]``
+        rounded by ``_mu``, times column l from column k in rows 0..l of r
+        and in T, when mu is nonzero; it raises ZeroDiagonal unless
+        ``|r[l, l]| > PIVOT_TOL * ||basis||_F``.  A ratio with every part
+        (one for a real basis) strictly inside (-0.49, 0.49) has mu = 0,
+        since ``0.49 + 0.5 + TIE_TOL < 1``, so it skips ``_mu``; a NaN
+        ratio fails that test and raises in ``_mu``.  The Siegel test swaps
+        when ``delta*|r[k-1,k-1]|^2 > |r[k,k]|^2``; the Lovasz test adds
+        ``|r[k-1,k]|^2``, the one modulus a visit takes: the diagonal ones
+        are the run's cached ``mods``.  The rotation raises ZeroPivot
+        unless the swapped pair's norm, the new ``r[k-1, k-1]``, is above
+        the same ``PIVOT_TOL * ||basis||_F``.
         """
-        r, t, scale = self.r, self.t, self.scale
+        r, t, tol, diag, mods, real = self.r, self.t, self.tol, self.diag, self.mods, self.real
         col = r[k]
         for l in range(k - 1, -1, -1):
-            left = r[l]
-            if not abs(left[l]) > PIVOT_TOL * scale:
+            if not mods[l] > tol:
                 raise ZeroDiagonal(f"|r[{l},{l}]| not above {PIVOT_TOL:.0e} * ||basis||_F")
-            ratio = col[l] / left[l]
-            if -0.49 < ratio.real < 0.49 and -0.49 < ratio.imag < 0.49:
-                continue  # mu = (0, 0); a NaN fails the test and reaches _mu
-            mu_re, mu_im = _mu(ratio)
+            ratio = col[l] / diag[l]
+            if real:
+                if -0.49 < ratio < 0.49:
+                    continue  # mu = 0; a NaN fails the test and reaches _mu
+                mu_re, mu_im = _mu(ratio), 0
+            elif -0.49 < ratio.real < 0.49 and -0.49 < ratio.imag < 0.49:
+                continue
+            else:
+                mu_re, mu_im = _mu(ratio.real), _mu(ratio.imag)
             if mu_re or mu_im:
                 mu = complex(mu_re, mu_im) if mu_im else mu_re
+                left = r[l]
                 for i in range(l + 1):
                     col[i] -= mu * left[i]
                 if t is not None:
                     t.col_update(k, l, mu_re, mu_im)
                 self.size_updates += 1
-        diag, off, prev = abs(col[k]), abs(col[k - 1]), abs(r[k - 1][k - 1])
-        rhs = diag * diag + (off * off if self.lovasz else 0.0)
-        swap = self.delta * (prev * prev) > rhs
+        prev, d = mods[k - 1], mods[k]
+        off = abs(col[k - 1]) if self.lovasz else 0.0
+        swap = self.delta * (prev * prev) > d * d + off * off
         if swap:
             r[k - 1], r[k] = col, r[k - 1]
             a, b = col[k - 1], col[k]
             nrm = abs(complex(abs(a), abs(b)))
-            if not nrm > PIVOT_TOL * scale:
+            if not nrm > tol:
                 raise ZeroPivot(f"pivot pair at column {k - 1} not above "
                                 f"{PIVOT_TOL:.0e} * ||basis||_F")
             a, b = a / nrm, b / nrm
@@ -207,6 +220,8 @@ class _Run:
             for c in r[k - 1:]:
                 x, y = c[k - 1], c[k]
                 c[k - 1], c[k] = ca * x + cb * y, a * y - b * x
+            diag[k - 1], diag[k] = r[k - 1][k - 1], r[k][k]
+            mods[k - 1], mods[k] = abs(diag[k - 1]), abs(diag[k])
             if t is not None:
                 t.swap_cols(k - 1, k)
                 q0, q1 = self.q[k - 1], self.q[k]
@@ -244,7 +259,9 @@ def _mclll_sweeps(run: _Run):
     """
     n = run.n
     while not run.converged:
-        swaps = sum(run.visit(k) for k in range(1, n))
+        swaps = 0
+        for k in range(1, n):
+            swaps += run.visit(k)
         run.iterations += 1
         run.converged = swaps == 0
         yield
@@ -333,14 +350,15 @@ REDUCTIONS = {
 def _runs(bases, qr: QRFactorization, delta: float, lovasz: bool, factors: bool):
     """An iterator of one ``_Run`` per basis of the stack ``bases``, from
     its rows of ``qr``, with the stack's set-up made once; each run lists
-    its own rows when it is reached, so only its own lists are held."""
+    its own rows when it is reached, so only its own lists are held; a
+    count-only stack (``factors`` false) lists no q, and its q may be None."""
     q, r = qr
-    if np.isrealobj(bases):  # the complex QR of a real basis is real
-        q, r = q.real, r.real
+    real = np.isrealobj(bases)  # the complex QR of a real basis is real
     exponents = max_exponent(bases, axis=(-2, -1))
-    r = ldexp(r, -exponents[:, None, None])
+    r = ldexp(r.real if real else r, -exponents[:, None, None])
     scales = np.ldexp(np.hypot.reduce(np.abs(bases), axis=(-2, -1)), -exponents)
-    columns = zip(q.swapaxes(-1, -2), r.swapaxes(-1, -2), exponents.tolist(), scales.tolist())
+    q = (q.real if real else q).swapaxes(-1, -2) if factors else itertools.repeat(None)
+    columns = zip(q, r.swapaxes(-1, -2), exponents.tolist(), scales.tolist())
     return (_Run(q_b.tolist() if factors else None, r_b.tolist(), e, scale, delta, lovasz)
             for q_b, r_b, e, scale in columns)
 
@@ -363,7 +381,8 @@ def reduce_at_caps(algorithm: str, bases, caps, *, qr: QRFactorization,
     the prefix of a run capped at K > k.  The unbounded "lll" runs to
     completion and every cap (None included) gets its one snapshot.  No
     snapshot is mutated.  With ``factors=False`` the runs are count-only:
-    the same visits on r, with snapshots that hold no q, r or T.
+    the same visits on r, with snapshots that hold no q, r or T, from ``qr``
+    whose q is not read (``qr_decompose(..., factors=False)`` forms none).
     """
     if algorithm not in REDUCTIONS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -644,12 +644,13 @@ class TestOneReductionStage:
 
         monkeypatch.setattr(flops, "reduce_block", spy_block)
         monkeypatch.setattr(reduction, "_Run", Run)
-        monkeypatch.setattr(flops, "qr_stack", lambda h: factored.append(np.shape(h)) or stack(h))
+        monkeypatch.setattr(flops, "qr_stack", lambda h, **kw: factored.append(
+            (np.shape(h), kw)) or stack(h, **kw))
         monkeypatch.setattr(reduction, "real_embedding",
                             lambda h: embedded.append(np.shape(h)) or embed(h))
         for module in (flops, cli):
-            monkeypatch.setattr(module, "qr_decompose",
-                                lambda h: tested.append(np.shape(h)) or decompose(h))
+            monkeypatch.setattr(module, "qr_decompose", lambda h, **kw: tested.append(
+                (np.shape(h), kw)) or decompose(h, **kw))
         assert main(argv) == 0
         capsys.readouterr()
         # Every run is one of a reduce_block call's.
@@ -658,12 +659,15 @@ class TestOneReductionStage:
         # lll's block embeds its channels and factors the embeddings once.
         assert [size for name, size, _ in blocks if name == "lll"] == lll_blocks
         assert [s for s in embedded if len(s) == 3] == [(size, n_r, n_t) for size in lll_blocks]
-        assert [s for s in factored if s[-2:] == (2 * n_r, 2 * n_t)] == [
-            (size, 2 * n_r, 2 * n_t) for size in lll_blocks]
+        # The count-only report forms no Q; the sweep and reduce keep it.
+        kw = {"factors": False} if argv[0] == "flops-report" else {"factors": True}
+        assert [(s, each) for s, each in factored if s[-2:] == (2 * n_r, 2 * n_t)] == [
+            ((size, 2 * n_r, 2 * n_t), kw) for size in lll_blocks]
         # Every rank test is one qr_decompose of a stack of channels: one per
         # report block and reduce's stack of one (the sweep redraws instead).
-        assert tested == {"ber-sweep": [], "flops-report": [(64, n_r, n_t), (6, n_r, n_t)],
-                          "reduce": [(1, n_r, n_t)]}[argv[0]]
+        assert tested == {"ber-sweep": [],
+                          "flops-report": [((64, n_r, n_t), kw), ((6, n_r, n_t), kw)],
+                          "reduce": [((1, n_r, n_t), {})]}[argv[0]]
 
 
 # SHA-256 of the `ber-sweep --out` CSV of each config, recorded before the

@@ -561,9 +561,10 @@ class TestComplexityReport:
         decompose, stack, embed = flops.qr_decompose, flops.qr_stack, reduction.real_embedding
 
         def spy(factor):
-            def spied(h):
+            def spied(h, **kw):
+                assert kw == {"factors": False}  # the report forms no Q
                 shapes.append(np.shape(h))
-                return factor(h)
+                return factor(h, **kw)
             return spied
 
         def spy_embed(h):

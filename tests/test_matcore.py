@@ -292,6 +292,29 @@ class TestQR:
             assert np.array_equal(q_i, want.q) and np.array_equal(r_i, want.r)
         assert rejected == 2
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_r_only_qr_is_the_full_qr_r_byte_for_byte(self, n):
+        # The R-only QR is the same geqrf without forming Q: r and the rank
+        # flags equal the full QR's, on channels and on real embeddings,
+        # with a rank-deficient and a zero matrix among them.
+        rng = np.random.default_rng((15, n))
+        hs = np.stack([generate_channel(n, n, rng) for _ in range(6)])
+        hs[2][:, -1] = 2j * hs[2][:, 0]
+        hs[4] = 0
+        for stack in (hs, real_embedding(hs)):
+            _, r, low = qr_stack(stack)
+            q_none, r_only, low_only = qr_stack(stack, factors=False)
+            assert q_none is None and r_only.tobytes() == r.tobytes()
+            assert np.array_equal(low_only, low)
+            good = stack[~low.any(axis=-1)]
+            assert qr_decompose(good, factors=False).q is None
+            assert qr_decompose(good, factors=False).r.tobytes() == qr_decompose(good).r.tobytes()
+            with pytest.raises(RankDeficient) as full:
+                qr_decompose(stack)
+            with pytest.raises(RankDeficient) as without_q:
+                qr_decompose(stack, factors=False)
+            assert str(without_q.value) == str(full.value)
+
 
 class TestGivens:
     """The rotation that re-triangularizes rows (k-1, k) of r after a swap,

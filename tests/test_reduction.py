@@ -570,9 +570,9 @@ class TestRoundingTies:
         parts = []
         mu = reduction._mu
 
-        def spy(ratio):
-            rounded = mu(ratio)
-            parts.extend(zip((ratio.real, ratio.imag), rounded))
+        def spy(x):
+            rounded = mu(x)
+            parts.append((x, rounded))
             return rounded
 
         monkeypatch.setattr(reduction, "_mu", spy)
@@ -586,8 +586,8 @@ class TestRoundingTies:
     def test_near_half_rounds_away(self, x):
         # Exact halves, and the values a few ulps to either side that
         # QR rounding can leave in their place.
-        assert reduction._mu(complex(x, -x)) == (1, -1)
-        assert reduction._mu(complex(x + 1e-11, x - 1e-11)) == (1, 0)
+        assert (reduction._mu(x), reduction._mu(-x)) == (1, -1)
+        assert (reduction._mu(x + 1e-11), reduction._mu(x - 1e-11)) == (1, 0)
 
     def test_lll_does_not_depend_on_qr_rounding(self):
         # Started from an independent Gram-Schmidt QR, whose last ulps
@@ -637,8 +637,7 @@ class TestScalarFastPaths:
     @given(st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True),
            st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True))
     def test_mu_is_zero_inside_the_skip_window(self, x, y):
-        assert reduction._mu(complex(x, y)) == (0, 0)
-        assert reduction._mu(x) == (0, 0)
+        assert (reduction._mu(x), reduction._mu(y)) == (0, 0)
 
     @pytest.mark.parametrize("name", sorted(REDUCTIONS))
     def test_nan_ratio_still_raises(self, name):
@@ -648,6 +647,64 @@ class TestScalarFastPaths:
         run.r[1][0] = math.nan
         with pytest.raises(ValueError, match="NaN"):
             run.visit(1)
+
+
+class CheckingRun(reduction._Run):
+    """A ``_Run`` that checks its pivot cache when it starts and after
+    every visit: the cached entries are r's diagonal entries, the same
+    objects, and the cached moduli are ``abs`` of them, bit for bit."""
+
+    checked = 0
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.check()
+
+    def visit(self, k):
+        swapped = super().visit(k)
+        self.check()
+        CheckingRun.checked += 1
+        return swapped
+
+    def check(self):
+        for j, col in enumerate(self.r):
+            assert self.diag[j] is col[j]
+            assert self.mods[j].hex() == abs(col[j]).hex()
+
+
+class TestCachedPivots:
+    """A visit reads the diagonal entries and their moduli from its run's
+    cache, which only a swap refreshes."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    @pytest.mark.parametrize("factors", [True, False], ids=["full", "count-only"])
+    def test_cache_is_r_diagonal_after_every_visit(self, name, factors, monkeypatch):
+        monkeypatch.setattr(CheckingRun, "checked", 0)
+        monkeypatch.setattr(reduction, "_Run", CheckingRun)
+        caps = [None] if name == "lll" else [3, 18]
+        for n in range(1, 9):
+            h = np.stack([generate_channel(n, n, np.random.default_rng((27, n, i)))
+                          for i in range(4)])
+            qr = qr_decompose(h, factors=factors)
+            for _ in reduce_block(name, h, qr, caps, factors=factors):
+                pass
+        assert CheckingRun.checked > 300
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_pivot_a_swap_leaves_tiny_raises_at_the_next_division(self, dtype):
+        # |r[1,1]| is below PIVOT_TOL * ||basis||_F.  mclll's visit at k = 1
+        # divides only by r[0,0] and swaps; the swap leaves the new r[1,1]
+        # tiny too, and the visit at k = 2 divides by it.
+        r = np.array([[1.0, 0.3, 0.2], [0.0, 1e-16, 0.1], [0.0, 0.0, 1.0]], dtype=dtype)
+        [run] = reduction._runs(r[None], QRFactorization(np.eye(3, dtype=dtype)[None], r[None]),
+                                0.75, False, True)
+        assert run.visit(1)
+        # r's largest part is 1, so the run holds r and its norm halved.
+        assert run.tol == pytest.approx(reduction.PIVOT_TOL * np.linalg.norm(r) / 2)
+        assert 0 < run.mods[1] < run.tol
+        with pytest.raises(ZeroDiagonal) as raised:
+            run.visit(2)
+        assert str(raised.value) == "|r[1,1]| not above 1e-14 * ||basis||_F"
 
 
 class TestSnapshotReuse:
